@@ -250,28 +250,46 @@ def from_prefix_code_map(pm, alphabet):
 
 def _viability(t):
     """Memoized test: can some infinite run from state q emit a string
-    extending the word u?"""
+    extending the word u?  Depth-first search over (state, unmatched
+    rest of u) configurations with an explicit stack, so long chains of
+    empty-output transitions need no recursion; a configuration already
+    on the search path counts as a dead end."""
     cache = {}
 
-    def viable(q, u, busy=frozenset()):
+    def viable(q, u):
         if not u:
             return True
-        key = (q, u)
-        if key in cache:
-            return cache[key]
-        if key in busy:
-            return False
-        busy = busy | {key}
-        ok = False
-        for x in t.input_letters(q):
-            w, tgt = t.step(q, x)
-            if is_prefix(u, w):
-                ok = True
-                break
-            if is_prefix(w, u) and viable(tgt, u[len(w):], busy):
-                ok = True
-                break
-        cache[key] = ok
+        root = (q, u)
+        if root in cache:
+            return cache[root]
+        busy = {root}
+        stack = [(root, iter(t.input_letters(q)))]
+        ok = False  # once True, it holds for every configuration popped
+        while stack:
+            key, letters = stack[-1]
+            p, v = key
+            child = None
+            if not ok:
+                for x in letters:
+                    w, tgt = t.step(p, x)
+                    if is_prefix(v, w):
+                        ok = True
+                        break
+                    if is_prefix(w, v):
+                        nxt = (tgt, v[len(w):])
+                        if cache.get(nxt):
+                            ok = True
+                            break
+                        if nxt not in cache and nxt not in busy:
+                            child = nxt
+                            break
+            if child is not None:
+                busy.add(child)
+                stack.append((child, iter(t.input_letters(child[0]))))
+                continue
+            stack.pop()
+            busy.discard(key)
+            cache[key] = ok
         return ok
 
     return viable

@@ -19,17 +19,12 @@ from dataclasses import dataclass
 from .machine import CORE, TransducerError, canonical_form
 from .minimize import minimize
 from .synchro import NotSynchronizing, core_of, core_product, \
-    is_bisynchronizing, sync_level
+    is_bisynchronizing, is_identity_core, sync_level
 
 
 def _minimal_core(t):
     """Core of the minimal machine for t (t may already be a core)."""
     return core_of(minimize(t))
-
-
-def is_identity_core(c):
-    return (len(c.states) == 1 and
-            all(c.step(c.states[0], x)[0] == (x,) for x in range(c.n)))
 
 
 def is_in_Gnr(t):
@@ -59,12 +54,10 @@ def outer_product(a, b):
 def order_in_On(a, cap=64):
     """Order of a core in the outer-class group, searched up to `cap`.
 
-    Returns ("finite", k) at the first power equal to the identity core,
-    ("infinite", None) when a canonical form repeats before the identity
-    shows up (the powers then cycle forever without reaching it), and
-    ("unknown", None) if the cap runs out first.  Powers are bucketed by
-    state count so canonical forms are only computed when a collision is
-    possible."""
+    Returns ("finite", k) at the first power equal to the identity core
+    and ("unknown", None) if the cap runs out first.  No repeat among
+    the powers can prove an infinite order: a^i == a^j already makes
+    a^(j-i) the identity, which the search meets first."""
     if a.mode != CORE:
         raise TransducerError("order_in_On expects a core-mode machine")
     if cap < 1:
@@ -72,17 +65,10 @@ def order_in_On(a, cap=64):
     a = minimize(a)
     if sync_level(a) is None:
         raise NotSynchronizing("order search needs a synchronizing core")
-    by_size = {}
     power = a
     for k in range(1, cap + 1):
         if is_identity_core(power):
             return "finite", k
-        bucket = by_size.setdefault(len(power.states), [])
-        form = canonical_form(power) if bucket else None
-        if form is not None and form in (
-                canonical_form(old) for old in bucket):
-            return "infinite", None
-        bucket.append(power)
         if k < cap:
             power = outer_product(power, a)
     return "unknown", None

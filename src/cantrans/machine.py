@@ -230,33 +230,33 @@ def validate(t):
 
 
 def _epsilon_cycle(t):
-    """A cycle along transitions with empty output, or None."""
+    """A cycle along transitions with empty output, or None.  Depth-first
+    search with an explicit stack, so long empty-output chains need no
+    recursion."""
     eps = {}
     for (q, _x), (w, tgt) in t.trans.items():
         if w == EMPTY:
             eps.setdefault(q, []).append(tgt)
     color = {}
-    stack = []
-
-    def dfs(q):
-        color[q] = 1
-        stack.append(q)
-        for tgt in eps.get(q, ()):
-            if color.get(tgt, 0) == 1:
-                return stack[stack.index(tgt):] + [tgt]
-            if color.get(tgt, 0) == 0:
-                found = dfs(tgt)
-                if found:
-                    return found
-        stack.pop()
-        color[q] = 2
-        return None
-
-    for q in t.states:
-        if color.get(q, 0) == 0:
-            found = dfs(q)
-            if found:
-                return found
+    for root in t.states:
+        if root in color:
+            continue
+        color[root] = 1
+        path = [root]
+        stack = [iter(eps.get(root, ()))]
+        while stack:
+            for tgt in stack[-1]:
+                c = color.get(tgt)
+                if c == 1:
+                    return path[path.index(tgt):] + [tgt]
+                if c is None:
+                    color[tgt] = 1
+                    path.append(tgt)
+                    stack.append(iter(eps.get(tgt, ())))
+                    break
+            else:
+                color[path.pop()] = 2
+                stack.pop()
     return None
 
 
@@ -393,10 +393,10 @@ def canonical_form(t):
     when they are strongly isomorphic (a state bijection commuting with
     transitions and outputs).
 
-    Initial mode: breadth-first renumbering from q0, letters taken in
-    canonical order.  Core mode: the renumbering is computed once per
-    choice of root state and the least renumbered transition table wins;
-    the preferred-start marker is ignored."""
+    Initial mode (header T1|initial): breadth-first renumbering from q0,
+    letters taken in canonical order.  Core mode (header T2|core): the
+    breadth-first renumbering from the root _best_core_order picks; the
+    preferred-start marker is ignored."""
     if t.mode == INITIAL:
         order = _bfs_order(t, t.initial)
         if len(order) != len(t.states):
@@ -406,7 +406,7 @@ def canonical_form(t):
         return _serialize(t, order, f"T1|initial|n={t.n}|r={t.r}")
     if not _strongly_connected(t):
         raise TransducerError("disconnected core has no canonical form")
-    return _serialize(t, _best_core_order(t), f"T1|core|n={t.n}")
+    return _serialize(t, _best_core_order(t), f"T2|core|n={t.n}")
 
 
 def _core_table(t, order):
@@ -421,19 +421,38 @@ def _core_table(t, order):
 
 
 def _best_core_order(t):
-    """The breadth-first renumbering, over all root choices, whose
-    transition table is least; the core-mode canonical labeling."""
-    best = None
-    for start in t.states:
-        order = _bfs_order(t, start)
-        if len(order) != len(t.states):
-            continue
-        table = _core_table(t, order)
-        if best is None or table < best[0]:
-            best = (table, order)
-    if best is None:
-        raise TransducerError("no state reaches the whole machine")
-    return best[1]
+    """The core-mode canonical labeling of a strongly connected core.
+
+    Moore refinement names each state by a colour that ignores state
+    names: a state's signature is its colour followed by (output word,
+    target colour) per digit, and its new colour is the rank of its
+    signature among the sorted distinct signatures, until the number of
+    colours stops growing.  The candidate roots are the states of the
+    smallest colour class (ties to the lower colour); among them the
+    breadth-first renumbering with the least transition table wins.
+    Colours are invariant under renaming, so the candidate set is too,
+    and the result is a strong-isomorphism invariant even when states
+    are equivalent.  On a minimal core the partition is discrete and a
+    single breadth-first walk remains."""
+    colour = dict.fromkeys(t.states, 0)
+    count = 1
+    while True:
+        sig = {q: (colour[q],) + tuple((w, colour[tgt]) for w, tgt in
+                                       (t.step(q, x) for x in range(t.n)))
+               for q in t.states}
+        rank = {s: i for i, s in enumerate(sorted(set(sig.values())))}
+        colour = {q: rank[sig[q]] for q in t.states}
+        if len(rank) == count:
+            break
+        count = len(rank)
+    classes = {}
+    for q in t.states:
+        classes.setdefault(colour[q], []).append(q)
+    roots = min(classes.items(), key=lambda kv: (len(kv[1]), kv[0]))[1]
+    if len(roots) == 1:
+        return _bfs_order(t, roots[0])
+    return min((_bfs_order(t, q) for q in roots),
+               key=lambda order: _core_table(t, order))
 
 
 def _bfs_order(t, start):

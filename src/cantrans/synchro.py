@@ -34,98 +34,59 @@ def _tracked_states(t):
     return [q for q in t.states if q not in pre]
 
 
-def _pair_graph(t):
-    """Successors of each unordered non-diagonal state pair under the
-    digit letters, on integer-indexed states; a pair has no successor
-    for letters that merge it."""
+def _collapse(t):
+    """Partition the tracked states by where every word of the current
+    length sends them: (tracked, final classes, level or None).
+
+    Round m keeps p and q in one class exactly when every digit word of
+    length m drives them to the same state, so round m + 1 merges the
+    states whose rows of successor classes agree.  The partitions only
+    coarsen; a round that merges nothing is a fixpoint.  The level is the
+    number of rounds taken to reach a single class, and None when the
+    fixpoint still has several."""
     tracked = _tracked_states(t)
     idx = {q: i for i, q in enumerate(tracked)}
-    k = len(tracked)
-    succ = [[idx[t.step(q, x)[1]] for x in range(t.n)] for q in tracked]
-
-    def pid(i, j):
-        return i * k + j if i < j else j * k + i
-
-    graph = {}
-    for i in range(k):
-        for j in range(i + 1, k):
-            out = []
-            for x in range(t.n):
-                a, b = succ[i][x], succ[j][x]
-                if a != b:
-                    out.append(pid(a, b))
-            graph[i * k + j] = out
-    return graph, tracked, k
+    succ = [tuple(idx[t.step(q, x)[1]] for x in range(t.n))
+            for q in tracked]
+    cls = list(range(len(tracked)))
+    count = len(tracked)
+    rounds = 0
+    while count > 1:
+        ids = {}
+        nxt = [ids.setdefault(tuple(cls[s] for s in row), len(ids))
+               for row in succ]
+        if len(ids) == count:
+            return tracked, cls, None
+        cls, count = nxt, len(ids)
+        rounds += 1
+    return tracked, cls, rounds
 
 
 def sync_level(t):
     """Least m such that every digit word of length m is synchronizing,
-    or None when no such m exists.
-
-    Runs on the pair automaton: a pair of distinct states that can reach
-    a cycle of distinct pairs survives arbitrarily long words, so the
-    machine is not synchronizing; otherwise the pair graph is a DAG and
-    the level is one more than its longest path.  Level 0 means a single
+    or None when no such m exists: the number of collapse rounds that
+    bring the tracked states into one class.  Level 0 means a single
     tracked state."""
-    if len(_tracked_states(t)) <= 1:
-        return 0
-    graph, _tracked, _k = _pair_graph(t)
-    color = {}
-    order = []
-    for node in graph:
-        if color.get(node, 0):
-            continue
-        stack = [(node, iter(graph[node]))]
-        color[node] = 1
-        while stack:
-            cur, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                c = color.get(nxt, 0)
-                if c == 1:
-                    return None
-                if c == 0:
-                    color[nxt] = 1
-                    stack.append((nxt, iter(graph[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-                color[cur] = 2
-                order.append(cur)
-    depth = {}
-    for node in order:
-        depth[node] = max((depth[s] + 1 for s in graph[node]), default=0)
-    return 1 + max(depth.values())
+    return _collapse(t)[2]
 
 
 def witness_pair(t):
-    """For a non-synchronizing machine: a pair of states that some cycle
-    of the pair automaton keeps apart forever, or None."""
-    graph, tracked, k = _pair_graph(t)
-    color = {}
-    for node in graph:
-        if color.get(node, 0):
-            continue
-        stack = [(node, iter(graph[node]))]
-        color[node] = 1
-        while stack:
-            cur, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                c = color.get(nxt, 0)
-                if c == 1:
-                    return tuple(sorted((tracked[nxt // k], tracked[nxt % k]),
-                                        key=str))
-                if c == 0:
-                    color[nxt] = 1
-                    stack.append((nxt, iter(graph[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-                color[cur] = 2
-    return None
+    """For a non-synchronizing machine: two tracked states, sorted by
+    name, in different classes of the final collapse, or None when the
+    machine synchronizes.  Every word of every length keeps some run
+    from the two apart, so by Koenig's lemma some infinite word does."""
+    tracked, cls, level = _collapse(t)
+    if level is not None:
+        return None
+    other = next(i for i, c in enumerate(cls) if c != cls[0])
+    return tuple(sorted((tracked[0], tracked[other]), key=str))
+
+
+def is_identity_core(c):
+    """The one-state core that echoes every digit: the outer class of
+    the prefix-exchange maps."""
+    return (len(c.states) == 1 and
+            all(c.step(c.states[0], x)[0] == (x,) for x in range(c.n)))
 
 
 def _attractor(t, steps):
@@ -194,11 +155,6 @@ def core_product(a, b):
     return core
 
 
-def _is_identity_core(c):
-    return (len(c.states) == 1 and
-            all(c.step(c.states[0], x)[0] == (x,) for x in range(c.n)))
-
-
 def invert_core(c):
     """The inverse core: the machine this core's outer class inverts to.
 
@@ -265,8 +221,8 @@ def invert_core(c):
     if sync_level(sub) is None:
         raise NotInvertible("inverse dynamics do not synchronize")
     d = minimize(core_of(sub))
-    if not _is_identity_core(core_product(c, d)) \
-            or not _is_identity_core(core_product(d, c)):
+    if not is_identity_core(core_product(c, d)) \
+            or not is_identity_core(core_product(d, c)):
         raise NotInvertible(
             "round-trip verification failed: core products are not trivial"
         )

@@ -12,6 +12,7 @@ from cantrans import (
     run_word,
     sync_level,
 )
+from cantrans.machine import _bfs_order, _core_table, _serialize
 from cantrans.randgen import random_gnr_element, random_transducer
 from cantrans.synchro import _tracked_states
 
@@ -29,6 +30,105 @@ def brute_force_level(t, max_level=8):
         ):
             return m
     return None
+
+
+def _pair_graph_search(t):
+    """Oracle behind pair_graph_level and pair_graph_witness: depth-first
+    search of the pair automaton on unordered non-diagonal pairs of
+    tracked states.  Returns ("cycle", pair) for a pair on a cycle, which
+    some infinite word keeps apart, or ("dag", level) with the level one
+    more than the longest path."""
+    tracked = _tracked_states(t)
+    idx = {q: i for i, q in enumerate(tracked)}
+    succ = [[idx[t.step(q, x)[1]] for x in range(t.n)] for q in tracked]
+    graph = {}
+    for i in range(len(tracked)):
+        for j in range(i + 1, len(tracked)):
+            graph[(i, j)] = [tuple(sorted((succ[i][x], succ[j][x])))
+                             for x in range(t.n) if succ[i][x] != succ[j][x]]
+    color = {}
+    order = []
+    for node in graph:
+        if node in color:
+            continue
+        color[node] = 1
+        stack = [(node, iter(graph[node]))]
+        while stack:
+            cur, it = stack[-1]
+            for nxt in it:
+                if color.get(nxt) == 1:
+                    pair = (tracked[nxt[0]], tracked[nxt[1]])
+                    return "cycle", tuple(sorted(pair, key=str))
+                if nxt not in color:
+                    color[nxt] = 1
+                    stack.append((nxt, iter(graph[nxt])))
+                    break
+            else:
+                stack.pop()
+                color[cur] = 2
+                order.append(cur)
+    depth = {}
+    for node in order:
+        depth[node] = max((depth[s] + 1 for s in graph[node]), default=0)
+    return "dag", 1 + max(depth.values(), default=-1)
+
+
+def pair_graph_level(t):
+    """Oracle: the synchronization level read off the pair automaton,
+    None when it has a cycle."""
+    kind, value = _pair_graph_search(t)
+    return value if kind == "dag" else None
+
+
+def pair_graph_witness(t):
+    """Oracle: a pair on a cycle of the pair automaton, or None."""
+    kind, value = _pair_graph_search(t)
+    return value if kind == "cycle" else None
+
+
+def kept_apart(t, p, q):
+    """Oracle: whether some infinite digit word keeps the runs from p and
+    q apart, as the greatest set of distinct pairs in which every pair
+    has a letter leading to another pair of the set."""
+    tracked = _tracked_states(t)
+    alive = {frozenset((a, b)) for a in tracked for b in tracked if a != b}
+    changed = True
+    while changed:
+        changed = False
+        for pair in list(alive):
+            a, b = tuple(pair)
+            if not any(frozenset((t.step(a, x)[1], t.step(b, x)[1])) in alive
+                       for x in range(t.n)):
+                alive.discard(pair)
+                changed = True
+    return frozenset((p, q)) in alive
+
+
+def every_root_core_form(t):
+    """Oracle: core canonical bytes from the breadth-first renumbering,
+    over every root that reaches the whole core, whose transition table
+    is least.  Quadratic, but equal exactly for strongly isomorphic
+    strongly connected cores."""
+    best = None
+    for start in t.states:
+        order = _bfs_order(t, start)
+        if len(order) == len(t.states):
+            table = _core_table(t, order)
+            if best is None or table < best[0]:
+                best = (table, order)
+    return _serialize(t, best[1], f"T1|core|n={t.n}")
+
+
+def shuffled_relabel(t, rng):
+    """The same machine under fresh state names, listed in random order."""
+    names = [f"x{i}" for i in range(len(t.states))]
+    rng.shuffle(names)
+    mapping = dict(zip(t.states, names))
+    trans = {(mapping[q], x): (w, mapping[tgt])
+             for (q, x), (w, tgt) in t.trans.items()}
+    states = sorted(mapping.values(), key=lambda _q: rng.random())
+    initial = mapping[t.initial] if t.initial is not None else None
+    return Transducer(t.n, t.r, t.mode, states, initial, trans)
 
 
 def random_synchronizing(alphabet, states, max_out, seed, tries=200):
