@@ -44,10 +44,8 @@ def outer_class_equal(a, b):
 
 
 def outer_product(a, b):
-    """The group operation on cores: pair product over all state pairs,
-    reduction adapted to core mode, then core extraction."""
-    if a.mode != CORE or b.mode != CORE:
-        raise TransducerError("outer_product expects core-mode machines")
+    """The group operation on cores: the minimal core of the pair
+    product (see core_product)."""
     return core_product(a, b)
 
 

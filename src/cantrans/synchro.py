@@ -10,11 +10,10 @@ sub-machine that is the invariant of the outer class.
 from collections import deque
 
 from .words import EMPTY
-from .machine import CORE, Transducer, TransducerError, check_valid, \
-    validate, _strongly_connected
-from .minimize import merge_equivalent_states, minimize, \
-    remove_incomplete_response
-from .algebra import NotInvertible, _advance, _viability, compose, invert
+from .machine import CORE, InvalidTransducer, Transducer, TransducerError, \
+    check_valid, _strongly_connected
+from .minimize import minimize
+from .algebra import NotInvertible, _advance, _viability, invert
 
 
 class NotSynchronizing(TransducerError):
@@ -134,24 +133,75 @@ def core_of(t):
     return check_valid(core)
 
 
-def core_product(a, b):
-    """Product of two cores reduced back to a minimal core: full pair
-    product, completion of responses, state merging, core extraction.
+def _product_attractor(a, b):
+    """The core of the raw pair product of two synchronizing cores, built
+    without the rest of the product.
 
-    Products of synchronizing machines are synchronizing (the first
-    coordinate synchronizes on its own and the second over the first's
-    outputs), so the core is extracted by a long-word walk: any word of
-    the pair-count length is past the level.  Strong connectivity of the
-    result is asserted; callers must pass genuine cores."""
-    raw = compose(a, b, reduce=False)
-    bad = validate(raw)
-    if bad:
-        raise TransducerError("degenerate product: " + "; ".join(bad))
-    reduced = merge_equivalent_states(remove_incomplete_response(raw))
-    k = len(_tracked_states(reduced))
-    core = minimize(_attractor(reduced, k * (k - 1) // 2 + 1))
+    The pair (p, q) reads x as compose does: a moves p -- x/w --> p' and
+    b reads w from q, so the pair emits b's output and moves to (p', q').
+    Pairs are made only as the walk reaches them.  Digit 0 is read from
+    (a.states[0], b.states[0]) until a pair repeats; that pair is a fixed
+    point of 0 inside the product's core, whose forward closure is
+    returned as a core-mode machine on the pair names."""
+    def step(pair, x):
+        p, q = pair
+        w, p = a.step(p, x)
+        out = []
+        for y in w:
+            v, q = b.step(q, y)
+            out.extend(v)
+        return tuple(out), (p, q)
+
+    pair = (a.states[0], b.states[0])
+    walked = set()
+    while pair not in walked:
+        walked.add(pair)
+        pair = step(pair, 0)[1]
+    trans = {}
+    todo = deque([pair])
+    seen = {pair}
+    while todo:
+        p = todo.popleft()
+        for x in range(a.n):
+            out, tgt = trans[(p, x)] = step(p, x)
+            if tgt not in seen:
+                seen.add(tgt)
+                todo.append(tgt)
+    return Transducer(a.n, None, CORE, sorted(seen, key=str), None, trans)
+
+
+def core_product(a, b):
+    """Product of two cores reduced back to a minimal core: the core of
+    the raw pair product (the machine x -> (x . a) . b over all pairs of
+    states), with responses completed and equivalent states merged.
+
+    Only that core is built.  If a synchronizes at level m and b at
+    level k, the pair product synchronizes too: after m letters a's state
+    depends on the input alone, a valid core has no empty-output cycle,
+    so a then keeps writing, and once it has written k more letters b's
+    state depends on the input alone as well.  In a synchronizing machine
+    every long enough word of zeros lands in one state s, which 0 fixes;
+    so the walk under digit 0 first repeats at s, s lies in the core, and
+    everything a word leads to from s is the core.  Completing responses
+    and merging states look only forward, so reducing that closed set
+    gives the same minimal core as reducing the whole product.
+
+    Refuses with NotSynchronizing when either factor does not
+    synchronize (such a product need not have a core), and with
+    TransducerError when the pair machine is degenerate, which valid
+    factors never make.  The pair machine is validated once, by minimize."""
+    if a.mode != CORE or b.mode != CORE:
+        raise TransducerError("core_product expects core-mode machines")
+    if a.n != b.n:
+        raise TransducerError("alphabet mismatch in core product")
+    if sync_level(a) is None or sync_level(b) is None:
+        raise NotSynchronizing("core product of a non-synchronizing core")
+    try:
+        core = minimize(_product_attractor(a, b))
+    except InvalidTransducer as e:
+        raise TransducerError(f"degenerate product: {e}") from None
     if not _strongly_connected(core):
-        raise NotSynchronizing("product of non-synchronizing cores")
+        raise NotSynchronizing("pair product has no strongly connected core")
     return core
 
 
@@ -165,10 +215,14 @@ def invert_core(c):
     pruning accepts every continuation, which is exactly what deep
     states of an inverse must do).  The result must synchronize, and
     both core products with the original must reduce to the identity
-    core; otherwise the class is not invertible."""
+    core; otherwise the class is not invertible.  Those products refuse
+    a non-synchronizing core, so such a core is refused up front, before
+    the exploration, which on it can grow exponentially."""
     if c.mode != CORE:
         raise TransducerError("invert_core expects a core-mode machine")
     c = minimize(c)
+    if sync_level(c) is None:
+        raise NotSynchronizing("invert_core needs a synchronizing core")
     viable = _viability(c)
     bound = len(c.states) * (1 + c.max_output_len())
 

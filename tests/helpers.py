@@ -4,6 +4,7 @@ import random
 from itertools import product
 
 from cantrans import (
+    CORE,
     EventuallyPeriodicPoint,
     INITIAL,
     Transducer,
@@ -12,9 +13,12 @@ from cantrans import (
     run_word,
     sync_level,
 )
-from cantrans.machine import _bfs_order, _core_table, _serialize
+from cantrans.machine import _bfs_order, _core_table, _serialize, \
+    _strongly_connected
+from cantrans.minimize import merge_equivalent_states, \
+    remove_incomplete_response
 from cantrans.randgen import random_gnr_element, random_transducer
-from cantrans.synchro import _tracked_states
+from cantrans.synchro import _attractor, _tracked_states
 
 
 def brute_force_level(t, max_level=8):
@@ -117,6 +121,41 @@ def every_root_core_form(t):
             if best is None or table < best[0]:
                 best = (table, order)
     return _serialize(t, best[1], f"T1|core|n={t.n}")
+
+
+def full_pair_core_product(a, b):
+    """Oracle: the core product through the whole pair product.  Composes
+    over all |a|*|b| pairs, completes responses and merges states there,
+    then reads k(k-1)/2+1 zeros, past any collapse level on k states, to
+    land in the core, and minimizes it."""
+    raw = compose(a, b, reduce=False)
+    reduced = merge_equivalent_states(remove_incomplete_response(raw))
+    k = len(reduced.states)
+    core = minimize(_attractor(reduced, k * (k - 1) // 2 + 1))
+    assert _strongly_connected(core)
+    return core
+
+
+def non_synchronizing_core(n, rng):
+    """Core over C_n on which digit 0 permutes the states, so no word 0^m
+    synchronizes.  On digit 0 each state writes 0 and then its own index
+    in three bits, so no two states are equivalent and minimizing keeps
+    the defect; on digit 1 it writes a word starting with 1, so every
+    guaranteed output is empty."""
+    k = rng.randint(2, 5)
+    names = [f"p{i}" for i in range(k)]
+    perm = rng.sample(names, k)
+    trans = {}
+    for i, q in enumerate(names):
+        trans[(q, 0)] = ((0, i >> 2 & 1, i >> 1 & 1, i & 1), perm[i])
+        trans[(q, 1)] = ((1,) + tuple(rng.randrange(n)
+                                      for _ in range(rng.randint(0, 1))),
+                         rng.choice(names))
+        for d in range(2, n):
+            trans[(q, d)] = (tuple(rng.randrange(n)
+                                   for _ in range(rng.randint(1, 2))),
+                             rng.choice(names))
+    return Transducer(n, None, CORE, names, None, trans)
 
 
 def shuffled_relabel(t, rng):
