@@ -30,7 +30,7 @@ from .machine import (
     run_word,
     validate,
 )
-from .minimize import minimize
+from .minimize import _reduce, minimize
 
 
 class NotInvertible(TransducerError):
@@ -198,7 +198,7 @@ def compose(a, b, *, reduce=True):
             "degenerate product (second factor undefined on the first's "
             "image): " + "; ".join(bad)
         )
-    return minimize(raw) if reduce else raw
+    return _reduce(raw) if reduce else raw
 
 
 def from_prefix_code_map(pm, alphabet):
@@ -245,7 +245,7 @@ def from_prefix_code_map(pm, alphabet):
     states = [names[p] for p in sorted(prefixes, key=len)] + [one]
     raw = Transducer(alphabet.n, alphabet.r, INITIAL, states, names[EMPTY],
                      trans)
-    return minimize(check_valid(raw))
+    return _reduce(check_valid(raw))
 
 
 def _viability(t):
@@ -338,7 +338,11 @@ def invert(a, *, verify=True):
     if a.mode != INITIAL:
         raise TransducerError("invert expects an initial-mode machine; "
                               "invert_core handles cores")
-    a = minimize(a)
+    return _invert_minimal(minimize(a), verify)
+
+
+def _invert_minimal(a, verify=True):
+    """invert for a machine that is already minimal."""
     viable = _viability(a)
     bound = len(a.states) * (1 + a.max_output_len())
 
@@ -371,7 +375,7 @@ def invert(a, *, verify=True):
     if bad:
         raise NotInvertible("inverse construction degenerate: " +
                             "; ".join(bad))
-    b = minimize(raw)
+    b = _reduce(raw)
     if verify:
         ident = canonical_form(identity_transducer(Alphabet(a.n, a.r)))
         if canonical_form(compose(a, b)) != ident \

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 from .machine import CORE, TransducerError, canonical_form
 from .minimize import minimize
-from .synchro import NotSynchronizing, core_of, core_product, \
-    is_bisynchronizing, is_identity_core, sync_level
+from .synchro import NotSynchronizing, _bisync_minimal, core_of, \
+    core_product, is_bisynchronizing, is_identity_core, sync_level
 
 
 def _minimal_core(t):
@@ -30,10 +30,9 @@ def _minimal_core(t):
 def is_in_Gnr(t):
     """Membership in the prefix-exchange group: the minimal machine is
     bi-synchronizing and its core is the single identity-echo state."""
-    ok, _level = is_bisynchronizing(t)
-    if not ok:
-        return False
-    return is_identity_core(_minimal_core(t))
+    m = minimize(t)
+    ok, _level = _bisync_minimal(m)
+    return ok and is_identity_core(core_of(m))
 
 
 def outer_class_equal(a, b):
@@ -59,7 +58,7 @@ def order_in_On(a, cap=64):
     if a.mode != CORE:
         raise TransducerError("order_in_On expects a core-mode machine")
     if cap < 1:
-        raise ValueError("cap must be >= 1")
+        raise TransducerError(f"order search cap must be >= 1, got {cap}")
     a = minimize(a)
     if sync_level(a) is None:
         raise NotSynchronizing("order search needs a synchronizing core")

@@ -9,6 +9,7 @@ map x -> (x applied to A) applied to B.
 """
 
 import argparse
+import functools
 import sys
 
 from .words import Alphabet, EventuallyPeriodicPoint, WordError, format_word
@@ -26,7 +27,8 @@ from .synchro import core_of, sync_level, witness_pair
 from .classify import classify_subgroup, is_in_Gnr, order_in_On, \
     outer_class_equal
 from .document import ParseError, parse, parse_prefix_map, serialize
-from .randgen import random_gnr_element, random_transducer
+from .randgen import RejectionBudgetExceeded, random_gnr_element, \
+    random_transducer
 
 
 def _read(path):
@@ -48,7 +50,35 @@ def _load(path):
     return parse(_read(path))
 
 
-def main(argv=None):
+def _at_least(low):
+    """argparse type: an integer no smaller than `low`."""
+    def check(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {low}, got {value}")
+        return value
+    return check
+
+
+def _int_list(text):
+    """argparse type: comma-separated integers, as a tuple."""
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
+@functools.cache
+def _parser():
+    """The argument parser, built on the first call and shared by every
+    later main() call in the process; parse_args keeps no state between
+    calls."""
     top = argparse.ArgumentParser(
         prog="cantrans",
         description=__doc__,
@@ -74,7 +104,7 @@ def main(argv=None):
                         "help": "point as 'preperiod | period' token lists"}),
         (("--state",), {"default": None,
                         "help": "start state (core-mode machines)"}),
-        (("--depth",), {"type": int, "default": None,
+        (("--depth",), {"type": _at_least(0), "default": None,
                         "help": "also print this many letters of the image"}))
     cmd("compose", "compose two machines, left to right",
         (("first",), {"help": "applied first"}),
@@ -87,7 +117,7 @@ def main(argv=None):
         infile)
     cmd("classify", "subgroup flags summary line", infile)
     cmd("order", "order of a core in the outer-class group", infile,
-        (("--cap",), {"type": int, "default": 64,
+        (("--cap",), {"type": _at_least(1), "default": 64,
                       "help": "power search cap (default 64)"}))
     cmd("outer-eq", "same outer class? (exit 0 yes, 1 no)",
         (("first",), {}), (("second",), {}))
@@ -98,24 +128,27 @@ def main(argv=None):
     cmd("make-twist", "machine applying a digit permutation everywhere",
         (("--n",), {"type": int, "required": True}),
         (("--r",), {"type": int, "required": True}),
-        (("--perm",), {"required": True,
+        (("--perm",), {"type": _int_list, "required": True,
                        "help": "images of 0..n-1, comma separated"}),
         outfile)
     cmd("random", "seeded random machine",
         (("--n",), {"type": int, "required": True}),
         (("--r",), {"type": int, "required": True}),
-        (("--states",), {"type": int, "default": 3}),
-        (("--max-out",), {"type": int, "default": 2}),
+        (("--states",), {"type": _at_least(1), "default": 3}),
+        (("--max-out",), {"type": _at_least(1), "default": 2}),
         (("--seed",), {"type": int, "default": 0}),
         (("--gnr",), {"action": "store_true",
                       "help": "draw a prefix-exchange map instead"}),
         outfile)
+    return top
 
-    args = top.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         return _dispatch(args)
     except (ParseError, WordError, TransducerError, NotInvertible,
-            OSError) as e:
+            RejectionBudgetExceeded, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
@@ -202,8 +235,7 @@ def _dispatch(args):
         return 0
 
     if args.command == "make-twist":
-        sigma = tuple(int(v) for v in args.perm.split(","))
-        t = twist_transducer(sigma, Alphabet(args.n, args.r))
+        t = twist_transducer(args.perm, Alphabet(args.n, args.r))
         _write(args.output, serialize(t))
         return 0
 

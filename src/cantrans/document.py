@@ -18,7 +18,7 @@ import re
 
 from .words import WordError, format_letter, format_word, parse_letter, \
     parse_word
-from .machine import CORE, INITIAL, Transducer, validate
+from .machine import CORE, INITIAL, Transducer, _bfs_order, validate
 
 HEADER = "cantor-transducer 1"
 
@@ -144,20 +144,9 @@ def serialize(t):
         out.append(f"alphabet n={t.n} core")
         start = t.initial if t.initial is not None else \
             min(t.states, key=str)
-    order = []
-    seen = set()
-    queue = [start]
-    while queue:
-        q = queue.pop(0)
-        if q in seen:
-            continue
-        seen.add(q)
-        order.append(q)
-        for x in t.input_letters(q):
-            tgt = t.trans.get((q, x))
-            if tgt is not None and tgt[1] not in seen:
-                queue.append(tgt[1])
-    order += sorted((q for q in t.states if q not in seen), key=str)
+    seen = _bfs_order(t, start)
+    order = list(seen) + sorted((q for q in t.states if q not in seen),
+                                key=str)
     for q in order:
         for x in t.input_letters(q):
             if (q, x) not in t.trans:

@@ -113,7 +113,12 @@ def merge_equivalent_states(t):
 def minimize(t):
     """Full pipeline; the result is minimal and canonically relabeled
     (states s0, s1, ... in breadth-first order from the entry state)."""
-    check_valid(t)
+    return _reduce(check_valid(t))
+
+
+def _reduce(t):
+    """minimize without its validation, for a machine its caller has
+    just validated."""
     t = remove_incomplete_response(t)
     t = remove_inaccessible(t)
     t = merge_equivalent_states(t)

@@ -8,8 +8,8 @@ random complete antichains (always invertible, identity core).
 import random
 
 from .algebra import PrefixCodeMap, from_prefix_code_map
-from .machine import INITIAL, Transducer, UnboundedOutput, \
-    guaranteed_output, validate
+from .machine import INITIAL, Transducer, TransducerError, \
+    UnboundedOutput, guaranteed_output, validate
 
 class RejectionBudgetExceeded(RuntimeError):
     pass
@@ -24,7 +24,9 @@ def random_transducer(alphabet, states, max_out, seed, budget=2000,
     synchronous=True every state instead writes a random digit
     permutation letterwise, which is always valid."""
     if states < 1:
-        raise ValueError("need at least one digit-reading state")
+        raise TransducerError("need at least one digit-reading state")
+    if max_out < 0:
+        raise TransducerError(f"max_out must be >= 0, got {max_out}")
     rng = random.Random(seed)
     names = [f"m{i}" for i in range(states)]
     for _ in range(budget):

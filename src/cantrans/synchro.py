@@ -12,8 +12,8 @@ from collections import deque
 from .words import EMPTY
 from .machine import CORE, InvalidTransducer, Transducer, TransducerError, \
     check_valid, _strongly_connected
-from .minimize import minimize
-from .algebra import NotInvertible, _advance, _viability, invert
+from .minimize import _reduce, minimize
+from .algebra import NotInvertible, _advance, _invert_minimal, _viability
 
 
 class NotSynchronizing(TransducerError):
@@ -223,6 +223,11 @@ def invert_core(c):
     c = minimize(c)
     if sync_level(c) is None:
         raise NotSynchronizing("invert_core needs a synchronizing core")
+    return _invert_minimal_core(c)
+
+
+def _invert_minimal_core(c):
+    """invert_core for a minimal core known to synchronize."""
     viable = _viability(c)
     bound = len(c.states) * (1 + c.max_output_len())
 
@@ -274,7 +279,7 @@ def invert_core(c):
                      {k: v for k, v in trans.items() if k[0] in alive})
     if sync_level(sub) is None:
         raise NotInvertible("inverse dynamics do not synchronize")
-    d = minimize(core_of(sub))
+    d = _reduce(core_of(sub))
     if not is_identity_core(core_product(c, d)) \
             or not is_identity_core(core_product(d, c)):
         raise NotInvertible(
@@ -289,12 +294,17 @@ def is_bisynchronizing(t):
     An inversion failure means the map is no homeomorphism (or the core
     no invertible class), so the answer is (False, None) rather than an
     error."""
-    m = minimize(t)
+    return _bisync_minimal(minimize(t))
+
+
+def _bisync_minimal(m):
+    """is_bisynchronizing for a machine that is already minimal."""
     fwd = sync_level(m)
     if fwd is None:
         return False, None
     try:
-        inv = invert_core(m) if t.mode == CORE else invert(m)
+        inv = (_invert_minimal_core(m) if m.mode == CORE
+               else _invert_minimal(m))
     except NotInvertible:
         return False, None
     bwd = sync_level(inv)

@@ -1,18 +1,27 @@
 """Shared generators and oracles for the test suite."""
 
 import random
+import sys
 from itertools import product
 
 from cantrans import (
     CORE,
     EventuallyPeriodicPoint,
     INITIAL,
+    NotInvertible,
     Transducer,
+    cli,
     compose,
+    core_of,
+    invert,
+    invert_core,
+    is_identity_core,
     minimize,
     run_word,
     sync_level,
 )
+from cantrans.document import HEADER
+from cantrans.words import WordError, format_letter, format_word
 from cantrans.machine import _bfs_order, _core_table, _serialize, \
     _strongly_connected
 from cantrans.minimize import merge_equivalent_states, \
@@ -229,3 +238,94 @@ def delayed_copy():
         ("t", 0): ((1,), "s"), ("t", 1): ((1,), "t"),
     }
     return Transducer(2, 1, INITIAL, ["q0", "s", "t"], "q0", trans)
+
+
+def count_calls(monkeypatch, module, name):
+    """Route every `cantrans` module's binding of module.name through a
+    recorder; returns the list of first arguments, one per call."""
+    seen = []
+    real = getattr(module, name)
+
+    def counting(t, *args, **kwargs):
+        seen.append(t)
+        return real(t, *args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if mod and mod.__name__.startswith("cantrans") and \
+                getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counting)
+    return seen
+
+
+def fresh_parser_main(argv):
+    """Oracle: cli.main with an argument parser built for this call
+    alone, as main did before it shared one parser per process."""
+    shared = cli._parser
+    cli._parser = shared.__wrapped__
+    try:
+        return cli.main(argv)
+    finally:
+        cli._parser = shared
+
+
+def three_minimize_bisync(t):
+    """Oracle: is_bisynchronizing through the public inverses, which
+    minimize the already minimal machine again."""
+    m = minimize(t)
+    fwd = sync_level(m)
+    if fwd is None:
+        return False, None
+    try:
+        inv = invert_core(m) if t.mode == CORE else invert(m)
+    except NotInvertible:
+        return False, None
+    bwd = sync_level(inv)
+    if bwd is None:
+        return False, None
+    return True, max(fwd, bwd)
+
+
+def three_minimize_in_gnr(t):
+    """Oracle: is_in_Gnr as three minimizations of its input, through
+    three_minimize_bisync and a third minimize for the core."""
+    ok, _level = three_minimize_bisync(t)
+    return ok and is_identity_core(core_of(minimize(t)))
+
+
+def list_queue_serialize(t):
+    """Oracle: the document writer with its breadth-first walk on a list
+    queue popped from the front."""
+    out = [HEADER]
+    if t.mode == INITIAL:
+        out.append(f"alphabet n={t.n} r={t.r}")
+        out.append(f"initial {t.initial}")
+        start = t.initial
+    else:
+        out.append(f"alphabet n={t.n} core")
+        start = t.initial if t.initial is not None else \
+            min(t.states, key=str)
+    order = []
+    seen = set()
+    queue = [start]
+    while queue:
+        q = queue.pop(0)
+        if q in seen:
+            continue
+        seen.add(q)
+        order.append(q)
+        for x in t.input_letters(q):
+            tgt = t.trans.get((q, x))
+            if tgt is not None and tgt[1] not in seen:
+                queue.append(tgt[1])
+    order += sorted((q for q in t.states if q not in seen), key=str)
+    for q in order:
+        for x in t.input_letters(q):
+            if (q, x) not in t.trans:
+                continue
+            w, tgt = t.trans[(q, x)]
+            if not isinstance(q, str) or not isinstance(tgt, str):
+                raise WordError(
+                    "only string state names serialize; relabel first"
+                )
+            out.append(f"{q} {format_letter(x)} -> {tgt} : {format_word(w)}")
+    return "\n".join(out) + "\n"

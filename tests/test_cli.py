@@ -167,3 +167,109 @@ id2 2 -> id2 : 2
     assert main(["sync", str(p)]) == 1
     out = capsys.readouterr().out
     assert "not synchronizing" in out and "id" in out
+
+
+def _exit_code(argv, run=main):
+    """The exit code of run(argv), whether it returns it or argparse
+    exits."""
+    try:
+        return run(argv)
+    except SystemExit as e:
+        return e.code
+
+
+@pytest.mark.parametrize("argv", [
+    ["make-twist", "--n", "3", "--r", "1", "--perm", "a,b"],
+    ["random", "--n", "2", "--r", "1", "--states", "0"],
+    ["random", "--n", "2", "--r", "1", "--max-out", "-1"],
+    ["random", "--n", "2", "--r", "1", "--max-out", "0"],
+    ["order", "TORSION", "--cap", "0"],
+], ids=["perm-not-int", "states-0", "max-out-negative", "max-out-0",
+        "cap-0"])
+def test_bad_numbers_exit_2_without_traceback(argv, torsion, capsys):
+    argv = [torsion if a == "TORSION" else a for a in argv]
+    assert _exit_code(argv) == 2
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    assert len([ln for ln in err.splitlines() if "error:" in ln]) == 1
+
+
+def test_rejection_budget_exits_2(monkeypatch, capsys):
+    from cantrans import cli
+    from cantrans.randgen import RejectionBudgetExceeded
+
+    def exhausted(*_args):
+        raise RejectionBudgetExceeded("no valid machine in 2000 draws")
+
+    monkeypatch.setattr(cli, "random_transducer", exhausted)
+    assert main(["random", "--n", "2", "--r", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: no valid machine")
+
+
+def test_library_refuses_bad_numbers_with_typed_errors():
+    from cantrans import Alphabet, TransducerError, order_in_On
+    from cantrans.randgen import random_transducer
+    with pytest.raises(TransducerError):
+        order_in_On(fixtures.torsion_core_2(), cap=0)
+    with pytest.raises(TransducerError):
+        random_transducer(Alphabet(2, 1), 0, 2, 0)
+    with pytest.raises(TransducerError):
+        random_transducer(Alphabet(2, 1), 2, -1, 0)
+
+
+def _sequence(sample, torsion, out):
+    return [
+        ["eval", sample, "--point", ".0 | 0", "--depth", "3"],
+        ["eval", sample, "--point", ".0 | 0"],
+        ["order", torsion, "--cap", "5"],
+        ["order", torsion],
+        ["order", torsion, "--cap", "1"],
+        ["minimize", sample, "-o", out],
+        ["minimize", sample],
+        ["order", torsion, "--cap", "0"],
+        ["classify", sample],
+        ["eval", "--point", ".0 | 0"],
+        ["member", sample],
+        ["make-twist", "--n", "3", "--r", "1", "--perm", "1,2,0"],
+    ]
+
+
+def test_parser_is_built_once_and_keeps_no_state(sample, torsion, tmp_path,
+                                                 monkeypatch, capsys):
+    import argparse
+
+    from cantrans import cli
+    from helpers import fresh_parser_main
+
+    progs = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        progs.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    try:
+        shared = []
+        for argv in _sequence(sample, torsion, str(tmp_path / "a.ct")):
+            code = _exit_code(argv)
+            shared.append((code, *capsys.readouterr()))
+        assert progs.count("cantrans") == 1
+        assert len(progs) == len(set(progs)) == 16
+
+        fresh = []
+        for argv in _sequence(sample, torsion, str(tmp_path / "b.ct")):
+            code = _exit_code(argv, fresh_parser_main)
+            fresh.append((code, *capsys.readouterr()))
+    finally:
+        cli._parser.cache_clear()
+    assert progs.count("cantrans") == 1 + len(fresh)
+    assert shared == fresh
+    assert [c for c, _, _ in shared] == [0, 0, 0, 0, 0, 0, 0, 2, 0, 2, 1, 0]
+    assert shared[0][1] != shared[1][1]
+    assert shared[2][1] == shared[3][1] == "finite 2\n"
+    assert shared[4][1] == "unknown\n"
+    assert shared[5][1] == ""
+    assert (tmp_path / "a.ct").read_text() == shared[6][1]
+    assert (tmp_path / "b.ct").read_text() == shared[6][1]

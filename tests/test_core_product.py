@@ -5,7 +5,6 @@ the attractor equal to the raw product's core, one validation of the pair
 machine, and the refusal of non-synchronizing factors."""
 
 import random
-import sys
 
 import pytest
 
@@ -30,8 +29,8 @@ from cantrans.fixtures import balanced_core_2, sample_3_2, \
     synchronous_core_3, torsion_core_2, unbalanced_core_3
 from cantrans.synchro import _product_attractor
 
-from helpers import full_pair_core_product, non_synchronizing_core, \
-    random_bisync, shuffled_relabel
+from helpers import count_calls, full_pair_core_product, \
+    non_synchronizing_core, random_bisync, shuffled_relabel
 
 
 def _fixture_cores():
@@ -100,17 +99,7 @@ def test_attractor_is_the_raw_products_core():
 
 def test_pair_machine_is_validated_once(monkeypatch):
     a = minimize(balanced_core_2())
-    seen = []
-    real = machine.validate
-
-    def counting(t):
-        seen.append(t)
-        return real(t)
-
-    for module in list(sys.modules.values()):
-        if module and module.__name__.startswith("cantrans") and \
-                getattr(module, "validate", None) is real:
-            monkeypatch.setattr(module, "validate", counting)
+    seen = count_calls(monkeypatch, machine, "validate")
     core_product(a, a)
     assert len(seen) == 1
 

@@ -1,9 +1,15 @@
+import random
+
 import pytest
 
-from cantrans import ParseError, minimize, parse, serialize, validate
+from cantrans import CORE, ParseError, Transducer, core_product, minimize, \
+    parse, serialize, validate
 from cantrans.document import parse_prefix_map, serialize_prefix_map
 from cantrans.algebra import PrefixCodeMap
+from cantrans.machine import relabel
 from cantrans import fixtures
+
+from helpers import list_queue_serialize, shuffled_relabel
 
 
 def test_fixture_integrity():
@@ -143,3 +149,27 @@ s 1 -> s : 1
     with pytest.raises(ParseError) as err:
         parse(doc)
     assert err.value.line == 2
+
+
+def test_serialize_matches_list_queue_walk():
+    rng = random.Random(2)
+    machines = []
+    for doc in fixtures.ALL.values():
+        t = parse(doc)
+        machines += [t, minimize(t), shuffled_relabel(t, rng)]
+    a = minimize(fixtures.balanced_core_2())
+    cube = core_product(core_product(a, a), a)
+    assert len(cube.states) == 103
+    machines += [cube, shuffled_relabel(cube, rng)]
+    # unreachable states are written last, by name
+    extra = dict(a.trans)
+    extra.update({("z", x): ((x,), "z") for x in range(a.n)})
+    machines.append(Transducer(a.n, None, CORE, ["z", *a.states], "s0",
+                               extra))
+    for t in machines:
+        assert serialize(t) == list_queue_serialize(t)
+    # tuple names are refused by both
+    pairs = relabel(a, {q: (q, 0) for q in a.states})
+    for write in (serialize, list_queue_serialize):
+        with pytest.raises(ValueError, match="only string state names"):
+            write(pairs)
