@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 from .machine import CORE, TransducerError, canonical_form
 from .minimize import minimize
-from .synchro import NotSynchronizing, _bisync_minimal, core_of, \
-    core_product, is_bisynchronizing, is_identity_core, sync_level
+from .synchro import NotSynchronizing, _bisync_minimal, _core_product, \
+    core_of, core_product, is_bisynchronizing, is_identity_core, sync_level
 
 
 def _minimal_core(t):
@@ -62,12 +62,13 @@ def order_in_On(a, cap=64):
     a = minimize(a)
     if sync_level(a) is None:
         raise NotSynchronizing("order search needs a synchronizing core")
+    # powers of a synchronizing core synchronize (see core_product)
     power = a
     for k in range(1, cap + 1):
         if is_identity_core(power):
             return "finite", k
         if k < cap:
-            power = outer_product(power, a)
+            power = _core_product(power, a)
     return "unknown", None
 
 

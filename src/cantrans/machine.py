@@ -296,19 +296,66 @@ def guaranteed_output(t):
 
     iterated from v == empty; a pass count cap of
     |Q| * (1 + max output length) guards the divergent case."""
-    cap = max(1, len(t.states) * (1 + t.max_output_len()))
-    v = {q: EMPTY for q in t.states}
+    return dict(zip(t.states, _guaranteed_output(_View(t))))
+
+
+class _View:
+    """A machine's transition table on integers, built for one kernel
+    call: the states (all of the machine's by default) numbered by
+    position, with a name -> number map, and per state its letters in
+    canonical order and, letter by letter, the output words and target
+    numbers.  The states passed must be closed under transitions; a
+    target outside them raises TransducerError."""
+
+    __slots__ = ("states", "index", "letters", "outs", "targets")
+
+    def __init__(self, t, states=None):
+        self.states = t.states if states is None else tuple(states)
+        self.index = index = {q: i for i, q in enumerate(self.states)}
+        self.letters, self.outs, self.targets = [], [], []
+        trans = t.trans
+        for q in self.states:
+            letters = t.input_letters(q)
+            row = [trans.get((q, x)) or t.step(q, x) for x in letters]
+            self.letters.append(letters)
+            self.outs.append([w for w, _ in row])
+            try:
+                self.targets.append([index[tgt] for _, tgt in row])
+            except KeyError as e:
+                raise TransducerError(
+                    f"state {q!r} leads to {e.args[0]!r}, outside the "
+                    "states considered"
+                ) from None
+
+
+def _guaranteed_output(view):
+    """guaranteed_output as a list by state number.  The iteration is
+    Jacobi, each pass computing from the previous pass's values alone,
+    but a pass recomputes only the predecessors of the states whose value
+    changed in the pass before (no other value can change), so it takes
+    the same passes, under the same cap, as recomputing every state."""
+    outs, targets = view.outs, view.targets
+    size = len(targets)
+    longest = max((len(w) for row in outs for w in row), default=0)
+    cap = max(1, size * (1 + longest))
+    preds = [[] for _ in range(size)]
+    for i, row in enumerate(targets):
+        for j in row:
+            preds[j].append(i)
+    v = [EMPTY] * size
+    dirty = range(size)
     for _ in range(cap + 1):
-        nxt = {}
-        for q in t.states:
-            parts = []
-            for x in t.input_letters(q):
-                w, tgt = t.step(q, x)
-                parts.append(w + v[tgt])
-            nxt[q] = common_prefix(*parts)
-        if nxt == v:
+        changed = []
+        for i in dirty:
+            new = common_prefix(*[w + v[j] for w, j in
+                                  zip(outs[i], targets[i])])
+            if new != v[i]:
+                changed.append((i, new))
+        if not changed:
             return v
-        v = nxt
+        for i, new in changed:
+            v[i] = new
+        dirty = {p for i, _ in changed for p in preds[i]}
     raise UnboundedOutput(
         "guaranteed output unbounded: some state maps its whole cone "
         "arbitrarily close to a single point"
@@ -365,26 +412,35 @@ def eval_point(t, point, state=None):
     Feeds the preperiod, then pumps the period until the machine state
     repeats (at most |Q| + 1 pumps); the outputs collected up to the
     first repeat become the image's preperiod and the outputs around the
-    state cycle its period."""
+    state cycle its period.  The start state and the preperiod are
+    checked as run_word checks them; the period is a digit word, which
+    every state but the initial one reads, so the pumps look the
+    transitions up directly and the cost is linear in pumps times period
+    length."""
     if state is None:
         if t.initial is None:
             raise TransducerError("no start state for evaluation")
         state = t.initial
     out_pre, q = run_word(t, state, point.preperiod)
-    seen = {q: (0, len(out_pre))}
+    seen = {q: len(out_pre)}
     collected = list(out_pre)
-    for i in range(1, len(t.states) + 2):
-        w, q = run_word(t, q, point.period)
-        collected.extend(w)
+    trans, period = t.trans, point.period
+    entry = t.initial if t.mode == INITIAL else None
+    for _ in range(len(t.states) + 1):
+        if entry is not None and q == entry:
+            raise TransducerError("digit word fed to the initial state")
+        for x in period:
+            w, q = trans.get((q, x)) or t.step(q, x)
+            collected.extend(w)
         if q in seen:
-            _, cut = seen[q]
+            cut = seen[q]
             cycle_out = tuple(collected[cut:])
             if not cycle_out:
                 raise TransducerError(
                     "degenerate machine: a period pumps empty output"
                 )
             return EventuallyPeriodicPoint(tuple(collected[:cut]), cycle_out)
-        seen[q] = (i, len(collected))
+        seen[q] = len(collected)
     raise AssertionError("state failed to repeat within |Q|+1 pumps")
 
 
@@ -398,61 +454,99 @@ def canonical_form(t):
     breadth-first renumbering from the root _best_core_order picks; the
     preferred-start marker is ignored."""
     if t.mode == INITIAL:
-        order = _bfs_order(t, t.initial)
+        view = _View(t)
+        order = _bfs(view.targets, view.index[t.initial])
         if len(order) != len(t.states):
             raise TransducerError(
                 "unreachable states present; minimize before canonical_form"
             )
-        return _serialize(t, order, f"T1|initial|n={t.n}|r={t.r}")
+        return _serialize(view, order, f"T1|initial|n={t.n}|r={t.r}")
     if not _strongly_connected(t):
         raise TransducerError("disconnected core has no canonical form")
-    return _serialize(t, _best_core_order(t), f"T2|core|n={t.n}")
+    view = _View(t)
+    return _serialize(view, _best_core_order(view), f"T2|core|n={t.n}")
 
 
-def _core_table(t, order):
+def _core_table(view, order):
     """Renumbered transition table as a nested tuple of ints, cheap to
     build and compare."""
-    by_index = sorted(order, key=order.get)
-    return tuple(
-        (order[tgt], w)
-        for q in by_index
-        for w, tgt in (t.step(q, x) for x in t.input_letters(q))
-    )
+    pos = {i: k for k, i in enumerate(order)}
+    return tuple((pos[j], w) for i in order
+                 for w, j in zip(view.outs[i], view.targets[i]))
 
 
-def _best_core_order(t):
-    """The core-mode canonical labeling of a strongly connected core.
+def _refine(view, colour):
+    """Moore refinement from the seed colours, a list by state number.
 
-    Moore refinement names each state by a colour that ignores state
-    names: a state's signature is its colour followed by (output word,
-    target colour) per digit, and its new colour is the rank of its
-    signature among the sorted distinct signatures, until the number of
-    colours stops growing.  The candidate roots are the states of the
-    smallest colour class (ties to the lower colour); among them the
-    breadth-first renumbering with the least transition table wins.
-    Colours are invariant under renaming, so the candidate set is too,
-    and the result is a strong-isomorphism invariant even when states
-    are equivalent.  On a minimal core the partition is discrete and a
-    single breadth-first walk remains."""
-    colour = dict.fromkeys(t.states, 0)
-    count = 1
+    A state's signature is its colour followed by (output word, target
+    colour) per letter, and its new colour is the rank of its signature
+    among the sorted distinct signatures, until the number of colours
+    stops growing; the colours of that last round are returned.  Ranks
+    ignore state names, so the colours are invariant under renaming.
+
+    Each round zips whole columns, one per letter: output words as their
+    ranks among the machine's sorted distinct words, which sort as the
+    words do, and target colours.  A row short of letters (the initial
+    state's) is padded with word rank -1, below every word, and its own
+    colour, so it sorts as the shorter signature would."""
+    outs, targets = view.outs, view.targets
+    words = sorted({w for row in outs for w in row})
+    word_rank = dict(zip(words, range(len(words))))
+    width = max(map(len, outs), default=0)
+    word_cols, target_cols = [], []
+    for x in range(width):
+        word_cols.append([word_rank[row[x]] if x < len(row) else -1
+                          for row in outs])
+        target_cols.append([row[x] if x < len(row) else i
+                            for i, row in enumerate(targets)])
+    count = len(set(colour))
     while True:
-        sig = {q: (colour[q],) + tuple((w, colour[tgt]) for w, tgt in
-                                       (t.step(q, x) for x in range(t.n)))
-               for q in t.states}
-        rank = {s: i for i, s in enumerate(sorted(set(sig.values())))}
-        colour = {q: rank[sig[q]] for q in t.states}
-        if len(rank) == count:
-            break
-        count = len(rank)
+        cols = [colour]
+        for words_x, targets_x in zip(word_cols, target_cols):
+            cols.append(words_x)
+            cols.append(map(colour.__getitem__, targets_x))
+        sigs = list(zip(*cols))
+        ranked = sorted(set(sigs))
+        rank = dict(zip(ranked, range(len(ranked))))
+        colour = list(map(rank.__getitem__, sigs))
+        if len(ranked) == count:
+            return colour
+        count = len(ranked)
+
+
+def _best_core_order(view):
+    """The core-mode canonical labeling of a strongly connected core, as
+    state numbers in breadth-first order from the chosen root.
+
+    _refine colours the states from a single seed colour.  The candidate
+    roots are the states of the smallest colour class (ties to the lower
+    colour); among them the breadth-first renumbering with the least
+    transition table wins.  Colours are invariant under renaming, so the
+    candidate set is too, and the result is a strong-isomorphism
+    invariant even when states are equivalent.  On a minimal core the
+    partition is discrete and a single breadth-first walk remains."""
+    colour = _refine(view, [0] * len(view.states))
     classes = {}
-    for q in t.states:
-        classes.setdefault(colour[q], []).append(q)
+    for i, c in enumerate(colour):
+        classes.setdefault(c, []).append(i)
     roots = min(classes.items(), key=lambda kv: (len(kv[1]), kv[0]))[1]
     if len(roots) == 1:
-        return _bfs_order(t, roots[0])
-    return min((_bfs_order(t, q) for q in roots),
-               key=lambda order: _core_table(t, order))
+        return _bfs(view.targets, roots[0])
+    return min((_bfs(view.targets, i) for i in roots),
+               key=lambda order: _core_table(view, order))
+
+
+def _bfs(targets, start):
+    """State numbers in breadth-first order from `start`; targets[i]
+    lists state i's targets in letter order."""
+    order = [start]
+    seen = {start}
+    for i in order:
+        for j in targets[i]:
+            if j not in seen:
+                seen.add(j)
+                order.append(j)
+    return order
 
 
 def _bfs_order(t, start):
@@ -468,15 +562,15 @@ def _bfs_order(t, start):
     return order
 
 
-def _serialize(t, order, header):
-    by_index = sorted(order, key=order.get)
-    parts = [header, str(len(by_index))]
-    for q in by_index:
-        for x in t.input_letters(q):
-            w, tgt = t.step(q, x)
-            parts.append(
-                f"{order[q]}.{format_letter(x)}>{order[tgt]}:{format_word(w)}"
-            )
+def _serialize(view, order, header):
+    pos = {i: k for k, i in enumerate(order)}
+    words = {w: format_word(w) for w in {w for row in view.outs for w in row}}
+    letters = {x: format_letter(x) for x in {x for row in view.letters
+                                             for x in row}}
+    parts = [header, str(len(order))]
+    for i in order:
+        for x, w, j in zip(view.letters[i], view.outs[i], view.targets[i]):
+            parts.append(f"{pos[i]}.{letters[x]}>{pos[j]}:{words[w]}")
     return "|".join(parts).encode()
 
 
@@ -511,14 +605,3 @@ def relabel(t, mapping):
     initial = mapping[t.initial] if t.initial is not None else None
     return Transducer(t.n, t.r, t.mode, [mapping[q] for q in t.states],
                       initial, trans)
-
-
-def canonical_relabel(t, start=None):
-    """Rename states s0, s1, ... in breadth-first order, i.e. by their
-    shortlex-least access word.  All states must be reachable."""
-    if start is None:
-        start = t.initial
-    order = _bfs_order(t, start)
-    if len(order) != len(t.states):
-        raise TransducerError("unreachable states cannot be relabeled")
-    return relabel(t, {q: f"s{i}" for q, i in order.items()})

@@ -11,7 +11,7 @@ from collections import deque
 
 from .words import EMPTY
 from .machine import CORE, InvalidTransducer, Transducer, TransducerError, \
-    check_valid, _strongly_connected
+    check_valid, _View, _strongly_connected
 from .minimize import _reduce, minimize
 from .algebra import NotInvertible, _advance, _invert_minimal, _viability
 
@@ -42,21 +42,28 @@ def _collapse(t):
     states whose rows of successor classes agree.  The partitions only
     coarsen; a round that merges nothing is a fixpoint.  The level is the
     number of rounds taken to reach a single class, and None when the
-    fixpoint still has several."""
+    fixpoint still has several.
+
+    States of one class have equal rows in every later round too, so
+    each round works on the classes alone: one successor list per digit,
+    over the current classes, keys each class by the zipped columns, and
+    the merged classes' lists are mapped through the new classes."""
     tracked = _tracked_states(t)
-    idx = {q: i for i, q in enumerate(tracked)}
-    succ = [tuple(idx[t.step(q, x)[1]] for x in range(t.n))
-            for q in tracked]
+    columns = list(zip(*_View(t, tracked).targets))
     cls = list(range(len(tracked)))
     count = len(tracked)
     rounds = 0
     while count > 1:
         ids = {}
-        nxt = [ids.setdefault(tuple(cls[s] for s in row), len(ids))
-               for row in succ]
+        nxt = [ids.setdefault(key, len(ids)) for key in zip(*columns)]
         if len(ids) == count:
             return tracked, cls, None
-        cls, count = nxt, len(ids)
+        # one member of each new class, in class order
+        members = list(dict(zip(nxt, range(count))).values())
+        columns = [list(map(nxt.__getitem__, map(col.__getitem__, members)))
+                   for col in columns]
+        cls = list(map(nxt.__getitem__, cls))
+        count = len(ids)
         rounds += 1
     return tracked, cls, rounds
 
@@ -128,7 +135,12 @@ def core_of(t):
     m = sync_level(t)
     if m is None:
         raise NotSynchronizing("machine is not synchronizing; it has no core")
-    core = _attractor(t, m)
+    return _core_at(t, m)
+
+
+def _core_at(t, level):
+    """core_of for a machine known to synchronize at `level`."""
+    core = _attractor(t, level)
     assert _strongly_connected(core), "core must be strongly connected"
     return check_valid(core)
 
@@ -196,6 +208,12 @@ def core_product(a, b):
         raise TransducerError("alphabet mismatch in core product")
     if sync_level(a) is None or sync_level(b) is None:
         raise NotSynchronizing("core product of a non-synchronizing core")
+    return _core_product(a, b)
+
+
+def _core_product(a, b):
+    """core_product for two cores over one alphabet, both known to
+    synchronize."""
     try:
         core = minimize(_product_attractor(a, b))
     except InvalidTransducer as e:
@@ -277,11 +295,13 @@ def _invert_minimal_core(c):
         )
     sub = Transducer(c.n, None, CORE, sorted(alive, key=str), None,
                      {k: v for k, v in trans.items() if k[0] in alive})
-    if sync_level(sub) is None:
+    level = sync_level(sub)
+    if level is None:
         raise NotInvertible("inverse dynamics do not synchronize")
-    d = _reduce(core_of(sub))
-    if not is_identity_core(core_product(c, d)) \
-            or not is_identity_core(core_product(d, c)):
+    # the core of a synchronizing machine, and its reduction, synchronize
+    d = _reduce(_core_at(sub, level))
+    if not is_identity_core(_core_product(c, d)) \
+            or not is_identity_core(_core_product(d, c)):
         raise NotInvertible(
             "round-trip verification failed: core products are not trivial"
         )

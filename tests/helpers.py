@@ -10,6 +10,9 @@ from cantrans import (
     INITIAL,
     NotInvertible,
     Transducer,
+    TransducerError,
+    UnboundedOutput,
+    check_valid,
     cli,
     compose,
     core_of,
@@ -21,11 +24,11 @@ from cantrans import (
     sync_level,
 )
 from cantrans.document import HEADER
-from cantrans.words import WordError, format_letter, format_word
-from cantrans.machine import _bfs_order, _core_table, _serialize, \
-    _strongly_connected
+from cantrans.words import EMPTY, WordError, common_prefix, format_letter, \
+    format_word, word_subtract
+from cantrans.machine import _bfs_order, _strongly_connected, relabel
 from cantrans.minimize import merge_equivalent_states, \
-    remove_incomplete_response
+    remove_inaccessible, remove_incomplete_response
 from cantrans.randgen import random_gnr_element, random_transducer
 from cantrans.synchro import _attractor, _tracked_states
 
@@ -126,10 +129,10 @@ def every_root_core_form(t):
     for start in t.states:
         order = _bfs_order(t, start)
         if len(order) == len(t.states):
-            table = _core_table(t, order)
+            table = _dict_core_table(t, order)
             if best is None or table < best[0]:
                 best = (table, order)
-    return _serialize(t, best[1], f"T1|core|n={t.n}")
+    return _dict_serialize(t, best[1], f"T1|core|n={t.n}")
 
 
 def full_pair_core_product(a, b):
@@ -220,6 +223,47 @@ def random_layered(alphabet, states, max_out, seed):
                 trans[(q, d)] = (out, names[rng.randrange(i + 1, states)])
     return Transducer(alphabet.n, alphabet.r, INITIAL,
                       ["q0", *names], "q0", trans)
+
+
+CHAIN = 3000
+
+
+def _bits(i, width=12):
+    return tuple((i >> (width - 1 - b)) & 1 for b in range(width))
+
+
+def empty_output_chain(core):
+    """States c0, c1, ... linked by digit 0 with empty output; digit 1
+    writes 1 and the state's binary index, so no two states are
+    equivalent.  Initial mode: an entry writes the root and the chain
+    ends in an echo state.  Core mode: the last 0-edge writes 0 and
+    closes the chain into a ring; c0 is the preferred start."""
+    names = [f"c{i}" for i in range(CHAIN)]
+    last = CHAIN - 1
+    end = "c0" if core else "e"
+    trans = {}
+    for i, q in enumerate(names):
+        trans[(q, 0)] = ((), names[i + 1]) if i < last else ((0,), end)
+        trans[(q, 1)] = ((1,) + _bits(i),
+                         names[(7 * i + 3) % CHAIN] if core else "e")
+    if core:
+        return Transducer(2, None, CORE, names, "c0", trans)
+    trans[("q0", -1)] = ((-1,), "c0")
+    trans[("e", 0)] = ((0,), "e")
+    trans[("e", 1)] = ((1,), "e")
+    return Transducer(2, 1, INITIAL, ["q0", *names, "e"], "q0", trans)
+
+
+def duplicated_states(core, rng):
+    """Every state split into two copies, each transition landing on a
+    random copy of its target: equivalent states, so a non-minimal core
+    whose colour classes all have two states."""
+    trans = {}
+    for (q, x), (w, tgt) in core.trans.items():
+        for copy in "ab":
+            trans[(f"{q}{copy}", x)] = (w, f"{tgt}{rng.choice('ab')}")
+    states = [f"{q}{copy}" for q in core.states for copy in "ab"]
+    return Transducer(core.n, None, CORE, states, None, trans)
 
 
 def random_points(rng, n, count, depth=4):
@@ -329,3 +373,227 @@ def list_queue_serialize(t):
                 )
             out.append(f"{q} {format_letter(x)} -> {tgt} : {format_word(w)}")
     return "\n".join(out) + "\n"
+
+
+# Oracles for the integer kernels: the dict-based code they replaced,
+# walking (state, letter) keys through Transducer.step.
+
+
+def full_pass_guaranteed_output(t):
+    """Oracle: guaranteed_output recomputing every state in every pass."""
+    cap = max(1, len(t.states) * (1 + t.max_output_len()))
+    v = {q: EMPTY for q in t.states}
+    for _ in range(cap + 1):
+        nxt = {}
+        for q in t.states:
+            parts = []
+            for x in t.input_letters(q):
+                w, tgt = t.step(q, x)
+                parts.append(w + v[tgt])
+            nxt[q] = common_prefix(*parts)
+        if nxt == v:
+            return v
+        v = nxt
+    raise UnboundedOutput(
+        "guaranteed output unbounded: some state maps its whole cone "
+        "arbitrarily close to a single point"
+    )
+
+
+def _dict_restriction(t, keep):
+    states = [q for q in t.states if q in keep]
+    trans = {k: v for k, v in t.trans.items() if k[0] in keep}
+    initial = t.initial if (t.initial in keep or t.mode == INITIAL) else None
+    return Transducer(t.n, t.r, t.mode, states, initial, trans)
+
+
+def dict_remove_incomplete_response(t):
+    """Oracle: step 1 of the three-step reduction."""
+    keep = set(t.states) if t.mode == CORE else t.reachable()
+    v = full_pass_guaranteed_output(_dict_restriction(t, keep))
+    trans = dict(t.trans)
+    for q in keep:
+        for x in t.input_letters(q):
+            w, tgt = t.step(q, x)
+            if t.mode == INITIAL and q == t.initial:
+                trans[(q, x)] = (w + v[tgt], tgt)
+            else:
+                trans[(q, x)] = (word_subtract(w + v[tgt], v[q]), tgt)
+    return Transducer(t.n, t.r, t.mode, t.states, t.initial, trans)
+
+
+def dict_merge_equivalent_states(t):
+    """Oracle: step 3, with blocks numbered in order of first appearance
+    and the initial state kept apart by a marker in its signature."""
+    keep = set(t.states) if t.mode == CORE else t.reachable()
+    v = full_pass_guaranteed_output(_dict_restriction(t, keep))
+    for q in [q for q in t.states if q in keep]:
+        if q != t.initial and v[q] != EMPTY:
+            raise TransducerError(
+                f"state {q!r} owes output {v[q]!r}; remove incomplete "
+                "responses before merging"
+            )
+
+    def signature(q, block):
+        parts = []
+        for x in t.input_letters(q):
+            w, tgt = t.step(q, x)
+            parts.append((w, block[tgt]))
+        if t.mode == INITIAL and q == t.initial:
+            parts.append("initial")
+        return tuple(parts)
+
+    block = {q: 0 for q in t.states}
+    while True:
+        sigs = {q: signature(q, block) for q in t.states}
+        order = {}
+        for q in t.states:
+            order.setdefault((block[q], sigs[q]), len(order))
+        nxt = {q: order[(block[q], sigs[q])] for q in t.states}
+        if len(set(nxt.values())) == len(set(block.values())):
+            block = nxt
+            break
+        block = nxt
+
+    if len(set(block.values())) == len(t.states):
+        return t
+    rep = {}
+    for q in t.states:
+        rep.setdefault(block[q], q)
+    trans = {}
+    for q in rep.values():
+        for x in t.input_letters(q):
+            w, tgt = t.step(q, x)
+            trans[(q, x)] = (w, rep[block[tgt]])
+    initial = rep[block[t.initial]] if t.initial is not None else None
+    return Transducer(t.n, t.r, t.mode, list(rep.values()), initial, trans)
+
+
+def dict_canonical_relabel(t):
+    """Oracle: names s0, s1, ... in breadth-first order from q0."""
+    order = _bfs_order(t, t.initial)
+    assert len(order) == len(t.states)
+    return relabel(t, {q: f"s{i}" for q, i in order.items()})
+
+
+def dict_core_relabel(t):
+    """Oracle: names s0, s1, ... in breadth-first order from the
+    least-named state (by str) that reaches the whole core."""
+    order = None
+    for start in sorted(t.states, key=str):
+        order = _bfs_order(t, start)
+        if len(order) == len(t.states):
+            break
+    if order is None or len(order) != len(t.states):
+        order = {q: i for i, q in enumerate(sorted(t.states, key=str))}
+    return relabel(t, {q: f"s{i}" for q, i in order.items()})
+
+
+def three_step_minimize(t):
+    """Oracle: minimize as validation, the three steps one after another
+    (the first and last dict-based; remove_inaccessible kept its walk),
+    and the relabel."""
+    t = dict_merge_equivalent_states(
+        remove_inaccessible(
+            dict_remove_incomplete_response(check_valid(t))))
+    if t.mode == INITIAL:
+        return dict_canonical_relabel(t)
+    return dict_core_relabel(t)
+
+
+def _dict_core_table(t, order):
+    by_index = sorted(order, key=order.get)
+    return tuple(
+        (order[tgt], w)
+        for q in by_index
+        for w, tgt in (t.step(q, x) for x in t.input_letters(q))
+    )
+
+
+def _dict_serialize(t, order, header):
+    by_index = sorted(order, key=order.get)
+    parts = [header, str(len(by_index))]
+    for q in by_index:
+        for x in t.input_letters(q):
+            w, tgt = t.step(q, x)
+            parts.append(
+                f"{order[q]}.{format_letter(x)}>{order[tgt]}:{format_word(w)}"
+            )
+    return "|".join(parts).encode()
+
+
+def sorted_signature_core_form(t):
+    """Oracle: the T2|core canonical bytes by Moore refinement on
+    (name, letter) keys, colours ranked by sorted signature, roots from
+    the smallest colour class and the least table among them."""
+    assert _strongly_connected(t)
+    colour = dict.fromkeys(t.states, 0)
+    count = 1
+    while True:
+        sig = {q: (colour[q],) + tuple((w, colour[tgt]) for w, tgt in
+                                       (t.step(q, x) for x in range(t.n)))
+               for q in t.states}
+        rank = {s: i for i, s in enumerate(sorted(set(sig.values())))}
+        colour = {q: rank[sig[q]] for q in t.states}
+        if len(rank) == count:
+            break
+        count = len(rank)
+    classes = {}
+    for q in t.states:
+        classes.setdefault(colour[q], []).append(q)
+    roots = min(classes.items(), key=lambda kv: (len(kv[1]), kv[0]))[1]
+    order = min((_bfs_order(t, q) for q in roots),
+                key=lambda order: _dict_core_table(t, order))
+    return _dict_serialize(t, order, f"T2|core|n={t.n}")
+
+
+def dict_initial_form(t):
+    """Oracle: the T1|initial canonical bytes."""
+    order = _bfs_order(t, t.initial)
+    assert len(order) == len(t.states)
+    return _dict_serialize(t, order, f"T1|initial|n={t.n}|r={t.r}")
+
+
+def row_collapse(t):
+    """Oracle: synchro._collapse keyed by one tuple of successor classes
+    per state."""
+    tracked = _tracked_states(t)
+    idx = {q: i for i, q in enumerate(tracked)}
+    succ = [tuple(idx[t.step(q, x)[1]] for x in range(t.n))
+            for q in tracked]
+    cls = list(range(len(tracked)))
+    count = len(tracked)
+    rounds = 0
+    while count > 1:
+        ids = {}
+        nxt = [ids.setdefault(tuple(cls[s] for s in row), len(ids))
+               for row in succ]
+        if len(ids) == count:
+            return tracked, cls, None
+        cls, count = nxt, len(ids)
+        rounds += 1
+    return tracked, cls, rounds
+
+
+def pump_loop_eval_point(t, point, state=None):
+    """Oracle: eval_point calling run_word once per pump of the period."""
+    if state is None:
+        if t.initial is None:
+            raise TransducerError("no start state for evaluation")
+        state = t.initial
+    out_pre, q = run_word(t, state, point.preperiod)
+    seen = {q: (0, len(out_pre))}
+    collected = list(out_pre)
+    for i in range(1, len(t.states) + 2):
+        w, q = run_word(t, q, point.period)
+        collected.extend(w)
+        if q in seen:
+            _, cut = seen[q]
+            cycle_out = tuple(collected[cut:])
+            if not cycle_out:
+                raise TransducerError(
+                    "degenerate machine: a period pumps empty output"
+                )
+            return EventuallyPeriodicPoint(tuple(collected[:cut]), cycle_out)
+        seen[q] = (i, len(collected))
+    raise AssertionError("state failed to repeat within |Q|+1 pumps")

@@ -6,44 +6,15 @@ import random
 import pytest
 
 from cantrans import (
-    CORE,
-    INITIAL,
     EventuallyPeriodicPoint,
     NotInvertible,
-    Transducer,
     eval_point,
     invert,
     minimize,
     validate,
 )
 
-CHAIN = 3000
-
-
-def _bits(i, width=12):
-    return tuple((i >> (width - 1 - b)) & 1 for b in range(width))
-
-
-def empty_output_chain(core):
-    """States c0, c1, ... linked by digit 0 with empty output; digit 1
-    writes 1 and the state's binary index, so no two states are
-    equivalent.  Initial mode: an entry writes the root and the chain
-    ends in an echo state.  Core mode: the last 0-edge writes 0 and
-    closes the chain into a ring; c0 is the preferred start."""
-    names = [f"c{i}" for i in range(CHAIN)]
-    last = CHAIN - 1
-    end = "c0" if core else "e"
-    trans = {}
-    for i, q in enumerate(names):
-        trans[(q, 0)] = ((), names[i + 1]) if i < last else ((0,), end)
-        trans[(q, 1)] = ((1,) + _bits(i),
-                         names[(7 * i + 3) % CHAIN] if core else "e")
-    if core:
-        return Transducer(2, None, CORE, names, "c0", trans)
-    trans[("q0", -1)] = ((-1,), "c0")
-    trans[("e", 0)] = ((0,), "e")
-    trans[("e", 1)] = ((1,), "e")
-    return Transducer(2, 1, INITIAL, ["q0", *names, "e"], "q0", trans)
+from helpers import CHAIN, empty_output_chain
 
 
 def _points(core, rng):

@@ -9,8 +9,6 @@ import pytest
 
 from cantrans import (
     Alphabet,
-    CORE,
-    Transducer,
     canonical_form,
     core_product,
     minimize,
@@ -22,8 +20,8 @@ from cantrans.fixtures import balanced_core_2, synchronous_core_3, \
 from cantrans.machine import _strongly_connected
 from cantrans.randgen import random_transducer
 
-from helpers import every_root_core_form, kept_apart, pair_graph_level, \
-    pair_graph_witness, random_layered, shuffled_relabel
+from helpers import duplicated_states, every_root_core_form, kept_apart, \
+    pair_graph_level, pair_graph_witness, random_layered, shuffled_relabel
 
 
 @pytest.fixture(scope="module")
@@ -97,25 +95,13 @@ def test_core_forms_match_every_root_oracle(balanced_powers):
     assert all(form.startswith(b"T2|core|") for form in new)
 
 
-def _duplicated(core, rng):
-    """Every state split into two copies, each transition landing on a
-    random copy of its target: equivalent states, so a non-minimal core
-    whose colour classes all have two states."""
-    trans = {}
-    for (q, x), (w, tgt) in core.trans.items():
-        for copy in "ab":
-            trans[(f"{q}{copy}", x)] = (w, f"{tgt}{rng.choice('ab')}")
-    states = [f"{q}{copy}" for q in core.states for copy in "ab"]
-    return Transducer(core.n, None, CORE, states, None, trans)
-
-
 def test_core_forms_on_non_minimal_cores():
     rng = random.Random(5)
     cores = []
     for base in (minimize(torsion_core_2()), minimize(balanced_core_2())):
         drawn = 0
         while drawn < 4:
-            d = _duplicated(base, rng)
+            d = duplicated_states(base, rng)
             if not _strongly_connected(d):
                 continue
             assert len(minimize(d).states) == len(base.states)

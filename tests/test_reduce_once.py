@@ -1,6 +1,8 @@
 """Each machine is validated and minimized once per operation: compose,
 invert and from_prefix_code_map validate the machine they build once,
-is_in_Gnr minimizes its input once, degenerate constructions are still
+is_in_Gnr minimizes its input once, a core's synchronization level is
+computed once per classification and once per order search, degenerate
+constructions are still
 refused with their old types, and the bi-synchronizing verdicts equal
 the three-minimize path they replaced (kept in helpers.py as an
 oracle)."""
@@ -17,7 +19,9 @@ from cantrans import (
     NotInvertible,
     Transducer,
     TransducerError,
+    classify_subgroup,
     compose,
+    core_product,
     core_of,
     from_prefix_code_map,
     identity_core,
@@ -26,10 +30,11 @@ from cantrans import (
     is_bisynchronizing,
     is_in_Gnr,
     minimize,
+    order_in_On,
     parse,
     random_prefix_code_map,
 )
-from cantrans import algebra, fixtures, machine
+from cantrans import algebra, fixtures, machine, synchro
 from cantrans.randgen import random_gnr_element
 
 from helpers import count_calls, delayed_copy, random_bisync, \
@@ -84,6 +89,24 @@ def test_is_in_Gnr_minimizes_its_input_once(monkeypatch, t):
     assert all(isinstance(q, tuple) for m in others for q in m.states)
     if t.mode == INITIAL:
         assert others == []
+
+
+def test_classify_synchronizes_each_machine_once(monkeypatch):
+    a = minimize(fixtures.balanced_core_2())
+    cube = core_product(core_product(a, a), a)
+    seen = count_calls(monkeypatch, synchro, "sync_level")
+    flags = classify_subgroup(cube)
+    assert flags.core_states == 103
+    # the cube, the inverse dynamics, the inverse core, the cube's core;
+    # the round-trip products check neither factor again
+    assert [len(t.states) for t in seen] == [103, 664, 103, 103]
+
+
+def test_order_search_synchronizes_its_core_once(monkeypatch):
+    a = minimize(fixtures.balanced_core_2())
+    seen = count_calls(monkeypatch, synchro, "sync_level")
+    assert order_in_On(a, cap=3) == ("unknown", None)
+    assert [len(t.states) for t in seen] == [10]
 
 
 def _silent_initial():
