@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 from .words import (
     EMPTY,
-    Alphabet,
     Relation,
     WordError,
     format_word,
@@ -25,10 +24,10 @@ from .machine import (
     INITIAL,
     Transducer,
     TransducerError,
-    canonical_form,
     check_valid,
     run_word,
     validate,
+    _View,
 )
 from .minimize import _reduce, minimize
 
@@ -248,44 +247,142 @@ def from_prefix_code_map(pm, alphabet):
     return _reduce(check_valid(raw))
 
 
-def _viability(t):
-    """Memoized test: can some infinite run from state q emit a string
-    extending the word u?  Depth-first search over (state, unmatched
-    rest of u) configurations with an explicit stack, so long chains of
-    empty-output transitions need no recursion; a configuration already
-    on the search path counts as a dead end."""
+def _pair_step(a, b):
+    """The pair machine's transition, as compose reads it: the pair
+    (p, q) reads x as a does, p -- x/w --> p', b reads w from q, and the
+    pair writes what b wrote and moves to (p', q')."""
+    def step(pair, x):
+        p, q = pair
+        w, p = a.step(p, x)
+        out = []
+        for y in w:
+            v, q = b.step(q, y)
+            out.extend(v)
+        return tuple(out), (p, q)
+
+    return step
+
+
+def _zero_repeat(step, a, b):
+    """The first pair that repeats when the pair machine of two cores
+    reads digit 0 from (a.states[0], b.states[0]).  When the pair machine
+    synchronizes, 0 fixes it and it lies in the core."""
+    pair = (a.states[0], b.states[0])
+    walked = set()
+    while pair not in walked:
+        walked.add(pair)
+        pair = step(pair, 0)[1]
+    return pair
+
+
+def _product_is_identity(a, b):
+    """The lag walk: whether x -> (x . a) . b is the identity, decided on
+    the pair machine without building it as a Transducer.
+
+    A machine computes the identity exactly when every state s has a lag
+    word u(s), the input it has read but not yet written, with
+    u(s) x = w u(t) on every edge s -- x/w --> t.  The walk assigns lags
+    breadth-first from a seed, generating pairs with compose's rule as
+    it reaches them, and stops at the first edge that breaks the
+    equation.
+
+    Initial mode: the seed is the entry pair with lag empty, and the
+    walk covers the pairs reachable from it.  Core mode (both factors
+    must synchronize): the product's core is the forward closure of the
+    pair digit 0 fixes (see synchro.core_product), and the product
+    reduces to the identity core exactly when that closure computes the
+    identity up to lags.  On the fixed pair, u 0 = w u forces w = 0 and
+    u = 0^k, and reading 1s writes u 1 1 ..., so k is the number of 0s
+    written before the first other letter; any other output on 0 breaks
+    the equation on the walk's first edge."""
+    step = _pair_step(a, b)
+    if a.mode == INITIAL:
+        seed, lag = (a.initial, b.initial), EMPTY
+    else:
+        seed = _zero_repeat(step, a, b)
+        lag = _zeros_before_other(step, seed)
+        if lag is None:
+            return False
+    lags = {seed: lag}
+    todo = [seed]
+    for pair in todo:
+        u = lags[pair]
+        for x in a.input_letters(pair[0]):
+            w, tgt = step(pair, x)
+            ux = u + (x,)
+            if ux[:len(w)] != w:
+                return False
+            rest = ux[len(w):]
+            have = lags.get(tgt)
+            if have is None:
+                lags[tgt] = rest
+                todo.append(tgt)
+            elif have != rest:
+                return False
+    return True
+
+
+def _zeros_before_other(step, pair):
+    """0^k for the k zeros the pair machine writes, reading 1s from
+    `pair`, before its first other letter; None when the walk meets a
+    pair again first (it then writes only zeros forever)."""
+    seen = {pair}
+    k = 0
+    while True:
+        w, pair = step(pair, 1)
+        for y in w:
+            if y != 0:
+                return (0,) * k
+            k += 1
+        if pair in seen:
+            return None
+        seen.add(pair)
+
+
+def _viability(view):
+    """Memoized test on a machine's integer view: can some infinite run
+    from state number i emit a string extending the word u?  Depth-first
+    search over (state number, unmatched rest of u) configurations with
+    an explicit stack, so long chains of empty-output transitions need no
+    recursion; a configuration already on the search path counts as a
+    dead end."""
+    outs, targets = view.outs, view.targets
     cache = {}
 
-    def viable(q, u):
+    def viable(i, u):
         if not u:
             return True
-        root = (q, u)
-        if root in cache:
-            return cache[root]
+        root = (i, u)
+        ok = cache.get(root)
+        if ok is not None:
+            return ok
         busy = {root}
-        stack = [(root, iter(t.input_letters(q)))]
+        stack = [(root, zip(outs[i], targets[i]))]
         ok = False  # once True, it holds for every configuration popped
         while stack:
-            key, letters = stack[-1]
-            p, v = key
+            key, edges = stack[-1]
+            v = key[1]
             child = None
             if not ok:
-                for x in letters:
-                    w, tgt = t.step(p, x)
-                    if is_prefix(v, w):
-                        ok = True
-                        break
-                    if is_prefix(w, v):
-                        nxt = (tgt, v[len(w):])
-                        if cache.get(nxt):
+                for w, j in edges:
+                    m = len(w)
+                    if m >= len(v):
+                        if w[:len(v)] == v:
                             ok = True
                             break
-                        if nxt not in cache and nxt not in busy:
+                    elif v[:m] == w:
+                        nxt = (j, v[m:])
+                        hit = cache.get(nxt)
+                        if hit:
+                            ok = True
+                            break
+                        if hit is None and nxt not in busy:
                             child = nxt
                             break
             if child is not None:
                 busy.add(child)
-                stack.append((child, iter(t.input_letters(child[0]))))
+                j = child[0]
+                stack.append((child, zip(outs[j], targets[j])))
                 continue
             stack.pop()
             busy.discard(key)
@@ -295,32 +392,116 @@ def _viability(t):
     return viable
 
 
-def _advance(t, viable, q, u):
+def _advance(view, viable, i, u):
     """Forced-emission step of the pending-suffix inversion: starting at
-    state q of t with the word u of inverse input not yet matched, emit
-    input letters of t as long as exactly one admissible letter remains
-    viable and its output is covered by u.  Returns (emitted, (q', u')).
-    Raises NotInvertible when no letter's outputs are compatible with u
-    (u lies off the image)."""
+    state number i of the view with the word u of inverse input not yet
+    matched, emit input letters of the machine as long as exactly one
+    admissible letter remains viable and its output is covered by u.
+    Returns (emitted, (i', u')).  Raises NotInvertible when no letter's
+    outputs are compatible with u (u lies off the image)."""
+    letters, outs, targets = view.letters, view.outs, view.targets
     emitted = []
     while True:
-        cands = []
-        for x in t.input_letters(q):
-            w, tgt = t.step(q, x)
-            if is_prefix(w, u) and viable(tgt, u[len(w):]):
-                cands.append((x, w, tgt, True))
-            elif len(w) > len(u) and is_prefix(u, w):
-                cands.append((x, w, tgt, False))
-        if not cands:
+        found = None
+        for x, w, j in zip(letters[i], outs[i], targets[i]):
+            m = len(w)
+            if u[:m] == w:
+                if not viable(j, u[m:]):
+                    continue
+                covered = True
+            elif m > len(u) and w[:len(u)] == u:
+                covered = False
+            else:
+                continue
+            if found is not None:
+                return tuple(emitted), (i, u)
+            found = (x, m, j, covered)
+        if found is None:
             raise NotInvertible(
                 "not invertible by finite transducer: pending word "
-                f"{format_word(u)!r} extends no output from {q!r}"
+                f"{format_word(u)!r} extends no output from "
+                f"{view.states[i]!r}"
             )
-        if len(cands) > 1 or not cands[0][3]:
-            return tuple(emitted), (q, u)
-        x, w, tgt, _ = cands[0]
+        x, m, j, covered = found
+        if not covered:
+            return tuple(emitted), (i, u)
         emitted.append(x)
-        q, u = tgt, u[len(w):]
+        i, u = j, u[m:]
+
+
+def _explore(view, n, seeds, start_letters, prune):
+    """The pending-word exploration behind invert and invert_core.
+
+    A configuration is (state number of the view, pending word): input
+    of the inverse read so far that the machine's emissions have not yet
+    covered.  Reading y appends it to the pending word and _advance
+    emits every forced letter.  The exploration runs breadth-first from
+    `seeds`; the first configuration reads `start_letters`, every other
+    one the n digits.  A pending word longer than |Q| * (1 + max output
+    length) means no finite inverse exists.
+
+    A letter whose pending word extends no output raises NotInvertible,
+    unless `prune` is set: it then leaves the configuration without that
+    transition, and only the largest set of configurations with a
+    transition on every letter into the set is kept.  Returns the kept
+    configurations, named (state name, pending word), in the order they
+    were found, and their transitions."""
+    viable = _viability(view)
+    outs = view.outs
+    bound = len(outs) * (1 + max(len(w) for row in outs for w in row))
+    digits = tuple(range(n))
+    configs = list(seeds)
+    index = {c: k for k, c in enumerate(configs)}
+    rows = []
+    for k, (i, u) in enumerate(configs):
+        row = []
+        for y in start_letters if k == 0 else digits:
+            try:
+                out, nxt = _advance(view, viable, i, u + (y,))
+            except NotInvertible:
+                if not prune:
+                    raise
+                row.append(None)
+                continue
+            if len(nxt[1]) > bound:
+                raise NotInvertible(
+                    "not invertible by finite transducer: pending word "
+                    f"exceeds bound {bound}: {format_word(nxt[1])!r} at "
+                    f"state {view.states[nxt[0]]!r}"
+                )
+            tgt = index.get(nxt)
+            if tgt is None:
+                tgt = index[nxt] = len(configs)
+                configs.append(nxt)
+            row.append((y, out, tgt))
+        rows.append(row)
+    keep = _accepting(rows) if prune else range(len(rows))
+    names = {k: (view.states[configs[k][0]], configs[k][1]) for k in keep}
+    trans = {(names[k], y): (out, names[tgt])
+             for k in keep for y, out, tgt in rows[k]}
+    return list(names.values()), trans
+
+
+def _accepting(rows):
+    """The numbers, in order, of the largest set of configurations that
+    have a transition on every letter, each into the set: the rows with
+    a missing transition are dropped, then everything leading to a
+    dropped row, until nothing changes."""
+    preds = [[] for _ in rows]
+    drop = []
+    for k, row in enumerate(rows):
+        for edge in row:
+            if edge is None:
+                drop.append(k)
+            else:
+                preds[edge[2]].append(k)
+    alive = [True] * len(rows)
+    while drop:
+        k = drop.pop()
+        if alive[k]:
+            alive[k] = False
+            drop.extend(preds[k])
+    return [k for k, ok in enumerate(alive) if ok]
 
 
 def invert(a, *, verify=True):
@@ -333,7 +514,10 @@ def invert(a, *, verify=True):
     Pending words are capped at |Q| * (1 + max output length); blowing
     the cap, or meeting input no run of `a` can emit, means no finite
     inverse exists.  The result is minimized and, unless verify=False,
-    checked by the round trip compose(a, invert(a)) == identity.
+    checked in both orders by the lag walk: every pair state of the
+    product with `a` must carry a lag word u with u x = w u' on each of
+    its edges x/w, which holds exactly when the product is the identity.
+    The walk builds no product machine.
     """
     if a.mode != INITIAL:
         raise TransducerError("invert expects an initial-mode machine; "
@@ -343,45 +527,21 @@ def invert(a, *, verify=True):
 
 def _invert_minimal(a, verify=True):
     """invert for a machine that is already minimal."""
-    viable = _viability(a)
-    bound = len(a.states) * (1 + a.max_output_len())
-
-    def advance(q, u):
-        return _advance(a, viable, q, u)
-
-    start = (a.initial, EMPTY)
-    trans = {}
-    seen = {start}
-    todo = deque([start])
-    while todo:
-        state = todo.popleft()
-        q, u = state
-        letters = (tuple(-(k + 1) for k in range(a.r))
-                   if state == start else tuple(range(a.n)))
-        for y in letters:
-            out, nxt = advance(q, u + (y,))
-            if len(nxt[1]) > bound:
-                raise NotInvertible(
-                    "not invertible by finite transducer: pending word "
-                    f"exceeds bound {bound}"
-                )
-            trans[(state, y)] = (out, nxt)
-            if nxt not in seen:
-                seen.add(nxt)
-                todo.append(nxt)
-
-    raw = Transducer(a.n, a.r, INITIAL, sorted(seen, key=str), start, trans)
+    view = _View(a)
+    roots = tuple(-(k + 1) for k in range(a.r))
+    states, trans = _explore(view, a.n, [(view.index[a.initial], EMPTY)],
+                             roots, prune=False)
+    raw = Transducer(a.n, a.r, INITIAL, sorted(states, key=str), states[0],
+                     trans)
     bad = validate(raw)
     if bad:
         raise NotInvertible("inverse construction degenerate: " +
                             "; ".join(bad))
     b = _reduce(raw)
-    if verify:
-        ident = canonical_form(identity_transducer(Alphabet(a.n, a.r)))
-        if canonical_form(compose(a, b)) != ident \
-                or canonical_form(compose(b, a)) != ident:
-            raise NotInvertible(
-                "round-trip verification failed: the constructed machine "
-                "does not invert the input"
-            )
+    if verify and not (_product_is_identity(a, b) and
+                       _product_is_identity(b, a)):
+        raise NotInvertible(
+            "round-trip verification failed: the constructed machine "
+            "does not invert the input"
+        )
     return b

@@ -14,6 +14,7 @@ unbalanced cycle is exactly a certificate of unbounded local expansion
 or contraction.
 """
 
+from collections import deque
 from dataclasses import dataclass
 
 from .machine import CORE, TransducerError, canonical_form
@@ -78,8 +79,9 @@ def cycle_balance(core):
 
     All cycles balance exactly when the per-edge weight (output length
     minus one) is a potential difference between states, which one
-    breadth-first sweep decides; a failed edge is expanded into an
-    explicit unbalanced simple cycle for the diagnostic.
+    depth-first sweep decides; the first edge that breaks the potential
+    is expanded into an explicit unbalanced simple cycle for the
+    diagnostic, in time linear in the size of the core.
 
     Returns (True, None) or (False, (cycle states, read, written)).
     """
@@ -87,6 +89,7 @@ def cycle_balance(core):
         raise TransducerError("cycle_balance expects a core-mode machine")
     start = core.states[0]
     phi = {start: 0}
+    tree = {start: None}
     todo = [start]
     while todo:
         q = todo.pop()
@@ -95,27 +98,88 @@ def cycle_balance(core):
             want = phi[q] + len(w) - 1
             if tgt not in phi:
                 phi[tgt] = want
+                tree[tgt] = (q, x)
                 todo.append(tgt)
             elif phi[tgt] != want:
-                return False, _unbalanced_cycle(core)
+                return False, _unbalanced_cycle(core, tree, q, x, tgt)
     return True, None
 
 
-def _unbalanced_cycle(core):
-    """Some simple cycle whose output length differs from its length."""
-    for first in core.states:
-        stack = [(first, [first], 0, 0)]
-        while stack:
-            q, path, read, written = stack.pop()
-            for x in range(core.n):
-                w, tgt = core.step(q, x)
-                if tgt == first:
-                    if read + 1 != written + len(w):
-                        return tuple(path), read + 1, written + len(w)
-                elif tgt not in path:
-                    stack.append((tgt, path + [tgt],
-                                  read + 1, written + len(w)))
+def _unbalanced_cycle(core, tree, q, x, tgt):
+    """Some simple cycle whose output length differs from its length,
+    from the sweep's tree edges and the edge q -- x --> tgt that breaks
+    the potential.
+
+    With `back` a path from tgt to the root, the closed walks "tree path
+    to q, the edge, back" and "tree path to tgt, back" differ in weight
+    by exactly the broken amount, so one of them has nonzero weight.  A
+    closed walk's weight is the sum of the weights of the simple cycles
+    peeled off it where it repeats a state, so one of those cycles is
+    unbalanced."""
+    root = core.states[0]
+    back = _path_to(core, tgt, root)
+    if back is None:
+        raise TransducerError("cycle_balance expects a strongly connected "
+                              f"core; {tgt!r} does not lead back to "
+                              f"{root!r}")
+    for walk in (_tree_path(tree, q) + [x] + back,
+                 _tree_path(tree, tgt) + back):
+        found = _peel(core, root, walk)
+        if found is not None:
+            return found
     raise AssertionError("potential check failed but no witness cycle found")
+
+
+def _tree_path(tree, q):
+    """Letters of the sweep's tree path from the root to q."""
+    letters = []
+    while tree[q] is not None:
+        q, x = tree[q]
+        letters.append(x)
+    return letters[::-1]
+
+
+def _path_to(core, start, goal):
+    """Letters of a shortest path from start to goal (breadth-first), or
+    None when there is none."""
+    came = {start: None}
+    todo = deque([start])
+    while goal not in came:
+        if not todo:
+            return None
+        q = todo.popleft()
+        for x in range(core.n):
+            tgt = core.step(q, x)[1]
+            if tgt not in came:
+                came[tgt] = (q, x)
+                todo.append(tgt)
+    return _tree_path(came, goal)
+
+
+def _peel(core, start, letters):
+    """Walk `letters` from start, cutting a simple cycle off the walk
+    each time it returns to a state on its current path; the first such
+    cycle that reads and writes different lengths, as (states, read,
+    written), or None."""
+    path = [start]
+    taken = []
+    at = {start: 0}
+    for x in letters:
+        w, q = core.step(path[-1], x)
+        taken.append(len(w))
+        k = at.get(q)
+        if k is None:
+            at[q] = len(path)
+            path.append(q)
+            continue
+        cycle, written = path[k:], sum(taken[k:])
+        if written != len(cycle):
+            return tuple(cycle), len(cycle), written
+        for p in path[k + 1:]:
+            del at[p]
+        del path[k + 1:]
+        del taken[k:]
+    return None
 
 
 def is_synchronous(core):

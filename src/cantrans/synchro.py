@@ -13,7 +13,8 @@ from .words import EMPTY
 from .machine import CORE, InvalidTransducer, Transducer, TransducerError, \
     check_valid, _View, _strongly_connected
 from .minimize import _reduce, minimize
-from .algebra import NotInvertible, _advance, _invert_minimal, _viability
+from .algebra import NotInvertible, _explore, _invert_minimal, _pair_step, \
+    _product_is_identity, _zero_repeat
 
 
 class NotSynchronizing(TransducerError):
@@ -155,20 +156,8 @@ def _product_attractor(a, b):
     (a.states[0], b.states[0]) until a pair repeats; that pair is a fixed
     point of 0 inside the product's core, whose forward closure is
     returned as a core-mode machine on the pair names."""
-    def step(pair, x):
-        p, q = pair
-        w, p = a.step(p, x)
-        out = []
-        for y in w:
-            v, q = b.step(q, y)
-            out.extend(v)
-        return tuple(out), (p, q)
-
-    pair = (a.states[0], b.states[0])
-    walked = set()
-    while pair not in walked:
-        walked.add(pair)
-        pair = step(pair, 0)[1]
+    step = _pair_step(a, b)
+    pair = _zero_repeat(step, a, b)
     trans = {}
     todo = deque([pair])
     seen = {pair}
@@ -201,7 +190,9 @@ def core_product(a, b):
     Refuses with NotSynchronizing when either factor does not
     synchronize (such a product need not have a core), and with
     TransducerError when the pair machine is degenerate, which valid
-    factors never make.  The pair machine is validated once, by minimize."""
+    factors never make.  The pair machine is validated once, by minimize.
+    The result is strongly connected: the closure is the core of a
+    synchronizing machine, and merging states keeps every path."""
     if a.mode != CORE or b.mode != CORE:
         raise TransducerError("core_product expects core-mode machines")
     if a.n != b.n:
@@ -215,12 +206,9 @@ def _core_product(a, b):
     """core_product for two cores over one alphabet, both known to
     synchronize."""
     try:
-        core = minimize(_product_attractor(a, b))
+        return minimize(_product_attractor(a, b))
     except InvalidTransducer as e:
         raise TransducerError(f"degenerate product: {e}") from None
-    if not _strongly_connected(core):
-        raise NotSynchronizing("pair product has no strongly connected core")
-    return core
 
 
 def invert_core(c):
@@ -233,9 +221,13 @@ def invert_core(c):
     pruning accepts every continuation, which is exactly what deep
     states of an inverse must do).  The result must synchronize, and
     both core products with the original must reduce to the identity
-    core; otherwise the class is not invertible.  Those products refuse
-    a non-synchronizing core, so such a core is refused up front, before
-    the exploration, which on it can grow exponentially."""
+    core; otherwise the class is not invertible.  The products are
+    checked by the lag walk, without building them: on the core of each
+    pair machine, from the pair digit 0 fixes, every pair must carry a
+    lag word u with u x = w u' on each of its edges x/w.  Products
+    of a non-synchronizing core need not have a core, so such a core is
+    refused up front, before the exploration, which on it can grow
+    exponentially."""
     if c.mode != CORE:
         raise TransducerError("invert_core expects a core-mode machine")
     c = minimize(c)
@@ -246,62 +238,20 @@ def invert_core(c):
 
 def _invert_minimal_core(c):
     """invert_core for a minimal core known to synchronize."""
-    viable = _viability(c)
-    bound = len(c.states) * (1 + c.max_output_len())
-
-    trans = {}
-    dead = set()
-    seen = set()
-    todo = deque((q, EMPTY) for q in c.states)
-    seen.update(todo)
-    while todo:
-        state = todo.popleft()
-        q, u = state
-        for y in range(c.n):
-            try:
-                out, nxt = _advance(c, viable, q, u + (y,))
-            except NotInvertible:
-                dead.add(state)
-                continue
-            if len(nxt[1]) > bound:
-                raise NotInvertible(
-                    "not invertible by finite transducer: pending word "
-                    f"exceeds bound {bound}"
-                )
-            trans[(state, y)] = (out, nxt)
-            if nxt not in seen:
-                seen.add(nxt)
-                todo.append(nxt)
-
-    alive = set(seen)
-    changed = True
-    while changed:
-        changed = False
-        for state in list(alive):
-            if state in dead:
-                alive.discard(state)
-                changed = True
-                continue
-            for y in range(c.n):
-                tgt = trans.get((state, y))
-                if tgt is None or tgt[1] not in alive:
-                    alive.discard(state)
-                    changed = True
-                    break
-    if not alive:
+    seeds = [(i, EMPTY) for i in range(len(c.states))]
+    states, trans = _explore(_View(c), c.n, seeds, range(c.n), prune=True)
+    if not states:
         raise NotInvertible(
             "not invertible: no configuration of the inverse accepts "
             "every continuation"
         )
-    sub = Transducer(c.n, None, CORE, sorted(alive, key=str), None,
-                     {k: v for k, v in trans.items() if k[0] in alive})
+    sub = Transducer(c.n, None, CORE, sorted(states, key=str), None, trans)
     level = sync_level(sub)
     if level is None:
         raise NotInvertible("inverse dynamics do not synchronize")
     # the core of a synchronizing machine, and its reduction, synchronize
     d = _reduce(_core_at(sub, level))
-    if not is_identity_core(_core_product(c, d)) \
-            or not is_identity_core(_core_product(d, c)):
+    if not _product_is_identity(c, d) or not _product_is_identity(d, c):
         raise NotInvertible(
             "round-trip verification failed: core products are not trivial"
         )

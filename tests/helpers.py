@@ -4,33 +4,43 @@ import random
 import sys
 from itertools import product
 
+from collections import deque
+
 from cantrans import (
+    Alphabet,
     CORE,
     EventuallyPeriodicPoint,
     INITIAL,
     NotInvertible,
+    NotSynchronizing,
     Transducer,
     TransducerError,
     UnboundedOutput,
+    canonical_form,
     check_valid,
     cli,
     compose,
     core_of,
+    core_product,
+    identity_transducer,
     invert,
     invert_core,
     is_identity_core,
     minimize,
     run_word,
     sync_level,
+    validate,
 )
 from cantrans.document import HEADER
 from cantrans.words import EMPTY, WordError, common_prefix, format_letter, \
-    format_word, word_subtract
+    format_word, is_prefix, word_subtract
 from cantrans.machine import _bfs_order, _strongly_connected, relabel
-from cantrans.minimize import merge_equivalent_states, \
+from cantrans.minimize import _reduce, merge_equivalent_states, \
     remove_inaccessible, remove_incomplete_response
+from cantrans import fixtures
 from cantrans.randgen import random_gnr_element, random_transducer
-from cantrans.synchro import _attractor, _tracked_states
+from cantrans.synchro import _attractor, _core_at, _product_attractor, \
+    _tracked_states
 
 
 def brute_force_level(t, max_level=8):
@@ -146,6 +156,24 @@ def full_pair_core_product(a, b):
     core = minimize(_attractor(reduced, k * (k - 1) // 2 + 1))
     assert _strongly_connected(core)
     return core
+
+
+def fixture_cores():
+    """The minimal cores of the fixtures."""
+    return [minimize(fixtures.torsion_core_2()),
+            minimize(fixtures.balanced_core_2()),
+            minimize(fixtures.synchronous_core_3()),
+            minimize(fixtures.unbalanced_core_3()),
+            core_of(minimize(fixtures.sample_3_2()))]
+
+
+def balanced_powers(top):
+    """BALANCED_CORE_2 a^1 .. a^top (10, 34, 103, 300, 859 states)."""
+    a = minimize(fixtures.balanced_core_2())
+    powers = [a]
+    while len(powers) < top:
+        powers.append(core_product(powers[-1], a))
+    return powers
 
 
 def non_synchronizing_core(n, rng):
@@ -597,3 +625,235 @@ def pump_loop_eval_point(t, point, state=None):
             return EventuallyPeriodicPoint(tuple(collected[:cut]), cycle_out)
         seen[q] = (i, len(collected))
     raise AssertionError("state failed to repeat within |Q|+1 pumps")
+
+
+# Oracles for the inversion kernels: the pending-word exploration on
+# (name, letter) keys through Transducer.step, and the round trips that
+# build, validate and minimize each product before testing it.
+
+
+def reduced_product_is_identity(a, b):
+    """Oracle: whether x -> (x . a) . b is the identity, by reducing the
+    product.  Initial mode: the minimized composite's canonical form is
+    the identity machine's.  Core mode (synchronizing factors): the
+    minimized core of the pair product is the one-state echo core."""
+    if a.mode == CORE:
+        return is_identity_core(minimize(_product_attractor(a, b)))
+    ident = canonical_form(identity_transducer(Alphabet(a.n, a.r)))
+    return canonical_form(compose(a, b)) == ident
+
+
+def _name_keyed_viability(t):
+    cache = {}
+
+    def viable(q, u):
+        if not u:
+            return True
+        root = (q, u)
+        if root in cache:
+            return cache[root]
+        busy = {root}
+        stack = [(root, iter(t.input_letters(q)))]
+        ok = False
+        while stack:
+            key, letters = stack[-1]
+            p, v = key
+            child = None
+            if not ok:
+                for x in letters:
+                    w, tgt = t.step(p, x)
+                    if is_prefix(v, w):
+                        ok = True
+                        break
+                    if is_prefix(w, v):
+                        nxt = (tgt, v[len(w):])
+                        if cache.get(nxt):
+                            ok = True
+                            break
+                        if nxt not in cache and nxt not in busy:
+                            child = nxt
+                            break
+            if child is not None:
+                busy.add(child)
+                stack.append((child, iter(t.input_letters(child[0]))))
+                continue
+            stack.pop()
+            busy.discard(key)
+            cache[key] = ok
+        return ok
+
+    return viable
+
+
+def _name_keyed_advance(t, viable, q, u):
+    emitted = []
+    while True:
+        cands = []
+        for x in t.input_letters(q):
+            w, tgt = t.step(q, x)
+            if is_prefix(w, u) and viable(tgt, u[len(w):]):
+                cands.append((x, w, tgt, True))
+            elif len(w) > len(u) and is_prefix(u, w):
+                cands.append((x, w, tgt, False))
+        if not cands:
+            raise NotInvertible(
+                "not invertible by finite transducer: pending word "
+                f"{format_word(u)!r} extends no output from {q!r}"
+            )
+        if len(cands) > 1 or not cands[0][3]:
+            return tuple(emitted), (q, u)
+        x, w, tgt, _ = cands[0]
+        emitted.append(x)
+        q, u = tgt, u[len(w):]
+
+
+def name_keyed_invert(a, verify=True):
+    """Oracle: invert as a breadth-first exploration over (state name,
+    pending word) configurations, checked by the reduction round trip."""
+    a = minimize(a)
+    viable = _name_keyed_viability(a)
+    bound = len(a.states) * (1 + a.max_output_len())
+    start = (a.initial, EMPTY)
+    trans = {}
+    seen = {start}
+    todo = deque([start])
+    while todo:
+        state = todo.popleft()
+        q, u = state
+        letters = (tuple(-(k + 1) for k in range(a.r))
+                   if state == start else tuple(range(a.n)))
+        for y in letters:
+            out, nxt = _name_keyed_advance(a, viable, q, u + (y,))
+            if len(nxt[1]) > bound:
+                raise NotInvertible(
+                    "not invertible by finite transducer: pending word "
+                    f"exceeds bound {bound}"
+                )
+            trans[(state, y)] = (out, nxt)
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    raw = Transducer(a.n, a.r, INITIAL, sorted(seen, key=str), start, trans)
+    bad = validate(raw)
+    if bad:
+        raise NotInvertible("inverse construction degenerate: " +
+                            "; ".join(bad))
+    b = _reduce(raw)
+    if verify and not (reduced_product_is_identity(a, b) and
+                       reduced_product_is_identity(b, a)):
+        raise NotInvertible(
+            "round-trip verification failed: the constructed machine "
+            "does not invert the input"
+        )
+    return b
+
+
+def name_keyed_invert_core(c):
+    """Oracle: invert_core as the same exploration from every (state,
+    empty) seed, pruned by repeated sweeps, checked by the reduction
+    round trip."""
+    c = minimize(c)
+    if sync_level(c) is None:
+        raise NotSynchronizing("invert_core needs a synchronizing core")
+    viable = _name_keyed_viability(c)
+    bound = len(c.states) * (1 + c.max_output_len())
+    trans = {}
+    dead = set()
+    seen = set()
+    todo = deque((q, EMPTY) for q in c.states)
+    seen.update(todo)
+    while todo:
+        state = todo.popleft()
+        q, u = state
+        for y in range(c.n):
+            try:
+                out, nxt = _name_keyed_advance(c, viable, q, u + (y,))
+            except NotInvertible:
+                dead.add(state)
+                continue
+            if len(nxt[1]) > bound:
+                raise NotInvertible(
+                    "not invertible by finite transducer: pending word "
+                    f"exceeds bound {bound}"
+                )
+            trans[(state, y)] = (out, nxt)
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    alive = set(seen)
+    changed = True
+    while changed:
+        changed = False
+        for state in list(alive):
+            if state in dead:
+                alive.discard(state)
+                changed = True
+                continue
+            for y in range(c.n):
+                tgt = trans.get((state, y))
+                if tgt is None or tgt[1] not in alive:
+                    alive.discard(state)
+                    changed = True
+                    break
+    if not alive:
+        raise NotInvertible(
+            "not invertible: no configuration of the inverse accepts "
+            "every continuation"
+        )
+    sub = Transducer(c.n, None, CORE, sorted(alive, key=str), None,
+                     {k: v for k, v in trans.items() if k[0] in alive})
+    level = sync_level(sub)
+    if level is None:
+        raise NotInvertible("inverse dynamics do not synchronize")
+    d = _reduce(_core_at(sub, level))
+    if not reduced_product_is_identity(c, d) \
+            or not reduced_product_is_identity(d, c):
+        raise NotInvertible(
+            "round-trip verification failed: core products are not trivial"
+        )
+    return d
+
+
+def simple_path_unbalanced_cycle(core):
+    """Oracle: an unbalanced simple cycle by enumerating the simple paths
+    from each state in turn (exponential; small cores only), or None."""
+    for first in core.states:
+        stack = [(first, [first], 0, 0)]
+        while stack:
+            q, path, read, written = stack.pop()
+            for x in range(core.n):
+                w, tgt = core.step(q, x)
+                if tgt == first:
+                    if read + 1 != written + len(w):
+                        return tuple(path), read + 1, written + len(w)
+                elif tgt not in path:
+                    stack.append((tgt, path + [tgt],
+                                  read + 1, written + len(w)))
+    return None
+
+
+def cycle_rewalks(core, states, read, written):
+    """Whether (states, read, written) is an unbalanced cycle of the
+    core: consecutive states, the last back to the first, are joined by
+    edges whose output lengths can sum to `written`, with one letter read
+    per state and read != written."""
+    if read == written or read != len(states) or \
+            len(set(states)) != len(states):
+        return False
+    sums = {0}
+    for q, nxt in zip(states, states[1:] + states[:1]):
+        lens = {len(w) for x in range(core.n)
+                for w, tgt in [core.step(q, x)] if tgt == nxt}
+        sums = {s + k for s in sums for k in lens}
+    return written in sums
+
+
+def extra_zero_on_last(core):
+    """The core with its last state writing one more 0 on digit 1: still
+    valid and strongly connected, but the cycles through that edge write
+    one letter too many."""
+    last = core.states[-1]
+    trans = dict(core.trans)
+    w, tgt = trans[(last, 1)]
+    trans[(last, 1)] = (w + (0,), tgt)
+    return Transducer(core.n, None, CORE, core.states, core.initial, trans)

@@ -1,7 +1,8 @@
 """The core product built from the pair product's attractor alone, against
 the full pair product it replaced (kept in helpers.py as an oracle): equal
 canonical forms on fixture powers, random cores and inverse round trips,
-the attractor equal to the raw product's core, one validation of the pair
+every product strongly connected (core_product no longer checks it), the
+attractor equal to the raw product's core, one validation of the pair
 machine, and the refusal of non-synchronizing factors."""
 
 import random
@@ -25,18 +26,12 @@ from cantrans import (
     sync_level,
 )
 from cantrans import machine
-from cantrans.fixtures import balanced_core_2, sample_3_2, \
-    synchronous_core_3, torsion_core_2, unbalanced_core_3
+from cantrans.machine import _strongly_connected
+from cantrans.fixtures import balanced_core_2, sample_3_2, unbalanced_core_3
 from cantrans.synchro import _product_attractor
 
-from helpers import count_calls, full_pair_core_product, \
+from helpers import count_calls, fixture_cores, full_pair_core_product, \
     non_synchronizing_core, random_bisync, shuffled_relabel
-
-
-def _fixture_cores():
-    return [minimize(torsion_core_2()), minimize(balanced_core_2()),
-            minimize(synchronous_core_3()), minimize(unbalanced_core_3()),
-            core_of(minimize(sample_3_2()))]
 
 
 @pytest.mark.parametrize("load, top", [(balanced_core_2, 4),
@@ -48,12 +43,13 @@ def test_powers_match_full_pair_product(load, top):
         lazy = core_product(lazy, a)
         oracle = full_pair_core_product(oracle, a)
         assert canonical_form(lazy) == canonical_form(oracle)
+        assert _strongly_connected(lazy)
 
 
 def test_random_products_match_full_pair_product():
     rng = random.Random(4_417)
     pool = {2: [], 3: []}
-    for core in _fixture_cores():
+    for core in fixture_cores():
         pool[core.n].append(core)
     for seed in range(6):
         for alphabet in (Alphabet(2, 1), Alphabet(3, 2)):
@@ -67,25 +63,28 @@ def test_random_products_match_full_pair_product():
                 got = core_product(shuffled_relabel(a, rng),
                                    shuffled_relabel(b, rng))
                 assert canonical_form(got) == want
+                assert _strongly_connected(got)
                 checked += 1
     assert checked == 4 * (len(pool[2]) + len(pool[3]))
 
 
 def test_inverse_round_trips_match_full_pair_product():
     a = minimize(balanced_core_2())
-    cores = _fixture_cores() + [core_product(a, a)]
+    cores = fixture_cores() + [core_product(a, a)]
     cores.append(core_product(cores[-1], a))
     for c in cores:
         d = invert_core(c)
         for x, y in ((c, d), (d, c)):
-            form = canonical_form(core_product(x, y))
+            product = core_product(x, y)
+            assert _strongly_connected(product)
+            form = canonical_form(product)
             assert form == canonical_form(full_pair_core_product(x, y))
             assert form == canonical_form(identity_core(c.n))
 
 
 def test_attractor_is_the_raw_products_core():
     a = minimize(balanced_core_2())
-    cores = _fixture_cores()
+    cores = fixture_cores()
     pairs = [(c, c) for c in cores]
     pairs += [(c, invert_core(c)) for c in cores]
     pairs += [(cores[1], cores[0]), (cores[2], cores[3]),
