@@ -14,7 +14,7 @@ import sys
 
 from .words import Alphabet, EventuallyPeriodicPoint, WordError, format_word
 from .machine import CORE, TransducerError, canonical_form, eval_point
-from .minimize import minimize
+from .minimize import _reduce
 from .algebra import (
     NotInvertible,
     PrefixCodeMap,
@@ -23,7 +23,7 @@ from .algebra import (
     invert,
     twist_transducer,
 )
-from .synchro import core_of, sync_level, witness_pair
+from .synchro import _core_at, core_of, sync_level, witness_pair
 from .classify import classify_subgroup, is_in_Gnr, order_in_On, \
     outer_class_equal
 from .document import ParseError, parse, parse_prefix_map, serialize
@@ -159,12 +159,14 @@ def _dispatch(args):
         print(f"valid: {len(t.states)} states")
         return 0
 
+    # parse validates, so minimize, canon and order reduce what it
+    # returns with _reduce, and sync takes the core at the level it has
     if args.command == "minimize":
-        _write(args.output, serialize(minimize(_load(args.file))))
+        _write(args.output, serialize(_reduce(_load(args.file))))
         return 0
 
     if args.command == "canon":
-        print(canonical_form(minimize(_load(args.file))).decode())
+        print(canonical_form(_reduce(_load(args.file))).decode())
         return 0
 
     if args.command == "eval":
@@ -192,7 +194,7 @@ def _dispatch(args):
             pair = witness_pair(t)
             print(f"not synchronizing; witness pair {pair[0]} / {pair[1]}")
             return 1
-        core = core_of(t)
+        core = _core_at(t, level)
         print(f"level: {level}")
         print("core states: " + " ".join(str(q) for q in core.states))
         return 0
@@ -217,7 +219,7 @@ def _dispatch(args):
     if args.command == "order":
         t = _load(args.file)
         if t.mode != CORE:
-            t = core_of(minimize(t))
+            t = core_of(_reduce(t))
         kind, k = order_in_On(t, cap=args.cap)
         print(kind if k is None else f"{kind} {k}")
         return 0

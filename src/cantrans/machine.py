@@ -18,6 +18,8 @@ pure functions.
 """
 
 from collections import deque
+from itertools import chain
+from operator import itemgetter
 
 from .words import (
     EMPTY,
@@ -145,7 +147,32 @@ class Transducer:
 
 
 def validate(t):
-    """All non-degeneracy checks; returns a list of violation strings."""
+    """All non-degeneracy checks; returns a list of violation strings.
+
+    The checks run in five stages, in this order; a stage that finds a
+    violation returns the messages found so far, and later stages do not
+    run:
+
+    1. state names: no name twice, and the initial state (a core's
+       preferred start, when it has one) is among the states;
+    2. the table: exactly one transition per state and admissible
+       letter, the root letters at the initial state and the digits
+       everywhere else (missing pairs, then stray ones);
+    3. the transitions, in table order: each target is a state, and each
+       output word has a root letter at most in front, only root letters
+       of the alphabet (none in a core) and only digits below n;
+    4. initial mode: no transition enters the initial state; the
+       pre-root states (reached from it with empty output) are entered
+       only from one another with empty output and left with a rooted
+       output; every other transition writes digits only;
+    5. no cycle of transitions with empty output.
+
+    On a valid machine stages 2 and 3 are a few passes at C speed over
+    the table: a count, set inclusions, and the least and greatest first
+    letter and other letter of the distinct output words.  Stage 4 tests
+    w[0] of each transition's word and stage 5 searches the empty-output
+    transitions only.  The per-letter loops that word the messages run
+    only in a stage that fails."""
     out = []
     states = set(t.states)
     if len(states) != len(t.states):
@@ -155,21 +182,107 @@ def validate(t):
     if t.mode == CORE and t.initial is not None and t.initial not in states:
         out.append(f"start state {t.initial!r} not in state list")
 
-    expected = set()
-    for q in t.states:
-        for x in t.input_letters(q):
-            expected.add((q, x))
-    for key in expected - set(t.trans):
-        q, x = key
-        out.append(
-            f"incomplete transition table: missing ({q!r}, {format_letter(x)})"
-        )
-    for key in set(t.trans) - expected:
-        q, x = key
-        out.append(f"stray transition ({q!r}, {format_letter(x)})")
-    if out:
-        return out
+    trans = t.trans
+    if out or not _complete_table(t, states):
+        expected = set()
+        for q in t.states:
+            for x in t.input_letters(q):
+                expected.add((q, x))
+        for key in expected - set(trans):
+            q, x = key
+            out.append(f"incomplete transition table: missing "
+                       f"({q!r}, {format_letter(x)})")
+        for key in set(trans) - expected:
+            q, x = key
+            out.append(f"stray transition ({q!r}, {format_letter(x)})")
+        if out:
+            return out
 
+    targets = set(map(itemgetter(1), trans.values()))
+    words = set(map(itemgetter(0), trans.values()))
+    if not (states.issuperset(targets) and
+            _words_in_range(words, t.n, t.r or 0)):
+        out = _transition_violations(t, states)
+        if out:
+            return out
+
+    if t.mode == INITIAL:
+        if t.initial in targets:
+            for (q, x), (w, tgt) in trans.items():
+                if tgt == t.initial:
+                    out.append(f"initial state has an incoming transition "
+                               f"from ({q!r}, {format_letter(x)})")
+        pre = t.pre_root_states()
+        # shapes are checked: a word is rooted exactly when w[0] < 0
+        for (q, x), (w, tgt) in trans.items():
+            if tgt in pre:
+                if q not in pre or w:
+                    out.append(
+                        f"transition ({q!r}, {format_letter(x)}) enters a "
+                        "pre-root state with nonempty output"
+                    )
+            elif q in pre:
+                if not w or w[0] >= 0:
+                    out.append(
+                        f"transition ({q!r}, {format_letter(x)}) leaves the "
+                        f"pre-root region with non-rooted output "
+                        f"{format_word(w)!r}"
+                    )
+            elif w and w[0] < 0:
+                out.append(
+                    f"post-root transition ({q!r}, {format_letter(x)}) "
+                    f"emits root letters: {format_word(w)!r}"
+                )
+        if out:
+            return out
+
+    if EMPTY in words:
+        cyc = _epsilon_cycle(t)
+        if cyc is not None:
+            out.append("epsilon-output cycle through " +
+                       " -> ".join(repr(q) for q in cyc))
+    return out
+
+
+def _complete_table(t, states):
+    """Whether the transition keys are exactly the admissible (state,
+    letter) pairs, for a machine whose state names are distinct and
+    include its initial state: as many keys as pairs, and every key
+    admissible.  In initial mode the initial state has a key for each
+    root letter and none for a digit, and no other key has a root
+    letter."""
+    trans = t.trans
+    if not states.issuperset(map(itemgetter(0), trans)):
+        return False
+    letters = set(map(itemgetter(1), trans))
+    digits = range(t.n)
+    if t.mode == CORE:
+        return (len(trans) == len(states) * t.n and
+                letters.issubset(digits))
+    q0 = t.initial
+    roots = t.input_letters(q0)
+    return (len(trans) == (len(states) - 1) * t.n + t.r and
+            letters.issubset((*roots, *digits)) and
+            sum(map((0).__gt__, map(itemgetter(1), trans))) == t.r and
+            all((q0, x) in trans for x in roots) and
+            not any((q0, d) in trans for d in digits))
+
+
+def _words_in_range(words, n, r):
+    """Whether each word is empty or a letter followed by digits below
+    n, the letter a digit below n or one of r root letters: the words
+    the shape and range checks pass.  Decided on two sets, of the first
+    letters and of the others."""
+    words = list(filter(None, words))
+    heads = set(map(itemgetter(0), words))
+    tails = set(chain.from_iterable(map(itemgetter(slice(1, None)), words)))
+    return ((not heads or (min(heads) >= -r and max(heads) < n)) and
+            (not tails or (min(tails) >= 0 and max(tails) < n)))
+
+
+def _transition_violations(t, states):
+    """validate's stage 3 messages, letter by letter, in table order."""
+    out = []
     for (q, x), (w, tgt) in t.trans.items():
         if tgt not in states:
             out.append(f"transition ({q!r}, {format_letter(x)}) targets "
@@ -188,62 +301,26 @@ def validate(t):
             elif y >= t.n:
                 out.append(f"output of ({q!r}, {format_letter(x)}) uses "
                            f"digit {y} out of range")
-    if out:
-        return out
-
-    if t.mode == INITIAL:
-        for (q, x), (w, tgt) in t.trans.items():
-            if tgt == t.initial:
-                out.append(f"initial state has an incoming transition "
-                           f"from ({q!r}, {format_letter(x)})")
-        pre = t.pre_root_states()
-        for (q, x), (w, tgt) in t.trans.items():
-            if tgt in pre and (q not in pre or w != EMPTY):
-                out.append(
-                    f"transition ({q!r}, {format_letter(x)}) enters a "
-                    "pre-root state with nonempty output"
-                )
-            elif q in pre and tgt not in pre and not is_rooted(w):
-                out.append(
-                    f"transition ({q!r}, {format_letter(x)}) leaves the "
-                    f"pre-root region with non-rooted output "
-                    f"{format_word(w)!r}"
-                )
-            elif q not in pre and not is_digit_word(w):
-                out.append(
-                    f"post-root transition ({q!r}, {format_letter(x)}) "
-                    f"emits root letters: {format_word(w)!r}"
-                )
-    else:
-        for (q, x), (w, _) in t.trans.items():
-            if not is_digit_word(w):
-                out.append(f"core transition ({q!r}, {format_letter(x)}) "
-                           f"emits root letters: {format_word(w)!r}")
-    if out:
-        return out
-
-    cyc = _epsilon_cycle(t)
-    if cyc is not None:
-        out.append("epsilon-output cycle through " +
-                   " -> ".join(repr(q) for q in cyc))
     return out
 
 
 def _epsilon_cycle(t):
     """A cycle along transitions with empty output, or None.  Depth-first
     search with an explicit stack, so long empty-output chains need no
-    recursion."""
+    recursion.  Searches start, in state order, only at states with an
+    empty-output transition: no other state lies on such a cycle, and a
+    search from one would end at once."""
     eps = {}
     for (q, _x), (w, tgt) in t.trans.items():
-        if w == EMPTY:
+        if not w:
             eps.setdefault(q, []).append(tgt)
     color = {}
-    for root in t.states:
+    for root in filter(eps.__contains__, t.states):
         if root in color:
             continue
         color[root] = 1
         path = [root]
-        stack = [iter(eps.get(root, ()))]
+        stack = [iter(eps[root])]
         while stack:
             for tgt in stack[-1]:
                 c = color.get(tgt)
@@ -461,9 +538,9 @@ def canonical_form(t):
                 "unreachable states present; minimize before canonical_form"
             )
         return _serialize(view, order, f"T1|initial|n={t.n}|r={t.r}")
-    if not _strongly_connected(t):
-        raise TransducerError("disconnected core has no canonical form")
     view = _View(t)
+    if not _strongly_connected(view.targets):
+        raise TransducerError("disconnected core has no canonical form")
     return _serialize(view, _best_core_order(view), f"T2|core|n={t.n}")
 
 
@@ -574,24 +651,19 @@ def _serialize(view, order, header):
     return "|".join(parts).encode()
 
 
-def _strongly_connected(t):
-    if not t.states:
+def _strongly_connected(targets):
+    """Whether every state number reaches every other; targets[i] lists
+    state i's targets.  Breadth-first from state 0 along the edges, then
+    along the reversed edges."""
+    if not targets:
         return False
-    start = t.states[0]
-    if len(t.reachable(start)) != len(t.states):
+    if len(_bfs(targets, 0)) != len(targets):
         return False
-    rev = {}
-    for (q, _x), (_w, tgt) in t.trans.items():
-        rev.setdefault(tgt, set()).add(q)
-    seen = {start}
-    todo = deque([start])
-    while todo:
-        q = todo.popleft()
-        for p in rev.get(q, ()):
-            if p not in seen:
-                seen.add(p)
-                todo.append(p)
-    return len(seen) == len(t.states)
+    preds = [[] for _ in targets]
+    for i, row in enumerate(targets):
+        for j in row:
+            preds[j].append(i)
+    return len(_bfs(preds, 0)) == len(targets)
 
 
 def relabel(t, mapping):

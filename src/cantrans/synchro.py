@@ -11,7 +11,7 @@ from collections import deque
 
 from .words import EMPTY
 from .machine import CORE, InvalidTransducer, Transducer, TransducerError, \
-    check_valid, _View, _strongly_connected
+    check_valid, _View
 from .minimize import _reduce, minimize
 from .algebra import NotInvertible, _explore, _invert_minimal, _pair_step, \
     _product_is_identity, _zero_repeat
@@ -96,10 +96,32 @@ def is_identity_core(c):
             all(c.step(c.states[0], x)[0] == (x,) for x in range(c.n)))
 
 
-def _attractor(t, steps):
-    """Forward closure of the state reached by reading `steps` zeros: for
-    a machine synchronizing at level <= steps this is exactly the core's
-    state set.  The walk shortcuts once it enters its cycle under 0."""
+def core_of(t):
+    """The sub-machine on the states long inputs force the machine into.
+
+    Computes the synchronization level m (refusing with NotSynchronizing
+    when there is none), reads m zeros to land in a core state, then
+    closes forward under the digit letters.  The result is a core-mode
+    machine on the original state names, strongly connected and closed.
+    It is checked with check_valid, which refuses with
+    InvalidTransducer the core of a machine that was itself invalid."""
+    m = sync_level(t)
+    if m is None:
+        raise NotSynchronizing("machine is not synchronizing; it has no core")
+    return check_valid(_core_at(t, m))
+
+
+def _core_at(t, steps):
+    """The core of a machine synchronizing at level <= steps: the forward
+    closure of the state reached by reading `steps` zeros from the first
+    tracked state.  The walk shortcuts once it enters its cycle under 0.
+
+    The closure is valid when t is: a closed set of tracked states reads
+    every digit, writes digit words and keeps t's lack of empty-output
+    cycles.  invert_core's configuration machine passes too, though it is
+    never validated: every configuration reads every digit into the kept
+    set, writes letters of a core, and an edge that writes nothing only
+    lengthens the pending word, so no empty-output cycle closes."""
     q = _tracked_states(t)[0]
     seen_at = {}
     walked = []
@@ -124,26 +146,6 @@ def _attractor(t, steps):
                 todo.append(tgt)
     trans = {(p, x): t.step(p, x) for p in states for x in range(t.n)}
     return Transducer(t.n, None, CORE, sorted(states, key=str), None, trans)
-
-
-def core_of(t):
-    """The sub-machine on the states long inputs force the machine into.
-
-    Reads one fixed word of the synchronizing length to land in a core
-    state, then closes forward under the digit letters.  The result is a
-    core-mode machine on the original state names; it is asserted to be
-    strongly connected and closed."""
-    m = sync_level(t)
-    if m is None:
-        raise NotSynchronizing("machine is not synchronizing; it has no core")
-    return _core_at(t, m)
-
-
-def _core_at(t, level):
-    """core_of for a machine known to synchronize at `level`."""
-    core = _attractor(t, level)
-    assert _strongly_connected(core), "core must be strongly connected"
-    return check_valid(core)
 
 
 def _product_attractor(a, b):

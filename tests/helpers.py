@@ -32,15 +32,15 @@ from cantrans import (
     validate,
 )
 from cantrans.document import HEADER
-from cantrans.words import EMPTY, WordError, common_prefix, format_letter, \
-    format_word, is_prefix, word_subtract
-from cantrans.machine import _bfs_order, _strongly_connected, relabel
+from cantrans.words import EMPTY, WordError, check_word_shape, \
+    common_prefix, format_letter, format_word, is_digit_word, is_prefix, \
+    is_root, is_rooted, word_subtract
+from cantrans.machine import _bfs_order, relabel
 from cantrans.minimize import _reduce, merge_equivalent_states, \
     remove_inaccessible, remove_incomplete_response
 from cantrans import fixtures
 from cantrans.randgen import random_gnr_element, random_transducer
-from cantrans.synchro import _attractor, _core_at, _product_attractor, \
-    _tracked_states
+from cantrans.synchro import _core_at, _product_attractor, _tracked_states
 
 
 def brute_force_level(t, max_level=8):
@@ -153,8 +153,8 @@ def full_pair_core_product(a, b):
     raw = compose(a, b, reduce=False)
     reduced = merge_equivalent_states(remove_incomplete_response(raw))
     k = len(reduced.states)
-    core = minimize(_attractor(reduced, k * (k - 1) // 2 + 1))
-    assert _strongly_connected(core)
+    core = minimize(_core_at(reduced, k * (k - 1) // 2 + 1))
+    assert strongly_connected(core)
     return core
 
 
@@ -554,7 +554,7 @@ def sorted_signature_core_form(t):
     """Oracle: the T2|core canonical bytes by Moore refinement on
     (name, letter) keys, colours ranked by sorted signature, roots from
     the smallest colour class and the least table among them."""
-    assert _strongly_connected(t)
+    assert strongly_connected(t)
     colour = dict.fromkeys(t.states, 0)
     count = 1
     while True:
@@ -857,3 +857,141 @@ def extra_zero_on_last(core):
     w, tgt = trans[(last, 1)]
     trans[(last, 1)] = (w + (0,), tgt)
     return Transducer(core.n, None, CORE, core.states, core.initial, trans)
+
+
+def letter_loop_validate(t):
+    """Oracle: validate as it was written before its C-speed stages, with
+    the expected-key set built state by state, every output word checked
+    letter by letter, and the epsilon-cycle search started from every
+    state."""
+    out = []
+    states = set(t.states)
+    if len(states) != len(t.states):
+        out.append("duplicate state names")
+    if t.mode == INITIAL and t.initial not in states:
+        out.append(f"initial state {t.initial!r} not in state list")
+    if t.mode == CORE and t.initial is not None and t.initial not in states:
+        out.append(f"start state {t.initial!r} not in state list")
+
+    expected = set()
+    for q in t.states:
+        for x in t.input_letters(q):
+            expected.add((q, x))
+    for key in expected - set(t.trans):
+        q, x = key
+        out.append(
+            f"incomplete transition table: missing ({q!r}, {format_letter(x)})"
+        )
+    for key in set(t.trans) - expected:
+        q, x = key
+        out.append(f"stray transition ({q!r}, {format_letter(x)})")
+    if out:
+        return out
+
+    for (q, x), (w, tgt) in t.trans.items():
+        if tgt not in states:
+            out.append(f"transition ({q!r}, {format_letter(x)}) targets "
+                       f"unknown state {tgt!r}")
+            continue
+        try:
+            check_word_shape(w)
+        except WordError as e:
+            out.append(f"output of ({q!r}, {format_letter(x)}): {e}")
+            continue
+        for y in w:
+            if is_root(y):
+                if t.mode == CORE or -y - 1 >= t.r:
+                    out.append(f"output of ({q!r}, {format_letter(x)}) uses "
+                               f"root letter {format_letter(y)} out of range")
+            elif y >= t.n:
+                out.append(f"output of ({q!r}, {format_letter(x)}) uses "
+                           f"digit {y} out of range")
+    if out:
+        return out
+
+    if t.mode == INITIAL:
+        for (q, x), (w, tgt) in t.trans.items():
+            if tgt == t.initial:
+                out.append(f"initial state has an incoming transition "
+                           f"from ({q!r}, {format_letter(x)})")
+        pre = t.pre_root_states()
+        for (q, x), (w, tgt) in t.trans.items():
+            if tgt in pre and (q not in pre or w != EMPTY):
+                out.append(
+                    f"transition ({q!r}, {format_letter(x)}) enters a "
+                    "pre-root state with nonempty output"
+                )
+            elif q in pre and tgt not in pre and not is_rooted(w):
+                out.append(
+                    f"transition ({q!r}, {format_letter(x)}) leaves the "
+                    f"pre-root region with non-rooted output "
+                    f"{format_word(w)!r}"
+                )
+            elif q not in pre and not is_digit_word(w):
+                out.append(
+                    f"post-root transition ({q!r}, {format_letter(x)}) "
+                    f"emits root letters: {format_word(w)!r}"
+                )
+    else:
+        for (q, x), (w, _) in t.trans.items():
+            if not is_digit_word(w):
+                out.append(f"core transition ({q!r}, {format_letter(x)}) "
+                           f"emits root letters: {format_word(w)!r}")
+    if out:
+        return out
+
+    cyc = _every_root_epsilon_cycle(t)
+    if cyc is not None:
+        out.append("epsilon-output cycle through " +
+                   " -> ".join(repr(q) for q in cyc))
+    return out
+
+
+def _every_root_epsilon_cycle(t):
+    eps = {}
+    for (q, _x), (w, tgt) in t.trans.items():
+        if w == EMPTY:
+            eps.setdefault(q, []).append(tgt)
+    color = {}
+    for root in t.states:
+        if root in color:
+            continue
+        color[root] = 1
+        path = [root]
+        stack = [iter(eps.get(root, ()))]
+        while stack:
+            for tgt in stack[-1]:
+                c = color.get(tgt)
+                if c == 1:
+                    return path[path.index(tgt):] + [tgt]
+                if c is None:
+                    color[tgt] = 1
+                    path.append(tgt)
+                    stack.append(iter(eps.get(tgt, ())))
+                    break
+            else:
+                color[path.pop()] = 2
+                stack.pop()
+    return None
+
+
+def strongly_connected(t):
+    """Oracle: whether every state of t reaches every other, by a
+    name-keyed forward walk and a walk over the reversed edges."""
+    if not t.states:
+        return False
+    start = t.states[0]
+    if len(t.reachable(start)) != len(t.states):
+        return False
+    rev = {}
+    for (q, _x), (_w, tgt) in t.trans.items():
+        rev.setdefault(tgt, set()).add(q)
+    seen = {start}
+    todo = deque([start])
+    while todo:
+        q = todo.popleft()
+        for p in rev.get(q, ()):
+            if p not in seen:
+                seen.add(p)
+                todo.append(p)
+    return len(seen) == len(t.states)

@@ -26,12 +26,12 @@ from cantrans import (
     sync_level,
 )
 from cantrans import machine
-from cantrans.machine import _strongly_connected
 from cantrans.fixtures import balanced_core_2, sample_3_2, unbalanced_core_3
 from cantrans.synchro import _product_attractor
 
 from helpers import count_calls, fixture_cores, full_pair_core_product, \
-    non_synchronizing_core, random_bisync, shuffled_relabel
+    non_synchronizing_core, random_bisync, shuffled_relabel, \
+    strongly_connected
 
 
 @pytest.mark.parametrize("load, top", [(balanced_core_2, 4),
@@ -43,7 +43,7 @@ def test_powers_match_full_pair_product(load, top):
         lazy = core_product(lazy, a)
         oracle = full_pair_core_product(oracle, a)
         assert canonical_form(lazy) == canonical_form(oracle)
-        assert _strongly_connected(lazy)
+        assert strongly_connected(lazy)
 
 
 def test_random_products_match_full_pair_product():
@@ -63,7 +63,7 @@ def test_random_products_match_full_pair_product():
                 got = core_product(shuffled_relabel(a, rng),
                                    shuffled_relabel(b, rng))
                 assert canonical_form(got) == want
-                assert _strongly_connected(got)
+                assert strongly_connected(got)
                 checked += 1
     assert checked == 4 * (len(pool[2]) + len(pool[3]))
 
@@ -76,7 +76,7 @@ def test_inverse_round_trips_match_full_pair_product():
         d = invert_core(c)
         for x, y in ((c, d), (d, c)):
             product = core_product(x, y)
-            assert _strongly_connected(product)
+            assert strongly_connected(product)
             form = canonical_form(product)
             assert form == canonical_form(full_pair_core_product(x, y))
             assert form == canonical_form(identity_core(c.n))

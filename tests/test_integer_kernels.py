@@ -32,7 +32,6 @@ from cantrans import (
     witness_pair,
 )
 from cantrans import fixtures
-from cantrans.machine import _strongly_connected
 from cantrans.randgen import random_gnr_element, random_transducer
 from cantrans.synchro import _collapse, _product_attractor
 
@@ -40,7 +39,7 @@ from helpers import dict_initial_form, \
     dict_merge_equivalent_states, dict_remove_incomplete_response, \
     duplicated_states, empty_output_chain, full_pass_guaranteed_output, \
     pump_loop_eval_point, random_points, row_collapse, shuffled_relabel, \
-    sorted_signature_core_form, three_step_minimize
+    sorted_signature_core_form, strongly_connected, three_step_minimize
 
 ALPHABETS = (Alphabet(2, 1), Alphabet(3, 1), Alphabet(3, 2), Alphabet(4, 1))
 
@@ -199,7 +198,7 @@ def test_core_forms_match_sorted_signature_oracle(balanced_powers):
         drawn = 0
         while drawn < 4:
             d = duplicated_states(base, rng)
-            if _strongly_connected(d):
+            if strongly_connected(d):
                 cores += [d, shuffled_relabel(d, rng)]
                 drawn += 1
     cores.append(empty_output_chain(True))

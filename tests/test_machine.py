@@ -211,13 +211,20 @@ def test_canonical_form_rejects_unreachable():
 
 
 def test_canonical_form_rejects_disconnected_core():
+    """Two disjoint echo cores, and a core whose state a cannot be
+    reached again once left: both valid, neither strongly connected."""
     trans = {}
     for q in ("a", "b"):
         for x in range(2):
             trans[(q, x)] = ((x,), q)
-    t = Transducer(2, None, CORE, ["a", "b"], None, trans)
-    with pytest.raises(TransducerError):
-        canonical_form(t)
+    one_way = dict(trans)
+    one_way[("a", 0)] = ((0,), "b")
+    for table in (trans, one_way):
+        t = Transducer(2, None, CORE, ["a", "b"], None, table)
+        assert validate(t) == []
+        with pytest.raises(TransducerError,
+                           match="disconnected core has no canonical form"):
+            canonical_form(t)
 
 
 def test_rejection_budget():

@@ -17,11 +17,11 @@ from cantrans import (
 )
 from cantrans.fixtures import balanced_core_2, synchronous_core_3, \
     torsion_core_2, unbalanced_core_3
-from cantrans.machine import _strongly_connected
 from cantrans.randgen import random_transducer
 
 from helpers import duplicated_states, every_root_core_form, kept_apart, \
-    pair_graph_level, pair_graph_witness, random_layered, shuffled_relabel
+    pair_graph_level, pair_graph_witness, random_layered, shuffled_relabel, \
+    strongly_connected
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +102,7 @@ def test_core_forms_on_non_minimal_cores():
         drawn = 0
         while drawn < 4:
             d = duplicated_states(base, rng)
-            if not _strongly_connected(d):
+            if not strongly_connected(d):
                 continue
             assert len(minimize(d).states) == len(base.states)
             cores.append(d)

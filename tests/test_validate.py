@@ -1,0 +1,322 @@
+"""validate against the letter-by-letter validate it replaced
+(helpers.letter_loop_validate): the same violation strings in the same
+order on valid machines and on one- and two-step mutations of them, and
+the same ParseError text from parse.  Also: the checks dropped from core
+extraction hold on every core it extracts, and the CLI verbs that
+reduce or take a core no longer validate or synchronize twice."""
+
+import random
+
+import pytest
+
+from cantrans import (
+    Alphabet,
+    INITIAL,
+    ParseError,
+    Transducer,
+    canonical_form,
+    core_of,
+    fixtures,
+    invert_core,
+    minimize,
+    parse,
+    serialize,
+    sync_level,
+    validate,
+)
+from cantrans import cli, document, machine, synchro
+from cantrans.document import HEADER
+from cantrans.randgen import random_gnr_element, random_transducer
+from cantrans.words import format_letter, format_word
+
+from helpers import balanced_powers, count_calls, empty_output_chain, \
+    fixture_cores, fresh_parser_main, letter_loop_validate, random_bisync, \
+    strongly_connected
+
+ALPHABETS = (Alphabet(2, 1), Alphabet(3, 1), Alphabet(3, 2), Alphabet(4, 1),
+             Alphabet(4, 3))
+
+# one pattern per violation message validate can give
+MESSAGES = (
+    "duplicate state names",
+    "not in state list",
+    "incomplete transition table",
+    "stray transition",
+    "targets unknown state",
+    "roots may only lead a word",
+    "out of range",
+    "initial state has an incoming transition",
+    "enters a pre-root state",
+    "leaves the pre-root region",
+    "emits root letters",
+    "epsilon-output cycle",
+)
+
+
+def _valid_machines():
+    """The fixtures as parsed, minimized and cored, and random machines
+    and prefix-exchange maps over five alphabets."""
+    out = []
+    for text in fixtures.ALL.values():
+        t = parse(text)
+        m = minimize(t)
+        out += [t, m]
+        if sync_level(m) is not None:
+            out.append(core_of(m))
+    for alphabet in ALPHABETS:
+        for seed in range(4):
+            out.append(random_transducer(alphabet, 3, 2, seed))
+            out.append(random_gnr_element(alphabet, seed))
+    return out
+
+
+def _with(t, trans=None, states=None, initial=False):
+    return Transducer(t.n, t.r, t.mode,
+                      t.states if states is None else states,
+                      t.initial if initial is False else initial,
+                      t.trans if trans is None else trans)
+
+
+def _edge(t, rng):
+    return rng.choice(sorted(t.trans, key=str))
+
+
+def _deleted(t, rng):
+    trans = dict(t.trans)
+    del trans[_edge(t, rng)]
+    return _with(t, trans)
+
+
+def _stray_key(t, rng):
+    """A digit key at the entry or out of range, or a root key at a
+    digit-reading state."""
+    q = rng.choice(t.states)
+    if t.mode == INITIAL and q == t.initial:
+        x = rng.randrange(t.n)
+    else:
+        x = rng.choice((-1, t.n))
+    trans = dict(t.trans)
+    trans[(q, x)] = ((0,), q)
+    return _with(t, trans)
+
+
+def _unknown_target(t, rng):
+    trans = dict(t.trans)
+    key = _edge(t, rng)
+    trans[key] = (trans[key][0], "nowhere")
+    return _with(t, trans)
+
+
+def _root_mid_word(t, rng):
+    trans = dict(t.trans)
+    key = _edge(t, rng)
+    w, tgt = trans[key]
+    trans[key] = ((w or (0,)) + (-1,), tgt)
+    return _with(t, trans)
+
+
+def _out_of_range(t, rng):
+    """A digit n at the end, or a root letter past r in front."""
+    trans = dict(t.trans)
+    key = _edge(t, rng)
+    w, tgt = trans[key]
+    if t.mode == INITIAL and rng.random() < 0.5:
+        w = (-(t.r + 1),) + w[1:]
+    else:
+        w = w + (t.n,)
+    trans[key] = (w, tgt)
+    return _with(t, trans)
+
+
+def _root_in_front(t, rng):
+    """A root letter of the alphabet in front of a word: in a core, a
+    root letter in a core; in initial mode a second root or a root
+    written after the first."""
+    trans = dict(t.trans)
+    key = _edge(t, rng)
+    w, tgt = trans[key]
+    root = -1 - rng.randrange(t.r or 1)
+    trans[key] = ((root,) + (w[1:] if w and w[0] < 0 else w), tgt)
+    return _with(t, trans)
+
+
+def _root_dropped(t, rng):
+    """The root letter cut from a rooted word (any word's first letter
+    when none is rooted)."""
+    trans = dict(t.trans)
+    rooted = [k for k, (w, _) in trans.items() if w and w[0] < 0]
+    key = rng.choice(rooted) if rooted else _edge(t, rng)
+    w, tgt = trans[key]
+    trans[key] = (w[1:], tgt)
+    return _with(t, trans)
+
+
+def _into_initial(t, rng):
+    trans = dict(t.trans)
+    key = _edge(t, rng)
+    target = t.initial if t.initial is not None else t.states[0]
+    trans[key] = (trans[key][0], target)
+    return _with(t, trans)
+
+
+def _empty_self_loop(t, rng):
+    trans = dict(t.trans)
+    key = _edge(t, rng)
+    trans[key] = ((), key[0])
+    return _with(t, trans)
+
+
+def _empty_into_pre_root(t, rng):
+    """An empty-output edge into a pre-root state (in a core: into any
+    state)."""
+    trans = dict(t.trans)
+    key = _edge(t, rng)
+    pre = sorted(t.pre_root_states(), key=str) or t.states
+    trans[key] = ((), rng.choice(pre))
+    return _with(t, trans)
+
+
+def _duplicate_name(t, rng):
+    return _with(t, states=[*t.states, rng.choice(t.states)])
+
+
+def _unknown_start(t, rng):
+    return _with(t, initial="nowhere")
+
+
+MUTATIONS = (_deleted, _stray_key, _unknown_target, _root_mid_word,
+             _out_of_range, _root_in_front, _root_dropped, _into_initial,
+             _empty_self_loop, _empty_into_pre_root, _duplicate_name,
+             _unknown_start)
+
+
+def _mutants(t, rng, pairs):
+    """Every one-step mutation of t, and `pairs` random two-step ones."""
+    out = [m(t, rng) for m in MUTATIONS]
+    for _ in range(pairs):
+        first, second = rng.choice(MUTATIONS), rng.choice(MUTATIONS)
+        out.append(second(first(t, rng), rng))
+    return out
+
+
+def _corpus(seed=0):
+    rng = random.Random(seed)
+    out = []
+    for t in _valid_machines():
+        out.append(t)
+        for _ in range(3):
+            out += _mutants(t, rng, 10)
+    return out
+
+
+def _agree(machines):
+    seen = set()
+    for t in machines:
+        got = validate(t)
+        assert got == letter_loop_validate(t), t
+        seen.update(p for p in MESSAGES for msg in got if p in msg)
+    return seen
+
+
+def test_validate_agrees_with_the_letter_loop():
+    seen = _agree(_corpus())
+    assert seen == set(MESSAGES)
+
+
+def test_validate_agrees_on_long_chains():
+    rng = random.Random(1)
+    chains = [empty_output_chain(core) for core in (False, True)]
+    assert [validate(c) for c in chains] == [[], []]
+    machines = list(chains)
+    for c in chains:
+        machines += _mutants(c, rng, 4)
+    assert len(_agree(machines)) >= 8
+
+
+def _document(t):
+    """t as a document, transitions in table order (names must be
+    tokens; states that only appear in the state list are lost)."""
+    alphabet = f"r={t.r}" if t.mode == INITIAL else "core"
+    lines = [HEADER, f"alphabet n={t.n} {alphabet}"]
+    if t.mode == INITIAL:
+        lines.append(f"initial {t.initial}")
+    lines += [f"{q} {format_letter(x)} -> {tgt} : {format_word(w)}"
+              for (q, x), (w, tgt) in t.trans.items()]
+    return "\n".join(lines) + "\n"
+
+
+def _parse_error(text):
+    try:
+        parse(text)
+    except ParseError as e:
+        return str(e)
+    return None
+
+
+def test_parse_reports_invalid_documents_as_before(monkeypatch):
+    docs = [_document(t) for t in _corpus(seed=2)]
+    got = [_parse_error(d) for d in docs]
+    monkeypatch.setattr(document, "validate", letter_loop_validate)
+    assert got == [_parse_error(d) for d in docs]
+    invalid = [e for e in got if e and "invalid transducer" in e]
+    assert len(invalid) > len(docs) // 2
+    assert any("line " in e.split(": ", 2)[2] for e in invalid)
+
+
+def _record_core_at(monkeypatch):
+    cores = []
+    real = synchro._core_at
+
+    def recording(t, steps):
+        cores.append(real(t, steps))
+        return cores[-1]
+
+    monkeypatch.setattr(synchro, "_core_at", recording)
+    return cores
+
+
+def test_extracted_cores_are_valid_and_strongly_connected(monkeypatch):
+    """The checks core extraction no longer runs: on cores of valid
+    machines and on invert_core's configuration machines."""
+    cores = fixture_cores() + balanced_powers(4)
+    cores += [core_of(minimize(random_bisync(alphabet, seed)))
+              for alphabet in ALPHABETS[:3] for seed in range(3)]
+    extracted = _record_core_at(monkeypatch)
+    for c in cores:
+        core_of(c)
+        invert_core(c)
+    assert len(extracted) == 2 * len(cores)
+    for core in extracted:
+        assert validate(core) == []
+        assert strongly_connected(core)
+
+
+def _run(run, argv, capsys):
+    code = run(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.ALL))
+def test_cli_verbs_validate_and_synchronize_once(name, tmp_path, monkeypatch,
+                                                  capsys):
+    path = tmp_path / f"{name}.ct"
+    path.write_text(fixtures.ALL[name])
+    t = parse(fixtures.ALL[name])
+    level = sync_level(t)
+    expected = {
+        "minimize": (0, serialize(minimize(t)), ""),
+        "canon": (0, canonical_form(minimize(t)).decode() + "\n", ""),
+    }
+    if level is not None:
+        states = " ".join(map(str, core_of(t).states))
+        expected["sync"] = (0, f"level: {level}\ncore states: {states}\n", "")
+    for verb, want in expected.items():
+        argv = [verb, str(path)]
+        assert _run(fresh_parser_main, argv, capsys) == want
+        with monkeypatch.context() as patch:
+            validated = count_calls(patch, machine, "validate")
+            synchronized = count_calls(patch, synchro, "sync_level")
+            assert _run(cli.main, argv, capsys) == want
+        assert len(validated) == 1
+        assert len(synchronized) == (1 if verb == "sync" else 0)
