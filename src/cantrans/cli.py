@@ -32,10 +32,25 @@ from .randgen import RejectionBudgetExceeded, random_gnr_element, \
 
 
 def _read(path):
+    """The text of a file, or of stdin for '-', decoded as UTF-8.  Bytes
+    that are not UTF-8 raise ParseError at their line and column."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+        stream = getattr(sys.stdin, "buffer", None)
+        if stream is None:  # a text stream with no bytes underneath
+            return sys.stdin.read()
+        data = stream.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        # the text before the bad byte decodes; "?" stands for that byte
+        lines = (data[:e.start].decode("utf-8") + "?").splitlines()
+        where = "standard input" if path == "-" else repr(path)
+        raise ParseError(len(lines), len(lines[-1]),
+                         f"{where} is not UTF-8 text ({e.reason}, byte "
+                         f"0x{data[e.start]:02x})") from None
 
 
 def _write(path, text):

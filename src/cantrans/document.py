@@ -16,8 +16,8 @@ Prefix-code maps are lines `eta -> zeta`, one cone pair per line.
 
 import re
 
-from .words import WordError, format_letter, format_word, parse_letter, \
-    parse_word
+from .words import EMPTY, WordError, check_word_shape, format_letter, \
+    format_word, is_root, parse_letter
 from .machine import CORE, INITIAL, Transducer, _bfs_order, validate
 
 HEADER = "cantor-transducer 1"
@@ -33,33 +33,58 @@ class ParseError(ValueError):
 
 
 def _tokens(line):
-    return line.split("#", 1)[0].split()
+    """The tokens of a line, comment cut, and their 1-based columns."""
+    text = line.split("#", 1)[0]
+    tokens = text.split()
+    columns = []
+    pos = 0
+    for tok in tokens:
+        # only whitespace lies between tokens, so the next match is it
+        pos = text.index(tok, pos)
+        columns.append(pos + 1)
+        pos += len(tok)
+    return tokens, columns
 
 
-def _fail(lineno, line, token, message):
-    column = line.find(token) + 1 if token and token in line else 1
-    raise ParseError(lineno, column, message)
+def _word(lineno, tokens, columns):
+    """parse_word on a line's tokens; a bad word fails at the column of
+    the offending letter."""
+    if tokens == ["-"]:
+        return EMPTY
+    letters = []
+    for tok, column in zip(tokens, columns):
+        try:
+            letters.append(parse_letter(tok))
+        except WordError as e:
+            raise ParseError(lineno, column, str(e))
+    word = tuple(letters)
+    try:
+        return check_word_shape(word)
+    except WordError as e:
+        at = next(k for k in range(1, len(word)) if is_root(word[k]))
+        raise ParseError(lineno, columns[at], str(e))
 
 
 def parse(text):
     """Parse and validate a transducer document."""
-    lines = text.splitlines()
-    rows = [(i + 1, raw, _tokens(raw)) for i, raw in enumerate(lines)]
-    rows = [(n, raw, t) for n, raw, t in rows if t]
+    rows = [(i, *_tokens(raw)) for i, raw in
+            enumerate(text.splitlines(), start=1)]
+    rows = [(n, tok, cols) for n, tok, cols in rows if tok]
     if not rows:
         raise ParseError(1, 1, "empty document")
 
-    lineno, raw, tok = rows[0]
+    lineno, tok, cols = rows[0]
     if tok != HEADER.split():
-        _fail(lineno, raw, tok[0], f"expected header {HEADER!r}")
+        raise ParseError(lineno, cols[0], f"expected header {HEADER!r}")
     if len(rows) < 2:
         raise ParseError(lineno, 1, "missing alphabet line")
 
-    alpha_line, raw, tok = rows[1]
+    alpha_line, tok, cols = rows[1]
     m = re.fullmatch(r"alphabet n=(\d+) (?:r=(\d+)|core)", " ".join(tok))
     if not m:
-        _fail(alpha_line, raw, tok[0], "expected 'alphabet n=<n> r=<r>' "
-                                       "or 'alphabet n=<n> core'")
+        raise ParseError(alpha_line, cols[0],
+                         "expected 'alphabet n=<n> r=<r>' "
+                         "or 'alphabet n=<n> core'")
     n = int(m.group(1))
     r = int(m.group(2)) if m.group(2) else None
     mode = INITIAL if r is not None else CORE
@@ -67,10 +92,11 @@ def parse(text):
     body = rows[2:]
     initial = None
     if mode == INITIAL:
-        if not body or body[0][2][0] != "initial" or len(body[0][2]) != 2:
+        if not body or body[0][1][0] != "initial" or len(body[0][1]) != 2:
             where = body[0] if body else rows[1]
-            _fail(where[0], where[1], where[2][0], "expected 'initial <state>'")
-        initial = body[0][2][1]
+            raise ParseError(where[0], where[2][0],
+                             "expected 'initial <state>'")
+        initial = body[0][1][1]
         body = body[1:]
 
     trans = {}
@@ -83,26 +109,24 @@ def parse(text):
             seen_states.add(s)
             states.append(s)
 
-    for lineno, raw, tok in body:
+    for lineno, tok, cols in body:
         if len(tok) < 6 or tok[2] != "->" or tok[4] != ":":
-            _fail(lineno, raw, tok[0],
-                  "expected '<state> <letter> -> <target> : <output>'")
+            raise ParseError(
+                lineno, cols[0],
+                "expected '<state> <letter> -> <target> : <output>'")
         src, letter_tok, _, tgt, _, *out_toks = tok
-        for name in (src, tgt):
+        for name, column in ((src, cols[0]), (tgt, cols[3])):
             if name in _RESERVED:
-                _fail(lineno, raw, name, f"reserved token {name!r} "
-                                         "cannot name a state")
+                raise ParseError(lineno, column, f"reserved token {name!r} "
+                                                 "cannot name a state")
         try:
             letter = parse_letter(letter_tok)
         except WordError as e:
-            _fail(lineno, raw, letter_tok, str(e))
-        try:
-            out = parse_word(" ".join(out_toks))
-        except WordError as e:
-            _fail(lineno, raw, out_toks[0], str(e))
+            raise ParseError(lineno, cols[1], str(e))
+        out = _word(lineno, out_toks, cols[5:])
         if (src, letter) in trans:
-            _fail(lineno, raw, letter_tok,
-                  f"duplicate transition ({src}, {letter_tok})")
+            raise ParseError(lineno, cols[1],
+                             f"duplicate transition ({src}, {letter_tok})")
         note_state(src)
         note_state(tgt)
         trans[(src, letter)] = (out, tgt)
@@ -164,17 +188,14 @@ def parse_prefix_map(text):
     """Parse lines 'eta -> zeta' into (domain, range) word lists."""
     domain, range_ = [], []
     for i, raw in enumerate(text.splitlines(), start=1):
-        tok = _tokens(raw)
+        tok, cols = _tokens(raw)
         if not tok:
             continue
         if "->" not in tok:
-            _fail(i, raw, tok[0], "expected '<word> -> <word>'")
+            raise ParseError(i, cols[0], "expected '<word> -> <word>'")
         cut = tok.index("->")
-        try:
-            domain.append(parse_word(" ".join(tok[:cut])))
-            range_.append(parse_word(" ".join(tok[cut + 1:])))
-        except WordError as e:
-            _fail(i, raw, tok[0], str(e))
+        domain.append(_word(i, tok[:cut], cols[:cut]))
+        range_.append(_word(i, tok[cut + 1:], cols[cut + 1:]))
     if not domain:
         raise ParseError(1, 1, "empty prefix-code map")
     return domain, range_

@@ -18,8 +18,8 @@ pure functions.
 """
 
 from collections import deque
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, compress, count, product, repeat
+from operator import add, itemgetter, ne, not_
 
 from .words import (
     EMPTY,
@@ -27,7 +27,6 @@ from .words import (
     EventuallyPeriodicPoint,
     WordError,
     check_word_shape,
-    common_prefix,
     format_letter,
     format_word,
     is_digit_word,
@@ -381,28 +380,61 @@ class _View:
     call: the states (all of the machine's by default) numbered by
     position, with a name -> number map, and per state its letters in
     canonical order and, letter by letter, the output words and target
-    numbers.  The states passed must be closed under transitions; a
-    target outside them raises TransducerError."""
+    numbers (rows are tuples; step 1 of the reduction replaces output
+    rows whole).  The states passed must be closed under transitions; a
+    target outside them raises TransducerError.
+
+    The table is built at C speed: one lookup of every digit row in
+    state order (plus the entry's root row, in initial mode), one map of
+    the targets to numbers, and the columns cut into rows; the digit
+    rows share one letters tuple.  Only a lookup that fails runs the
+    letter loop of _View._fail, which words the error for the first
+    failing state."""
 
     __slots__ = ("states", "index", "letters", "outs", "targets")
 
     def __init__(self, t, states=None):
-        self.states = t.states if states is None else tuple(states)
-        self.index = index = {q: i for i, q in enumerate(self.states)}
-        self.letters, self.outs, self.targets = [], [], []
-        trans = t.trans
+        self.states = states = t.states if states is None else tuple(states)
+        self.index = index = dict(zip(states, range(len(states))))
+        trans, n = t.trans, t.n
+        digits = tuple(range(n))
+        entry = index.get(t.initial) if t.mode == INITIAL else None
+        readers = states if entry is None else \
+            states[:entry] + states[entry + 1:]
+        try:
+            edges = list(map(trans.__getitem__, product(readers, digits)))
+            outs = list(map(itemgetter(0), edges))
+            targets = list(map(index.__getitem__, map(itemgetter(1), edges)))
+            if entry is not None:
+                roots = t.input_letters(t.initial)
+                row = list(map(trans.__getitem__,
+                               zip(repeat(t.initial), roots)))
+                root_outs = tuple(map(itemgetter(0), row))
+                root_targets = tuple(map(index.__getitem__,
+                                         map(itemgetter(1), row)))
+        except KeyError:
+            self._fail(t)
+        self.letters = [digits] * len(readers)
+        self.outs = list(zip(*[iter(outs)] * n))
+        self.targets = list(zip(*[iter(targets)] * n))
+        if entry is not None:
+            self.letters.insert(entry, roots)
+            self.outs.insert(entry, root_outs)
+            self.targets.insert(entry, root_targets)
+
+    def _fail(self, t):
+        """Raise the error of the first state, in state order, whose row
+        cannot be built: a missing transition (the first in letter order)
+        before a target outside the states."""
         for q in self.states:
-            letters = t.input_letters(q)
-            row = [trans.get((q, x)) or t.step(q, x) for x in letters]
-            self.letters.append(letters)
-            self.outs.append([w for w, _ in row])
-            try:
-                self.targets.append([index[tgt] for _, tgt in row])
-            except KeyError as e:
-                raise TransducerError(
-                    f"state {q!r} leads to {e.args[0]!r}, outside the "
-                    "states considered"
-                ) from None
+            row = [t.step(q, x) for x in t.input_letters(q)]
+            for _, tgt in row:
+                if tgt not in self.index:
+                    raise TransducerError(
+                        f"state {q!r} leads to {tgt!r}, outside the "
+                        "states considered"
+                    )
+        raise AssertionError("a row lookup failed, but no letter does")
 
 
 def _guaranteed_output(view):
@@ -410,29 +442,39 @@ def _guaranteed_output(view):
     Jacobi, each pass computing from the previous pass's values alone,
     but a pass recomputes only the predecessors of the states whose value
     changed in the pass before (no other value can change), so it takes
-    the same passes, under the same cap, as recomputing every state."""
+    the same passes, under the same cap, as recomputing every state.
+
+    A row's words out + v(target) are built by one map, and their LCP is
+    the LCP of the least and the greatest of them (a word between two
+    others shares their common prefix): a first-letter test settles most
+    rows, and only a shared first letter starts a scan.  The rows to
+    recompute are found by one set test per row, at C speed."""
     outs, targets = view.outs, view.targets
     size = len(targets)
-    longest = max((len(w) for row in outs for w in row), default=0)
+    longest = max(map(len, chain.from_iterable(outs)), default=0)
     cap = max(1, size * (1 + longest))
-    preds = [[] for _ in range(size)]
-    for i, row in enumerate(targets):
-        for j in row:
-            preds[j].append(i)
     v = [EMPTY] * size
+    owed = v.__getitem__
     dirty = range(size)
     for _ in range(cap + 1):
         changed = []
         for i in dirty:
-            new = common_prefix(*[w + v[j] for w, j in
-                                  zip(outs[i], targets[i])])
+            words = list(map(add, outs[i], map(owed, targets[i])))
+            lo, hi = min(words), max(words)
+            if lo and lo[0] == hi[0]:
+                # lo <= hi, so lo is the shorter one when it prefixes hi
+                new = lo[:next(compress(count(), map(ne, lo, hi)), len(lo))]
+            else:
+                new = EMPTY
             if new != v[i]:
                 changed.append((i, new))
         if not changed:
             return v
         for i, new in changed:
             v[i] = new
-        dirty = {p for i, _ in changed for p in preds[i]}
+        moved = {i for i, _ in changed}
+        dirty = list(compress(count(), map(not_, map(moved.isdisjoint,
+                                                     targets))))
     raise UnboundedOutput(
         "guaranteed output unbounded: some state maps its whole cone "
         "arbitrarily close to a single point"
@@ -552,43 +594,60 @@ def _core_table(view, order):
                  for w, j in zip(view.outs[i], view.targets[i]))
 
 
-def _refine(view, colour):
+def _refine(view, colour, ranked=True):
     """Moore refinement from the seed colours, a list by state number.
 
     A state's signature is its colour followed by (output word, target
-    colour) per letter, and its new colour is the rank of its signature
-    among the sorted distinct signatures, until the number of colours
-    stops growing; the colours of that last round are returned.  Ranks
-    ignore state names, so the colours are invariant under renaming.
+    colour) per letter, and its new colour numbers its signature among
+    the distinct signatures, until the number of colours stops growing
+    or every state has its own; the colours of that last round are
+    returned.  With `ranked`, the number is the signature's rank in
+    sorted order, which ignores state names, so the colours are
+    invariant under renaming (canonical_form needs that).  Without it,
+    signatures are numbered in order of first appearance through a dict,
+    which skips the sort and gives the same partition (the merge needs
+    only that).  Once the partition is discrete, another round would
+    return the same colours (ranked: every signature leads with a
+    distinct colour), so refinement stops there.
 
-    Each round zips whole columns, one per letter: output words as their
-    ranks among the machine's sorted distinct words, which sort as the
-    words do, and target colours.  A row short of letters (the initial
-    state's) is padded with word rank -1, below every word, and its own
-    colour, so it sorts as the shorter signature would."""
+    Each round zips whole columns, one per letter, each taken from the
+    rows by itemgetter: output words as their numbers among the
+    machine's distinct words (ranks in sorted order, which sort as the
+    words do, when `ranked`), and target colours.  A row short of
+    letters (the initial state's) is padded with word number -1, below
+    every word, and its own colour, so it sorts as the shorter signature
+    would."""
     outs, targets = view.outs, view.targets
-    words = sorted({w for row in outs for w in row})
-    word_rank = dict(zip(words, range(len(words))))
+    size = len(outs)
+    words = chain.from_iterable(outs)
+    words = sorted(set(words)) if ranked else dict.fromkeys(words)
+    word_number = dict(zip(words, count()))
     width = max(map(len, outs), default=0)
-    word_cols, target_cols = [], []
-    for x in range(width):
-        word_cols.append([word_rank[row[x]] if x < len(row) else -1
-                          for row in outs])
-        target_cols.append([row[x] if x < len(row) else i
-                            for i, row in enumerate(targets)])
-    count = len(set(colour))
-    while True:
+    short = list(compress(count(), map(width.__gt__, map(len, outs))))
+    if short:
+        word_number[None] = -1
+        outs, targets = list(outs), list(targets)
+        for i in short:
+            pad = width - len(outs[i])
+            outs[i] = (*outs[i], *[None] * pad)
+            targets[i] = (*targets[i], *[i] * pad)
+    word_cols = [list(map(word_number.__getitem__, map(itemgetter(x), outs)))
+                 for x in range(width)]
+    target_cols = [list(map(itemgetter(x), targets)) for x in range(width)]
+    classes = len(set(colour))
+    while classes < size:
         cols = [colour]
         for words_x, targets_x in zip(word_cols, target_cols):
             cols.append(words_x)
             cols.append(map(colour.__getitem__, targets_x))
         sigs = list(zip(*cols))
-        ranked = sorted(set(sigs))
-        rank = dict(zip(ranked, range(len(ranked))))
-        colour = list(map(rank.__getitem__, sigs))
-        if len(ranked) == count:
-            return colour
-        count = len(ranked)
+        distinct = sorted(set(sigs)) if ranked else dict.fromkeys(sigs)
+        number = dict(zip(distinct, count()))
+        colour = list(map(number.__getitem__, sigs))
+        if len(number) == classes:
+            break
+        classes = len(number)
+    return colour
 
 
 def _best_core_order(view):

@@ -10,11 +10,20 @@ minimize runs the three steps and the final relabel as one pass over an
 integer view of the machine (machine._View): reachability, the
 guaranteed-output fixpoint, the shifted outputs, the refinement and the
 breadth-first renaming all work on state numbers, and only the result is
-built as a Transducer.  The public step functions are thin wrappers over
-the same helpers, each building its own view and its own result.
+built as a Transducer.  Each stage is a few passes over whole columns at
+C speed: the view is built by one lookup of every row, reachability is
+a walk on state numbers, the guaranteed output takes each row's LCP from
+its least and greatest word, the merge numbers signatures through a
+dict and stops at a discrete partition, and the result's table is
+zipped from columns.  Letter loops run only to word an error.  The
+public step functions are thin wrappers over the same helpers, each
+building its own view and its own result.
 """
 
-from .words import EMPTY, word_subtract
+from itertools import chain, compress, count, repeat
+from operator import add, itemgetter, not_
+
+from .words import EMPTY
 from .machine import (
     CORE,
     INITIAL,
@@ -89,16 +98,21 @@ def minimize(t):
 def _reduce(t):
     """minimize without its validation, for a machine its caller has
     just validated: the three steps and the relabel in one pass over one
-    view.  Completed responses leave no guaranteed output to check
-    before merging."""
-    view = _View(t, _kept(t))
+    view.  Reachability is a walk on that view's state numbers, and a
+    sub-view is built only when some state is unreachable.  Completed
+    responses leave no guaranteed output to check before merging."""
+    view = _View(t)
+    if t.mode == INITIAL:
+        reached = _bfs(view.targets, view.index[t.initial])
+        if len(reached) < len(view.states):
+            view = _View(t, map(view.states.__getitem__, sorted(reached)))
     _complete_responses(view, t)
     rows, initial = _merge(view, t)
     if t.mode == INITIAL:
         order = _bfs(rows, initial)
     else:
         order = _core_order(view, rows)
-    names = {i: f"s{k}" for k, i in enumerate(order)}
+    names = dict(zip(order, map("s{}".format, count())))
     return _build(t, view, rows, names, initial)
 
 
@@ -113,15 +127,23 @@ def _kept(t):
 
 def _complete_responses(view, t):
     """Step 1 on the view's rows: replace its output words by the shifted
-    ones."""
+    ones.  Only the rows of states that owe output, other than the
+    entry, and the rows leading to a state that owes output change; each
+    is rewritten by one map (a state's guaranteed output is the LCP of
+    its row's words, so cutting it off is a slice).  The rows to rewrite
+    are found by one set test per row, at C speed."""
     v = _guaranteed_output(view)
+    owing = set(compress(count(), v))
+    if not owing:
+        return
     entry = view.index[t.initial] if t.mode == INITIAL else None
-    for i, (outs, targets) in enumerate(zip(view.outs, view.targets)):
-        if i == entry or not v[i]:
-            view.outs[i] = [w + v[j] for w, j in zip(outs, targets)]
-        else:
-            view.outs[i] = [word_subtract(w + v[j], v[i])
-                            for w, j in zip(outs, targets)]
+    outs, targets, owed = view.outs, view.targets, v.__getitem__
+    leading = compress(count(), map(not_, map(owing.isdisjoint, targets)))
+    for i in sorted(owing.union(leading)):
+        words = map(add, outs[i], map(owed, targets[i]))
+        if v[i] and i != entry:
+            words = map(itemgetter(slice(len(v[i]), None)), words)
+        outs[i] = tuple(words)
 
 
 def _merge(view, t):
@@ -129,18 +151,26 @@ def _merge(view, t):
     initial state of an initial-mode machine seeded apart.  Returns the
     rows of the quotient, {first state of each class, in state order:
     its targets mapped to their classes' first states}, and the number
-    of the state standing for t.initial (None without one)."""
-    colour = [0] * len(view.states)
+    of the state standing for t.initial (None without one).
+
+    Only the partition matters here, so _refine numbers signatures by
+    first appearance, without sorting them, and stops at a discrete
+    partition, whose rows are the view's own."""
+    size = len(view.states)
+    colour = [0] * size
     if t.mode == INITIAL:
         colour[view.index[t.initial]] = 1
-    colour = _refine(view, colour)
-    rep = {}
-    for i, c in enumerate(colour):
-        rep.setdefault(c, i)
-    rows = {r: [rep[colour[j]] for j in view.targets[r]]
-            for r in rep.values()}
-    initial = None if t.initial is None else \
-        rep[colour[view.index[t.initial]]]
+    colour = _refine(view, colour, ranked=False)
+    # colour -> first state: zipped backwards, the first state comes last
+    first = dict(zip(reversed(colour), reversed(range(size))))
+    if len(first) == size:
+        rep = range(size)
+        rows = dict(zip(rep, view.targets))
+    else:
+        rep = list(map(first.__getitem__, colour))
+        rows = {r: tuple(map(rep.__getitem__, view.targets[r]))
+                for r in sorted(first.values())}
+    initial = None if t.initial is None else rep[view.index[t.initial]]
     return rows, initial
 
 
@@ -159,11 +189,17 @@ def _core_order(view, rows):
 
 
 def _build(t, view, rows, names, initial):
-    """The Transducer of quotient rows, each state r named names[r]."""
-    trans = {}
-    for r, targets in rows.items():
-        q = names[r]
-        for x, w, j in zip(view.letters[r], view.outs[r], targets):
-            trans[(q, x)] = (w, names[j])
-    return Transducer(t.n, t.r, t.mode, [names[r] for r in rows],
-                      None if initial is None else names[initial], trans)
+    """The Transducer of quotient rows, each state r named names[r].  Its
+    table is zipped from whole columns: (name, letter) keys from the
+    names repeated along their letters, and (output, target name)
+    values."""
+    reps = list(rows)
+    named = list(map(names.__getitem__, reps))
+    letters = list(map(view.letters.__getitem__, reps))
+    keys = zip(chain.from_iterable(map(repeat, named, map(len, letters))),
+               chain.from_iterable(letters))
+    values = zip(chain.from_iterable(map(view.outs.__getitem__, reps)),
+                 map(names.__getitem__, chain.from_iterable(rows.values())))
+    return Transducer(t.n, t.r, t.mode, named,
+                      None if initial is None else names[initial],
+                      dict(zip(keys, values)))

@@ -1,8 +1,10 @@
 """Shared generators and oracles for the test suite."""
 
+import functools
 import random
 import sys
-from itertools import product
+import types
+from itertools import product, repeat
 
 from collections import deque
 
@@ -22,9 +24,11 @@ from cantrans import (
     compose,
     core_of,
     core_product,
+    embed_core,
     identity_transducer,
     invert,
     invert_core,
+    is_bisynchronizing,
     is_identity_core,
     minimize,
     run_word,
@@ -221,13 +225,40 @@ def random_synchronizing(alphabet, states, max_out, seed, tries=200):
 
 def random_bisync(alphabet, seed):
     """A random bi-synchronizing map: a digit permutation twist composed
-    with a random prefix-exchange map (varied cores, always invertible)."""
+    with a random prefix-exchange map (always invertible).  Its minimal
+    core always has one state, the twist's; multi_core_bisync draws
+    larger cores."""
     rng = random.Random(seed)
     sigma = list(range(alphabet.n))
     rng.shuffle(sigma)
     from cantrans import twist_transducer
     return compose(twist_transducer(tuple(sigma), alphabet),
                    random_gnr_element(alphabet, seed))
+
+
+@functools.cache
+def _core_bases():
+    """The fixture cores and BALANCED_CORE_2 a^2: 2 to 34 states."""
+    return tuple(fixture_cores() + balanced_powers(2)[1:])
+
+
+def multi_core_bisync(seed, max_states=34):
+    """A random bi-synchronizing map over C_{n,1} whose minimal core has
+    several states: a core drawn from _core_bases (at most max_states
+    states), under shuffled names, embedded at a start state for which
+    the embedded map is bi-synchronizing, then composed between two
+    seeded prefix-exchange maps, which keep the core."""
+    rng = random.Random(seed)
+    base = rng.choice([c for c in _core_bases()
+                       if len(c.states) <= max_states])
+    core = shuffled_relabel(base, rng)
+    starts = list(core.states)
+    rng.shuffle(starts)
+    embedded = next(e for e in map(embed_core, repeat(core), starts)
+                    if is_bisynchronizing(e)[0])
+    alphabet = Alphabet(core.n, 1)
+    return compose(compose(random_gnr_element(alphabet, seed), embedded),
+                   random_gnr_element(alphabet, seed + 1))
 
 
 def random_layered(alphabet, states, max_out, seed):
@@ -426,6 +457,60 @@ def full_pass_guaranteed_output(t):
         "guaranteed output unbounded: some state maps its whole cone "
         "arbitrarily close to a single point"
     )
+
+
+def letter_loop_view(t, states=None):
+    """Oracle: machine._View as it was built before its C-speed passes,
+    state by state and letter by letter through Transducer.step, with
+    list rows."""
+    view = types.SimpleNamespace()
+    view.states = t.states if states is None else tuple(states)
+    view.index = index = {q: i for i, q in enumerate(view.states)}
+    view.letters, view.outs, view.targets = [], [], []
+    trans = t.trans
+    for q in view.states:
+        letters = t.input_letters(q)
+        row = [trans.get((q, x)) or t.step(q, x) for x in letters]
+        view.letters.append(letters)
+        view.outs.append([w for w, _ in row])
+        try:
+            view.targets.append([index[tgt] for _, tgt in row])
+        except KeyError as e:
+            raise TransducerError(
+                f"state {q!r} leads to {e.args[0]!r}, outside the "
+                "states considered"
+            ) from None
+    return view
+
+
+def rank_until_stable_refine(view, colour):
+    """Oracle: machine._refine as it was before it stopped at a discrete
+    partition: sorted signature ranks every round, until the number of
+    colours stops growing, with padded columns built element by
+    element."""
+    outs, targets = view.outs, view.targets
+    words = sorted({w for row in outs for w in row})
+    word_rank = dict(zip(words, range(len(words))))
+    width = max(map(len, outs), default=0)
+    word_cols, target_cols = [], []
+    for x in range(width):
+        word_cols.append([word_rank[row[x]] if x < len(row) else -1
+                          for row in outs])
+        target_cols.append([row[x] if x < len(row) else i
+                            for i, row in enumerate(targets)])
+    count = len(set(colour))
+    while True:
+        cols = [colour]
+        for words_x, targets_x in zip(word_cols, target_cols):
+            cols.append(words_x)
+            cols.append(map(colour.__getitem__, targets_x))
+        sigs = list(zip(*cols))
+        ranked = sorted(set(sigs))
+        rank = dict(zip(ranked, range(len(ranked))))
+        colour = list(map(rank.__getitem__, sigs))
+        if len(ranked) == count:
+            return colour
+        count = len(ranked)
 
 
 def _dict_restriction(t, keep):

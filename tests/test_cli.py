@@ -1,3 +1,6 @@
+import io
+import sys
+
 import pytest
 
 from cantrans import fixtures, parse
@@ -273,3 +276,45 @@ def test_parser_is_built_once_and_keeps_no_state(sample, torsion, tmp_path,
     assert shared[5][1] == ""
     assert (tmp_path / "a.ct").read_text() == shared[6][1]
     assert (tmp_path / "b.ct").read_text() == shared[6][1]
+
+
+LATIN_DOC = b"cantor-transducer 1\nalphabet n=2 core\n# caf\xe9\n"
+
+
+def _stdin(monkeypatch, data):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("verb, data, where", [
+    ("validate", LATIN_DOC, "line 3, column 6"),
+    ("validate", b"\xff", "line 1, column 1"),
+    ("make-prefix-map", b".0 -> .0\n.1 \xc3 -> .1\n", "line 2, column 4"),
+], ids=["latin-1-comment", "first-byte", "prefix-map"])
+def test_input_not_utf8_exits_2_without_traceback(verb, data, where, source,
+                                                  tmp_path, monkeypatch,
+                                                  capsys):
+    if source == "file":
+        path = tmp_path / "latin.txt"
+        path.write_bytes(data)
+        arg, name = str(path), repr(str(path))
+    else:
+        _stdin(monkeypatch, data)
+        arg, name = "-", "standard input"
+    argv = [verb, arg] + (["--n", "2", "--r", "2"]
+                          if verb == "make-prefix-map" else [])
+    assert _exit_code(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {where}: {name} is not UTF-8 text (")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_stdin_is_read_as_utf8(monkeypatch, capsys):
+    doc = fixtures.TORSION_CORE_2.replace("\n", " # é\n", 1)
+    _stdin(monkeypatch, doc.encode("utf-8"))
+    assert main(["validate", "-"]) == 0
+    assert capsys.readouterr().out == "valid: 4 states\n"
+    # a text stream with no bytes underneath is read as text
+    monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+    assert main(["validate", "-"]) == 0

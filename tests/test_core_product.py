@@ -10,7 +10,6 @@ import random
 import pytest
 
 from cantrans import (
-    Alphabet,
     CORE,
     NotSynchronizing,
     Transducer,
@@ -30,7 +29,7 @@ from cantrans.fixtures import balanced_core_2, sample_3_2, unbalanced_core_3
 from cantrans.synchro import _product_attractor
 
 from helpers import count_calls, fixture_cores, full_pair_core_product, \
-    non_synchronizing_core, random_bisync, shuffled_relabel, \
+    multi_core_bisync, non_synchronizing_core, shuffled_relabel, \
     strongly_connected
 
 
@@ -51,10 +50,9 @@ def test_random_products_match_full_pair_product():
     pool = {2: [], 3: []}
     for core in fixture_cores():
         pool[core.n].append(core)
-    for seed in range(6):
-        for alphabet in (Alphabet(2, 1), Alphabet(3, 2)):
-            pool[alphabet.n].append(
-                core_of(minimize(random_bisync(alphabet, 8_100 + seed))))
+    for seed in range(12):
+        core = core_of(minimize(multi_core_bisync(8_100 + seed)))
+        pool[core.n].append(core)
     checked = 0
     for cores in pool.values():
         for a in cores:

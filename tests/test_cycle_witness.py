@@ -22,7 +22,7 @@ from cantrans import fixtures
 from cantrans.randgen import random_transducer
 
 from helpers import balanced_powers, cycle_rewalks, duplicated_states, \
-    extra_zero_on_last, random_bisync, shuffled_relabel, \
+    extra_zero_on_last, multi_core_bisync, shuffled_relabel, \
     simple_path_unbalanced_cycle
 
 
@@ -55,7 +55,8 @@ def _small_cores():
         cores.append(_strong_core(rng, 2 + k % 2, k, (1,)))
         cores.append(_strong_core(rng, 2 + k % 2, k, (0, 1, 1, 2)))
     for seed in range(4):
-        cores.append(core_of(minimize(random_bisync(Alphabet(3, 1), seed))))
+        # small cores: the simple-path oracle is exponential
+        cores.append(core_of(minimize(multi_core_bisync(seed, 10))))
     cores += [duplicated_states(minimize(c), rng) for c in cores[:4]]
     return cores + [shuffled_relabel(c, rng) for c in cores]
 

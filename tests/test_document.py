@@ -173,3 +173,52 @@ def test_serialize_matches_list_queue_walk():
     for write in (serialize, list_queue_serialize):
         with pytest.raises(ValueError, match="only string state names"):
             write(pairs)
+
+
+CORE_HEAD = "cantor-transducer 1\nalphabet n=2 core\n"
+
+
+@pytest.mark.parametrize("body, line, column, message", [
+    # the letter of the repeated transition, not the 0 inside q0
+    ("q0 0 -> q0 : 0\nq0 0 -> q0 : 0\n", 4, 4, "duplicate transition"),
+    # the misplaced root letter, not the first 0 of the line (in q0)
+    ("q0 1 -> q0 : 0 .0\n", 3, 16, "root letter .0 at position 1"),
+    ("q0 1 -> q0 : 0 1 q\n", 3, 18, "bad letter token 'q'"),
+    ("q0 1 -> q0 : - 0\n", 3, 14, "bad letter token '-'"),
+    ("q1 q -> q1 : 0\n", 3, 4, "bad letter token 'q'"),
+    ("  q0 0 -> -> : 0\n", 3, 11, "reserved token '->'"),
+    ("q0 0 -> q0\n", 3, 1, "expected '<state> <letter>"),
+    ("\tq0 0 -> q0 0\n", 3, 2, "expected '<state> <letter>"),
+], ids=["duplicate", "root-inside", "bad-output-letter", "dash-in-word",
+        "bad-input-letter", "reserved-target", "short-line", "tab-indent"])
+def test_parse_error_columns(body, line, column, message):
+    with pytest.raises(ParseError) as err:
+        parse(CORE_HEAD + body)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert message in str(err.value)
+
+
+def test_header_and_alphabet_error_columns():
+    with pytest.raises(ParseError) as err:
+        parse("   cantor-transducer 2\n")
+    assert (err.value.line, err.value.column) == (1, 4)
+    with pytest.raises(ParseError) as err:
+        parse("cantor-transducer 1\n\n  alphabet n=2\n")
+    assert (err.value.line, err.value.column) == (3, 3)
+    with pytest.raises(ParseError) as err:
+        parse("cantor-transducer 1\nalphabet n=2 r=1\n initial\n")
+    assert (err.value.line, err.value.column) == (3, 2)
+
+
+@pytest.mark.parametrize("text, column, message", [
+    (".0 0 -> .1 .0\n", 12, "root letter .0 at position 1"),
+    (".0 0 -> .1 0 z\n", 14, "bad letter token 'z'"),
+    (".0 .1 -> .1\n", 4, "root letter .1 at position 1"),
+    (" x -> .1\n", 2, "bad letter token 'x'"),
+    ("  .0 0 .1\n", 3, "expected '<word> -> <word>'"),
+])
+def test_prefix_map_error_columns(text, column, message):
+    with pytest.raises(ParseError) as err:
+        parse_prefix_map(".1 -> .1\n" + text)
+    assert (err.value.line, err.value.column) == (2, column)
+    assert message in str(err.value)

@@ -1,9 +1,13 @@
 """The integer kernels against the dict-based code they replaced, kept in
-helpers.py as oracles: minimize against the three steps run one after
-another, the worklist guaranteed output against the full-pass loop, the
-core canonical form against the refinement on (name, letter) keys, the
-column-wise collapse against the row-keyed one, and eval_point against
-one run_word call per pump."""
+helpers.py as oracles: the column-built view against the letter loop,
+minimize against the three steps run one after another, the worklist
+guaranteed output against the full-pass loop, the merge's hashed
+partition and the core form's ranks against the sorted refinement run to
+a stable count, the core canonical form against the refinement on
+(name, letter) keys, the column-wise collapse against the row-keyed one,
+and eval_point against one run_word call per pump.  The corpus holds
+random machines, fixtures, raw products, the 3000-state empty-output
+chains and bi-synchronizing maps with multi-state cores."""
 
 import random
 
@@ -19,6 +23,7 @@ from cantrans import (
     UnboundedOutput,
     canonical_form,
     compose,
+    core_of,
     core_product,
     eval_point,
     guaranteed_output,
@@ -33,13 +38,17 @@ from cantrans import (
 )
 from cantrans import fixtures
 from cantrans.randgen import random_gnr_element, random_transducer
-from cantrans.synchro import _collapse, _product_attractor
+from cantrans.machine import _View, _refine
+from cantrans.minimize import _complete_responses
+from cantrans.synchro import _collapse, _product_attractor, _tracked_states
 
 from helpers import dict_initial_form, \
     dict_merge_equivalent_states, dict_remove_incomplete_response, \
     duplicated_states, empty_output_chain, full_pass_guaranteed_output, \
-    pump_loop_eval_point, random_points, row_collapse, shuffled_relabel, \
-    sorted_signature_core_form, strongly_connected, three_step_minimize
+    letter_loop_view, multi_core_bisync, pump_loop_eval_point, \
+    random_points, rank_until_stable_refine, row_collapse, \
+    shuffled_relabel, sorted_signature_core_form, strongly_connected, \
+    three_step_minimize
 
 ALPHABETS = (Alphabet(2, 1), Alphabet(3, 1), Alphabet(3, 2), Alphabet(4, 1))
 
@@ -100,8 +109,18 @@ def balanced_powers():
 
 
 @pytest.fixture(scope="module")
-def corpus(random_machines, balanced_powers):
+def multi_cores():
+    """Bi-synchronizing maps with multi-state cores, and those cores."""
+    maps = [multi_core_bisync(75_000 + seed) for seed in range(30)]
+    cores = [core_of(minimize(t)) for t in maps]
+    assert {len(c.states) for c in cores} == {2, 3, 4, 10, 34}
+    return maps, cores
+
+
+@pytest.fixture(scope="module")
+def corpus(random_machines, balanced_powers, multi_cores):
     machines = list(random_machines)
+    machines += multi_cores[0] + multi_cores[1]
     machines += [parse(text) for text in fixtures.ALL.values()]
     machines += balanced_powers
     raw = 0
@@ -140,6 +159,95 @@ def test_minimize_matches_three_step_pipeline(corpus):
     assert len(corpus) >= 3000
     for t in corpus:
         _same_machine(minimize(t), three_step_minimize(t))
+
+
+def _closed_state_lists(t):
+    """State lists closed under transitions, in state order: all states,
+    the reachable ones (with the entry of an initial-mode machine) and
+    the tracked ones (without it)."""
+    lists = [t.states]
+    if t.mode == INITIAL:
+        keep = t.reachable()
+        lists.append([q for q in t.states if q in keep])
+    lists.append(_tracked_states(t))
+    return lists
+
+
+def _same_view(got, want):
+    assert got.states == want.states
+    assert got.index == want.index
+    assert got.letters == want.letters
+    assert list(map(tuple, got.outs)) == list(map(tuple, want.outs))
+    assert list(map(tuple, got.targets)) == list(map(tuple, want.targets))
+
+
+def test_view_matches_letter_loop_view(corpus):
+    without_entry = 0
+    for t in corpus:
+        for states in _closed_state_lists(t):
+            _same_view(_View(t, states), letter_loop_view(t, states))
+            without_entry += t.mode == INITIAL and t.initial not in states
+    assert without_entry >= 2000
+
+
+def _broken_views(t, rng):
+    """(machine, states) pairs whose view cannot be built: a transition
+    removed, a target left out of the states considered, and both, once
+    in different states and once in the same state, where the missing
+    transition is reported first."""
+    trans = dict(t.trans)
+    del trans[rng.choice(list(trans))]
+    gap = Transducer(t.n, t.r, t.mode, t.states, t.initial, trans)
+    edges = [kv for kv in t.trans.items()
+             if kv[0][0] not in (kv[1][1], t.initial)]
+    if not edges:  # every digit transition is a loop
+        return [(gap, None)]
+    (q, x), (_, tgt) = rng.choice(edges)
+    short = [p for p in t.states if p != tgt]
+    trans = dict(t.trans)
+    del trans[(q, rng.choice([y for y in range(t.n) if y != x]))]
+    same = Transducer(t.n, t.r, t.mode, t.states, t.initial, trans)
+    return [(gap, None), (t, short), (gap, short), (same, short)]
+
+
+def test_view_errors_match_letter_loop_view(random_machines, multi_cores):
+    rng = random.Random(808)
+    machines = random_machines[::7] + multi_cores[0] + \
+        [empty_output_chain(False), empty_output_chain(True)]
+    kinds = set()
+    for t in machines:
+        for broken, states in _broken_views(t, rng):
+            got = outcome(_View, broken, states)
+            assert got == outcome(letter_loop_view, broken, states)
+            assert got[0] is TransducerError
+            kinds.add(got[1].split()[0])
+    assert kinds == {"no", "state"}
+
+
+def test_refine_matches_sorted_rounds(corpus, multi_cores):
+    """The merge's hashed partition and the ranked colours, both cut
+    short at a discrete partition, against ranking to a stable count."""
+    rng = random.Random(909)
+    doubled = [duplicated_states(c, rng) for c in multi_cores[1]]
+    merged = 0
+    for t in corpus + doubled:
+        kept = _closed_state_lists(t)[1] if t.mode == INITIAL else None
+        view = _View(t, kept)
+        _complete_responses(view, t)
+        seeds = [[0] * len(view.states)]
+        if t.mode == INITIAL:
+            seeds[0][view.index[t.initial]] = 1
+        else:
+            seeds.append([i % 2 for i in range(len(view.states))])
+        for seed in seeds:
+            want = rank_until_stable_refine(view, seed)
+            assert _refine(view, seed) == want
+            hashed = _refine(view, seed, ranked=False)
+            pairs = dict(zip(hashed, want))
+            assert len(pairs) == len(set(want)) == len(set(hashed))
+            assert list(map(pairs.__getitem__, hashed)) == want
+            merged += len(set(want)) < len(want)
+    assert merged >= 50
 
 
 def test_unbounded_output_refused_alike():
@@ -184,17 +292,19 @@ def test_initial_forms_match_dict_form(random_machines):
         assert canonical_form(m) == dict_initial_form(m)
 
 
-def test_core_forms_match_sorted_signature_oracle(balanced_powers):
+def test_core_forms_match_sorted_signature_oracle(balanced_powers,
+                                                   multi_cores):
     rng = random.Random(77)
     bases = balanced_powers + [minimize(c) for c in
                                (fixtures.torsion_core_2(),
                                 fixtures.synchronous_core_3(),
                                 fixtures.unbalanced_core_3())]
+    bases += multi_cores[1][::3]
     cores = []
     for c in bases:
         cores.append(c)
         cores.extend(shuffled_relabel(c, rng) for _ in range(3))
-    for base in bases[:1] + bases[-3:-1]:
+    for base in bases[:1] + bases[4:6]:
         drawn = 0
         while drawn < 4:
             d = duplicated_states(base, rng)

@@ -30,8 +30,8 @@ from cantrans.randgen import random_gnr_element, random_transducer
 from cantrans.words import format_letter, format_word
 
 from helpers import balanced_powers, count_calls, empty_output_chain, \
-    fixture_cores, fresh_parser_main, letter_loop_validate, random_bisync, \
-    strongly_connected
+    fixture_cores, fresh_parser_main, letter_loop_validate, \
+    multi_core_bisync, strongly_connected
 
 ALPHABETS = (Alphabet(2, 1), Alphabet(3, 1), Alphabet(3, 2), Alphabet(4, 1),
              Alphabet(4, 3))
@@ -279,8 +279,7 @@ def test_extracted_cores_are_valid_and_strongly_connected(monkeypatch):
     """The checks core extraction no longer runs: on cores of valid
     machines and on invert_core's configuration machines."""
     cores = fixture_cores() + balanced_powers(4)
-    cores += [core_of(minimize(random_bisync(alphabet, seed)))
-              for alphabet in ALPHABETS[:3] for seed in range(3)]
+    cores += [core_of(minimize(multi_core_bisync(seed))) for seed in range(9)]
     extracted = _record_core_at(monkeypatch)
     for c in cores:
         core_of(c)
