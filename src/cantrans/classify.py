@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 from .machine import CORE, TransducerError, canonical_form
 from .minimize import minimize
-from .synchro import NotSynchronizing, _bisync_minimal, _core_product, \
-    core_of, core_product, is_bisynchronizing, is_identity_core, sync_level
+from .synchro import NotSynchronizing, _bisync_minimal, _core_at, \
+    _core_product, _valid_core, core_of, core_product, is_bisynchronizing, \
+    is_identity_core, sync_level
 
 
 def _minimal_core(t):
@@ -31,16 +32,30 @@ def _minimal_core(t):
 def is_in_Gnr(t):
     """Membership in the prefix-exchange group: the minimal machine is
     bi-synchronizing and its core is the single identity-echo state."""
-    m = minimize(t)
-    ok, _level = _bisync_minimal(m)
-    return ok and is_identity_core(core_of(m))
+    return _in_Gnr_minimal(minimize(t))
+
+
+def _in_Gnr_minimal(m):
+    """is_in_Gnr for a machine that is already minimal.  The core is
+    taken at the level the bi-synchronizing test found, which is at
+    least m's own, so m is collapsed once."""
+    ok, level = _bisync_minimal(m)
+    return ok and is_identity_core(_core_at(m, level))
 
 
 def outer_class_equal(a, b):
     """Same outer class: the minimal cores are strongly isomorphic."""
+    return _outer_class_equal(a, b, minimize)
+
+
+def _outer_class_equal(a, b, reduce):
+    """outer_class_equal with `reduce` in place of minimize, such as
+    _reduce for machines already validated.  The alphabets are compared
+    before either machine is reduced."""
     if a.n != b.n:
         raise TransducerError("alphabet mismatch")
-    return canonical_form(_minimal_core(a)) == canonical_form(_minimal_core(b))
+    return canonical_form(_valid_core(reduce(a))) == \
+        canonical_form(_valid_core(reduce(b)))
 
 
 def outer_product(a, b):

@@ -18,14 +18,15 @@ from .minimize import _reduce
 from .algebra import (
     NotInvertible,
     PrefixCodeMap,
+    _invert_minimal,
     compose,
     from_prefix_code_map,
     invert,
     twist_transducer,
 )
-from .synchro import _core_at, core_of, sync_level, witness_pair
-from .classify import classify_subgroup, is_in_Gnr, order_in_On, \
-    outer_class_equal
+from .synchro import _core_at, _valid_core, sync_level, witness_pair
+from .classify import _in_Gnr_minimal, _outer_class_equal, \
+    classify_subgroup, order_in_On
 from .document import ParseError, parse, parse_prefix_map, serialize
 from .randgen import RejectionBudgetExceeded, random_gnr_element, \
     random_transducer
@@ -174,8 +175,9 @@ def _dispatch(args):
         print(f"valid: {len(t.states)} states")
         return 0
 
-    # parse validates, so minimize, canon and order reduce what it
-    # returns with _reduce, and sync takes the core at the level it has
+    # parse validates, so the verbs reduce what it returns with _reduce
+    # and call the library's entry points for minimal machines, sync takes
+    # the core at the level it has, and no core is checked again
     if args.command == "minimize":
         _write(args.output, serialize(_reduce(_load(args.file))))
         return 0
@@ -199,7 +201,10 @@ def _dispatch(args):
         return 0
 
     if args.command == "invert":
-        _write(args.output, serialize(invert(_load(args.file))))
+        t = _load(args.file)
+        # invert refuses a core with its own message
+        inverse = invert(t) if t.mode == CORE else _invert_minimal(_reduce(t))
+        _write(args.output, serialize(inverse))
         return 0
 
     if args.command == "sync":
@@ -215,11 +220,11 @@ def _dispatch(args):
         return 0
 
     if args.command == "core":
-        _write(args.output, serialize(core_of(_load(args.file))))
+        _write(args.output, serialize(_valid_core(_load(args.file))))
         return 0
 
     if args.command == "member":
-        yes = is_in_Gnr(_load(args.file))
+        yes = _in_Gnr_minimal(_reduce(_load(args.file)))
         print("yes" if yes else "no")
         return 0 if yes else 1
 
@@ -234,13 +239,14 @@ def _dispatch(args):
     if args.command == "order":
         t = _load(args.file)
         if t.mode != CORE:
-            t = core_of(_reduce(t))
+            t = _valid_core(_reduce(t))
         kind, k = order_in_On(t, cap=args.cap)
         print(kind if k is None else f"{kind} {k}")
         return 0
 
     if args.command == "outer-eq":
-        same = outer_class_equal(_load(args.first), _load(args.second))
+        same = _outer_class_equal(_load(args.first), _load(args.second),
+                                  _reduce)
         print("equal" if same else "different")
         return 0 if same else 1
 

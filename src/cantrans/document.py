@@ -12,17 +12,26 @@ word.  Parsing always validates, so degenerate machines are rejected
 with the line of the offending transition where one exists.
 
 Prefix-code maps are lines `eta -> zeta`, one cone pair per line.
+
+Parsing is one pass over the lines, each split once.  Token columns are
+found only for the line an error is raised on, each distinct letter
+token and each distinct output is parsed once per document, and the
+machine is validated once.
 """
 
 import re
+from itertools import repeat
 
 from .words import EMPTY, WordError, check_word_shape, format_letter, \
     format_word, is_root, parse_letter
-from .machine import CORE, INITIAL, Transducer, _bfs_order, validate
+from .machine import CORE, INITIAL, Transducer, TransducerError, \
+    _bfs_order, validate
 
 HEADER = "cantor-transducer 1"
 
 _RESERVED = {"->", ":", "-", "#"}
+
+_ALPHABET = re.compile(r"alphabet n=(\d+) (?:r=(\d+)|core)")
 
 
 class ParseError(ValueError):
@@ -46,103 +55,122 @@ def _tokens(line):
     return tokens, columns
 
 
-def _word(lineno, tokens, columns):
-    """parse_word on a line's tokens; a bad word fails at the column of
-    the offending letter."""
+def _word(tokens, letters, fail):
+    """parse_word on tokens, each distinct letter token parsed once per
+    document through the memo `letters`; a bad word raises fail(k,
+    message) for its offending token k."""
     if tokens == ["-"]:
         return EMPTY
-    letters = []
-    for tok, column in zip(tokens, columns):
-        try:
-            letters.append(parse_letter(tok))
-        except WordError as e:
-            raise ParseError(lineno, column, str(e))
-    word = tuple(letters)
+    word = []
+    for k, tok in enumerate(tokens):
+        letter = letters.get(tok)
+        if letter is None:
+            try:
+                letter = letters[tok] = parse_letter(tok)
+            except WordError as e:
+                raise fail(k, str(e))
+        word.append(letter)
+    word = tuple(word)
     try:
         return check_word_shape(word)
     except WordError as e:
-        at = next(k for k in range(1, len(word)) if is_root(word[k]))
-        raise ParseError(lineno, columns[at], str(e))
+        raise fail(next(k for k in range(1, len(word)) if is_root(word[k])),
+                   str(e))
+
+
+def _alphabet(tokens):
+    """(n, r, mode) from the tokens of an alphabet line, or None."""
+    m = _ALPHABET.fullmatch(" ".join(tokens))
+    if not m:
+        return None
+    try:
+        n, r = (None if g is None else int(g) for g in m.groups())
+    except ValueError:  # more digits than int converts
+        return None
+    return n, r, CORE if r is None else INITIAL
 
 
 def parse(text):
     """Parse and validate a transducer document."""
-    rows = [(i, *_tokens(raw)) for i, raw in
-            enumerate(text.splitlines(), start=1)]
-    rows = [(n, tok, cols) for n, tok, cols in rows if tok]
+    lines = text.splitlines()
+    if "#" in text:
+        lines_cut = (line.split("#", 1)[0] for line in lines)
+    else:
+        lines_cut = lines
+    # at most six fields: a transition's sixth is its output text, which
+    # keys the memo of outputs
+    rows = [(i, tok) for i, tok in
+            enumerate(map(str.split, lines_cut, repeat(None), repeat(5)),
+                      start=1) if tok]
     if not rows:
         raise ParseError(1, 1, "empty document")
 
-    lineno, tok, cols = rows[0]
+    def fail(lineno, k, message):
+        """The ParseError at the column of token k of a line."""
+        return ParseError(lineno, _tokens(lines[lineno - 1])[1][k], message)
+
+    lineno, tok = rows[0]
     if tok != HEADER.split():
-        raise ParseError(lineno, cols[0], f"expected header {HEADER!r}")
+        raise fail(lineno, 0, f"expected header {HEADER!r}")
     if len(rows) < 2:
         raise ParseError(lineno, 1, "missing alphabet line")
 
-    alpha_line, tok, cols = rows[1]
-    m = re.fullmatch(r"alphabet n=(\d+) (?:r=(\d+)|core)", " ".join(tok))
-    if not m:
-        raise ParseError(alpha_line, cols[0],
-                         "expected 'alphabet n=<n> r=<r>' "
-                         "or 'alphabet n=<n> core'")
-    n = int(m.group(1))
-    r = int(m.group(2)) if m.group(2) else None
-    mode = INITIAL if r is not None else CORE
+    alpha_line, tok = rows[1]
+    alphabet = _alphabet(tok)
+    if alphabet is None:
+        raise fail(alpha_line, 0, "expected 'alphabet n=<n> r=<r>' "
+                                  "or 'alphabet n=<n> core'")
+    n, r, mode = alphabet
 
     body = rows[2:]
     initial = None
     if mode == INITIAL:
         if not body or body[0][1][0] != "initial" or len(body[0][1]) != 2:
-            where = body[0] if body else rows[1]
-            raise ParseError(where[0], where[2][0],
-                             "expected 'initial <state>'")
+            raise fail((body[0] if body else rows[1])[0], 0,
+                       "expected 'initial <state>'")
         initial = body[0][1][1]
         body = body[1:]
 
     trans = {}
-    lineof = {}
-    states = []
-    seen_states = set()
-
-    def note_state(s):
-        if s not in seen_states:
-            seen_states.add(s)
-            states.append(s)
-
-    for lineno, tok, cols in body:
+    add = trans.setdefault
+    names = [] if initial is None else [initial]
+    letters = {}  # letter token -> letter
+    words = {}  # output text -> word
+    for lineno, tok in body:
         if len(tok) < 6 or tok[2] != "->" or tok[4] != ":":
-            raise ParseError(
-                lineno, cols[0],
-                "expected '<state> <letter> -> <target> : <output>'")
-        src, letter_tok, _, tgt, _, *out_toks = tok
-        for name, column in ((src, cols[0]), (tgt, cols[3])):
-            if name in _RESERVED:
-                raise ParseError(lineno, column, f"reserved token {name!r} "
-                                                 "cannot name a state")
-        try:
-            letter = parse_letter(letter_tok)
-        except WordError as e:
-            raise ParseError(lineno, cols[1], str(e))
-        out = _word(lineno, out_toks, cols[5:])
-        if (src, letter) in trans:
-            raise ParseError(lineno, cols[1],
-                             f"duplicate transition ({src}, {letter_tok})")
-        note_state(src)
-        note_state(tgt)
-        trans[(src, letter)] = (out, tgt)
-        lineof[(src, letter)] = lineno
+            raise fail(lineno, 0,
+                       "expected '<state> <letter> -> <target> : <output>'")
+        src, letter_tok, _, tgt, _, out_text = tok
+        if src in _RESERVED or tgt in _RESERVED:
+            name, k = (src, 0) if src in _RESERVED else (tgt, 3)
+            raise fail(lineno, k, f"reserved token {name!r} "
+                                  "cannot name a state")
+        letter = letters.get(letter_tok)
+        if letter is None:
+            try:
+                letter = letters[letter_tok] = parse_letter(letter_tok)
+            except WordError as e:
+                raise fail(lineno, 1, str(e))
+        out = words.get(out_text)
+        if out is None:
+            out = words[out_text] = _word(
+                out_text.split(), letters,
+                lambda k, message: fail(lineno, 5 + k, message))
+        value = (out, tgt)
+        if add((src, letter), value) is not value:
+            raise fail(lineno, 1,
+                       f"duplicate transition ({src}, {letter_tok})")
+        names += (src, tgt)
 
-    if mode == INITIAL:
-        note_state(initial)
-        order = [initial] + [s for s in states if s != initial]
-    else:
-        order = states
+    # states in order of first mention, the initial state first
     try:
-        t = Transducer(n, r, mode, order, initial, trans)
-    except WordError as e:
+        t = Transducer(n, r, mode, dict.fromkeys(names), initial, trans)
+    except (WordError, TransducerError) as e:
         raise ParseError(alpha_line, 1, str(e)) from None
     bad = validate(t)
     if bad:
+        # each line of the table added one key, in order
+        lineof = dict(zip(trans, (lineno for lineno, _ in body)))
         notes = []
         for msg in bad:
             line = None
@@ -187,6 +215,7 @@ def serialize(t):
 def parse_prefix_map(text):
     """Parse lines 'eta -> zeta' into (domain, range) word lists."""
     domain, range_ = [], []
+    letters = {}
     for i, raw in enumerate(text.splitlines(), start=1):
         tok, cols = _tokens(raw)
         if not tok:
@@ -194,8 +223,10 @@ def parse_prefix_map(text):
         if "->" not in tok:
             raise ParseError(i, cols[0], "expected '<word> -> <word>'")
         cut = tok.index("->")
-        domain.append(_word(i, tok[:cut], cols[:cut]))
-        range_.append(_word(i, tok[cut + 1:], cols[cut + 1:]))
+        domain.append(_word(tok[:cut], letters, lambda k, message:
+                            ParseError(i, cols[k], message)))
+        range_.append(_word(tok[cut + 1:], letters, lambda k, message:
+                            ParseError(i, cols[cut + 1 + k], message)))
     if not domain:
         raise ParseError(1, 1, "empty prefix-code map")
     return domain, range_

@@ -152,8 +152,8 @@ def validate(t):
     violation returns the messages found so far, and later stages do not
     run:
 
-    1. state names: no name twice, and the initial state (a core's
-       preferred start, when it has one) is among the states;
+    1. state names: at least one, no name twice, and the initial state
+       (a core's preferred start, when it has one) is among the states;
     2. the table: exactly one transition per state and admissible
        letter, the root letters at the initial state and the digits
        everywhere else (missing pairs, then stray ones);
@@ -174,6 +174,8 @@ def validate(t):
     only in a stage that fails."""
     out = []
     states = set(t.states)
+    if not states:
+        out.append("no states")
     if len(states) != len(t.states):
         out.append("duplicate state names")
     if t.mode == INITIAL and t.initial not in states:

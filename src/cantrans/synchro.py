@@ -105,10 +105,16 @@ def core_of(t):
     machine on the original state names, strongly connected and closed.
     It is checked with check_valid, which refuses with
     InvalidTransducer the core of a machine that was itself invalid."""
+    return check_valid(_valid_core(t))
+
+
+def _valid_core(t):
+    """core_of for a valid machine, whose core is valid by construction
+    (see _core_at) and is not checked again."""
     m = sync_level(t)
     if m is None:
         raise NotSynchronizing("machine is not synchronizing; it has no core")
-    return check_valid(_core_at(t, m))
+    return _core_at(t, m)
 
 
 def _core_at(t, steps):

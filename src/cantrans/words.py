@@ -81,14 +81,16 @@ def format_letter(letter):
 
 
 def parse_letter(token):
-    if token.startswith("."):
-        body = token[1:]
-        if not body.isdigit():
-            raise WordError(f"bad root letter token {token!r}")
-        return root(int(body))
-    if not token.isdigit():
-        raise WordError(f"bad letter token {token!r}")
-    return int(token)
+    rooted = token.startswith(".")
+    body = token[1:] if rooted else token
+    try:
+        # isdecimal, not isdigit: int refuses digits such as "²"
+        if body.isdecimal():
+            return root(int(body)) if rooted else int(body)
+    except ValueError:  # more digits than int converts
+        pass
+    kind = "root letter" if rooted else "letter"
+    raise WordError(f"bad {kind} token {token!r}")
 
 
 def format_word(word):

@@ -35,10 +35,11 @@ from cantrans import (
     sync_level,
     validate,
 )
-from cantrans.document import HEADER
+from cantrans.document import HEADER, ParseError, _RESERVED, _alphabet, \
+    _tokens
 from cantrans.words import EMPTY, WordError, check_word_shape, \
     common_prefix, format_letter, format_word, is_digit_word, is_prefix, \
-    is_root, is_rooted, word_subtract
+    is_root, is_rooted, parse_letter, word_subtract
 from cantrans.machine import _bfs_order, relabel
 from cantrans.minimize import _reduce, merge_equivalent_states, \
     remove_inaccessible, remove_incomplete_response
@@ -951,6 +952,8 @@ def letter_loop_validate(t):
     state."""
     out = []
     states = set(t.states)
+    if not states:
+        out.append("no states")
     if len(states) != len(t.states):
         out.append("duplicate state names")
     if t.mode == INITIAL and t.initial not in states:
@@ -1080,3 +1083,112 @@ def strongly_connected(t):
                 seen.add(p)
                 todo.append(p)
     return len(seen) == len(t.states)
+
+
+def _token_loop_word(lineno, tokens, columns):
+    """parse_word on a line's tokens; a bad word fails at the column of
+    the offending letter."""
+    if tokens == ["-"]:
+        return EMPTY
+    letters = []
+    for tok, column in zip(tokens, columns):
+        try:
+            letters.append(parse_letter(tok))
+        except WordError as e:
+            raise ParseError(lineno, column, str(e))
+    word = tuple(letters)
+    try:
+        return check_word_shape(word)
+    except WordError as e:
+        at = next(k for k in range(1, len(word)) if is_root(word[k]))
+        raise ParseError(lineno, columns[at], str(e))
+
+
+def token_loop_parse(text):
+    """Oracle: parse token by token, every token with its column and every
+    letter parsed where it stands, as document.parse read documents before
+    it split each line once and found columns only for an error."""
+    rows = [(i, *_tokens(raw)) for i, raw in
+            enumerate(text.splitlines(), start=1)]
+    rows = [(n, tok, cols) for n, tok, cols in rows if tok]
+    if not rows:
+        raise ParseError(1, 1, "empty document")
+
+    lineno, tok, cols = rows[0]
+    if tok != HEADER.split():
+        raise ParseError(lineno, cols[0], f"expected header {HEADER!r}")
+    if len(rows) < 2:
+        raise ParseError(lineno, 1, "missing alphabet line")
+
+    alpha_line, tok, cols = rows[1]
+    alphabet = _alphabet(tok)
+    if alphabet is None:
+        raise ParseError(alpha_line, cols[0],
+                         "expected 'alphabet n=<n> r=<r>' "
+                         "or 'alphabet n=<n> core'")
+    n, r, mode = alphabet
+
+    body = rows[2:]
+    initial = None
+    if mode == INITIAL:
+        if not body or body[0][1][0] != "initial" or len(body[0][1]) != 2:
+            where = body[0] if body else rows[1]
+            raise ParseError(where[0], where[2][0],
+                             "expected 'initial <state>'")
+        initial = body[0][1][1]
+        body = body[1:]
+
+    trans = {}
+    lineof = {}
+    states = []
+    seen_states = set()
+
+    def note_state(s):
+        if s not in seen_states:
+            seen_states.add(s)
+            states.append(s)
+
+    for lineno, tok, cols in body:
+        if len(tok) < 6 or tok[2] != "->" or tok[4] != ":":
+            raise ParseError(
+                lineno, cols[0],
+                "expected '<state> <letter> -> <target> : <output>'")
+        src, letter_tok, _, tgt, _, *out_toks = tok
+        for name, column in ((src, cols[0]), (tgt, cols[3])):
+            if name in _RESERVED:
+                raise ParseError(lineno, column, f"reserved token {name!r} "
+                                                 "cannot name a state")
+        try:
+            letter = parse_letter(letter_tok)
+        except WordError as e:
+            raise ParseError(lineno, cols[1], str(e))
+        out = _token_loop_word(lineno, out_toks, cols[5:])
+        if (src, letter) in trans:
+            raise ParseError(lineno, cols[1],
+                             f"duplicate transition ({src}, {letter_tok})")
+        note_state(src)
+        note_state(tgt)
+        trans[(src, letter)] = (out, tgt)
+        lineof[(src, letter)] = lineno
+
+    if mode == INITIAL:
+        note_state(initial)
+        order = [initial] + [s for s in states if s != initial]
+    else:
+        order = states
+    try:
+        t = Transducer(n, r, mode, order, initial, trans)
+    except (WordError, TransducerError) as e:
+        raise ParseError(alpha_line, 1, str(e)) from None
+    bad = validate(t)
+    if bad:
+        notes = []
+        for msg in bad:
+            line = None
+            for (src, letter), ln in lineof.items():
+                if f"({src!r}, {format_letter(letter)})" in msg:
+                    line = ln
+                    break
+            notes.append(f"line {line}: {msg}" if line else msg)
+        raise ParseError(0, 0, "invalid transducer: " + "; ".join(notes))
+    return t

@@ -1,10 +1,14 @@
+import importlib
 from itertools import permutations
 
 import pytest
 
 from cantrans import (
     Alphabet,
+    CORE,
     NotSynchronizing,
+    Transducer,
+    TransducerError,
     canonical_form,
     check_permutation_state,
     classify_subgroup,
@@ -24,7 +28,10 @@ from cantrans.fixtures import balanced_core_2, sample_3_2, \
     synchronous_core_3, torsion_core_2, unbalanced_core_3, unbalanced_4_2
 from cantrans.randgen import random_gnr_element
 
-from helpers import delayed_copy, random_bisync
+from helpers import count_calls, delayed_copy, random_bisync
+
+minimize_module = importlib.import_module("cantrans.minimize")
+
 
 A32 = Alphabet(3, 2)
 
@@ -45,6 +52,16 @@ def test_outer_class_examples():
     a21 = Alphabet(2, 1)
     assert not outer_class_equal(twist_transducer((1, 0), a21),
                                  identity_core(2))
+
+
+def test_alphabet_mismatch_is_refused_before_minimizing(monkeypatch):
+    # digit 1 has no transition, so this core is not valid
+    bad = Transducer(2, None, CORE, ["q"], None, {("q", 0): ((0,), "q")})
+    minimized = count_calls(monkeypatch, minimize_module, "minimize")
+    for a, b in ((bad, sample_3_2()), (sample_3_2(), bad)):
+        with pytest.raises(TransducerError, match="^alphabet mismatch$"):
+            outer_class_equal(a, b)
+    assert minimized == []
 
 
 def test_outer_product_examples():

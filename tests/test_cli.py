@@ -1,3 +1,4 @@
+import importlib
 import io
 import sys
 
@@ -5,6 +6,10 @@ import pytest
 
 from cantrans import fixtures, parse
 from cantrans.cli import main
+
+from helpers import count_calls
+
+minimize_module = importlib.import_module("cantrans.minimize")
 
 
 @pytest.fixture
@@ -88,9 +93,15 @@ def test_order(torsion, capsys):
     assert capsys.readouterr().out.strip() == "finite 2"
 
 
-def test_outer_eq(sample, torsion, capsys):
+def test_outer_eq(sample, torsion, capsys, monkeypatch):
     assert main(["outer-eq", sample, sample]) == 0
     assert main(["outer-eq", torsion, torsion]) == 0
+    capsys.readouterr()
+    # the alphabets are compared before either machine is reduced
+    reduced = count_calls(monkeypatch, minimize_module, "_reduce")
+    assert main(["outer-eq", sample, torsion]) == 2
+    assert capsys.readouterr().err == "error: alphabet mismatch\n"
+    assert reduced == []
 
 
 def test_make_prefix_map(tmp_path, capsys):
@@ -318,3 +329,21 @@ def test_stdin_is_read_as_utf8(monkeypatch, capsys):
     # a text stream with no bytes underneath is read as text
     monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
     assert main(["validate", "-"]) == 0
+
+
+@pytest.mark.parametrize("verb", [
+    "validate", "minimize", "canon", "eval", "compose", "invert", "sync",
+    "core", "member", "classify", "order", "outer-eq"])
+def test_empty_core_document_exits_2_without_traceback(verb, tmp_path,
+                                                       capsys):
+    path = tmp_path / "empty.ct"
+    path.write_text("cantor-transducer 1\nalphabet n=2 core\n")
+    argv = [verb, str(path)]
+    if verb in ("compose", "outer-eq"):
+        argv.append(str(path))
+    if verb == "eval":
+        argv += ["--point", "| 0", "--state", "q0"]
+    assert _exit_code(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: line 0, column 0: invalid transducer: no states\n"

@@ -1,15 +1,18 @@
 import random
+import re
 
 import pytest
 
-from cantrans import CORE, ParseError, Transducer, core_product, minimize, \
-    parse, serialize, validate
+from cantrans import Alphabet, CORE, ParseError, Transducer, core_product, \
+    minimize, parse, serialize, validate
 from cantrans.document import parse_prefix_map, serialize_prefix_map
 from cantrans.algebra import PrefixCodeMap
 from cantrans.machine import relabel
+from cantrans.randgen import random_gnr_element, random_transducer
 from cantrans import fixtures
 
-from helpers import list_queue_serialize, shuffled_relabel
+from helpers import balanced_powers, list_queue_serialize, \
+    shuffled_relabel, token_loop_parse
 
 
 def test_fixture_integrity():
@@ -149,6 +152,13 @@ s 1 -> s : 1
     with pytest.raises(ParseError) as err:
         parse(doc)
     assert err.value.line == 2
+    # a core alphabet of fewer than two digits, with and without a table
+    for n in (1, 0):
+        for body in ("", "q 0 -> q : 0\n"):
+            with pytest.raises(ParseError) as err:
+                parse(f"cantor-transducer 1\nalphabet n={n} core\n{body}")
+            assert (err.value.line, err.value.column) == (2, 1)
+            assert "need n >= 2" in str(err.value)
 
 
 def test_serialize_matches_list_queue_walk():
@@ -222,3 +232,191 @@ def test_prefix_map_error_columns(text, column, message):
         parse_prefix_map(".1 -> .1\n" + text)
     assert (err.value.line, err.value.column) == (2, column)
     assert message in str(err.value)
+
+
+# parse against the token loop it replaced: the same machine, key order
+# included, on every document the loop accepts, and the same exception
+# on every document it refuses.
+
+def _fields(t):
+    return t.n, t.r, t.mode, t.states, t.initial, list(t.trans.items())
+
+
+def _outcome(read, text):
+    """What read(text) gives: a machine's fields, or the type and text of
+    the ValueError it raises."""
+    try:
+        got = read(text)
+    except ValueError as e:
+        return type(e), str(e)
+    return _fields(got) if isinstance(got, Transducer) else got
+
+
+def _padded(tok):
+    """A letter token with a leading zero, which spells the same letter."""
+    if tok == "-":
+        return tok
+    return "." + "0" + tok[1:] if tok.startswith(".") else "0" + tok
+
+
+def _messy(text, rng):
+    """The same lines in a new layout: transitions shuffled, indents, runs
+    of spaces and tabs, comments after lines and on lines of their own,
+    blank lines, CRLF and CR line ends, and some letters written with a
+    leading zero."""
+    lines = text.splitlines()
+    table = [k for k, line in enumerate(lines)
+             if line.split()[2:3] == ["->"]]
+    # the transitions in another order, which changes the key order and
+    # the state order but not the machine
+    for k, line in zip(table, rng.sample([lines[k] for k in table],
+                                         len(table))):
+        lines[k] = line
+    out = []
+    for line in lines:
+        toks = line.split()
+        if "->" in toks and rng.random() < 0.3:
+            cut = toks.index("->")
+            if toks[cut:cut + 3:2] == ["->", ":"]:  # a transition
+                toks = [toks[0], _padded(toks[1]), *toks[2:5],
+                        *map(_padded, toks[5:])]
+            else:
+                toks = [_padded(t) if t != "->" else t for t in toks]
+        seps = [rng.choice((" ", "  ", "\t", " \t ")) for _ in toks]
+        line = rng.choice(("", " ", "\t")) + "".join(
+            tok + sep for tok, sep in zip(toks, seps))
+        if rng.random() < 0.3:
+            line += "# note -> : 0 .1 -"
+        if rng.random() < 0.2:
+            out.append(rng.choice(("", "   ", "# a comment line")))
+        out.append(line)
+    ends = [rng.choice(("\n", "\r\n", "\r\n", "\r")) for _ in out]
+    return "".join(line + end for line, end in zip(out, ends))
+
+
+def _valid_documents():
+    rng = random.Random(11)
+    docs = list(fixtures.ALL.values())
+    docs += [serialize(a) for a in balanced_powers(5)]
+    a = minimize(fixtures.unbalanced_core_3())
+    power = a
+    for _ in range(5):
+        docs.append(serialize(power))
+        power = core_product(power, a)
+    alphabets = (Alphabet(2, 1), Alphabet(3, 2), Alphabet(4, 3),
+                 Alphabet(11, 3), Alphabet(12, 10))
+    for seed in range(250):
+        alphabet = alphabets[seed % len(alphabets)]
+        # a random table over 11 or 12 digits rarely validates, so those
+        # machines write digit permutations
+        docs.append(serialize(random_transducer(
+            alphabet, 1 + seed % 6, 1 + seed % 3, 90_000 + seed,
+            synchronous=alphabet.n > 10)))
+        docs.append(serialize(random_gnr_element(alphabet, 90_000 + seed)))
+    return docs + [_messy(doc, rng) for doc in docs]
+
+
+def test_parse_matches_the_token_loop_on_valid_documents():
+    docs = _valid_documents()
+    assert len(docs) > 1000
+    padded = 0
+    for doc in docs:
+        assert _fields(parse(doc)) == _fields(token_loop_parse(doc)), doc
+        padded += " 00" in doc
+    assert padded > 100
+
+
+def _spliced(doc, rng, lines):
+    """doc with `lines` inserted before a random line of its table, and
+    the line number the first of them gets."""
+    rows = doc.splitlines()
+    at = rng.randrange(2, len(rows) + 1)
+    return "\n".join(rows[:at] + lines + rows[at:]) + "\n", at + 1
+
+
+def _cases(test):
+    """The argument tuples of a parametrized test."""
+    mark = next(m for m in test.pytestmark if m.name == "parametrize")
+    return mark.args[1]
+
+
+def _refused(doc, line=None, column=None, message=None):
+    """parse refuses doc with the token loop's exception; and where given,
+    that exception is a ParseError at line and column with message in its
+    text."""
+    got = _outcome(parse, doc)
+    assert got == _outcome(token_loop_parse, doc)
+    assert isinstance(got[0], type), got
+    if message is not None:
+        kind, text = got
+        assert kind is ParseError
+        assert text.startswith(f"line {line}, column {column}: ")
+        assert message in text
+    return got
+
+
+def test_parse_refuses_what_the_token_loop_refuses():
+    rng = random.Random(5)
+    big = serialize(balanced_powers(4)[-1])
+    assert len(big.splitlines()) == 602
+    for body, line, column, message in _cases(test_parse_error_columns):
+        case = body.splitlines()
+        for _ in range(4):
+            doc, first = _spliced(big, rng, case)
+            _refused(doc, first + line - 3, column, message)
+    rows = big.splitlines()
+    for _ in range(5):
+        # a duplicate far from the transition it repeats, output changed
+        src, letter, *_ = rows[rng.randrange(2, 20)].split()
+        doc = big + f"{src} {letter} -> s0 : 1 1\n"
+        _refused(doc, len(rows) + 1, len(src) + 2, "duplicate transition")
+    # one transition edited: most edits parse but do not validate, and the
+    # notes of those name the line
+    gnr = serialize(random_gnr_element(Alphabet(3, 2), 4))
+    named = 0
+    for base in (big, gnr):
+        rows = base.splitlines()
+        table = [k for k, row in enumerate(rows) if "->" in row]
+        for _ in range(8):
+            k = rng.choice(table)
+            src, letter, _, tgt, _, *out = rows[k].split()
+            out = " ".join(out)
+            edits = [
+                f"{src} {letter} -> nowhere : {out}",
+                f"{src} {letter} -> {tgt} : 0 .0",
+                f"{src} {letter} => {tgt} : {out}",
+                f"{src} {letter} -> {tgt} = {out}",
+                f"{src} {letter} -> {tgt} : .7",
+                f"{src} {letter} -> {tgt} : 9",
+                f"{src} {letter} -> {src} : -",
+                f"{src} 7 -> {tgt} : {out}",
+                None,
+            ]
+            for edit in edits:
+                new = rows[:k] + ([] if edit is None else [edit]) + \
+                    rows[k + 1:]
+                kind, text = _refused("\n".join(new) + "\n")
+                assert kind is ParseError
+                named += f"line {k + 1}: " in text
+    assert named > 40
+    # a state named by a reserved token, its table complete
+    for name in ("->", ":", "-"):
+        doc = re.sub(r"\bs1\b", name, big)
+        kind, text = _refused(doc)
+        assert f"reserved token {name!r}" in text
+    # header, alphabet and initial lines, and documents with no table
+    head = "cantor-transducer 1\n"
+    for doc in ["", "# nothing\n\n", head, "cantor-transducer 2\n",
+                head + "alphabet n=2\n", head + "alphabet n=1 core\n",
+                head + "alphabet n=3 r=3\ninitial q0\n",
+                head + "alphabet n=2 r=1\n",
+                head + "alphabet n=2 r=1\nq0 .0 -> q0 : .0\n",
+                head + "alphabet n=2 r=1\ninitial q0 q1\n",
+                head + "alphabet n=2 core\n",
+                head + "alphabet n=2 core\ninitial q0\n",
+                gnr.replace("initial ", "initial\t") + "initial q0\n",
+                # digits int refuses: a superscript, too many to convert
+                big.replace("s0 0", "s0 \u00b2", 1),
+                big.replace(": 1", ": " + "1" * 5000, 1),
+                big.replace("n=2", "n=" + "2" * 5000)]:
+        assert _refused(doc)[0] is ParseError

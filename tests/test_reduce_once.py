@@ -1,11 +1,10 @@
 """Each machine is validated and minimized once per operation: compose,
 invert and from_prefix_code_map validate the machine they build once,
-is_in_Gnr minimizes its input once, a core's synchronization level is
-computed once per classification and once per order search, degenerate
-constructions are still
-refused with their old types, and the bi-synchronizing verdicts equal
-the three-minimize path they replaced (kept in helpers.py as an
-oracle)."""
+is_in_Gnr minimizes its input once and synchronizes each machine once,
+a core's synchronization level is computed once per classification and
+once per order search, degenerate constructions are still refused with
+their old types, and the bi-synchronizing verdicts equal the
+three-minimize path they replaced (kept in helpers.py as an oracle)."""
 
 import importlib
 import random
@@ -89,6 +88,21 @@ def test_is_in_Gnr_minimizes_its_input_once(monkeypatch, t):
     assert all(isinstance(q, tuple) for m in others for q in m.states)
     if t.mode == INITIAL:
         assert others == []
+
+
+@pytest.mark.parametrize("t", [
+    compose(*_gnr_pair(7)), random_gnr_element(Alphabet(2, 1), 3),
+    fixtures.sample_3_2(), minimize(fixtures.torsion_core_2()),
+], ids=["gnr", "gnr-2-1", "sample_3_2", "torsion_core_2"])
+def test_is_in_Gnr_synchronizes_each_machine_once(monkeypatch, t):
+    seen = count_calls(monkeypatch, synchro, "sync_level")
+    verdict = is_in_Gnr(t)
+    # the core is taken at the level already found, not collapsed again
+    assert len({id(m) for m in seen}) == len(seen)
+    if t.mode == INITIAL and verdict:
+        assert len(seen) == 2
+    monkeypatch.undo()
+    assert verdict == three_minimize_in_gnr(t)
 
 
 def test_classify_synchronizes_each_machine_once(monkeypatch):

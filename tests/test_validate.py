@@ -3,7 +3,8 @@
 order on valid machines and on one- and two-step mutations of them, and
 the same ParseError text from parse.  Also: the checks dropped from core
 extraction hold on every core it extracts, and the CLI verbs that
-reduce or take a core no longer validate or synchronize twice."""
+reduce, invert or take a core no longer validate or synchronize
+twice."""
 
 import random
 
@@ -11,20 +12,28 @@ import pytest
 
 from cantrans import (
     Alphabet,
+    CORE,
     INITIAL,
+    InvalidTransducer,
+    NotInvertible,
     ParseError,
     Transducer,
+    TransducerError,
     canonical_form,
+    check_valid,
     core_of,
     fixtures,
+    invert,
     invert_core,
+    is_in_Gnr,
     minimize,
+    outer_class_equal,
     parse,
     serialize,
     sync_level,
     validate,
 )
-from cantrans import cli, document, machine, synchro
+from cantrans import algebra, cli, document, machine, synchro
 from cantrans.document import HEADER
 from cantrans.randgen import random_gnr_element, random_transducer
 from cantrans.words import format_letter, format_word
@@ -38,6 +47,7 @@ ALPHABETS = (Alphabet(2, 1), Alphabet(3, 1), Alphabet(3, 2), Alphabet(4, 1),
 
 # one pattern per violation message validate can give
 MESSAGES = (
+    "no states",
     "duplicate state names",
     "not in state list",
     "incomplete transition table",
@@ -191,8 +201,9 @@ MUTATIONS = (_deleted, _stray_key, _unknown_target, _root_mid_word,
 
 
 def _mutants(t, rng, pairs):
-    """Every one-step mutation of t, and `pairs` random two-step ones."""
-    out = [m(t, rng) for m in MUTATIONS]
+    """Every one-step mutation of t, t with no states (which no second
+    step can mutate), and `pairs` random two-step ones."""
+    out = [m(t, rng) for m in MUTATIONS] + [_with(t, {}, [])]
     for _ in range(pairs):
         first, second = rng.choice(MUTATIONS), rng.choice(MUTATIONS)
         out.append(second(first(t, rng), rng))
@@ -263,6 +274,16 @@ def test_parse_reports_invalid_documents_as_before(monkeypatch):
     assert any("line " in e.split(": ", 2)[2] for e in invalid)
 
 
+def test_a_machine_with_no_states_is_refused():
+    empty = Transducer(2, None, CORE, [], None, {})
+    with pytest.raises(InvalidTransducer, match="^no states$"):
+        check_valid(empty)
+    with pytest.raises(ParseError) as err:
+        parse(f"{HEADER}\nalphabet n=2 core\n")
+    assert str(err.value) == \
+        "line 0, column 0: invalid transducer: no states"
+
+
 def _record_core_at(monkeypatch):
     cores = []
     real = synchro._core_at
@@ -310,6 +331,7 @@ def test_cli_verbs_validate_and_synchronize_once(name, tmp_path, monkeypatch,
     if level is not None:
         states = " ".join(map(str, core_of(t).states))
         expected["sync"] = (0, f"level: {level}\ncore states: {states}\n", "")
+        expected["core"] = (0, serialize(core_of(t)), "")
     for verb, want in expected.items():
         argv = [verb, str(path)]
         assert _run(fresh_parser_main, argv, capsys) == want
@@ -318,4 +340,44 @@ def test_cli_verbs_validate_and_synchronize_once(name, tmp_path, monkeypatch,
             synchronized = count_calls(patch, synchro, "sync_level")
             assert _run(cli.main, argv, capsys) == want
         assert len(validated) == 1
-        assert len(synchronized) == (1 if verb == "sync" else 0)
+        assert len(synchronized) == (1 if verb in ("sync", "core") else 0)
+
+
+def _answer(compute):
+    """The CLI's (exit code, stdout, stderr) for a library call: its
+    printed result, or the error line of a refusal."""
+    try:
+        return compute()
+    except (TransducerError, NotInvertible) as e:
+        return 2, "", f"error: {e}\n"
+
+
+@pytest.mark.parametrize("name", [*sorted(fixtures.ALL), "gnr"])
+def test_cli_invert_member_outer_eq_validate_each_document_once(
+        name, tmp_path, monkeypatch, capsys):
+    text = fixtures.ALL.get(name) or \
+        serialize(random_gnr_element(Alphabet(3, 2), 5))
+    path = str(tmp_path / f"{name}.ct")
+    with open(path, "w") as fh:
+        fh.write(text)
+    t = parse(text)
+    yes = is_in_Gnr(t)
+    expected = {
+        ("invert", path): _answer(lambda: (0, serialize(invert(t)), "")),
+        ("member", path): (0, "yes\n", "") if yes else (1, "no\n", ""),
+        ("outer-eq", path, path): _answer(
+            lambda: (0, "equal\n", "") if outer_class_equal(t, t)
+            else (1, "different\n", "")),
+    }
+    for argv, want in expected.items():
+        argv = list(argv)
+        assert _run(fresh_parser_main, argv, capsys) == want
+        with monkeypatch.context() as patch:
+            validated = count_calls(patch, machine, "validate")
+            checked = count_calls(patch, machine, "check_valid")
+            inverted = count_calls(patch, algebra, "_invert_minimal")
+            assert _run(cli.main, argv, capsys) == want
+        # one validate per document read, and one of each machine the
+        # inverse construction builds; nothing is checked again
+        assert len(validated) == len(argv) - 1 + len(inverted)
+        assert checked == []
