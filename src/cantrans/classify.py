@@ -75,7 +75,12 @@ def order_in_On(a, cap=64):
         raise TransducerError("order_in_On expects a core-mode machine")
     if cap < 1:
         raise TransducerError(f"order search cap must be >= 1, got {cap}")
-    a = minimize(a)
+    return _order_minimal(minimize(a), cap)
+
+
+def _order_minimal(a, cap):
+    """order_in_On for a minimal core-mode machine and a cap >= 1, such
+    as the reduced core of a document that parse has validated."""
     if sync_level(a) is None:
         raise NotSynchronizing("order search needs a synchronizing core")
     # powers of a synchronizing core synchronize (see core_product)

@@ -10,6 +10,7 @@ map x -> (x applied to A) applied to B.
 
 import argparse
 import functools
+import os
 import sys
 
 from .words import Alphabet, EventuallyPeriodicPoint, WordError, format_word
@@ -25,8 +26,8 @@ from .algebra import (
     twist_transducer,
 )
 from .synchro import _core_at, _valid_core, sync_level, witness_pair
-from .classify import _in_Gnr_minimal, _outer_class_equal, \
-    classify_subgroup, order_in_On
+from .classify import _in_Gnr_minimal, _order_minimal, \
+    _outer_class_equal, classify_subgroup
 from .document import ParseError, parse, parse_prefix_map, serialize
 from .randgen import RejectionBudgetExceeded, random_gnr_element, \
     random_transducer
@@ -54,12 +55,33 @@ def _read(path):
                          f"0x{data[e.start]:02x})") from None
 
 
+def _keep_blocks(path, flags):
+    """open() opener: create or open for writing without truncating, so
+    an existing file keeps its blocks and is overwritten in place."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def _write(path, text):
+    """Write `text` as UTF-8 to a file, or to stdout for '-'.
+
+    A file is overwritten in place rather than truncated to zero first:
+    on ext4 freeing and reallocating a small document's blocks costs
+    tens of times more than rewriting them.  The file is cut after the
+    bytes written only when it is longer, even when a write fails, so
+    what remains is always a prefix of the new document; devices and
+    FIFOs, whose size reads 0, are never cut."""
     if path == "-":
         sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        return
+    data = memoryview(text.encode("utf-8"))
+    with open(path, "wb", buffering=0, opener=_keep_blocks) as fh:
+        done = 0
+        try:
+            while done < len(data):
+                done += fh.write(data[done:])
+        finally:
+            if os.fstat(fh.fileno()).st_size > done:
+                fh.truncate(done)
 
 
 def _load(path):
@@ -240,7 +262,7 @@ def _dispatch(args):
         t = _load(args.file)
         if t.mode != CORE:
             t = _valid_core(_reduce(t))
-        kind, k = order_in_On(t, cap=args.cap)
+        kind, k = _order_minimal(_reduce(t), args.cap)
         print(kind if k is None else f"{kind} {k}")
         return 0
 

@@ -187,8 +187,15 @@ def validate_prefix_code(code, alphabet):
     """Check that `code` is a complete maximal antichain of rooted words.
 
     Returns (ok, diagnostic).  Completeness is the exact Kraft equality
-    sum(n^-(len(w)-1)) == r over the code, computed with Fractions; the
-    exponent counts digit letters only.
+    sum(n^-(len(w)-1)) == r over the code; the exponent counts digit
+    letters only.
+
+    Both tests run at sort speed.  A word that is a prefix of another
+    sorts directly before some word it prefixes (every word between
+    them extends it too), so comparing sorted neighbours decides the
+    antichain, and the pairwise search runs only to name the first
+    comparable pair in code order.  The Kraft sum is scaled by n^(L-1),
+    with L the longest length, to stay in integers.
     """
     if not code:
         return False, "empty code"
@@ -199,16 +206,26 @@ def validate_prefix_code(code, alphabet):
             return False, str(e)
         if not is_rooted(w):
             return False, f"word {format_word(w)!r} is not rooted"
+    ordered = sorted(code)
+    if any(map(is_prefix, ordered, ordered[1:])):
+        return False, _first_comparable_pair(code)
+    n, top = alphabet.n, max(map(len, code))
+    if sum(n ** (top - len(w)) for w in code) != alphabet.r * n ** (top - 1):
+        total = sum(Fraction(1, n ** (len(w) - 1)) for w in code)
+        return False, (f"Kraft sum {total} != r = {alphabet.r} "
+                       "(incomplete code)")
+    return True, None
+
+
+def _first_comparable_pair(code):
+    """Diagnostic for the first pair (i < j, in code order) of words one
+    of which is a prefix of the other; the code must hold such a pair."""
     for i, a in enumerate(code):
         for b in code[i + 1:]:
             if word_relate(a, b) is not Relation.INCOMPARABLE:
-                return False, (
-                    f"comparable pair {format_word(a)!r}, {format_word(b)!r}"
-                )
-    total = sum(Fraction(1, alphabet.n ** (len(w) - 1)) for w in code)
-    if total != alphabet.r:
-        return False, f"Kraft sum {total} != r = {alphabet.r} (incomplete code)"
-    return True, None
+                return (f"comparable pair {format_word(a)!r}, "
+                        f"{format_word(b)!r}")
+    raise AssertionError("no comparable pair in the code")
 
 
 def _primitive_root(word):

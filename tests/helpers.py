@@ -4,6 +4,7 @@ import functools
 import random
 import sys
 import types
+from fractions import Fraction
 from itertools import product, repeat
 
 from collections import deque
@@ -37,9 +38,10 @@ from cantrans import (
 )
 from cantrans.document import HEADER, ParseError, _RESERVED, _alphabet, \
     _tokens
-from cantrans.words import EMPTY, WordError, check_word_shape, \
-    common_prefix, format_letter, format_word, is_digit_word, is_prefix, \
-    is_root, is_rooted, parse_letter, word_subtract
+from cantrans.words import EMPTY, Relation, WordError, check_word, \
+    check_word_shape, common_prefix, format_letter, format_word, \
+    is_digit_word, is_prefix, is_root, is_rooted, parse_letter, \
+    word_relate, word_subtract
 from cantrans.machine import _bfs_order, relabel
 from cantrans.minimize import _reduce, merge_equivalent_states, \
     remove_inaccessible, remove_incomplete_response
@@ -1192,3 +1194,27 @@ def token_loop_parse(text):
             notes.append(f"line {line}: {msg}" if line else msg)
         raise ParseError(0, 0, "invalid transducer: " + "; ".join(notes))
     return t
+
+
+def pairwise_validate_prefix_code(code, alphabet):
+    """Oracle: validate_prefix_code as it was before sorting, testing
+    every pair of words and summing the Kraft terms as Fractions."""
+    if not code:
+        return False, "empty code"
+    for w in code:
+        try:
+            check_word(w, alphabet)
+        except WordError as e:
+            return False, str(e)
+        if not is_rooted(w):
+            return False, f"word {format_word(w)!r} is not rooted"
+    for i, a in enumerate(code):
+        for b in code[i + 1:]:
+            if word_relate(a, b) is not Relation.INCOMPARABLE:
+                return False, (
+                    f"comparable pair {format_word(a)!r}, {format_word(b)!r}"
+                )
+    total = sum(Fraction(1, alphabet.n ** (len(w) - 1)) for w in code)
+    if total != alphabet.r:
+        return False, f"Kraft sum {total} != r = {alphabet.r} (incomplete code)"
+    return True, None

@@ -1,13 +1,17 @@
 import importlib
 import io
+import os
+import random
+import subprocess
 import sys
 
 import pytest
 
-from cantrans import fixtures, parse
-from cantrans.cli import main
+from cantrans import CORE, TransducerError, core_of, fixtures, machine, \
+    order_in_On, parse, serialize
+from cantrans.cli import _write, main
 
-from helpers import count_calls
+from helpers import count_calls, fresh_parser_main, non_synchronizing_core
 
 minimize_module = importlib.import_module("cantrans.minimize")
 
@@ -91,6 +95,40 @@ def test_classify_line(sample, capsys):
 def test_order(torsion, capsys):
     assert main(["order", torsion, "--cap", "8"]) == 0
     assert capsys.readouterr().out.strip() == "finite 2"
+
+
+def _order_documents():
+    rng = random.Random(4)
+    return {
+        "torsion": (fixtures.TORSION_CORE_2, "5"),
+        "balanced": (fixtures.BALANCED_CORE_2, "3"),
+        "sample": (fixtures.SAMPLE_3_2, "8"),
+        "not-synchronizing": (serialize(non_synchronizing_core(3, rng)), "8"),
+    }
+
+
+@pytest.mark.parametrize("name", list(_order_documents()))
+def test_order_validates_its_input_once(name, tmp_path, monkeypatch,
+                                        capsys):
+    doc, cap = _order_documents()[name]
+    path = tmp_path / "in.ct"
+    path.write_text(doc)
+    argv = ["order", str(path), "--cap", cap]
+    seen = count_calls(monkeypatch, machine, "validate")
+    got = (main(argv), *capsys.readouterr())
+    # the parsed document; the power search validates each product it
+    # builds, whose states are pairs
+    assert len([m for m in seen if not isinstance(m.states[0], tuple)]) == 1
+    monkeypatch.undo()
+    assert (fresh_parser_main(argv), *capsys.readouterr()) == got
+    # the library's order search on the same core, validating it itself
+    t = parse(doc)
+    try:
+        kind, k = order_in_On(t if t.mode == CORE else core_of(t), int(cap))
+    except TransducerError as e:
+        assert got == (2, "", f"error: {e}\n")
+    else:
+        assert got == (0, (kind if k is None else f"{kind} {k}") + "\n", "")
 
 
 def test_outer_eq(sample, torsion, capsys, monkeypatch):
@@ -347,3 +385,75 @@ def test_empty_core_document_exits_2_without_traceback(verb, tmp_path,
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: line 0, column 0: invalid transducer: no states\n"
+
+
+LONG = ["random", "--n", "3", "--r", "2", "--states", "30"]
+SHORT = ["make-twist", "--n", "3", "--r", "1", "--perm", "1,2,0"]
+
+
+def _stdout_of(argv, capsys):
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("first, second", [
+    (LONG, SHORT), (SHORT, LONG), (LONG, LONG), (None, SHORT)],
+    ids=["long-then-short", "short-then-long", "same-twice", "new-file"])
+def test_output_file_holds_exactly_the_new_document(first, second, tmp_path,
+                                                    capsys):
+    path = tmp_path / "out.ct"
+    if first is not None:
+        assert main(first + ["-o", str(path)]) == 0
+        assert path.read_bytes() == _stdout_of(first, capsys).encode("utf-8")
+    assert main(second + ["-o", str(path)]) == 0
+    assert path.read_bytes() == _stdout_of(second, capsys).encode("utf-8")
+
+
+@pytest.mark.parametrize("old", ["x" * 5000, "é" * 40],
+                         ids=["longer", "shorter"])
+def test_write_overwrites_with_the_utf8_bytes(old, tmp_path):
+    path = tmp_path / "doc.ct"
+    path.write_text(old, encoding="utf-8")
+    text = fixtures.TORSION_CORE_2.replace("a", "é")
+    _write(str(path), text)
+    assert path.read_bytes() == text.encode("utf-8")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs /dev/null")
+def test_output_to_dev_null_exits_0(capsys):
+    assert main(SHORT + ["-o", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+def test_output_to_a_directory_exits_2_without_traceback(tmp_path, capsys):
+    assert _exit_code(SHORT + ["-o", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert str(tmp_path) in err
+
+
+def test_failed_write_leaves_a_prefix_of_the_new_document(tmp_path):
+    """A write cut short (here by a file size limit) leaves no tail of the
+    old, longer document behind the bytes it wrote."""
+    pytest.importorskip("resource")
+    path = tmp_path / "doc.ct"
+    old = "#" * 8000 + "\n"
+    path.write_text(old)
+    limit = 3000
+    script = (
+        "import resource, sys\n"
+        "from cantrans.cli import main\n"
+        f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit}))\n"
+        "sys.exit(main(sys.argv[1:]))\n")
+    argv = ["random", "--n", "3", "--r", "2", "--states", "200",
+            "-o", str(path)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.startswith("error: ") and "Traceback" not in run.stderr
+    new = subprocess.run([sys.executable, "-m", "cantrans", *argv[:-2]],
+                         env=env, capture_output=True, timeout=60).stdout
+    assert len(new) > len(old) > limit
+    assert path.read_bytes() == new[:limit]

@@ -15,6 +15,8 @@ from cantrans import (
 )
 from cantrans.randgen import random_prefix_code
 
+from helpers import pairwise_validate_prefix_code
+
 
 def w(text):
     return parse_word(text)
@@ -98,6 +100,34 @@ def test_random_complete_codes():
                 for i in range(len(code)):
                     ok, _ = validate_prefix_code(code[:i] + code[i + 1:], a)
                     assert not ok
+
+
+def _mutations(code, alphabet, rng):
+    """The code itself and codes one edit away from it: a word dropped,
+    duplicated or extended by a digit, and a root out of range added;
+    each in the code's order and shuffled."""
+    i = rng.randrange(len(code))
+    out_of_range = (-(alphabet.r + 1),) + code[i][1:]
+    extended = code[i] + (rng.randrange(alphabet.n),)
+    for edited in (code, code[:i] + code[i + 1:], code + [code[i]],
+                   code[:i] + [extended] + code[i + 1:],
+                   code + [extended], code + [out_of_range]):
+        yield edited
+        yield rng.sample(edited, len(edited))
+
+
+def test_prefix_code_verdicts_match_the_pairwise_oracle():
+    verdicts = set()
+    for n, r in [(2, 1), (3, 1), (3, 2), (4, 3)]:
+        a = Alphabet(n, r)
+        rng = random.Random(f"prefix-codes:{n}:{r}")
+        for _ in range(60):
+            code = random_prefix_code(a, rng.randrange(8), rng)
+            for edited in _mutations(code, a, rng):
+                got = validate_prefix_code(edited, a)
+                assert got == pairwise_validate_prefix_code(edited, a)
+                verdicts.add(got[1].split()[0] if got[1] else None)
+    assert verdicts == {None, "Kraft", "comparable", "root", "empty"}
 
 
 def test_point_normal_form():
