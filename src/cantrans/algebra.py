@@ -429,6 +429,13 @@ def _advance(view, viable, i, u):
         i, u = j, u[m:]
 
 
+def _pending_bound(view):
+    """|Q| * (1 + max output length): the longest pending word a finite
+    inverse of the view's machine can need."""
+    outs = view.outs
+    return len(outs) * (1 + max(len(w) for row in outs for w in row))
+
+
 def _explore(view, n, seeds, start_letters, prune):
     """The pending-word exploration behind invert and invert_core.
 
@@ -447,8 +454,7 @@ def _explore(view, n, seeds, start_letters, prune):
     configurations, named (state name, pending word), in the order they
     were found, and their transitions."""
     viable = _viability(view)
-    outs = view.outs
-    bound = len(outs) * (1 + max(len(w) for row in outs for w in row))
+    bound = _pending_bound(view)
     digits = tuple(range(n))
     configs = list(seeds)
     index = {c: k for k, c in enumerate(configs)}

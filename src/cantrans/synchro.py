@@ -13,8 +13,9 @@ from .words import EMPTY
 from .machine import CORE, InvalidTransducer, Transducer, TransducerError, \
     check_valid, _View
 from .minimize import _reduce, minimize
-from .algebra import NotInvertible, _explore, _invert_minimal, _pair_step, \
-    _product_is_identity, _zero_repeat
+from .algebra import NotInvertible, _advance, _explore, _invert_minimal, \
+    _pair_step, _pending_bound, _product_is_identity, _viability, \
+    _zero_repeat
 
 
 class NotSynchronizing(TransducerError):
@@ -127,7 +128,9 @@ def _core_at(t, steps):
     cycles.  invert_core's configuration machine passes too, though it is
     never validated: every configuration reads every digit into the kept
     set, writes letters of a core, and an edge that writes nothing only
-    lengthens the pending word, so no empty-output cycle closes."""
+    lengthens the pending word, so no empty-output cycle closes.  The
+    same holds for its one-seed closure, which it reduces without
+    _core_at."""
     q = _tracked_states(t)[0]
     seen_at = {}
     walked = []
@@ -222,20 +225,31 @@ def _core_product(a, b):
 def invert_core(c):
     """The inverse core: the machine this core's outer class inverts to.
 
-    States are pairs (state of c, pending input not yet matched); the
-    construction explores the forced-emission dynamics from every
-    (state, empty) seed, then keeps the largest sub-machine on which
-    every digit can always be read (a configuration surviving that
-    pruning accepts every continuation, which is exactly what deep
-    states of an inverse must do).  The result must synchronize, and
-    both core products with the original must reduce to the identity
-    core; otherwise the class is not invertible.  The products are
-    checked by the lag walk, without building them: on the core of each
-    pair machine, from the pair digit 0 fixes, every pair must carry a
-    lag word u with u x = w u' on each of its edges x/w.  Products
-    of a non-synchronizing core need not have a core, so such a core is
-    refused up front, before the exploration, which on it can grow
-    exponentially."""
+    States are pairs (state of c, pending input not yet matched), driven
+    by the forced-emission dynamics.  The inverse is first sought from
+    one seed: digit 0 is read from (q, empty), q in state order, until a
+    configuration repeats, and the repeat is closed under the digits.
+    If every digit is read in that closure, the closure synchronizes
+    and both core products with the original reduce to the identity
+    core, its reduction is the answer.  Otherwise the construction explores the
+    dynamics from every (state, empty) seed, then keeps the largest
+    sub-machine on which every digit can always be read (a configuration
+    surviving that pruning accepts every continuation, which is exactly
+    what deep states of an inverse must do).  That result must
+    synchronize and pass the same two product checks; otherwise the
+    class is not invertible, and the refusal says which step failed.
+
+    The products are checked by the lag walk, without building them: on
+    the core of each pair machine, from the pair digit 0 fixes, every
+    pair must carry a lag word u with u x = w u' on each of its edges
+    x/w.  Products of a non-synchronizing core need not have a core, so
+    such a core is refused up front, before the exploration, which on it
+    can grow exponentially.
+
+    Both routes give the same machine whenever the full exploration
+    synchronizes (see _invert_minimal_core).  They could differ only on
+    a core whose one-seed closure verifies while its full configuration
+    machine does not synchronize: the full route would refuse it."""
     if c.mode != CORE:
         raise TransducerError("invert_core expects a core-mode machine")
     c = minimize(c)
@@ -245,7 +259,22 @@ def invert_core(c):
 
 
 def _invert_minimal_core(c):
-    """invert_core for a minimal core known to synchronize."""
+    """invert_core for a minimal core known to synchronize.
+
+    The one-seed closure is exact.  It is closed, every configuration in
+    it reads every digit, and it is reached from a seed of the full
+    exploration, so it lies inside the pruned machine `sub` below.  When
+    `sub` synchronizes, every cycle under 0 is the one fixed point that
+    0^level leads to, so the repeat the seed walk stops at is the state
+    _core_at(sub, level) starts from, and its closure is that core: the
+    same configurations under the same names, hence the same reduction.
+    Any other outcome of the shortcut (every seed walk refused, the
+    pending-word bound exceeded, a digit refused in the closure, a
+    closure that does not synchronize, a failed product check) leaves
+    the answer and its refusal text to the full exploration."""
+    d = _one_seed_inverse(c)
+    if d is not None:
+        return d
     seeds = [(i, EMPTY) for i in range(len(c.states))]
     states, trans = _explore(_View(c), c.n, seeds, range(c.n), prune=True)
     if not states:
@@ -264,6 +293,52 @@ def _invert_minimal_core(c):
             "round-trip verification failed: core products are not trivial"
         )
     return d
+
+
+def _one_seed_inverse(c):
+    """The reduced closure of the first configuration that repeats when
+    a seed (q, empty) reads 0s, verified as c's inverse core, or None
+    when no seed gives one."""
+    view = _View(c)
+    repeat = _zero_repeat_config(view)
+    if repeat is None:
+        return None
+    try:
+        states, trans = _explore(view, c.n, [repeat], range(c.n),
+                                 prune=False)
+    except NotInvertible:
+        return None
+    closure = Transducer(c.n, None, CORE, sorted(states, key=str), None,
+                         trans)
+    if sync_level(closure) is None:
+        return None
+    d = _reduce(closure)
+    if not _product_is_identity(c, d) or not _product_is_identity(d, c):
+        return None
+    return d
+
+
+def _zero_repeat_config(view):
+    """The first configuration (state number, pending word) that repeats
+    when the seeds (i, empty) read 0s, tried in state order until one
+    walk meets no refusal; None when every walk is refused or a pending
+    word exceeds _explore's bound, past which the walk need not end."""
+    viable = _viability(view)
+    bound = _pending_bound(view)
+    for i in range(len(view.states)):
+        config = (i, EMPTY)
+        walked = set()
+        try:
+            while config not in walked:
+                walked.add(config)
+                j, u = config
+                config = _advance(view, viable, j, u + (0,))[1]
+                if len(config[1]) > bound:
+                    return None
+        except NotInvertible:
+            continue
+        return config
+    return None
 
 
 def is_bisynchronizing(t):

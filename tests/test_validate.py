@@ -296,6 +296,21 @@ def _record_core_at(monkeypatch):
     return cores
 
 
+def _record_reduced(monkeypatch):
+    """The machines synchro reduces, one per call: invert_core's
+    configuration machine, whether it comes from one seed or from the
+    full exploration."""
+    machines = []
+    real = synchro._reduce
+
+    def recording(t):
+        machines.append(t)
+        return real(t)
+
+    monkeypatch.setattr(synchro, "_reduce", recording)
+    return machines
+
+
 def test_extracted_cores_are_valid_and_strongly_connected(monkeypatch):
     """The checks core extraction no longer runs: on cores of valid
     machines and on invert_core's configuration machines."""
@@ -304,9 +319,12 @@ def test_extracted_cores_are_valid_and_strongly_connected(monkeypatch):
     extracted = _record_core_at(monkeypatch)
     for c in cores:
         core_of(c)
+    assert len(extracted) == len(cores)
+    reduced = _record_reduced(monkeypatch)
+    for c in cores:
         invert_core(c)
-    assert len(extracted) == 2 * len(cores)
-    for core in extracted:
+    assert len(reduced) == len(cores)
+    for core in extracted + reduced:
         assert validate(core) == []
         assert strongly_connected(core)
 
