@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from .machine import CORE, TransducerError, canonical_form
 from .minimize import minimize
 from .synchro import NotSynchronizing, _bisync_minimal, _core_at, \
-    _core_product, _valid_core, core_of, core_product, is_bisynchronizing, \
-    is_identity_core, sync_level
+    _valid_core, _valid_core_product, core_of, core_product, \
+    is_bisynchronizing, is_identity_core, sync_level
 
 
 def _minimal_core(t):
@@ -83,13 +83,14 @@ def _order_minimal(a, cap):
     as the reduced core of a document that parse has validated."""
     if sync_level(a) is None:
         raise NotSynchronizing("order search needs a synchronizing core")
-    # powers of a synchronizing core synchronize (see core_product)
+    # powers of a synchronizing core synchronize (see core_product), and
+    # powers of a valid core are valid
     power = a
     for k in range(1, cap + 1):
         if is_identity_core(power):
             return "finite", k
         if k < cap:
-            power = _core_product(power, a)
+            power = _valid_core_product(power, a)
     return "unknown", None
 
 

@@ -79,6 +79,19 @@ class Transducer:
             self, "trans", {k: (tuple(w), q) for k, (w, q) in trans.items()}
         )
 
+    @classmethod
+    def _own(cls, n, r, mode, states, initial, trans):
+        """A machine on a table that library code has just built from a
+        valid machine's parts: `states` a tuple and `trans` a dict of
+        (word tuple, target) values, both taken as they are and owned by
+        the machine from here on.  The public constructor's checks and
+        its copy of every transition are skipped."""
+        t = object.__new__(cls)
+        for slot, value in zip(cls.__slots__,
+                               (n, r, mode, states, initial, trans)):
+            object.__setattr__(t, slot, value)
+        return t
+
     def __setattr__(self, *_):
         raise AttributeError("Transducer is immutable")
 
@@ -423,6 +436,19 @@ class _View:
             self.letters.insert(entry, roots)
             self.outs.insert(entry, root_outs)
             self.targets.insert(entry, root_targets)
+
+    @classmethod
+    def _of_core_rows(cls, states, outs, targets, n):
+        """The view of a core whose rows are already on state numbers,
+        such as a pair product's: `outs` and `targets` are lists of rows,
+        one per state, each with a word and a target number per digit.
+        No name -> number map is built (index is None): no kernel looks a
+        core's states up by name."""
+        view = object.__new__(cls)
+        view.states, view.index = states, None
+        view.letters = [tuple(range(n))] * len(states)
+        view.outs, view.targets = outs, targets
+        return view
 
     def _fail(self, t):
         """Raise the error of the first state, in state order, whose row

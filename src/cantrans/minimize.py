@@ -46,7 +46,7 @@ def remove_incomplete_response(t):
     Unreachable states are left untouched (step 2 removes them).
     """
     view = _View(t, _kept(t))
-    _complete_responses(view, t)
+    _complete_responses(view, _entry(view, t))
     trans = dict(t.trans)
     for q, letters, outs, targets in zip(view.states, view.letters,
                                          view.outs, view.targets):
@@ -86,7 +86,7 @@ def merge_equivalent_states(t):
     rows, initial = _merge(view, t)
     if len(rows) == len(t.states):
         return t
-    return _build(t, view, rows, view.states, initial)
+    return _build(t.n, t.r, t.mode, view, rows, view.states, initial)
 
 
 def minimize(t):
@@ -106,14 +106,41 @@ def _reduce(t):
         reached = _bfs(view.targets, view.index[t.initial])
         if len(reached) < len(view.states):
             view = _View(t, map(view.states.__getitem__, sorted(reached)))
-    _complete_responses(view, t)
+    _complete_responses(view, _entry(view, t))
     rows, initial = _merge(view, t)
     if t.mode == INITIAL:
         order = _bfs(rows, initial)
     else:
-        order = _core_order(view, rows)
+        order = _core_order(rows, lambda i: str(view.states[i]))
     names = dict(zip(order, map("s{}".format, count())))
-    return _build(t, view, rows, names, initial)
+    return _build(t.n, t.r, t.mode, view, rows, names, initial)
+
+
+def _reduce_core_rows(view, n):
+    """_reduce for a valid core given as a view whose state numbers need
+    not follow the names' str order, such as synchro's pair product,
+    numbered in discovery order.  The result is the one _reduce gives
+    on the machine with those states sorted by str: each class stands
+    for its member with the least name (a linear min per class) rather
+    than its first, and only these representatives are sorted."""
+    _complete_responses(view, None)
+    colour = _refine(view, [0] * len(view.states), ranked=False)
+    names = list(map(str, view.states))
+    least = {}
+    for i, c in enumerate(colour):
+        have = least.get(c)
+        if have is None or names[i] < names[have]:
+            least[c] = i
+    reps = sorted(least.values(), key=names.__getitem__)
+    if len(reps) == len(colour):
+        rows = dict(zip(reps, map(view.targets.__getitem__, reps)))
+    else:
+        rep = list(map(least.__getitem__, colour))
+        rows = {r: tuple(map(rep.__getitem__, view.targets[r]))
+                for r in reps}
+    order = _core_order(rows, names.__getitem__)
+    named = dict(zip(order, map("s{}".format, count())))
+    return _build(n, None, CORE, view, rows, named, None)
 
 
 def _kept(t):
@@ -125,18 +152,22 @@ def _kept(t):
     return [q for q in t.states if q in keep]
 
 
-def _complete_responses(view, t):
+def _entry(view, t):
+    """The state number of t's entry in initial mode, else None."""
+    return view.index[t.initial] if t.mode == INITIAL else None
+
+
+def _complete_responses(view, entry):
     """Step 1 on the view's rows: replace its output words by the shifted
-    ones.  Only the rows of states that owe output, other than the
-    entry, and the rows leading to a state that owes output change; each
-    is rewritten by one map (a state's guaranteed output is the LCP of
-    its row's words, so cutting it off is a slice).  The rows to rewrite
-    are found by one set test per row, at C speed."""
+    ones.  Only the rows of states that owe output, other than the entry
+    (a state number, or None), and the rows leading to a state that owes
+    output change; each is rewritten by one map (a state's guaranteed
+    output is the LCP of its row's words, so cutting it off is a slice).
+    The rows to rewrite are found by one set test per row, at C speed."""
     v = _guaranteed_output(view)
     owing = set(compress(count(), v))
     if not owing:
         return
-    entry = view.index[t.initial] if t.mode == INITIAL else None
     outs, targets, owed = view.outs, view.targets, v.__getitem__
     leading = compress(count(), map(not_, map(owing.isdisjoint, targets)))
     for i in sorted(owing.union(leading)):
@@ -174,25 +205,31 @@ def _merge(view, t):
     return rows, initial
 
 
-def _core_order(view, rows):
+def _core_order(rows, name):
     """Deterministic numbering of a core's quotient: breadth-first from
-    the least-named state (by str) that reaches the whole machine, else
-    by name (names need only be reproducible for a given input;
-    isomorphism-invariant equality is canonical_form's job, which
-    ignores names)."""
-    by_name = sorted(rows, key=lambda i: str(view.states[i]))
-    for start in by_name:
+    the least-named state that reaches the whole machine, else by name
+    (`name` maps a state number to its str name; names need only be
+    reproducible for a given input; isomorphism-invariant equality is
+    canonical_form's job, which ignores names).  The states are sorted
+    by name only when the walk from the least one misses a state, which
+    on a strongly connected quotient, such as a core's, it never does."""
+    order = _bfs(rows, min(rows, key=name))
+    if len(order) == len(rows):
+        return order
+    by_name = sorted(rows, key=name)
+    for start in by_name[1:]:
         order = _bfs(rows, start)
         if len(order) == len(rows):
             return order
     return by_name
 
 
-def _build(t, view, rows, names, initial):
-    """The Transducer of quotient rows, each state r named names[r].  Its
-    table is zipped from whole columns: (name, letter) keys from the
-    names repeated along their letters, and (output, target name)
-    values."""
+def _build(n, r, mode, view, rows, names, initial):
+    """The Transducer of quotient rows on the alphabet (n, r) in `mode`,
+    each state k named names[k].  Its table is zipped from whole
+    columns: (name, letter) keys from the names repeated along their
+    letters, and (output, target name) values; the machine takes the
+    table as built, without the public constructor's copy."""
     reps = list(rows)
     named = list(map(names.__getitem__, reps))
     letters = list(map(view.letters.__getitem__, reps))
@@ -200,6 +237,6 @@ def _build(t, view, rows, names, initial):
                chain.from_iterable(letters))
     values = zip(chain.from_iterable(map(view.outs.__getitem__, reps)),
                  map(names.__getitem__, chain.from_iterable(rows.values())))
-    return Transducer(t.n, t.r, t.mode, named,
-                      None if initial is None else names[initial],
-                      dict(zip(keys, values)))
+    return Transducer._own(n, r, mode, tuple(named),
+                           None if initial is None else names[initial],
+                           dict(zip(keys, values)))

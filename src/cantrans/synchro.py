@@ -8,14 +8,14 @@ sub-machine that is the invariant of the outer class.
 """
 
 from collections import deque
+from itertools import chain
 
-from .words import EMPTY
+from .words import EMPTY, format_letter
 from .machine import CORE, InvalidTransducer, Transducer, TransducerError, \
-    check_valid, _View
-from .minimize import _reduce, minimize
+    check_valid, validate, _View
+from .minimize import _reduce, _reduce_core_rows, minimize
 from .algebra import NotInvertible, _advance, _explore, _invert_minimal, \
-    _pair_step, _pending_bound, _product_is_identity, _viability, \
-    _zero_repeat
+    _pending_bound, _product_is_identity, _viability
 
 
 class NotSynchronizing(TransducerError):
@@ -49,25 +49,32 @@ def _collapse(t):
     States of one class have equal rows in every later round too, so
     each round works on the classes alone: one successor list per digit,
     over the current classes, keys each class by the zipped columns, and
-    the merged classes' lists are mapped through the new classes."""
+    the merged classes' lists are mapped through the new classes.  Each
+    round's map from old to new classes is kept, and the class of every
+    tracked state is read off once at the end, by composing the maps
+    backwards (unless a single class is left): the rounds cost the live
+    classes alone, not |Q| each."""
     tracked = _tracked_states(t)
     columns = list(zip(*_View(t, tracked).targets))
-    cls = list(range(len(tracked)))
     count = len(tracked)
-    rounds = 0
+    maps = []
     while count > 1:
         ids = {}
         nxt = [ids.setdefault(key, len(ids)) for key in zip(*columns)]
         if len(ids) == count:
-            return tracked, cls, None
+            break
         # one member of each new class, in class order
         members = list(dict(zip(nxt, range(count))).values())
         columns = [list(map(nxt.__getitem__, map(col.__getitem__, members)))
                    for col in columns]
-        cls = list(map(nxt.__getitem__, cls))
+        maps.append(nxt)
         count = len(ids)
-        rounds += 1
-    return tracked, cls, rounds
+    else:
+        return tracked, [0] * len(tracked), len(maps)
+    cls = range(count)
+    for nxt in reversed(maps):
+        cls = list(map(cls.__getitem__, nxt))
+    return tracked, list(cls), None
 
 
 def sync_level(t):
@@ -130,7 +137,9 @@ def _core_at(t, steps):
     set, writes letters of a core, and an edge that writes nothing only
     lengthens the pending word, so no empty-output cycle closes.  The
     same holds for its one-seed closure, which it reduces without
-    _core_at."""
+    _core_at.  The closure's table is t's own transitions, so the
+    machine takes it without the public constructor's copy; core_of
+    checks the result when t itself may be invalid."""
     q = _tracked_states(t)[0]
     seen_at = {}
     walked = []
@@ -154,32 +163,86 @@ def _core_at(t, steps):
                 states.add(tgt)
                 todo.append(tgt)
     trans = {(p, x): t.step(p, x) for p in states for x in range(t.n)}
-    return Transducer(t.n, None, CORE, sorted(states, key=str), None, trans)
+    return Transducer._own(t.n, None, CORE, tuple(sorted(states, key=str)),
+                           None, trans)
 
 
-def _product_attractor(a, b):
+def _pair_core(a, b):
     """The core of the raw pair product of two synchronizing cores, built
-    without the rest of the product.
+    without the rest of the product, as a view on pair numbers whose
+    state names are the pairs (state of a, state of b).
 
     The pair (p, q) reads x as compose does: a moves p -- x/w --> p' and
     b reads w from q, so the pair emits b's output and moves to (p', q').
-    Pairs are made only as the walk reaches them.  Digit 0 is read from
-    (a.states[0], b.states[0]) until a pair repeats; that pair is a fixed
-    point of 0 inside the product's core, whose forward closure is
-    returned as a core-mode machine on the pair names."""
-    step = _pair_step(a, b)
-    pair = _zero_repeat(step, a, b)
+    Digit 0 is read from the pair of first states until a pair repeats;
+    that pair is a fixed point of 0 inside the product's core (see
+    core_product), and its forward closure is numbered breadth-first,
+    in discovery order.  The walk runs on state numbers: a pair is
+    p * |b| + q, and how b reads each output word of a from each state
+    is worked out once and memoized.  A letter b cannot read (only an
+    invalid a writes one) raises TransducerError."""
+    va, vb = _View(a), _View(b)
+    n, size = a.n, len(vb.states)
+    b_outs, b_targets = vb.outs, vb.targets
+    # a's output words by number, and its rows as word numbers
+    flat = list(chain.from_iterable(va.outs))
+    words = list(dict.fromkeys(flat))
+    word_id = dict(zip(words, range(len(words))))
+    a_words = list(zip(*[map(word_id.__getitem__, flat)] * n))
+    a_targets = va.targets
+    memo = {}
+
+    def read(m):
+        """(output, state of b) when b reads word m // size from state
+        m % size."""
+        w, j = divmod(m, size)
+        out = EMPTY
+        for y in words[w]:
+            if not 0 <= y < n:
+                raise TransducerError(
+                    f"no transition ({vb.states[j]!r}, {format_letter(y)})")
+            out += b_outs[j][y]
+            j = b_targets[j][y]
+        memo[m] = edge = (out, j)
+        return edge
+
+    pair, walked = 0, set()
+    while pair not in walked:
+        walked.add(pair)
+        i, j = divmod(pair, size)
+        m = a_words[i][0] * size + j
+        pair = a_targets[i][0] * size + (memo.get(m) or read(m))[1]
+    number = {pair: 0}
+    pairs = [pair]
+    outs, targets = [], []
+    for pair in pairs:
+        i, j = divmod(pair, size)
+        row_outs, row_targets = [], []
+        for w, k in zip(a_words[i], a_targets[i]):
+            m = w * size + j
+            out, q = memo.get(m) or read(m)
+            tgt = k * size + q
+            num = number.get(tgt)
+            if num is None:
+                num = number[tgt] = len(pairs)
+                pairs.append(tgt)
+            row_outs.append(out)
+            row_targets.append(num)
+        outs.append(tuple(row_outs))
+        targets.append(tuple(row_targets))
+    names = [(a.states[p // size], b.states[p % size]) for p in pairs]
+    return _View._of_core_rows(names, outs, targets, n)
+
+
+def _pair_machine(view, n):
+    """The pair core of _pair_core as a core-mode machine on the pair
+    names, sorted by str."""
+    states = view.states
     trans = {}
-    todo = deque([pair])
-    seen = {pair}
-    while todo:
-        p = todo.popleft()
-        for x in range(a.n):
-            out, tgt = trans[(p, x)] = step(p, x)
-            if tgt not in seen:
-                seen.add(tgt)
-                todo.append(tgt)
-    return Transducer(a.n, None, CORE, sorted(seen, key=str), None, trans)
+    for p, outs, targets in zip(states, view.outs, view.targets):
+        for x, w, j in zip(range(n), outs, targets):
+            trans[(p, x)] = (w, states[j])
+    return Transducer(n, None, CORE, sorted(states, key=str), None, trans)
 
 
 def core_product(a, b):
@@ -200,10 +263,14 @@ def core_product(a, b):
 
     Refuses with NotSynchronizing when either factor does not
     synchronize (such a product need not have a core), and with
-    TransducerError when the pair machine is degenerate, which valid
-    factors never make.  The pair machine is validated once, by minimize.
-    The result is strongly connected: the closure is the core of a
-    synchronizing machine, and merging states keeps every path."""
+    TransducerError when the pair machine is degenerate.  Valid factors
+    never make one: its table is complete, it writes b's digits, and an
+    empty-output cycle in it would need one in a (when a writes nothing
+    along it) or in b (which then reads a's nonempty writing around a
+    cycle and writes nothing).  So the factors are validated, and the
+    pair machine only when one of them fails.  The result is strongly
+    connected: the closure is the core of a synchronizing machine, and
+    merging states keeps every path."""
     if a.mode != CORE or b.mode != CORE:
         raise TransducerError("core_product expects core-mode machines")
     if a.n != b.n:
@@ -215,11 +282,23 @@ def core_product(a, b):
 
 def _core_product(a, b):
     """core_product for two cores over one alphabet, both known to
-    synchronize."""
-    try:
-        return minimize(_product_attractor(a, b))
-    except InvalidTransducer as e:
-        raise TransducerError(f"degenerate product: {e}") from None
+    synchronize: _pair_core's rows, reduced on their pair numbers.  The
+    result equals minimize of the named pair machine (same states, names
+    and table), which is built and checked only when a factor fails
+    validate, so that every degenerate product is refused as before."""
+    view = _pair_core(a, b)
+    if validate(a) or validate(b):
+        try:
+            check_valid(_pair_machine(view, a.n))
+        except InvalidTransducer as e:
+            raise TransducerError(f"degenerate product: {e}") from None
+    return _reduce_core_rows(view, a.n)
+
+
+def _valid_core_product(a, b):
+    """_core_product for two cores known to be valid, such as minimized
+    ones and their products, which are not validated again."""
+    return _reduce_core_rows(_pair_core(a, b), a.n)
 
 
 def invert_core(c):

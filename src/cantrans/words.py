@@ -14,6 +14,8 @@ digits, ".0"..".r-1" for roots, and "-" for the empty word.
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter
 
 Word = tuple  # tuple of int-encoded letters
 
@@ -195,17 +197,22 @@ def validate_prefix_code(code, alphabet):
     them extends it too), so comparing sorted neighbours decides the
     antichain, and the pairwise search runs only to name the first
     comparable pair in code order.  The Kraft sum is scaled by n^(L-1),
-    with L the longest length, to stay in integers.
+    with L the longest length, to stay in integers.  Range, shape and
+    rootedness are decided for the whole code at once, on the set of
+    first letters and the set of later ones (see _rooted_in_range); only
+    a code that fails is checked word by word, to name its first bad
+    word.
     """
     if not code:
         return False, "empty code"
-    for w in code:
-        try:
-            check_word(w, alphabet)
-        except WordError as e:
-            return False, str(e)
-        if not is_rooted(w):
-            return False, f"word {format_word(w)!r} is not rooted"
+    if not _rooted_in_range(code, alphabet):
+        for w in code:
+            try:
+                check_word(w, alphabet)
+            except WordError as e:
+                return False, str(e)
+            if not is_rooted(w):
+                return False, f"word {format_word(w)!r} is not rooted"
     ordered = sorted(code)
     if any(map(is_prefix, ordered, ordered[1:])):
         return False, _first_comparable_pair(code)
@@ -215,6 +222,18 @@ def validate_prefix_code(code, alphabet):
         return False, (f"Kraft sum {total} != r = {alphabet.r} "
                        "(incomplete code)")
     return True, None
+
+
+def _rooted_in_range(code, alphabet):
+    """Whether every word of the code is a root letter of the alphabet
+    followed by digits below n: no word is empty, the first letters lie
+    in [-r, -1] and the others in [0, n)."""
+    if not all(code):
+        return False
+    heads = set(map(itemgetter(0), code))
+    tails = set(chain.from_iterable(map(itemgetter(slice(1, None)), code)))
+    return (min(heads) >= -alphabet.r and max(heads) < 0 and
+            (not tails or (min(tails) >= 0 and max(tails) < alphabet.n)))
 
 
 def _first_comparable_pair(code):

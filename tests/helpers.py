@@ -14,6 +14,7 @@ from cantrans import (
     CORE,
     EventuallyPeriodicPoint,
     INITIAL,
+    InvalidTransducer,
     NotInvertible,
     NotSynchronizing,
     Transducer,
@@ -42,12 +43,13 @@ from cantrans.words import EMPTY, Relation, WordError, check_word, \
     check_word_shape, common_prefix, format_letter, format_word, \
     is_digit_word, is_prefix, is_root, is_rooted, parse_letter, \
     word_relate, word_subtract
-from cantrans.machine import _bfs_order, relabel
+from cantrans.machine import _View, _bfs_order, relabel
 from cantrans.minimize import _reduce, merge_equivalent_states, \
     remove_inaccessible, remove_incomplete_response
 from cantrans import fixtures
 from cantrans.randgen import random_gnr_element, random_transducer
-from cantrans.synchro import _core_at, _product_attractor, _tracked_states
+from cantrans.algebra import _pair_step, _zero_repeat
+from cantrans.synchro import _core_at, _tracked_states
 
 
 def brute_force_level(t, max_level=8):
@@ -163,6 +165,37 @@ def full_pair_core_product(a, b):
     core = minimize(_core_at(reduced, k * (k - 1) // 2 + 1))
     assert strongly_connected(core)
     return core
+
+
+def product_attractor(a, b):
+    """Oracle: the core of the raw pair product of two synchronizing
+    cores on pair names, as synchro built it before its integer kernel:
+    the walk under digit 0 from (a.states[0], b.states[0]) to the first
+    repeated pair, and that pair's forward closure, both through the
+    name-keyed pair step, as a machine on the pairs sorted by str."""
+    step = _pair_step(a, b)
+    pair = _zero_repeat(step, a, b)
+    trans = {}
+    todo = deque([pair])
+    seen = {pair}
+    while todo:
+        p = todo.popleft()
+        for x in range(a.n):
+            out, tgt = trans[(p, x)] = step(p, x)
+            if tgt not in seen:
+                seen.add(tgt)
+                todo.append(tgt)
+    return Transducer(a.n, None, CORE, sorted(seen, key=str), None, trans)
+
+
+def attractor_core_product(a, b):
+    """Oracle: core_product of two cores known to synchronize as it was
+    before its integer kernel, minimize of product_attractor, refusing a
+    degenerate pair machine the same way."""
+    try:
+        return minimize(product_attractor(a, b))
+    except InvalidTransducer as e:
+        raise TransducerError(f"degenerate product: {e}") from None
 
 
 def fixture_cores():
@@ -691,6 +724,28 @@ def row_collapse(t):
     return tracked, cls, rounds
 
 
+def round_remap_collapse(t):
+    """Oracle: synchro._collapse mapping the class of every tracked state
+    through each round's new classes."""
+    tracked = _tracked_states(t)
+    columns = list(zip(*_View(t, tracked).targets))
+    cls = list(range(len(tracked)))
+    count = len(tracked)
+    rounds = 0
+    while count > 1:
+        ids = {}
+        nxt = [ids.setdefault(key, len(ids)) for key in zip(*columns)]
+        if len(ids) == count:
+            return tracked, cls, None
+        members = list(dict(zip(nxt, range(count))).values())
+        columns = [list(map(nxt.__getitem__, map(col.__getitem__, members)))
+                   for col in columns]
+        cls = list(map(nxt.__getitem__, cls))
+        count = len(ids)
+        rounds += 1
+    return tracked, cls, rounds
+
+
 def pump_loop_eval_point(t, point, state=None):
     """Oracle: eval_point calling run_word once per pump of the period."""
     if state is None:
@@ -726,7 +781,7 @@ def reduced_product_is_identity(a, b):
     the identity machine's.  Core mode (synchronizing factors): the
     minimized core of the pair product is the one-state echo core."""
     if a.mode == CORE:
-        return is_identity_core(minimize(_product_attractor(a, b)))
+        return is_identity_core(attractor_core_product(a, b))
     ident = canonical_form(identity_transducer(Alphabet(a.n, a.r)))
     return canonical_form(compose(a, b)) == ident
 
@@ -1194,6 +1249,30 @@ def token_loop_parse(text):
             notes.append(f"line {line}: {msg}" if line else msg)
         raise ParseError(0, 0, "invalid transducer: " + "; ".join(notes))
     return t
+
+
+def word_by_word_validate_prefix_code(code, alphabet):
+    """Oracle: validate_prefix_code checking range, shape and rootedness
+    one word at a time, in code order, before the sorted antichain test
+    and the integer Kraft sum."""
+    if not code:
+        return False, "empty code"
+    for w in code:
+        try:
+            check_word(w, alphabet)
+        except WordError as e:
+            return False, str(e)
+        if not is_rooted(w):
+            return False, f"word {format_word(w)!r} is not rooted"
+    ordered = sorted(code)
+    if any(map(is_prefix, ordered, ordered[1:])):
+        return pairwise_validate_prefix_code(code, alphabet)
+    n, top = alphabet.n, max(map(len, code))
+    if sum(n ** (top - len(w)) for w in code) != alphabet.r * n ** (top - 1):
+        total = sum(Fraction(1, n ** (len(w) - 1)) for w in code)
+        return False, (f"Kraft sum {total} != r = {alphabet.r} "
+                       "(incomplete code)")
+    return True, None
 
 
 def pairwise_validate_prefix_code(code, alphabet):

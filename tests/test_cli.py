@@ -116,9 +116,9 @@ def test_order_validates_its_input_once(name, tmp_path, monkeypatch,
     argv = ["order", str(path), "--cap", cap]
     seen = count_calls(monkeypatch, machine, "validate")
     got = (main(argv), *capsys.readouterr())
-    # the parsed document; the power search validates each product it
-    # builds, whose states are pairs
-    assert len([m for m in seen if not isinstance(m.states[0], tuple)]) == 1
+    # the parsed document only: the power search's factors are valid, so
+    # neither they nor their products are validated again
+    assert len(seen) == 1
     monkeypatch.undo()
     assert (fresh_parser_main(argv), *capsys.readouterr()) == got
     # the library's order search on the same core, validating it itself

@@ -1,15 +1,22 @@
-"""The core product built from the pair product's attractor alone, against
-the full pair product it replaced (kept in helpers.py as an oracle): equal
-canonical forms on fixture powers, random cores and inverse round trips,
-every product strongly connected (core_product no longer checks it), the
-attractor equal to the raw product's core, one validation of the pair
-machine, and the refusal of non-synchronizing factors."""
+"""The core product's integer kernel against the paths it replaced, kept
+in helpers.py as oracles: minimize of the name-keyed pair attractor
+(attractor_core_product), which it must match exactly (the same states,
+names and table), and the full pair product (full_pair_core_product),
+which it must match up to canonical form.  The corpus holds fixture
+powers, products of fixture cores with each other and with their
+inverses, seeded random cores and shuffled relabels; every product is
+strongly connected (core_product does not check it).  The kernel's named
+closure is the raw product's core, and it is valid whenever both factors
+are, so validate sees only the factors; factors that fail validate get
+the old path's machine or refusal, and non-synchronizing factors are
+refused."""
 
 import random
 
 import pytest
 
 from cantrans import (
+    Alphabet,
     CORE,
     NotSynchronizing,
     Transducer,
@@ -22,15 +29,80 @@ from cantrans import (
     invert_core,
     minimize,
     outer_product,
+    serialize,
     sync_level,
+    validate,
 )
 from cantrans import machine
 from cantrans.fixtures import balanced_core_2, sample_3_2, unbalanced_core_3
-from cantrans.synchro import _product_attractor
+from cantrans.synchro import _pair_core, _pair_machine
 
-from helpers import count_calls, fixture_cores, full_pair_core_product, \
-    multi_core_bisync, non_synchronizing_core, shuffled_relabel, \
+from helpers import attractor_core_product, count_calls, fixture_cores, \
+    full_pair_core_product, multi_core_bisync, non_synchronizing_core, \
+    product_attractor, random_synchronizing, shuffled_relabel, \
     strongly_connected
+
+
+def _outcome(f, a, b):
+    """f(a, b) as its states, entry, table (in order) and document, or
+    the type and message of the cantrans error it raises."""
+    try:
+        m = f(a, b)
+    except TransducerError as e:
+        return type(e), str(e)
+    return m.states, m.initial, list(m.trans.items()), serialize(m)
+
+
+@pytest.fixture(scope="module")
+def product_pairs():
+    """Factor pairs: BALANCED_CORE_2 a^k * a and a * a^k up to a^5,
+    UNBALANCED_CORE_3 up to a^10, fixture cores with each other and with
+    their inverses, cores of seeded random synchronizing machines (30 per
+    alphabet) with themselves, a neighbour and a fixture core, and
+    shuffled relabels of pairs of small factors."""
+    pairs = []
+    for load, top in ((balanced_core_2, 5), (unbalanced_core_3, 10)):
+        a = minimize(load())
+        power = a
+        for _ in range(2, top + 1):
+            pairs += [(power, a), (a, power)]
+            power = core_product(power, a)
+    fixtures = fixture_cores()
+    inverses = [invert_core(c) for c in fixtures]
+    for a, a_inv in zip(fixtures, inverses):
+        for b, b_inv in zip(fixtures, inverses):
+            if a.n == b.n:
+                pairs += [(a, b), (a, b_inv), (a_inv, b), (a_inv, b_inv)]
+    for alphabet in (Alphabet(2, 1), Alphabet(3, 1), Alphabet(3, 2)):
+        cores = [core_of(minimize(random_synchronizing(alphabet, 3, 2, seed)))
+                 for seed in range(30)]
+        same_n = [c for c in fixtures if c.n == alphabet.n]
+        for k, c in enumerate(cores):
+            pairs += [(c, c), (c, cores[k - 1]), (same_n[k % len(same_n)], c)]
+    rng = random.Random(2_718)
+    small = [(x, y) for x, y in pairs
+             if len(x.states) * len(y.states) <= 400]
+    pairs += [(shuffled_relabel(x, rng), shuffled_relabel(y, rng))
+              for x, y in rng.sample(small, 120)]
+    return pairs
+
+
+def test_kernel_matches_the_attractor_path(product_pairs):
+    reordered = 0
+    for x, y in product_pairs:
+        got = _outcome(core_product, x, y)
+        assert got == _outcome(attractor_core_product, x, y)
+        names = _pair_core(x, y).states
+        reordered += list(names) != sorted(names, key=str)
+    assert len(product_pairs) == 468
+    # discovery order and str order differ on most pair cores
+    assert reordered >= len(product_pairs) // 2
+
+
+def test_named_closure_of_valid_factors_is_valid(product_pairs):
+    for x, y in product_pairs:
+        assert validate(x) == validate(y) == []
+        assert validate(_pair_machine(_pair_core(x, y), x.n)) == []
 
 
 @pytest.mark.parametrize("load, top", [(balanced_core_2, 4),
@@ -88,17 +160,63 @@ def test_attractor_is_the_raw_products_core():
     pairs += [(cores[1], cores[0]), (cores[2], cores[3]),
               (core_product(a, a), a), (a, core_product(a, a))]
     for x, y in pairs:
-        lazy = _product_attractor(x, y)
+        lazy = _pair_machine(_pair_core(x, y), x.n)
         core = core_of(compose(x, y, reduce=False))
         assert set(lazy.states) == set(core.states)
         assert lazy.trans == core.trans
+        named = product_attractor(x, y)
+        assert lazy.states == named.states
+        assert list(lazy.trans.items()) == list(named.trans.items())
 
 
 def test_pair_machine_is_validated_once(monkeypatch):
+    # valid factors make a valid pair machine, so only they are checked
     a = minimize(balanced_core_2())
+    b = core_product(a, a)
     seen = count_calls(monkeypatch, machine, "validate")
-    core_product(a, a)
-    assert len(seen) == 1
+    core_product(b, a)
+    assert len(seen) == 2
+    assert seen[0] is b and seen[1] is a
+
+
+def _broken(core, rng):
+    """Copies of a core that fail validate, each with one edit: an output
+    given a digit out of range, a root letter, or nothing, and a start
+    state that is not a state.  The targets stay, so each copy still
+    synchronizes when the core does."""
+    keys = list(core.trans)
+    for edit in ("digit", "root", "silent", "start"):
+        trans = dict(core.trans)
+        q, x = key = rng.choice(keys)
+        w, tgt = trans[key]
+        if edit == "digit":
+            trans[key] = (w + (core.n,), tgt)
+        elif edit == "root":
+            trans[key] = ((-1,) + w, tgt)
+        elif edit == "silent":
+            trans[key] = ((), tgt)
+        start = "nowhere" if edit == "start" else core.initial
+        t = Transducer(core.n, None, CORE, core.states, start, trans)
+        if validate(t):
+            yield t
+
+
+def test_invalid_factors_get_the_attractor_paths_outcome(product_pairs):
+    rng = random.Random(31)
+    kinds = set()
+    checked = 0
+    for x, y in rng.sample([p for p in product_pairs
+                            if len(p[0].states) * len(p[1].states) <= 400],
+                           80):
+        for bad in _broken(x, rng):
+            for pair in ((bad, y), (y, bad)) if x.n == y.n else ((bad, x),):
+                got = _outcome(core_product, *pair)
+                assert got == _outcome(attractor_core_product, *pair)
+                kinds.add(got[1].split(" (")[0].split(":")[0]
+                          if isinstance(got[0], type) else "machine")
+                checked += 1
+    assert checked >= 400
+    assert {"machine", "no transition", "degenerate product"} <= kinds
 
 
 def test_degenerate_product_is_refused():

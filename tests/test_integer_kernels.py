@@ -4,8 +4,9 @@ minimize against the three steps run one after another, the worklist
 guaranteed output against the full-pass loop, the merge's hashed
 partition and the core form's ranks against the sorted refinement run to
 a stable count, the core canonical form against the refinement on
-(name, letter) keys, the column-wise collapse against the row-keyed one,
-and eval_point against one run_word call per pump.  The corpus holds
+(name, letter) keys, the column-wise collapse against the row-keyed one
+and against the one that relabelled every state each round, and
+eval_point against one run_word call per pump.  The corpus holds
 random machines, fixtures, raw products, the 3000-state empty-output
 chains and bi-synchronizing maps with multi-state cores."""
 
@@ -40,17 +41,25 @@ from cantrans import fixtures
 from cantrans.randgen import random_gnr_element, random_transducer
 from cantrans.machine import _View, _refine
 from cantrans.minimize import _complete_responses
-from cantrans.synchro import _collapse, _product_attractor, _tracked_states
+from cantrans.synchro import _collapse, _pair_core, _pair_machine, \
+    _tracked_states
 
 from helpers import dict_initial_form, \
     dict_merge_equivalent_states, dict_remove_incomplete_response, \
     duplicated_states, empty_output_chain, full_pass_guaranteed_output, \
     letter_loop_view, multi_core_bisync, pump_loop_eval_point, \
-    random_points, rank_until_stable_refine, row_collapse, \
+    random_points, rank_until_stable_refine, round_remap_collapse, \
+    row_collapse, \
     shuffled_relabel, sorted_signature_core_form, strongly_connected, \
     three_step_minimize
 
 ALPHABETS = (Alphabet(2, 1), Alphabet(3, 1), Alphabet(3, 2), Alphabet(4, 1))
+
+
+def pair_machine(a, b):
+    """The named pair core of two cores, built by the core product's
+    integer kernel."""
+    return _pair_machine(_pair_core(a, b), a.n)
 
 
 def outcome(f, *args):
@@ -133,11 +142,11 @@ def corpus(random_machines, balanced_powers, multi_cores):
                 pass
     assert raw >= 50
     a = balanced_powers[0]
-    products = [_product_attractor(p, a) for p in balanced_powers[:3]]
+    products = [pair_machine(p, a) for p in balanced_powers[:3]]
     cores = [minimize(c) for c in (fixtures.torsion_core_2(),
                                    fixtures.synchronous_core_3(),
                                    fixtures.unbalanced_core_3())]
-    products += [_product_attractor(x, y) for x in cores for y in cores
+    products += [pair_machine(x, y) for x in cores for y in cores
                  if x.n == y.n]
     chain = empty_output_chain(True)
     # cores whose state order is not their name order
@@ -409,3 +418,25 @@ def test_eval_point_refusals_match_pump_loop():
         got = outcome(eval_point, chain, empty, state)
         assert got == outcome(pump_loop_eval_point, chain, empty, state)
         assert got[0] is TransducerError
+
+
+def test_collapse_matches_round_remap_collapse(random_machines,
+                                               balanced_powers, multi_cores):
+    """The class of every state read off once from the rounds' maps: the
+    same tracked states, the same class numbers and the same level as
+    remapping every state in every round."""
+    a5 = core_product(balanced_powers[-1], balanced_powers[0])
+    machines = [minimize(t) for t in random_machines[::3]]
+    machines += random_machines[1::9]
+    machines += balanced_powers + [a5]
+    machines += multi_cores[0] + multi_cores[1]
+    machines += [empty_output_chain(True), empty_output_chain(False)]
+    levels = []
+    for m in machines:
+        got = _collapse(m)
+        assert got == round_remap_collapse(m)
+        assert isinstance(got[1], list)
+        levels.append(got[2])
+    assert 100 <= levels.count(None) <= len(machines) - 100
+    # the ring never synchronizes; the initial chain does after 3000 rounds
+    assert levels[-2:] == [None, 3000]

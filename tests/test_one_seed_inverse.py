@@ -2,7 +2,10 @@
 seed's walk under 0 repeats at, reduced and checked by the lag walk,
 against the full exploration from every seed that it falls back to.  On
 every core both give the same machine under the same names, or the
-same refusal, and the shortcut answers every invertible core."""
+same refusal, and the shortcut answers every invertible core.  The full
+path's refusals that no core in the corpus reaches, configurations that
+do not synchronize and a failed lag walk, are forced by monkeypatching,
+and is_bisynchronizing reads each as a negative verdict."""
 
 import random
 
@@ -15,6 +18,7 @@ from cantrans import (
     core_of,
     core_product,
     invert_core,
+    is_bisynchronizing,
     minimize,
     serialize,
 )
@@ -169,4 +173,49 @@ def test_a_rejected_candidate_falls_back_to_the_full_refusal(monkeypatch):
                                             "trivial$"):
         invert_core(fixture_cores()[1])
     assert answers == [None]
+    assert len(walks) == 2
+
+
+def test_inverse_dynamics_that_do_not_synchronize_are_refused(monkeypatch):
+    """The full path refuses a configuration machine that does not
+    synchronize, and is_bisynchronizing reads the refusal as a negative
+    verdict."""
+    core = fixture_cores()[1]
+    real = synchro.sync_level
+    refused = []
+
+    def configurations_never_synchronize(t):
+        # configuration machines are named (state name, pending word)
+        if isinstance(t.states[0], tuple):
+            refused.append(t)
+            return None
+        return real(t)
+
+    _full_path_only(monkeypatch)
+    monkeypatch.setattr(synchro, "sync_level",
+                        configurations_never_synchronize)
+    with pytest.raises(NotInvertible,
+                       match="^inverse dynamics do not synchronize$"):
+        invert_core(core)
+    assert is_bisynchronizing(core) == (False, None)
+    assert len(refused) == 2
+
+
+def test_inverse_whose_products_are_not_trivial_is_refused(monkeypatch):
+    """The full path refuses an inverse that fails a lag walk, and
+    is_bisynchronizing reads the refusal as a negative verdict."""
+    core = fixture_cores()[1]
+    walks = []
+
+    def rejecting(a, b):
+        walks.append((a, b))
+        return False
+
+    _full_path_only(monkeypatch)
+    monkeypatch.setattr(synchro, "_product_is_identity", rejecting)
+    with pytest.raises(NotInvertible, match="^round-trip verification "
+                                            "failed: core products are not "
+                                            "trivial$"):
+        invert_core(core)
+    assert is_bisynchronizing(core) == (False, None)
     assert len(walks) == 2

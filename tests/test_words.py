@@ -15,7 +15,8 @@ from cantrans import (
 )
 from cantrans.randgen import random_prefix_code
 
-from helpers import pairwise_validate_prefix_code
+from helpers import pairwise_validate_prefix_code, \
+    word_by_word_validate_prefix_code
 
 
 def w(text):
@@ -128,6 +129,50 @@ def test_prefix_code_verdicts_match_the_pairwise_oracle():
                 assert got == pairwise_validate_prefix_code(edited, a)
                 verdicts.add(got[1].split()[0] if got[1] else None)
     assert verdicts == {None, "Kraft", "comparable", "root", "empty"}
+
+
+def _bad_words(code, alphabet, rng):
+    """Codes with one bad word put in or swapped in at a seeded place: a
+    digit or a root letter out of range, a root letter inside a word, a
+    word with no root letter, the empty word."""
+    n, r = alphabet.n, alphabet.r
+    w = list(rng.choice(code))
+    k = rng.randrange(1, len(w)) if len(w) > 1 else None
+    bad = [(-(r + 1 + rng.randrange(2)),) + tuple(w[1:]),
+           tuple(w) + (n + rng.randrange(2),),
+           tuple(w) + (-(rng.randrange(r) + 1),),
+           tuple(w[1:]) or (rng.randrange(n),),
+           ()]
+    if k is not None:
+        bad.append(tuple(w[:k]) + (n,) + tuple(w[k + 1:]))
+        bad.append(tuple(w[:k]) + (-1,) + tuple(w[k + 1:]))
+    for word in bad:
+        i = rng.randrange(len(code) + 1)
+        yield code[:i] + [word] + code[i:]
+        yield code[:i] + [word] + code[i + 1:]
+
+
+def test_bad_words_are_named_as_word_by_word():
+    kinds = {"out of range for n=": 0, "out of range": 0, "at position": 0,
+             "'-' is not rooted": 0, "is not rooted": 0}
+    for n, r in [(2, 1), (3, 1), (3, 2), (4, 3)]:
+        a = Alphabet(n, r)
+        rng = random.Random(f"bad-words:{n}:{r}")
+        for _ in range(60):
+            code = random_prefix_code(a, rng.randrange(8), rng)
+            for edited in list(_bad_words(code, a, rng)) + \
+                    list(_mutations(code, a, rng)):
+                for order in (edited, rng.sample(edited, len(edited))):
+                    got = validate_prefix_code(order, a)
+                    assert got == word_by_word_validate_prefix_code(order, a)
+                    kind = next((k for k in kinds if k in (got[1] or "")),
+                                None)
+                    if kind is not None:
+                        kinds[kind] += 1
+    # each check of the word-by-word loop words many codes' failures:
+    # digits and root letters out of range, a root letter inside a word,
+    # the empty word and other unrooted words
+    assert min(kinds.values()) >= 100, kinds
 
 
 def test_point_normal_form():
