@@ -28,6 +28,7 @@ from .machine import (
     run_word,
     validate,
     _View,
+    _first_repeat,
 )
 from .minimize import _reduce, minimize
 
@@ -263,18 +264,6 @@ def _pair_step(a, b):
     return step
 
 
-def _zero_repeat(step, a, b):
-    """The first pair that repeats when the pair machine of two cores
-    reads digit 0 from (a.states[0], b.states[0]).  When the pair machine
-    synchronizes, 0 fixes it and it lies in the core."""
-    pair = (a.states[0], b.states[0])
-    walked = set()
-    while pair not in walked:
-        walked.add(pair)
-        pair = step(pair, 0)[1]
-    return pair
-
-
 def _product_is_identity(a, b):
     """The lag walk: whether x -> (x . a) . b is the identity, decided on
     the pair machine without building it as a Transducer.
@@ -289,7 +278,8 @@ def _product_is_identity(a, b):
     Initial mode: the seed is the entry pair with lag empty, and the
     walk covers the pairs reachable from it.  Core mode (both factors
     must synchronize): the product's core is the forward closure of the
-    pair digit 0 fixes (see synchro.core_product), and the product
+    pair digit 0 fixes, which is the first pair met twice when the pair
+    of first states reads 0s (see synchro.core_product), and the product
     reduces to the identity core exactly when that closure computes the
     identity up to lags.  On the fixed pair, u 0 = w u forces w = 0 and
     u = 0^k, and reading 1s writes u 1 1 ..., so k is the number of 0s
@@ -299,7 +289,8 @@ def _product_is_identity(a, b):
     if a.mode == INITIAL:
         seed, lag = (a.initial, b.initial), EMPTY
     else:
-        seed = _zero_repeat(step, a, b)
+        seed = _first_repeat((a.states[0], b.states[0]),
+                             lambda pair: step(pair, 0)[1])
         lag = _zeros_before_other(step, seed)
         if lag is None:
             return False

@@ -36,11 +36,10 @@ def is_in_Gnr(t):
 
 
 def _in_Gnr_minimal(m):
-    """is_in_Gnr for a machine that is already minimal.  The core is
-    taken at the level the bi-synchronizing test found, which is at
-    least m's own, so m is collapsed once."""
-    ok, level = _bisync_minimal(m)
-    return ok and is_identity_core(_core_at(m, level))
+    """is_in_Gnr for a machine that is already minimal.  Once the
+    bi-synchronizing test passes, m synchronizes, and _core_at takes its
+    core without a level, so m is collapsed once."""
+    return _bisync_minimal(m)[0] and is_identity_core(_core_at(m))
 
 
 def outer_class_equal(a, b):
@@ -73,8 +72,9 @@ def order_in_On(a, cap=64):
     a^(j-i) the identity, which the search meets first."""
     if a.mode != CORE:
         raise TransducerError("order_in_On expects a core-mode machine")
-    if cap < 1:
-        raise TransducerError(f"order search cap must be >= 1, got {cap}")
+    if not isinstance(cap, int) or cap < 1:
+        raise TransducerError(
+            f"order search cap must be an integer >= 1, got {cap!r}")
     return _order_minimal(minimize(a), cap)
 
 
@@ -108,6 +108,9 @@ def cycle_balance(core):
     """
     if core.mode != CORE:
         raise TransducerError("cycle_balance expects a core-mode machine")
+    if not core.states:
+        raise TransducerError("cycle_balance expects a strongly connected "
+                              "core; it has no states")
     start = core.states[0]
     phi = {start: 0}
     tree = {start: None}

@@ -236,7 +236,7 @@ def _dispatch(args):
             pair = witness_pair(t)
             print(f"not synchronizing; witness pair {pair[0]} / {pair[1]}")
             return 1
-        core = _core_at(t, level)
+        core = _core_at(t)
         print(f"level: {level}")
         print("core states: " + " ".join(str(q) for q in core.states))
         return 0

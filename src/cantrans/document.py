@@ -186,7 +186,8 @@ def parse(text):
 def serialize(t):
     """Write a transducer document, deterministically ordered: states
     breadth-first from the entry state (unreachable ones last, by name),
-    letters in canonical order."""
+    letters in canonical order.  A machine with no states writes the two
+    header lines."""
     out = [HEADER]
     if t.mode == INITIAL:
         out.append(f"alphabet n={t.n} r={t.r}")
@@ -194,8 +195,9 @@ def serialize(t):
         start = t.initial
     else:
         out.append(f"alphabet n={t.n} core")
+        # no states: start from None, which has no transitions
         start = t.initial if t.initial is not None else \
-            min(t.states, key=str)
+            min(t.states, key=str, default=None)
     seen = _bfs_order(t, start)
     order = list(seen) + sorted((q for q in t.states if q not in seen),
                                 key=str)

@@ -17,7 +17,6 @@ Transducers are immutable after construction; all operations here are
 pure functions.
 """
 
-from collections import deque
 from itertools import chain, compress, count, product, repeat
 from operator import add, itemgetter, ne, not_
 
@@ -124,38 +123,30 @@ class Transducer:
         return max((len(w) for w, _ in self.trans.values()), default=0)
 
     def reachable(self, start=None):
-        """States reachable from `start` (default: the initial state)."""
+        """States reachable from `start` (default: the initial state),
+        put in a set one by one in _bfs_order's walk order, the order
+        local_action and _core_at build tables in (a set made from the
+        dict itself is presized, and iterates in another order)."""
         if start is None:
             start = self.initial
         if start is None:
             raise TransducerError("no start state given")
-        seen = {start}
-        todo = deque([start])
-        while todo:
-            q = todo.popleft()
-            for x in self.input_letters(q):
-                tgt = self.trans.get((q, x))
-                if tgt is not None and tgt[1] not in seen:
-                    seen.add(tgt[1])
-                    todo.append(tgt[1])
-        return seen
+        return set(_bfs_order(self, start).keys())
 
     def pre_root_states(self):
         """The R part of the state split: states reachable from q0 along
-        transitions that have emitted nothing yet.  Only meaningful for
-        valid initial-mode machines."""
+        transitions that have emitted nothing yet, found by _bfs_order on
+        the empty-output transitions alone.  Only meaningful for valid
+        initial-mode machines."""
         if self.mode != INITIAL:
             return set()
-        seen = {self.initial}
-        todo = deque([self.initial])
-        while todo:
-            q = todo.popleft()
-            for x in self.input_letters(q):
-                tgt = self.trans.get((q, x))
-                if tgt is not None and tgt[0] == EMPTY and tgt[1] not in seen:
-                    seen.add(tgt[1])
-                    todo.append(tgt[1])
-        return seen
+        get = self.trans.get
+
+        def silent(key):
+            edge = get(key)
+            return edge if edge is not None and not edge[0] else None
+
+        return set(_bfs_order(self, self.initial, silent))
 
 
 def validate(t):
@@ -713,13 +704,33 @@ def _bfs(targets, start):
     return order
 
 
-def _bfs_order(t, start):
+def _first_repeat(start, step):
+    """The first node that the walk start, step(start),
+    step(step(start)), ... meets twice."""
+    seen = set()
+    node = start
+    while node not in seen:
+        seen.add(node)
+        node = step(node)
+    return node
+
+
+def _bfs_order(t, start, get=None):
+    """State names in breadth-first order from `start`, as a dict name ->
+    position; each state's letters are taken in canonical order (the
+    digits, or the entry's root letters), and a missing transition is
+    skipped.  Transitions are looked up by `get`, t.trans.get by
+    default; pre_root_states passes one that finds the empty-output
+    transitions alone."""
+    if get is None:
+        get = t.trans.get
+    digits = range(t.n)
+    entry = t.initial if t.mode == INITIAL else None
     order = {start: 0}
-    todo = deque([start])
-    while todo:
-        q = todo.popleft()
-        for x in t.input_letters(q):
-            tgt = t.trans.get((q, x))
+    todo = [start]
+    for q in todo:
+        for x in t.input_letters(q) if q == entry else digits:
+            tgt = get((q, x))
             if tgt is not None and tgt[1] not in order:
                 order[tgt[1]] = len(order)
                 todo.append(tgt[1])

@@ -7,12 +7,11 @@ long word lands in form the core: an inescapable, strongly connected
 sub-machine that is the invariant of the outer class.
 """
 
-from collections import deque
 from itertools import chain
 
 from .words import EMPTY, format_letter
 from .machine import CORE, InvalidTransducer, Transducer, TransducerError, \
-    check_valid, validate, _View
+    check_valid, validate, _View, _first_repeat
 from .minimize import _reduce, _reduce_core_rows, minimize
 from .algebra import NotInvertible, _advance, _explore, _invert_minimal, \
     _pending_bound, _product_is_identity, _viability
@@ -107,11 +106,11 @@ def is_identity_core(c):
 def core_of(t):
     """The sub-machine on the states long inputs force the machine into.
 
-    Computes the synchronization level m (refusing with NotSynchronizing
-    when there is none), reads m zeros to land in a core state, then
-    closes forward under the digit letters.  The result is a core-mode
-    machine on the original state names, strongly connected and closed.
-    It is checked with check_valid, which refuses with
+    Refuses with NotSynchronizing when the machine has no
+    synchronization level, and otherwise takes the forward closure of
+    the state that digit 0 fixes (see _core_at).  The result is a
+    core-mode machine on the original state names, strongly connected
+    and closed.  It is checked with check_valid, which refuses with
     InvalidTransducer the core of a machine that was itself invalid."""
     return check_valid(_valid_core(t))
 
@@ -119,49 +118,35 @@ def core_of(t):
 def _valid_core(t):
     """core_of for a valid machine, whose core is valid by construction
     (see _core_at) and is not checked again."""
-    m = sync_level(t)
-    if m is None:
+    if sync_level(t) is None:
         raise NotSynchronizing("machine is not synchronizing; it has no core")
-    return _core_at(t, m)
+    return _core_at(t)
 
 
-def _core_at(t, steps):
-    """The core of a machine synchronizing at level <= steps: the forward
-    closure of the state reached by reading `steps` zeros from the first
-    tracked state.  The walk shortcuts once it enters its cycle under 0.
+def _core_at(t):
+    """The core of a synchronizing machine: the forward closure of the
+    first state met twice by the walk under 0 from the first tracked
+    state.  If t synchronizes at level m, 0^m leads every tracked state
+    to one state s, and so does 0^(m+1); so 0 fixes s, and the walk
+    reaches s within m steps and first repeats there.
 
-    The closure is valid when t is: a closed set of tracked states reads
-    every digit, writes digit words and keeps t's lack of empty-output
-    cycles.  invert_core's configuration machine passes too, though it is
-    never validated: every configuration reads every digit into the kept
-    set, writes letters of a core, and an edge that writes nothing only
-    lengthens the pending word, so no empty-output cycle closes.  The
-    same holds for its one-seed closure, which it reduces without
-    _core_at.  The closure's table is t's own transitions, so the
-    machine takes it without the public constructor's copy; core_of
-    checks the result when t itself may be invalid."""
-    q = _tracked_states(t)[0]
-    seen_at = {}
-    walked = []
-    remaining = steps
-    while remaining > 0 and q not in seen_at:
-        seen_at[q] = len(walked)
-        walked.append(q)
-        q = t.step(q, 0)[1]
-        remaining -= 1
-    if remaining > 0:
-        enter = seen_at[q]
-        cycle = walked[enter:]
-        q = cycle[remaining % len(cycle)]
-    states = {q}
-    todo = deque([q])
-    while todo:
-        p = todo.popleft()
-        for x in range(t.n):
-            tgt = t.step(p, x)[1]
-            if tgt not in states:
-                states.add(tgt)
-                todo.append(tgt)
+    No valid machine lacks a tracked state, so one that does is refused
+    with InvalidTransducer.  The closure is valid when t is: a closed set
+    of tracked states reads every digit, writes digit words and keeps
+    t's lack of empty-output cycles.  invert_core's configuration
+    machine passes too, though it is never validated: every
+    configuration reads every digit into the kept set, writes letters of
+    a core, and an edge that writes nothing only lengthens the pending
+    word, so no empty-output cycle closes.  The same holds for its
+    one-seed closure, which it reduces without _core_at.  The closure's
+    table is t's own transitions, so the machine takes it without the
+    public constructor's copy; core_of checks the result when t itself
+    may be invalid."""
+    tracked = _tracked_states(t)
+    if not tracked:
+        raise InvalidTransducer(validate(t))
+    start = _first_repeat(tracked[0], lambda q: t.step(q, 0)[1])
+    states = t.reachable(start)
     trans = {(p, x): t.step(p, x) for p in states for x in range(t.n)}
     return Transducer._own(t.n, None, CORE, tuple(sorted(states, key=str)),
                            None, trans)
@@ -206,12 +191,13 @@ def _pair_core(a, b):
         memo[m] = edge = (out, j)
         return edge
 
-    pair, walked = 0, set()
-    while pair not in walked:
-        walked.add(pair)
+    def zero(pair):
+        """The pair that digit 0 leads `pair` to."""
         i, j = divmod(pair, size)
         m = a_words[i][0] * size + j
-        pair = a_targets[i][0] * size + (memo.get(m) or read(m))[1]
+        return a_targets[i][0] * size + (memo.get(m) or read(m))[1]
+
+    pair = _first_repeat(0, zero)
     number = {pair: 0}
     pairs = [pair]
     outs, targets = [], []
@@ -254,21 +240,22 @@ def core_product(a, b):
     level k, the pair product synchronizes too: after m letters a's state
     depends on the input alone, a valid core has no empty-output cycle,
     so a then keeps writing, and once it has written k more letters b's
-    state depends on the input alone as well.  In a synchronizing machine
-    every long enough word of zeros lands in one state s, which 0 fixes;
-    so the walk under digit 0 first repeats at s, s lies in the core, and
+    state depends on the input alone as well.  So the product's core is
+    found as _core_at finds any core: the walk under digit 0 first
+    repeats at the state s that 0 fixes, s lies in the core, and
     everything a word leads to from s is the core.  Completing responses
     and merging states look only forward, so reducing that closed set
     gives the same minimal core as reducing the whole product.
 
     Refuses with NotSynchronizing when either factor does not
     synchronize (such a product need not have a core), and with
-    TransducerError when the pair machine is degenerate.  Valid factors
-    never make one: its table is complete, it writes b's digits, and an
-    empty-output cycle in it would need one in a (when a writes nothing
-    along it) or in b (which then reads a's nonempty writing around a
-    cycle and writes nothing).  So the factors are validated, and the
-    pair machine only when one of them fails.  The result is strongly
+    TransducerError when the pair machine is degenerate, as it is when a
+    factor has no states.  Valid factors never make one: its table is
+    complete, it writes b's digits, and an empty-output cycle in it would
+    need one in a (when a writes nothing along it) or in b (which then
+    reads a's nonempty writing around a cycle and writes nothing).  So
+    the factors are validated, and the pair machine only when one of
+    them fails.  The result is strongly
     connected: the closure is the core of a synchronizing machine, and
     merging states keeps every path."""
     if a.mode != CORE or b.mode != CORE:
@@ -286,6 +273,8 @@ def _core_product(a, b):
     result equals minimize of the named pair machine (same states, names
     and table), which is built and checked only when a factor fails
     validate, so that every degenerate product is refused as before."""
+    if not (a.states and b.states):
+        raise TransducerError("degenerate product: no states")
     view = _pair_core(a, b)
     if validate(a) or validate(b):
         try:
@@ -345,7 +334,7 @@ def _invert_minimal_core(c):
     exploration, so it lies inside the pruned machine `sub` below.  When
     `sub` synchronizes, every cycle under 0 is the one fixed point that
     0^level leads to, so the repeat the seed walk stops at is the state
-    _core_at(sub, level) starts from, and its closure is that core: the
+    _core_at(sub) closes from, and its closure is that core: the
     same configurations under the same names, hence the same reduction.
     Any other outcome of the shortcut (every seed walk refused, the
     pending-word bound exceeded, a digit refused in the closure, a
@@ -362,11 +351,10 @@ def _invert_minimal_core(c):
             "every continuation"
         )
     sub = Transducer(c.n, None, CORE, sorted(states, key=str), None, trans)
-    level = sync_level(sub)
-    if level is None:
+    if sync_level(sub) is None:
         raise NotInvertible("inverse dynamics do not synchronize")
     # the core of a synchronizing machine, and its reduction, synchronize
-    d = _reduce(_core_at(sub, level))
+    d = _reduce(_core_at(sub))
     if not _product_is_identity(c, d) or not _product_is_identity(d, c):
         raise NotInvertible(
             "round-trip verification failed: core products are not trivial"

@@ -48,8 +48,8 @@ from cantrans.minimize import _reduce, merge_equivalent_states, \
     remove_inaccessible, remove_incomplete_response
 from cantrans import fixtures
 from cantrans.randgen import random_gnr_element, random_transducer
-from cantrans.algebra import _pair_step, _zero_repeat
-from cantrans.synchro import _core_at, _tracked_states
+from cantrans.algebra import _pair_step
+from cantrans.synchro import _tracked_states
 
 
 def brute_force_level(t, max_level=8):
@@ -154,6 +154,73 @@ def every_root_core_form(t):
     return _dict_serialize(t, best[1], f"T1|core|n={t.n}")
 
 
+def level_core_at(t, steps):
+    """Oracle: the core of a machine synchronizing at level <= steps, as
+    synchro took it from a level: the forward closure of the state
+    reached by reading `steps` zeros from the first tracked state, the
+    walk shortcut by cycle arithmetic once it enters its cycle under 0."""
+    q = _tracked_states(t)[0]
+    seen_at = {}
+    walked = []
+    remaining = steps
+    while remaining > 0 and q not in seen_at:
+        seen_at[q] = len(walked)
+        walked.append(q)
+        q = t.step(q, 0)[1]
+        remaining -= 1
+    if remaining > 0:
+        enter = seen_at[q]
+        cycle = walked[enter:]
+        q = cycle[remaining % len(cycle)]
+    states = {q}
+    todo = deque([q])
+    while todo:
+        p = todo.popleft()
+        for x in range(t.n):
+            tgt = t.step(p, x)[1]
+            if tgt not in states:
+                states.add(tgt)
+                todo.append(tgt)
+    trans = {(p, x): t.step(p, x) for p in states for x in range(t.n)}
+    return Transducer(t.n, None, CORE, tuple(sorted(states, key=str)),
+                      None, trans)
+
+
+def queue_reachable(t, start=None):
+    """Oracle: Transducer.reachable as a queue-driven walk of its own."""
+    if start is None:
+        start = t.initial
+    if start is None:
+        raise TransducerError("no start state given")
+    seen = {start}
+    todo = deque([start])
+    while todo:
+        q = todo.popleft()
+        for x in t.input_letters(q):
+            tgt = t.trans.get((q, x))
+            if tgt is not None and tgt[1] not in seen:
+                seen.add(tgt[1])
+                todo.append(tgt[1])
+    return seen
+
+
+def queue_pre_root_states(t):
+    """Oracle: Transducer.pre_root_states as a queue-driven walk of its
+    own along the empty-output transitions."""
+    if t.mode != INITIAL:
+        return set()
+    seen = {t.initial}
+    todo = deque([t.initial])
+    while todo:
+        q = todo.popleft()
+        for x in t.input_letters(q):
+            tgt = t.trans.get((q, x))
+            if tgt is not None and tgt[0] == EMPTY and tgt[1] not in seen:
+                seen.add(tgt[1])
+                todo.append(tgt[1])
+    return seen
+
+
 def full_pair_core_product(a, b):
     """Oracle: the core product through the whole pair product.  Composes
     over all |a|*|b| pairs, completes responses and merges states there,
@@ -162,7 +229,7 @@ def full_pair_core_product(a, b):
     raw = compose(a, b, reduce=False)
     reduced = merge_equivalent_states(remove_incomplete_response(raw))
     k = len(reduced.states)
-    core = minimize(_core_at(reduced, k * (k - 1) // 2 + 1))
+    core = minimize(level_core_at(reduced, k * (k - 1) // 2 + 1))
     assert strongly_connected(core)
     return core
 
@@ -174,7 +241,11 @@ def product_attractor(a, b):
     repeated pair, and that pair's forward closure, both through the
     name-keyed pair step, as a machine on the pairs sorted by str."""
     step = _pair_step(a, b)
-    pair = _zero_repeat(step, a, b)
+    pair = (a.states[0], b.states[0])
+    walked = set()
+    while pair not in walked:
+        walked.add(pair)
+        pair = step(pair, 0)[1]
     trans = {}
     todo = deque([pair])
     seen = {pair}
@@ -948,7 +1019,7 @@ def name_keyed_invert_core(c):
     level = sync_level(sub)
     if level is None:
         raise NotInvertible("inverse dynamics do not synchronize")
-    d = _reduce(_core_at(sub, level))
+    d = _reduce(level_core_at(sub, level))
     if not reduced_product_is_identity(c, d) \
             or not reduced_product_is_identity(d, c):
         raise NotInvertible(

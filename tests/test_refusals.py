@@ -1,0 +1,70 @@
+"""Typed refusals for degenerate arguments: machines without states, an
+initial machine whose only state is pre-root, and an order search cap
+that is not an integer."""
+
+import pytest
+
+from cantrans import (
+    CORE,
+    INITIAL,
+    InvalidTransducer,
+    ParseError,
+    Transducer,
+    TransducerError,
+    core_of,
+    core_product,
+    cycle_balance,
+    fixtures,
+    identity_core,
+    minimize,
+    order_in_On,
+    outer_product,
+    parse,
+    serialize,
+    validate,
+)
+from cantrans.document import HEADER
+
+EMPTY_CORE = Transducer(2, None, CORE, [], None, {})
+# q0 writes the root and returns to itself: no state is ever tracked
+ROOT_LOOP = Transducer(2, 1, INITIAL, ["q0"], "q0",
+                       {("q0", -1): ((-1,), "q0")})
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: core_of(EMPTY_CORE), InvalidTransducer,
+     str(InvalidTransducer(validate(EMPTY_CORE)))),
+    (lambda: core_of(ROOT_LOOP), InvalidTransducer,
+     str(InvalidTransducer(validate(ROOT_LOOP)))),
+    (lambda: core_product(EMPTY_CORE, identity_core(2)), TransducerError,
+     "degenerate product"),
+    (lambda: core_product(identity_core(2), EMPTY_CORE), TransducerError,
+     "degenerate product"),
+    (lambda: outer_product(EMPTY_CORE, EMPTY_CORE), TransducerError,
+     "degenerate product"),
+    (lambda: cycle_balance(EMPTY_CORE), TransducerError,
+     "cycle_balance expects a strongly connected core"),
+    (lambda: parse(serialize(EMPTY_CORE)), ParseError,
+     "line 0, column 0: invalid transducer: no states"),
+], ids=["core_of-empty", "core_of-root-loop", "product-empty-left",
+        "product-empty-right", "outer-product-empty", "cycle_balance-empty",
+        "serialize-empty"])
+def test_machines_without_states_are_refused(call, error, message):
+    assert validate(ROOT_LOOP) != []
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value).startswith(message)
+
+
+def test_a_machine_without_states_serializes_to_its_header():
+    assert serialize(EMPTY_CORE) == f"{HEADER}\nalphabet n=2 core\n"
+
+
+@pytest.mark.parametrize("cap", [0, -3, 2.5, 4.0, "3", None])
+def test_order_cap_must_be_a_positive_integer(cap):
+    core = minimize(fixtures.torsion_core_2())
+    with pytest.raises(TransducerError) as err:
+        order_in_On(core, cap=cap)
+    assert str(err.value) == \
+        f"order search cap must be an integer >= 1, got {cap!r}"
+    assert order_in_On(core, cap=2) == ("finite", 2)

@@ -288,8 +288,8 @@ def _record_core_at(monkeypatch):
     cores = []
     real = synchro._core_at
 
-    def recording(t, steps):
-        cores.append(real(t, steps))
+    def recording(t):
+        cores.append(real(t))
         return cores[-1]
 
     monkeypatch.setattr(synchro, "_core_at", recording)
