@@ -28,6 +28,7 @@ from .machine import (
     run_word,
     validate,
     _View,
+    _bfs,
     _first_repeat,
 )
 from .minimize import _reduce, minimize
@@ -481,9 +482,9 @@ def _explore(view, n, seeds, start_letters, prune):
 
 def _accepting(rows):
     """The numbers, in order, of the largest set of configurations that
-    have a transition on every letter, each into the set: the rows with
-    a missing transition are dropped, then everything leading to a
-    dropped row, until nothing changes."""
+    have a transition on every letter, each into the set: every row that
+    reaches a row with a missing transition is dropped, found by one
+    walk back along the transitions from all such rows at once."""
     preds = [[] for _ in rows]
     drop = []
     for k, row in enumerate(rows):
@@ -492,16 +493,11 @@ def _accepting(rows):
                 drop.append(k)
             else:
                 preds[edge[2]].append(k)
-    alive = [True] * len(rows)
-    while drop:
-        k = drop.pop()
-        if alive[k]:
-            alive[k] = False
-            drop.extend(preds[k])
-    return [k for k, ok in enumerate(alive) if ok]
+    dead = set(_bfs(preds, *drop))
+    return [k for k in range(len(rows)) if k not in dead]
 
 
-def invert(a, *, verify=True):
+def invert(a):
     """Inverse machine via the pending-suffix construction.
 
     A state of the inverse is a pair (state of a, pending word): input
@@ -510,19 +506,19 @@ def invert(a, *, verify=True):
     continuation and its output is fully covered by the pending word.
     Pending words are capped at |Q| * (1 + max output length); blowing
     the cap, or meeting input no run of `a` can emit, means no finite
-    inverse exists.  The result is minimized and, unless verify=False,
-    checked in both orders by the lag walk: every pair state of the
-    product with `a` must carry a lag word u with u x = w u' on each of
-    its edges x/w, which holds exactly when the product is the identity.
-    The walk builds no product machine.
+    inverse exists.  The result is minimized and checked in both orders
+    by the lag walk: every pair state of the product with `a` must carry
+    a lag word u with u x = w u' on each of its edges x/w, which holds
+    exactly when the product is the identity.  The walk builds no
+    product machine.
     """
     if a.mode != INITIAL:
         raise TransducerError("invert expects an initial-mode machine; "
                               "invert_core handles cores")
-    return _invert_minimal(minimize(a), verify)
+    return _invert_minimal(minimize(a))
 
 
-def _invert_minimal(a, verify=True):
+def _invert_minimal(a):
     """invert for a machine that is already minimal."""
     view = _View(a)
     roots = tuple(-(k + 1) for k in range(a.r))
@@ -535,8 +531,7 @@ def _invert_minimal(a, verify=True):
         raise NotInvertible("inverse construction degenerate: " +
                             "; ".join(bad))
     b = _reduce(raw)
-    if verify and not (_product_is_identity(a, b) and
-                       _product_is_identity(b, a)):
+    if not (_product_is_identity(a, b) and _product_is_identity(b, a)):
         raise NotInvertible(
             "round-trip verification failed: the constructed machine "
             "does not invert the input"

@@ -32,6 +32,7 @@ from .words import (
     is_root,
     is_rooted,
     word_subtract,
+    _words_in_range,
 )
 
 INITIAL = "initial"
@@ -123,15 +124,13 @@ class Transducer:
         return max((len(w) for w, _ in self.trans.values()), default=0)
 
     def reachable(self, start=None):
-        """States reachable from `start` (default: the initial state),
-        put in a set one by one in _bfs_order's walk order, the order
-        local_action and _core_at build tables in (a set made from the
-        dict itself is presized, and iterates in another order)."""
+        """The set of states reachable from `start` (default: the
+        initial state)."""
         if start is None:
             start = self.initial
         if start is None:
             raise TransducerError("no start state given")
-        return set(_bfs_order(self, start).keys())
+        return set(_bfs_order(self, start))
 
     def pre_root_states(self):
         """The R part of the state split: states reachable from q0 along
@@ -271,18 +270,6 @@ def _complete_table(t, states):
             sum(map((0).__gt__, map(itemgetter(1), trans))) == t.r and
             all((q0, x) in trans for x in roots) and
             not any((q0, d) in trans for d in digits))
-
-
-def _words_in_range(words, n, r):
-    """Whether each word is empty or a letter followed by digits below
-    n, the letter a digit below n or one of r root letters: the words
-    the shape and range checks pass.  Decided on two sets, of the first
-    letters and of the others."""
-    words = list(filter(None, words))
-    heads = set(map(itemgetter(0), words))
-    tails = set(chain.from_iterable(map(itemgetter(slice(1, None)), words)))
-    return ((not heads or (min(heads) >= -r and max(heads) < n)) and
-            (not tails or (min(tails) >= 0 and max(tails) < n)))
 
 
 def _transition_violations(t, states):
@@ -520,7 +507,8 @@ def local_action(t, nu):
     machine rooted at the state reached by nu, with outputs shifted so
     the response is complete.  Defined once the image cone's root letter
     is settled (theta(nu) nonempty); for shorter nu the tail map lands
-    in C_{n,r} rather than C_n and is not representable here.
+    in C_{n,r} rather than C_n and is not representable here.  The
+    table is built in breadth-first order from that state.
     """
     if t.mode != INITIAL:
         raise TransducerError("local_action needs an initial-mode machine")
@@ -533,7 +521,7 @@ def local_action(t, nu):
             f"local action at {format_word(nu)!r} maps into C_(n,r): the "
             "root letter of the image is not yet determined; extend nu"
         )
-    keep = t.reachable(s)
+    keep = _bfs_order(t, s)
     trans = {}
     for q in keep:
         for x in range(t.n):
@@ -691,11 +679,12 @@ def _best_core_order(view):
                key=lambda order: _core_table(view, order))
 
 
-def _bfs(targets, start):
-    """State numbers in breadth-first order from `start`; targets[i]
-    lists state i's targets in letter order."""
-    order = [start]
-    seen = {start}
+def _bfs(targets, *starts):
+    """State numbers in breadth-first order from `starts`, each taken
+    once, in order; targets[i] lists state i's targets in letter order.
+    Reversed edges as `targets` walk back to what reaches the starts."""
+    order = list(dict.fromkeys(starts))
+    seen = set(order)
     for i in order:
         for j in targets[i]:
             if j not in seen:

@@ -11,7 +11,7 @@ from itertools import chain
 
 from .words import EMPTY, format_letter
 from .machine import CORE, InvalidTransducer, Transducer, TransducerError, \
-    check_valid, validate, _View, _first_repeat
+    check_valid, validate, _View, _bfs_order, _first_repeat
 from .minimize import _reduce, _reduce_core_rows, minimize
 from .algebra import NotInvertible, _advance, _explore, _invert_minimal, \
     _pending_bound, _product_is_identity, _viability
@@ -52,8 +52,14 @@ def _collapse(t):
     round's map from old to new classes is kept, and the class of every
     tracked state is read off once at the end, by composing the maps
     backwards (unless a single class is left): the rounds cost the live
-    classes alone, not |Q| each."""
+    classes alone, not |Q| each.
+
+    No valid machine lacks a tracked state, so one that does is refused
+    with InvalidTransducer, here for sync_level, witness_pair and every
+    _core_at, whose callers collapse first."""
     tracked = _tracked_states(t)
+    if not tracked:
+        raise InvalidTransducer(validate(t))
     columns = list(zip(*_View(t, tracked).targets))
     count = len(tracked)
     maps = []
@@ -128,27 +134,24 @@ def _core_at(t):
     first state met twice by the walk under 0 from the first tracked
     state.  If t synchronizes at level m, 0^m leads every tracked state
     to one state s, and so does 0^(m+1); so 0 fixes s, and the walk
-    reaches s within m steps and first repeats there.
+    reaches s within m steps and first repeats there.  The table lists
+    the states in breadth-first order from s; the states tuple is sorted
+    by str.
 
-    No valid machine lacks a tracked state, so one that does is refused
-    with InvalidTransducer.  The closure is valid when t is: a closed set
-    of tracked states reads every digit, writes digit words and keeps
-    t's lack of empty-output cycles.  invert_core's configuration
-    machine passes too, though it is never validated: every
-    configuration reads every digit into the kept set, writes letters of
-    a core, and an edge that writes nothing only lengthens the pending
-    word, so no empty-output cycle closes.  The same holds for its
-    one-seed closure, which it reduces without _core_at.  The closure's
-    table is t's own transitions, so the machine takes it without the
-    public constructor's copy; core_of checks the result when t itself
-    may be invalid."""
-    tracked = _tracked_states(t)
-    if not tracked:
-        raise InvalidTransducer(validate(t))
-    start = _first_repeat(tracked[0], lambda q: t.step(q, 0)[1])
-    states = t.reachable(start)
-    trans = {(p, x): t.step(p, x) for p in states for x in range(t.n)}
-    return Transducer._own(t.n, None, CORE, tuple(sorted(states, key=str)),
+    The closure is valid when t is: a closed set of tracked states reads
+    every digit, writes digit words and keeps t's lack of empty-output
+    cycles.  invert_core's pruned configuration machine passes too,
+    though it is never validated: every configuration reads every digit
+    into the kept set, writes letters of a core, and an edge that writes
+    nothing only lengthens the pending word, so no empty-output cycle
+    closes.  The closure's table is t's own transitions, so the machine
+    takes it without the public constructor's copy; core_of checks the
+    result when t itself may be invalid.  t must have a tracked state,
+    which _collapse checks."""
+    start = _first_repeat(_tracked_states(t)[0], lambda q: t.step(q, 0)[1])
+    order = _bfs_order(t, start)
+    trans = {(p, x): t.step(p, x) for p in order for x in range(t.n)}
+    return Transducer._own(t.n, None, CORE, tuple(sorted(order, key=str)),
                            None, trans)
 
 
@@ -255,26 +258,19 @@ def core_product(a, b):
     need one in a (when a writes nothing along it) or in b (which then
     reads a's nonempty writing around a cycle and writes nothing).  So
     the factors are validated, and the pair machine only when one of
-    them fails.  The result is strongly
-    connected: the closure is the core of a synchronizing machine, and
-    merging states keeps every path."""
+    them fails.  The result is _pair_core's rows, reduced on their pair
+    numbers, and equals minimize of that named pair machine (same
+    states, names and table).  It is strongly connected: the closure is
+    the core of a synchronizing machine, and merging states keeps every
+    path."""
     if a.mode != CORE or b.mode != CORE:
         raise TransducerError("core_product expects core-mode machines")
     if a.n != b.n:
         raise TransducerError("alphabet mismatch in core product")
-    if sync_level(a) is None or sync_level(b) is None:
-        raise NotSynchronizing("core product of a non-synchronizing core")
-    return _core_product(a, b)
-
-
-def _core_product(a, b):
-    """core_product for two cores over one alphabet, both known to
-    synchronize: _pair_core's rows, reduced on their pair numbers.  The
-    result equals minimize of the named pair machine (same states, names
-    and table), which is built and checked only when a factor fails
-    validate, so that every degenerate product is refused as before."""
     if not (a.states and b.states):
         raise TransducerError("degenerate product: no states")
+    if sync_level(a) is None or sync_level(b) is None:
+        raise NotSynchronizing("core product of a non-synchronizing core")
     view = _pair_core(a, b)
     if validate(a) or validate(b):
         try:
@@ -285,8 +281,9 @@ def _core_product(a, b):
 
 
 def _valid_core_product(a, b):
-    """_core_product for two cores known to be valid, such as minimized
-    ones and their products, which are not validated again."""
+    """core_product for two synchronizing cores known to be valid, such
+    as minimized ones and their products, which are not validated
+    again."""
     return _reduce_core_rows(_pair_core(a, b), a.n)
 
 
@@ -294,18 +291,17 @@ def invert_core(c):
     """The inverse core: the machine this core's outer class inverts to.
 
     States are pairs (state of c, pending input not yet matched), driven
-    by the forced-emission dynamics.  The inverse is first sought from
-    one seed: digit 0 is read from (q, empty), q in state order, until a
-    configuration repeats, and the repeat is closed under the digits.
-    If every digit is read in that closure, the closure synchronizes
-    and both core products with the original reduce to the identity
-    core, its reduction is the answer.  Otherwise the construction explores the
-    dynamics from every (state, empty) seed, then keeps the largest
-    sub-machine on which every digit can always be read (a configuration
-    surviving that pruning accepts every continuation, which is exactly
-    what deep states of an inverse must do).  That result must
-    synchronize and pass the same two product checks; otherwise the
-    class is not invertible, and the refusal says which step failed.
+    by the forced-emission dynamics.  One construction, _inverse_from,
+    explores them from a set of seeds, checks that the configuration
+    machine synchronizes, reduces its core and checks that both core
+    products with the original reduce to the identity core.  It runs
+    first from the one configuration that repeats when a seed
+    (q, empty) reads 0s, and only when that run refuses from every seed
+    (state, empty), keeping the largest sub-machine on which every digit
+    can always be read (a configuration surviving that pruning accepts
+    every continuation, which is exactly what deep states of an inverse
+    must do).  The second run's inverse or refusal, which says which
+    step failed, is the answer.
 
     The products are checked by the lag walk, without building them: on
     the core of each pair machine, from the pair digit 0 fixes, every
@@ -314,10 +310,10 @@ def invert_core(c):
     such a core is refused up front, before the exploration, which on it
     can grow exponentially.
 
-    Both routes give the same machine whenever the full exploration
+    Both runs give the same machine whenever the full exploration
     synchronizes (see _invert_minimal_core).  They could differ only on
     a core whose one-seed closure verifies while its full configuration
-    machine does not synchronize: the full route would refuse it."""
+    machine does not synchronize: the full run would refuse it."""
     if c.mode != CORE:
         raise TransducerError("invert_core expects a core-mode machine")
     c = minimize(c)
@@ -327,24 +323,41 @@ def invert_core(c):
 
 
 def _invert_minimal_core(c):
-    """invert_core for a minimal core known to synchronize.
+    """invert_core for a minimal core known to synchronize: _inverse_from
+    the seed walk's repeat without pruning, and from every (i, empty)
+    with pruning when that refuses.
 
     The one-seed closure is exact.  It is closed, every configuration in
     it reads every digit, and it is reached from a seed of the full
-    exploration, so it lies inside the pruned machine `sub` below.  When
-    `sub` synchronizes, every cycle under 0 is the one fixed point that
-    0^level leads to, so the repeat the seed walk stops at is the state
-    _core_at(sub) closes from, and its closure is that core: the
-    same configurations under the same names, hence the same reduction.
-    Any other outcome of the shortcut (every seed walk refused, the
-    pending-word bound exceeded, a digit refused in the closure, a
-    closure that does not synchronize, a failed product check) leaves
-    the answer and its refusal text to the full exploration."""
-    d = _one_seed_inverse(c)
-    if d is not None:
-        return d
+    exploration, so it lies inside the pruned machine `sub` of the full
+    run.  When `sub` synchronizes, every cycle under 0 is the one fixed
+    point that 0^level leads to, so the repeat the seed walk stops at is
+    the state _core_at(sub) closes from, and its closure is that core:
+    the same configurations under the same names, hence the same
+    reduction.  Any other outcome of the one-seed run (every seed walk
+    refused, the pending-word bound exceeded, a digit refused in the
+    closure, a closure that does not synchronize, a failed product
+    check) leaves the answer and its refusal text to the full run."""
+    view = _View(c)
+    repeat = _zero_repeat_config(view)
+    if repeat is not None:
+        try:
+            return _inverse_from(c, view, [repeat], prune=False)
+        except NotInvertible:
+            pass
     seeds = [(i, EMPTY) for i in range(len(c.states))]
-    states, trans = _explore(_View(c), c.n, seeds, range(c.n), prune=True)
+    return _inverse_from(c, view, seeds, prune=True)
+
+
+def _inverse_from(c, view, seeds, prune):
+    """The inverse core of c from the configurations `seeds` of c's view:
+    _explore's configuration machine, pruned when `prune` is set, its
+    core reduced and both products with c checked by the lag walk; a
+    failed step is refused with NotInvertible.  Unpruned, the seed is a
+    configuration 0 leads back to, so a closure that synchronizes is its
+    own core (0 fixes the seed, which every configuration reaches by
+    0s) and is reduced without _core_at."""
+    states, trans = _explore(view, c.n, seeds, range(c.n), prune)
     if not states:
         raise NotInvertible(
             "not invertible: no configuration of the inverse accepts "
@@ -354,7 +367,7 @@ def _invert_minimal_core(c):
     if sync_level(sub) is None:
         raise NotInvertible("inverse dynamics do not synchronize")
     # the core of a synchronizing machine, and its reduction, synchronize
-    d = _reduce(_core_at(sub))
+    d = _reduce(_core_at(sub) if prune else sub)
     if not _product_is_identity(c, d) or not _product_is_identity(d, c):
         raise NotInvertible(
             "round-trip verification failed: core products are not trivial"
@@ -362,49 +375,29 @@ def _invert_minimal_core(c):
     return d
 
 
-def _one_seed_inverse(c):
-    """The reduced closure of the first configuration that repeats when
-    a seed (q, empty) reads 0s, verified as c's inverse core, or None
-    when no seed gives one."""
-    view = _View(c)
-    repeat = _zero_repeat_config(view)
-    if repeat is None:
-        return None
-    try:
-        states, trans = _explore(view, c.n, [repeat], range(c.n),
-                                 prune=False)
-    except NotInvertible:
-        return None
-    closure = Transducer(c.n, None, CORE, sorted(states, key=str), None,
-                         trans)
-    if sync_level(closure) is None:
-        return None
-    d = _reduce(closure)
-    if not _product_is_identity(c, d) or not _product_is_identity(d, c):
-        return None
-    return d
-
-
 def _zero_repeat_config(view):
     """The first configuration (state number, pending word) that repeats
-    when the seeds (i, empty) read 0s, tried in state order until one
-    walk meets no refusal; None when every walk is refused or a pending
-    word exceeds _explore's bound, past which the walk need not end."""
+    when a seed (i, empty) reads 0s, from the first seed, in state
+    order, whose walk meets no refusal; None when every walk is refused.
+    Each walk is one _first_repeat.  A step whose pending word exceeds
+    _explore's bound, past which the walk need not end, leads to None,
+    which leads to itself, so exceeding the bound ends the whole search
+    with None."""
     viable = _viability(view)
     bound = _pending_bound(view)
+
+    def zero(config):
+        if config is None:
+            return None
+        i, u = config
+        config = _advance(view, viable, i, u + (0,))[1]
+        return config if len(config[1]) <= bound else None
+
     for i in range(len(view.states)):
-        config = (i, EMPTY)
-        walked = set()
         try:
-            while config not in walked:
-                walked.add(config)
-                j, u = config
-                config = _advance(view, viable, j, u + (0,))[1]
-                if len(config[1]) > bound:
-                    return None
+            return _first_repeat((i, EMPTY), zero)
         except NotInvertible:
             continue
-        return config
     return None
 
 

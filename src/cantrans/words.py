@@ -225,15 +225,23 @@ def validate_prefix_code(code, alphabet):
 
 
 def _rooted_in_range(code, alphabet):
-    """Whether every word of the code is a root letter of the alphabet
-    followed by digits below n: no word is empty, the first letters lie
-    in [-r, -1] and the others in [0, n)."""
-    if not all(code):
-        return False
-    heads = set(map(itemgetter(0), code))
-    tails = set(chain.from_iterable(map(itemgetter(slice(1, None)), code)))
-    return (min(heads) >= -alphabet.r and max(heads) < 0 and
-            (not tails or (min(tails) >= 0 and max(tails) < alphabet.n)))
+    """Whether every word of a nonempty code is a root letter of the
+    alphabet followed by digits below n: no word is empty, every word is
+    in range (see _words_in_range) and every first letter is below 0."""
+    return (all(code) and max(map(itemgetter(0), code)) < 0 and
+            _words_in_range(code, alphabet.n, alphabet.r))
+
+
+def _words_in_range(words, n, r):
+    """Whether each word is empty or a letter followed by digits below
+    n, the letter a digit below n or one of r root letters: the words
+    the shape and range checks pass.  Decided on two sets, of the first
+    letters and of the others."""
+    words = list(filter(None, words))
+    heads = set(map(itemgetter(0), words))
+    tails = set(chain.from_iterable(map(itemgetter(slice(1, None)), words)))
+    return ((not heads or (min(heads) >= -r and max(heads) < n)) and
+            (not tails or (min(tails) >= 0 and max(tails) < n)))
 
 
 def _first_comparable_pair(code):

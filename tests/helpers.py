@@ -48,7 +48,8 @@ from cantrans.minimize import _reduce, merge_equivalent_states, \
     remove_inaccessible, remove_incomplete_response
 from cantrans import fixtures
 from cantrans.randgen import random_gnr_element, random_transducer
-from cantrans.algebra import _pair_step
+from cantrans.algebra import _advance, _pair_step, _pending_bound, \
+    _product_is_identity, _viability
 from cantrans.synchro import _tracked_states
 
 
@@ -1022,6 +1023,126 @@ def name_keyed_invert_core(c):
     d = _reduce(level_core_at(sub, level))
     if not reduced_product_is_identity(c, d) \
             or not reduced_product_is_identity(d, c):
+        raise NotInvertible(
+            "round-trip verification failed: core products are not trivial"
+        )
+    return d
+
+
+def walked_zero_repeat_config(view):
+    """Oracle: synchro._zero_repeat_config as a hand-written walk per seed
+    that keeps the set of configurations it has met, and ends the whole
+    search with None as soon as a pending word exceeds the bound."""
+    viable = _viability(view)
+    bound = _pending_bound(view)
+    for i in range(len(view.states)):
+        config = (i, EMPTY)
+        walked = set()
+        try:
+            while config not in walked:
+                walked.add(config)
+                j, u = config
+                config = _advance(view, viable, j, u + (0,))[1]
+                if len(config[1]) > bound:
+                    return None
+        except NotInvertible:
+            continue
+        return config
+    return None
+
+
+def worklist_accepting(rows):
+    """Oracle: algebra._accepting as a worklist that drops the rows with
+    a missing transition, then everything leading to a dropped row,
+    until nothing changes."""
+    preds = [[] for _ in rows]
+    drop = []
+    for k, row in enumerate(rows):
+        for edge in row:
+            if edge is None:
+                drop.append(k)
+            else:
+                preds[edge[2]].append(k)
+    alive = [True] * len(rows)
+    while drop:
+        k = drop.pop()
+        if alive[k]:
+            alive[k] = False
+            drop.extend(preds[k])
+    return [k for k, ok in enumerate(alive) if ok]
+
+
+def _worklist_explore(view, n, seeds, prune):
+    """Oracle: algebra._explore over the digits, pruned by
+    worklist_accepting."""
+    viable = _viability(view)
+    bound = _pending_bound(view)
+    configs = list(seeds)
+    index = {c: k for k, c in enumerate(configs)}
+    rows = []
+    for i, u in configs:
+        row = []
+        for y in range(n):
+            try:
+                out, nxt = _advance(view, viable, i, u + (y,))
+            except NotInvertible:
+                if not prune:
+                    raise
+                row.append(None)
+                continue
+            if len(nxt[1]) > bound:
+                raise NotInvertible(
+                    "not invertible by finite transducer: pending word "
+                    f"exceeds bound {bound}: {format_word(nxt[1])!r} at "
+                    f"state {view.states[nxt[0]]!r}"
+                )
+            if nxt not in index:
+                index[nxt] = len(configs)
+                configs.append(nxt)
+            row.append((y, out, index[nxt]))
+        rows.append(row)
+    keep = worklist_accepting(rows) if prune else range(len(rows))
+    names = {k: (view.states[configs[k][0]], configs[k][1]) for k in keep}
+    trans = {(names[k], y): (out, names[tgt])
+             for k in keep for y, out, tgt in rows[k]}
+    return list(names.values()), trans
+
+
+def two_route_invert_core(c, one_seed=True):
+    """Oracle: invert_core as two hand-written routes, the one-seed
+    closure accepted when it synchronizes and passes both lag walks, and
+    otherwise (or with one_seed=False) the full exploration from every
+    (state, empty) seed, pruned, whose core is taken at its level."""
+    c = minimize(c)
+    if sync_level(c) is None:
+        raise NotSynchronizing("invert_core needs a synchronizing core")
+    view = _View(c)
+    repeat = walked_zero_repeat_config(view) if one_seed else None
+    if repeat is not None:
+        try:
+            states, trans = _worklist_explore(view, c.n, [repeat], False)
+        except NotInvertible:
+            states = None
+        if states is not None:
+            closure = Transducer(c.n, None, CORE, sorted(states, key=str),
+                                 None, trans)
+            if sync_level(closure) is not None:
+                d = _reduce(closure)
+                if _product_is_identity(c, d) and _product_is_identity(d, c):
+                    return d
+    seeds = [(i, EMPTY) for i in range(len(c.states))]
+    states, trans = _worklist_explore(view, c.n, seeds, True)
+    if not states:
+        raise NotInvertible(
+            "not invertible: no configuration of the inverse accepts "
+            "every continuation"
+        )
+    sub = Transducer(c.n, None, CORE, sorted(states, key=str), None, trans)
+    level = sync_level(sub)
+    if level is None:
+        raise NotInvertible("inverse dynamics do not synchronize")
+    d = _reduce(level_core_at(sub, level))
+    if not _product_is_identity(c, d) or not _product_is_identity(d, c):
         raise NotInvertible(
             "round-trip verification failed: core products are not trivial"
         )

@@ -5,13 +5,18 @@ _core_at takes the forward closure of the first state that the walk
 under 0 from the first tracked state meets twice.  On every machine
 that synchronizes, it equals the level-driven extraction it replaced
 (helpers.level_core_at), which reads `steps` zeros and shortcuts the walk
-by cycle arithmetic: the same states tuple, and the same transitions in
-the same order, at the machine's own level and at a larger one.
+by cycle arithmetic: the same states tuple and the same transitions, at
+the machine's own level and at a larger one.  Its table is in
+breadth-first order from the state 0 fixes, whatever the string hashing
+of the process: the oracle's, a set's order, is not.
 reachable and pre_root_states equal the queue-driven walks they
 replaced (helpers.queue_reachable, helpers.queue_pre_root_states), also
 on tables with missing transitions."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -19,6 +24,7 @@ from cantrans import (
     Alphabet,
     CORE,
     INITIAL,
+    InvalidTransducer,
     NotSynchronizing,
     Transducer,
     core_of,
@@ -30,6 +36,7 @@ from cantrans import (
 )
 from cantrans import synchro
 from cantrans.randgen import random_transducer
+from cantrans.machine import _bfs_order
 from cantrans.synchro import _core_at
 
 from helpers import balanced_powers, empty_output_chain, fixture_cores, \
@@ -38,16 +45,21 @@ from helpers import balanced_powers, empty_output_chain, fixture_cores, \
 
 
 def _same_core(t):
-    """_core_at(t) against level_core_at at t's level and past it."""
+    """_core_at(t) against level_core_at at t's level and past it, and
+    its table in walk order from the state 0 fixes."""
     level = sync_level(t)
     assert level is not None
     got = _core_at(t)
     for steps in (level, 2 * level + 3):
         want = level_core_at(t, steps)
         assert got.states == want.states
-        assert list(got.trans.items()) == list(want.trans.items())
+        assert got.trans == want.trans
         assert (got.n, got.r, got.mode, got.initial) == \
             (want.n, want.r, want.mode, want.initial)
+    fixed = [q for q in got.states if got.step(q, 0)[1] == q]
+    assert len(fixed) == 1
+    assert list(got.trans) == [(q, x) for q in _bfs_order(got, fixed[0])
+                               for x in range(got.n)]
     return got
 
 
@@ -102,13 +114,53 @@ def test_core_at_matches_level_core_at_on_configuration_machines(
         return real(t)
 
     cores = fixture_cores() + balanced_powers(3)
-    monkeypatch.setattr(synchro, "_one_seed_inverse", lambda c: None)
+    monkeypatch.setattr(synchro, "_zero_repeat_config", lambda view: None)
     monkeypatch.setattr(synchro, "_core_at", recording)
     for c in cores:
         invert_core(c)
     assert len(subs) == len(cores)
     for t in subs:
         _same_core(t)
+
+
+# a six-state core synchronizing at level 4, three of whose outputs
+# write the digit 5, out of range for n = 2
+SIX_STATES = {
+    ("a", 0): ((0,), "e"), ("a", 1): ((5,), "a"),
+    ("b", 0): ((0,), "f"), ("b", 1): ((1,), "a"),
+    ("c", 0): ((1,), "f"), ("c", 1): ((1,), "a"),
+    ("d", 0): ((5,), "d"), ("d", 1): ((1,), "b"),
+    ("e", 0): ((0,), "f"), ("e", 1): ((0,), "c"),
+    ("f", 0): ((5,), "d"), ("f", 1): ((0,), "b"),
+}
+
+
+def test_core_of_words_its_refusal_the_same_under_every_hash_seed():
+    """The extracted core's table is in walk order, so check_valid names
+    the bad outputs in one order whatever the string hashing."""
+    t = Transducer(2, None, CORE, list("abcdef"), None, SIX_STATES)
+    assert sync_level(t) == 4
+    assert len(_core_at(t).states) == 6
+    script = (
+        "from cantrans import CORE, InvalidTransducer, Transducer, core_of\n"
+        "from test_core_walks import SIX_STATES\n"
+        "try:\n"
+        "    core_of(Transducer(2, None, CORE, list('abcdef'), None,\n"
+        "                       SIX_STATES))\n"
+        "except InvalidTransducer as e:\n"
+        "    print(e)\n")
+    path = os.pathsep.join([os.path.dirname(__file__), *sys.path])
+    messages = set()
+    for seed in "123":
+        env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed)
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        messages.add(run.stdout)
+    with pytest.raises(InvalidTransducer) as err:
+        core_of(t)
+    assert messages == {f"{err.value}\n"}
+    assert str(err.value).count("uses digit 5 out of range") == 3
 
 
 def _random_table(rng):

@@ -35,12 +35,12 @@ from cantrans import (
     validate,
 )
 from cantrans import algebra, fixtures, machine
-from cantrans.algebra import _product_is_identity
+from cantrans.algebra import _accepting, _product_is_identity
 from cantrans.randgen import random_gnr_element, random_transducer
 
 from helpers import balanced_powers, count_calls, delayed_copy, \
     fixture_cores, name_keyed_invert, name_keyed_invert_core, random_bisync, \
-    reduced_product_is_identity, shuffled_relabel
+    reduced_product_is_identity, shuffled_relabel, worklist_accepting
 
 # the package's `minimize` attribute is the function, not the module
 minimize_module = importlib.import_module("cantrans.minimize")
@@ -89,7 +89,7 @@ def test_lag_walk_accepts_fixture_and_power_round_trips():
         assert _agree(c, d) and _agree(d, c)
     for a in _fixture_initials():
         m = minimize(a)
-        b = invert(a, verify=False)
+        b = invert(a)
         assert _agree(m, b) and _agree(b, m)
 
 
@@ -292,3 +292,36 @@ def test_verified_invert_builds_no_product(monkeypatch, name):
     # canonical_form calls and one identity_transducer call per inverse
     assert seen == []
 
+
+
+def _random_rows(rng, size, n, missing):
+    """Rows as _explore builds them: each letter an edge (letter,
+    output, target row) or None, None with probability `missing`."""
+    return [[None if rng.random() < missing
+             else (y, (y,), rng.randrange(size)) for y in range(n)]
+            for _ in range(size)]
+
+
+def test_accepting_matches_the_worklist_pruning():
+    rng = random.Random(1414)
+    tables = [[]]
+    for _ in range(400):
+        size, n = rng.randint(1, 12), rng.choice([2, 3])
+        tables.append(_random_rows(rng, size, n,
+                                   rng.choice([0, 0.05, 0.2, 0.5])))
+    # every row dead
+    tables += [_random_rows(rng, 6, 2, 1), [[None, (1, (1,), 0)]] * 3]
+    # two missing edges in one row
+    tables.append([[None, None], [(0, (0,), 0), (1, (1,), 1)]])
+    for rows in tables:
+        assert _accepting(rows) == worklist_accepting(rows)
+    # the cases seen: tables with no missing edge keep every row, tables
+    # where every row has a missing edge keep none, and rows miss two
+    complete = [rows for rows in tables if rows and all(map(all, rows))]
+    dead = [rows for rows in tables if rows and not any(map(all, rows))]
+    assert len(complete) > 50 and len(dead) > 10
+    assert all(_accepting(rows) == list(range(len(rows)))
+               for rows in complete)
+    assert not any(_accepting(rows) for rows in dead)
+    assert any(0 < len(_accepting(rows)) < len(rows) for rows in tables)
+    assert any(row.count(None) >= 2 for rows in tables for row in rows)

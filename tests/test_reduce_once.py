@@ -60,7 +60,7 @@ def test_compose_validates_the_product_once(monkeypatch):
 def test_invert_validates_its_input_and_the_inverse_once(monkeypatch):
     a = compose(*_gnr_pair(5))
     seen = count_calls(monkeypatch, machine, "validate")
-    invert(a, verify=False)
+    invert(a)
     assert len(seen) == 2
     assert seen[0] is a
     assert all(isinstance(q, tuple) for q in seen[1].states)

@@ -1,6 +1,6 @@
 """Typed refusals for degenerate arguments: machines without states, an
-initial machine whose only state is pre-root, and an order search cap
-that is not an integer."""
+initial machine whose only state is pre-root (neither has a tracked
+state), and an order search cap that is not an integer."""
 
 import pytest
 
@@ -21,7 +21,9 @@ from cantrans import (
     outer_product,
     parse,
     serialize,
+    sync_level,
     validate,
+    witness_pair,
 )
 from cantrans.document import HEADER
 
@@ -36,6 +38,12 @@ ROOT_LOOP = Transducer(2, 1, INITIAL, ["q0"], "q0",
      str(InvalidTransducer(validate(EMPTY_CORE)))),
     (lambda: core_of(ROOT_LOOP), InvalidTransducer,
      str(InvalidTransducer(validate(ROOT_LOOP)))),
+    (lambda: sync_level(EMPTY_CORE), InvalidTransducer, "no states"),
+    (lambda: sync_level(ROOT_LOOP), InvalidTransducer,
+     str(InvalidTransducer(validate(ROOT_LOOP)))),
+    (lambda: witness_pair(EMPTY_CORE), InvalidTransducer, "no states"),
+    (lambda: witness_pair(ROOT_LOOP), InvalidTransducer,
+     str(InvalidTransducer(validate(ROOT_LOOP)))),
     (lambda: core_product(EMPTY_CORE, identity_core(2)), TransducerError,
      "degenerate product"),
     (lambda: core_product(identity_core(2), EMPTY_CORE), TransducerError,
@@ -46,7 +54,9 @@ ROOT_LOOP = Transducer(2, 1, INITIAL, ["q0"], "q0",
      "cycle_balance expects a strongly connected core"),
     (lambda: parse(serialize(EMPTY_CORE)), ParseError,
      "line 0, column 0: invalid transducer: no states"),
-], ids=["core_of-empty", "core_of-root-loop", "product-empty-left",
+], ids=["core_of-empty", "core_of-root-loop", "sync_level-empty",
+        "sync_level-root-loop", "witness_pair-empty",
+        "witness_pair-root-loop", "product-empty-left",
         "product-empty-right", "outer-product-empty", "cycle_balance-empty",
         "serialize-empty"])
 def test_machines_without_states_are_refused(call, error, message):
