@@ -156,7 +156,7 @@ def embed_core(core, start=None):
     )
 
 
-def compose(a, b, *, reduce=True):
+def compose(a, b):
     """Product machine realizing x -> (x . a) . b, minimized.
 
     States are reachable pairs (state of a, state of b); reading x the
@@ -199,7 +199,7 @@ def compose(a, b, *, reduce=True):
             "degenerate product (second factor undefined on the first's "
             "image): " + "; ".join(bad)
         )
-    return _reduce(raw) if reduce else raw
+    return _reduce(raw)
 
 
 def from_prefix_code_map(pm, alphabet):
@@ -515,11 +515,7 @@ def invert(a):
     if a.mode != INITIAL:
         raise TransducerError("invert expects an initial-mode machine; "
                               "invert_core handles cores")
-    return _invert_minimal(minimize(a))
-
-
-def _invert_minimal(a):
-    """invert for a machine that is already minimal."""
+    a = minimize(a)
     view = _View(a)
     roots = tuple(-(k + 1) for k in range(a.r))
     states, trans = _explore(view, a.n, [(view.index[a.initial], EMPTY)],

@@ -19,42 +19,27 @@ from dataclasses import dataclass
 
 from .machine import CORE, TransducerError, canonical_form
 from .minimize import minimize
-from .synchro import NotSynchronizing, _bisync_minimal, _core_at, \
-    _valid_core, _valid_core_product, core_of, core_product, \
-    is_bisynchronizing, is_identity_core, sync_level
-
-
-def _minimal_core(t):
-    """Core of the minimal machine for t (t may already be a core)."""
-    return core_of(minimize(t))
+from .synchro import NotSynchronizing, _core_at, _valid_core_product, \
+    core_of, core_product, is_bisynchronizing, is_identity_core, sync_level
 
 
 def is_in_Gnr(t):
     """Membership in the prefix-exchange group: the minimal machine is
-    bi-synchronizing and its core is the single identity-echo state."""
-    return _in_Gnr_minimal(minimize(t))
-
-
-def _in_Gnr_minimal(m):
-    """is_in_Gnr for a machine that is already minimal.  Once the
-    bi-synchronizing test passes, m synchronizes, and _core_at takes its
-    core without a level, so m is collapsed once."""
-    return _bisync_minimal(m)[0] and is_identity_core(_core_at(m))
+    bi-synchronizing and its core is the single identity-echo state.
+    Once the bi-synchronizing test passes, the minimal machine
+    synchronizes, and _core_at takes its core without a level, so it is
+    collapsed once."""
+    m = minimize(t)
+    return is_bisynchronizing(m)[0] and is_identity_core(_core_at(m))
 
 
 def outer_class_equal(a, b):
-    """Same outer class: the minimal cores are strongly isomorphic."""
-    return _outer_class_equal(a, b, minimize)
-
-
-def _outer_class_equal(a, b, reduce):
-    """outer_class_equal with `reduce` in place of minimize, such as
-    _reduce for machines already validated.  The alphabets are compared
-    before either machine is reduced."""
+    """Same outer class: the minimal cores are strongly isomorphic.  The
+    alphabets are compared before either machine is minimized."""
     if a.n != b.n:
         raise TransducerError("alphabet mismatch")
-    return canonical_form(_valid_core(reduce(a))) == \
-        canonical_form(_valid_core(reduce(b)))
+    return canonical_form(core_of(minimize(a))) == \
+        canonical_form(core_of(minimize(b)))
 
 
 def outer_product(a, b):
@@ -75,12 +60,7 @@ def order_in_On(a, cap=64):
     if not isinstance(cap, int) or cap < 1:
         raise TransducerError(
             f"order search cap must be an integer >= 1, got {cap!r}")
-    return _order_minimal(minimize(a), cap)
-
-
-def _order_minimal(a, cap):
-    """order_in_On for a minimal core-mode machine and a cap >= 1, such
-    as the reduced core of a document that parse has validated."""
+    a = minimize(a)
     if sync_level(a) is None:
         raise NotSynchronizing("order search needs a synchronizing core")
     # powers of a synchronizing core synchronize (see core_product), and
@@ -228,11 +208,13 @@ def classify_subgroup(t):
     to talk about and this raises).  in_Pn means the core is synchronous
     (single-letter outputs); in_Ln means the core is cycle-balanced, the
     criterion this library uses for the bi-Lipschitz subgroup; in_Gnr
-    means the core is the one-state identity."""
-    ok, level = is_bisynchronizing(t)
+    means the core is the one-state identity.  t is minimized once;
+    is_bisynchronizing and core_of take the minimal machine as it is."""
+    m = minimize(t)
+    ok, level = is_bisynchronizing(m)
     if not ok:
         raise NotSynchronizing("map is not bi-synchronizing")
-    core = _minimal_core(t)
+    core = core_of(m)
     balanced, witness = cycle_balance(core)
     return SubgroupFlags(
         in_Gnr=is_identity_core(core),

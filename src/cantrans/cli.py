@@ -15,19 +15,18 @@ import sys
 
 from .words import Alphabet, EventuallyPeriodicPoint, WordError, format_word
 from .machine import CORE, TransducerError, canonical_form, eval_point
-from .minimize import _reduce
+from .minimize import minimize
 from .algebra import (
     NotInvertible,
     PrefixCodeMap,
-    _invert_minimal,
     compose,
     from_prefix_code_map,
     invert,
     twist_transducer,
 )
-from .synchro import _core_at, _valid_core, sync_level, witness_pair
-from .classify import _in_Gnr_minimal, _order_minimal, \
-    _outer_class_equal, classify_subgroup
+from .synchro import _core_at, core_of, sync_level, witness_pair
+from .classify import classify_subgroup, is_in_Gnr, order_in_On, \
+    outer_class_equal
 from .document import ParseError, parse, parse_prefix_map, serialize
 from .randgen import RejectionBudgetExceeded, random_gnr_element, \
     random_transducer
@@ -197,15 +196,16 @@ def _dispatch(args):
         print(f"valid: {len(t.states)} states")
         return 0
 
-    # parse validates, so the verbs reduce what it returns with _reduce
-    # and call the library's entry points for minimal machines, sync takes
-    # the core at the level it has, and no core is checked again
+    # the verbs call the library's public functions: parse marks the
+    # machine it returns valid and the reduction marks what it builds
+    # minimal, so no machine is validated or reduced twice; sync takes
+    # the core at the level it has
     if args.command == "minimize":
-        _write(args.output, serialize(_reduce(_load(args.file))))
+        _write(args.output, serialize(minimize(_load(args.file))))
         return 0
 
     if args.command == "canon":
-        print(canonical_form(_reduce(_load(args.file))).decode())
+        print(canonical_form(minimize(_load(args.file))).decode())
         return 0
 
     if args.command == "eval":
@@ -223,10 +223,7 @@ def _dispatch(args):
         return 0
 
     if args.command == "invert":
-        t = _load(args.file)
-        # invert refuses a core with its own message
-        inverse = invert(t) if t.mode == CORE else _invert_minimal(_reduce(t))
-        _write(args.output, serialize(inverse))
+        _write(args.output, serialize(invert(_load(args.file))))
         return 0
 
     if args.command == "sync":
@@ -242,11 +239,11 @@ def _dispatch(args):
         return 0
 
     if args.command == "core":
-        _write(args.output, serialize(_valid_core(_load(args.file))))
+        _write(args.output, serialize(core_of(_load(args.file))))
         return 0
 
     if args.command == "member":
-        yes = _in_Gnr_minimal(_reduce(_load(args.file)))
+        yes = is_in_Gnr(_load(args.file))
         print("yes" if yes else "no")
         return 0 if yes else 1
 
@@ -261,14 +258,13 @@ def _dispatch(args):
     if args.command == "order":
         t = _load(args.file)
         if t.mode != CORE:
-            t = _valid_core(_reduce(t))
-        kind, k = _order_minimal(_reduce(t), args.cap)
+            t = core_of(minimize(t))
+        kind, k = order_in_On(t, args.cap)
         print(kind if k is None else f"{kind} {k}")
         return 0
 
     if args.command == "outer-eq":
-        same = _outer_class_equal(_load(args.first), _load(args.second),
-                                  _reduce)
+        same = outer_class_equal(_load(args.first), _load(args.second))
         print("equal" if same else "different")
         return 0 if same else 1
 

@@ -16,7 +16,8 @@ Prefix-code maps are lines `eta -> zeta`, one cone pair per line.
 Parsing is one pass over the lines, each split once.  Token columns are
 found only for the line an error is raised on, each distinct letter
 token and each distinct output is parsed once per document, and the
-machine is validated once.
+machine is validated once; the machine returned is marked valid, so
+library calls on it do not validate it again.
 """
 
 import re
@@ -25,7 +26,7 @@ from itertools import repeat
 from .words import EMPTY, WordError, check_word_shape, format_letter, \
     format_word, is_root, parse_letter
 from .machine import CORE, INITIAL, Transducer, TransducerError, \
-    _bfs_order, validate
+    _VALID, _bfs_order, validate
 
 HEADER = "cantor-transducer 1"
 
@@ -180,6 +181,7 @@ def parse(text):
                     break
             notes.append(f"line {line}: {msg}" if line else msg)
         raise ParseError(0, 0, "invalid transducer: " + "; ".join(notes))
+    t._know(_VALID)
     return t
 
 

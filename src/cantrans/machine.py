@@ -14,7 +14,9 @@ Two flavours share one type:
   ignored by canonical forms.
 
 Transducers are immutable after construction; all operations here are
-pure functions.
+pure functions.  A machine's private `_known` slot records what is known
+of it: nothing, that it is valid (see check_valid), or that it is
+minimal (see minimize._reduce).
 """
 
 from itertools import chain, compress, count, product, repeat
@@ -38,6 +40,10 @@ from .words import (
 INITIAL = "initial"
 CORE = "core"
 
+# what a machine's `_known` slot records, besides None (nothing)
+_VALID = "valid"
+_MINIMAL = "minimal"
+
 
 class TransducerError(ValueError):
     pass
@@ -56,7 +62,7 @@ class UnboundedOutput(TransducerError):
 
 
 class Transducer:
-    __slots__ = ("n", "r", "mode", "states", "initial", "trans")
+    __slots__ = ("n", "r", "mode", "states", "initial", "trans", "_known")
 
     def __init__(self, n, r, mode, states, initial, trans):
         """trans maps (state, letter) -> (output word, target state)."""
@@ -78,19 +84,25 @@ class Transducer:
         object.__setattr__(
             self, "trans", {k: (tuple(w), q) for k, (w, q) in trans.items()}
         )
+        object.__setattr__(self, "_known", None)
 
     @classmethod
-    def _own(cls, n, r, mode, states, initial, trans):
+    def _own(cls, n, r, mode, states, initial, trans, known):
         """A machine on a table that library code has just built from a
         valid machine's parts: `states` a tuple and `trans` a dict of
         (word tuple, target) values, both taken as they are and owned by
-        the machine from here on.  The public constructor's checks and
-        its copy of every transition are skipped."""
+        the machine from here on, and `known` what its builder knows of
+        it (None, _VALID or _MINIMAL).  The public constructor's checks
+        and its copy of every transition are skipped."""
         t = object.__new__(cls)
         for slot, value in zip(cls.__slots__,
-                               (n, r, mode, states, initial, trans)):
+                               (n, r, mode, states, initial, trans, known)):
             object.__setattr__(t, slot, value)
         return t
+
+    def _know(self, fact):
+        """Record `fact` in the `_known` slot."""
+        object.__setattr__(self, "_known", fact)
 
     def __setattr__(self, *_):
         raise AttributeError("Transducer is immutable")
@@ -330,9 +342,14 @@ def _epsilon_cycle(t):
 
 
 def check_valid(t):
-    violations = validate(t)
-    if violations:
-        raise InvalidTransducer(violations)
+    """t itself when validate finds nothing, else InvalidTransducer with
+    the violations.  A pass is recorded on t, whose table never changes,
+    so a machine known to be valid returns at once."""
+    if t._known is None:
+        violations = validate(t)
+        if violations:
+            raise InvalidTransducer(violations)
+        t._know(_VALID)
     return t
 
 

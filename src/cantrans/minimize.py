@@ -30,6 +30,8 @@ from .machine import (
     Transducer,
     TransducerError,
     check_valid,
+    _MINIMAL,
+    _VALID,
     _View,
     _bfs,
     _guaranteed_output,
@@ -86,12 +88,16 @@ def merge_equivalent_states(t):
     rows, initial = _merge(view, t)
     if len(rows) == len(t.states):
         return t
-    return _build(t.n, t.r, t.mode, view, rows, view.states, initial)
+    return _build(t.n, t.r, t.mode, view, rows, view.states, initial, None)
 
 
 def minimize(t):
     """Full pipeline; the result is minimal and canonically relabeled
-    (states s0, s1, ... in breadth-first order from the entry state)."""
+    (states s0, s1, ... in breadth-first order from the entry state).  A
+    machine marked minimal (see _reduce) is returned as it is: reducing
+    it again gives the same machine."""
+    if t._known == _MINIMAL:
+        return t
     return _reduce(check_valid(t))
 
 
@@ -100,7 +106,9 @@ def _reduce(t):
     just validated: the three steps and the relabel in one pass over one
     view.  Reachability is a walk on that view's state numbers, and a
     sub-view is built only when some state is unreachable.  Completed
-    responses leave no guaranteed output to check before merging."""
+    responses leave no guaranteed output to check before merging.  The
+    result is marked minimal, or only valid when _core_order numbers a
+    core by name."""
     view = _View(t)
     if t.mode == INITIAL:
         reached = _bfs(view.targets, view.index[t.initial])
@@ -109,11 +117,12 @@ def _reduce(t):
     _complete_responses(view, _entry(view, t))
     rows, initial = _merge(view, t)
     if t.mode == INITIAL:
-        order = _bfs(rows, initial)
+        order, walked = _bfs(rows, initial), True
     else:
-        order = _core_order(rows, lambda i: str(view.states[i]))
+        order, walked = _core_order(rows, lambda i: str(view.states[i]))
     names = dict(zip(order, map("s{}".format, count())))
-    return _build(t.n, t.r, t.mode, view, rows, names, initial)
+    return _build(t.n, t.r, t.mode, view, rows, names, initial,
+                  _MINIMAL if walked else _VALID)
 
 
 def _reduce_core_rows(view, n):
@@ -138,9 +147,10 @@ def _reduce_core_rows(view, n):
         rep = list(map(least.__getitem__, colour))
         rows = {r: tuple(map(rep.__getitem__, view.targets[r]))
                 for r in reps}
-    order = _core_order(rows, names.__getitem__)
+    order, walked = _core_order(rows, names.__getitem__)
     named = dict(zip(order, map("s{}".format, count())))
-    return _build(n, None, CORE, view, rows, named, None)
+    return _build(n, None, CORE, view, rows, named, None,
+                  _MINIMAL if walked else _VALID)
 
 
 def _kept(t):
@@ -206,30 +216,32 @@ def _merge(view, t):
 
 
 def _core_order(rows, name):
-    """Deterministic numbering of a core's quotient: breadth-first from
-    the least-named state that reaches the whole machine, else by name
-    (`name` maps a state number to its str name; names need only be
-    reproducible for a given input; isomorphism-invariant equality is
-    canonical_form's job, which ignores names).  The states are sorted
-    by name only when the walk from the least one misses a state, which
-    on a strongly connected quotient, such as a core's, it never does."""
+    """Deterministic numbering of a core's quotient, and whether it is a
+    walk: breadth-first from the least-named state that reaches the
+    whole machine, else by name (`name` maps a state number to its str
+    name; names need only be reproducible for a given input;
+    isomorphism-invariant equality is canonical_form's job, which
+    ignores names).  The states are sorted by name only when no state
+    reaches every other.  Renamed s0, s1, ..., a walk's order comes out
+    again from s0, but not a sort of more than ten (s10 before s2)."""
     order = _bfs(rows, min(rows, key=name))
     if len(order) == len(rows):
-        return order
+        return order, True
     by_name = sorted(rows, key=name)
     for start in by_name[1:]:
         order = _bfs(rows, start)
         if len(order) == len(rows):
-            return order
-    return by_name
+            return order, True
+    return by_name, False
 
 
-def _build(n, r, mode, view, rows, names, initial):
+def _build(n, r, mode, view, rows, names, initial, known):
     """The Transducer of quotient rows on the alphabet (n, r) in `mode`,
-    each state k named names[k].  Its table is zipped from whole
-    columns: (name, letter) keys from the names repeated along their
-    letters, and (output, target name) values; the machine takes the
-    table as built, without the public constructor's copy."""
+    each state k named names[k], marked with `known` (see
+    Transducer._own).  Its table is zipped from whole columns: (name,
+    letter) keys from the names repeated along their letters, and
+    (output, target name) values; the machine takes the table as built,
+    without the public constructor's copy."""
     reps = list(rows)
     named = list(map(names.__getitem__, reps))
     letters = list(map(view.letters.__getitem__, reps))
@@ -239,4 +251,4 @@ def _build(n, r, mode, view, rows, names, initial):
                  map(names.__getitem__, chain.from_iterable(rows.values())))
     return Transducer._own(n, r, mode, tuple(named),
                            None if initial is None else names[initial],
-                           dict(zip(keys, values)))
+                           dict(zip(keys, values)), known)

@@ -11,9 +11,9 @@ from itertools import chain
 
 from .words import EMPTY, format_letter
 from .machine import CORE, InvalidTransducer, Transducer, TransducerError, \
-    check_valid, validate, _View, _bfs_order, _first_repeat
+    check_valid, validate, _VALID, _View, _bfs_order, _first_repeat
 from .minimize import _reduce, _reduce_core_rows, minimize
-from .algebra import NotInvertible, _advance, _explore, _invert_minimal, \
+from .algebra import NotInvertible, invert, _advance, _explore, \
     _pending_bound, _product_is_identity, _viability
 
 
@@ -117,16 +117,12 @@ def core_of(t):
     the state that digit 0 fixes (see _core_at).  The result is a
     core-mode machine on the original state names, strongly connected
     and closed.  It is checked with check_valid, which refuses with
-    InvalidTransducer the core of a machine that was itself invalid."""
-    return check_valid(_valid_core(t))
-
-
-def _valid_core(t):
-    """core_of for a valid machine, whose core is valid by construction
-    (see _core_at) and is not checked again."""
+    InvalidTransducer the core of a machine that was itself invalid, and
+    returns at once for the core of a machine known to be valid (see
+    _core_at)."""
     if sync_level(t) is None:
         raise NotSynchronizing("machine is not synchronizing; it has no core")
-    return _core_at(t)
+    return check_valid(_core_at(t))
 
 
 def _core_at(t):
@@ -145,14 +141,14 @@ def _core_at(t):
     into the kept set, writes letters of a core, and an edge that writes
     nothing only lengthens the pending word, so no empty-output cycle
     closes.  The closure's table is t's own transitions, so the machine
-    takes it without the public constructor's copy; core_of checks the
-    result when t itself may be invalid.  t must have a tracked state,
-    which _collapse checks."""
+    takes it without the public constructor's copy.  It is marked valid
+    when t is known to be valid; otherwise core_of checks it.  t must
+    have a tracked state, which _collapse checks."""
     start = _first_repeat(_tracked_states(t)[0], lambda q: t.step(q, 0)[1])
     order = _bfs_order(t, start)
     trans = {(p, x): t.step(p, x) for p in order for x in range(t.n)}
     return Transducer._own(t.n, None, CORE, tuple(sorted(order, key=str)),
-                           None, trans)
+                           None, trans, _VALID if t._known else None)
 
 
 def _pair_core(a, b):
@@ -257,10 +253,10 @@ def core_product(a, b):
     complete, it writes b's digits, and an empty-output cycle in it would
     need one in a (when a writes nothing along it) or in b (which then
     reads a's nonempty writing around a cycle and writes nothing).  So
-    the factors are validated, and the pair machine only when one of
-    them fails.  The result is _pair_core's rows, reduced on their pair
-    numbers, and equals minimize of that named pair machine (same
-    states, names and table).  It is strongly connected: the closure is
+    a factor not known to be valid is validated, and the pair machine
+    only when one of them fails.  The result is _pair_core's rows,
+    reduced on their pair numbers, and equals minimize of that named
+    pair machine (same states, names and table).  It is strongly connected: the closure is
     the core of a synchronizing machine, and merging states keeps every
     path."""
     if a.mode != CORE or b.mode != CORE:
@@ -272,7 +268,7 @@ def core_product(a, b):
     if sync_level(a) is None or sync_level(b) is None:
         raise NotSynchronizing("core product of a non-synchronizing core")
     view = _pair_core(a, b)
-    if validate(a) or validate(b):
+    if any(t._known is None and validate(t) for t in (a, b)):
         try:
             check_valid(_pair_machine(view, a.n))
         except InvalidTransducer as e:
@@ -407,17 +403,12 @@ def is_bisynchronizing(t):
     An inversion failure means the map is no homeomorphism (or the core
     no invertible class), so the answer is (False, None) rather than an
     error."""
-    return _bisync_minimal(minimize(t))
-
-
-def _bisync_minimal(m):
-    """is_bisynchronizing for a machine that is already minimal."""
+    m = minimize(t)
     fwd = sync_level(m)
     if fwd is None:
         return False, None
     try:
-        inv = (_invert_minimal_core(m) if m.mode == CORE
-               else _invert_minimal(m))
+        inv = _invert_minimal_core(m) if m.mode == CORE else invert(m)
     except NotInvertible:
         return False, None
     bwd = sync_level(inv)

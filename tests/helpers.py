@@ -222,12 +222,54 @@ def queue_pre_root_states(t):
     return seen
 
 
+def unreduced_compose(a, b):
+    """Oracle: compose without its reduction.  The pair machine on the
+    pairs (state of a, state of b) reachable from the entry pair, or on
+    all pairs in core mode, named by the pairs and sorted by str; reading
+    x a pair emits what b writes on reading what a wrote.  It is
+    validated, and a degenerate one refused, as compose refuses it."""
+    if a.mode != b.mode:
+        raise TransducerError("mode mismatch in composition")
+    if a.n != b.n or a.r != b.r:
+        raise TransducerError("alphabet mismatch in composition")
+    if a.mode == INITIAL:
+        seeds = [(a.initial, b.initial)]
+    else:
+        seeds = [(p, q) for p in a.states for q in b.states]
+    seen = set(seeds)
+    todo = deque(seeds)
+    trans = {}
+    while todo:
+        pair = todo.popleft()
+        pa, pb = pair
+        for x in a.input_letters(pa):
+            w, ta = a.step(pa, x)
+            out, tb = run_word(b, pb, w)
+            trans[(pair, x)] = (out, (ta, tb))
+            if (ta, tb) not in seen:
+                seen.add((ta, tb))
+                todo.append((ta, tb))
+    if a.mode == INITIAL or (a.initial is not None and
+                             b.initial is not None):
+        initial = (a.initial, b.initial)
+    else:
+        initial = None
+    raw = Transducer(a.n, a.r, a.mode, sorted(seen, key=str), initial, trans)
+    bad = validate(raw)
+    if bad:
+        raise TransducerError(
+            "degenerate product (second factor undefined on the first's "
+            "image): " + "; ".join(bad)
+        )
+    return raw
+
+
 def full_pair_core_product(a, b):
     """Oracle: the core product through the whole pair product.  Composes
     over all |a|*|b| pairs, completes responses and merges states there,
     then reads k(k-1)/2+1 zeros, past any collapse level on k states, to
     land in the core, and minimizes it."""
-    raw = compose(a, b, reduce=False)
+    raw = unreduced_compose(a, b)
     reduced = merge_equivalent_states(remove_incomplete_response(raw))
     k = len(reduced.states)
     core = minimize(level_core_at(reduced, k * (k - 1) // 2 + 1))

@@ -25,6 +25,8 @@ from cantrans import (
 from cantrans.fixtures import sample_3_2, torsion_core_2
 from cantrans.randgen import random_gnr_element, random_prefix_code_map
 
+from helpers import unreduced_compose
+
 w = parse_word
 A21 = Alphabet(2, 1)
 A32 = Alphabet(3, 2)
@@ -175,7 +177,7 @@ def test_core_containment_in_pair_product():
     for seed in range(6):
         a = compose(sample_3_2(), random_gnr_element(A32, seed))
         b = compose(random_gnr_element(A32, 60 + seed), sample_3_2())
-        raw = compose(minimize(a), minimize(b), reduce=False)
+        raw = unreduced_compose(minimize(a), minimize(b))
         core_raw = core_of(raw)
         ca = set(core_of(minimize(a)).states)
         cb = set(core_of(minimize(b)).states)

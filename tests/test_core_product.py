@@ -7,9 +7,9 @@ powers, products of fixture cores with each other and with their
 inverses, seeded random cores and shuffled relabels; every product is
 strongly connected (core_product does not check it).  The kernel's named
 closure is the raw product's core, and it is valid whenever both factors
-are, so validate sees only the factors; factors that fail validate get
-the old path's machine or refusal, and non-synchronizing factors are
-refused."""
+are, so validate sees only the factors not known to be valid; factors
+that fail validate get the old path's machine or refusal, and
+non-synchronizing factors are refused."""
 
 import random
 
@@ -22,7 +22,6 @@ from cantrans import (
     Transducer,
     TransducerError,
     canonical_form,
-    compose,
     core_of,
     core_product,
     identity_core,
@@ -40,7 +39,7 @@ from cantrans.synchro import _pair_core, _pair_machine
 from helpers import attractor_core_product, count_calls, fixture_cores, \
     full_pair_core_product, multi_core_bisync, non_synchronizing_core, \
     product_attractor, random_synchronizing, shuffled_relabel, \
-    strongly_connected
+    strongly_connected, unreduced_compose
 
 
 def _outcome(f, a, b):
@@ -161,7 +160,7 @@ def test_attractor_is_the_raw_products_core():
               (core_product(a, a), a), (a, core_product(a, a))]
     for x, y in pairs:
         lazy = _pair_machine(_pair_core(x, y), x.n)
-        core = core_of(compose(x, y, reduce=False))
+        core = core_of(unreduced_compose(x, y))
         assert set(lazy.states) == set(core.states)
         assert lazy.trans == core.trans
         named = product_attractor(x, y)
@@ -170,13 +169,18 @@ def test_attractor_is_the_raw_products_core():
 
 
 def test_pair_machine_is_validated_once(monkeypatch):
-    # valid factors make a valid pair machine, so only they are checked
+    # valid factors make a valid pair machine, so only they are checked,
+    # and factors known to be valid (minimal ones) not at all
     a = minimize(balanced_core_2())
     b = core_product(a, a)
     seen = count_calls(monkeypatch, machine, "validate")
-    core_product(b, a)
+    product = core_product(b, a)
+    assert seen == []
+    a2, b2 = (Transducer(c.n, None, CORE, c.states, None, c.trans)
+              for c in (a, b))
+    assert core_product(b2, a2).trans == product.trans
     assert len(seen) == 2
-    assert seen[0] is b and seen[1] is a
+    assert seen[0] is b2 and seen[1] is a2
 
 
 def _broken(core, rng):

@@ -23,7 +23,6 @@ from cantrans import (
     TransducerError,
     UnboundedOutput,
     canonical_form,
-    compose,
     core_of,
     core_product,
     eval_point,
@@ -51,7 +50,7 @@ from helpers import dict_initial_form, \
     random_points, rank_until_stable_refine, round_remap_collapse, \
     row_collapse, \
     shuffled_relabel, sorted_signature_core_form, strongly_connected, \
-    three_step_minimize
+    three_step_minimize, unreduced_compose
 
 ALPHABETS = (Alphabet(2, 1), Alphabet(3, 1), Alphabet(3, 2), Alphabet(4, 1))
 
@@ -136,7 +135,7 @@ def corpus(random_machines, balanced_powers, multi_cores):
     for a, b in zip(random_machines[::50], random_machines[1::50]):
         if (a.n, a.r) == (b.n, b.r):
             try:
-                machines.append(compose(a, b, reduce=False))
+                machines.append(unreduced_compose(a, b))
                 raw += 1
             except TransducerError:
                 pass

@@ -18,7 +18,7 @@ from cantrans import (
 from cantrans.randgen import random_transducer
 
 from helpers import brute_force_level, random_bisync, random_layered, \
-    random_synchronizing
+    random_synchronizing, unreduced_compose
 
 A21 = Alphabet(2, 1)
 A32 = Alphabet(3, 2)
@@ -110,7 +110,7 @@ def test_monoid_closure():
     for seed in range(10):
         a = random_synchronizing(A21, 3, 2, 92_000 + seed)
         b = random_synchronizing(A21, 3, 2, 93_000 + seed)
-        raw = compose(a, b, reduce=False)
+        raw = unreduced_compose(a, b)
         assert sync_level(raw) is not None
         try:
             assert sync_level(minimize(raw)) is not None

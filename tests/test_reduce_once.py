@@ -1,10 +1,12 @@
 """Each machine is validated and minimized once per operation: compose,
 invert and from_prefix_code_map validate the machine they build once,
-is_in_Gnr minimizes its input once and synchronizes each machine once,
-a core's synchronization level is computed once per classification and
-once per order search, degenerate constructions are still refused with
-their old types, and the bi-synchronizing verdicts equal the
-three-minimize path they replaced (kept in helpers.py as an oracle)."""
+invert validates an input not known to be valid once and a minimal one
+not at all, is_in_Gnr reduces its input once and synchronizes each
+machine once, a core's synchronization level is computed once per
+classification and once per order search, degenerate constructions are
+still refused with their old types, and the bi-synchronizing verdicts
+equal the three-minimize path they replaced (kept in helpers.py as an
+oracle)."""
 
 import importlib
 import random
@@ -32,6 +34,7 @@ from cantrans import (
     order_in_On,
     parse,
     random_prefix_code_map,
+    serialize,
 )
 from cantrans import algebra, fixtures, machine, synchro
 from cantrans.randgen import random_gnr_element
@@ -58,12 +61,18 @@ def test_compose_validates_the_product_once(monkeypatch):
 
 
 def test_invert_validates_its_input_and_the_inverse_once(monkeypatch):
+    # compose's result is known to be minimal, so only the inverse is
+    # validated; a copy through the public constructor is validated too
     a = compose(*_gnr_pair(5))
+    copy = Transducer(a.n, a.r, a.mode, a.states, a.initial, a.trans)
     seen = count_calls(monkeypatch, machine, "validate")
-    invert(a)
-    assert len(seen) == 2
-    assert seen[0] is a
-    assert all(isinstance(q, tuple) for q in seen[1].states)
+    inverse = invert(a)
+    assert len(seen) == 1
+    assert all(isinstance(q, tuple) for q in seen[0].states)
+    assert serialize(invert(copy)) == serialize(inverse)
+    assert len(seen) == 3
+    assert seen[1] is copy
+    assert all(isinstance(q, tuple) for q in seen[2].states)
 
 
 def test_from_prefix_code_map_validates_once(monkeypatch):
@@ -79,15 +88,18 @@ def test_from_prefix_code_map_validates_once(monkeypatch):
     minimize(fixtures.torsion_core_2()),
 ], ids=["gnr", "sample_3_2", "torsion_core_2"])
 def test_is_in_Gnr_minimizes_its_input_once(monkeypatch, t):
-    seen = count_calls(monkeypatch, minimize_module, "minimize")
+    seen = count_calls(monkeypatch, minimize_module, "_reduce")
     is_in_Gnr(t)
-    assert seen.count(t) == 1
-    # everything else minimized is a pair machine of invert_core's round
-    # trip (core mode only)
+    # a machine the reduction built is taken as it is, any other is
+    # reduced once
+    assert seen.count(t) == (0 if t._known == machine._MINIMAL else 1)
+    # everything else reduced is built by the inversion, on pairs (state,
+    # pending word): invert's one machine, or invert_core's configuration
+    # machines
     others = [m for m in seen if m is not t]
     assert all(isinstance(q, tuple) for m in others for q in m.states)
     if t.mode == INITIAL:
-        assert others == []
+        assert len(others) == 1
 
 
 @pytest.mark.parametrize("t", [
