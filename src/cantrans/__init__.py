@@ -42,6 +42,7 @@ from .minimize import (
     remove_incomplete_response,
 )
 from .algebra import (
+    NotInjective,
     NotInvertible,
     PrefixCodeMap,
     compose,
@@ -85,7 +86,8 @@ __all__ = [
     "guaranteed_output", "local_action", "run_word", "theta", "validate",
     "merge_equivalent_states", "minimize", "remove_inaccessible",
     "remove_incomplete_response",
-    "NotInvertible", "PrefixCodeMap", "compose", "embed_core",
+    "NotInjective", "NotInvertible", "PrefixCodeMap", "compose",
+    "embed_core",
     "from_prefix_code_map", "identity_core", "identity_transducer",
     "invert", "twist_transducer",
     "NotSynchronizing", "core_of", "core_product", "invert_core",

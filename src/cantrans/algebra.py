@@ -7,6 +7,8 @@ the library.
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate, chain, compress, count
+from operator import ne
 
 from .words import (
     EMPTY,
@@ -37,6 +39,22 @@ from .minimize import _reduce, minimize
 class NotInvertible(TransducerError):
     """The map has no inverse realized by a finite transducer within the
     pending-word bound (or is simply not a homeomorphism)."""
+
+
+class NotInjective(NotInvertible):
+    """Two different input words, read from one state, write the same
+    output and reach the same state, so every continuation of the two
+    has the same image: the map is not injective.  `state`, `words` (the
+    two words) and `output` are kept for a caller to walk again."""
+
+    def __init__(self, state, words, output):
+        self.state, self.words, self.output = state, words, output
+        first, second = map(format_word, words)
+        super().__init__(
+            f"not invertible: not injective: input words {first!r} and "
+            f"{second!r} from state {state!r} both write "
+            f"{format_word(output)!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -252,15 +270,19 @@ def from_prefix_code_map(pm, alphabet):
 def _pair_step(a, b):
     """The pair machine's transition, as compose reads it: the pair
     (p, q) reads x as a does, p -- x/w --> p', b reads w from q, and the
-    pair writes what b wrote and moves to (p', q')."""
+    pair writes what b wrote and moves to (p', q').  Transitions are
+    looked up in the tables directly; Transducer.step words the error of
+    a missing one."""
+    get_a, get_b = a.trans.get, b.trans.get
+
     def step(pair, x):
         p, q = pair
-        w, p = a.step(p, x)
-        out = []
+        w, p = get_a((p, x)) or a.step(p, x)
+        out = EMPTY
         for y in w:
-            v, q = b.step(q, y)
-            out.extend(v)
-        return tuple(out), (p, q)
+            v, q = get_b((q, y)) or b.step(q, y)
+            out += v
+        return out, (p, q)
 
     return step
 
@@ -295,11 +317,12 @@ def _product_is_identity(a, b):
         lag = _zeros_before_other(step, seed)
         if lag is None:
             return False
+    digits = range(a.n)
     lags = {seed: lag}
     todo = [seed]
     for pair in todo:
         u = lags[pair]
-        for x in a.input_letters(pair[0]):
+        for x in a.input_letters(pair[0]) if pair is seed else digits:
             w, tgt = step(pair, x)
             ux = u + (x,)
             if ux[:len(w)] != w:
@@ -331,96 +354,6 @@ def _zeros_before_other(step, pair):
         seen.add(pair)
 
 
-def _viability(view):
-    """Memoized test on a machine's integer view: can some infinite run
-    from state number i emit a string extending the word u?  Depth-first
-    search over (state number, unmatched rest of u) configurations with
-    an explicit stack, so long chains of empty-output transitions need no
-    recursion; a configuration already on the search path counts as a
-    dead end."""
-    outs, targets = view.outs, view.targets
-    cache = {}
-
-    def viable(i, u):
-        if not u:
-            return True
-        root = (i, u)
-        ok = cache.get(root)
-        if ok is not None:
-            return ok
-        busy = {root}
-        stack = [(root, zip(outs[i], targets[i]))]
-        ok = False  # once True, it holds for every configuration popped
-        while stack:
-            key, edges = stack[-1]
-            v = key[1]
-            child = None
-            if not ok:
-                for w, j in edges:
-                    m = len(w)
-                    if m >= len(v):
-                        if w[:len(v)] == v:
-                            ok = True
-                            break
-                    elif v[:m] == w:
-                        nxt = (j, v[m:])
-                        hit = cache.get(nxt)
-                        if hit:
-                            ok = True
-                            break
-                        if hit is None and nxt not in busy:
-                            child = nxt
-                            break
-            if child is not None:
-                busy.add(child)
-                j = child[0]
-                stack.append((child, zip(outs[j], targets[j])))
-                continue
-            stack.pop()
-            busy.discard(key)
-            cache[key] = ok
-        return ok
-
-    return viable
-
-
-def _advance(view, viable, i, u):
-    """Forced-emission step of the pending-suffix inversion: starting at
-    state number i of the view with the word u of inverse input not yet
-    matched, emit input letters of the machine as long as exactly one
-    admissible letter remains viable and its output is covered by u.
-    Returns (emitted, (i', u')).  Raises NotInvertible when no letter's
-    outputs are compatible with u (u lies off the image)."""
-    letters, outs, targets = view.letters, view.outs, view.targets
-    emitted = []
-    while True:
-        found = None
-        for x, w, j in zip(letters[i], outs[i], targets[i]):
-            m = len(w)
-            if u[:m] == w:
-                if not viable(j, u[m:]):
-                    continue
-                covered = True
-            elif m > len(u) and w[:len(u)] == u:
-                covered = False
-            else:
-                continue
-            if found is not None:
-                return tuple(emitted), (i, u)
-            found = (x, m, j, covered)
-        if found is None:
-            raise NotInvertible(
-                "not invertible by finite transducer: pending word "
-                f"{format_word(u)!r} extends no output from "
-                f"{view.states[i]!r}"
-            )
-        x, m, j, covered = found
-        if not covered:
-            return tuple(emitted), (i, u)
-        emitted.append(x)
-        i, u = j, u[m:]
-
-
 def _pending_bound(view):
     """|Q| * (1 + max output length): the longest pending word a finite
     inverse of the view's machine can need."""
@@ -428,61 +361,240 @@ def _pending_bound(view):
     return len(outs) * (1 + max(len(w) for row in outs for w in row))
 
 
-def _explore(view, n, seeds, start_letters, prune):
-    """The pending-word exploration behind invert and invert_core.
+class _RunSets:
+    """The states of a machine's inverse as sets of runs on the
+    machine's integer view, each built once (the pending-output subset
+    construction of Beal and Carton, 2002).
 
-    A configuration is (state number of the view, pending word): input
-    of the inverse read so far that the machine's emissions have not yet
-    covered.  Reading y appends it to the pending word and _advance
-    emits every forced letter.  The exploration runs breadth-first from
-    `seeds`; the first configuration reads `start_letters`, every other
-    one the n digits.  A pending word longer than |Q| * (1 + max output
-    length) means no finite inverse exists.
+    An output position is an edge with nonempty output and an offset
+    into that output; positions are numbered edge by edge, in state and
+    letter order.  A run is an item (position, delay): the run has
+    written everything before its position, and its delay is the input
+    it has read since the inverse last emitted, the position's edge
+    included.  A node is a set of runs, held as a tuple sorted by
+    position and numbered when it is first met.
 
-    A letter whose pending word extends no output raises NotInvertible,
-    unless `prune` is set: it then leaves the configuration without that
-    transition, and only the largest set of configurations with a
-    transition on every letter into the set is kept.  Returns the kept
-    configurations, named (state name, pending word), in the order they
-    were found, and their transitions."""
-    viable = _viability(view)
-    bound = _pending_bound(view)
-    digits = tuple(range(n))
-    configs = list(seeds)
-    index = {c: k for k, c in enumerate(configs)}
+    Reading a letter y keeps the runs whose next output letter is y.  A
+    run that writes the last letter of its edge goes on into the
+    target's frontier: the edges with nonempty output reached from the
+    target through empty-output edges, each at its first position, the
+    letters read on the way added to the delay.  A valid machine has no
+    empty-output cycle, so every frontier is finite.  The inverse then
+    emits the common prefix of all delays, but never the last letter of
+    a delay, whose edge is not yet written.  That is the rule of the
+    pending-word exploration this replaces: emit a letter while it is
+    the only one that a run consistent with the pending word reads, and
+    its edge's output is covered.  A letter that leaves no run is one
+    the pending word extends no output of.
+
+    Two runs of one node at one position have read two different words
+    to the position's state and written the same output, so the map is
+    not injective: NotInjective is raised at once, naming the state and
+    both words.  So a node holds at most one run per position.
+
+    Each node keeps one configuration (state number, pending word): the
+    state its first-met path of emissions reached, and the input of the
+    inverse those emissions have not covered.  The delays of the node
+    are read from that state; its pending word feeds the bound of
+    _pending_bound and the refusal texts."""
+
+    __slots__ = ("view", "letter", "after", "starts", "rows", "frontiers",
+                 "seeds", "index", "nodes", "reps", "bound")
+
+    def __init__(self, view):
+        self.view = view
+        words = list(chain.from_iterable(view.outs))
+        ends = list(accumulate(map(len, words)))
+        # edge e, in state and letter order, holds the positions from
+        # starts[e] up to starts[e + 1] (none when it writes nothing);
+        # state i's first edge is rows[i]
+        self.starts = [0, *ends]
+        self.rows = list(accumulate(map(len, view.letters), initial=0))
+        # per position: its output letter, and the next position on its
+        # edge, or ~target where the edge ends
+        self.letter = list(chain.from_iterable(words))
+        self.after = after = list(range(1, len(self.letter) + 1))
+        for end, w, j in zip(ends, words, chain.from_iterable(view.targets)):
+            if w:
+                after[end - 1] = ~j
+        self.frontiers = {}
+        self.seeds = {}
+        self.index = {}
+        self.nodes = []
+        self.reps = []
+        self.bound = _pending_bound(view)
+
+    def name(self, k):
+        """Node k's configuration by name: (state name, pending word)."""
+        i, u = self.reps[k]
+        return self.view.states[i], u
+
+    def seed(self, i):
+        """The node of configuration (state number i, empty): every run
+        from state i."""
+        k = self.seeds.get(i)
+        if k is None:
+            items = self.frontiers.get(i) or self._frontier(i)
+            k = self.seeds[i] = self._node(items, i, EMPTY)
+        return k
+
+    def step(self, k, y):
+        """(emitted word, node) when node k reads y, or None when no run
+        of k writes y next."""
+        letter, after = self.letter, self.after
+        hits = [(p, d) for p, d in self.nodes[k] if letter[p] == y]
+        if len(hits) == 1:
+            (p, d), = hits
+            q = after[p]
+            if q < 0:
+                # the only run ends its edge, having written the whole
+                # pending word: its delay is emitted, since the target
+                # reads n >= 2 letters and so its frontier's delays share
+                # no first letter, and the node is the target's seed
+                return d, self.seed(~q)
+            items = ((q, d),)
+            cut = len(d) - 1
+        elif not hits:
+            return None
+        else:
+            items, cut = self._spread(k, y, hits)
+        emitted = EMPTY
+        if cut:
+            emitted = items[0][1][:cut]
+            items = tuple([(q, d[cut:]) for q, d in items])
+        node = self.index.get(items)
+        if node is None:
+            i, u = self.reps[k]
+            u += (y,)
+            outs, targets = self.view.outs, self.view.targets
+            for x in emitted:
+                x = x if x >= 0 else ~x  # root letters -1, -2, ... at 0, 1, ...
+                u = u[len(outs[i][x]):]
+                i = targets[i][x]
+            node = self._node(items, i, u)
+        return emitted, node
+
+    def _spread(self, k, y, hits):
+        """The runs after node k's runs `hits` write y, as a tuple sorted
+        by position, and the length of their delays' common prefix that
+        is emitted."""
+        after, frontiers = self.after, self.frontiers
+        moved = {}
+        for p, d in hits:
+            q = after[p]
+            if q >= 0:
+                moved[q] = d
+                continue
+            # a run going on sits past its edge's first position, a run
+            # entering a frontier at one: only the latter meet
+            for q, path in frontiers.get(~q) or self._frontier(~q):
+                if q in moved:
+                    i, u = self.reps[k]
+                    raise self._clash(i, moved[q], d + path, u + (y,))
+                moved[q] = d + path
+        delays = moved.values()
+        lo, hi = min(delays), max(delays)
+        cut = 0
+        if lo[0] == hi[0]:
+            # the common prefix of lo and hi is that of every delay
+            cut = next(compress(count(), map(ne, lo, hi)), len(lo))
+            if cut == min(map(len, delays)):
+                cut -= 1
+        return tuple(sorted(moved.items())), cut
+
+    def _node(self, items, i, u):
+        """The number of the node of runs `items`, numbered now, with the
+        configuration (i, u), when it is new."""
+        k = self.index.get(items)
+        if k is None:
+            k = self.index[items] = len(self.nodes)
+            self.nodes.append(items)
+            self.reps.append((i, u))
+        return k
+
+    def _frontier(self, j):
+        """State number j's frontier as (position, delay) pairs sorted by
+        position, found by a depth-first walk along empty-output edges
+        with an explicit stack, so long chains of them need no
+        recursion."""
+        letters, targets = self.view.letters, self.view.targets
+        starts, rows = self.starts, self.rows
+        runs = {}
+        stack = [(j, EMPTY)]
+        while stack:
+            i, path = stack.pop()
+            e = rows[i]
+            for x, t, p, end in zip(letters[i], targets[i], starts[e:],
+                                    starts[e + 1:]):
+                walked = path + (x,)
+                if p == end:
+                    stack.append((t, walked))
+                elif p in runs:
+                    raise self._clash(j, runs[p], walked, EMPTY)
+                else:
+                    runs[p] = walked
+        runs = self.frontiers[j] = tuple(sorted(runs.items()))
+        return runs
+
+    def _clash(self, i, first, second, written):
+        """NotInjective for two runs from state number i at one position,
+        with delays `first` and `second`, that have written `written`:
+        both delays end with the letter of the position's edge."""
+        return NotInjective(self.view.states[i], (first[:-1], second[:-1]),
+                            written)
+
+
+def _explore(runs, seeds, first_letters, n, prune):
+    """The inverse's transitions on the nodes of `runs` reached from the
+    node numbers `seeds`, breadth-first: the first node reads
+    `first_letters`, every other one the n digits.  Returns the nodes in
+    the order found and one row per node, holding per letter (letter,
+    emitted word, number of the target's row).
+
+    A letter no run of a node writes next raises NotInvertible, naming
+    the node's configuration, unless `prune` is set: the row then holds
+    None for that letter (see _accepting).  A node whose configuration's
+    pending word is longer than |Q| * (1 + max output length) means no
+    finite inverse exists."""
+    reps, bound, states = runs.reps, runs.bound, runs.view.states
+    digits = range(n)
+    nodes = list(dict.fromkeys(seeds))
+    number = dict(zip(nodes, count()))
     rows = []
-    for k, (i, u) in enumerate(configs):
+    for m, k in enumerate(nodes):
         row = []
-        for y in start_letters if k == 0 else digits:
-            try:
-                out, nxt = _advance(view, viable, i, u + (y,))
-            except NotInvertible:
+        for y in first_letters if m == 0 else digits:
+            edge = runs.step(k, y)
+            if edge is None:
                 if not prune:
-                    raise
+                    i, u = reps[k]
+                    raise NotInvertible(
+                        "not invertible by finite transducer: pending word "
+                        f"{format_word(u + (y,))!r} extends no output from "
+                        f"{states[i]!r}"
+                    )
                 row.append(None)
                 continue
-            if len(nxt[1]) > bound:
-                raise NotInvertible(
-                    "not invertible by finite transducer: pending word "
-                    f"exceeds bound {bound}: {format_word(nxt[1])!r} at "
-                    f"state {view.states[nxt[0]]!r}"
-                )
-            tgt = index.get(nxt)
-            if tgt is None:
-                tgt = index[nxt] = len(configs)
-                configs.append(nxt)
-            row.append((y, out, tgt))
+            out, tgt = edge
+            t = number.get(tgt)
+            if t is None:
+                i, u = reps[tgt]
+                if len(u) > bound:
+                    raise NotInvertible(
+                        "not invertible by finite transducer: pending word "
+                        f"exceeds bound {bound}: {format_word(u)!r} at "
+                        f"state {states[i]!r}"
+                    )
+                t = number[tgt] = len(nodes)
+                nodes.append(tgt)
+            row.append((y, out, t))
         rows.append(row)
-    keep = _accepting(rows) if prune else range(len(rows))
-    names = {k: (view.states[configs[k][0]], configs[k][1]) for k in keep}
-    trans = {(names[k], y): (out, names[tgt])
-             for k in keep for y, out, tgt in rows[k]}
-    return list(names.values()), trans
+    return nodes, rows
 
 
 def _accepting(rows):
-    """The numbers, in order, of the largest set of configurations that
-    have a transition on every letter, each into the set: every row that
+    """The numbers, in order, of the largest set of rows that have a
+    transition on every letter, each into the set: every row that
     reaches a row with a missing transition is dropped, found by one
     walk back along the transitions from all such rows at once."""
     preds = [[] for _ in rows]
@@ -498,30 +610,36 @@ def _accepting(rows):
 
 
 def invert(a):
-    """Inverse machine via the pending-suffix construction.
+    """Inverse machine via the pending-output construction of _RunSets.
 
-    A state of the inverse is a pair (state of a, pending word): input
-    read so far that a's emissions have not yet covered.  A letter of
-    the original input alphabet is emitted once it is the unique viable
-    continuation and its output is fully covered by the pending word.
-    Pending words are capped at |Q| * (1 + max output length); blowing
-    the cap, or meeting input no run of `a` can emit, means no finite
-    inverse exists.  The result is minimized and checked in both orders
-    by the lag walk: every pair state of the product with `a` must carry
-    a lag word u with u x = w u' on each of its edges x/w, which holds
-    exactly when the product is the identity.  The walk builds no
-    product machine.
+    A state of the inverse is a set of runs of `a`, each with the input
+    it has read since the inverse last emitted; reading a letter of a's
+    output keeps the runs that write it, and the inverse emits what all
+    of them have read and left behind.  It is named by the configuration
+    (state of a, pending word) it was first met from.  Pending words are
+    capped at |Q| * (1 + max output length); blowing the cap, meeting
+    input no run of `a` can emit, or two runs that write the same output
+    after reading different words (NotInjective) means no finite inverse
+    exists.  The result is minimized, numbered breadth-first from its
+    entry, and checked in both orders by the lag walk: every pair state
+    of the product with `a` must carry a lag word u with u x = w u' on
+    each of its edges x/w, which holds exactly when the product is the
+    identity.  The walk builds no product machine.
     """
     if a.mode != INITIAL:
         raise TransducerError("invert expects an initial-mode machine; "
                               "invert_core handles cores")
     a = minimize(a)
     view = _View(a)
-    roots = tuple(-(k + 1) for k in range(a.r))
-    states, trans = _explore(view, a.n, [(view.index[a.initial], EMPTY)],
-                             roots, prune=False)
-    raw = Transducer(a.n, a.r, INITIAL, sorted(states, key=str), states[0],
-                     trans)
+    runs = _RunSets(view)
+    entry = view.index[a.initial]
+    nodes, rows = _explore(runs, [runs.seed(entry)], view.letters[entry],
+                           a.n, prune=False)
+    names = list(map(runs.name, nodes))
+    trans = {(names[m], y): (out, names[t])
+             for m, row in enumerate(rows) for y, out, t in row}
+    raw = Transducer._own(a.n, a.r, INITIAL, tuple(sorted(names, key=str)),
+                          names[0], trans, None)
     bad = validate(raw)
     if bad:
         raise NotInvertible("inverse construction degenerate: " +

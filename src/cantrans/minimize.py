@@ -31,7 +31,6 @@ from .machine import (
     TransducerError,
     check_valid,
     _MINIMAL,
-    _VALID,
     _View,
     _bfs,
     _guaranteed_output,
@@ -107,8 +106,8 @@ def _reduce(t):
     view.  Reachability is a walk on that view's state numbers, and a
     sub-view is built only when some state is unreachable.  Completed
     responses leave no guaranteed output to check before merging.  The
-    result is marked minimal, or only valid when _core_order numbers a
-    core by name."""
+    result is marked minimal: reducing it again gives it back (see
+    _core_order)."""
     view = _View(t)
     if t.mode == INITIAL:
         reached = _bfs(view.targets, view.index[t.initial])
@@ -117,12 +116,11 @@ def _reduce(t):
     _complete_responses(view, _entry(view, t))
     rows, initial = _merge(view, t)
     if t.mode == INITIAL:
-        order, walked = _bfs(rows, initial), True
+        order = _bfs(rows, initial)
     else:
-        order, walked = _core_order(rows, lambda i: str(view.states[i]))
+        order = _core_order(rows, lambda i: str(view.states[i]))
     names = dict(zip(order, map("s{}".format, count())))
-    return _build(t.n, t.r, t.mode, view, rows, names, initial,
-                  _MINIMAL if walked else _VALID)
+    return _build(t.n, t.r, t.mode, view, rows, names, initial, _MINIMAL)
 
 
 def _reduce_core_rows(view, n):
@@ -147,10 +145,9 @@ def _reduce_core_rows(view, n):
         rep = list(map(least.__getitem__, colour))
         rows = {r: tuple(map(rep.__getitem__, view.targets[r]))
                 for r in reps}
-    order, walked = _core_order(rows, names.__getitem__)
+    order = _core_order(rows, names.__getitem__)
     named = dict(zip(order, map("s{}".format, count())))
-    return _build(n, None, CORE, view, rows, named, None,
-                  _MINIMAL if walked else _VALID)
+    return _build(n, None, CORE, view, rows, named, None, _MINIMAL)
 
 
 def _kept(t):
@@ -216,23 +213,26 @@ def _merge(view, t):
 
 
 def _core_order(rows, name):
-    """Deterministic numbering of a core's quotient, and whether it is a
-    walk: breadth-first from the least-named state that reaches the
-    whole machine, else by name (`name` maps a state number to its str
-    name; names need only be reproducible for a given input;
-    isomorphism-invariant equality is canonical_form's job, which
-    ignores names).  The states are sorted by name only when no state
-    reaches every other.  Renamed s0, s1, ..., a walk's order comes out
-    again from s0, but not a sort of more than ten (s10 before s2)."""
-    order = _bfs(rows, min(rows, key=name))
+    """Deterministic numbering of a core's quotient: breadth-first from
+    the first state that reaches the whole machine, else the states
+    themselves, both in order of name length, then name (`name` maps a
+    state number to its str name; names need only be reproducible for a
+    given input; isomorphism-invariant equality is canonical_form's job,
+    which ignores names).  Renamed s0, s1, ..., either order comes out
+    again from a second reduction, since s2 sorts before s10."""
+    def key(i):
+        s = name(i)
+        return len(s), s
+
+    order = _bfs(rows, min(rows, key=key))
     if len(order) == len(rows):
-        return order, True
-    by_name = sorted(rows, key=name)
-    for start in by_name[1:]:
+        return order
+    ranked = sorted(rows, key=key)
+    for start in ranked[1:]:
         order = _bfs(rows, start)
         if len(order) == len(rows):
-            return order, True
-    return by_name, False
+            return order
+    return ranked
 
 
 def _build(n, r, mode, view, rows, names, initial, known):

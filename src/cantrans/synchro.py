@@ -7,14 +7,15 @@ long word lands in form the core: an inescapable, strongly connected
 sub-machine that is the invariant of the outer class.
 """
 
-from itertools import chain
+from itertools import chain, count
+from operator import itemgetter
 
 from .words import EMPTY, format_letter
 from .machine import CORE, InvalidTransducer, Transducer, TransducerError, \
-    check_valid, validate, _VALID, _View, _bfs_order, _first_repeat
-from .minimize import _reduce, _reduce_core_rows, minimize
-from .algebra import NotInvertible, invert, _advance, _explore, \
-    _pending_bound, _product_is_identity, _viability
+    check_valid, validate, _VALID, _View, _bfs, _bfs_order, _first_repeat
+from .minimize import _reduce_core_rows, minimize
+from .algebra import NotInjective, NotInvertible, invert, _RunSets, \
+    _accepting, _explore, _product_is_identity
 
 
 class NotSynchronizing(TransducerError):
@@ -136,11 +137,7 @@ def _core_at(t):
 
     The closure is valid when t is: a closed set of tracked states reads
     every digit, writes digit words and keeps t's lack of empty-output
-    cycles.  invert_core's pruned configuration machine passes too,
-    though it is never validated: every configuration reads every digit
-    into the kept set, writes letters of a core, and an edge that writes
-    nothing only lengthens the pending word, so no empty-output cycle
-    closes.  The closure's table is t's own transitions, so the machine
+    cycles.  The closure's table is t's own transitions, so the machine
     takes it without the public constructor's copy.  It is marked valid
     when t is known to be valid; otherwise core_of checks it.  t must
     have a tracked state, which _collapse checks."""
@@ -286,30 +283,36 @@ def _valid_core_product(a, b):
 def invert_core(c):
     """The inverse core: the machine this core's outer class inverts to.
 
-    States are pairs (state of c, pending input not yet matched), driven
-    by the forced-emission dynamics.  One construction, _inverse_from,
-    explores them from a set of seeds, checks that the configuration
-    machine synchronizes, reduces its core and checks that both core
-    products with the original reduce to the identity core.  It runs
-    first from the one configuration that repeats when a seed
-    (q, empty) reads 0s, and only when that run refuses from every seed
-    (state, empty), keeping the largest sub-machine on which every digit
-    can always be read (a configuration surviving that pruning accepts
-    every continuation, which is exactly what deep states of an inverse
-    must do).  The second run's inverse or refusal, which says which
-    step failed, is the answer.
+    States are sets of runs of c (see algebra._RunSets), each run with
+    the input it has read since the inverse last emitted; a set is built
+    once, however many configurations (state of c, pending input) lead
+    to it.  One construction, _inverse_from, explores them from a set of
+    seeds, checks that the machine they make synchronizes, reduces its
+    core and checks that both core products with the original reduce to
+    the identity core.  It runs first from the one set that repeats when
+    the set of a seed (q, empty) reads 0s, and only when that run
+    refuses from the sets of every seed (state, empty), keeping the
+    largest sub-machine on which every digit can always be read (a set
+    surviving that pruning accepts every continuation, which is exactly
+    what deep states of an inverse must do).  The second run's inverse
+    or refusal, which says which step failed, is the answer.  Two runs
+    of one set that write the same output after reading different words
+    prove the map not injective, and end both runs at once.
+
+    The inverse core is numbered breadth-first from its one state that
+    digit 0 fixes, so its names depend on the machine alone, not on the
+    route or the order in which sets were found.
 
     The products are checked by the lag walk, without building them: on
     the core of each pair machine, from the pair digit 0 fixes, every
     pair must carry a lag word u with u x = w u' on each of its edges
     x/w.  Products of a non-synchronizing core need not have a core, so
-    such a core is refused up front, before the exploration, which on it
-    can grow exponentially.
+    such a core is refused up front, before the exploration.
 
     Both runs give the same machine whenever the full exploration
     synchronizes (see _invert_minimal_core).  They could differ only on
-    a core whose one-seed closure verifies while its full configuration
-    machine does not synchronize: the full run would refuse it."""
+    a core whose one-seed closure verifies while its full machine of
+    sets does not synchronize: the full run would refuse it."""
     if c.mode != CORE:
         raise TransducerError("invert_core expects a core-mode machine")
     c = minimize(c)
@@ -321,49 +324,82 @@ def invert_core(c):
 def _invert_minimal_core(c):
     """invert_core for a minimal core known to synchronize: _inverse_from
     the seed walk's repeat without pruning, and from every (i, empty)
-    with pruning when that refuses.
+    with pruning when that refuses for any reason but NotInjective.  Both
+    runs share one _RunSets, so a set is built once for both.
 
-    The one-seed closure is exact.  It is closed, every configuration in
-    it reads every digit, and it is reached from a seed of the full
-    exploration, so it lies inside the pruned machine `sub` of the full
-    run.  When `sub` synchronizes, every cycle under 0 is the one fixed
-    point that 0^level leads to, so the repeat the seed walk stops at is
-    the state _core_at(sub) closes from, and its closure is that core:
-    the same configurations under the same names, hence the same
-    reduction.  Any other outcome of the one-seed run (every seed walk
-    refused, the pending-word bound exceeded, a digit refused in the
-    closure, a closure that does not synchronize, a failed product
-    check) leaves the answer and its refusal text to the full run."""
-    view = _View(c)
-    repeat = _zero_repeat_config(view)
+    The one-seed closure is exact.  It is closed, every set in it reads
+    every digit, and it is reached from a seed of the full exploration,
+    so it lies inside the pruned machine `sub` of the full run.  When
+    `sub` synchronizes, every cycle under 0 is the one fixed point that
+    0^level leads to, so the repeat the seed walk stops at is the set
+    the full run's core is closed from, and its closure is that core:
+    the same sets, hence the same reduction.  Any other outcome of the
+    one-seed run (every seed walk refused, the pending-word bound
+    exceeded, a digit refused in the closure, a closure that does not
+    synchronize, a failed product check) leaves the answer and its
+    refusal text to the full run."""
+    runs = _RunSets(_View(c))
+    repeat = _zero_repeat_config(runs)
     if repeat is not None:
         try:
-            return _inverse_from(c, view, [repeat], prune=False)
+            return _inverse_from(c, runs, [repeat], prune=False)
+        except NotInjective:
+            raise
         except NotInvertible:
             pass
-    seeds = [(i, EMPTY) for i in range(len(c.states))]
-    return _inverse_from(c, view, seeds, prune=True)
+    seeds = [runs.seed(i) for i in range(len(c.states))]
+    return _inverse_from(c, runs, seeds, prune=True)
 
 
-def _inverse_from(c, view, seeds, prune):
-    """The inverse core of c from the configurations `seeds` of c's view:
-    _explore's configuration machine, pruned when `prune` is set, its
-    core reduced and both products with c checked by the lag walk; a
-    failed step is refused with NotInvertible.  Unpruned, the seed is a
-    configuration 0 leads back to, so a closure that synchronizes is its
-    own core (0 fixes the seed, which every configuration reaches by
-    0s) and is reduced without _core_at."""
-    states, trans = _explore(view, c.n, seeds, range(c.n), prune)
-    if not states:
+def _inverse_from(c, runs, seeds, prune):
+    """The inverse core of c from the node numbers `seeds` of `runs`:
+    _explore's machine of sets, pruned when `prune` is set, its core
+    reduced and both products with c checked by the lag walk; a failed
+    step is refused with NotInvertible.
+
+    The machine of sets is named by its nodes' configurations for
+    sync_level.  Its core is the closure of the node that 0 fixes,
+    numbered breadth-first from that node.  Pruned, the node is found by
+    the walk under 0 from the first kept node.  Unpruned, the rows are
+    in that order already: the seed is a node 0 leads back to, which 0
+    fixes once the machine synchronizes, and _explore numbered the nodes
+    breadth-first from it.  The closure is named by zero-padded numbers,
+    so that name order is that order, and _reduce_core_rows numbers the
+    reduction breadth-first from that node's class, in the same order.
+    It is valid though never validated: each of its nodes reads every
+    digit into it and writes digits, and no cycle of it writes nothing,
+    since a run that is at one position after the inverse has read more
+    input, with no emission between, would have written two outputs
+    there."""
+    n = c.n
+    nodes, rows = _explore(runs, seeds, range(n), n, prune)
+    keep = _accepting(rows) if prune else range(len(rows))
+    if not keep:
         raise NotInvertible(
             "not invertible: no configuration of the inverse accepts "
             "every continuation"
         )
-    sub = Transducer(c.n, None, CORE, sorted(states, key=str), None, trans)
+    names = {m: runs.name(nodes[m]) for m in keep}
+    trans = {(names[m], y): (out, names[t])
+             for m in keep for y, out, t in rows[m]}
+    sub = Transducer._own(n, None, CORE, tuple(names.values()), None, trans,
+                          None)
     if sync_level(sub) is None:
         raise NotInvertible("inverse dynamics do not synchronize")
     # the core of a synchronizing machine, and its reduction, synchronize
-    d = _reduce(_core_at(sub) if prune else sub)
+    if prune:
+        targets = {m: [t for _, _, t in rows[m]] for m in keep}
+        order = _bfs(targets, _first_repeat(keep[0],
+                                            lambda m: targets[m][0]))
+        number = dict(zip(order, count()))
+        rows = [[(y, out, number[t]) for y, out, t in rows[m]]
+                for m in order]
+    width = len(str(len(rows) - 1))
+    view = _View._of_core_rows(
+        [f"{k:0{width}}" for k in range(len(rows))],
+        [tuple(map(itemgetter(1), row)) for row in rows],
+        [tuple(map(itemgetter(2), row)) for row in rows], n)
+    d = _reduce_core_rows(view, n)
     if not _product_is_identity(c, d) or not _product_is_identity(d, c):
         raise NotInvertible(
             "round-trip verification failed: core products are not trivial"
@@ -371,29 +407,30 @@ def _inverse_from(c, view, seeds, prune):
     return d
 
 
-def _zero_repeat_config(view):
-    """The first configuration (state number, pending word) that repeats
-    when a seed (i, empty) reads 0s, from the first seed, in state
-    order, whose walk meets no refusal; None when every walk is refused.
-    Each walk is one _first_repeat.  A step whose pending word exceeds
-    _explore's bound, past which the walk need not end, leads to None,
-    which leads to itself, so exceeding the bound ends the whole search
-    with None."""
-    viable = _viability(view)
-    bound = _pending_bound(view)
+def _zero_repeat_config(runs):
+    """The first node of `runs` that repeats when the node of a seed
+    (i, empty) reads 0s, from the first seed, in state order, whose walk
+    meets no refusal; None when every walk is refused.  Each walk is one
+    _first_repeat, on node numbers.  A letter that leaves no run leads
+    to -1, and a node whose pending word exceeds _explore's bound, past
+    which the walk need not end, to None; each leads to itself, so -1
+    moves on to the next seed, and None ends the whole search.
+    NotInjective ends it too, as a refusal of the core."""
+    reps, bound = runs.reps, runs.bound
 
-    def zero(config):
-        if config is None:
-            return None
-        i, u = config
-        config = _advance(view, viable, i, u + (0,))[1]
-        return config if len(config[1]) <= bound else None
+    def zero(k):
+        if k is None or k < 0:
+            return k
+        edge = runs.step(k, 0)
+        if edge is None:
+            return -1
+        k = edge[1]
+        return k if len(reps[k][1]) <= bound else None
 
-    for i in range(len(view.states)):
-        try:
-            return _first_repeat((i, EMPTY), zero)
-        except NotInvertible:
-            continue
+    for i in range(len(runs.view.states)):
+        k = _first_repeat(runs.seed(i), zero)
+        if k is None or k >= 0:
+            return k
     return None
 
 

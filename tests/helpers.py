@@ -43,13 +43,13 @@ from cantrans.words import EMPTY, Relation, WordError, check_word, \
     check_word_shape, common_prefix, format_letter, format_word, \
     is_digit_word, is_prefix, is_root, is_rooted, parse_letter, \
     word_relate, word_subtract
-from cantrans.machine import _View, _bfs_order, relabel
+from cantrans.machine import _View, _bfs_order, _first_repeat, relabel
 from cantrans.minimize import _reduce, merge_equivalent_states, \
     remove_inaccessible, remove_incomplete_response
 from cantrans import fixtures
 from cantrans.randgen import random_gnr_element, random_transducer
-from cantrans.algebra import _advance, _pair_step, _pending_bound, \
-    _product_is_identity, _viability
+from cantrans.algebra import _accepting, _pair_step, _pending_bound, \
+    _product_is_identity
 from cantrans.synchro import _tracked_states
 
 
@@ -739,16 +739,22 @@ def dict_canonical_relabel(t):
     return relabel(t, {q: f"s{i}" for q, i in order.items()})
 
 
+def _name_length_then_name(q):
+    return len(str(q)), str(q)
+
+
 def dict_core_relabel(t):
     """Oracle: names s0, s1, ... in breadth-first order from the
-    least-named state (by str) that reaches the whole core."""
+    least-named state (by length, then str) that reaches the whole core,
+    else in that name order."""
     order = None
-    for start in sorted(t.states, key=str):
+    for start in sorted(t.states, key=_name_length_then_name):
         order = _bfs_order(t, start)
         if len(order) == len(t.states):
             break
     if order is None or len(order) != len(t.states):
-        order = {q: i for i, q in enumerate(sorted(t.states, key=str))}
+        order = {q: i for i, q in
+                 enumerate(sorted(t.states, key=_name_length_then_name))}
     return relabel(t, {q: f"s{i}" for q, i in order.items()})
 
 
@@ -1071,26 +1077,251 @@ def name_keyed_invert_core(c):
     return d
 
 
-def walked_zero_repeat_config(view):
-    """Oracle: synchro._zero_repeat_config as a hand-written walk per seed
-    that keeps the set of configurations it has met, and ends the whole
-    search with None as soon as a pending word exceeds the bound."""
-    viable = _viability(view)
+# Oracle for the exploration on sets of runs (algebra._RunSets): the
+# pending-word exploration it replaced, on (state number, pending word)
+# configurations, with its viability search and forced-emission step.
+# Inverse cores are numbered as the library numbers them, breadth-first
+# from the configuration that digit 0 fixes.
+
+
+def check_not_injective(t, error):
+    """Walk a NotInjective certificate again on minimize(t), whose state
+    names it uses: the two words differ, and from the named state both
+    write the error's output and reach one state."""
+    m = minimize(t)
+    first, second = error.words
+    assert first != second
+    ends = [run_word(m, error.state, w) for w in error.words]
+    assert ends[0] == ends[1]
+    assert ends[0][0] == error.output
+
+
+def pending_viability(view):
+    """Memoized test on a machine's integer view: can some infinite run
+    from state number i emit a string extending the word u?  Depth-first
+    search over (state number, unmatched rest of u) configurations with
+    an explicit stack, so long chains of empty-output transitions need no
+    recursion; a configuration already on the search path counts as a
+    dead end."""
+    outs, targets = view.outs, view.targets
+    cache = {}
+
+    def viable(i, u):
+        if not u:
+            return True
+        root = (i, u)
+        ok = cache.get(root)
+        if ok is not None:
+            return ok
+        busy = {root}
+        stack = [(root, zip(outs[i], targets[i]))]
+        ok = False  # once True, it holds for every configuration popped
+        while stack:
+            key, edges = stack[-1]
+            v = key[1]
+            child = None
+            if not ok:
+                for w, j in edges:
+                    m = len(w)
+                    if m >= len(v):
+                        if w[:len(v)] == v:
+                            ok = True
+                            break
+                    elif v[:m] == w:
+                        nxt = (j, v[m:])
+                        hit = cache.get(nxt)
+                        if hit:
+                            ok = True
+                            break
+                        if hit is None and nxt not in busy:
+                            child = nxt
+                            break
+            if child is not None:
+                busy.add(child)
+                j = child[0]
+                stack.append((child, zip(outs[j], targets[j])))
+                continue
+            stack.pop()
+            busy.discard(key)
+            cache[key] = ok
+        return ok
+
+    return viable
+
+
+def pending_advance(view, viable, i, u):
+    """Forced-emission step of the pending-word inversion: starting at
+    state number i of the view with the word u of inverse input not yet
+    matched, emit input letters of the machine as long as exactly one
+    admissible letter remains viable and its output is covered by u.
+    Returns (emitted, (i', u')).  Raises NotInvertible when no letter's
+    outputs are compatible with u (u lies off the image)."""
+    letters, outs, targets = view.letters, view.outs, view.targets
+    emitted = []
+    while True:
+        found = None
+        for x, w, j in zip(letters[i], outs[i], targets[i]):
+            m = len(w)
+            if u[:m] == w:
+                if not viable(j, u[m:]):
+                    continue
+                covered = True
+            elif m > len(u) and w[:len(u)] == u:
+                covered = False
+            else:
+                continue
+            if found is not None:
+                return tuple(emitted), (i, u)
+            found = (x, m, j, covered)
+        if found is None:
+            raise NotInvertible(
+                "not invertible by finite transducer: pending word "
+                f"{format_word(u)!r} extends no output from "
+                f"{view.states[i]!r}"
+            )
+        x, m, j, covered = found
+        if not covered:
+            return tuple(emitted), (i, u)
+        emitted.append(x)
+        i, u = j, u[m:]
+
+
+def pending_explore(view, n, seeds, start_letters, prune):
+    """The pending-word exploration: configurations (state number,
+    pending word) breadth-first from `seeds`, the first reading
+    `start_letters` and every other one the n digits, each letter
+    appended to the pending word and followed by pending_advance.  A
+    pending word longer than the bound raises NotInvertible; so does a
+    letter off the image, unless `prune` keeps only the largest set of
+    configurations with a transition on every letter into the set.
+    Returns the kept configurations, named (state name, pending word),
+    in the order found, and their transitions."""
+    viable = pending_viability(view)
     bound = _pending_bound(view)
+    digits = tuple(range(n))
+    configs = list(seeds)
+    index = {c: k for k, c in enumerate(configs)}
+    rows = []
+    for k, (i, u) in enumerate(configs):
+        row = []
+        for y in start_letters if k == 0 else digits:
+            try:
+                out, nxt = pending_advance(view, viable, i, u + (y,))
+            except NotInvertible:
+                if not prune:
+                    raise
+                row.append(None)
+                continue
+            if len(nxt[1]) > bound:
+                raise NotInvertible(
+                    "not invertible by finite transducer: pending word "
+                    f"exceeds bound {bound}: {format_word(nxt[1])!r} at "
+                    f"state {view.states[nxt[0]]!r}"
+                )
+            tgt = index.get(nxt)
+            if tgt is None:
+                tgt = index[nxt] = len(configs)
+                configs.append(nxt)
+            row.append((y, out, tgt))
+        rows.append(row)
+    keep = _accepting(rows) if prune else range(len(rows))
+    names = {k: (view.states[configs[k][0]], configs[k][1]) for k in keep}
+    trans = {(names[k], y): (out, names[tgt])
+             for k in keep for y, out, tgt in rows[k]}
+    return list(names.values()), trans
+
+
+def pending_zero_repeat_config(view):
+    """The first configuration (state number, pending word) that repeats
+    when a seed (i, empty) reads 0s, from the first seed, in state
+    order, whose walk meets no refusal; None when every walk is refused
+    or a pending word exceeds the bound."""
+    viable = pending_viability(view)
+    bound = _pending_bound(view)
+
+    def zero(config):
+        if config is None:
+            return None
+        i, u = config
+        config = pending_advance(view, viable, i, u + (0,))[1]
+        return config if len(config[1]) <= bound else None
+
     for i in range(len(view.states)):
-        config = (i, EMPTY)
-        walked = set()
         try:
-            while config not in walked:
-                walked.add(config)
-                j, u = config
-                config = _advance(view, viable, j, u + (0,))[1]
-                if len(config[1]) > bound:
-                    return None
+            return _first_repeat((i, EMPTY), zero)
         except NotInvertible:
             continue
-        return config
     return None
+
+
+def pending_word_invert(a):
+    """Oracle: invert on the pending-word exploration."""
+    a = minimize(a)
+    view = _View(a)
+    states, trans = pending_explore(
+        view, a.n, [(view.index[a.initial], EMPTY)],
+        a.input_letters(a.initial), prune=False)
+    raw = Transducer(a.n, a.r, INITIAL, sorted(states, key=str), states[0],
+                     trans)
+    bad = validate(raw)
+    if bad:
+        raise NotInvertible("inverse construction degenerate: " +
+                            "; ".join(bad))
+    b = _reduce(raw)
+    if not (_product_is_identity(a, b) and _product_is_identity(b, a)):
+        raise NotInvertible(
+            "round-trip verification failed: the constructed machine "
+            "does not invert the input"
+        )
+    return b
+
+
+def pending_word_invert_core(c, one_seed=True):
+    """Oracle: invert_core on the pending-word exploration, from the seed
+    walk's repeat without pruning (unless one_seed is False) and, when
+    that refuses, from every (state, empty) seed with pruning.  The core
+    of the configuration machine is renamed by its breadth-first numbers
+    from the configuration 0 fixes, in that order, before it is
+    reduced."""
+    c = minimize(c)
+    if sync_level(c) is None:
+        raise NotSynchronizing("invert_core needs a synchronizing core")
+    view = _View(c)
+    repeat = pending_zero_repeat_config(view) if one_seed else None
+    if repeat is not None:
+        try:
+            return _pending_inverse_from(c, view, [repeat], False)
+        except NotInvertible:
+            pass
+    seeds = [(i, EMPTY) for i in range(len(c.states))]
+    return _pending_inverse_from(c, view, seeds, True)
+
+
+def _pending_inverse_from(c, view, seeds, prune):
+    states, trans = pending_explore(view, c.n, seeds, range(c.n), prune)
+    if not states:
+        raise NotInvertible(
+            "not invertible: no configuration of the inverse accepts "
+            "every continuation"
+        )
+    sub = Transducer(c.n, None, CORE, sorted(states, key=str), None, trans)
+    if sync_level(sub) is None:
+        raise NotInvertible("inverse dynamics do not synchronize")
+    # the core: the closure of the configuration 0 fixes, numbered
+    # breadth-first from it
+    fixed = _first_repeat(sub.states[0], lambda q: sub.step(q, 0)[1])
+    number = _bfs_order(sub, fixed)
+    trans = {}
+    for q, k in number.items():
+        for x in range(c.n):
+            w, t = sub.step(q, x)
+            trans[(k, x)] = (w, number[t])
+    d = _reduce(Transducer(c.n, None, CORE, range(len(number)), None, trans))
+    if not _product_is_identity(c, d) or not _product_is_identity(d, c):
+        raise NotInvertible(
+            "round-trip verification failed: core products are not trivial"
+        )
+    return d
 
 
 def worklist_accepting(rows):
@@ -1112,83 +1343,6 @@ def worklist_accepting(rows):
             alive[k] = False
             drop.extend(preds[k])
     return [k for k, ok in enumerate(alive) if ok]
-
-
-def _worklist_explore(view, n, seeds, prune):
-    """Oracle: algebra._explore over the digits, pruned by
-    worklist_accepting."""
-    viable = _viability(view)
-    bound = _pending_bound(view)
-    configs = list(seeds)
-    index = {c: k for k, c in enumerate(configs)}
-    rows = []
-    for i, u in configs:
-        row = []
-        for y in range(n):
-            try:
-                out, nxt = _advance(view, viable, i, u + (y,))
-            except NotInvertible:
-                if not prune:
-                    raise
-                row.append(None)
-                continue
-            if len(nxt[1]) > bound:
-                raise NotInvertible(
-                    "not invertible by finite transducer: pending word "
-                    f"exceeds bound {bound}: {format_word(nxt[1])!r} at "
-                    f"state {view.states[nxt[0]]!r}"
-                )
-            if nxt not in index:
-                index[nxt] = len(configs)
-                configs.append(nxt)
-            row.append((y, out, index[nxt]))
-        rows.append(row)
-    keep = worklist_accepting(rows) if prune else range(len(rows))
-    names = {k: (view.states[configs[k][0]], configs[k][1]) for k in keep}
-    trans = {(names[k], y): (out, names[tgt])
-             for k in keep for y, out, tgt in rows[k]}
-    return list(names.values()), trans
-
-
-def two_route_invert_core(c, one_seed=True):
-    """Oracle: invert_core as two hand-written routes, the one-seed
-    closure accepted when it synchronizes and passes both lag walks, and
-    otherwise (or with one_seed=False) the full exploration from every
-    (state, empty) seed, pruned, whose core is taken at its level."""
-    c = minimize(c)
-    if sync_level(c) is None:
-        raise NotSynchronizing("invert_core needs a synchronizing core")
-    view = _View(c)
-    repeat = walked_zero_repeat_config(view) if one_seed else None
-    if repeat is not None:
-        try:
-            states, trans = _worklist_explore(view, c.n, [repeat], False)
-        except NotInvertible:
-            states = None
-        if states is not None:
-            closure = Transducer(c.n, None, CORE, sorted(states, key=str),
-                                 None, trans)
-            if sync_level(closure) is not None:
-                d = _reduce(closure)
-                if _product_is_identity(c, d) and _product_is_identity(d, c):
-                    return d
-    seeds = [(i, EMPTY) for i in range(len(c.states))]
-    states, trans = _worklist_explore(view, c.n, seeds, True)
-    if not states:
-        raise NotInvertible(
-            "not invertible: no configuration of the inverse accepts "
-            "every continuation"
-        )
-    sub = Transducer(c.n, None, CORE, sorted(states, key=str), None, trans)
-    level = sync_level(sub)
-    if level is None:
-        raise NotInvertible("inverse dynamics do not synchronize")
-    d = _reduce(level_core_at(sub, level))
-    if not _product_is_identity(c, d) or not _product_is_identity(d, c):
-        raise NotInvertible(
-            "round-trip verification failed: core products are not trivial"
-        )
-    return d
 
 
 def simple_path_unbalanced_cycle(core):

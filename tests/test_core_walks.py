@@ -105,17 +105,19 @@ def test_core_at_matches_level_core_at_on_long_chains():
 
 def test_core_at_matches_level_core_at_on_configuration_machines(
         monkeypatch):
-    """The machines invert_core's full route takes a core of."""
+    """The machines of run sets that invert_core's full route checks for
+    synchronization, named by their configurations."""
     subs = []
-    real = synchro._core_at
+    real = synchro.sync_level
 
     def recording(t):
-        subs.append(t)
+        if isinstance(t.states[0], tuple):
+            subs.append(t)
         return real(t)
 
     cores = fixture_cores() + balanced_powers(3)
-    monkeypatch.setattr(synchro, "_zero_repeat_config", lambda view: None)
-    monkeypatch.setattr(synchro, "_core_at", recording)
+    monkeypatch.setattr(synchro, "_zero_repeat_config", lambda runs: None)
+    monkeypatch.setattr(synchro, "sync_level", recording)
     for c in cores:
         invert_core(c)
     assert len(subs) == len(cores)

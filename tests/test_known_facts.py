@@ -51,7 +51,8 @@ def minimal_corpus():
     """Machines the reduction built: the fixtures minimized,
     BALANCED_CORE_2 a^1 .. a^5 and their inverse cores, products of the
     fixture cores, compose and invert of seeded prefix-exchange pairs,
-    and seeded random machines minimized."""
+    seeded random machines minimized, and the two-cycle cores of 10 and
+    12 states, numbered by name."""
     machines = [minimize(parse(text)) for text in fixtures.ALL.values()]
     powers = balanced_powers(5)
     machines += powers + [invert_core(a) for a in powers]
@@ -66,6 +67,7 @@ def minimal_corpus():
     for seed in range(30):
         alphabet = (Alphabet(2, 1), Alphabet(3, 2))[seed % 2]
         machines.append(minimize(random_transducer(alphabet, 6, 2, seed)))
+    machines += [minimize(_two_cycles(size)) for size in (5, 6)]
     return machines
 
 
@@ -77,7 +79,7 @@ def test_reducing_a_minimal_machine_gives_it_back(minimal_corpus):
         assert minimize(m) is m
         modes.add(m.mode)
     assert modes == {CORE, INITIAL}
-    assert len(minimal_corpus) == 6 + 10 + 13 + 36 + 30
+    assert len(minimal_corpus) == 6 + 10 + 13 + 36 + 30 + 2
 
 
 def _two_cycles(size):
@@ -96,19 +98,17 @@ def _two_cycles(size):
                       trans)
 
 
-def test_a_core_numbered_by_name_is_known_valid_only():
-    # no state reaches every other, so the states are numbered by name,
-    # and s10 sorts before s2: reducing again renumbers them
-    m = minimize(_two_cycles(6))
-    assert len(m.states) == 12
-    assert m._known == _VALID
-    again = minimize(m)
-    assert again is not m and again.states != m.states
-    assert _whole(again) == _whole(_reduce(m))
-    # with ten states or fewer, str order is the numbering's order
-    small = minimize(_two_cycles(5))
-    assert small._known == _VALID
-    assert _whole(_reduce(small)) == _whole(small)
+def test_a_core_numbered_by_name_is_minimal():
+    # no state reaches every other, so the states are numbered by name
+    # length, then name: s2 sorts before s10, and reducing again gives
+    # the same machine
+    for size in (5, 6):
+        m = minimize(_two_cycles(size))
+        assert len(m.states) == 2 * size
+        assert m._known == _MINIMAL
+        assert minimize(m) is m
+        assert _whole(_reduce(m)) == _whole(m)
+        assert _whole(_reduce(_copy(m))) == _whole(m)
 
 
 def _root_writing_core():

@@ -1,21 +1,24 @@
 """invert_core's one construction, _inverse_from, run from one seed
 without pruning and, when that refuses, from every seed with pruning.
-The one seed is the configuration a seed's walk under 0 repeats at; its
-closure is reduced and checked by the lag walk.  On every core both
-runs give the same machine under the same names, or the same refusal,
-and the one-seed run answers every invertible core.  Both runs match
-the two-route construction they replaced (helpers.two_route_invert_core)
-byte for byte.  The full run's refusals that no core in the corpus
-reaches, configurations that do not synchronize and a failed lag walk,
-are forced by monkeypatching, and is_bisynchronizing reads each as a
-negative verdict."""
+The one seed is the set of runs that a seed's walk under 0 repeats at;
+its closure is reduced and checked by the lag walk.  On every core both
+runs give the same machine under the same names, or both refuse, and
+the one-seed run answers every invertible core.  Both runs match the
+pending-word exploration they replaced (helpers.pending_word_invert_core)
+byte for byte, under the numbering from the state digit 0 fixes.  The
+full run's refusals that no core in the corpus reaches, machines of run
+sets that do not synchronize and a failed lag walk, are forced by
+monkeypatching, and is_bisynchronizing reads each as a negative
+verdict."""
 
 import random
+import re
 
 import pytest
 
 from cantrans import (
     Alphabet,
+    NotInjective,
     NotInvertible,
     TransducerError,
     core_of,
@@ -23,14 +26,17 @@ from cantrans import (
     invert_core,
     is_bisynchronizing,
     minimize,
+    parse,
     serialize,
 )
-from cantrans import algebra, synchro
+from cantrans import synchro
+from cantrans.algebra import _RunSets
 from cantrans.machine import _View
 from cantrans.randgen import random_transducer
 
-from helpers import balanced_powers, fixture_cores, random_synchronizing, \
-    shuffled_relabel, two_route_invert_core, walked_zero_repeat_config
+from helpers import balanced_powers, check_not_injective, fixture_cores, \
+    pending_word_invert_core, pending_zero_repeat_config, \
+    random_synchronizing, shuffled_relabel
 
 
 def _outcome(c, invert=invert_core):
@@ -45,7 +51,7 @@ def _outcome(c, invert=invert_core):
 
 
 def _full_path_only(monkeypatch):
-    monkeypatch.setattr(synchro, "_zero_repeat_config", lambda view: None)
+    monkeypatch.setattr(synchro, "_zero_repeat_config", lambda runs: None)
 
 
 def _record_runs(monkeypatch):
@@ -54,9 +60,9 @@ def _record_runs(monkeypatch):
     runs = []
     real = synchro._inverse_from
 
-    def recording(c, view, seeds, prune):
+    def recording(c, sets, seeds, prune):
         try:
-            d = real(c, view, seeds, prune)
+            d = real(c, sets, seeds, prune)
         except NotInvertible:
             runs.append((prune, False))
             raise
@@ -107,15 +113,29 @@ def corpus_outcomes():
     return cores, got, full, routes
 
 
+def _refused(o):
+    return isinstance(o[0], type)
+
+
 def test_one_seed_matches_the_full_exploration(corpus_outcomes):
+    """The same inverses, and a refusal where the full run refuses: the
+    one-seed run may refuse first, with NotInjective."""
     cores, got, want, routes = corpus_outcomes
-    assert got == want
-    inverses = [not isinstance(w[0], type) for w in want]
+    inverses = [not _refused(w) for w in want]
+    for g, w, ok in zip(got, want, inverses):
+        if ok:
+            assert g == w
+        else:
+            assert _refused(g) and issubclass(g[0], NotInvertible)
+            assert g == w or g[0] is NotInjective
     # every inverse came from the one-seed run, and every refusal from
-    # the full run, after a one-seed run that refused or none at all
-    for ok, route in zip(inverses, routes):
+    # the full run, after a one-seed run that refused or none at all,
+    # or from the one-seed run or its seed walk with NotInjective
+    for g, ok, route in zip(got, inverses, routes):
         if ok:
             assert route == ((False, True),)
+        elif g[0] is NotInjective and route in {(), ((False, False),)}:
+            continue
         else:
             assert route in {((False, False), (True, False)),
                              ((True, False),)}
@@ -123,71 +143,118 @@ def test_one_seed_matches_the_full_exploration(corpus_outcomes):
                 if not ok}
     assert len(cores) == 274
     assert sum(inverses) > 100
-    assert messages == {"pending", "no"}
-
-
-def _as_bytes(o):
-    """An _outcome with an inverse cut down to its document bytes."""
-    return o if isinstance(o[0], type) else o[3]
+    assert messages == {"pending", "no", "not"}
+    assert {w[0] for w, ok in zip(want, inverses) if not ok} == \
+        {NotInvertible, NotInjective}
 
 
 def _oracle_outcome(c, one_seed):
-    """_outcome of helpers.two_route_invert_core, as document bytes."""
-    return _as_bytes(_outcome(c, lambda c: two_route_invert_core(c,
-                                                                one_seed)))
+    """helpers.pending_word_invert_core(c, one_seed): its inverse as
+    document bytes, or the error it raises."""
+    try:
+        return serialize(pending_word_invert_core(c, one_seed))
+    except TransducerError as e:
+        return e
+
+
+def _same_verdict(c, outcome, oracle):
+    """An inverse byte for byte the oracle's, or a refusal where the
+    oracle refuses (NotInjective where it may run on, its certificate
+    walked again)."""
+    if not _refused(outcome):
+        assert outcome[3] == oracle
+        return
+    assert isinstance(oracle, NotInvertible)
+    if outcome[0] is NotInjective:
+        with pytest.raises(NotInjective) as error:
+            invert_core(c)
+        check_not_injective(c, error.value)
+    else:
+        assert outcome[0] is type(oracle)
 
 
 def test_both_runs_match_the_two_route_construction(corpus_outcomes):
-    """Inverses byte for byte and refusals by type and text, with the
-    one-seed run and with the full run forced, and the seed walk's
-    repeat, against the hand-written walk and worklist pruning."""
+    """Inverses byte for byte and refusals by verdict, with the one-seed
+    run and with the full run forced, against the pending-word
+    exploration with its seed walk and without."""
     cores, got, full, _ = corpus_outcomes
-    assert [_as_bytes(o) for o in got] == \
-        [_oracle_outcome(c, True) for c in cores]
-    assert [_as_bytes(o) for o in full] == \
-        [_oracle_outcome(c, False) for c in cores]
-    for c in cores:
-        view = _View(minimize(c))
-        assert synchro._zero_repeat_config(view) == \
-            walked_zero_repeat_config(view)
+    for c, g, f in zip(cores, got, full):
+        _same_verdict(c, g, _oracle_outcome(c, True))
+        with pytest.MonkeyPatch.context() as patch:
+            _full_path_only(patch)
+            _same_verdict(c, f, _oracle_outcome(c, False))
 
 
 def _explorations(monkeypatch):
-    """(prune, configurations kept) per _explore call from synchro, and
-    one entry per _advance call inside _explore: each configuration
-    built reads every digit once."""
-    runs = []
-    advances = []
-    explore, advance = synchro._explore, algebra._advance
+    """(prune, nodes explored) per _explore call from synchro, the nodes
+    kept by each pruning, and one entry per step of a node by a letter,
+    in the seed walk or the exploration."""
+    runs, kept, steps = [], [], []
+    explore, accepting = synchro._explore, synchro._accepting
+    step = _RunSets.step
 
-    def recording_explore(view, n, seeds, start_letters, prune):
-        states, trans = explore(view, n, seeds, start_letters, prune)
-        runs.append((prune, len(states)))
-        return states, trans
+    def recording_explore(sets, seeds, first_letters, n, prune):
+        nodes, rows = explore(sets, seeds, first_letters, n, prune)
+        runs.append((prune, len(nodes)))
+        return nodes, rows
 
-    def counting_advance(*args):
-        advances.append(args[2:])
-        return advance(*args)
+    def recording_accepting(rows):
+        keep = accepting(rows)
+        kept.append(len(keep))
+        return keep
+
+    def counting_step(self, k, y):
+        steps.append((k, y))
+        return step(self, k, y)
 
     monkeypatch.setattr(synchro, "_explore", recording_explore)
-    monkeypatch.setattr(algebra, "_advance", counting_advance)
-    return runs, advances
+    monkeypatch.setattr(synchro, "_accepting", recording_accepting)
+    monkeypatch.setattr(_RunSets, "step", counting_step)
+    return runs, kept, steps
 
 
 def test_one_seed_builds_only_the_core_of_the_cube(monkeypatch):
     cube = balanced_powers(3)[2]
     with monkeypatch.context() as patch:
         _full_path_only(patch)
-        runs, advances = _explorations(patch)
+        runs, kept, steps = _explorations(patch)
         want = invert_core(cube)
-    # every seed explored: 1565 configurations, pruned to 664
-    assert runs == [(True, 664)]
-    assert len(advances) == 2 * 1565
-    runs, advances = _explorations(monkeypatch)
+    # every seed explored: 667 sets of runs, pruned to the 131 of the
+    # core; the pending-word exploration built 1565 configurations,
+    # pruned to 664
+    assert runs == [(True, 667)]
+    assert kept == [131]
+    assert len(steps) == 2 * 667
+    runs, kept, steps = _explorations(monkeypatch)
     got = invert_core(cube)
-    assert runs == [(False, 664)]
-    assert len(advances) == 2 * 664
+    # the seed walk takes 30 steps (to 26 sets outside the closure) and
+    # the closure 2 per set, where the pending-word closure had 664
+    # configurations and 2 * 664 steps
+    assert runs == [(False, 131)]
+    assert kept == []
+    assert len(steps) == 30 + 2 * 131
     assert serialize(got) == serialize(want)
+
+
+def _two_loops_core():
+    """A core on C_3 whose state is its last letter (level 1): from a,
+    reading 0 into b and 1 into c both write 0, and b on 0 and c on 1
+    write 0 again.  Reading 0s from a, the two runs never meet at one
+    output position, so the pending word grows past the bound; the map
+    is not injective, as 0 2 and 1 2 both write 0 2 from a back to a."""
+    return parse("""\
+cantor-transducer 1
+alphabet n=3 core
+a 0 -> b : 0
+a 1 -> c : 0
+a 2 -> a : 2
+b 0 -> b : 0
+b 1 -> c : 1
+b 2 -> a : 2
+c 0 -> b : 1
+c 1 -> c : 0
+c 2 -> a : 2
+""")
 
 
 @pytest.mark.parametrize("alphabet, states, seed, bound", [
@@ -197,22 +264,42 @@ def test_one_seed_builds_only_the_core_of_the_cube(monkeypatch):
 ])
 def test_seed_walk_stops_at_the_bound(monkeypatch, alphabet, states, seed,
                                       bound):
-    """On these cores a seed's walk under 0 never repeats: its pending
-    word grows without end.  The walk gives up at the bound and the full
-    exploration refuses the core as before."""
-    core = core_of(minimize(random_transducer(alphabet, states, 2, seed)))
-    assert walked_zero_repeat_config(_View(minimize(core))) is None
-    with monkeypatch.context() as patch:
-        _full_path_only(patch)
-        want = _outcome(core)
-    assert _as_bytes(want) == _oracle_outcome(core, False) == \
-        _oracle_outcome(core, True)
+    """On these cores the pending-word walk under 0 never repeats: its
+    pending word grows until the bound, and the exploration refuses
+    there.  The walk on run sets meets two runs at one position first,
+    and refuses the core as not injective, with no exploration."""
+    core = minimize(core_of(minimize(random_transducer(alphabet, states, 2,
+                                                       seed))))
+    view = _View(core)
+    assert pending_zero_repeat_config(view) is None
+    want = _oracle_outcome(core, False)
+    assert isinstance(want, NotInvertible)
+    assert f"pending word exceeds bound {bound}: '" in str(want)
     runs = _record_runs(monkeypatch)
-    with pytest.raises(NotInvertible,
-                       match=rf"pending word exceeds bound {bound}: '"):
+    with pytest.raises(NotInjective) as error:
+        synchro._zero_repeat_config(_RunSets(view))
+    check_not_injective(core, error.value)
+    with pytest.raises(NotInjective, match=re.escape(str(error.value))):
+        invert_core(core)
+    assert runs == []
+
+
+def test_seed_walk_stops_at_the_bound_without_a_clash(monkeypatch):
+    """The seed walk gives up at the bound, as the pending-word walk did,
+    and the full exploration refuses the core."""
+    core = minimize(_two_loops_core())
+    view = _View(core)
+    assert pending_zero_repeat_config(view) is None
+    sets = _RunSets(view)
+    assert synchro._zero_repeat_config(sets) is None
+    assert max(len(u) for _, u in sets.reps) == sets.bound + 1 == 7
+    runs = _record_runs(monkeypatch)
+    with pytest.raises(NotInjective) as error:
         invert_core(core)
     assert runs == [(True, False)]
-    assert _outcome(core) == want
+    check_not_injective(core, error.value)
+    assert error.value.words == ((0, 2), (1, 2))
+    assert isinstance(_oracle_outcome(core, True), NotInvertible)
 
 
 def test_a_rejected_candidate_falls_back_to_the_full_refusal(monkeypatch):
@@ -235,7 +322,7 @@ def test_a_rejected_candidate_falls_back_to_the_full_refusal(monkeypatch):
 
 
 def test_inverse_dynamics_that_do_not_synchronize_are_refused(monkeypatch):
-    """The full run refuses a configuration machine that does not
+    """The full run refuses a machine of run sets that does not
     synchronize, and is_bisynchronizing reads the refusal as a negative
     verdict."""
     core = fixture_cores()[1]
@@ -243,7 +330,8 @@ def test_inverse_dynamics_that_do_not_synchronize_are_refused(monkeypatch):
     refused = []
 
     def configurations_never_synchronize(t):
-        # configuration machines are named (state name, pending word)
+        # machines of run sets are named by their configurations
+        # (state name, pending word)
         if isinstance(t.states[0], tuple):
             refused.append(t)
             return None

@@ -123,9 +123,11 @@ def test_classify_synchronizes_each_machine_once(monkeypatch):
     seen = count_calls(monkeypatch, synchro, "sync_level")
     flags = classify_subgroup(cube)
     assert flags.core_states == 103
-    # the cube, the inverse dynamics, the inverse core, the cube's core;
-    # the round-trip products check neither factor again
-    assert [len(t.states) for t in seen] == [103, 664, 103, 103]
+    # the cube, the inverse's machine of run sets (664 pending-word
+    # configurations before they were merged by run set), the inverse
+    # core, the cube's core; the round-trip products check neither
+    # factor again
+    assert [len(t.states) for t in seen] == [103, 131, 103, 103]
 
 
 def test_order_search_synchronizes_its_core_once(monkeypatch):

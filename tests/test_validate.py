@@ -297,23 +297,23 @@ def _record_core_at(monkeypatch):
 
 
 def _record_reduced(monkeypatch):
-    """The machines synchro reduces, one per call: invert_core's
-    configuration machine, whether it comes from one seed or from the
-    full exploration."""
+    """The machines synchro reduces on state numbers, one per call, as
+    named core-mode machines: invert_core's core of the machine of run
+    sets, whether it comes from one seed or from the full exploration."""
     machines = []
-    real = synchro._reduce
+    real = synchro._reduce_core_rows
 
-    def recording(t):
-        machines.append(t)
-        return real(t)
+    def recording(view, n):
+        machines.append(synchro._pair_machine(view, n))
+        return real(view, n)
 
-    monkeypatch.setattr(synchro, "_reduce", recording)
+    monkeypatch.setattr(synchro, "_reduce_core_rows", recording)
     return machines
 
 
 def test_extracted_cores_are_valid_and_strongly_connected(monkeypatch):
     """The checks core extraction no longer runs: on cores of valid
-    machines and on invert_core's configuration machines."""
+    machines and on the cores of invert_core's machines of run sets."""
     cores = fixture_cores() + balanced_powers(4)
     cores += [core_of(minimize(multi_core_bisync(seed))) for seed in range(9)]
     extracted = _record_core_at(monkeypatch)
