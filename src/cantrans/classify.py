@@ -19,18 +19,17 @@ from dataclasses import dataclass
 
 from .machine import CORE, TransducerError, canonical_form
 from .minimize import minimize
-from .synchro import NotSynchronizing, _core_at, _valid_core_product, \
-    core_of, core_product, is_bisynchronizing, is_identity_core, sync_level
+from .synchro import NotSynchronizing, _synchronizes, core_of, \
+    core_product, is_bisynchronizing, is_identity_core
 
 
 def is_in_Gnr(t):
     """Membership in the prefix-exchange group: the minimal machine is
     bi-synchronizing and its core is the single identity-echo state.
-    Once the bi-synchronizing test passes, the minimal machine
-    synchronizes, and _core_at takes its core without a level, so it is
-    collapsed once."""
+    The bi-synchronizing test leaves the minimal machine's level on it,
+    so core_of reads that and does not collapse it again."""
     m = minimize(t)
-    return is_bisynchronizing(m)[0] and is_identity_core(_core_at(m))
+    return is_bisynchronizing(m)[0] and is_identity_core(core_of(m))
 
 
 def outer_class_equal(a, b):
@@ -54,23 +53,25 @@ def order_in_On(a, cap=64):
     Returns ("finite", k) at the first power equal to the identity core
     and ("unknown", None) if the cap runs out first.  No repeat among
     the powers can prove an infinite order: a^i == a^j already makes
-    a^(j-i) the identity, which the search meets first."""
+    a^(j-i) the identity, which the search meets first.
+
+    The core is minimized and checked for synchronization once; its
+    powers are core products, which are known to be valid and to
+    synchronize, so no factor is validated or collapsed again."""
     if a.mode != CORE:
         raise TransducerError("order_in_On expects a core-mode machine")
     if not isinstance(cap, int) or cap < 1:
         raise TransducerError(
             f"order search cap must be an integer >= 1, got {cap!r}")
     a = minimize(a)
-    if sync_level(a) is None:
+    if not _synchronizes(a):
         raise NotSynchronizing("order search needs a synchronizing core")
-    # powers of a synchronizing core synchronize (see core_product), and
-    # powers of a valid core are valid
     power = a
     for k in range(1, cap + 1):
         if is_identity_core(power):
             return "finite", k
         if k < cap:
-            power = _valid_core_product(power, a)
+            power = core_product(power, a)
     return "unknown", None
 
 
@@ -209,7 +210,9 @@ def classify_subgroup(t):
     (single-letter outputs); in_Ln means the core is cycle-balanced, the
     criterion this library uses for the bi-Lipschitz subgroup; in_Gnr
     means the core is the one-state identity.  t is minimized once;
-    is_bisynchronizing and core_of take the minimal machine as it is."""
+    is_bisynchronizing and core_of take the minimal machine as it is,
+    and core_of reads the level is_bisynchronizing left on it, so the
+    minimal machine is collapsed once."""
     m = minimize(t)
     ok, level = is_bisynchronizing(m)
     if not ok:

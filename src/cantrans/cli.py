@@ -24,7 +24,7 @@ from .algebra import (
     invert,
     twist_transducer,
 )
-from .synchro import _core_at, core_of, sync_level, witness_pair
+from .synchro import core_of, sync_level, witness_pair
 from .classify import classify_subgroup, is_in_Gnr, order_in_On, \
     outer_class_equal
 from .document import ParseError, parse, parse_prefix_map, serialize
@@ -233,7 +233,7 @@ def _dispatch(args):
             pair = witness_pair(t)
             print(f"not synchronizing; witness pair {pair[0]} / {pair[1]}")
             return 1
-        core = _core_at(t)
+        core = core_of(t)
         print(f"level: {level}")
         print("core states: " + " ".join(str(q) for q in core.states))
         return 0

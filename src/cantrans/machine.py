@@ -16,7 +16,12 @@ Two flavours share one type:
 Transducers are immutable after construction; all operations here are
 pure functions.  A machine's private `_known` slot records what is known
 of it: nothing, that it is valid (see check_valid), or that it is
-minimal (see minimize._reduce).
+minimal (see minimize._reduce).  Its `_level` slot records what is known
+of its synchronization: nothing, that it synchronizes (core products and
+inverse cores, see synchro.core_product), its level, or that it does not
+synchronize (both recorded by synchro._collapse).  The table never
+changes, so neither fact goes stale; the public constructor and relabel
+start a machine knowing nothing.
 """
 
 from itertools import chain, compress, count, product, repeat
@@ -44,6 +49,11 @@ CORE = "core"
 _VALID = "valid"
 _MINIMAL = "minimal"
 
+# what a machine's `_level` slot records, besides None (nothing) and an
+# int (its synchronization level)
+_SYNCHRONIZES = "synchronizes"
+_NOT_SYNCHRONIZING = "not synchronizing"
+
 
 class TransducerError(ValueError):
     pass
@@ -62,7 +72,8 @@ class UnboundedOutput(TransducerError):
 
 
 class Transducer:
-    __slots__ = ("n", "r", "mode", "states", "initial", "trans", "_known")
+    __slots__ = ("n", "r", "mode", "states", "initial", "trans", "_known",
+                 "_level")
 
     def __init__(self, n, r, mode, states, initial, trans):
         """trans maps (state, letter) -> (output word, target state)."""
@@ -85,6 +96,7 @@ class Transducer:
             self, "trans", {k: (tuple(w), q) for k, (w, q) in trans.items()}
         )
         object.__setattr__(self, "_known", None)
+        object.__setattr__(self, "_level", None)
 
     @classmethod
     def _own(cls, n, r, mode, states, initial, trans, known):
@@ -92,17 +104,23 @@ class Transducer:
         valid machine's parts: `states` a tuple and `trans` a dict of
         (word tuple, target) values, both taken as they are and owned by
         the machine from here on, and `known` what its builder knows of
-        it (None, _VALID or _MINIMAL).  The public constructor's checks
-        and its copy of every transition are skipped."""
+        it (None, _VALID or _MINIMAL); its level is not known.  The
+        public constructor's checks and its copy of every transition are
+        skipped."""
         t = object.__new__(cls)
-        for slot, value in zip(cls.__slots__,
-                               (n, r, mode, states, initial, trans, known)):
+        for slot, value in zip(cls.__slots__, (n, r, mode, states, initial,
+                                               trans, known, None)):
             object.__setattr__(t, slot, value)
         return t
 
     def _know(self, fact):
         """Record `fact` in the `_known` slot."""
         object.__setattr__(self, "_known", fact)
+
+    def _know_level(self, level):
+        """Record `level` in the `_level` slot: _SYNCHRONIZES, the level
+        or _NOT_SYNCHRONIZING."""
+        object.__setattr__(self, "_level", level)
 
     def __setattr__(self, *_):
         raise AttributeError("Transducer is immutable")

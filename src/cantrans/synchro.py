@@ -12,7 +12,8 @@ from operator import itemgetter
 
 from .words import EMPTY, format_letter
 from .machine import CORE, InvalidTransducer, Transducer, TransducerError, \
-    check_valid, validate, _VALID, _View, _bfs, _bfs_order, _first_repeat
+    check_valid, validate, _NOT_SYNCHRONIZING, _SYNCHRONIZES, _VALID, \
+    _View, _bfs, _bfs_order, _first_repeat
 from .minimize import _reduce_core_rows, minimize
 from .algebra import NotInjective, NotInvertible, invert, _RunSets, \
     _accepting, _explore, _product_is_identity
@@ -37,7 +38,8 @@ def _tracked_states(t):
 
 def _collapse(t):
     """Partition the tracked states by where every word of the current
-    length sends them: (tracked, final classes, level or None).
+    length sends them: (tracked, final classes, level or None).  The
+    level, or that there is none, is recorded in t's `_level` slot.
 
     Round m keeps p and q in one class exactly when every digit word of
     length m drives them to the same state, so round m + 1 merges the
@@ -57,7 +59,8 @@ def _collapse(t):
 
     No valid machine lacks a tracked state, so one that does is refused
     with InvalidTransducer, here for sync_level, witness_pair and every
-    _core_at, whose callers collapse first."""
+    _core_at, whose callers collapse first (a machine marked as
+    synchronizing has states)."""
     tracked = _tracked_states(t)
     if not tracked:
         raise InvalidTransducer(validate(t))
@@ -76,7 +79,9 @@ def _collapse(t):
         maps.append(nxt)
         count = len(ids)
     else:
+        t._know_level(len(maps))
         return tracked, [0] * len(tracked), len(maps)
+    t._know_level(_NOT_SYNCHRONIZING)
     cls = range(count)
     for nxt in reversed(maps):
         cls = list(map(cls.__getitem__, nxt))
@@ -87,15 +92,31 @@ def sync_level(t):
     """Least m such that every digit word of length m is synchronizing,
     or None when no such m exists: the number of collapse rounds that
     bring the tracked states into one class.  Level 0 means a single
-    tracked state."""
-    return _collapse(t)[2]
+    tracked state.  The answer is read from t's `_level` slot when it is
+    there; a machine known only to synchronize, or not known at all, is
+    collapsed once, and the collapse records the answer."""
+    if t._level is None or t._level == _SYNCHRONIZES:
+        _collapse(t)
+    return None if t._level == _NOT_SYNCHRONIZING else t._level
+
+
+def _synchronizes(t):
+    """Whether t synchronizes, read from its `_level` slot, or found by
+    one collapse when nothing is known."""
+    if t._level is None:
+        _collapse(t)
+    return t._level != _NOT_SYNCHRONIZING
 
 
 def witness_pair(t):
     """For a non-synchronizing machine: two tracked states, sorted by
     name, in different classes of the final collapse, or None when the
     machine synchronizes.  Every word of every length keeps some run
-    from the two apart, so by Koenig's lemma some infinite word does."""
+    from the two apart, so by Koenig's lemma some infinite word does.
+    A machine known to synchronize returns None at once; the classes
+    are not remembered, so any other machine is collapsed."""
+    if t._level not in (None, _NOT_SYNCHRONIZING):
+        return None
     tracked, cls, level = _collapse(t)
     if level is not None:
         return None
@@ -115,13 +136,16 @@ def core_of(t):
 
     Refuses with NotSynchronizing when the machine has no
     synchronization level, and otherwise takes the forward closure of
-    the state that digit 0 fixes (see _core_at).  The result is a
+    the state that digit 0 fixes (see _core_at).  Whether it
+    synchronizes is read from the machine when known (see sync_level),
+    so a machine whose level was found, or a core product, is not
+    collapsed again; the closure needs no level.  The result is a
     core-mode machine on the original state names, strongly connected
     and closed.  It is checked with check_valid, which refuses with
     InvalidTransducer the core of a machine that was itself invalid, and
     returns at once for the core of a machine known to be valid (see
     _core_at)."""
-    if sync_level(t) is None:
+    if not _synchronizes(t):
         raise NotSynchronizing("machine is not synchronizing; it has no core")
     return check_valid(_core_at(t))
 
@@ -140,7 +164,8 @@ def _core_at(t):
     cycles.  The closure's table is t's own transitions, so the machine
     takes it without the public constructor's copy.  It is marked valid
     when t is known to be valid; otherwise core_of checks it.  t must
-    have a tracked state, which _collapse checks."""
+    have a tracked state, which _collapse checks, and which every
+    machine marked as synchronizing has."""
     start = _first_repeat(_tracked_states(t)[0], lambda q: t.step(q, 0)[1])
     order = _bfs_order(t, start)
     trans = {(p, x): t.step(p, x) for p in order for x in range(t.n)}
@@ -253,16 +278,22 @@ def core_product(a, b):
     a factor not known to be valid is validated, and the pair machine
     only when one of them fails.  The result is _pair_core's rows,
     reduced on their pair numbers, and equals minimize of that named
-    pair machine (same states, names and table).  It is strongly connected: the closure is
-    the core of a synchronizing machine, and merging states keeps every
-    path."""
+    pair machine (same states, names and table).  It is strongly
+    connected: the closure is the core of a synchronizing machine, and
+    merging states keeps every path.
+
+    Whether each factor synchronizes is read from it when known, so a
+    leveled factor or an earlier product is not collapsed again.  The
+    result is marked as synchronizing, by the argument above (merging
+    states keeps a synchronizing word synchronizing); its level is found
+    by sync_level when asked for."""
     if a.mode != CORE or b.mode != CORE:
         raise TransducerError("core_product expects core-mode machines")
     if a.n != b.n:
         raise TransducerError("alphabet mismatch in core product")
     if not (a.states and b.states):
         raise TransducerError("degenerate product: no states")
-    if sync_level(a) is None or sync_level(b) is None:
+    if not (_synchronizes(a) and _synchronizes(b)):
         raise NotSynchronizing("core product of a non-synchronizing core")
     view = _pair_core(a, b)
     if any(t._known is None and validate(t) for t in (a, b)):
@@ -270,14 +301,9 @@ def core_product(a, b):
             check_valid(_pair_machine(view, a.n))
         except InvalidTransducer as e:
             raise TransducerError(f"degenerate product: {e}") from None
-    return _reduce_core_rows(view, a.n)
-
-
-def _valid_core_product(a, b):
-    """core_product for two synchronizing cores known to be valid, such
-    as minimized ones and their products, which are not validated
-    again."""
-    return _reduce_core_rows(_pair_core(a, b), a.n)
+    product = _reduce_core_rows(view, a.n)
+    product._know_level(_SYNCHRONIZES)
+    return product
 
 
 def invert_core(c):
@@ -290,14 +316,16 @@ def invert_core(c):
     seeds, checks that the machine they make synchronizes, reduces its
     core and checks that both core products with the original reduce to
     the identity core.  It runs first from the one set that repeats when
-    the set of a seed (q, empty) reads 0s, and only when that run
-    refuses from the sets of every seed (state, empty), keeping the
-    largest sub-machine on which every digit can always be read (a set
-    surviving that pruning accepts every continuation, which is exactly
-    what deep states of an inverse must do).  The second run's inverse
-    or refusal, which says which step failed, is the answer.  Two runs
-    of one set that write the same output after reading different words
-    prove the map not injective, and end both runs at once.
+    the set of a seed (q, empty) reads 0s, without pruning, and only
+    when that run refuses for any reason but NotInjective from the sets
+    of every seed (state, empty), keeping the largest sub-machine on
+    which every digit can always be read (a set surviving that pruning
+    accepts every continuation, which is exactly what deep states of an
+    inverse must do).  The second run's inverse or refusal, which says
+    which step failed, is the answer.  Both runs share one _RunSets, so
+    a set is built once for both.  Two runs of one set that write the
+    same output after reading different words prove the map not
+    injective, and end both runs at once.
 
     The inverse core is numbered breadth-first from its one state that
     digit 0 fixes, so its names depend on the machine alone, not on the
@@ -307,25 +335,10 @@ def invert_core(c):
     the core of each pair machine, from the pair digit 0 fixes, every
     pair must carry a lag word u with u x = w u' on each of its edges
     x/w.  Products of a non-synchronizing core need not have a core, so
-    such a core is refused up front, before the exploration.
-
-    Both runs give the same machine whenever the full exploration
-    synchronizes (see _invert_minimal_core).  They could differ only on
-    a core whose one-seed closure verifies while its full machine of
-    sets does not synchronize: the full run would refuse it."""
-    if c.mode != CORE:
-        raise TransducerError("invert_core expects a core-mode machine")
-    c = minimize(c)
-    if sync_level(c) is None:
-        raise NotSynchronizing("invert_core needs a synchronizing core")
-    return _invert_minimal_core(c)
-
-
-def _invert_minimal_core(c):
-    """invert_core for a minimal core known to synchronize: _inverse_from
-    the seed walk's repeat without pruning, and from every (i, empty)
-    with pruning when that refuses for any reason but NotInjective.  Both
-    runs share one _RunSets, so a set is built once for both.
+    such a core is refused up front, before the exploration.  c is
+    minimized first, which returns a minimal core as it is, and whether
+    it synchronizes is read from it when known (see sync_level), so the
+    core is_bisynchronizing has just leveled is not collapsed again.
 
     The one-seed closure is exact.  It is closed, every set in it reads
     every digit, and it is reached from a seed of the full exploration,
@@ -337,7 +350,15 @@ def _invert_minimal_core(c):
     one-seed run (every seed walk refused, the pending-word bound
     exceeded, a digit refused in the closure, a closure that does not
     synchronize, a failed product check) leaves the answer and its
-    refusal text to the full run."""
+    refusal text to the full run.  So both runs give the same machine
+    whenever the full exploration synchronizes; they could differ only
+    on a core whose one-seed closure verifies while its full machine of
+    sets does not synchronize, which the full run would refuse."""
+    if c.mode != CORE:
+        raise TransducerError("invert_core expects a core-mode machine")
+    c = minimize(c)
+    if not _synchronizes(c):
+        raise NotSynchronizing("invert_core needs a synchronizing core")
     runs = _RunSets(_View(c))
     repeat = _zero_repeat_config(runs)
     if repeat is not None:
@@ -370,7 +391,8 @@ def _inverse_from(c, runs, seeds, prune):
     digit into it and writes digits, and no cycle of it writes nothing,
     since a run that is at one position after the inverse has read more
     input, with no emission between, would have written two outputs
-    there."""
+    there.  It is marked as synchronizing, as the reduction of the core
+    of a synchronizing machine; its level is found when asked for."""
     n = c.n
     nodes, rows = _explore(runs, seeds, range(n), n, prune)
     keep = _accepting(rows) if prune else range(len(rows))
@@ -404,6 +426,7 @@ def _inverse_from(c, runs, seeds, prune):
         raise NotInvertible(
             "round-trip verification failed: core products are not trivial"
         )
+    d._know_level(_SYNCHRONIZES)
     return d
 
 
@@ -445,7 +468,7 @@ def is_bisynchronizing(t):
     if fwd is None:
         return False, None
     try:
-        inv = _invert_minimal_core(m) if m.mode == CORE else invert(m)
+        inv = invert_core(m) if m.mode == CORE else invert(m)
     except NotInvertible:
         return False, None
     bwd = sync_level(inv)

@@ -1,9 +1,13 @@
 """What a machine knows about itself.  check_valid and parse mark a
 machine valid, the reduction marks the machines it builds minimal, and
-_core_at marks the core of a machine known to be valid; nothing else
-marks a machine.  The idempotence oracle behind `minimize(m) is m`:
-reducing a machine marked minimal gives the same machine, down to its
-states tuple, entry, table order and document."""
+_core_at marks the core of a machine known to be valid.  A collapse
+records the machine's synchronization level, or that it has none, and
+core_product and invert_core mark what they build as synchronizing;
+nothing else marks a machine.  The idempotence oracle behind
+`minimize(m) is m`: reducing a machine marked minimal gives the same
+machine, down to its states tuple, entry, table order and document.
+The oracle behind a remembered level: the collapse of
+helpers.round_remap_collapse, on the machine as it stands."""
 
 import random
 
@@ -26,15 +30,19 @@ from cantrans import (
     parse,
     random_transducer,
     serialize,
+    sync_level,
+    witness_pair,
 )
-from cantrans import fixtures, machine
-from cantrans.machine import _MINIMAL, _VALID, relabel
+from cantrans import fixtures, machine, synchro
+from cantrans.machine import _MINIMAL, _NOT_SYNCHRONIZING, _SYNCHRONIZES, \
+    _VALID, relabel
 from cantrans.minimize import _reduce
 from cantrans.randgen import random_gnr_element
 from cantrans.synchro import _core_at
 
 from helpers import balanced_powers, count_calls, duplicated_states, \
-    fixture_cores, unreduced_compose
+    empty_output_chain, fixture_cores, multi_core_bisync, \
+    round_remap_collapse, unreduced_compose
 
 
 def _copy(t):
@@ -143,10 +151,12 @@ def test_check_valid_marks_a_machine_and_then_returns_at_once(monkeypatch):
 
 def test_single_steps_and_raw_products_are_not_marked():
     m = minimize(fixtures.balanced_core_2())
+    assert sync_level(m) == 6 and m._level == 6
     assert _copy(m)._known is None
     renamed = relabel(m, {q: f"x{q}" for q in m.states})
     assert renamed._known is None
     doubled = check_valid(duplicated_states(m, random.Random(5)))
+    sync_level(doubled)
     merged = merge_equivalent_states(doubled)
     assert len(merged.states) == len(m.states)
     assert merged._known is None
@@ -154,6 +164,12 @@ def test_single_steps_and_raw_products_are_not_marked():
     assert raw._known is None
     a = random_gnr_element(Alphabet(3, 2), 1)
     assert unreduced_compose(a, a)._known is None
+    # nor do they know a level: the copy and the renaming of a leveled
+    # machine, a single step, a raw product, a reduction and a core
+    assert doubled._level is not None
+    for t in (_copy(m), renamed, merged, raw, _reduce(doubled), _core_at(m),
+              core_of(m), unreduced_compose(a, a), parse(serialize(m))):
+        assert t._level is None
 
 
 def test_a_core_is_marked_valid_only_when_its_machine_is():
@@ -166,3 +182,79 @@ def test_a_core_is_marked_valid_only_when_its_machine_is():
     core = core_of(copy)
     assert core._known == _VALID
     assert _whole(core) == _whole(core_of(t))
+
+
+@pytest.fixture(scope="module")
+def level_corpus():
+    """BALANCED_CORE_2 a^1 .. a^5 (a^1 leveled and a^2 .. a^5 marked as
+    synchronizing by the products that built the ladder), the two
+    3000-state empty-output chains, maps with multi-state cores, 200
+    seeded random machines and the cores of those that synchronize, each
+    as built; none but a^1 knows its level yet."""
+    machines = balanced_powers(5)
+    machines += [empty_output_chain(True), empty_output_chain(False)]
+    machines += [multi_core_bisync(seed) for seed in range(6)]
+    alphabets = (Alphabet(2, 1), Alphabet(3, 1), Alphabet(3, 2))
+    randoms = [random_transducer(alphabets[seed % 3], 1 + seed % 6, 2,
+                                 91_000 + seed) for seed in range(200)]
+    machines += randoms
+    machines += [core_of(_copy(t)) for t in randoms
+                 if round_remap_collapse(t)[2] is not None]
+    return machines
+
+
+def test_a_remembered_level_equals_the_collapse_oracle(monkeypatch,
+                                                       level_corpus):
+    collapsed = count_calls(monkeypatch, synchro, "_collapse")
+    marks, levels = [], []
+    for t in level_corpus:
+        want = round_remap_collapse(t)[2]
+        marks.append(t._level)
+        leveled = isinstance(t._level, int)
+        if leveled:
+            assert t._level == want
+        done = len(collapsed)
+        assert sync_level(t) == want
+        assert t._level == (_NOT_SYNCHRONIZING if want is None else want)
+        # read back without a collapse
+        assert sync_level(t) == want
+        if want is not None:
+            assert witness_pair(t) is None
+            core_of(t)
+        assert len(collapsed) == done + (not leveled)
+        levels.append(want)
+    assert marks[:5] == [6] + [_SYNCHRONIZES] * 4
+    assert marks.count(None) == len(marks) - 5
+    assert levels.count(None) >= 100
+    assert len(levels) - levels.count(None) >= 80
+    assert levels[:5] == [6, 12, 18, 24, 30]
+    # the ring never synchronizes; the initial chain does after 3000 rounds
+    assert levels[5:7] == [None, 3000]
+
+
+def test_witness_pair_of_a_machine_known_not_to_synchronize(level_corpus):
+    pairs = 0
+    for t in level_corpus:
+        if sync_level(t) is None:
+            assert t._level == _NOT_SYNCHRONIZING
+            pair = witness_pair(t)
+            assert pair is not None and pair == witness_pair(_copy(t))
+            pairs += 1
+    assert pairs >= 30
+
+
+def test_products_and_inverse_cores_are_marked_as_synchronizing(
+        monkeypatch):
+    """The mark core_product and invert_core leave agrees with a fresh
+    collapse, on both routes of invert_core."""
+    cores = fixture_cores() + balanced_powers(3)
+    made = [core_product(a, b) for a in cores for b in cores if a.n == b.n]
+    made += [invert_core(c) for c in cores]
+    monkeypatch.setattr(synchro, "_zero_repeat_config", lambda runs: None)
+    made += [invert_core(_copy(c)) for c in cores]
+    assert len(made) == 5 * 5 + 3 * 3 + 8 + 8
+    for m in made:
+        assert m._level == _SYNCHRONIZES
+        want = round_remap_collapse(m)[2]
+        assert want is not None
+        assert sync_level(m) == want == sync_level(_copy(m))

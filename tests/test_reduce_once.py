@@ -1,12 +1,12 @@
 """Each machine is validated and minimized once per operation: compose,
 invert and from_prefix_code_map validate the machine they build once,
 invert validates an input not known to be valid once and a minimal one
-not at all, is_in_Gnr reduces its input once and synchronizes each
-machine once, a core's synchronization level is computed once per
-classification and once per order search, degenerate constructions are
-still refused with their old types, and the bi-synchronizing verdicts
-equal the three-minimize path they replaced (kept in helpers.py as an
-oracle)."""
+not at all, is_in_Gnr reduces its input once, each machine is collapsed
+(synchro._collapse, the work behind every synchronization level) at
+most once per membership test, classification, order search and core
+ladder rung, degenerate constructions are still refused with their old
+types, and the bi-synchronizing verdicts equal the three-minimize path
+they replaced (kept in helpers.py as an oracle)."""
 
 import importlib
 import random
@@ -32,15 +32,17 @@ from cantrans import (
     is_in_Gnr,
     minimize,
     order_in_On,
+    outer_class_equal,
     parse,
     random_prefix_code_map,
     serialize,
+    sync_level,
 )
 from cantrans import algebra, fixtures, machine, synchro
 from cantrans.randgen import random_gnr_element
 
 from helpers import count_calls, delayed_copy, random_bisync, \
-    three_minimize_bisync, three_minimize_in_gnr
+    round_remap_collapse, three_minimize_bisync, three_minimize_in_gnr
 
 # the package's `minimize` attribute is the function, not the module
 minimize_module = importlib.import_module("cantrans.minimize")
@@ -107,7 +109,7 @@ def test_is_in_Gnr_minimizes_its_input_once(monkeypatch, t):
     fixtures.sample_3_2(), minimize(fixtures.torsion_core_2()),
 ], ids=["gnr", "gnr-2-1", "sample_3_2", "torsion_core_2"])
 def test_is_in_Gnr_synchronizes_each_machine_once(monkeypatch, t):
-    seen = count_calls(monkeypatch, synchro, "sync_level")
+    seen = count_calls(monkeypatch, synchro, "_collapse")
     verdict = is_in_Gnr(t)
     # the core is taken at the level already found, not collapsed again
     assert len({id(m) for m in seen}) == len(seen)
@@ -120,21 +122,42 @@ def test_is_in_Gnr_synchronizes_each_machine_once(monkeypatch, t):
 def test_classify_synchronizes_each_machine_once(monkeypatch):
     a = minimize(fixtures.balanced_core_2())
     cube = core_product(core_product(a, a), a)
-    seen = count_calls(monkeypatch, synchro, "sync_level")
+    seen = count_calls(monkeypatch, synchro, "_collapse")
     flags = classify_subgroup(cube)
     assert flags.core_states == 103
     # the cube, the inverse's machine of run sets (664 pending-word
-    # configurations before they were merged by run set), the inverse
-    # core, the cube's core; the round-trip products check neither
-    # factor again
-    assert [len(t.states) for t in seen] == [103, 131, 103, 103]
+    # configurations before they were merged by run set) and the inverse
+    # core; invert_core and core_of read the cube's level, and the
+    # round-trip products check neither factor again
+    assert [len(t.states) for t in seen] == [103, 131, 103]
 
 
 def test_order_search_synchronizes_its_core_once(monkeypatch):
     a = minimize(fixtures.balanced_core_2())
-    seen = count_calls(monkeypatch, synchro, "sync_level")
+    seen = count_calls(monkeypatch, synchro, "_collapse")
     assert order_in_On(a, cap=3) == ("unknown", None)
     assert [len(t.states) for t in seen] == [10]
+
+
+def test_a_ladder_rung_is_collapsed_once(monkeypatch):
+    """A power of the core ladder, leveled, cored, compared with itself
+    and multiplied into the next power: only its level needs a collapse,
+    and every answer is the one fresh copies give."""
+    a = minimize(fixtures.balanced_core_2())
+    sync_level(a)
+    p = core_product(a, a)
+    seen = count_calls(monkeypatch, synchro, "_collapse")
+    level = sync_level(p)
+    core = core_of(p)
+    same = outer_class_equal(p, p)
+    cube = core_product(p, a)
+    assert seen == [p]
+    monkeypatch.undo()
+    fresh = Transducer(p.n, None, CORE, p.states, None, p.trans)
+    assert level == round_remap_collapse(fresh)[2] is not None
+    assert serialize(core) == serialize(core_of(fresh))
+    assert same is True
+    assert serialize(cube) == serialize(core_product(fresh, a))
 
 
 def _silent_initial():

@@ -355,7 +355,7 @@ def test_cli_verbs_validate_and_synchronize_once(name, tmp_path, monkeypatch,
         assert _run(fresh_parser_main, argv, capsys) == want
         with monkeypatch.context() as patch:
             validated = count_calls(patch, machine, "validate")
-            synchronized = count_calls(patch, synchro, "sync_level")
+            synchronized = count_calls(patch, synchro, "_collapse")
             assert _run(cli.main, argv, capsys) == want
         assert len(validated) == 1
         assert len(synchronized) == (1 if verb in ("sync", "core") else 0)
