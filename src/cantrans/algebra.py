@@ -5,7 +5,6 @@ x -> (x . a) . b, matching the right actions used everywhere else in
 the library.
 """
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count
 from operator import ne
@@ -14,6 +13,7 @@ from .words import (
     EMPTY,
     Relation,
     WordError,
+    format_letter,
     format_word,
     is_prefix,
     shortlex_key,
@@ -27,7 +27,7 @@ from .machine import (
     Transducer,
     TransducerError,
     check_valid,
-    run_word,
+    run_word,  # unused here, but bench/tests reads algebra.run_word
     validate,
     _View,
     _bfs,
@@ -177,47 +177,140 @@ def embed_core(core, start=None):
 def compose(a, b):
     """Product machine realizing x -> (x . a) . b, minimized.
 
-    States are reachable pairs (state of a, state of b); reading x the
-    pair emits what b writes on reading what a wrote.  In core mode the
-    product is taken over all pairs.
+    States are the pairs (state of a, state of b) reachable from the
+    entry pair, or all pairs in core mode; reading x a pair writes what
+    b writes on reading what a wrote (see _Pairs).  A core-mode product
+    keeps a preferred start when both factors have one.  The pair
+    machine, named by the pairs, is checked by _check_product and
+    reduced by _reduce.
     """
     if a.mode != b.mode:
         raise TransducerError("mode mismatch in composition")
     if a.n != b.n or a.r != b.r:
         raise TransducerError("alphabet mismatch in composition")
-
-    trans = {}
+    pairs = _Pairs(_View(a), _View(b))
     if a.mode == INITIAL:
-        seeds = [(a.initial, b.initial)]
+        if pairs.entry is None:
+            raise TransducerError("degenerate product: no entry pair")
+        seeds, initial = [pairs.entry], (a.initial, b.initial)
     else:
-        seeds = [(p, q) for p in a.states for q in b.states]
-    seen = set(seeds)
-    todo = deque(seeds)
-    while todo:
-        pair = todo.popleft()
-        pa, pb = pair
-        for x in a.input_letters(pa):
-            w, ta = a.step(pa, x)
-            out, tb = run_word(b, pb, w)
-            trans[(pair, x)] = (out, (ta, tb))
-            if (ta, tb) not in seen:
-                seen.add((ta, tb))
-                todo.append((ta, tb))
+        seeds = range(len(a.states) * len(b.states))
+        both = a.initial is not None and b.initial is not None
+        initial = (a.initial, b.initial) if both else None
+    view = pairs.closure(seeds)
+    _check_product(a, b, view, initial, "degenerate product (second "
+                   "factor undefined on the first's image): ")
+    return _reduce(_named_pairs(a, view, initial))
 
-    if a.mode == INITIAL:
-        initial = (a.initial, b.initial)
-    elif a.initial is not None and b.initial is not None:
-        initial = (a.initial, b.initial)
-    else:
-        initial = None
-    raw = Transducer(a.n, a.r, a.mode, sorted(seen, key=str), initial, trans)
-    bad = validate(raw)
-    if bad:
-        raise TransducerError(
-            "degenerate product (second factor undefined on the first's "
-            "image): " + "; ".join(bad)
-        )
-    return _reduce(raw)
+
+class _Pairs:
+    """The pair machine of a and b on their integer views va and vb: the
+    product of transducers, for compose, core_product and both lag
+    walks.  The pair (i, j) reads x as a does, i -- x/w --> i', b reads
+    w from j, and the pair writes what b wrote and moves to (i', j').
+
+    A pair is numbered i * |b| + j and reads a's letters at i, so the
+    entry pair of two initial-mode machines reads the root letters, at
+    row index ~y as in _RunSets.  How b reads each output word of a from
+    each state is worked out once.  A letter b cannot read where it is
+    (only an invalid a writes one) raises TransducerError."""
+
+    __slots__ = ("va", "vb", "size", "entry", "memo")
+
+    def __init__(self, va, vb):
+        self.va, self.vb = va, vb
+        self.size = size = len(vb.states)
+        self.entry = (None if va.entry is None or vb.entry is None
+                      else va.entry * size + vb.entry)
+        self.memo = {}
+
+    def step(self, pair, k):
+        """(output, pair) when `pair` reads the letter at index k of its
+        row."""
+        size, va = self.size, self.va
+        i, j = divmod(pair, size)
+        w = va.outs[i][k]
+        out, j = self.memo.get((w, j)) or self._read(w, j)
+        return out, va.targets[i][k] * size + j
+
+    def fixed(self):
+        """The pair digit 0 fixes in the product of two synchronizing
+        cores: the first pair met twice when pair 0 reads 0s."""
+        return _first_repeat(0, lambda pair: self.step(pair, 0)[1])
+
+    def closure(self, seeds):
+        """The pairs reached from the pair numbers `seeds`, numbered
+        breadth-first in the order found, as a view on those numbers
+        named by the pairs (state of a, state of b)."""
+        size, memo, read, va = self.size, self.memo, self._read, self.va
+        pairs = list(dict.fromkeys(seeds))
+        number = dict(zip(pairs, count()))
+        outs, targets = [], []
+        for pair in pairs:
+            i, j = divmod(pair, size)
+            row_outs, row_targets = [], []
+            for w, k in zip(va.outs[i], va.targets[i]):
+                out, q = memo.get((w, j)) or read(w, j)
+                tgt = k * size + q
+                num = number.get(tgt)
+                if num is None:
+                    num = number[tgt] = len(pairs)
+                    pairs.append(tgt)
+                row_outs.append(out)
+                row_targets.append(num)
+            outs.append(tuple(row_outs))
+            targets.append(tuple(row_targets))
+        a_states, b_states = va.states, self.vb.states
+        names = [(a_states[p // size], b_states[p % size]) for p in pairs]
+        letters = [va.letters[p // size] for p in pairs]
+        return _View._of_rows(names, letters, outs, targets,
+                              number.get(self.entry))
+
+    def _read(self, w, j):
+        """(output, state number) when b reads w from state number j."""
+        vb = self.vb
+        out, q = EMPTY, j
+        for y in w:
+            if y not in vb.letters[q]:
+                raise TransducerError(
+                    f"no transition ({vb.states[q]!r}, {format_letter(y)})")
+            x = y if y >= 0 else ~y
+            out += vb.outs[q][x]
+            q = vb.targets[q][x]
+        self.memo[(w, j)] = edge = (out, q)
+        return edge
+
+
+def _named_pairs(t, view, initial):
+    """A closure of _Pairs as the raw pair machine on t's alphabet and
+    mode, named by the pairs, sorted by str, with the given entry or
+    preferred start, and known to be nothing."""
+    states = view.states
+    trans = {(p, x): (w, states[j])
+             for p, letters, outs, targets in zip(states, view.letters,
+                                                  view.outs, view.targets)
+             for x, w, j in zip(letters, outs, targets)}
+    return Transducer._own(t.n, t.r, t.mode, tuple(sorted(states, key=str)),
+                           initial, trans, None)
+
+
+def _check_product(a, b, view, initial, refusal):
+    """The validation policy of compose and core_product.  Valid factors
+    never make a degenerate pair machine: its table is complete, it
+    writes what b writes, and an empty-output cycle in it would need one
+    in a (when a writes nothing along it) or in b (which then reads a's
+    nonempty writing around a cycle and writes nothing).  In initial
+    mode nothing enters the entry pair, and the pairs it reaches with
+    empty output are those where b has written nothing, which b never
+    returns to: they leave with b's rooted output, and no other pair
+    writes a root letter.  So a factor not known to be valid is
+    validated, and the pair machine of the closure `view` only when one
+    fails; its violations are refused with TransducerError, after
+    `refusal`."""
+    if any(t._known is None and validate(t) for t in (a, b)):
+        bad = validate(_named_pairs(a, view, initial))
+        if bad:
+            raise TransducerError(refusal + "; ".join(bad))
 
 
 def from_prefix_code_map(pm, alphabet):
@@ -267,63 +360,41 @@ def from_prefix_code_map(pm, alphabet):
     return _reduce(check_valid(raw))
 
 
-def _pair_step(a, b):
-    """The pair machine's transition, as compose reads it: the pair
-    (p, q) reads x as a does, p -- x/w --> p', b reads w from q, and the
-    pair writes what b wrote and moves to (p', q').  Transitions are
-    looked up in the tables directly; Transducer.step words the error of
-    a missing one."""
-    get_a, get_b = a.trans.get, b.trans.get
-
-    def step(pair, x):
-        p, q = pair
-        w, p = get_a((p, x)) or a.step(p, x)
-        out = EMPTY
-        for y in w:
-            v, q = get_b((q, y)) or b.step(q, y)
-            out += v
-        return out, (p, q)
-
-    return step
-
-
-def _product_is_identity(a, b):
+def _product_is_identity(va, vb):
     """The lag walk: whether x -> (x . a) . b is the identity, decided on
-    the pair machine without building it as a Transducer.
+    the pair machine of the views va and vb of a and b (see _Pairs)
+    without building it as a Transducer.
 
     A machine computes the identity exactly when every state s has a lag
     word u(s), the input it has read but not yet written, with
     u(s) x = w u(t) on every edge s -- x/w --> t.  The walk assigns lags
-    breadth-first from a seed, generating pairs with compose's rule as
-    it reaches them, and stops at the first edge that breaks the
-    equation.
+    breadth-first from a seed, stepping pairs as it reaches them, and
+    stops at the first edge that breaks the equation.
 
     Initial mode: the seed is the entry pair with lag empty, and the
     walk covers the pairs reachable from it.  Core mode (both factors
     must synchronize): the product's core is the forward closure of the
-    pair digit 0 fixes, which is the first pair met twice when the pair
-    of first states reads 0s (see synchro.core_product), and the product
-    reduces to the identity core exactly when that closure computes the
-    identity up to lags.  On the fixed pair, u 0 = w u forces w = 0 and
+    pair digit 0 fixes (_Pairs.fixed), and the product reduces to the
+    identity core exactly when that closure computes the identity up to
+    lags.  On the fixed pair, u 0 = w u forces w = 0 and
     u = 0^k, and reading 1s writes u 1 1 ..., so k is the number of 0s
     written before the first other letter; any other output on 0 breaks
     the equation on the walk's first edge."""
-    step = _pair_step(a, b)
-    if a.mode == INITIAL:
-        seed, lag = (a.initial, b.initial), EMPTY
+    pairs = _Pairs(va, vb)
+    step, size, letters = pairs.step, pairs.size, va.letters
+    if va.entry is not None:
+        seed, lag = pairs.entry, EMPTY
     else:
-        seed = _first_repeat((a.states[0], b.states[0]),
-                             lambda pair: step(pair, 0)[1])
+        seed = pairs.fixed()
         lag = _zeros_before_other(step, seed)
         if lag is None:
             return False
-    digits = range(a.n)
     lags = {seed: lag}
     todo = [seed]
     for pair in todo:
         u = lags[pair]
-        for x in a.input_letters(pair[0]) if pair is seed else digits:
-            w, tgt = step(pair, x)
+        for k, x in enumerate(letters[pair // size]):
+            w, tgt = step(pair, k)
             ux = u + (x,)
             if ux[:len(w)] != w:
                 return False
@@ -645,7 +716,9 @@ def invert(a):
         raise NotInvertible("inverse construction degenerate: " +
                             "; ".join(bad))
     b = _reduce(raw)
-    if not (_product_is_identity(a, b) and _product_is_identity(b, a)):
+    other = _View(b)
+    if not (_product_is_identity(view, other) and
+            _product_is_identity(other, view)):
         raise NotInvertible(
             "round-trip verification failed: the constructed machine "
             "does not invert the input"

@@ -198,8 +198,9 @@ def _dispatch(args):
 
     # the verbs call the library's public functions: parse marks the
     # machine it returns valid and the reduction marks what it builds
-    # minimal, so no machine is validated or reduced twice; sync takes
-    # the core at the level it has
+    # minimal, so no machine is validated or reduced twice; sync asks
+    # for the witness pair first, whose collapse records the level or
+    # that there is none, so it collapses the machine once either way
     if args.command == "minimize":
         _write(args.output, serialize(minimize(_load(args.file))))
         return 0
@@ -228,11 +229,11 @@ def _dispatch(args):
 
     if args.command == "sync":
         t = _load(args.file)
-        level = sync_level(t)
-        if level is None:
-            pair = witness_pair(t)
+        pair = witness_pair(t)
+        if pair is not None:
             print(f"not synchronizing; witness pair {pair[0]} / {pair[1]}")
             return 1
+        level = sync_level(t)
         core = core_of(t)
         print(f"level: {level}")
         print("core states: " + " ".join(str(q) for q in core.states))

@@ -406,11 +406,14 @@ def guaranteed_output(t):
 class _View:
     """A machine's transition table on integers, built for one kernel
     call: the states (all of the machine's by default) numbered by
-    position, with a name -> number map, and per state its letters in
-    canonical order and, letter by letter, the output words and target
-    numbers (rows are tuples; step 1 of the reduction replaces output
-    rows whole).  The states passed must be closed under transitions; a
-    target outside them raises TransducerError.
+    position, with a name -> number map, the number of the entry (None
+    in core mode, or when the entry is not among the states), and per
+    state its letters in canonical order and, letter by letter, the
+    output words and target numbers (rows are tuples; step 1 of the
+    reduction replaces output rows whole).  The entry's row holds the
+    root letters -1, -2, ... at 0, 1, ....  The states passed must be
+    closed under transitions; a target outside them raises
+    TransducerError.
 
     The table is built at C speed: one lookup of every digit row in
     state order (plus the entry's root row, in initial mode), one map of
@@ -419,7 +422,7 @@ class _View:
     letter loop of _View._fail, which words the error for the first
     failing state."""
 
-    __slots__ = ("states", "index", "letters", "outs", "targets")
+    __slots__ = ("states", "index", "entry", "letters", "outs", "targets")
 
     def __init__(self, t, states=None):
         self.states = states = t.states if states is None else tuple(states)
@@ -427,6 +430,7 @@ class _View:
         trans, n = t.trans, t.n
         digits = tuple(range(n))
         entry = index.get(t.initial) if t.mode == INITIAL else None
+        self.entry = entry
         readers = states if entry is None else \
             states[:entry] + states[entry + 1:]
         try:
@@ -451,16 +455,15 @@ class _View:
             self.targets.insert(entry, root_targets)
 
     @classmethod
-    def _of_core_rows(cls, states, outs, targets, n):
-        """The view of a core whose rows are already on state numbers,
-        such as a pair product's: `outs` and `targets` are lists of rows,
-        one per state, each with a word and a target number per digit.
-        No name -> number map is built (index is None): no kernel looks a
-        core's states up by name."""
+    def _of_rows(cls, states, letters, outs, targets, entry=None):
+        """The view of a machine whose rows are already on state numbers,
+        such as a pair product's: `letters`, `outs` and `targets` are
+        lists of rows, one per state, and `entry` is the entry's number.
+        No name -> number map is built (index is None): no kernel looks
+        such a machine's states up by name."""
         view = object.__new__(cls)
-        view.states, view.index = states, None
-        view.letters = [tuple(range(n))] * len(states)
-        view.outs, view.targets = outs, targets
+        view.states, view.index, view.entry = states, None, entry
+        view.letters, view.outs, view.targets = letters, outs, targets
         return view
 
     def _fail(self, t):

@@ -47,7 +47,7 @@ def remove_incomplete_response(t):
     Unreachable states are left untouched (step 2 removes them).
     """
     view = _View(t, _kept(t))
-    _complete_responses(view, _entry(view, t))
+    _complete_responses(view)
     trans = dict(t.trans)
     for q, letters, outs, targets in zip(view.states, view.letters,
                                          view.outs, view.targets):
@@ -113,7 +113,7 @@ def _reduce(t):
         reached = _bfs(view.targets, view.index[t.initial])
         if len(reached) < len(view.states):
             view = _View(t, map(view.states.__getitem__, sorted(reached)))
-    _complete_responses(view, _entry(view, t))
+    _complete_responses(view)
     rows, initial = _merge(view, t)
     if t.mode == INITIAL:
         order = _bfs(rows, initial)
@@ -130,7 +130,7 @@ def _reduce_core_rows(view, n):
     on the machine with those states sorted by str: each class stands
     for its member with the least name (a linear min per class) rather
     than its first, and only these representatives are sorted."""
-    _complete_responses(view, None)
+    _complete_responses(view)
     colour = _refine(view, [0] * len(view.states), ranked=False)
     names = list(map(str, view.states))
     least = {}
@@ -159,17 +159,12 @@ def _kept(t):
     return [q for q in t.states if q in keep]
 
 
-def _entry(view, t):
-    """The state number of t's entry in initial mode, else None."""
-    return view.index[t.initial] if t.mode == INITIAL else None
-
-
-def _complete_responses(view, entry):
+def _complete_responses(view):
     """Step 1 on the view's rows: replace its output words by the shifted
-    ones.  Only the rows of states that owe output, other than the entry
-    (a state number, or None), and the rows leading to a state that owes
-    output change; each is rewritten by one map (a state's guaranteed
-    output is the LCP of its row's words, so cutting it off is a slice).
+    ones.  Only the rows of states that owe output, other than the
+    view's entry, and the rows leading to a state that owes output
+    change; each is rewritten by one map (a state's guaranteed output
+    is the LCP of its row's words, so cutting it off is a slice).
     The rows to rewrite are found by one set test per row, at C speed."""
     v = _guaranteed_output(view)
     owing = set(compress(count(), v))
@@ -179,7 +174,7 @@ def _complete_responses(view, entry):
     leading = compress(count(), map(not_, map(owing.isdisjoint, targets)))
     for i in sorted(owing.union(leading)):
         words = map(add, outs[i], map(owed, targets[i]))
-        if v[i] and i != entry:
+        if v[i] and i != view.entry:
             words = map(itemgetter(slice(len(v[i]), None)), words)
         outs[i] = tuple(words)
 

@@ -7,16 +7,15 @@ long word lands in form the core: an inescapable, strongly connected
 sub-machine that is the invariant of the outer class.
 """
 
-from itertools import chain, count
+from itertools import count
 from operator import itemgetter
 
-from .words import EMPTY, format_letter
 from .machine import CORE, InvalidTransducer, Transducer, TransducerError, \
     check_valid, validate, _NOT_SYNCHRONIZING, _SYNCHRONIZES, _VALID, \
     _View, _bfs, _bfs_order, _first_repeat
 from .minimize import _reduce_core_rows, minimize
-from .algebra import NotInjective, NotInvertible, invert, _RunSets, \
-    _accepting, _explore, _product_is_identity
+from .algebra import NotInjective, NotInvertible, invert, _Pairs, \
+    _RunSets, _accepting, _check_product, _explore, _product_is_identity
 
 
 class NotSynchronizing(TransducerError):
@@ -173,85 +172,6 @@ def _core_at(t):
                            None, trans, _VALID if t._known else None)
 
 
-def _pair_core(a, b):
-    """The core of the raw pair product of two synchronizing cores, built
-    without the rest of the product, as a view on pair numbers whose
-    state names are the pairs (state of a, state of b).
-
-    The pair (p, q) reads x as compose does: a moves p -- x/w --> p' and
-    b reads w from q, so the pair emits b's output and moves to (p', q').
-    Digit 0 is read from the pair of first states until a pair repeats;
-    that pair is a fixed point of 0 inside the product's core (see
-    core_product), and its forward closure is numbered breadth-first,
-    in discovery order.  The walk runs on state numbers: a pair is
-    p * |b| + q, and how b reads each output word of a from each state
-    is worked out once and memoized.  A letter b cannot read (only an
-    invalid a writes one) raises TransducerError."""
-    va, vb = _View(a), _View(b)
-    n, size = a.n, len(vb.states)
-    b_outs, b_targets = vb.outs, vb.targets
-    # a's output words by number, and its rows as word numbers
-    flat = list(chain.from_iterable(va.outs))
-    words = list(dict.fromkeys(flat))
-    word_id = dict(zip(words, range(len(words))))
-    a_words = list(zip(*[map(word_id.__getitem__, flat)] * n))
-    a_targets = va.targets
-    memo = {}
-
-    def read(m):
-        """(output, state of b) when b reads word m // size from state
-        m % size."""
-        w, j = divmod(m, size)
-        out = EMPTY
-        for y in words[w]:
-            if not 0 <= y < n:
-                raise TransducerError(
-                    f"no transition ({vb.states[j]!r}, {format_letter(y)})")
-            out += b_outs[j][y]
-            j = b_targets[j][y]
-        memo[m] = edge = (out, j)
-        return edge
-
-    def zero(pair):
-        """The pair that digit 0 leads `pair` to."""
-        i, j = divmod(pair, size)
-        m = a_words[i][0] * size + j
-        return a_targets[i][0] * size + (memo.get(m) or read(m))[1]
-
-    pair = _first_repeat(0, zero)
-    number = {pair: 0}
-    pairs = [pair]
-    outs, targets = [], []
-    for pair in pairs:
-        i, j = divmod(pair, size)
-        row_outs, row_targets = [], []
-        for w, k in zip(a_words[i], a_targets[i]):
-            m = w * size + j
-            out, q = memo.get(m) or read(m)
-            tgt = k * size + q
-            num = number.get(tgt)
-            if num is None:
-                num = number[tgt] = len(pairs)
-                pairs.append(tgt)
-            row_outs.append(out)
-            row_targets.append(num)
-        outs.append(tuple(row_outs))
-        targets.append(tuple(row_targets))
-    names = [(a.states[p // size], b.states[p % size]) for p in pairs]
-    return _View._of_core_rows(names, outs, targets, n)
-
-
-def _pair_machine(view, n):
-    """The pair core of _pair_core as a core-mode machine on the pair
-    names, sorted by str."""
-    states = view.states
-    trans = {}
-    for p, outs, targets in zip(states, view.outs, view.targets):
-        for x, w, j in zip(range(n), outs, targets):
-            trans[(p, x)] = (w, states[j])
-    return Transducer(n, None, CORE, sorted(states, key=str), None, trans)
-
-
 def core_product(a, b):
     """Product of two cores reduced back to a minimal core: the core of
     the raw pair product (the machine x -> (x . a) . b over all pairs of
@@ -271,12 +191,10 @@ def core_product(a, b):
     Refuses with NotSynchronizing when either factor does not
     synchronize (such a product need not have a core), and with
     TransducerError when the pair machine is degenerate, as it is when a
-    factor has no states.  Valid factors never make one: its table is
-    complete, it writes b's digits, and an empty-output cycle in it would
-    need one in a (when a writes nothing along it) or in b (which then
-    reads a's nonempty writing around a cycle and writes nothing).  So
-    a factor not known to be valid is validated, and the pair machine
-    only when one of them fails.  The result is _pair_core's rows,
+    factor has no states.  Valid factors never make one, so the pair
+    machine is named and validated only when a factor fails validate, as
+    in compose (see algebra._check_product).  The result is the rows of
+    the closure of the pair 0 fixes (_Pairs.fixed and _Pairs.closure),
     reduced on their pair numbers, and equals minimize of that named
     pair machine (same states, names and table).  It is strongly
     connected: the closure is the core of a synchronizing machine, and
@@ -295,12 +213,9 @@ def core_product(a, b):
         raise TransducerError("degenerate product: no states")
     if not (_synchronizes(a) and _synchronizes(b)):
         raise NotSynchronizing("core product of a non-synchronizing core")
-    view = _pair_core(a, b)
-    if any(t._known is None and validate(t) for t in (a, b)):
-        try:
-            check_valid(_pair_machine(view, a.n))
-        except InvalidTransducer as e:
-            raise TransducerError(f"degenerate product: {e}") from None
+    pairs = _Pairs(_View(a), _View(b))
+    view = pairs.closure([pairs.fixed()])
+    _check_product(a, b, view, None, "degenerate product: ")
     product = _reduce_core_rows(view, a.n)
     product._know_level(_SYNCHRONIZES)
     return product
@@ -417,12 +332,15 @@ def _inverse_from(c, runs, seeds, prune):
         rows = [[(y, out, number[t]) for y, out, t in rows[m]]
                 for m in order]
     width = len(str(len(rows) - 1))
-    view = _View._of_core_rows(
+    view = _View._of_rows(
         [f"{k:0{width}}" for k in range(len(rows))],
+        [tuple(range(n))] * len(rows),
         [tuple(map(itemgetter(1), row)) for row in rows],
-        [tuple(map(itemgetter(2), row)) for row in rows], n)
+        [tuple(map(itemgetter(2), row)) for row in rows])
     d = _reduce_core_rows(view, n)
-    if not _product_is_identity(c, d) or not _product_is_identity(d, c):
+    inverse = _View(d)
+    if not _product_is_identity(runs.view, inverse) or \
+            not _product_is_identity(inverse, runs.view):
         raise NotInvertible(
             "round-trip verification failed: core products are not trivial"
         )

@@ -48,7 +48,7 @@ from cantrans.minimize import _reduce, merge_equivalent_states, \
     remove_inaccessible, remove_incomplete_response
 from cantrans import fixtures
 from cantrans.randgen import random_gnr_element, random_transducer
-from cantrans.algebra import _accepting, _pair_step, _pending_bound, \
+from cantrans.algebra import _Pairs, _accepting, _pending_bound, \
     _product_is_identity
 from cantrans.synchro import _tracked_states
 
@@ -277,13 +277,26 @@ def full_pair_core_product(a, b):
     return core
 
 
+def _pair_step(a, b, pair, x):
+    """The name-keyed pair step, letter by letter through
+    Transducer.step: (p, q) reads x as a does, b reads what a wrote from
+    q, and the pair writes what b wrote."""
+    p, q = pair
+    w, p = a.step(p, x)
+    out = EMPTY
+    for y in w:
+        v, q = b.step(q, y)
+        out += v
+    return out, (p, q)
+
+
 def product_attractor(a, b):
     """Oracle: the core of the raw pair product of two synchronizing
     cores on pair names, as synchro built it before its integer kernel:
     the walk under digit 0 from (a.states[0], b.states[0]) to the first
     repeated pair, and that pair's forward closure, both through the
     name-keyed pair step, as a machine on the pairs sorted by str."""
-    step = _pair_step(a, b)
+    step = functools.partial(_pair_step, a, b)
     pair = (a.states[0], b.states[0])
     walked = set()
     while pair not in walked:
@@ -300,6 +313,32 @@ def product_attractor(a, b):
                 seen.add(tgt)
                 todo.append(tgt)
     return Transducer(a.n, None, CORE, sorted(seen, key=str), None, trans)
+
+
+def pair_core(a, b):
+    """The closure of the pair digit 0 fixes, as core_product builds it
+    from two synchronizing cores: a view on pair numbers, in the order
+    found, named by the pairs."""
+    pairs = _Pairs(_View(a), _View(b))
+    return pairs.closure([pairs.fixed()])
+
+
+def view_machine(view, n):
+    """A view of a core whose rows are on state numbers, such as
+    pair_core's, as a core-mode machine on its state names, sorted by
+    str."""
+    states = view.states
+    trans = {}
+    for p, outs, targets in zip(states, view.outs, view.targets):
+        for x, w, j in zip(range(n), outs, targets):
+            trans[(p, x)] = (w, states[j])
+    return Transducer(n, None, CORE, sorted(states, key=str), None, trans)
+
+
+def product_is_identity(a, b):
+    """The lag walk of the library on two machines, through their
+    views."""
+    return _product_is_identity(_View(a), _View(b))
 
 
 def attractor_core_product(a, b):
@@ -1268,7 +1307,7 @@ def pending_word_invert(a):
         raise NotInvertible("inverse construction degenerate: " +
                             "; ".join(bad))
     b = _reduce(raw)
-    if not (_product_is_identity(a, b) and _product_is_identity(b, a)):
+    if not (product_is_identity(a, b) and product_is_identity(b, a)):
         raise NotInvertible(
             "round-trip verification failed: the constructed machine "
             "does not invert the input"
@@ -1317,7 +1356,7 @@ def _pending_inverse_from(c, view, seeds, prune):
             w, t = sub.step(q, x)
             trans[(k, x)] = (w, number[t])
     d = _reduce(Transducer(c.n, None, CORE, range(len(number)), None, trans))
-    if not _product_is_identity(c, d) or not _product_is_identity(d, c):
+    if not product_is_identity(c, d) or not product_is_identity(d, c):
         raise NotInvertible(
             "round-trip verification failed: core products are not trivial"
         )

@@ -34,12 +34,11 @@ from cantrans import (
 )
 from cantrans import machine
 from cantrans.fixtures import balanced_core_2, sample_3_2, unbalanced_core_3
-from cantrans.synchro import _pair_core, _pair_machine
 
 from helpers import attractor_core_product, count_calls, fixture_cores, \
     full_pair_core_product, multi_core_bisync, non_synchronizing_core, \
-    product_attractor, random_synchronizing, shuffled_relabel, \
-    strongly_connected, unreduced_compose
+    pair_core, product_attractor, random_synchronizing, shuffled_relabel, \
+    strongly_connected, unreduced_compose, view_machine
 
 
 def _outcome(f, a, b):
@@ -91,7 +90,7 @@ def test_kernel_matches_the_attractor_path(product_pairs):
     for x, y in product_pairs:
         got = _outcome(core_product, x, y)
         assert got == _outcome(attractor_core_product, x, y)
-        names = _pair_core(x, y).states
+        names = pair_core(x, y).states
         reordered += list(names) != sorted(names, key=str)
     assert len(product_pairs) == 468
     # discovery order and str order differ on most pair cores
@@ -101,7 +100,7 @@ def test_kernel_matches_the_attractor_path(product_pairs):
 def test_named_closure_of_valid_factors_is_valid(product_pairs):
     for x, y in product_pairs:
         assert validate(x) == validate(y) == []
-        assert validate(_pair_machine(_pair_core(x, y), x.n)) == []
+        assert validate(view_machine(pair_core(x, y), x.n)) == []
 
 
 @pytest.mark.parametrize("load, top", [(balanced_core_2, 4),
@@ -159,7 +158,7 @@ def test_attractor_is_the_raw_products_core():
     pairs += [(cores[1], cores[0]), (cores[2], cores[3]),
               (core_product(a, a), a), (a, core_product(a, a))]
     for x, y in pairs:
-        lazy = _pair_machine(_pair_core(x, y), x.n)
+        lazy = view_machine(pair_core(x, y), x.n)
         core = core_of(unreduced_compose(x, y))
         assert set(lazy.states) == set(core.states)
         assert lazy.trans == core.trans

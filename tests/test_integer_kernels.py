@@ -40,17 +40,16 @@ from cantrans import fixtures
 from cantrans.randgen import random_gnr_element, random_transducer
 from cantrans.machine import _View, _refine
 from cantrans.minimize import _complete_responses
-from cantrans.synchro import _collapse, _pair_core, _pair_machine, \
-    _tracked_states
+from cantrans.synchro import _collapse, _tracked_states
 
 from helpers import dict_initial_form, \
     dict_merge_equivalent_states, dict_remove_incomplete_response, \
     duplicated_states, empty_output_chain, full_pass_guaranteed_output, \
-    letter_loop_view, multi_core_bisync, pump_loop_eval_point, \
+    letter_loop_view, multi_core_bisync, pair_core, pump_loop_eval_point, \
     random_points, rank_until_stable_refine, round_remap_collapse, \
     row_collapse, \
     shuffled_relabel, sorted_signature_core_form, strongly_connected, \
-    three_step_minimize, unreduced_compose
+    three_step_minimize, unreduced_compose, view_machine
 
 ALPHABETS = (Alphabet(2, 1), Alphabet(3, 1), Alphabet(3, 2), Alphabet(4, 1))
 
@@ -58,7 +57,7 @@ ALPHABETS = (Alphabet(2, 1), Alphabet(3, 1), Alphabet(3, 2), Alphabet(4, 1))
 def pair_machine(a, b):
     """The named pair core of two cores, built by the core product's
     integer kernel."""
-    return _pair_machine(_pair_core(a, b), a.n)
+    return view_machine(pair_core(a, b), a.n)
 
 
 def outcome(f, *args):
@@ -241,7 +240,7 @@ def test_refine_matches_sorted_rounds(corpus, multi_cores):
     for t in corpus + doubled:
         kept = _closed_state_lists(t)[1] if t.mode == INITIAL else None
         view = _View(t, kept)
-        _complete_responses(view, t)
+        _complete_responses(view)
         seeds = [[0] * len(view.states)]
         if t.mode == INITIAL:
             seeds[0][view.index[t.initial]] = 1

@@ -38,6 +38,7 @@ from cantrans import (
 )
 from cantrans import algebra, fixtures, machine
 from cantrans.algebra import _accepting, _product_is_identity
+from cantrans.machine import _View
 from cantrans.randgen import random_gnr_element, random_transducer
 
 from helpers import balanced_powers, check_not_injective, count_calls, \
@@ -93,7 +94,7 @@ def _assert_same_verdict(fn, oracle, t, same=_whole):
 
 
 def _agree(x, y):
-    got = _product_is_identity(x, y)
+    got = _product_is_identity(_View(x), _View(y))
     assert got is reduced_product_is_identity(x, y)
     return got
 

@@ -4,7 +4,7 @@ order on valid machines and on one- and two-step mutations of them, and
 the same ParseError text from parse.  Also: the checks dropped from core
 extraction hold on every core it extracts, and the CLI verbs that
 reduce, invert or take a core no longer validate or synchronize
-twice."""
+twice, on a document that synchronizes or not."""
 
 import random
 
@@ -32,6 +32,7 @@ from cantrans import (
     serialize,
     sync_level,
     validate,
+    witness_pair,
 )
 from cantrans import algebra, cli, document, machine, synchro
 from cantrans.document import HEADER
@@ -40,7 +41,7 @@ from cantrans.words import format_letter, format_word
 
 from helpers import balanced_powers, count_calls, empty_output_chain, \
     fixture_cores, fresh_parser_main, letter_loop_validate, \
-    multi_core_bisync, strongly_connected
+    multi_core_bisync, strongly_connected, view_machine
 
 ALPHABETS = (Alphabet(2, 1), Alphabet(3, 1), Alphabet(3, 2), Alphabet(4, 1),
              Alphabet(4, 3))
@@ -304,7 +305,7 @@ def _record_reduced(monkeypatch):
     real = synchro._reduce_core_rows
 
     def recording(view, n):
-        machines.append(synchro._pair_machine(view, n))
+        machines.append(view_machine(view, n))
         return real(view, n)
 
     monkeypatch.setattr(synchro, "_reduce_core_rows", recording)
@@ -335,12 +336,19 @@ def _run(run, argv, capsys):
     return code, out, err
 
 
-@pytest.mark.parametrize("name", sorted(fixtures.ALL))
+# a two-state core on which digit 0 swaps the states and digit 1 fixes
+# both: it never synchronizes
+SWAP_CORE = (f"{HEADER}\nalphabet n=2 core\na 0 -> b : 0\na 1 -> a : 1\n"
+             "b 0 -> a : 1\nb 1 -> b : 0\n")
+
+
+@pytest.mark.parametrize("name", [*sorted(fixtures.ALL), "swap"])
 def test_cli_verbs_validate_and_synchronize_once(name, tmp_path, monkeypatch,
                                                   capsys):
+    text = fixtures.ALL.get(name, SWAP_CORE)
     path = tmp_path / f"{name}.ct"
-    path.write_text(fixtures.ALL[name])
-    t = parse(fixtures.ALL[name])
+    path.write_text(text)
+    t = parse(text)
     level = sync_level(t)
     expected = {
         "minimize": (0, serialize(minimize(t)), ""),
@@ -350,6 +358,11 @@ def test_cli_verbs_validate_and_synchronize_once(name, tmp_path, monkeypatch,
         states = " ".join(map(str, core_of(t).states))
         expected["sync"] = (0, f"level: {level}\ncore states: {states}\n", "")
         expected["core"] = (0, serialize(core_of(t)), "")
+    else:
+        pair = " / ".join(witness_pair(t))
+        expected["sync"] = (1, f"not synchronizing; witness pair {pair}\n", "")
+        expected["core"] = (2, "", "error: machine is not synchronizing; it "
+                            "has no core\n")
     for verb, want in expected.items():
         argv = [verb, str(path)]
         assert _run(fresh_parser_main, argv, capsys) == want
