@@ -715,8 +715,7 @@ def invert(a):
     if bad:
         raise NotInvertible("inverse construction degenerate: " +
                             "; ".join(bad))
-    b = _reduce(raw)
-    other = _View(b)
+    b, other = _reduce(raw, with_view=True)
     if not (_product_is_identity(view, other) and
             _product_is_identity(other, view)):
         raise NotInvertible(

@@ -25,7 +25,7 @@ start a machine knowing nothing.
 """
 
 from itertools import chain, compress, count, product, repeat
-from operator import add, itemgetter, ne, not_
+from operator import add, eq, itemgetter, ne, not_
 
 from .words import (
     EMPTY,
@@ -374,7 +374,10 @@ def check_valid(t):
 def run_word(t, state, word):
     """Extended transition/output: feed `word` from `state`, returning
     (output, end state).  Admissibility is checked eagerly: rooted words
-    only from the initial state, digit words never from it."""
+    only from the initial state, digit words never from it.  Each letter
+    is one lookup in the table, and the outputs are joined once at the
+    end; only a missing transition calls Transducer.step, which words
+    the error."""
     if state not in t.states:
         raise TransducerError(f"unknown state {state!r}")
     if t.mode == INITIAL:
@@ -384,12 +387,16 @@ def run_word(t, state, word):
             raise TransducerError("digit word fed to the initial state")
     elif not is_digit_word(word):
         raise TransducerError("core-mode machine only reads digit words")
-    out = []
+    trans = t.trans
+    outs = []
     q = state
-    for x in word:
-        w, q = t.step(q, x)
-        out.extend(w)
-    return tuple(out), q
+    try:
+        for x in word:
+            w, q = trans[(q, x)]
+            outs.append(w)
+    except KeyError:
+        t.step(q, x)
+    return tuple(chain.from_iterable(outs)), q
 
 
 def guaranteed_output(t):
@@ -457,7 +464,8 @@ class _View:
     @classmethod
     def _of_rows(cls, states, letters, outs, targets, entry=None):
         """The view of a machine whose rows are already on state numbers,
-        such as a pair product's: `letters`, `outs` and `targets` are
+        such as a pair product's or a reduction's result (see
+        minimize._build): `letters`, `outs` and `targets` are
         lists of rows, one per state, and `entry` is the entry's number.
         No name -> number map is built (index is None): no kernel looks
         such a machine's states up by name."""
@@ -491,38 +499,51 @@ def _guaranteed_output(view):
     A row's words out + v(target) are built by one map, and their LCP is
     the LCP of the least and the greatest of them (a word between two
     others shares their common prefix): a first-letter test settles most
-    rows, and only a shared first letter starts a scan.  The rows to
-    recompute are found by one set test per row, at C speed."""
+    rows, and only a shared first letter starts a scan.  The first pass
+    starts from v == empty, so each row's words are its outputs: it
+    takes every row's least and greatest output by one map each, keeps
+    the rows whose least word is nonempty and compares the first letters
+    of their two words, and only rows whose two words share a first
+    letter run Python code.  The rows to recompute are found by one set
+    test per row, at C speed."""
     outs, targets = view.outs, view.targets
     size = len(targets)
     longest = max(map(len, chain.from_iterable(outs)), default=0)
     cap = max(1, size * (1 + longest))
     v = [EMPTY] * size
     owed = v.__getitem__
-    dirty = range(size)
-    for _ in range(cap + 1):
-        changed = []
-        for i in dirty:
-            words = list(map(add, outs[i], map(owed, targets[i])))
-            lo, hi = min(words), max(words)
-            if lo and lo[0] == hi[0]:
-                # lo <= hi, so lo is the shorter one when it prefixes hi
-                new = lo[:next(compress(count(), map(ne, lo, hi)), len(lo))]
-            else:
-                new = EMPTY
-            if new != v[i]:
-                changed.append((i, new))
+    least, greatest = list(map(min, outs)), list(map(max, outs))
+    writing = list(compress(count(), least))
+    heads = [list(map(itemgetter(0), map(words.__getitem__, writing)))
+             for words in (least, greatest)]
+    shared = compress(writing, map(eq, *heads))
+    changed = [(i, _lcp(least[i], greatest[i])) for i in shared]
+    for _ in range(cap):
         if not changed:
             return v
         for i, new in changed:
             v[i] = new
         moved = {i for i, _ in changed}
-        dirty = list(compress(count(), map(not_, map(moved.isdisjoint,
-                                                     targets))))
+        dirty = compress(count(), map(not_, map(moved.isdisjoint, targets)))
+        changed = []
+        for i in dirty:
+            words = list(map(add, outs[i], map(owed, targets[i])))
+            lo, hi = min(words), max(words)
+            new = _lcp(lo, hi) if lo and lo[0] == hi[0] else EMPTY
+            if new != v[i]:
+                changed.append((i, new))
+    if not changed:
+        return v
     raise UnboundedOutput(
         "guaranteed output unbounded: some state maps its whole cone "
         "arbitrarily close to a single point"
     )
+
+
+def _lcp(lo, hi):
+    """The longest common prefix of two words with lo <= hi: lo itself
+    when it prefixes hi."""
+    return lo[:next(compress(count(), map(ne, lo, hi)), len(lo))]
 
 
 def theta(t, nu):
@@ -648,51 +669,73 @@ def _refine(view, colour, ranked=True):
     or every state has its own; the colours of that last round are
     returned.  With `ranked`, the number is the signature's rank in
     sorted order, which ignores state names, so the colours are
-    invariant under renaming (canonical_form needs that).  Without it,
-    signatures are numbered in order of first appearance through a dict,
-    which skips the sort and gives the same partition (the merge needs
-    only that).  Once the partition is discrete, another round would
-    return the same colours (ranked: every signature leads with a
-    distinct colour), so refinement stops there.
+    invariant under renaming (canonical_form needs that).  Once the
+    partition is discrete, another round would return the same colours
+    (every signature leads with a distinct colour), so refinement stops
+    there.
+
+    Without `ranked`, only the partition matters (the merge needs only
+    that), and each signature is numbered by a position where it occurs
+    (see _numbered), which skips the sort.  The outputs are keyed once:
+    round 1 numbers each state's (seed colour, output row), and later
+    rounds key (colour, target colours) alone, since the colour already
+    carries the outputs; the stable partition is the same, and a count
+    that stops growing is only tested from round 2 on.
 
     Each round zips whole columns, one per letter, each taken from the
-    rows by itemgetter: output words as their numbers among the
-    machine's distinct words (ranks in sorted order, which sort as the
-    words do, when `ranked`), and target colours.  A row short of
-    letters (the initial state's) is padded with word number -1, below
-    every word, and its own colour, so it sorts as the shorter signature
-    would."""
+    rows by itemgetter: target colours and, when `ranked`, output words
+    as their ranks among the machine's distinct words in sorted order
+    (which sort as the words do).  A row short of letters (the initial
+    state's) is padded with no word, ranked -1, below every word, and
+    its own colour, so it sorts as the shorter signature would."""
     outs, targets = view.outs, view.targets
     size = len(outs)
-    words = chain.from_iterable(outs)
-    words = sorted(set(words)) if ranked else dict.fromkeys(words)
-    word_number = dict(zip(words, count()))
     width = max(map(len, outs), default=0)
     short = list(compress(count(), map(width.__gt__, map(len, outs))))
     if short:
-        word_number[None] = -1
         outs, targets = list(outs), list(targets)
         for i in short:
             pad = width - len(outs[i])
             outs[i] = (*outs[i], *[None] * pad)
             targets[i] = (*targets[i], *[i] * pad)
-    word_cols = [list(map(word_number.__getitem__, map(itemgetter(x), outs)))
-                 for x in range(width)]
     target_cols = [list(map(itemgetter(x), targets)) for x in range(width)]
-    classes = len(set(colour))
+    if ranked:
+        words = sorted(set(chain.from_iterable(view.outs)))
+        word_rank = dict(zip(words, count()))
+        word_rank[None] = -1
+        word_cols = [list(map(word_rank.__getitem__, map(itemgetter(x), outs)))
+                     for x in range(width)]
+        classes = len(set(colour))
+    else:
+        colour, classes = _numbered(list(zip(colour, outs)), False)
     while classes < size:
         cols = [colour]
-        for words_x, targets_x in zip(word_cols, target_cols):
-            cols.append(words_x)
+        for x, targets_x in enumerate(target_cols):
+            if ranked:
+                cols.append(word_cols[x])
             cols.append(map(colour.__getitem__, targets_x))
-        sigs = list(zip(*cols))
-        distinct = sorted(set(sigs)) if ranked else dict.fromkeys(sigs)
-        number = dict(zip(distinct, count()))
-        colour = list(map(number.__getitem__, sigs))
-        if len(number) == classes:
+        colour, count_now = _numbered(list(zip(*cols)), ranked)
+        if count_now == classes:
             break
-        classes = len(number)
+        classes = count_now
     return colour
+
+
+def _numbered(sigs, ranked):
+    """A colour per signature, as a list, equal exactly for equal
+    signatures, and the number of distinct signatures.  With `ranked`,
+    the colour is the signature's rank in sorted order.  Without it, it
+    is the position of the signature's last occurrence, from one dict
+    built from the positions, each overwriting the one before; when
+    every signature is distinct that is its own position, and the
+    signatures are not looked up again."""
+    if ranked:
+        number = dict(zip(sorted(set(sigs)), count()))
+    else:
+        number = dict(zip(sigs, count()))
+        if len(number) == len(sigs):
+            return list(range(len(sigs))), len(sigs)
+    return list(map(number.__getitem__, sigs)), len(number)
 
 
 def _best_core_order(view):

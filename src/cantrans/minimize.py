@@ -13,11 +13,14 @@ breadth-first renaming all work on state numbers, and only the result is
 built as a Transducer.  Each stage is a few passes over whole columns at
 C speed: the view is built by one lookup of every row, reachability is
 a walk on state numbers, the guaranteed output takes each row's LCP from
-its least and greatest word, the merge numbers signatures through a
-dict and stops at a discrete partition, and the result's table is
-zipped from columns.  Letter loops run only to word an error.  The
-public step functions are thin wrappers over the same helpers, each
-building its own view and its own result.
+its least and greatest word (in its first pass by one min and one max
+over all rows, with Python code only for rows whose two words share a
+first letter), the merge keys each state's output row once and then
+only its target colours, numbers signatures through a dict and stops at
+a discrete partition, and the result's table is zipped from columns.
+Letter loops run only to word an error.  The public step functions are
+thin wrappers over the same helpers, each building its own view and its
+own result.
 """
 
 from itertools import chain, compress, count, repeat
@@ -100,14 +103,15 @@ def minimize(t):
     return _reduce(check_valid(t))
 
 
-def _reduce(t):
+def _reduce(t, with_view=False):
     """minimize without its validation, for a machine its caller has
     just validated: the three steps and the relabel in one pass over one
     view.  Reachability is a walk on that view's state numbers, and a
     sub-view is built only when some state is unreachable.  Completed
     responses leave no guaranteed output to check before merging.  The
     result is marked minimal: reducing it again gives it back (see
-    _core_order)."""
+    _core_order).  With `with_view`, the result comes with its view,
+    built from the quotient rows (see _build)."""
     view = _View(t)
     if t.mode == INITIAL:
         reached = _bfs(view.targets, view.index[t.initial])
@@ -120,16 +124,18 @@ def _reduce(t):
     else:
         order = _core_order(rows, lambda i: str(view.states[i]))
     names = dict(zip(order, map("s{}".format, count())))
-    return _build(t.n, t.r, t.mode, view, rows, names, initial, _MINIMAL)
+    return _build(t.n, t.r, t.mode, view, rows, names, initial, _MINIMAL,
+                  with_view)
 
 
-def _reduce_core_rows(view, n):
+def _reduce_core_rows(view, n, with_view=False):
     """_reduce for a valid core given as a view whose state numbers need
     not follow the names' str order, such as synchro's pair product,
     numbered in discovery order.  The result is the one _reduce gives
     on the machine with those states sorted by str: each class stands
     for its member with the least name (a linear min per class) rather
-    than its first, and only these representatives are sorted."""
+    than its first, and only these representatives are sorted.  With
+    `with_view`, the result comes with its view, as from _reduce."""
     _complete_responses(view)
     colour = _refine(view, [0] * len(view.states), ranked=False)
     names = list(map(str, view.states))
@@ -147,7 +153,8 @@ def _reduce_core_rows(view, n):
                 for r in reps}
     order = _core_order(rows, names.__getitem__)
     named = dict(zip(order, map("s{}".format, count())))
-    return _build(n, None, CORE, view, rows, named, None, _MINIMAL)
+    return _build(n, None, CORE, view, rows, named, None, _MINIMAL,
+                  with_view)
 
 
 def _kept(t):
@@ -230,20 +237,33 @@ def _core_order(rows, name):
     return ranked
 
 
-def _build(n, r, mode, view, rows, names, initial, known):
+def _build(n, r, mode, view, rows, names, initial, known, with_view=False):
     """The Transducer of quotient rows on the alphabet (n, r) in `mode`,
     each state k named names[k], marked with `known` (see
     Transducer._own).  Its table is zipped from whole columns: (name,
     letter) keys from the names repeated along their letters, and
     (output, target name) values; the machine takes the table as built,
-    without the public constructor's copy."""
+    without the public constructor's copy.
+
+    With `with_view`, returns the machine and its view (see
+    machine._View._of_rows), state for state as _View would number it:
+    the quotient's own rows with their targets renumbered by position,
+    for a caller that walks the result next (the lag walks of an
+    inversion), so no view is built from its table."""
     reps = list(rows)
     named = list(map(names.__getitem__, reps))
     letters = list(map(view.letters.__getitem__, reps))
+    outs = list(map(view.outs.__getitem__, reps))
     keys = zip(chain.from_iterable(map(repeat, named, map(len, letters))),
                chain.from_iterable(letters))
-    values = zip(chain.from_iterable(map(view.outs.__getitem__, reps)),
+    values = zip(chain.from_iterable(outs),
                  map(names.__getitem__, chain.from_iterable(rows.values())))
-    return Transducer._own(n, r, mode, tuple(named),
-                           None if initial is None else names[initial],
-                           dict(zip(keys, values)), known)
+    t = Transducer._own(n, r, mode, tuple(named),
+                        None if initial is None else names[initial],
+                        dict(zip(keys, values)), known)
+    if not with_view:
+        return t
+    position = dict(zip(reps, count()))
+    targets = [tuple(map(position.__getitem__, row)) for row in rows.values()]
+    entry = position[initial] if mode == INITIAL else None
+    return t, _View._of_rows(t.states, letters, outs, targets, entry)

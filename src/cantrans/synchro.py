@@ -337,8 +337,7 @@ def _inverse_from(c, runs, seeds, prune):
         [tuple(range(n))] * len(rows),
         [tuple(map(itemgetter(1), row)) for row in rows],
         [tuple(map(itemgetter(2), row)) for row in rows])
-    d = _reduce_core_rows(view, n)
-    inverse = _View(d)
+    d, inverse = _reduce_core_rows(view, n, with_view=True)
     if not _product_is_identity(runs.view, inverse) or \
             not _product_is_identity(inverse, runs.view):
         raise NotInvertible(

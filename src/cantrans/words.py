@@ -111,13 +111,16 @@ def parse_word(text):
 
 
 def check_word_shape(word):
-    """A root letter may only appear at position 0, and at most once."""
-    for i, x in enumerate(word[1:], start=1):
-        if is_root(x):
-            raise WordError(
-                f"root letter {format_letter(x)} at position {i}; "
-                "roots may only lead a word"
-            )
+    """A root letter may only appear at position 0, and at most once.
+    Decided by one min over the later letters; the letter loop runs only
+    to name the first offending letter."""
+    if min(word[1:], default=0) < 0:
+        i, x = next((i, x) for i, x in enumerate(word[1:], start=1)
+                    if is_root(x))
+        raise WordError(
+            f"root letter {format_letter(x)} at position {i}; "
+            "roots may only lead a word"
+        )
     return word
 
 
@@ -134,11 +137,11 @@ def check_word(word, alphabet):
 
 
 def is_rooted(word):
-    return len(word) > 0 and is_root(word[0])
+    return bool(word) and word[0] < 0
 
 
 def is_digit_word(word):
-    return all(not is_root(x) for x in word)
+    return not word or min(word) >= 0
 
 
 class Relation(Enum):

@@ -929,6 +929,44 @@ def pump_loop_eval_point(t, point, state=None):
     raise AssertionError("state failed to repeat within |Q|+1 pumps")
 
 
+def letter_loop_check_word_shape(word):
+    """Oracle: check_word_shape testing each later letter in turn."""
+    for i, x in enumerate(word[1:], start=1):
+        if x < 0:
+            raise WordError(
+                f"root letter {format_letter(x)} at position {i}; "
+                "roots may only lead a word"
+            )
+    return word
+
+
+def letter_loop_is_digit_word(word):
+    """Oracle: is_digit_word testing each letter in turn."""
+    return all(x >= 0 for x in word)
+
+
+def letter_step_run_word(t, state, word):
+    """Oracle: run_word as it was before it looked transitions up in the
+    table, testing each letter for a root letter and calling
+    Transducer.step once per letter."""
+    if state not in t.states:
+        raise TransducerError(f"unknown state {state!r}")
+    rooted = len(word) > 0 and word[0] < 0
+    if t.mode == INITIAL:
+        if rooted and state != t.initial:
+            raise TransducerError("rooted word fed to a non-initial state")
+        if word and not rooted and state == t.initial:
+            raise TransducerError("digit word fed to the initial state")
+    elif not all(x >= 0 for x in word):
+        raise TransducerError("core-mode machine only reads digit words")
+    out = []
+    q = state
+    for x in word:
+        w, q = t.step(q, x)
+        out.extend(w)
+    return tuple(out), q
+
+
 # Oracles for the inversion kernels: the pending-word exploration on
 # (name, letter) keys through Transducer.step, and the round trips that
 # build, validate and minimize each product before testing it.

@@ -5,11 +5,15 @@ guaranteed output against the full-pass loop, the merge's hashed
 partition and the core form's ranks against the sorted refinement run to
 a stable count, the core canonical form against the refinement on
 (name, letter) keys, the column-wise collapse against the row-keyed one
-and against the one that relabelled every state each round, and
-eval_point against one run_word call per pump.  The corpus holds
-random machines, fixtures, raw products, the 3000-state empty-output
-chains and bi-synchronizing maps with multi-state cores."""
+and against the one that relabelled every state each round, eval_point
+against one run_word call per pump, and run_word against one
+Transducer.step call per letter.  The corpus holds random machines,
+fixtures, raw products, the 3000-state empty-output chains and
+bi-synchronizing maps with multi-state cores.  minimize's bytes on the
+chains, the powers of BALANCED_CORE_2 and the whole corpus are pinned
+by digest."""
 
+import hashlib
 import random
 
 import pytest
@@ -45,11 +49,11 @@ from cantrans.synchro import _collapse, _tracked_states
 from helpers import dict_initial_form, \
     dict_merge_equivalent_states, dict_remove_incomplete_response, \
     duplicated_states, empty_output_chain, full_pass_guaranteed_output, \
-    letter_loop_view, multi_core_bisync, pair_core, pump_loop_eval_point, \
-    random_points, rank_until_stable_refine, round_remap_collapse, \
-    row_collapse, \
-    shuffled_relabel, sorted_signature_core_form, strongly_connected, \
-    three_step_minimize, unreduced_compose, view_machine
+    letter_loop_view, letter_step_run_word, multi_core_bisync, pair_core, \
+    pump_loop_eval_point, random_points, rank_until_stable_refine, \
+    round_remap_collapse, row_collapse, shuffled_relabel, \
+    sorted_signature_core_form, strongly_connected, three_step_minimize, \
+    unreduced_compose, view_machine
 
 ALPHABETS = (Alphabet(2, 1), Alphabet(3, 1), Alphabet(3, 2), Alphabet(4, 1))
 
@@ -249,12 +253,51 @@ def test_refine_matches_sorted_rounds(corpus, multi_cores):
         for seed in seeds:
             want = rank_until_stable_refine(view, seed)
             assert _refine(view, seed) == want
-            hashed = _refine(view, seed, ranked=False)
-            pairs = dict(zip(hashed, want))
-            assert len(pairs) == len(set(want)) == len(set(hashed))
-            assert list(map(pairs.__getitem__, hashed)) == want
+            _same_partition(_refine(view, seed, ranked=False), want)
             merged += len(set(want)) < len(want)
     assert merged >= 50
+
+
+def _same_partition(got, want):
+    """got and want put the same states together, whatever the class
+    numbers."""
+    pairs = dict(zip(got, want))
+    assert len(pairs) == len(set(want)) == len(set(got))
+    assert list(map(pairs.__getitem__, got)) == want
+
+
+@pytest.fixture(scope="module")
+def long_and_doubled(balanced_powers, multi_cores):
+    """Both 3000-state empty-output chains, and cores in which every
+    state has an equivalent twin (duplicated_states), from the powers of
+    BALANCED_CORE_2 and the multi-state cores."""
+    rng = random.Random(4242)
+    doubled = [duplicated_states(c, rng)
+               for c in balanced_powers + multi_cores[1]]
+    return [empty_output_chain(False), empty_output_chain(True)] + doubled
+
+
+def test_fixpoint_and_partition_oracles_on_long_and_doubled(
+        long_and_doubled):
+    """The guaranteed output's first pass, which takes each row's least
+    and greatest output and runs Python code only on rows whose two
+    words share a first letter, and the merge's partition, which keys
+    the outputs in round 1 alone, against their oracles: on the chains,
+    where one row of 3000 runs Python code in the first pass, and on
+    cores whose every class has two states, which merge."""
+    merged = 0
+    for t in long_and_doubled:
+        assert guaranteed_output(t) == full_pass_guaranteed_output(t)
+        view = _View(t)
+        _complete_responses(view)
+        seed = [0] * len(view.states)
+        if t.mode == INITIAL:
+            seed[view.index[t.initial]] = 1
+        want = rank_until_stable_refine(view, seed)
+        assert _refine(view, seed) == want
+        _same_partition(_refine(view, seed, ranked=False), want)
+        merged += 2 * len(set(want)) == len(want)
+    assert merged == len(long_and_doubled) - 2
 
 
 def test_unbounded_output_refused_alike():
@@ -438,3 +481,100 @@ def test_collapse_matches_round_remap_collapse(random_machines,
     assert 100 <= levels.count(None) <= len(machines) - 100
     # the ring never synchronizes; the initial chain does after 3000 rounds
     assert levels[-2:] == [None, 3000]
+
+
+def _run_word_cases(random_machines, multi_cores):
+    """(machine, state, word) triples: admissible words on random
+    machines, cores and both chains, then every refusal: an unknown
+    state, a rooted word at a non-initial state, a digit word at the
+    entry, a root letter fed to a core, and missing transitions, at the
+    entry, at the first letter and deep in a word."""
+    rng = random.Random(5150)
+    chains = [empty_output_chain(False), empty_output_chain(True)]
+    machines = random_machines[::10] + multi_cores[1] + chains
+    for t in machines:
+        long = 3000 if t in chains else 12
+        for _ in range(5):
+            q = rng.choice(t.states)
+            word = tuple(rng.randrange(t.n)
+                         for _ in range(rng.randrange(long)))
+            if t.mode == INITIAL and q == t.initial:
+                word = (-1 - rng.randrange(t.r),) + word
+            yield t, q, word
+    for t in machines[::4]:
+        yield t, "nowhere", ()
+        if t.mode == INITIAL:
+            q = next(p for p in t.states if p != t.initial)
+            yield t, q, (-1, 0)
+            yield t, t.initial, (0, 1)
+            yield t, t.initial, (-1, 0, -1)
+            yield t, t.initial, ()
+        else:
+            yield t, t.states[0], (0, -1)
+            yield t, t.states[0], ()
+        trans = dict(t.trans)
+        (q, x), _ = rng.choice(list(trans.items()))
+        del trans[(q, x)]
+        gap = Transducer(t.n, t.r, t.mode, t.states, t.initial, trans)
+        yield gap, q, (x,)
+        for p in gap.states:
+            word = ((-1,) if t.mode == INITIAL and p == t.initial else ()) + \
+                tuple(rng.randrange(t.n) for _ in range(40))
+            yield gap, p, word
+
+
+def test_run_word_matches_letter_steps(random_machines, multi_cores):
+    kinds = set()
+    cases = 0
+    for t, q, word in _run_word_cases(random_machines, multi_cores):
+        got = outcome(run_word, t, q, word)
+        assert got == outcome(letter_step_run_word, t, q, word)
+        if isinstance(got[0], type):
+            kinds.add(got[1].split()[0])
+        cases += 1
+    assert cases >= 2000
+    assert kinds == {"unknown", "rooted", "digit", "core-mode", "no"}
+
+
+# sha256 of serialize(minimize(.)), one per machine or one over a list,
+# pinned from the code before the first pass of guaranteed_output and
+# the merge's partition took whole columns: the same bytes must come out
+CHAIN_DIGESTS = {
+    False: "1ddd1e3f40b1c9a3f6001d91644c8776cceb10c54ef8663483cfd452d1349626",
+    True: "582ce696b6875589475df1ab7b8a454411240ab04a7670f90593df67b08cffe5",
+}
+POWERS_DIGEST = \
+    "1980c602131546fed8ad621732557cb1b97535ae5935045f22ef103919ce7a36"
+CORPUS_DIGEST = \
+    "bef944948c8370d15d665e20d483a900c90c61c3502ef81807363366b1fdbe20"
+
+
+def _minimized_digest(machines):
+    digest = hashlib.sha256()
+    for t in machines:
+        digest.update(serialize(minimize(t)).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("core", [False, True])
+def test_minimize_bytes_pinned_on_chains(core):
+    assert _minimized_digest([empty_output_chain(core)]) == \
+        CHAIN_DIGESTS[core]
+
+
+def test_minimize_bytes_pinned_on_balanced_powers(balanced_powers):
+    """a^1 .. a^5 copied so that minimize reduces them again, with every
+    state doubled, and renamed."""
+    a = balanced_powers[0]
+    powers = balanced_powers + [core_product(balanced_powers[-1], a)]
+    rng = random.Random(19)
+    machines = []
+    for c in powers:
+        machines += [Transducer(c.n, None, CORE, c.states, c.initial,
+                                c.trans),
+                     duplicated_states(c, rng), shuffled_relabel(c, rng)]
+    assert _minimized_digest(machines) == POWERS_DIGEST
+
+
+def test_minimize_bytes_pinned_on_corpus(corpus):
+    assert _minimized_digest(corpus) == CORPUS_DIGEST

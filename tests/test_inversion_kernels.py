@@ -36,7 +36,7 @@ from cantrans import (
     twist_transducer,
     validate,
 )
-from cantrans import algebra, fixtures, machine
+from cantrans import algebra, fixtures, machine, synchro
 from cantrans.algebra import _accepting, _product_is_identity
 from cantrans.machine import _View
 from cantrans.randgen import random_gnr_element, random_transducer
@@ -349,3 +349,44 @@ def test_accepting_matches_the_worklist_pruning():
     assert not any(_accepting(rows) for rows in dead)
     assert any(0 < len(_accepting(rows)) < len(rows) for rows in tables)
     assert any(row.count(None) >= 2 for rows in tables for row in rows)
+
+
+def _view_rows(view):
+    return (tuple(view.states), view.entry, list(map(tuple, view.letters)),
+            list(map(tuple, view.outs)), list(map(tuple, view.targets)))
+
+
+def test_lag_walks_take_the_inverse_view_from_its_reduction(monkeypatch):
+    """invert and invert_core walk the reduced inverse on the view its
+    reduction builds from the quotient rows: no _View is built on the
+    inverse, and the walked view equals the one _View builds on it."""
+    built, walked = [], []
+    real_init, real_walk = _View.__init__, algebra._product_is_identity
+
+    def init(self, t, states=None):
+        built.append(t)
+        real_init(self, t, states)
+
+    def walk(va, vb):
+        walked.append((va, vb))
+        return real_walk(va, vb)
+
+    monkeypatch.setattr(_View, "__init__", init)
+    monkeypatch.setattr(algebra, "_product_is_identity", walk)
+    monkeypatch.setattr(synchro, "_product_is_identity", walk)
+    cases = [(invert, a) for a in _fixture_initials()]
+    cases += [(invert_core, c) for c in balanced_powers(3)]
+    cases += [(invert_core, minimize(fixtures.torsion_core_2())),
+              (invert_core, minimize(fixtures.synchronous_core_3()))]
+    inverses = []
+    for fn, t in cases:
+        del built[:], walked[:]
+        inverse = fn(t)
+        assert not any(m is inverse for m in built)
+        # the two walks, in both orders, on one view of the inverse
+        (va, vb), (vc, vd) = walked
+        assert vb is vc and va is vd
+        inverses.append((inverse, vb))
+    monkeypatch.undo()
+    for inverse, view in inverses:
+        assert _view_rows(view) == _view_rows(_View(inverse))

@@ -304,9 +304,9 @@ def _record_reduced(monkeypatch):
     machines = []
     real = synchro._reduce_core_rows
 
-    def recording(view, n):
+    def recording(view, n, **kwargs):
         machines.append(view_machine(view, n))
-        return real(view, n)
+        return real(view, n, **kwargs)
 
     monkeypatch.setattr(synchro, "_reduce_core_rows", recording)
     return machines

@@ -14,8 +14,10 @@ from cantrans import (
     word_subtract,
 )
 from cantrans.randgen import random_prefix_code
+from cantrans.words import check_word_shape, is_digit_word, is_rooted
 
-from helpers import pairwise_validate_prefix_code, \
+from helpers import letter_loop_check_word_shape, \
+    letter_loop_is_digit_word, pairwise_validate_prefix_code, \
     word_by_word_validate_prefix_code
 
 
@@ -173,6 +175,35 @@ def test_bad_words_are_named_as_word_by_word():
     # digits and root letters out of range, a root letter inside a word,
     # the empty word and other unrooted words
     assert min(kinds.values()) >= 100, kinds
+
+
+def _shape_outcome(check, word):
+    try:
+        return check(word)
+    except WordError as e:
+        return str(e)
+
+
+def test_word_shape_tests_match_letter_loops():
+    """check_word_shape, is_rooted and is_digit_word decide on one min
+    (or one letter) at C speed; each agrees with the letter loop, and a
+    bad shape is refused with the loop's text, naming the first root
+    letter after position 0."""
+    rng = random.Random(2718)
+    words = [(), (0,), (-1,), (-2, 0), (0, -1), (-1, -2), (1, 0, -3, -1)]
+    for _ in range(3000):
+        size = rng.randrange(8)
+        roots = rng.choice([0, 0, 0.05, 0.3])
+        words.append(tuple(-1 - rng.randrange(3) if rng.random() < roots
+                           else rng.randrange(4) for _ in range(size)))
+    refused = 0
+    for word in words:
+        got = _shape_outcome(check_word_shape, word)
+        assert got == _shape_outcome(letter_loop_check_word_shape, word)
+        refused += isinstance(got, str)
+        assert is_rooted(word) is (len(word) > 0 and word[0] < 0)
+        assert is_digit_word(word) is letter_loop_is_digit_word(word)
+    assert 300 <= refused <= len(words) - 300
 
 
 def test_point_normal_form():
