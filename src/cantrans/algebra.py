@@ -29,6 +29,7 @@ from .machine import (
     check_valid,
     run_word,  # unused here, but bench/tests reads algebra.run_word
     validate,
+    _VALID,
     _View,
     _bfs,
     _first_repeat,
@@ -303,11 +304,11 @@ def _check_product(a, b, view, initial, refusal):
     mode nothing enters the entry pair, and the pairs it reaches with
     empty output are those where b has written nothing, which b never
     returns to: they leave with b's rooted output, and no other pair
-    writes a root letter.  So a factor not known to be valid is
-    validated, and the pair machine of the closure `view` only when one
-    fails; its violations are refused with TransducerError, after
-    `refusal`."""
-    if any(t._known is None and validate(t) for t in (a, b)):
+    writes a root letter.  So the factors are validated (at once when
+    known to be valid), and the pair machine of the closure `view` only
+    when one fails; its violations are refused with TransducerError,
+    after `refusal`."""
+    if any(map(validate, (a, b))):
         bad = validate(_named_pairs(a, view, initial))
         if bad:
             raise TransducerError(refusal + "; ".join(bad))
@@ -319,7 +320,27 @@ def from_prefix_code_map(pm, alphabet):
     Domain/range pairs are first split until both sides have length at
     least two; the machine then walks the domain prefix tree silently
     and emits the whole range word on the final letter, landing in an
-    identity state."""
+    identity state.
+
+    The raw machine is valid by construction once pm.check has passed,
+    so it is built marked valid and reduced without validation:
+
+    * the table is complete: each prefix reads every letter admissible
+      at it (the root letters at the entry, the digits elsewhere), since
+      a complete domain code leaves no child of a prefix that is neither
+      a prefix nor a domain word, and 1g reads every digit;
+    * the entry is never entered: every transition goes to a longer
+      prefix or to 1g;
+    * the pre-root states are the domain-tree prefixes: they are
+      entered only from their parent prefixes with empty output, and
+      left with the range words, rooted words of the alphabet (as
+      pm.check found them) that splitting only extends by digits;
+    * 1g writes its digits only, each below n;
+    * no cycle has empty output: an empty-output transition goes to a
+      longer prefix;
+    * the state names are distinct: "root", "1g", and "p_" followed by
+      the letters of a nonempty prefix, each written once and joined by
+      "_", with ".k" written "rk"."""
     pm.check(alphabet)
     pairs = []
     stack = list(pm.pairs())
@@ -354,10 +375,9 @@ def from_prefix_code_map(pm, alphabet):
                 raise WordError(
                     f"domain code does not cover {format_word(child)!r}"
                 )
-    states = [names[p] for p in sorted(prefixes, key=len)] + [one]
-    raw = Transducer(alphabet.n, alphabet.r, INITIAL, states, names[EMPTY],
-                     trans)
-    return _reduce(check_valid(raw))
+    states = (*(names[p] for p in sorted(prefixes, key=len)), one)
+    return _reduce(Transducer._own(alphabet.n, alphabet.r, INITIAL, states,
+                                   names[EMPTY], trans, _VALID))
 
 
 def _product_is_identity(va, vb):

@@ -16,8 +16,8 @@ Prefix-code maps are lines `eta -> zeta`, one cone pair per line.
 Parsing is one pass over the lines, each split once.  Token columns are
 found only for the line an error is raised on, each distinct letter
 token and each distinct output is parsed once per document, and the
-machine is validated once; the machine returned is marked valid, so
-library calls on it do not validate it again.
+machine is validated once; validate marks the machine it passes valid,
+so library calls on it do not validate it again.
 """
 
 import re
@@ -26,7 +26,7 @@ from itertools import repeat
 from .words import EMPTY, WordError, check_word_shape, format_letter, \
     format_word, is_root, parse_letter
 from .machine import CORE, INITIAL, Transducer, TransducerError, \
-    _VALID, _bfs_order, validate
+    _bfs_order, validate
 
 HEADER = "cantor-transducer 1"
 
@@ -181,7 +181,6 @@ def parse(text):
                     break
             notes.append(f"line {line}: {msg}" if line else msg)
         raise ParseError(0, 0, "invalid transducer: " + "; ".join(notes))
-    t._know(_VALID)
     return t
 
 
@@ -189,7 +188,8 @@ def serialize(t):
     """Write a transducer document, deterministically ordered: states
     breadth-first from the entry state (unreachable ones last, by name),
     letters in canonical order.  A machine with no states writes the two
-    header lines."""
+    header lines.  Each letter and each distinct output word is
+    formatted once per document, as machine._serialize does."""
     out = [HEADER]
     if t.mode == INITIAL:
         out.append(f"alphabet n={t.n} r={t.r}")
@@ -203,16 +203,24 @@ def serialize(t):
     seen = _bfs_order(t, start)
     order = list(seen) + sorted((q for q in t.states if q not in seen),
                                 key=str)
+    get = t.trans.get
+    words = {}
+    digits = [(x, format_letter(x)) for x in range(t.n)]
+    roots = [(x, format_letter(x)) for x in t.input_letters(t.initial)]
     for q in order:
-        for x in t.input_letters(q):
-            if (q, x) not in t.trans:
+        for x, letter in roots if q == t.initial else digits:
+            edge = get((q, x))
+            if edge is None:
                 continue
-            w, tgt = t.trans[(q, x)]
+            w, tgt = edge
             if not isinstance(q, str) or not isinstance(tgt, str):
                 raise WordError(
                     "only string state names serialize; relabel first"
                 )
-            out.append(f"{q} {format_letter(x)} -> {tgt} : {format_word(w)}")
+            word = words.get(w)
+            if word is None:
+                word = words[w] = format_word(w)
+            out.append(f"{q} {letter} -> {tgt} : {word}")
     return "\n".join(out) + "\n"
 
 

@@ -15,13 +15,16 @@ Two flavours share one type:
 
 Transducers are immutable after construction; all operations here are
 pure functions.  A machine's private `_known` slot records what is known
-of it: nothing, that it is valid (see check_valid), or that it is
-minimal (see minimize._reduce).  Its `_level` slot records what is known
-of its synchronization: nothing, that it synchronizes (core products and
-inverse cores, see synchro.core_product), its level, or that it does not
-synchronize (both recorded by synchro._collapse).  The table never
-changes, so neither fact goes stale; the public constructor and relabel
-start a machine knowing nothing.
+of it: nothing, that it is valid (validate marks each machine that
+passes it, and library code marks the machines it builds valid by
+construction, such as algebra.from_prefix_code_map's), or that it is
+minimal (see minimize._reduce); validate and check_valid return at once
+on a machine that knows either.  Its `_level` slot records what is
+known of its synchronization: nothing, that it synchronizes (core
+products and inverse cores, see synchro.core_product), its level, or
+that it does not synchronize (both recorded by synchro._collapse).  The
+table never changes, so neither fact goes stale; the public constructor
+and relabel start a machine knowing nothing.
 """
 
 from itertools import chain, compress, count, product, repeat
@@ -180,6 +183,23 @@ class Transducer:
 
 def validate(t):
     """All non-degeneracy checks; returns a list of violation strings.
+
+    A machine whose `_known` slot is set (valid or minimal) returns []
+    at once.  Otherwise the stages of _violations run; a machine that
+    passes them all is marked valid, and one that fails is never marked,
+    so each later call finds the same violations again.  The memo
+    trusts the table never to change, as minimize does when it returns
+    a machine marked minimal as it is."""
+    if t._known is not None:
+        return []
+    out = _violations(t)
+    if not out:
+        t._know(_VALID)
+    return out
+
+
+def _violations(t):
+    """validate's stages on a machine not known to be valid.
 
     The checks run in five stages, in this order; a stage that finds a
     violation returns the messages found so far, and later stages do not
@@ -361,13 +381,11 @@ def _epsilon_cycle(t):
 
 def check_valid(t):
     """t itself when validate finds nothing, else InvalidTransducer with
-    the violations.  A pass is recorded on t, whose table never changes,
-    so a machine known to be valid returns at once."""
-    if t._known is None:
-        violations = validate(t)
-        if violations:
-            raise InvalidTransducer(violations)
-        t._know(_VALID)
+    the violations.  validate records a pass on t, whose table never
+    changes, so a machine known to be valid returns at once."""
+    violations = validate(t)
+    if violations:
+        raise InvalidTransducer(violations)
     return t
 
 

@@ -122,7 +122,7 @@ def _reduce(t, with_view=False):
     if t.mode == INITIAL:
         order = _bfs(rows, initial)
     else:
-        order = _core_order(rows, lambda i: str(view.states[i]))
+        order = _core_order(rows, list(map(str, view.states)))
     names = dict(zip(order, map("s{}".format, count())))
     return _build(t.n, t.r, t.mode, view, rows, names, initial, _MINIMAL,
                   with_view)
@@ -151,7 +151,7 @@ def _reduce_core_rows(view, n, with_view=False):
         rep = list(map(least.__getitem__, colour))
         rows = {r: tuple(map(rep.__getitem__, view.targets[r]))
                 for r in reps}
-    order = _core_order(rows, names.__getitem__)
+    order = _core_order(rows, names)
     named = dict(zip(order, map("s{}".format, count())))
     return _build(n, None, CORE, view, rows, named, None, _MINIMAL,
                   with_view)
@@ -214,22 +214,23 @@ def _merge(view, t):
     return rows, initial
 
 
-def _core_order(rows, name):
+def _core_order(rows, names):
     """Deterministic numbering of a core's quotient: breadth-first from
     the first state that reaches the whole machine, else the states
-    themselves, both in order of name length, then name (`name` maps a
-    state number to its str name; names need only be reproducible for a
-    given input; isomorphism-invariant equality is canonical_form's job,
-    which ignores names).  Renamed s0, s1, ..., either order comes out
-    again from a second reduction, since s2 sorts before s10."""
-    def key(i):
-        s = name(i)
-        return len(s), s
-
-    order = _bfs(rows, min(rows, key=key))
+    themselves, both in order of name length, then name (`names` gives
+    each state number its str name; names need only be reproducible for
+    a given input; isomorphism-invariant equality is canonical_form's
+    job, which ignores names).  Renamed s0, s1, ..., either order comes
+    out again from a second reduction, since s2 sorts before s10.  The
+    (length, name, position) keys are zipped at C speed; the position
+    keeps rows' order among equal names, as a stable sort would."""
+    states = list(rows)
+    named = list(map(names.__getitem__, states))
+    keys = list(zip(map(len, named), named, count()))
+    order = _bfs(rows, states[min(keys)[2]])
     if len(order) == len(rows):
         return order
-    ranked = sorted(rows, key=key)
+    ranked = [states[k] for *_, k in sorted(keys)]
     for start in ranked[1:]:
         order = _bfs(rows, start)
         if len(order) == len(rows):

@@ -96,9 +96,12 @@ def parse_letter(token):
 
 
 def format_word(word):
+    """The text form of a word; a digit word is joined at C speed."""
     if not word:
         return "-"
-    return " ".join(format_letter(x) for x in word)
+    if min(word) >= 0:
+        return " ".join(map(str, word))
+    return " ".join(map(format_letter, word))
 
 
 def parse_word(text):

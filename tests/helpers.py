@@ -586,7 +586,8 @@ def three_minimize_in_gnr(t):
 
 def list_queue_serialize(t):
     """Oracle: the document writer with its breadth-first walk on a list
-    queue popped from the front."""
+    queue popped from the front, formatting the letter and the output
+    word of each transition where it writes it."""
     out = [HEADER]
     if t.mode == INITIAL:
         out.append(f"alphabet n={t.n} r={t.r}")

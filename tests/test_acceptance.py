@@ -29,7 +29,6 @@ from cantrans import (
     run_word,
     sync_level,
     twist_transducer,
-    validate,
 )
 from cantrans.fixtures import balanced_core_2, sample_3_2, \
     synchronous_core_3, torsion_core_2, unbalanced_core_3
@@ -37,7 +36,7 @@ from cantrans.machine import relabel
 from cantrans.randgen import random_prefix_code_map, random_transducer, \
     from_prefix_code_map
 
-from helpers import random_bisync, random_layered
+from helpers import letter_loop_validate, random_bisync, random_layered
 
 A32 = Alphabet(3, 2)
 
@@ -66,7 +65,7 @@ class budget:
 def test_criterion_1_sample_machine():
     with budget(1, 1.0, "five-state machine on C_{3,2}"):
         t = sample_3_2()
-        assert validate(t) == []
+        assert letter_loop_validate(t) == []
         assert canonical_form(minimize(t)) == canonical_form(t)
         assert sync_level(t) == 2
         assert set(core_of(t).states) == {"q2", "q3", "q4"}

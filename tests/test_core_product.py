@@ -36,9 +36,10 @@ from cantrans import machine
 from cantrans.fixtures import balanced_core_2, sample_3_2, unbalanced_core_3
 
 from helpers import attractor_core_product, count_calls, fixture_cores, \
-    full_pair_core_product, multi_core_bisync, non_synchronizing_core, \
-    pair_core, product_attractor, random_synchronizing, shuffled_relabel, \
-    strongly_connected, unreduced_compose, view_machine
+    full_pair_core_product, letter_loop_validate, multi_core_bisync, \
+    non_synchronizing_core, pair_core, product_attractor, \
+    random_synchronizing, shuffled_relabel, strongly_connected, \
+    unreduced_compose, view_machine
 
 
 def _outcome(f, a, b):
@@ -99,8 +100,8 @@ def test_kernel_matches_the_attractor_path(product_pairs):
 
 def test_named_closure_of_valid_factors_is_valid(product_pairs):
     for x, y in product_pairs:
-        assert validate(x) == validate(y) == []
-        assert validate(view_machine(pair_core(x, y), x.n)) == []
+        assert letter_loop_validate(x) == letter_loop_validate(y) == []
+        assert letter_loop_validate(view_machine(pair_core(x, y), x.n)) == []
 
 
 @pytest.mark.parametrize("load, top", [(balanced_core_2, 4),
@@ -172,7 +173,7 @@ def test_pair_machine_is_validated_once(monkeypatch):
     # and factors known to be valid (minimal ones) not at all
     a = minimize(balanced_core_2())
     b = core_product(a, a)
-    seen = count_calls(monkeypatch, machine, "validate")
+    seen = count_calls(monkeypatch, machine, "_violations")
     product = core_product(b, a)
     assert seen == []
     a2, b2 = (Transducer(c.n, None, CORE, c.states, None, c.trans)

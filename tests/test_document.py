@@ -4,21 +4,22 @@ import re
 import pytest
 
 from cantrans import Alphabet, CORE, ParseError, Transducer, core_product, \
-    minimize, parse, serialize, validate
+    minimize, parse, serialize
 from cantrans.document import parse_prefix_map, serialize_prefix_map
 from cantrans.algebra import PrefixCodeMap
 from cantrans.machine import relabel
 from cantrans.randgen import random_gnr_element, random_transducer
 from cantrans import fixtures
 
-from helpers import balanced_powers, list_queue_serialize, \
-    shuffled_relabel, token_loop_parse
+from helpers import balanced_powers, empty_output_chain, \
+    letter_loop_validate, list_queue_serialize, shuffled_relabel, \
+    token_loop_parse
 
 
 def test_fixture_integrity():
     for name, doc in fixtures.ALL.items():
         t = parse(doc)
-        assert validate(t) == [], name
+        assert letter_loop_validate(t) == [], name
 
 
 def test_roundtrip_on_fixtures():
@@ -162,6 +163,13 @@ s 1 -> s : 1
 
 
 def test_serialize_matches_list_queue_walk():
+    """Byte for byte the oracle's document, which formats every
+    transition's letter and word where it writes it (serialize formats
+    each distinct one once): on the fixtures (as parsed, minimized and
+    relabelled), BALANCED_CORE_2 a^1 .. a^5, both 3000-state chains,
+    seeded random machines and prefix-exchange maps over alphabets of
+    up to 12 digits and 10 root letters, and copies of some with one
+    transition deleted and one writing root letters inside its word."""
     rng = random.Random(2)
     machines = []
     for doc in fixtures.ALL.values():
@@ -171,18 +179,41 @@ def test_serialize_matches_list_queue_walk():
     cube = core_product(core_product(a, a), a)
     assert len(cube.states) == 103
     machines += [cube, shuffled_relabel(cube, rng)]
+    machines += balanced_powers(5)
+    machines += [empty_output_chain(True), empty_output_chain(False)]
+    alphabets = (Alphabet(2, 1), Alphabet(3, 2), Alphabet(4, 3),
+                 Alphabet(11, 3), Alphabet(12, 10))
+    for seed in range(100):
+        alphabet = alphabets[seed % len(alphabets)]
+        machines.append(random_transducer(
+            alphabet, 1 + seed % 6, 1 + seed % 3, 91_000 + seed,
+            synchronous=alphabet.n > 10))
+        machines.append(random_gnr_element(alphabet, 91_000 + seed))
+    for t in machines[-40:]:
+        trans = dict(t.trans)
+        keys = list(trans)
+        del trans[rng.choice(keys)]
+        key = rng.choice(keys)
+        w, tgt = t.trans[key]
+        trans[key] = ((*w, -1, 0), tgt)
+        machines.append(Transducer(t.n, t.r, t.mode, t.states, t.initial,
+                                   trans))
     # unreachable states are written last, by name
     extra = dict(a.trans)
     extra.update({("z", x): ((x,), "z") for x in range(a.n)})
     machines.append(Transducer(a.n, None, CORE, ["z", *a.states], "s0",
                                extra))
+    assert len(machines) == 3 * len(fixtures.ALL) + 2 + 5 + 2 + 200 + 40 + 1
     for t in machines:
         assert serialize(t) == list_queue_serialize(t)
-    # tuple names are refused by both
+    # tuple names, as states or only as a target, are refused by both
     pairs = relabel(a, {q: (q, 0) for q in a.states})
-    for write in (serialize, list_queue_serialize):
-        with pytest.raises(ValueError, match="only string state names"):
-            write(pairs)
+    target = dict(a.trans)
+    target[next(iter(target))] = ((0,), ("x", 0))
+    for t in (pairs, Transducer(a.n, None, CORE, a.states, None, target)):
+        for write in (serialize, list_queue_serialize):
+            with pytest.raises(ValueError, match="only string state names"):
+                write(t)
 
 
 CORE_HEAD = "cantor-transducer 1\nalphabet n=2 core\n"

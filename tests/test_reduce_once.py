@@ -1,7 +1,8 @@
 """Each machine is validated and minimized once per operation: compose
 validates only the factors not known to be valid (never the pair machine
-of valid factors), invert and from_prefix_code_map validate the machine
-they build once, invert validates an input not known to be valid once
+of valid factors), invert validates the machine it builds once,
+from_prefix_code_map validates nothing (its machine is valid by
+construction), invert validates an input not known to be valid once
 and a minimal one not at all, is_in_Gnr reduces its input once, each
 machine is collapsed (synchro._collapse, the work behind every
 synchronization level) at most once per membership test,
@@ -60,7 +61,7 @@ def test_compose_validates_the_product_once(monkeypatch):
     # valid factors make a valid pair machine, so only they are checked,
     # and factors known to be valid (minimal ones) not at all
     a, b = _gnr_pair(3)
-    seen = count_calls(monkeypatch, machine, "validate")
+    seen = count_calls(monkeypatch, machine, "_violations")
     product = compose(a, b)
     assert seen == []
     a2, b2 = (Transducer(t.n, t.r, t.mode, t.states, t.initial, t.trans)
@@ -84,12 +85,15 @@ def test_invert_validates_its_input_and_the_inverse_once(monkeypatch):
     assert all(isinstance(q, tuple) for q in seen[2].states)
 
 
-def test_from_prefix_code_map_validates_once(monkeypatch):
+def test_from_prefix_code_map_validates_nothing(monkeypatch):
+    # its raw machine is valid by construction once the map's codes pass
+    # (checked on 200 maps in test_validate.py), and the reduction's
+    # result is minimal
     alphabet = Alphabet(3, 2)
     pm = random_prefix_code_map(alphabet, 11)
     seen = count_calls(monkeypatch, machine, "validate")
     from_prefix_code_map(pm, alphabet)
-    assert len(seen) == 1
+    assert seen == []
 
 
 @pytest.mark.parametrize("t", [

@@ -1,11 +1,14 @@
 """validate against the letter-by-letter validate it replaced
 (helpers.letter_loop_validate): the same violation strings in the same
-order on valid machines and on one- and two-step mutations of them, and
-the same ParseError text from parse.  Also: the checks dropped from core
-extraction hold on every core it extracts, and the CLI verbs that
-reduce, invert or take a core no longer validate or synchronize
-twice, on a document that synchronizes or not."""
+order on fresh copies of valid machines and on one- and two-step
+mutations of them, and the same ParseError text from parse.  Also: the
+checks dropped from core extraction hold on every core it extracts, the
+CLI verbs that reduce, invert or take a core no longer validate or
+synchronize twice, on a document that synchronizes or not, and the raw
+machines from_prefix_code_map builds marked valid pass the letter
+loop."""
 
+import importlib
 import random
 
 import pytest
@@ -23,6 +26,7 @@ from cantrans import (
     check_valid,
     core_of,
     fixtures,
+    from_prefix_code_map,
     invert,
     invert_core,
     is_in_Gnr,
@@ -36,12 +40,16 @@ from cantrans import (
 )
 from cantrans import algebra, cli, document, machine, synchro
 from cantrans.document import HEADER
-from cantrans.randgen import random_gnr_element, random_transducer
+from cantrans.machine import _VALID
+from cantrans.randgen import random_gnr_element, random_prefix_code_map, \
+    random_transducer
 from cantrans.words import format_letter, format_word
 
 from helpers import balanced_powers, count_calls, empty_output_chain, \
     fixture_cores, fresh_parser_main, letter_loop_validate, \
     multi_core_bisync, strongly_connected, view_machine
+
+minimize_module = importlib.import_module("cantrans.minimize")
 
 ALPHABETS = (Alphabet(2, 1), Alphabet(3, 1), Alphabet(3, 2), Alphabet(4, 1),
              Alphabet(4, 3))
@@ -222,9 +230,11 @@ def _corpus(seed=0):
 
 
 def _agree(machines):
+    """validate on a fresh copy of each machine (validate trusts a
+    machine marked valid) against the letter loop."""
     seen = set()
     for t in machines:
-        got = validate(t)
+        got = validate(_with(t))
         assert got == letter_loop_validate(t), t
         seen.update(p for p in MESSAGES for msg in got if p in msg)
     return seen
@@ -326,7 +336,7 @@ def test_extracted_cores_are_valid_and_strongly_connected(monkeypatch):
         invert_core(c)
     assert len(reduced) == len(cores)
     for core in extracted + reduced:
-        assert validate(core) == []
+        assert letter_loop_validate(core) == []
         assert strongly_connected(core)
 
 
@@ -367,7 +377,7 @@ def test_cli_verbs_validate_and_synchronize_once(name, tmp_path, monkeypatch,
         argv = [verb, str(path)]
         assert _run(fresh_parser_main, argv, capsys) == want
         with monkeypatch.context() as patch:
-            validated = count_calls(patch, machine, "validate")
+            validated = count_calls(patch, machine, "_violations")
             synchronized = count_calls(patch, synchro, "_collapse")
             assert _run(cli.main, argv, capsys) == want
         assert len(validated) == 1
@@ -404,14 +414,34 @@ def test_cli_invert_member_outer_eq_validate_each_document_once(
         argv = list(argv)
         assert _run(fresh_parser_main, argv, capsys) == want
         with monkeypatch.context() as patch:
-            validated = count_calls(patch, machine, "validate")
+            validated = count_calls(patch, machine, "_violations")
             inverted = count_calls(patch, algebra, "invert")
             assert _run(cli.main, argv, capsys) == want
-        # one validate per document read, and one of each machine invert
-        # builds (on pairs (state, pending word); invert refuses a core
-        # first); the check_valid calls on the parsed machines and their
-        # cores return at once
+        # validate's stages run once per document read, and once on each
+        # machine invert builds (on pairs (state, pending word); invert
+        # refuses a core first); the later validate and check_valid calls
+        # on the parsed machines and their cores return at once
         docs = len(argv) - 1
         built = [m for m in inverted if m.mode == INITIAL]
         assert len(validated) == docs + len(built)
         assert all(isinstance(m.states[0], tuple) for m in validated[docs:])
+
+
+def test_prefix_map_machines_are_valid_by_construction(monkeypatch):
+    """from_prefix_code_map reduces its raw machine without validating
+    it, marked valid: a fresh copy of each raw machine passes the letter
+    loop, and minimizing that copy gives the same machine."""
+    raws = count_calls(monkeypatch, minimize_module, "_reduce")
+    checked = 0
+    for seed in range(200):
+        alphabet = ALPHABETS[seed % len(ALPHABETS)]
+        pm = random_prefix_code_map(alphabet, 77_000 + seed)
+        raws.clear()
+        built = from_prefix_code_map(pm, alphabet)
+        (raw,) = raws
+        assert raw._known == _VALID
+        copy = _with(raw)
+        assert letter_loop_validate(copy) == []
+        assert serialize(minimize(copy)) == serialize(built)
+        checked += len(raw.states) > 3
+    assert checked >= 100

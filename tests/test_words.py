@@ -14,7 +14,8 @@ from cantrans import (
     word_subtract,
 )
 from cantrans.randgen import random_prefix_code
-from cantrans.words import check_word_shape, is_digit_word, is_rooted
+from cantrans.words import check_word_shape, format_letter, is_digit_word, \
+    is_rooted
 
 from helpers import letter_loop_check_word_shape, \
     letter_loop_is_digit_word, pairwise_validate_prefix_code, \
@@ -188,7 +189,8 @@ def test_word_shape_tests_match_letter_loops():
     """check_word_shape, is_rooted and is_digit_word decide on one min
     (or one letter) at C speed; each agrees with the letter loop, and a
     bad shape is refused with the loop's text, naming the first root
-    letter after position 0."""
+    letter after position 0.  format_word, which joins a digit word at C
+    speed, writes what formatting letter by letter writes."""
     rng = random.Random(2718)
     words = [(), (0,), (-1,), (-2, 0), (0, -1), (-1, -2), (1, 0, -3, -1)]
     for _ in range(3000):
@@ -203,6 +205,8 @@ def test_word_shape_tests_match_letter_loops():
         refused += isinstance(got, str)
         assert is_rooted(word) is (len(word) > 0 and word[0] < 0)
         assert is_digit_word(word) is letter_loop_is_digit_word(word)
+        assert format_word(word) == \
+            (" ".join(format_letter(x) for x in word) or "-")
     assert 300 <= refused <= len(words) - 300
 
 
