@@ -33,6 +33,7 @@ from .machine import (
     _View,
     _bfs,
     _first_repeat,
+    _view_of,
 )
 from .minimize import _reduce, minimize
 
@@ -189,7 +190,7 @@ def compose(a, b):
         raise TransducerError("mode mismatch in composition")
     if a.n != b.n or a.r != b.r:
         raise TransducerError("alphabet mismatch in composition")
-    pairs = _Pairs(_View(a), _View(b))
+    pairs = _Pairs(_view_of(a), _view_of(b))
     if a.mode == INITIAL:
         if pairs.entry is None:
             raise TransducerError("degenerate product: no entry pair")
@@ -721,9 +722,9 @@ def invert(a):
         raise TransducerError("invert expects an initial-mode machine; "
                               "invert_core handles cores")
     a = minimize(a)
-    view = _View(a)
+    view = _view_of(a)
     runs = _RunSets(view)
-    entry = view.index[a.initial]
+    entry = view.entry
     nodes, rows = _explore(runs, [runs.seed(entry)], view.letters[entry],
                            a.n, prune=False)
     names = list(map(runs.name, nodes))
@@ -735,7 +736,8 @@ def invert(a):
     if bad:
         raise NotInvertible("inverse construction degenerate: " +
                             "; ".join(bad))
-    b, other = _reduce(raw, with_view=True)
+    b = _reduce(raw)
+    other = _view_of(b)
     if not (_product_is_identity(view, other) and
             _product_is_identity(other, view)):
         raise NotInvertible(

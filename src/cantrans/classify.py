@@ -17,7 +17,8 @@ or contraction.
 from collections import deque
 from dataclasses import dataclass
 
-from .machine import CORE, TransducerError, canonical_form
+from .machine import CORE, TransducerError, canonical_form, _stepper, \
+    _words
 from .minimize import minimize
 from .synchro import NotSynchronizing, _synchronizes, core_of, \
     core_product, is_bisynchronizing, is_identity_core
@@ -83,7 +84,8 @@ def cycle_balance(core):
     minus one) is a potential difference between states, which one
     depth-first sweep decides; the first edge that breaks the potential
     is expanded into an explicit unbalanced simple cycle for the
-    diagnostic, in time linear in the size of the core.
+    diagnostic, in time linear in the size of the core.  A core built on
+    rows is swept on its rows, by state number (see machine._stepper).
 
     Returns (True, None) or (False, (cycle states, read, written)).
     """
@@ -92,28 +94,31 @@ def cycle_balance(core):
     if not core.states:
         raise TransducerError("cycle_balance expects a strongly connected "
                               "core; it has no states")
-    start = core.states[0]
+    start, step, name = _stepper(core)
     phi = {start: 0}
     tree = {start: None}
     todo = [start]
     while todo:
         q = todo.pop()
         for x in range(core.n):
-            w, tgt = core.step(q, x)
+            w, tgt = step(q, x)
             want = phi[q] + len(w) - 1
             if tgt not in phi:
                 phi[tgt] = want
                 tree[tgt] = (q, x)
                 todo.append(tgt)
             elif phi[tgt] != want:
-                return False, _unbalanced_cycle(core, tree, q, x, tgt)
+                cycle, read, written = _unbalanced_cycle(
+                    core.n, start, step, name, tree, q, x, tgt)
+                return False, (tuple(map(name, cycle)), read, written)
     return True, None
 
 
-def _unbalanced_cycle(core, tree, q, x, tgt):
+def _unbalanced_cycle(n, root, step, name, tree, q, x, tgt):
     """Some simple cycle whose output length differs from its length,
     from the sweep's tree edges and the edge q -- x --> tgt that breaks
-    the potential.
+    the potential, walked from the sweep's root by `step` (see
+    machine._stepper, whose `name` words the refusal).
 
     With `back` a path from tgt to the root, the closed walks "tree path
     to q, the edge, back" and "tree path to tgt, back" differ in weight
@@ -121,15 +126,14 @@ def _unbalanced_cycle(core, tree, q, x, tgt):
     closed walk's weight is the sum of the weights of the simple cycles
     peeled off it where it repeats a state, so one of those cycles is
     unbalanced."""
-    root = core.states[0]
-    back = _path_to(core, tgt, root)
+    back = _path_to(n, step, tgt, root)
     if back is None:
         raise TransducerError("cycle_balance expects a strongly connected "
-                              f"core; {tgt!r} does not lead back to "
-                              f"{root!r}")
+                              f"core; {name(tgt)!r} does not lead back to "
+                              f"{name(root)!r}")
     for walk in (_tree_path(tree, q) + [x] + back,
                  _tree_path(tree, tgt) + back):
-        found = _peel(core, root, walk)
+        found = _peel(step, root, walk)
         if found is not None:
             return found
     raise AssertionError("potential check failed but no witness cycle found")
@@ -144,7 +148,7 @@ def _tree_path(tree, q):
     return letters[::-1]
 
 
-def _path_to(core, start, goal):
+def _path_to(n, step, start, goal):
     """Letters of a shortest path from start to goal (breadth-first), or
     None when there is none."""
     came = {start: None}
@@ -153,15 +157,15 @@ def _path_to(core, start, goal):
         if not todo:
             return None
         q = todo.popleft()
-        for x in range(core.n):
-            tgt = core.step(q, x)[1]
+        for x in range(n):
+            tgt = step(q, x)[1]
             if tgt not in came:
                 came[tgt] = (q, x)
                 todo.append(tgt)
     return _tree_path(came, goal)
 
 
-def _peel(core, start, letters):
+def _peel(step, start, letters):
     """Walk `letters` from start, cutting a simple cycle off the walk
     each time it returns to a state on its current path; the first such
     cycle that reads and writes different lengths, as (states, read,
@@ -170,7 +174,7 @@ def _peel(core, start, letters):
     taken = []
     at = {start: 0}
     for x in letters:
-        w, q = core.step(path[-1], x)
+        w, q = step(path[-1], x)
         taken.append(len(w))
         k = at.get(q)
         if k is None:
@@ -188,7 +192,7 @@ def _peel(core, start, letters):
 
 
 def is_synchronous(core):
-    return all(len(w) == 1 for w, _ in core.trans.values())
+    return all(len(w) == 1 for w in _words(core))
 
 
 @dataclass(frozen=True)

@@ -21,12 +21,12 @@ so library calls on it do not validate it again.
 """
 
 import re
-from itertools import repeat
+from itertools import filterfalse, repeat
 
 from .words import EMPTY, WordError, check_word_shape, format_letter, \
     format_word, is_root, parse_letter
 from .machine import CORE, INITIAL, Transducer, TransducerError, \
-    _bfs_order, validate
+    _bfs, _bfs_order, validate
 
 HEADER = "cantor-transducer 1"
 
@@ -189,7 +189,8 @@ def serialize(t):
     breadth-first from the entry state (unreachable ones last, by name),
     letters in canonical order.  A machine with no states writes the two
     header lines.  Each letter and each distinct output word is
-    formatted once per document, as machine._serialize does."""
+    formatted once per document, as machine._serialize does.  A machine
+    built on rows is written from its rows (see _edges)."""
     out = [HEADER]
     if t.mode == INITIAL:
         out.append(f"alphabet n={t.n} r={t.r}")
@@ -200,28 +201,51 @@ def serialize(t):
         # no states: start from None, which has no transitions
         start = t.initial if t.initial is not None else \
             min(t.states, key=str, default=None)
-    seen = _bfs_order(t, start)
-    order = list(seen) + sorted((q for q in t.states if q not in seen),
-                                key=str)
-    get = t.trans.get
     words = {}
-    digits = [(x, format_letter(x)) for x in range(t.n)]
-    roots = [(x, format_letter(x)) for x in t.input_letters(t.initial)]
-    for q in order:
-        for x, letter in roots if q == t.initial else digits:
-            edge = get((q, x))
-            if edge is None:
-                continue
-            w, tgt = edge
-            if not isinstance(q, str) or not isinstance(tgt, str):
-                raise WordError(
-                    "only string state names serialize; relabel first"
-                )
-            word = words.get(w)
-            if word is None:
-                word = words[w] = format_word(w)
-            out.append(f"{q} {letter} -> {tgt} : {word}")
+    letters = {x: format_letter(x)
+               for x in (*t.input_letters(t.initial), *range(t.n))}
+    for q, x, w, tgt in _edges(t, start):
+        if not isinstance(q, str) or not isinstance(tgt, str):
+            raise WordError(
+                "only string state names serialize; relabel first"
+            )
+        word = words.get(w)
+        if word is None:
+            word = words[w] = format_word(w)
+        out.append(f"{q} {letters[x]} -> {tgt} : {word}")
     return "\n".join(out) + "\n"
+
+
+def _edges(t, start):
+    """serialize's transitions (state, letter, output, target), in its
+    order: the states breadth-first from `start`, then the others sorted
+    by str, each state's letters in canonical order, a missing
+    transition skipped.  A machine built on rows is walked on them, by
+    state number; any other through its table, by name."""
+    rows = t._rows
+    if rows is None:
+        seen = _bfs_order(t, start)
+        order = list(seen) + sorted((q for q in t.states if q not in seen),
+                                    key=str)
+        get = t.trans.get
+        digits, roots = range(t.n), t.input_letters(t.initial)
+        for q in order:
+            for x in roots if q == t.initial else digits:
+                edge = get((q, x))
+                if edge is not None:
+                    yield (q, x, *edge)
+        return
+    states, targets = rows.states, rows.targets
+    first = rows.entry if t.mode == INITIAL else states.index(start)
+    order = _bfs(targets, first)
+    if len(order) < len(states):
+        seen = set(order)
+        order += sorted(filterfalse(seen.__contains__, range(len(states))),
+                        key=lambda i: str(states[i]))
+    for i in order:
+        q = states[i]
+        for x, w, j in zip(rows.letters[i], rows.outs[i], targets[i]):
+            yield q, x, w, states[j]
 
 
 def parse_prefix_map(text):

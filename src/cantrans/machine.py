@@ -25,6 +25,17 @@ products and inverse cores, see synchro.core_product), its level, or
 that it does not synchronize (both recorded by synchro._collapse).  The
 table never changes, so neither fact goes stale; the public constructor
 and relabel start a machine knowing nothing.
+
+Its `_rows` slot holds the integer rows (a _View of its own states) of
+a machine the library builds from them: every reduction result (see
+minimize._build) keeps the quotient's rows, and its name-keyed table
+`trans` is built from them on first read and kept.  Kernels take their
+views through _view_of, which hands out such rows without building a
+view from the table, and the hot consumers (run_word, eval_point,
+pre_root_states, canonical_form, the collapse and core of synchro,
+cycle_balance, serialize) read the rows, so the table of a machine the
+library built is mostly never built.  The public constructor, relabel
+and parse keep the table they are given and hold no rows.
 """
 
 from itertools import chain, compress, count, product, repeat
@@ -75,8 +86,15 @@ class UnboundedOutput(TransducerError):
 
 
 class Transducer:
-    __slots__ = ("n", "r", "mode", "states", "initial", "trans", "_known",
-                 "_level")
+    """A machine on its transition table, `trans`, which maps
+    (state, letter) -> (output word, target state).  A machine built by
+    the public constructor, relabel or parse holds that table; one the
+    library builds on integer rows (see Transducer._of_rows) holds the
+    rows in `_rows` and builds the table from them on first read; from
+    then on it holds both forms."""
+
+    __slots__ = ("n", "r", "mode", "states", "initial", "_trans", "_known",
+                 "_level", "_rows")
 
     def __init__(self, n, r, mode, states, initial, trans):
         """trans maps (state, letter) -> (output word, target state)."""
@@ -96,10 +114,11 @@ class Transducer:
         object.__setattr__(self, "states", tuple(states))
         object.__setattr__(self, "initial", initial)
         object.__setattr__(
-            self, "trans", {k: (tuple(w), q) for k, (w, q) in trans.items()}
+            self, "_trans", {k: (tuple(w), q) for k, (w, q) in trans.items()}
         )
         object.__setattr__(self, "_known", None)
         object.__setattr__(self, "_level", None)
+        object.__setattr__(self, "_rows", None)
 
     @classmethod
     def _own(cls, n, r, mode, states, initial, trans, known):
@@ -112,9 +131,31 @@ class Transducer:
         skipped."""
         t = object.__new__(cls)
         for slot, value in zip(cls.__slots__, (n, r, mode, states, initial,
-                                               trans, known, None)):
+                                               trans, known, None, None)):
             object.__setattr__(t, slot, value)
         return t
+
+    @classmethod
+    def _of_rows(cls, n, r, mode, initial, rows, known):
+        """A machine on integer rows that library code has just built,
+        as _own takes a table: `rows` a _View of the machine's own
+        states (rows.states, a tuple, is its state tuple), owned by the
+        machine from here on and never changed.  Its table is built from
+        the rows on first read of `trans`."""
+        t = cls._own(n, r, mode, rows.states, initial, None, known)
+        object.__setattr__(t, "_rows", rows)
+        return t
+
+    @property
+    def trans(self):
+        """The table (state, letter) -> (output word, target state), in
+        state order, then letter order, for a machine built on rows; it
+        is built on first read and kept."""
+        table = self._trans
+        if table is None:
+            table = self._rows._table()
+            object.__setattr__(self, "_trans", table)
+        return table
 
     def _know(self, fact):
         """Record `fact` in the `_known` slot."""
@@ -154,7 +195,7 @@ class Transducer:
             ) from None
 
     def max_output_len(self):
-        return max((len(w) for w, _ in self.trans.values()), default=0)
+        return max(map(len, _words(self)), default=0)
 
     def reachable(self, start=None):
         """The set of states reachable from `start` (default: the
@@ -168,10 +209,14 @@ class Transducer:
     def pre_root_states(self):
         """The R part of the state split: states reachable from q0 along
         transitions that have emitted nothing yet, found by _bfs_order on
-        the empty-output transitions alone.  Only meaningful for valid
-        initial-mode machines."""
+        the empty-output transitions alone (by _pre_root on the rows of a
+        machine built on them).  Only meaningful for valid initial-mode
+        machines."""
         if self.mode != INITIAL:
             return set()
+        rows = self._rows
+        if rows is not None:
+            return set(map(rows.states.__getitem__, _pre_root(rows)))
         get = self.trans.get
 
         def silent(key):
@@ -179,6 +224,47 @@ class Transducer:
             return edge if edge is not None and not edge[0] else None
 
         return set(_bfs_order(self, self.initial, silent))
+
+
+def _words(t):
+    """Every output word of t's transitions (with repeats), read from its
+    rows when it has them."""
+    rows = t._rows
+    if rows is not None:
+        return chain.from_iterable(rows.outs)
+    return map(itemgetter(0), t.trans.values())
+
+
+def _stepper(t):
+    """(first, step, name) for walking t state by state: step(q, x) is
+    (output word, target) and name(q) is state q's name.  A machine
+    built on rows is walked on its rows, on state numbers from 0; any
+    other through Transducer.step, by name from its first state."""
+    rows = t._rows
+    if rows is None:
+        return t.states[0], t.step, _same
+    outs, targets = rows.outs, rows.targets
+    return 0, lambda i, x: (outs[i][x], targets[i][x]), \
+        rows.states.__getitem__
+
+
+def _same(q):
+    return q
+
+
+def _pre_root(view):
+    """The state numbers of an initial-mode view reached from its entry
+    along empty-output transitions, in breadth-first order: the R part
+    of the state split (see Transducer.pre_root_states)."""
+    outs, targets = view.outs, view.targets
+    order = [view.entry]
+    seen = set(order)
+    for i in order:
+        for w, j in zip(outs[i], targets[i]):
+            if not w and j not in seen:
+                seen.add(j)
+                order.append(j)
+    return order
 
 
 def validate(t):
@@ -392,10 +478,24 @@ def check_valid(t):
 def run_word(t, state, word):
     """Extended transition/output: feed `word` from `state`, returning
     (output, end state).  Admissibility is checked eagerly: rooted words
-    only from the initial state, digit words never from it.  Each letter
-    is one lookup in the table, and the outputs are joined once at the
-    end; only a missing transition calls Transducer.step, which words
-    the error."""
+    only from the initial state, digit words never from it.  A valid
+    machine built on rows is walked on its rows when its rows read the
+    word (see _walked_rows), any other by one lookup in the table per
+    letter; the outputs are gathered in one list.  Only the table walk
+    meets a missing transition, which Transducer.step refuses."""
+    _check_start(t, state, word)
+    out = []
+    rows = _walked_rows(t, word)
+    if rows is None:
+        end = _walk_table(t, state, word, out)
+    else:
+        end = rows.states[_walk_rows(rows, _number(t, rows, state), word,
+                                     out)]
+    return tuple(out), end
+
+
+def _check_start(t, state, word):
+    """run_word's checks of the start state and of the word's shape."""
     if state not in t.states:
         raise TransducerError(f"unknown state {state!r}")
     if t.mode == INITIAL:
@@ -405,16 +505,78 @@ def run_word(t, state, word):
             raise TransducerError("digit word fed to the initial state")
     elif not is_digit_word(word):
         raise TransducerError("core-mode machine only reads digit words")
+
+
+def _walked_rows(t, word, period=EMPTY):
+    """The rows on which run_word and eval_point walk `word` (and pump
+    `period`), checked by _check_start: those of a machine built on rows
+    and known to be valid, in which nothing enters the entry and every
+    other state reads the n digits, when the words hold only letters
+    such rows read: a root letter of the alphabet in front, and digits
+    below n (one min and one max per word).  None otherwise: the walk
+    then goes through the table, where a missing transition is refused
+    as Transducer.step refuses it."""
+    rows = t._rows
+    if rows is None or t._known is None:
+        return None
+    if is_rooted(word):
+        if ~word[0] >= t.r:
+            return None
+        word = word[1:]
+    try:
+        if all(not w or (min(w) >= 0 and max(w) < t.n)
+               for w in (word, period)):
+            return rows
+    except TypeError:
+        pass
+    return None
+
+
+def _number(t, rows, state):
+    """The number of state `state` of t in its rows: the entry's without
+    a name map, any other through the rows' name map."""
+    if t.mode == INITIAL and state == t.initial:
+        return rows.entry
+    return rows.index[state]
+
+
+def _entry(view, t):
+    """The number of t's initial state in its view.  An initial state
+    that is not among the states (the public constructor does not check)
+    raises KeyError, as its lookup by name does."""
+    if view.entry is None:
+        raise KeyError(t.initial)
+    return view.entry
+
+
+def _walk_table(t, q, word, out):
+    """Feed `word` from state q through t's table, extending `out` with
+    what it writes; the state reached.  A missing transition calls
+    Transducer.step, which words the error."""
     trans = t.trans
-    outs = []
-    q = state
     try:
         for x in word:
             w, q = trans[(q, x)]
-            outs.append(w)
+            out += w
     except KeyError:
         t.step(q, x)
-    return tuple(chain.from_iterable(outs)), q
+    return q
+
+
+def _walk_rows(rows, i, word, out):
+    """_walk_table on rows that read `word` (see _walked_rows), from
+    state number i: a leading root letter -k-1 at the entry's position
+    k, then each digit at its own position."""
+    outs, targets = rows.outs, rows.targets
+    letters = iter(word)
+    if is_rooted(word):
+        k = ~next(letters)
+        out += outs[i][k]
+        i = targets[i][k]
+    for x in letters:
+        out += outs[i][x]
+        i = targets[i][x]
+    return i
 
 
 def guaranteed_output(t):
@@ -425,33 +587,40 @@ def guaranteed_output(t):
 
     iterated from v == empty; a pass count cap of
     |Q| * (1 + max output length) guards the divergent case."""
-    return dict(zip(t.states, _guaranteed_output(_View(t))))
+    return dict(zip(t.states, _guaranteed_output(_view_of(t))))
 
 
 class _View:
-    """A machine's transition table on integers, built for one kernel
-    call: the states (all of the machine's by default) numbered by
-    position, with a name -> number map, the number of the entry (None
-    in core mode, or when the entry is not among the states), and per
-    state its letters in canonical order and, letter by letter, the
+    """A machine's transition table on integers: the states (all of the
+    machine's by default) numbered by position, the number of the entry
+    (None in core mode, or when the entry is not among the states), and
+    per state its letters in canonical order and, letter by letter, the
     output words and target numbers (rows are tuples; step 1 of the
     reduction replaces output rows whole).  The entry's row holds the
-    root letters -1, -2, ... at 0, 1, ....  The states passed must be
-    closed under transitions; a target outside them raises
-    TransducerError.
+    root letters -1, -2, ... at 0, 1, ....  The name -> number map
+    `index` is built on first use.
 
-    The table is built at C speed: one lookup of every digit row in
-    state order (plus the entry's root row, in initial mode), one map of
-    the targets to numbers, and the columns cut into rows; the digit
-    rows share one letters tuple.  Only a lookup that fails runs the
-    letter loop of _View._fail, which words the error for the first
-    failing state."""
+    A view is either built from a machine's table for one kernel call,
+    by _View(t, states), or taken from rows already on state numbers
+    (_View._of_rows): a pair product's, a sub-view cut by _cut, or the
+    rows of a machine the library built on them (Transducer._rows),
+    which kernels get through _view_of.  A machine's rows are never
+    changed; `_table` builds its name-keyed table from them.
 
-    __slots__ = ("states", "index", "entry", "letters", "outs", "targets")
+    Built from the table, the states passed must be closed under
+    transitions; a target outside them raises TransducerError.  The
+    table is read at C speed: one lookup of every digit row in state
+    order (plus the entry's root row, in initial mode), one map of the
+    targets to numbers, and the columns cut into rows; the digit rows
+    share one letters tuple.  Only a lookup that fails runs the letter
+    loop of _View._fail, which words the error for the first failing
+    state."""
+
+    __slots__ = ("states", "_index", "entry", "letters", "outs", "targets")
 
     def __init__(self, t, states=None):
         self.states = states = t.states if states is None else tuple(states)
-        self.index = index = dict(zip(states, range(len(states))))
+        self._index = index = dict(zip(states, range(len(states))))
         trans, n = t.trans, t.n
         digits = tuple(range(n))
         entry = index.get(t.initial) if t.mode == INITIAL else None
@@ -480,17 +649,68 @@ class _View:
             self.targets.insert(entry, root_targets)
 
     @classmethod
-    def _of_rows(cls, states, letters, outs, targets, entry=None):
-        """The view of a machine whose rows are already on state numbers,
-        such as a pair product's or a reduction's result (see
-        minimize._build): `letters`, `outs` and `targets` are
-        lists of rows, one per state, and `entry` is the entry's number.
-        No name -> number map is built (index is None): no kernel looks
-        such a machine's states up by name."""
+    def _of_rows(cls, states, letters, outs, targets, entry=None,
+                 index=None):
+        """The view of rows already on state numbers: `states` the names
+        by number, `letters`, `outs` and `targets` lists of rows, one
+        per state, taken as they are, `entry` the entry's number and
+        `index` the name -> number map when one is at hand (else it is
+        built on first use)."""
         view = object.__new__(cls)
-        view.states, view.index, view.entry = states, None, entry
+        view.states, view._index, view.entry = states, index, entry
         view.letters, view.outs, view.targets = letters, outs, targets
         return view
+
+    @property
+    def index(self):
+        """The name -> number map, built on first use."""
+        index = self._index
+        if index is None:
+            index = self._index = dict(zip(self.states, count()))
+        return index
+
+    def _cut(self, keep):
+        """The sub-view of the state numbers `keep`, in order, numbered by
+        position among them, as _View(t, states) numbers those states.
+        A target outside them raises _View's TransducerError for the
+        first such state."""
+        position = dict(zip(keep, count()))
+        states, targets = self.states, self.targets
+        try:
+            rows = [tuple(map(position.__getitem__, targets[i]))
+                    for i in keep]
+        except KeyError:
+            i, j = next((i, j) for i in keep for j in targets[i]
+                        if j not in position)
+            raise TransducerError(
+                f"state {states[i]!r} leads to {states[j]!r}, outside the "
+                "states considered"
+            ) from None
+        return _View._of_rows(tuple(map(states.__getitem__, keep)),
+                              list(map(self.letters.__getitem__, keep)),
+                              list(map(self.outs.__getitem__, keep)), rows,
+                              position.get(self.entry))
+
+    def _table(self, order=None):
+        """The name-keyed table {(state, letter): (output, target state)}
+        of the rows of the state numbers `order` (all, by default), in
+        that order and then letter order, zipped from whole columns:
+        (name, letter) keys from the names repeated along their letters,
+        and (output, target name) values."""
+        states = self.states
+        if order is None:
+            names, letters, outs = states, self.letters, self.outs
+            targets = self.targets
+        else:
+            names = list(map(states.__getitem__, order))
+            letters = list(map(self.letters.__getitem__, order))
+            outs = list(map(self.outs.__getitem__, order))
+            targets = list(map(self.targets.__getitem__, order))
+        keys = zip(chain.from_iterable(map(repeat, names, map(len, letters))),
+                   chain.from_iterable(letters))
+        values = zip(chain.from_iterable(outs),
+                     map(states.__getitem__, chain.from_iterable(targets)))
+        return dict(zip(keys, values))
 
     def _fail(self, t):
         """Raise the error of the first state, in state order, whose row
@@ -505,6 +725,20 @@ class _View:
                         "states considered"
                     )
         raise AssertionError("a row lookup failed, but no letter does")
+
+
+def _view_of(t):
+    """The integer view of all of t's states for one kernel call.  A
+    machine built on rows hands out its rows: only the list of output
+    rows is copied, since step 1 of the reduction replaces rows of it
+    (see minimize._complete_responses), and the letter and target rows
+    are shared.  Any other machine's view is built from its table by
+    _View."""
+    rows = t._rows
+    if rows is None:
+        return _View(t)
+    return _View._of_rows(rows.states, rows.letters, list(rows.outs),
+                          rows.targets, rows.entry, rows._index)
 
 
 def _guaranteed_output(view):
@@ -616,25 +850,37 @@ def eval_point(t, point, state=None):
     repeats (at most |Q| + 1 pumps); the outputs collected up to the
     first repeat become the image's preperiod and the outputs around the
     state cycle its period.  The start state and the preperiod are
-    checked as run_word checks them; the period is a digit word, which
-    every state but the initial one reads, so the pumps look the
-    transitions up directly and the cost is linear in pumps times period
-    length."""
+    checked as run_word checks them, and both words are walked as
+    run_word walks them: on the rows of a valid machine built on rows,
+    by state number, else through the table by name.  The pumps look
+    the transitions up directly, so the cost is linear in pumps times
+    period length."""
     if state is None:
         if t.initial is None:
             raise TransducerError("no start state for evaluation")
         state = t.initial
-    out_pre, q = run_word(t, state, point.preperiod)
-    seen = {q: len(out_pre)}
-    collected = list(out_pre)
-    trans, period = t.trans, point.period
-    entry = t.initial if t.mode == INITIAL else None
+    _check_start(t, state, point.preperiod)
+    period, collected = point.period, []
+    rows = _walked_rows(t, point.preperiod, period)
+    if rows is None:
+        trans, entry = t.trans, t.initial if t.mode == INITIAL else None
+        q = _walk_table(t, state, point.preperiod, collected)
+    else:
+        outs, targets, entry = rows.outs, rows.targets, rows.entry
+        q = _walk_rows(rows, _number(t, rows, state), point.preperiod,
+                       collected)
+    seen = {q: len(collected)}
     for _ in range(len(t.states) + 1):
         if entry is not None and q == entry:
             raise TransducerError("digit word fed to the initial state")
-        for x in period:
-            w, q = trans.get((q, x)) or t.step(q, x)
-            collected.extend(w)
+        if rows is None:
+            for x in period:
+                w, q = trans.get((q, x)) or t.step(q, x)
+                collected += w
+        else:
+            for x in period:
+                collected += outs[q][x]
+                q = targets[q][x]
         if q in seen:
             cut = seen[q]
             cycle_out = tuple(collected[cut:])
@@ -656,15 +902,14 @@ def canonical_form(t):
     letters taken in canonical order.  Core mode (header T2|core): the
     breadth-first renumbering from the root _best_core_order picks; the
     preferred-start marker is ignored."""
+    view = _view_of(t)
     if t.mode == INITIAL:
-        view = _View(t)
-        order = _bfs(view.targets, view.index[t.initial])
+        order = _bfs(view.targets, _entry(view, t))
         if len(order) != len(t.states):
             raise TransducerError(
                 "unreachable states present; minimize before canonical_form"
             )
         return _serialize(view, order, f"T1|initial|n={t.n}|r={t.r}")
-    view = _View(t)
     if not _strongly_connected(view.targets):
         raise TransducerError("disconnected core has no canonical form")
     return _serialize(view, _best_core_order(view), f"T2|core|n={t.n}")

@@ -7,23 +7,25 @@ the unique representative of the machine's omega-equivalence class, up
 to strong isomorphism; its canonical form is the class invariant.
 
 minimize runs the three steps and the final relabel as one pass over an
-integer view of the machine (machine._View): reachability, the
+integer view of the machine (machine._view_of): reachability, the
 guaranteed-output fixpoint, the shifted outputs, the refinement and the
-breadth-first renaming all work on state numbers, and only the result is
-built as a Transducer.  Each stage is a few passes over whole columns at
-C speed: the view is built by one lookup of every row, reachability is
-a walk on state numbers, the guaranteed output takes each row's LCP from
-its least and greatest word (in its first pass by one min and one max
-over all rows, with Python code only for rows whose two words share a
-first letter), the merge keys each state's output row once and then
-only its target colours, numbers signatures through a dict and stops at
-a discrete partition, and the result's table is zipped from columns.
-Letter loops run only to word an error.  The public step functions are
-thin wrappers over the same helpers, each building its own view and its
-own result.
+breadth-first renaming all work on state numbers, and the result keeps
+the quotient's rows (see _build): its name-keyed table is built only
+when something reads it.  Each stage is a few passes over whole columns
+at C speed: the view of a machine built from a table is built by one
+lookup of every row (a machine the library built on rows hands its rows
+out), reachability is a walk on state numbers, the guaranteed output
+takes each row's LCP from its least and greatest word (in its first pass
+by one min and one max over all rows, with Python code only for rows
+whose two words share a first letter), the merge keys each state's
+output row once and then only its target colours, numbers signatures
+through a dict and stops at a discrete partition, whose rows the result
+takes as they are.  Letter loops run only to word an error.  The public
+step functions are thin wrappers over the same helpers, each taking its
+own view and building its own result.
 """
 
-from itertools import chain, compress, count, repeat
+from itertools import compress, count
 from operator import add, itemgetter, not_
 
 from .words import EMPTY
@@ -36,8 +38,10 @@ from .machine import (
     _MINIMAL,
     _View,
     _bfs,
+    _entry,
     _guaranteed_output,
     _refine,
+    _view_of,
 )
 
 
@@ -78,7 +82,7 @@ def merge_equivalent_states(t):
     nonzero guaranteed output on a non-initial reachable state is an
     error (unreachable states just ride along; step 2 owns them).  The
     initial state never merges: it reads a different alphabet."""
-    view = _View(t)
+    view = _view_of(t)
     kept = _kept(t)
     sub = view if len(kept) == len(t.states) else _View(t, kept)
     for q, owed in zip(sub.states, _guaranteed_output(sub)):
@@ -87,10 +91,12 @@ def merge_equivalent_states(t):
                 f"state {q!r} owes output {owed!r}; remove incomplete "
                 "responses before merging"
             )
-    rows, initial = _merge(view, t)
-    if len(rows) == len(t.states):
+    reps, cls, initial = _merge(view, t)
+    if cls is None:
         return t
-    return _build(t.n, t.r, t.mode, view, rows, view.states, initial, None)
+    letters, outs, targets = _quotient(view, reps, cls)
+    return _build(t.n, t.r, t.mode, tuple(map(view.states.__getitem__, reps)),
+                  letters, outs, targets, initial, None)
 
 
 def minimize(t):
@@ -103,39 +109,38 @@ def minimize(t):
     return _reduce(check_valid(t))
 
 
-def _reduce(t, with_view=False):
+def _reduce(t):
     """minimize without its validation, for a machine its caller has
     just validated: the three steps and the relabel in one pass over one
     view.  Reachability is a walk on that view's state numbers, and a
-    sub-view is built only when some state is unreachable.  Completed
+    sub-view is cut only when some state is unreachable.  Completed
     responses leave no guaranteed output to check before merging.  The
     result is marked minimal: reducing it again gives it back (see
-    _core_order).  With `with_view`, the result comes with its view,
-    built from the quotient rows (see _build)."""
-    view = _View(t)
+    _core_order)."""
+    view = _view_of(t)
     if t.mode == INITIAL:
-        reached = _bfs(view.targets, view.index[t.initial])
+        reached = _bfs(view.targets, view.entry)
         if len(reached) < len(view.states):
-            view = _View(t, map(view.states.__getitem__, sorted(reached)))
+            view = view._cut(sorted(reached))
     _complete_responses(view)
-    rows, initial = _merge(view, t)
+    reps, cls, initial = _merge(view, t)
+    letters, outs, targets = _quotient(view, reps, cls)
     if t.mode == INITIAL:
-        order = _bfs(rows, initial)
+        order = _bfs(targets, initial)
     else:
-        order = _core_order(rows, list(map(str, view.states)))
-    names = dict(zip(order, map("s{}".format, count())))
-    return _build(t.n, t.r, t.mode, view, rows, names, initial, _MINIMAL,
-                  with_view)
+        order = _core_order(targets,
+                            list(map(str, map(view.states.__getitem__, reps))))
+    return _build(t.n, t.r, t.mode, _numbered_names(order), letters, outs,
+                  targets, initial, _MINIMAL)
 
 
-def _reduce_core_rows(view, n, with_view=False):
+def _reduce_core_rows(view, n):
     """_reduce for a valid core given as a view whose state numbers need
     not follow the names' str order, such as synchro's pair product,
     numbered in discovery order.  The result is the one _reduce gives
     on the machine with those states sorted by str: each class stands
     for its member with the least name (a linear min per class) rather
-    than its first, and only these representatives are sorted.  With
-    `with_view`, the result comes with its view, as from _reduce."""
+    than its first, and only these representatives are sorted."""
     _complete_responses(view)
     colour = _refine(view, [0] * len(view.states), ranked=False)
     names = list(map(str, view.states))
@@ -145,16 +150,14 @@ def _reduce_core_rows(view, n, with_view=False):
         if have is None or names[i] < names[have]:
             least[c] = i
     reps = sorted(least.values(), key=names.__getitem__)
-    if len(reps) == len(colour):
-        rows = dict(zip(reps, map(view.targets.__getitem__, reps)))
-    else:
-        rep = list(map(least.__getitem__, colour))
-        rows = {r: tuple(map(rep.__getitem__, view.targets[r]))
-                for r in reps}
-    order = _core_order(rows, names)
-    named = dict(zip(order, map("s{}".format, count())))
-    return _build(n, None, CORE, view, rows, named, None, _MINIMAL,
-                  with_view)
+    cls = None
+    if reps != list(range(len(colour))):
+        position = dict(zip(map(colour.__getitem__, reps), count()))
+        cls = list(map(position.__getitem__, colour))
+    letters, outs, targets = _quotient(view, reps, cls)
+    order = _core_order(targets, list(map(names.__getitem__, reps)))
+    return _build(n, None, CORE, _numbered_names(order), letters, outs,
+                  targets, None, _MINIMAL)
 
 
 def _kept(t):
@@ -188,33 +191,49 @@ def _complete_responses(view):
 
 def _merge(view, t):
     """Step 3 on the view: the coarsest stable partition, with the
-    initial state of an initial-mode machine seeded apart.  Returns the
-    rows of the quotient, {first state of each class, in state order:
-    its targets mapped to their classes' first states}, and the number
-    of the state standing for t.initial (None without one).
+    initial state of an initial-mode machine seeded apart.  Returns
+    (reps, cls, start): the first state of each class, in state order,
+    each state's class as its position in reps, and the class of
+    t.initial (None without one).  A discrete partition returns
+    range(size) and cls None: every state is its own class, at its own
+    position.
 
     Only the partition matters here, so _refine numbers signatures by
     first appearance, without sorting them, and stops at a discrete
-    partition, whose rows are the view's own."""
+    partition."""
     size = len(view.states)
     colour = [0] * size
     if t.mode == INITIAL:
-        colour[view.index[t.initial]] = 1
+        start = _entry(view, t)
+        colour[start] = 1
+    else:
+        start = None if t.initial is None else view.index[t.initial]
     colour = _refine(view, colour, ranked=False)
     # colour -> first state: zipped backwards, the first state comes last
     first = dict(zip(reversed(colour), reversed(range(size))))
     if len(first) == size:
-        rep = range(size)
-        rows = dict(zip(rep, view.targets))
-    else:
-        rep = list(map(first.__getitem__, colour))
-        rows = {r: tuple(map(rep.__getitem__, view.targets[r]))
-                for r in sorted(first.values())}
-    initial = None if t.initial is None else rep[view.index[t.initial]]
-    return rows, initial
+        return range(size), None, start
+    reps = sorted(first.values())
+    position = dict(zip(map(colour.__getitem__, reps), count()))
+    cls = list(map(position.__getitem__, colour))
+    return reps, cls, None if start is None else cls[start]
 
 
-def _core_order(rows, names):
+def _quotient(view, reps, cls):
+    """The rows (letters, outs, targets) of the quotient whose classes
+    stand for the state numbers `reps`, with targets renumbered through
+    `cls` (each state's class, as its position in reps).  With cls None
+    every state is its own class, at its own position, and the view's
+    rows are taken as they are."""
+    if cls is None:
+        return view.letters, view.outs, view.targets
+    targets = view.targets
+    return (list(map(view.letters.__getitem__, reps)),
+            list(map(view.outs.__getitem__, reps)),
+            [tuple(map(cls.__getitem__, targets[r])) for r in reps])
+
+
+def _core_order(targets, names):
     """Deterministic numbering of a core's quotient: breadth-first from
     the first state that reaches the whole machine, else the states
     themselves, both in order of name length, then name (`names` gives
@@ -222,49 +241,41 @@ def _core_order(rows, names):
     a given input; isomorphism-invariant equality is canonical_form's
     job, which ignores names).  Renamed s0, s1, ..., either order comes
     out again from a second reduction, since s2 sorts before s10.  The
-    (length, name, position) keys are zipped at C speed; the position
-    keeps rows' order among equal names, as a stable sort would."""
-    states = list(rows)
-    named = list(map(names.__getitem__, states))
-    keys = list(zip(map(len, named), named, count()))
-    order = _bfs(rows, states[min(keys)[2]])
-    if len(order) == len(rows):
+    (length, name, number) keys are zipped at C speed; the number keeps
+    the states' order among equal names, as a stable sort would."""
+    keys = list(zip(map(len, names), names, count()))
+    order = _bfs(targets, min(keys)[2])
+    if len(order) == len(targets):
         return order
-    ranked = [states[k] for *_, k in sorted(keys)]
+    ranked = [k for *_, k in sorted(keys)]
     for start in ranked[1:]:
-        order = _bfs(rows, start)
-        if len(order) == len(rows):
+        order = _bfs(targets, start)
+        if len(order) == len(targets):
             return order
     return ranked
 
 
-def _build(n, r, mode, view, rows, names, initial, known, with_view=False):
-    """The Transducer of quotient rows on the alphabet (n, r) in `mode`,
-    each state k named names[k], marked with `known` (see
-    Transducer._own).  Its table is zipped from whole columns: (name,
-    letter) keys from the names repeated along their letters, and
-    (output, target name) values; the machine takes the table as built,
-    without the public constructor's copy.
+def _numbered_names(order):
+    """The names s0, s1, ... by state number: state order[k] is sk.  One
+    loop with %-formatting beats a name map zipped from str.format."""
+    names = [None] * len(order)
+    for k, i in enumerate(order):
+        names[i] = "s%d" % k
+    return tuple(names)
 
-    With `with_view`, returns the machine and its view (see
-    machine._View._of_rows), state for state as _View would number it:
-    the quotient's own rows with their targets renumbered by position,
-    for a caller that walks the result next (the lag walks of an
-    inversion), so no view is built from its table."""
-    reps = list(rows)
-    named = list(map(names.__getitem__, reps))
-    letters = list(map(view.letters.__getitem__, reps))
-    outs = list(map(view.outs.__getitem__, reps))
-    keys = zip(chain.from_iterable(map(repeat, named, map(len, letters))),
-               chain.from_iterable(letters))
-    values = zip(chain.from_iterable(outs),
-                 map(names.__getitem__, chain.from_iterable(rows.values())))
-    t = Transducer._own(n, r, mode, tuple(named),
-                        None if initial is None else names[initial],
-                        dict(zip(keys, values)), known)
-    if not with_view:
-        return t
-    position = dict(zip(reps, count()))
-    targets = [tuple(map(position.__getitem__, row)) for row in rows.values()]
-    entry = position[initial] if mode == INITIAL else None
-    return t, _View._of_rows(t.states, letters, outs, targets, entry)
+
+def _build(n, r, mode, names, letters, outs, targets, initial, known):
+    """The Transducer of quotient rows on the alphabet (n, r) in `mode`:
+    state k is named names[k] (a tuple) and its row is letters[k],
+    outs[k] and targets[k] (state numbers), `initial` is the entry's or
+    preferred start's number (or None), and the machine is marked with
+    `known` (see Transducer._own).  The result keeps the quotient's
+    rows, taken as they are (see Transducer._of_rows): its name-keyed
+    table is built only when something reads it, and a kernel walking
+    the result next (the lag walks of an inversion, a core product)
+    takes its view from the rows (machine._view_of)."""
+    rows = _View._of_rows(names, letters, outs, targets,
+                          initial if mode == INITIAL else None)
+    return Transducer._of_rows(n, r, mode,
+                               None if initial is None else names[initial],
+                               rows, known)

@@ -7,12 +7,12 @@ long word lands in form the core: an inescapable, strongly connected
 sub-machine that is the invariant of the outer class.
 """
 
-from itertools import count
+from itertools import count, filterfalse
 from operator import itemgetter
 
 from .machine import CORE, InvalidTransducer, Transducer, TransducerError, \
     check_valid, validate, _NOT_SYNCHRONIZING, _SYNCHRONIZES, _VALID, \
-    _View, _bfs, _bfs_order, _first_repeat
+    _View, _bfs, _bfs_order, _first_repeat, _pre_root, _stepper, _view_of
 from .minimize import _reduce_core_rows, minimize
 from .algebra import NotInjective, NotInvertible, invert, _Pairs, \
     _RunSets, _accepting, _check_product, _explore, _product_is_identity
@@ -33,6 +33,16 @@ def _tracked_states(t):
         return list(t.states)
     pre = t.pre_root_states()
     return [q for q in t.states if q not in pre]
+
+
+def _tracked_numbers(rows):
+    """The numbers, in order, of the tracked states of a machine's own
+    rows: all of a core's, and in initial mode those outside the
+    pre-root states."""
+    if rows.entry is None:
+        return range(len(rows.states))
+    return list(filterfalse(set(_pre_root(rows)).__contains__,
+                            range(len(rows.states))))
 
 
 def _collapse(t):
@@ -56,14 +66,25 @@ def _collapse(t):
     backwards (unless a single class is left): the rounds cost the live
     classes alone, not |Q| each.
 
+    The tracked states' targets are cut from the rows of a machine built
+    on them, and read from a view of the tracked states alone otherwise.
     No valid machine lacks a tracked state, so one that does is refused
     with InvalidTransducer, here for sync_level, witness_pair and every
     _core_at, whose callers collapse first (a machine marked as
     synchronizing has states)."""
-    tracked = _tracked_states(t)
+    rows = t._rows
+    if rows is None:
+        tracked = _tracked_states(t)
+    else:
+        keep = _tracked_numbers(rows)
+        tracked = list(map(rows.states.__getitem__, keep))
     if not tracked:
         raise InvalidTransducer(validate(t))
-    columns = list(zip(*_View(t, tracked).targets))
+    if rows is None:
+        view = _View(t, tracked)
+    else:
+        view = rows if len(keep) == len(rows.states) else rows._cut(keep)
+    columns = list(zip(*view.targets))
     count = len(tracked)
     maps = []
     while count > 1:
@@ -126,8 +147,10 @@ def witness_pair(t):
 def is_identity_core(c):
     """The one-state core that echoes every digit: the outer class of
     the prefix-exchange maps."""
-    return (len(c.states) == 1 and
-            all(c.step(c.states[0], x)[0] == (x,) for x in range(c.n)))
+    if len(c.states) != 1:
+        return False
+    first, step, _ = _stepper(c)
+    return all(step(first, x)[0] == (x,) for x in range(c.n))
 
 
 def core_of(t):
@@ -161,13 +184,25 @@ def _core_at(t):
     The closure is valid when t is: a closed set of tracked states reads
     every digit, writes digit words and keeps t's lack of empty-output
     cycles.  The closure's table is t's own transitions, so the machine
-    takes it without the public constructor's copy.  It is marked valid
-    when t is known to be valid; otherwise core_of checks it.  t must
-    have a tracked state, which _collapse checks, and which every
-    machine marked as synchronizing has."""
-    start = _first_repeat(_tracked_states(t)[0], lambda q: t.step(q, 0)[1])
-    order = _bfs_order(t, start)
-    trans = {(p, x): t.step(p, x) for p in order for x in range(t.n)}
+    takes it without the public constructor's copy; on a machine built
+    on rows the walk, the closure and the table are all taken from the
+    rows, with no lookup by name.  It is marked valid when t is known to
+    be valid; otherwise core_of checks it.  t must have a tracked state,
+    which _collapse checks, and which every machine marked as
+    synchronizing has."""
+    rows = t._rows
+    if rows is None:
+        start = _first_repeat(_tracked_states(t)[0],
+                              lambda q: t.step(q, 0)[1])
+        order = _bfs_order(t, start)
+        trans = {(p, x): t.step(p, x) for p in order for x in range(t.n)}
+    else:
+        targets = rows.targets
+        start = _first_repeat(_tracked_numbers(rows)[0],
+                              lambda i: targets[i][0])
+        order = _bfs(targets, start)
+        trans = rows._table(order)
+        order = map(rows.states.__getitem__, order)
     return Transducer._own(t.n, None, CORE, tuple(sorted(order, key=str)),
                            None, trans, _VALID if t._known else None)
 
@@ -213,7 +248,7 @@ def core_product(a, b):
         raise TransducerError("degenerate product: no states")
     if not (_synchronizes(a) and _synchronizes(b)):
         raise NotSynchronizing("core product of a non-synchronizing core")
-    pairs = _Pairs(_View(a), _View(b))
+    pairs = _Pairs(_view_of(a), _view_of(b))
     view = pairs.closure([pairs.fixed()])
     _check_product(a, b, view, None, "degenerate product: ")
     product = _reduce_core_rows(view, a.n)
@@ -274,7 +309,7 @@ def invert_core(c):
     c = minimize(c)
     if not _synchronizes(c):
         raise NotSynchronizing("invert_core needs a synchronizing core")
-    runs = _RunSets(_View(c))
+    runs = _RunSets(_view_of(c))
     repeat = _zero_repeat_config(runs)
     if repeat is not None:
         try:
@@ -307,7 +342,9 @@ def _inverse_from(c, runs, seeds, prune):
     since a run that is at one position after the inverse has read more
     input, with no emission between, would have written two outputs
     there.  It is marked as synchronizing, as the reduction of the core
-    of a synchronizing machine; its level is found when asked for."""
+    of a synchronizing machine; its level is found when asked for.  The
+    lag walks take the reduction's view from its rows (see
+    machine._view_of)."""
     n = c.n
     nodes, rows = _explore(runs, seeds, range(n), n, prune)
     keep = _accepting(rows) if prune else range(len(rows))
@@ -337,7 +374,8 @@ def _inverse_from(c, runs, seeds, prune):
         [tuple(range(n))] * len(rows),
         [tuple(map(itemgetter(1), row)) for row in rows],
         [tuple(map(itemgetter(2), row)) for row in rows])
-    d, inverse = _reduce_core_rows(view, n, with_view=True)
+    d = _reduce_core_rows(view, n)
+    inverse = _view_of(d)
     if not _product_is_identity(runs.view, inverse) or \
             not _product_is_identity(inverse, runs.view):
         raise NotInvertible(

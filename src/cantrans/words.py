@@ -14,8 +14,8 @@ digits, ".0"..".r-1" for roots, and "-" for the empty word.
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, compress, count, cycle
+from operator import itemgetter, ne
 
 Word = tuple  # tuple of int-encoded letters
 
@@ -270,6 +270,22 @@ def _primitive_root(word):
     return word
 
 
+def _trimmed(preperiod, period):
+    """The shortest preperiod of u v v v ... and the period that goes
+    with it: the longest suffix of u that runs backwards along v v v ...
+    is cut off, and v is rotated right by its length.  The suffix is
+    measured by one backward pass at C speed, to the first letter that
+    differs from the period's; a root letter, never equal to a digit of
+    the period, ends it.  One cut and one rotation follow."""
+    cut = next(compress(count(), map(ne, reversed(preperiod),
+                                     cycle(reversed(period)))),
+               len(preperiod))
+    if not cut:
+        return preperiod, period
+    turn = len(period) - cut % len(period)
+    return preperiod[:-cut], period[turn:] + period[:turn]
+
+
 class EventuallyPeriodicPoint:
     """The point u v v v ... , stored in a unique normal form.
 
@@ -289,10 +305,7 @@ class EventuallyPeriodicPoint:
             raise WordError("period must be a digit word")
         check_word_shape(preperiod)
         period = _primitive_root(period)
-        while preperiod and not is_root(preperiod[-1]) \
-                and preperiod[-1] == period[-1]:
-            preperiod = preperiod[:-1]
-            period = period[-1:] + period[:-1]
+        preperiod, period = _trimmed(preperiod, period)
         object.__setattr__(self, "preperiod", preperiod)
         object.__setattr__(self, "period", period)
 

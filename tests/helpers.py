@@ -5,7 +5,7 @@ import random
 import sys
 import types
 from fractions import Fraction
-from itertools import product, repeat
+from itertools import chain, product, repeat
 
 from collections import deque
 
@@ -42,7 +42,7 @@ from cantrans.document import HEADER, ParseError, _RESERVED, _alphabet, \
 from cantrans.words import EMPTY, Relation, WordError, check_word, \
     check_word_shape, common_prefix, format_letter, format_word, \
     is_digit_word, is_prefix, is_root, is_rooted, parse_letter, \
-    word_relate, word_subtract
+    word_relate, word_subtract, _primitive_root
 from cantrans.machine import _View, _bfs_order, _first_repeat, relabel
 from cantrans.minimize import _reduce, merge_equivalent_states, \
     remove_inaccessible, remove_incomplete_response
@@ -1763,3 +1763,32 @@ def pairwise_validate_prefix_code(code, alphabet):
     if total != alphabet.r:
         return False, f"Kraft sum {total} != r = {alphabet.r} (incomplete code)"
     return True, None
+
+
+def eager_build(n, r, mode, names, letters, outs, targets, initial, known):
+    """Oracle: minimize._build as it was before reductions kept their
+    rows, zipping the result's name-keyed table from whole columns at
+    once: (name, letter) keys from the names repeated along their
+    letters, and (output, target name) values.  The machine holds that
+    table and no rows."""
+    keys = zip(chain.from_iterable(map(repeat, names, map(len, letters))),
+               chain.from_iterable(letters))
+    values = zip(chain.from_iterable(outs),
+                 map(names.__getitem__, chain.from_iterable(targets)))
+    return Transducer._own(n, r, mode, tuple(names),
+                           None if initial is None else names[initial],
+                           dict(zip(keys, values)), known)
+
+
+def loop_trimmed_point(preperiod, period):
+    """Oracle: EventuallyPeriodicPoint's normal form as it was before one
+    backward pass measured the suffix to trim: the primitive root of the
+    period, then one letter trimmed at a time, each trim copying the
+    preperiod and rotating the period by one.  Returns (preperiod,
+    period)."""
+    preperiod, period = tuple(preperiod), _primitive_root(tuple(period))
+    while preperiod and not is_root(preperiod[-1]) \
+            and preperiod[-1] == period[-1]:
+        preperiod = preperiod[:-1]
+        period = period[-1:] + period[:-1]
+    return preperiod, period

@@ -1,0 +1,348 @@
+"""Machines the library builds keep the quotient's integer rows
+(minimize._build) and build their name-keyed table only when something
+reads it.
+
+Every reduction corpus gives the same machine as the eager build it
+replaced (helpers.eager_build, which zips the table at once): the same
+table in the same order, states, entry, document and canonical form.
+On the benchmark's hot paths, minimizing a long chain and evaluating
+points on it, and one rung of the core ladder, no machine built on rows
+builds its table and no view of one is built from a table.  run_word and
+eval_point walk the rows of such a machine and give the results and
+refusal texts of its public-constructor copy."""
+
+import importlib
+import random
+
+import pytest
+
+from cantrans import (
+    Alphabet,
+    CORE,
+    EventuallyPeriodicPoint,
+    INITIAL,
+    InvalidTransducer,
+    Transducer,
+    TransducerError,
+    canonical_form,
+    compose,
+    core_of,
+    core_product,
+    cycle_balance,
+    eval_point,
+    fixtures,
+    from_prefix_code_map,
+    invert,
+    invert_core,
+    merge_equivalent_states,
+    minimize,
+    parse,
+    run_word,
+    serialize,
+    sync_level,
+    twist_transducer,
+)
+from cantrans.machine import _View
+from cantrans.randgen import random_gnr_element, random_prefix_code_map, \
+    random_transducer
+
+import helpers
+from helpers import balanced_powers, duplicated_states, eager_build, \
+    empty_output_chain, multi_core_bisync, random_bisync
+
+minimize_module = importlib.import_module("cantrans.minimize")
+
+ALPHABETS = (Alphabet(2, 1), Alphabet(3, 1), Alphabet(3, 2), Alphabet(4, 1))
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the cantrans error it
+    raises."""
+    try:
+        return f(*args)
+    except TransducerError as e:
+        return type(e), str(e)
+
+
+def _cores():
+    return [minimize(c) for c in (fixtures.torsion_core_2(),
+                                  fixtures.synchronous_core_3(),
+                                  fixtures.unbalanced_core_3(),
+                                  fixtures.balanced_core_2())]
+
+
+def _reductions():
+    """(label, call) for every operation that ends in a reduction, over
+    seeded corpora: each call builds its result afresh."""
+    rng = random.Random(2207)
+    calls = []
+    machines = []
+    for k, alphabet in enumerate(ALPHABETS):
+        for i in range(40):
+            machines.append(random_transducer(alphabet, 1 + i % 5, 2,
+                                              22_000 + 100 * k + i))
+        for i in range(10):
+            machines.append(random_gnr_element(alphabet,
+                                               23_000 + 100 * k + i))
+    cores = _cores()
+    doubled = [duplicated_states(c, rng) for c in cores]
+    for t in machines + doubled + [parse(text)
+                                   for text in fixtures.ALL.values()]:
+        # a fresh copy: random_transducer's machines are minimal already
+        calls.append(("minimize", lambda t=t: minimize(Transducer(
+            t.n, t.r, t.mode, t.states, t.initial, t.trans))))
+    for a, b in zip(machines[::3], machines[1::3]):
+        if (a.n, a.r) == (b.n, b.r):
+            calls.append(("compose", lambda a=a, b=b: compose(a, b)))
+    for a in cores + doubled:
+        for b in cores:
+            if a.n == b.n:
+                calls.append(("compose", lambda a=a, b=b: compose(a, b)))
+                calls.append(("core_product",
+                              lambda a=a, b=b: core_product(a, b)))
+    initials = [fixtures.sample_3_2(), fixtures.unbalanced_4_2(),
+                twist_transducer((1, 2, 0), Alphabet(3, 1)),
+                twist_transducer((1, 0, 3, 2), Alphabet(4, 2))]
+    initials += [random_gnr_element(alphabet, 24_000 + i)
+                 for i, alphabet in enumerate(ALPHABETS * 5)]
+    initials += [random_bisync(Alphabet(2, 1), 25_000 + i)
+                 for i in range(5)]
+    initials += machines[::9]
+    for a in initials:
+        calls.append(("invert", lambda a=a: invert(a)))
+    for k, alphabet in enumerate(ALPHABETS):
+        for i in range(25):
+            pm = random_prefix_code_map(alphabet, 26_000 + 100 * k + i)
+            calls.append(("from_prefix_code_map",
+                          lambda pm=pm, alphabet=alphabet:
+                          from_prefix_code_map(pm, alphabet)))
+    inverted = cores + balanced_powers(3) + \
+        [core_of(minimize(multi_core_bisync(75_000 + seed)))
+         for seed in range(6)]
+    for c in inverted:
+        calls.append(("invert_core", lambda c=c: invert_core(c)))
+    calls.append(("BALANCED_CORE_2 powers", lambda: balanced_powers(5)))
+    for core in (False, True):
+        calls.append(("chain",
+                      lambda core=core: minimize(empty_output_chain(core))))
+    return calls
+
+
+def _results(value):
+    return value if isinstance(value, list) else [value]
+
+
+def _same_as_eager(got, want):
+    assert got._rows is not None and got._trans is None
+    assert want._rows is None
+    assert got.states == want.states
+    assert got.initial == want.initial
+    assert serialize(got) == serialize(want)
+    assert outcome(canonical_form, got) == outcome(canonical_form, want)
+    # the table is read last, so the document and the form came from rows
+    assert got._trans is None
+    assert list(got.trans.items()) == list(want.trans.items())
+
+
+def test_reductions_match_the_eager_build(monkeypatch):
+    labels = set()
+    for label, call in _reductions():
+        got = outcome(call)
+        monkeypatch.setattr(minimize_module, "_build", eager_build)
+        want = outcome(call)
+        monkeypatch.undo()
+        if isinstance(want, tuple):
+            assert got == want
+            continue
+        labels.add(label)
+        for g, w in zip(_results(got), _results(want), strict=True):
+            _same_as_eager(g, w)
+    assert labels == {"minimize", "compose", "core_product", "invert",
+                      "from_prefix_code_map", "invert_core",
+                      "BALANCED_CORE_2 powers", "chain"}
+
+
+@pytest.fixture
+def watch(monkeypatch):
+    """Records the machines built on rows, the tables built from a
+    machine's rows, and the machines built on rows a _View was built
+    from."""
+    seen = {"built": [], "tables": [], "views": []}
+    real_of_rows = Transducer._of_rows.__func__
+    real_table, real_init = _View._table, _View.__init__
+
+    def of_rows(cls, *args):
+        t = real_of_rows(cls, *args)
+        seen["built"].append(t)
+        return t
+
+    def table(self, order=None):
+        if order is None:
+            seen["tables"].append(self)
+        return real_table(self, order)
+
+    def init(self, t, states=None):
+        if t._rows is not None:
+            seen["views"].append(t)
+        real_init(self, t, states)
+
+    monkeypatch.setattr(Transducer, "_of_rows", classmethod(of_rows))
+    monkeypatch.setattr(_View, "_table", table)
+    monkeypatch.setattr(_View, "__init__", init)
+    return seen
+
+
+def _chain_points(core, rng):
+    """Four points as the benchmark evaluates them on a chain: a long
+    lead of zeros, a one, and a random tail."""
+    points = []
+    for _ in range(4):
+        lead = (0,) * rng.randrange(helpers.CHAIN) + (1,)
+        if not core:
+            lead = (-1,) + lead
+        tail = next(helpers.random_points(rng, 2, 1))
+        points.append(EventuallyPeriodicPoint(lead + tail.preperiod[1:],
+                                              tail.period))
+    return points
+
+
+def test_chain_paths_build_no_table_from_rows(watch):
+    rng = random.Random(2208)
+    for core in (False, True):
+        chain = empty_output_chain(core)
+        points = _chain_points(core, rng)
+        m = minimize(chain)
+        got = [eval_point(m, x) for x in points]
+        assert watch["built"] and watch["built"][-1] is m
+        assert watch["tables"] == [] and watch["views"] == []
+        assert m._trans is None
+        assert got == [eval_point(chain, x) for x in points]
+
+
+@pytest.mark.parametrize("name", ["BALANCED_CORE_2", "UNBALANCED_CORE_3"])
+def test_core_ladder_rung_builds_no_table_from_rows(watch, name):
+    base = parse(getattr(fixtures, name))
+    power = core_product(base, base)
+    results = []
+    for p in (power, core_product(power, base)):
+        results.append((sync_level(p), core_of(p).states, canonical_form(p),
+                        cycle_balance(p), serialize(p)))
+    assert len(watch["built"]) >= 2
+    assert watch["tables"] == [] and watch["views"] == []
+    assert all(t._trans is None for t in watch["built"])
+    # the same answers from the tables of public-constructor copies
+    for (level, core, form, balance, text), p in zip(
+            results, (power, core_product(power, base))):
+        copy = Transducer(p.n, p.r, p.mode, p.states, p.initial, p.trans)
+        assert (sync_level(copy), core_of(copy).states, canonical_form(copy),
+                cycle_balance(copy), serialize(copy)) == \
+            (level, core, form, balance, text)
+    if name == "UNBALANCED_CORE_3":
+        assert not results[0][3][0]
+
+
+def _walked(seed):
+    """Machines built on rows, and their public-constructor copies:
+    minimized random machines, multi-state cores and both chains."""
+    built = [minimize(random_transducer(alphabet, 1 + i % 5, 2,
+                                        seed + 100 * k + i))
+             for k, alphabet in enumerate(ALPHABETS) for i in range(15)]
+    built += [minimize(core_of(minimize(multi_core_bisync(75_000 + i))))
+              for i in range(4)]
+    built += [minimize(empty_output_chain(core)) for core in (False, True)]
+    return [(m, Transducer(m.n, m.r, m.mode, m.states, m.initial, m.trans))
+            for m in built]
+
+
+def test_rows_walks_match_the_table_walks():
+    rng = random.Random(2209)
+    refusals = set()
+    for m, copy in _walked(27_000):
+        assert m._rows is not None and copy._rows is None
+        n = m.n
+        digit = next(q for q in m.states if m.mode == CORE or q != m.initial)
+        calls = []
+        for q in m.states[:20]:
+            word = tuple(rng.randrange(n) for _ in range(rng.randrange(8)))
+            if m.mode == INITIAL and q == m.initial:
+                word = (-1 - rng.randrange(m.r),) + word
+            calls.append((run_word, q, word))
+        for x in helpers.random_points(rng, n, 6):
+            if m.mode == CORE:
+                x = EventuallyPeriodicPoint(x.preperiod[1:], x.period)
+            calls.append((eval_point, x, m.initial if m.mode == INITIAL
+                          else digit))
+        bad = [
+            (run_word, digit, (0,) * 3 + (n,)),                # digit >= n
+            (run_word, digit, (n + 5,)),
+            (run_word, "no such state", ()),                   # unknown
+            (run_word, digit, (-1, 0)),                        # rooted
+            (eval_point, EventuallyPeriodicPoint((0,), (n,)), digit),
+            (eval_point, EventuallyPeriodicPoint((), (0,)), "no such state"),
+        ]
+        if m.mode == INITIAL:
+            r = m.r
+            bad += [
+                (run_word, m.initial, (-1 - r,)),              # root >= r
+                (run_word, m.initial, (-1, 0, n)),
+                (run_word, m.initial, (0, 1)),                 # digit word
+                (eval_point, EventuallyPeriodicPoint((-1 - r, 0), (0,)),
+                 m.initial),
+                (eval_point, EventuallyPeriodicPoint((), (0,)), m.initial),
+            ]
+        for fn, *args in calls + bad:
+            got = outcome(fn, m, *args)
+            assert got == outcome(fn, copy, *args)
+            if isinstance(got, tuple) and isinstance(got[0], type):
+                refusals.add(got[1].split(" (")[0].split(" '")[0])
+    assert {"no transition", "unknown state",
+            "rooted word fed to a non-initial state",
+            "digit word fed to the initial state",
+            "core-mode machine only reads digit words"} <= refusals
+
+
+def test_rows_of_an_unchecked_machine_are_walked_through_its_table():
+    """merge_equivalent_states builds its quotient on rows without
+    validating it, so a machine whose digit transition enters the entry
+    keeps it: walked through its table, the entry refuses the digit as
+    the public-constructor copy does, where its root row would answer."""
+    trans = {("q0", -1): ((-1,), "a"),
+             ("a", 0): ((0,), "b"), ("a", 1): ((1,), "q0"),
+             ("b", 0): ((0,), "c"), ("b", 1): ((1,), "q0"),
+             ("c", 0): ((0,), "b"), ("c", 1): ((1,), "q0")}
+    t = Transducer(2, 1, INITIAL, ["q0", "a", "b", "c"], "q0", trans)
+    m = merge_equivalent_states(t)
+    assert m._rows is not None and m._known is None
+    assert len(m.states) < len(t.states)
+    copy = Transducer(m.n, m.r, m.mode, m.states, m.initial, m.trans)
+    for word in [(-1, 1, 0), (-1, 0, 1, 0), (-1, 0, 0)]:
+        got = outcome(run_word, m, "q0", word)
+        assert got == outcome(run_word, copy, "q0", word)
+    assert got[1] == "a"
+    point = EventuallyPeriodicPoint((-1,), (0, 1))
+    assert outcome(eval_point, m, point) == outcome(eval_point, copy, point)
+    assert outcome(run_word, m, "q0", (-1, 1, 0)) == \
+        (TransducerError, "no transition ('q0', 0)")
+    # a quotient whose states are all pre-root has no tracked state
+    trans = {("q0", -1): ((), "a"), ("a", 0): ((), "b"), ("a", 1): ((), "b"),
+             ("b", 0): ((), "a"), ("b", 1): ((), "a")}
+    m = merge_equivalent_states(
+        Transducer(2, 1, INITIAL, ["q0", "a", "b"], "q0", trans))
+    assert m._rows is not None and m.states == ("q0", "a")
+    copy = Transducer(m.n, m.r, m.mode, m.states, m.initial, m.trans)
+    got = outcome(sync_level, m)
+    assert got == outcome(sync_level, copy)
+    assert got[0] is InvalidTransducer
+
+
+def test_an_initial_state_outside_the_states_is_refused_by_name():
+    """The public constructor does not check that the initial state is
+    among the states; canonical_form and merge_equivalent_states, which
+    do not validate, fail on its lookup by name with KeyError."""
+    trans = {("a", 0): ((0,), "b"), ("a", 1): ((1,), "a"),
+             ("b", 0): ((0,), "b"), ("b", 1): ((1,), "a")}
+    t = Transducer(2, 1, INITIAL, ["a", "b"], "z", trans)
+    for f in (canonical_form, merge_equivalent_states):
+        with pytest.raises(KeyError) as caught:
+            f(t)
+        assert caught.value.args == ("z",)

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -18,8 +19,8 @@ from cantrans.words import check_word_shape, format_letter, is_digit_word, \
     is_rooted
 
 from helpers import letter_loop_check_word_shape, \
-    letter_loop_is_digit_word, pairwise_validate_prefix_code, \
-    word_by_word_validate_prefix_code
+    letter_loop_is_digit_word, loop_trimmed_point, \
+    pairwise_validate_prefix_code, word_by_word_validate_prefix_code
 
 
 def w(text):
@@ -230,3 +231,41 @@ def test_point_rejects_bad_period():
         EventuallyPeriodicPoint(w(".0"), w("-"))
     with pytest.raises(WordError):
         EventuallyPeriodicPoint(w("-"), w(".0"))
+
+
+def test_point_normal_form_matches_the_trim_loop():
+    """The one-pass trim against the loop that trimmed one letter at a
+    time: rooted and digit points whose periods have 1 to 6 letters and
+    whose preperiods end in repeats of the period (often cut short, or
+    rotated), so that most trims are long and some stop at a root
+    letter."""
+    rng = random.Random(7321)
+    trimmed = rooted_stops = 0
+    for _ in range(2000):
+        n = rng.choice([2, 3, 4])
+        period = tuple(rng.randrange(n) for _ in range(rng.randint(1, 6)))
+        turn = rng.randrange(len(period))
+        tail = (period[turn:] + period[:turn]) * rng.randrange(4) + \
+            period[:rng.randrange(len(period) + 1)]
+        if rng.random() < 0.5:
+            tail = period * rng.randrange(3) + tail
+        head = tuple(rng.randrange(n) for _ in range(rng.randrange(4)))
+        if rng.random() < 0.5:
+            head = (-1 - rng.randrange(3),) + head
+        x = EventuallyPeriodicPoint(head + tail, period)
+        want = loop_trimmed_point(head + tail, period)
+        assert (x.preperiod, x.period) == want
+        trimmed += len(want[0]) < len(head + tail)
+        # trimmed down to the root letter, where the trim stops
+        rooted_stops += len(want[0]) == 1 < len(head + tail) and \
+            want[0][0] < 0
+    assert trimmed > 1000 and rooted_stops > 50
+
+
+def test_long_trims_take_linear_time():
+    start = time.perf_counter()
+    x = EventuallyPeriodicPoint((0,) * 50_000, (0,))
+    assert time.perf_counter() - start < 0.5
+    assert str(x) == "- | 0"
+    x = EventuallyPeriodicPoint((-1,) + (0, 1) * 25_000 + (0,), (1, 0))
+    assert (x.preperiod, x.period) == ((-1,), (0, 1))
