@@ -35,7 +35,7 @@ from .machine import (
     _first_repeat,
     _view_of,
 )
-from .minimize import _reduce, minimize
+from .minimize import _reduce, _reduce_rows, minimize
 
 
 class NotInvertible(TransducerError):
@@ -182,9 +182,9 @@ def compose(a, b):
     States are the pairs (state of a, state of b) reachable from the
     entry pair, or all pairs in core mode; reading x a pair writes what
     b writes on reading what a wrote (see _Pairs).  A core-mode product
-    keeps a preferred start when both factors have one.  The pair
-    machine, named by the pairs, is checked by _check_product and
-    reduced by _reduce.
+    keeps a preferred start when both factors have one.  The closure of
+    the pairs is checked by _check_product and its rows, named by the
+    pairs, are reduced by minimize._reduce_rows.
     """
     if a.mode != b.mode:
         raise TransducerError("mode mismatch in composition")
@@ -202,7 +202,7 @@ def compose(a, b):
     view = pairs.closure(seeds)
     _check_product(a, b, view, initial, "degenerate product (second "
                    "factor undefined on the first's image): ")
-    return _reduce(_named_pairs(a, view, initial))
+    return _reduce_rows(a.n, a.r, a.mode, initial, view)
 
 
 class _Pairs:
@@ -263,7 +263,8 @@ class _Pairs:
             outs.append(tuple(row_outs))
             targets.append(tuple(row_targets))
         a_states, b_states = va.states, self.vb.states
-        names = [(a_states[p // size], b_states[p % size]) for p in pairs]
+        names = tuple((a_states[p // size], b_states[p % size])
+                      for p in pairs)
         letters = [va.letters[p // size] for p in pairs]
         return _View._of_rows(names, letters, outs, targets,
                               number.get(self.entry))
@@ -286,7 +287,8 @@ class _Pairs:
 def _named_pairs(t, view, initial):
     """A closure of _Pairs as the raw pair machine on t's alphabet and
     mode, named by the pairs, sorted by str, with the given entry or
-    preferred start, and known to be nothing."""
+    preferred start, and known to be nothing: the table _check_product
+    validates when a factor is invalid."""
     states = view.states
     trans = {(p, x): (w, states[j])
              for p, letters, outs, targets in zip(states, view.letters,

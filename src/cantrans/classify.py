@@ -17,7 +17,7 @@ or contraction.
 from collections import deque
 from dataclasses import dataclass
 
-from .machine import CORE, TransducerError, canonical_form, _stepper, \
+from .machine import CORE, TransducerError, canonical_form, _view_of, \
     _words
 from .minimize import minimize
 from .synchro import NotSynchronizing, _synchronizes, core_of, \
@@ -84,8 +84,9 @@ def cycle_balance(core):
     minus one) is a potential difference between states, which one
     depth-first sweep decides; the first edge that breaks the potential
     is expanded into an explicit unbalanced simple cycle for the
-    diagnostic, in time linear in the size of the core.  A core built on
-    rows is swept on its rows, by state number (see machine._stepper).
+    diagnostic, in time linear in the size of the core.  The core is
+    swept on its view (see machine._view_of), by state number from its
+    first state.
 
     Returns (True, None) or (False, (cycle states, read, written)).
     """
@@ -94,31 +95,31 @@ def cycle_balance(core):
     if not core.states:
         raise TransducerError("cycle_balance expects a strongly connected "
                               "core; it has no states")
-    start, step, name = _stepper(core)
-    phi = {start: 0}
-    tree = {start: None}
-    todo = [start]
+    view = _view_of(core)
+    outs, targets = view.outs, view.targets
+    phi = {0: 0}
+    tree = {0: None}
+    todo = [0]
     while todo:
         q = todo.pop()
-        for x in range(core.n):
-            w, tgt = step(q, x)
+        for x, w, tgt in zip(range(core.n), outs[q], targets[q]):
             want = phi[q] + len(w) - 1
             if tgt not in phi:
                 phi[tgt] = want
                 tree[tgt] = (q, x)
                 todo.append(tgt)
             elif phi[tgt] != want:
-                cycle, read, written = _unbalanced_cycle(
-                    core.n, start, step, name, tree, q, x, tgt)
-                return False, (tuple(map(name, cycle)), read, written)
+                cycle, read, written = _unbalanced_cycle(view, tree, q, x,
+                                                         tgt)
+                return False, (tuple(map(view.states.__getitem__, cycle)),
+                               read, written)
     return True, None
 
 
-def _unbalanced_cycle(n, root, step, name, tree, q, x, tgt):
+def _unbalanced_cycle(view, tree, q, x, tgt):
     """Some simple cycle whose output length differs from its length,
     from the sweep's tree edges and the edge q -- x --> tgt that breaks
-    the potential, walked from the sweep's root by `step` (see
-    machine._stepper, whose `name` words the refusal).
+    the potential, walked on the view from the sweep's root, state 0.
 
     With `back` a path from tgt to the root, the closed walks "tree path
     to q, the edge, back" and "tree path to tgt, back" differ in weight
@@ -126,14 +127,15 @@ def _unbalanced_cycle(n, root, step, name, tree, q, x, tgt):
     closed walk's weight is the sum of the weights of the simple cycles
     peeled off it where it repeats a state, so one of those cycles is
     unbalanced."""
-    back = _path_to(n, step, tgt, root)
+    back = _path_to(view.targets, tgt, 0)
     if back is None:
+        names = view.states
         raise TransducerError("cycle_balance expects a strongly connected "
-                              f"core; {name(tgt)!r} does not lead back to "
-                              f"{name(root)!r}")
+                              f"core; {names[tgt]!r} does not lead back to "
+                              f"{names[0]!r}")
     for walk in (_tree_path(tree, q) + [x] + back,
                  _tree_path(tree, tgt) + back):
-        found = _peel(step, root, walk)
+        found = _peel(view, walk)
         if found is not None:
             return found
     raise AssertionError("potential check failed but no witness cycle found")
@@ -148,33 +150,35 @@ def _tree_path(tree, q):
     return letters[::-1]
 
 
-def _path_to(n, step, start, goal):
+def _path_to(targets, start, goal):
     """Letters of a shortest path from start to goal (breadth-first), or
-    None when there is none."""
+    None when there is none; targets[q] lists state q's targets in
+    letter order."""
     came = {start: None}
     todo = deque([start])
     while goal not in came:
         if not todo:
             return None
         q = todo.popleft()
-        for x in range(n):
-            tgt = step(q, x)[1]
+        for x, tgt in enumerate(targets[q]):
             if tgt not in came:
                 came[tgt] = (q, x)
                 todo.append(tgt)
     return _tree_path(came, goal)
 
 
-def _peel(step, start, letters):
-    """Walk `letters` from start, cutting a simple cycle off the walk
-    each time it returns to a state on its current path; the first such
-    cycle that reads and writes different lengths, as (states, read,
-    written), or None."""
-    path = [start]
+def _peel(view, letters):
+    """Walk `letters` on the view from state 0, cutting a simple cycle off
+    the walk each time it returns to a state on its current path; the
+    first such cycle that reads and writes different lengths, as (state
+    numbers, read, written), or None."""
+    outs, targets = view.outs, view.targets
+    path = [0]
     taken = []
-    at = {start: 0}
+    at = {0: 0}
     for x in letters:
-        w, q = step(path[-1], x)
+        p = path[-1]
+        w, q = outs[p][x], targets[p][x]
         taken.append(len(w))
         k = at.get(q)
         if k is None:

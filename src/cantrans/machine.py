@@ -27,15 +27,16 @@ table never changes, so neither fact goes stale; the public constructor
 and relabel start a machine knowing nothing.
 
 Its `_rows` slot holds the integer rows (a _View of its own states) of
-a machine the library builds from them: every reduction result (see
-minimize._build) keeps the quotient's rows, and its name-keyed table
-`trans` is built from them on first read and kept.  Kernels take their
-views through _view_of, which hands out such rows without building a
-view from the table, and the hot consumers (run_word, eval_point,
-pre_root_states, canonical_form, the collapse and core of synchro,
-cycle_balance, serialize) read the rows, so the table of a machine the
-library built is mostly never built.  The public constructor, relabel
-and parse keep the table they are given and hold no rows.
+a machine the library builds: every reduction result (see
+minimize._build) and every core (see synchro._core_at).  Kernels read
+rows only, and take them through _view_of, which hands out a machine's
+own rows or builds a view from its table once per call.  The
+name-keyed table `trans` is read only where unchecked input is checked
+or walked: validate, reachable, pre_root_states, Transducer.step,
+serialize, and run_word and eval_point on a machine not known to be
+valid.  A machine built on rows builds its table from them on first
+read of `trans` and keeps it.  The public constructor, relabel and
+parse keep the table they are given and hold no rows.
 """
 
 from itertools import chain, compress, count, product, repeat
@@ -88,10 +89,10 @@ class UnboundedOutput(TransducerError):
 class Transducer:
     """A machine on its transition table, `trans`, which maps
     (state, letter) -> (output word, target state).  A machine built by
-    the public constructor, relabel or parse holds that table; one the
-    library builds on integer rows (see Transducer._of_rows) holds the
-    rows in `_rows` and builds the table from them on first read; from
-    then on it holds both forms."""
+    the public constructor, relabel or parse holds that table, which
+    validate checks; one the library builds on integer rows (see
+    Transducer._of_rows) holds the rows in `_rows`, which kernels read,
+    and builds the table from them on first read of `trans`."""
 
     __slots__ = ("n", "r", "mode", "states", "initial", "_trans", "_known",
                  "_level", "_rows")
@@ -233,23 +234,6 @@ def _words(t):
     if rows is not None:
         return chain.from_iterable(rows.outs)
     return map(itemgetter(0), t.trans.values())
-
-
-def _stepper(t):
-    """(first, step, name) for walking t state by state: step(q, x) is
-    (output word, target) and name(q) is state q's name.  A machine
-    built on rows is walked on its rows, on state numbers from 0; any
-    other through Transducer.step, by name from its first state."""
-    rows = t._rows
-    if rows is None:
-        return t.states[0], t.step, _same
-    outs, targets = rows.outs, rows.targets
-    return 0, lambda i, x: (outs[i][x], targets[i][x]), \
-        rows.states.__getitem__
-
-
-def _same(q):
-    return q
 
 
 def _pre_root(view):
@@ -591,36 +575,39 @@ def guaranteed_output(t):
 
 
 class _View:
-    """A machine's transition table on integers: the states (all of the
-    machine's by default) numbered by position, the number of the entry
-    (None in core mode, or when the entry is not among the states), and
-    per state its letters in canonical order and, letter by letter, the
-    output words and target numbers (rows are tuples; step 1 of the
-    reduction replaces output rows whole).  The entry's row holds the
-    root letters -1, -2, ... at 0, 1, ....  The name -> number map
-    `index` is built on first use.
+    """A machine's transitions on integers, the only form kernels read:
+    the states numbered by position, the number of the entry (None in
+    core mode, or when the entry is not among the states), and per state
+    its letters in canonical order and, letter by letter, the output
+    words and target numbers (rows are tuples; step 1 of the reduction
+    replaces output rows whole).  The entry's row holds the root letters
+    -1, -2, ... at 0, 1, ....  The name -> number map `index` is built
+    on first use.
 
-    A view is either built from a machine's table for one kernel call,
-    by _View(t, states), or taken from rows already on state numbers
+    A view is either built from the table of a machine that holds no
+    rows, by _View(t), or taken from rows already on state numbers
     (_View._of_rows): a pair product's, a sub-view cut by _cut, or the
-    rows of a machine the library built on them (Transducer._rows),
-    which kernels get through _view_of.  A machine's rows are never
+    rows of a machine the library built on them (Transducer._rows).
+    Kernels get either through _view_of.  A machine's rows are never
     changed; `_table` builds its name-keyed table from them.
 
-    Built from the table, the states passed must be closed under
-    transitions; a target outside them raises TransducerError.  The
-    table is read at C speed: one lookup of every digit row in state
-    order (plus the entry's root row, in initial mode), one map of the
-    targets to numbers, and the columns cut into rows; the digit rows
-    share one letters tuple.  Only a lookup that fails runs the letter
-    loop of _View._fail, which words the error for the first failing
-    state."""
+    Built from the table, the view covers all of t's states.  A name
+    listed twice is refused with TransducerError, as validate words it,
+    since rows by position would answer for another machine; so is a
+    target that is not a state.  The table is read at C speed: one
+    lookup of every digit row in state order (plus the entry's root
+    row, in initial mode), one map of the targets to numbers, and the
+    columns cut into rows; the digit rows share one letters tuple.  Only
+    a lookup that fails runs the letter loop of _View._fail, which words
+    the error for the first failing state."""
 
     __slots__ = ("states", "_index", "entry", "letters", "outs", "targets")
 
-    def __init__(self, t, states=None):
-        self.states = states = t.states if states is None else tuple(states)
+    def __init__(self, t):
+        self.states = states = t.states
         self._index = index = dict(zip(states, range(len(states))))
+        if len(index) != len(states):
+            raise TransducerError("duplicate state names")
         trans, n = t.trans, t.n
         digits = tuple(range(n))
         entry = index.get(t.initial) if t.mode == INITIAL else None
@@ -671,9 +658,8 @@ class _View:
 
     def _cut(self, keep):
         """The sub-view of the state numbers `keep`, in order, numbered by
-        position among them, as _View(t, states) numbers those states.
-        A target outside them raises _View's TransducerError for the
-        first such state."""
+        position among them.  A target outside them raises
+        TransducerError for the first such state."""
         position = dict(zip(keep, count()))
         states, targets = self.states, self.targets
         try:
@@ -691,31 +677,22 @@ class _View:
                               list(map(self.outs.__getitem__, keep)), rows,
                               position.get(self.entry))
 
-    def _table(self, order=None):
+    def _table(self):
         """The name-keyed table {(state, letter): (output, target state)}
-        of the rows of the state numbers `order` (all, by default), in
-        that order and then letter order, zipped from whole columns:
-        (name, letter) keys from the names repeated along their letters,
-        and (output, target name) values."""
-        states = self.states
-        if order is None:
-            names, letters, outs = states, self.letters, self.outs
-            targets = self.targets
-        else:
-            names = list(map(states.__getitem__, order))
-            letters = list(map(self.letters.__getitem__, order))
-            outs = list(map(self.outs.__getitem__, order))
-            targets = list(map(self.targets.__getitem__, order))
-        keys = zip(chain.from_iterable(map(repeat, names, map(len, letters))),
+        of the rows, in state order and then letter order, zipped from
+        whole columns: (name, letter) keys from the names repeated along
+        their letters, and (output, target name) values."""
+        states, letters, targets = self.states, self.letters, self.targets
+        keys = zip(chain.from_iterable(map(repeat, states, map(len, letters))),
                    chain.from_iterable(letters))
-        values = zip(chain.from_iterable(outs),
+        values = zip(chain.from_iterable(self.outs),
                      map(states.__getitem__, chain.from_iterable(targets)))
         return dict(zip(keys, values))
 
     def _fail(self, t):
         """Raise the error of the first state, in state order, whose row
         cannot be built: a missing transition (the first in letter order)
-        before a target outside the states."""
+        before a target that is not a state."""
         for q in self.states:
             row = [t.step(q, x) for x in t.input_letters(q)]
             for _, tgt in row:
@@ -728,12 +705,12 @@ class _View:
 
 
 def _view_of(t):
-    """The integer view of all of t's states for one kernel call.  A
-    machine built on rows hands out its rows: only the list of output
-    rows is copied, since step 1 of the reduction replaces rows of it
-    (see minimize._complete_responses), and the letter and target rows
-    are shared.  Any other machine's view is built from its table by
-    _View."""
+    """The integer view of all of t's states for one kernel call, the
+    one way kernels read a machine.  A machine built on rows hands out
+    its rows: only the list of output rows is copied, since step 1 of
+    the reduction replaces rows of it (see minimize._complete_responses),
+    and the letter and target rows are shared.  Any other machine's view
+    is built from its table by _View."""
     rows = t._rows
     if rows is None:
         return _View(t)
@@ -819,28 +796,30 @@ def local_action(t, nu):
     the response is complete.  Defined once the image cone's root letter
     is settled (theta(nu) nonempty); for shorter nu the tail map lands
     in C_{n,r} rather than C_n and is not representable here.  The
-    table is built in breadth-first order from that state.
+    states are walked on t's view, and the table lists them in
+    breadth-first order from that state.
     """
     if t.mode != INITIAL:
         raise TransducerError("local_action needs an initial-mode machine")
     if nu == EMPTY:
         return t
     out, s = run_word(t, t.initial, nu)
-    v = guaranteed_output(t)
-    if out == EMPTY and v[s] == EMPTY:
+    view = _view_of(t)
+    v = _guaranteed_output(view)
+    start = view.index[s]
+    if out == EMPTY and v[start] == EMPTY:
         raise TransducerError(
             f"local action at {format_word(nu)!r} maps into C_(n,r): the "
             "root letter of the image is not yet determined; extend nu"
         )
-    keep = _bfs_order(t, s)
-    trans = {}
-    for q in keep:
-        for x in range(t.n):
-            w, tgt = t.step(q, x)
-            trans[(q, x)] = (word_subtract(w + v[tgt], v[q]), tgt)
-    return check_valid(
-        Transducer(t.n, None, CORE, sorted(keep, key=str), s, trans)
-    )
+    states, keep = view.states, _bfs(view.targets, start)
+    trans = {(states[i], x): (word_subtract(w + v[j], v[i]), states[j])
+             for i in keep
+             for x, w, j in zip(view.letters[i], view.outs[i],
+                                view.targets[i])}
+    return check_valid(Transducer(
+        t.n, None, CORE, sorted(map(states.__getitem__, keep), key=str), s,
+        trans))
 
 
 def eval_point(t, point, state=None):
@@ -1050,11 +1029,13 @@ def _first_repeat(start, step):
 
 def _bfs_order(t, start, get=None):
     """State names in breadth-first order from `start`, as a dict name ->
-    position; each state's letters are taken in canonical order (the
-    digits, or the entry's root letters), and a missing transition is
-    skipped.  Transitions are looked up by `get`, t.trans.get by
-    default; pre_root_states passes one that finds the empty-output
-    transitions alone."""
+    position, on the table of a machine that may be invalid (reachable,
+    pre_root_states and document._edges; kernels walk views by _bfs);
+    each state's letters are taken in canonical order (the digits, or
+    the entry's root letters), and a missing transition is skipped.
+    Transitions are looked up by `get`, t.trans.get by default;
+    pre_root_states passes one that finds the empty-output transitions
+    alone."""
     if get is None:
         get = t.trans.get
     digits = range(t.n)

@@ -26,7 +26,7 @@ own view and building its own result.
 """
 
 from itertools import compress, count
-from operator import add, itemgetter, not_
+from operator import add, gt, itemgetter, not_
 
 from .words import EMPTY
 from .machine import (
@@ -53,7 +53,7 @@ def remove_incomplete_response(t):
     transitions, keeps its owed prefix and emits it up front instead.
     Unreachable states are left untouched (step 2 removes them).
     """
-    view = _View(t, _kept(t))
+    view = _reached(_view_of(t), t)
     _complete_responses(view)
     trans = dict(t.trans)
     for q, letters, outs, targets in zip(view.states, view.letters,
@@ -83,8 +83,7 @@ def merge_equivalent_states(t):
     error (unreachable states just ride along; step 2 owns them).  The
     initial state never merges: it reads a different alphabet."""
     view = _view_of(t)
-    kept = _kept(t)
-    sub = view if len(kept) == len(t.states) else _View(t, kept)
+    sub = _reached(view, t)
     for q, owed in zip(sub.states, _guaranteed_output(sub)):
         if q != t.initial and owed != EMPTY:
             raise TransducerError(
@@ -112,16 +111,10 @@ def minimize(t):
 def _reduce(t):
     """minimize without its validation, for a machine its caller has
     just validated: the three steps and the relabel in one pass over one
-    view.  Reachability is a walk on that view's state numbers, and a
-    sub-view is cut only when some state is unreachable.  Completed
-    responses leave no guaranteed output to check before merging.  The
-    result is marked minimal: reducing it again gives it back (see
-    _core_order)."""
-    view = _view_of(t)
-    if t.mode == INITIAL:
-        reached = _bfs(view.targets, view.entry)
-        if len(reached) < len(view.states):
-            view = view._cut(sorted(reached))
+    view.  Completed responses leave no guaranteed output to check
+    before merging.  The result is marked minimal: reducing it again
+    gives it back (see _core_order)."""
+    view = _reached(_view_of(t), t)
     _complete_responses(view)
     reps, cls, initial = _merge(view, t)
     letters, outs, targets = _quotient(view, reps, cls)
@@ -134,39 +127,29 @@ def _reduce(t):
                   targets, initial, _MINIMAL)
 
 
-def _reduce_core_rows(view, n):
-    """_reduce for a valid core given as a view whose state numbers need
-    not follow the names' str order, such as synchro's pair product,
-    numbered in discovery order.  The result is the one _reduce gives
-    on the machine with those states sorted by str: each class stands
-    for its member with the least name (a linear min per class) rather
-    than its first, and only these representatives are sorted."""
-    _complete_responses(view)
-    colour = _refine(view, [0] * len(view.states), ranked=False)
+def _reduce_rows(n, r, mode, initial, view):
+    """_reduce of the valid machine on the alphabet (n, r) in `mode`
+    whose rows are `view`, with its entry or preferred start named
+    `initial`, such as the closure of a pair product: the machine with
+    those states in str order of their names, as the machine named by
+    them and given to minimize would list them.  A view not in that
+    order already is cut into it."""
     names = list(map(str, view.states))
-    least = {}
-    for i, c in enumerate(colour):
-        have = least.get(c)
-        if have is None or names[i] < names[have]:
-            least[c] = i
-    reps = sorted(least.values(), key=names.__getitem__)
-    cls = None
-    if reps != list(range(len(colour))):
-        position = dict(zip(map(colour.__getitem__, reps), count()))
-        cls = list(map(position.__getitem__, colour))
-    letters, outs, targets = _quotient(view, reps, cls)
-    order = _core_order(targets, list(map(names.__getitem__, reps)))
-    return _build(n, None, CORE, _numbered_names(order), letters, outs,
-                  targets, None, _MINIMAL)
+    if any(map(gt, names, names[1:])):
+        view = view._cut(sorted(range(len(names)), key=names.__getitem__))
+    return _reduce(Transducer._of_rows(n, r, mode, initial, view, None))
 
 
-def _kept(t):
-    """The states step 1 rewrites, in state order: all of a core, the
-    reachable ones of an initial-mode machine."""
+def _reached(view, t):
+    """The sub-view of the states step 1 rewrites, in state order: all of
+    a core's, the ones reachable from the entry of an initial-mode
+    machine, cut from its view only when some state is unreachable."""
     if t.mode == CORE:
-        return t.states
-    keep = t.reachable()
-    return [q for q in t.states if q in keep]
+        return view
+    reached = _bfs(view.targets, _entry(view, t))
+    if len(reached) == len(view.states):
+        return view
+    return view._cut(sorted(reached))
 
 
 def _complete_responses(view):

@@ -12,8 +12,8 @@ from operator import itemgetter
 
 from .machine import CORE, InvalidTransducer, Transducer, TransducerError, \
     check_valid, validate, _NOT_SYNCHRONIZING, _SYNCHRONIZES, _VALID, \
-    _View, _bfs, _bfs_order, _first_repeat, _pre_root, _stepper, _view_of
-from .minimize import _reduce_core_rows, minimize
+    _View, _bfs, _first_repeat, _pre_root, _view_of
+from .minimize import _reduce_rows, minimize
 from .algebra import NotInjective, NotInvertible, invert, _Pairs, \
     _RunSets, _accepting, _check_product, _explore, _product_is_identity
 
@@ -22,27 +22,18 @@ class NotSynchronizing(TransducerError):
     pass
 
 
-def _tracked_states(t):
-    """States synchronization is measured over: every state in core
+def _tracked_numbers(view):
+    """The numbers, in order, of the states synchronization is measured
+    over, in a view of all of a machine's states: every state in core
     mode; in initial mode the states that have emitted their leading
     root letter.  Pre-root states only ever process the first few
     letters after the root and never recur, so they are not required to
     fall in line (tracking them would inflate the level of machines
     whose inverses wait before committing to a root letter)."""
-    if t.mode == CORE:
-        return list(t.states)
-    pre = t.pre_root_states()
-    return [q for q in t.states if q not in pre]
-
-
-def _tracked_numbers(rows):
-    """The numbers, in order, of the tracked states of a machine's own
-    rows: all of a core's, and in initial mode those outside the
-    pre-root states."""
-    if rows.entry is None:
-        return range(len(rows.states))
-    return list(filterfalse(set(_pre_root(rows)).__contains__,
-                            range(len(rows.states))))
+    if view.entry is None:
+        return range(len(view.states))
+    return list(filterfalse(set(_pre_root(view)).__contains__,
+                            range(len(view.states))))
 
 
 def _collapse(t):
@@ -66,24 +57,19 @@ def _collapse(t):
     backwards (unless a single class is left): the rounds cost the live
     classes alone, not |Q| each.
 
-    The tracked states' targets are cut from the rows of a machine built
-    on them, and read from a view of the tracked states alone otherwise.
-    No valid machine lacks a tracked state, so one that does is refused
-    with InvalidTransducer, here for sync_level, witness_pair and every
-    _core_at, whose callers collapse first (a machine marked as
-    synchronizing has states)."""
-    rows = t._rows
-    if rows is None:
-        tracked = _tracked_states(t)
-    else:
-        keep = _tracked_numbers(rows)
-        tracked = list(map(rows.states.__getitem__, keep))
-    if not tracked:
+    The tracked states' rows are cut from t's view (see
+    machine._view_of); a tracked state leading out of them raises
+    TransducerError.  No valid machine lacks a tracked state, so one
+    that does is refused with InvalidTransducer, here for sync_level,
+    witness_pair and every _core_at, whose callers collapse first (a
+    machine marked as synchronizing has states)."""
+    view = _view_of(t)
+    keep = _tracked_numbers(view)
+    if not keep:
         raise InvalidTransducer(validate(t))
-    if rows is None:
-        view = _View(t, tracked)
-    else:
-        view = rows if len(keep) == len(rows.states) else rows._cut(keep)
+    if len(keep) < len(view.states):
+        view = view._cut(keep)
+    tracked = list(view.states)
     columns = list(zip(*view.targets))
     count = len(tracked)
     maps = []
@@ -149,8 +135,7 @@ def is_identity_core(c):
     the prefix-exchange maps."""
     if len(c.states) != 1:
         return False
-    first, step, _ = _stepper(c)
-    return all(step(first, x)[0] == (x,) for x in range(c.n))
+    return list(_view_of(c).outs[0]) == [(x,) for x in range(c.n)]
 
 
 def core_of(t):
@@ -177,34 +162,23 @@ def _core_at(t):
     first state met twice by the walk under 0 from the first tracked
     state.  If t synchronizes at level m, 0^m leads every tracked state
     to one state s, and so does 0^(m+1); so 0 fixes s, and the walk
-    reaches s within m steps and first repeats there.  The table lists
-    the states in breadth-first order from s; the states tuple is sorted
-    by str.
+    reaches s within m steps and first repeats there.
 
-    The closure is valid when t is: a closed set of tracked states reads
+    The walk and the closure run on t's view (see machine._view_of), and
+    the result is a machine built on rows: the closure's rows cut from
+    that view with the states in str order of their names, so its states
+    tuple, and the table built from its rows, are in that order.  The
+    closure is valid when t is: a closed set of tracked states reads
     every digit, writes digit words and keeps t's lack of empty-output
-    cycles.  The closure's table is t's own transitions, so the machine
-    takes it without the public constructor's copy; on a machine built
-    on rows the walk, the closure and the table are all taken from the
-    rows, with no lookup by name.  It is marked valid when t is known to
-    be valid; otherwise core_of checks it.  t must have a tracked state,
-    which _collapse checks, and which every machine marked as
-    synchronizing has."""
-    rows = t._rows
-    if rows is None:
-        start = _first_repeat(_tracked_states(t)[0],
-                              lambda q: t.step(q, 0)[1])
-        order = _bfs_order(t, start)
-        trans = {(p, x): t.step(p, x) for p in order for x in range(t.n)}
-    else:
-        targets = rows.targets
-        start = _first_repeat(_tracked_numbers(rows)[0],
-                              lambda i: targets[i][0])
-        order = _bfs(targets, start)
-        trans = rows._table(order)
-        order = map(rows.states.__getitem__, order)
-    return Transducer._own(t.n, None, CORE, tuple(sorted(order, key=str)),
-                           None, trans, _VALID if t._known else None)
+    cycles.  It is marked valid when t is known to be valid; otherwise
+    core_of checks it.  t must have a tracked state, which _collapse
+    checks, and which every machine marked as synchronizing has."""
+    view = _view_of(t)
+    targets, names = view.targets, view.states
+    start = _first_repeat(_tracked_numbers(view)[0], lambda i: targets[i][0])
+    closure = sorted(_bfs(targets, start), key=lambda i: str(names[i]))
+    return Transducer._of_rows(t.n, None, CORE, None, view._cut(closure),
+                               _VALID if t._known else None)
 
 
 def core_product(a, b):
@@ -230,10 +204,10 @@ def core_product(a, b):
     machine is named and validated only when a factor fails validate, as
     in compose (see algebra._check_product).  The result is the rows of
     the closure of the pair 0 fixes (_Pairs.fixed and _Pairs.closure),
-    reduced on their pair numbers, and equals minimize of that named
-    pair machine (same states, names and table).  It is strongly
-    connected: the closure is the core of a synchronizing machine, and
-    merging states keeps every path.
+    reduced as compose reduces its pairs (minimize._reduce_rows), so it
+    equals minimize of that named pair machine (same states, names and
+    table).  It is strongly connected: the closure is the core of a
+    synchronizing machine, and merging states keeps every path.
 
     Whether each factor synchronizes is read from it when known, so a
     leveled factor or an earlier product is not collapsed again.  The
@@ -251,7 +225,7 @@ def core_product(a, b):
     pairs = _Pairs(_view_of(a), _view_of(b))
     view = pairs.closure([pairs.fixed()])
     _check_product(a, b, view, None, "degenerate product: ")
-    product = _reduce_core_rows(view, a.n)
+    product = _reduce_rows(a.n, None, CORE, None, view)
     product._know_level(_SYNCHRONIZES)
     return product
 
@@ -328,15 +302,15 @@ def _inverse_from(c, runs, seeds, prune):
     reduced and both products with c checked by the lag walk; a failed
     step is refused with NotInvertible.
 
-    The machine of sets is named by its nodes' configurations for
-    sync_level.  Its core is the closure of the node that 0 fixes,
-    numbered breadth-first from that node.  Pruned, the node is found by
-    the walk under 0 from the first kept node.  Unpruned, the rows are
-    in that order already: the seed is a node 0 leads back to, which 0
-    fixes once the machine synchronizes, and _explore numbered the nodes
-    breadth-first from it.  The closure is named by zero-padded numbers,
-    so that name order is that order, and _reduce_core_rows numbers the
-    reduction breadth-first from that node's class, in the same order.
+    The machine of sets is built once, on rows named by its nodes'
+    configurations, for sync_level.  Its core is the closure of the node
+    that 0 fixes, found by the walk under 0 from the first kept node and
+    cut from those rows in breadth-first order from that node.  (Unpruned,
+    the rows are in that order already: the seed is a node 0 leads back
+    to, which 0 fixes once the machine synchronizes, and _explore
+    numbered the nodes breadth-first from it.)  The core is named by
+    zero-padded numbers, so that str order is that order, and the
+    reduction numbers its result breadth-first from that node's class.
     It is valid though never validated: each of its nodes reads every
     digit into it and writes digits, and no cycle of it writes nothing,
     since a run that is at one position after the inverse has read more
@@ -353,28 +327,22 @@ def _inverse_from(c, runs, seeds, prune):
             "not invertible: no configuration of the inverse accepts "
             "every continuation"
         )
-    names = {m: runs.name(nodes[m]) for m in keep}
-    trans = {(names[m], y): (out, names[t])
-             for m in keep for y, out, t in rows[m]}
-    sub = Transducer._own(n, None, CORE, tuple(names.values()), None, trans,
-                          None)
-    if sync_level(sub) is None:
+    number = dict(zip(keep, count()))
+    rows = list(map(rows.__getitem__, keep))
+    targets = [tuple(map(number.__getitem__, map(itemgetter(2), row)))
+               for row in rows]
+    sets = _View._of_rows(tuple(map(runs.name, map(nodes.__getitem__, keep))),
+                          [tuple(range(n))] * len(rows),
+                          [tuple(map(itemgetter(1), row)) for row in rows],
+                          targets)
+    if sync_level(Transducer._of_rows(n, None, CORE, None, sets, None)) \
+            is None:
         raise NotInvertible("inverse dynamics do not synchronize")
     # the core of a synchronizing machine, and its reduction, synchronize
-    if prune:
-        targets = {m: [t for _, _, t in rows[m]] for m in keep}
-        order = _bfs(targets, _first_repeat(keep[0],
-                                            lambda m: targets[m][0]))
-        number = dict(zip(order, count()))
-        rows = [[(y, out, number[t]) for y, out, t in rows[m]]
-                for m in order]
-    width = len(str(len(rows) - 1))
-    view = _View._of_rows(
-        [f"{k:0{width}}" for k in range(len(rows))],
-        [tuple(range(n))] * len(rows),
-        [tuple(map(itemgetter(1), row)) for row in rows],
-        [tuple(map(itemgetter(2), row)) for row in rows])
-    d = _reduce_core_rows(view, n)
+    core = sets._cut(_bfs(targets, _first_repeat(0, lambda m: targets[m][0])))
+    width = len(str(len(core.states) - 1))
+    core.states = tuple(f"{k:0{width}}" for k in range(len(core.states)))
+    d = _reduce_rows(n, None, CORE, None, core)
     inverse = _view_of(d)
     if not _product_is_identity(runs.view, inverse) or \
             not _product_is_identity(inverse, runs.view):

@@ -50,7 +50,16 @@ from cantrans import fixtures
 from cantrans.randgen import random_gnr_element, random_transducer
 from cantrans.algebra import _Pairs, _accepting, _pending_bound, \
     _product_is_identity
-from cantrans.synchro import _tracked_states
+
+
+def _tracked_states(t):
+    """Oracle: the states synchronization is measured over, by name:
+    every state in core mode; in initial mode the states that have
+    emitted their leading root letter (outside pre_root_states)."""
+    if t.mode == CORE:
+        return list(t.states)
+    pre = t.pre_root_states()
+    return [q for q in t.states if q not in pre]
 
 
 def brute_force_level(t, max_level=8):
@@ -888,7 +897,7 @@ def round_remap_collapse(t):
     """Oracle: synchro._collapse mapping the class of every tracked state
     through each round's new classes."""
     tracked = _tracked_states(t)
-    columns = list(zip(*_View(t, tracked).targets))
+    columns = list(zip(*letter_loop_view(t, tracked).targets))
     cls = list(range(len(tracked)))
     count = len(tracked)
     rounds = 0

@@ -6,9 +6,10 @@ under 0 from the first tracked state meets twice.  On every machine
 that synchronizes, it equals the level-driven extraction it replaced
 (helpers.level_core_at), which reads `steps` zeros and shortcuts the walk
 by cycle arithmetic: the same states tuple and the same transitions, at
-the machine's own level and at a larger one.  Its table is in
-breadth-first order from the state 0 fixes, whatever the string hashing
-of the process: the oracle's, a set's order, is not.
+the machine's own level and at a larger one.  It is built on rows, and
+its states tuple and its table list the states in str order of their
+names, whatever the string hashing of the process: the order of the
+oracle's table, a set's order, is not.
 reachable and pre_root_states equal the queue-driven walks they
 replaced (helpers.queue_reachable, helpers.queue_pre_root_states), also
 on tables with missing transitions."""
@@ -36,7 +37,6 @@ from cantrans import (
 )
 from cantrans import synchro
 from cantrans.randgen import random_transducer
-from cantrans.machine import _bfs_order
 from cantrans.synchro import _core_at
 
 from helpers import balanced_powers, empty_output_chain, fixture_cores, \
@@ -45,8 +45,8 @@ from helpers import balanced_powers, empty_output_chain, fixture_cores, \
 
 
 def _same_core(t):
-    """_core_at(t) against level_core_at at t's level and past it, and
-    its table in walk order from the state 0 fixes."""
+    """_core_at(t) against level_core_at at t's level and past it, with
+    one state that 0 fixes, and its states and table in str order."""
     level = sync_level(t)
     assert level is not None
     got = _core_at(t)
@@ -58,7 +58,9 @@ def _same_core(t):
             (want.n, want.r, want.mode, want.initial)
     fixed = [q for q in got.states if got.step(q, 0)[1] == q]
     assert len(fixed) == 1
-    assert list(got.trans) == [(q, x) for q in _bfs_order(got, fixed[0])
+    assert got._rows is not None
+    assert list(got.states) == sorted(got.states, key=str)
+    assert list(got.trans) == [(q, x) for q in got.states
                                for x in range(got.n)]
     return got
 
@@ -138,8 +140,9 @@ SIX_STATES = {
 
 
 def test_core_of_words_its_refusal_the_same_under_every_hash_seed():
-    """The extracted core's table is in walk order, so check_valid names
-    the bad outputs in one order whatever the string hashing."""
+    """The extracted core's table is in str order of its states, so
+    check_valid names the bad outputs in one order whatever the string
+    hashing."""
     t = Transducer(2, None, CORE, list("abcdef"), None, SIX_STATES)
     assert sync_level(t) == 4
     assert len(_core_at(t).states) == 6

@@ -44,9 +44,9 @@ from cantrans import fixtures
 from cantrans.randgen import random_gnr_element, random_transducer
 from cantrans.machine import _View, _refine
 from cantrans.minimize import _complete_responses
-from cantrans.synchro import _collapse, _tracked_states
+from cantrans.synchro import _collapse
 
-from helpers import dict_initial_form, \
+from helpers import _tracked_states, dict_initial_form, \
     dict_merge_equivalent_states, dict_remove_incomplete_response, \
     duplicated_states, empty_output_chain, full_pass_guaranteed_output, \
     letter_loop_view, letter_step_run_word, multi_core_bisync, pair_core, \
@@ -184,6 +184,23 @@ def _closed_state_lists(t):
     return lists
 
 
+def _view_of_states(t, states):
+    """The library's view of `states` (all of t's states for None): the
+    view of the whole table, cut to them."""
+    view = _View(t)
+    if states is None:
+        return view
+    return view._cut(list(map(view.index.__getitem__, states)))
+
+
+def _letter_loop_view_of_states(t, states):
+    """letter_loop_view of `states`, after that of all of t's states: the
+    library reads the whole table before it cuts, so a missing
+    transition anywhere is met before a target outside `states`."""
+    view = letter_loop_view(t)
+    return view if states is None else letter_loop_view(t, states)
+
+
 def _same_view(got, want):
     assert got.states == want.states
     assert got.index == want.index
@@ -196,7 +213,8 @@ def test_view_matches_letter_loop_view(corpus):
     without_entry = 0
     for t in corpus:
         for states in _closed_state_lists(t):
-            _same_view(_View(t, states), letter_loop_view(t, states))
+            _same_view(_view_of_states(t, states),
+                       letter_loop_view(t, states))
             without_entry += t.mode == INITIAL and t.initial not in states
     assert without_entry >= 2000
 
@@ -204,8 +222,8 @@ def test_view_matches_letter_loop_view(corpus):
 def _broken_views(t, rng):
     """(machine, states) pairs whose view cannot be built: a transition
     removed, a target left out of the states considered, and both, once
-    in different states and once in the same state, where the missing
-    transition is reported first."""
+    in different states and once in the same state; the missing
+    transition is reported first in both."""
     trans = dict(t.trans)
     del trans[rng.choice(list(trans))]
     gap = Transducer(t.n, t.r, t.mode, t.states, t.initial, trans)
@@ -228,8 +246,8 @@ def test_view_errors_match_letter_loop_view(random_machines, multi_cores):
     kinds = set()
     for t in machines:
         for broken, states in _broken_views(t, rng):
-            got = outcome(_View, broken, states)
-            assert got == outcome(letter_loop_view, broken, states)
+            got = outcome(_view_of_states, broken, states)
+            assert got == outcome(_letter_loop_view_of_states, broken, states)
             assert got[0] is TransducerError
             kinds.add(got[1].split()[0])
     assert kinds == {"no", "state"}
@@ -243,7 +261,7 @@ def test_refine_matches_sorted_rounds(corpus, multi_cores):
     merged = 0
     for t in corpus + doubled:
         kept = _closed_state_lists(t)[1] if t.mode == INITIAL else None
-        view = _View(t, kept)
+        view = _view_of_states(t, kept)
         _complete_responses(view)
         seeds = [[0] * len(view.states)]
         if t.mode == INITIAL:

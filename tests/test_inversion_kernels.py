@@ -363,9 +363,9 @@ def test_lag_walks_take_the_inverse_view_from_its_reduction(monkeypatch):
     built, walked = [], []
     real_init, real_walk = _View.__init__, algebra._product_is_identity
 
-    def init(self, t, states=None):
+    def init(self, t):
         built.append(t)
-        real_init(self, t, states)
+        real_init(self, t)
 
     def walk(va, vb):
         walked.append((va, vb))

@@ -13,6 +13,7 @@ bi-synchronizing verdicts equal the three-minimize path they replaced
 
 import importlib
 import random
+import sys
 
 import pytest
 
@@ -102,17 +103,34 @@ def test_from_prefix_code_map_validates_nothing(monkeypatch):
 ], ids=["gnr", "sample_3_2", "torsion_core_2"])
 def test_is_in_Gnr_minimizes_its_input_once(monkeypatch, t):
     seen = count_calls(monkeypatch, minimize_module, "_reduce")
+    # the inversion each reduction is called from, found on the stack
+    sources = []
+    counting = minimize_module._reduce
+
+    def recording(m):
+        frame, names = sys._getframe(1), set()
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        sources.append(next((f for f in ("invert", "_inverse_from")
+                             if f in names), None))
+        return counting(m)
+
+    for module in (minimize_module, algebra):
+        monkeypatch.setattr(module, "_reduce", recording)
     is_in_Gnr(t)
+    assert len(sources) == len(seen)
     # a machine the reduction built is taken as it is, any other is
-    # reduced once
-    assert seen.count(t) == (0 if t._known == machine._MINIMAL else 1)
-    # everything else reduced is built by the inversion, on pairs (state,
-    # pending word): invert's one machine, or invert_core's configuration
-    # machines
-    others = [m for m in seen if m is not t]
-    assert all(isinstance(q, tuple) for m in others for q in m.states)
+    # reduced once, outside the inversion
+    own = [m for m, source in zip(seen, sources) if source is None]
+    assert own == ([] if t._known == machine._MINIMAL else [t])
+    # everything else reduced is built by the inversion: invert's one
+    # machine, or invert_core's cores of machines of run sets
+    others = [source for source in sources if source is not None]
     if t.mode == INITIAL:
-        assert len(others) == 1
+        assert others == ["invert"]
+    else:
+        assert others and set(others) == {"_inverse_from"}
 
 
 @pytest.mark.parametrize("t", [

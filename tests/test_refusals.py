@@ -1,6 +1,8 @@
 """Typed refusals for degenerate arguments: machines without states, an
 initial machine whose only state is pre-root (neither has a tracked
-state), and an order search cap that is not an integer."""
+state), machines that list a state name twice (rows by position would
+answer for another machine), and an order search cap that is not an
+integer."""
 
 import pytest
 
@@ -13,9 +15,12 @@ from cantrans import (
     TransducerError,
     core_of,
     core_product,
+    canonical_form,
     cycle_balance,
     fixtures,
+    guaranteed_output,
     identity_core,
+    merge_equivalent_states,
     minimize,
     order_in_On,
     outer_product,
@@ -31,6 +36,14 @@ EMPTY_CORE = Transducer(2, None, CORE, [], None, {})
 # q0 writes the root and returns to itself: no state is ever tracked
 ROOT_LOOP = Transducer(2, 1, INITIAL, ["q0"], "q0",
                        {("q0", -1): ((-1,), "q0")})
+# the initial state listed twice
+TWICE_INITIAL = Transducer(2, 1, INITIAL, ["q0", "a", "q0"], "q0",
+                           {("q0", -1): ((-1,), "a"), ("a", 0): ((0,), "a"),
+                            ("a", 1): ((1,), "a")})
+# a core state listed twice
+TWICE_CORE = Transducer(2, None, CORE, ["a", "b", "a"], None,
+                        {("a", 0): ((0,), "b"), ("a", 1): ((1,), "a"),
+                         ("b", 0): ((1,), "a"), ("b", 1): ((0,), "b")})
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -54,11 +67,25 @@ ROOT_LOOP = Transducer(2, 1, INITIAL, ["q0"], "q0",
      "cycle_balance expects a strongly connected core"),
     (lambda: parse(serialize(EMPTY_CORE)), ParseError,
      "line 0, column 0: invalid transducer: no states"),
+    (lambda: canonical_form(TWICE_INITIAL), TransducerError,
+     "duplicate state names"),
+    (lambda: merge_equivalent_states(TWICE_INITIAL), TransducerError,
+     "duplicate state names"),
+    (lambda: guaranteed_output(TWICE_INITIAL), TransducerError,
+     "duplicate state names"),
+    (lambda: sync_level(TWICE_INITIAL), TransducerError,
+     "duplicate state names"),
+    (lambda: sync_level(TWICE_CORE), TransducerError,
+     "duplicate state names"),
+    (lambda: merge_equivalent_states(TWICE_CORE), TransducerError,
+     "duplicate state names"),
 ], ids=["core_of-empty", "core_of-root-loop", "sync_level-empty",
         "sync_level-root-loop", "witness_pair-empty",
         "witness_pair-root-loop", "product-empty-left",
         "product-empty-right", "outer-product-empty", "cycle_balance-empty",
-        "serialize-empty"])
+        "serialize-empty", "canonical_form-twice", "merge-twice",
+        "guaranteed_output-twice", "sync_level-twice", "sync_level-core-twice",
+        "merge-core-twice"])
 def test_machines_without_states_are_refused(call, error, message):
     assert validate(ROOT_LOOP) != []
     with pytest.raises(error) as err:

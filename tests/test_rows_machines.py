@@ -6,8 +6,10 @@ Every reduction corpus gives the same machine as the eager build it
 replaced (helpers.eager_build, which zips the table at once): the same
 table in the same order, states, entry, document and canonical form.
 On the benchmark's hot paths, minimizing a long chain and evaluating
-points on it, and one rung of the core ladder, no machine built on rows
-builds its table and no view of one is built from a table.  run_word and
+points on it, and one rung of the core ladder with core_of and the
+classifiers on it, no machine built on rows builds its table, no view of
+one is built from a table, and the library builds no name-keyed table
+at all after parse.  run_word and
 eval_point walk the rows of such a machine and give the results and
 refusal texts of its public-constructor copy."""
 
@@ -25,6 +27,7 @@ from cantrans import (
     Transducer,
     TransducerError,
     canonical_form,
+    classify_subgroup,
     compose,
     core_of,
     core_product,
@@ -36,7 +39,10 @@ from cantrans import (
     invert_core,
     merge_equivalent_states,
     minimize,
+    order_in_On,
+    outer_class_equal,
     parse,
+    remove_incomplete_response,
     run_word,
     serialize,
     sync_level,
@@ -164,29 +170,42 @@ def test_reductions_match_the_eager_build(monkeypatch):
 
 @pytest.fixture
 def watch(monkeypatch):
-    """Records the machines built on rows, the tables built from a
-    machine's rows, and the machines built on rows a _View was built
-    from."""
+    """Records the machines built on rows, the name-keyed tables built
+    (from a machine's rows, or given to a machine by the public
+    constructor or Transducer._own), and the machines built on rows a
+    _View was built from."""
     seen = {"built": [], "tables": [], "views": []}
-    real_of_rows = Transducer._of_rows.__func__
+    real_of_rows, real_own = Transducer._of_rows.__func__, \
+        Transducer._own.__func__
     real_table, real_init = _View._table, _View.__init__
+    real_new = Transducer.__init__
 
     def of_rows(cls, *args):
         t = real_of_rows(cls, *args)
         seen["built"].append(t)
         return t
 
-    def table(self, order=None):
-        if order is None:
-            seen["tables"].append(self)
-        return real_table(self, order)
+    def own(cls, n, r, mode, states, initial, trans, known):
+        if trans is not None:
+            seen["tables"].append(trans)
+        return real_own(cls, n, r, mode, states, initial, trans, known)
 
-    def init(self, t, states=None):
+    def new(self, *args):
+        seen["tables"].append(args[-1])
+        real_new(self, *args)
+
+    def table(self):
+        seen["tables"].append(self)
+        return real_table(self)
+
+    def init(self, t):
         if t._rows is not None:
             seen["views"].append(t)
-        real_init(self, t, states)
+        real_init(self, t)
 
     monkeypatch.setattr(Transducer, "_of_rows", classmethod(of_rows))
+    monkeypatch.setattr(Transducer, "_own", classmethod(own))
+    monkeypatch.setattr(Transducer, "__init__", new)
     monkeypatch.setattr(_View, "_table", table)
     monkeypatch.setattr(_View, "__init__", init)
     return seen
@@ -211,6 +230,7 @@ def test_chain_paths_build_no_table_from_rows(watch):
     for core in (False, True):
         chain = empty_output_chain(core)
         points = _chain_points(core, rng)
+        watch["tables"].clear()
         m = minimize(chain)
         got = [eval_point(m, x) for x in points]
         assert watch["built"] and watch["built"][-1] is m
@@ -219,26 +239,49 @@ def test_chain_paths_build_no_table_from_rows(watch):
         assert got == [eval_point(chain, x) for x in points]
 
 
+def _ladder_answers(base):
+    """A rung of the core ladder on `base` and the classifiers on it:
+    (core_of results, answers)."""
+    power = core_product(base, base)
+    cores, answers = [], []
+    for p in (base, power, core_product(power, base)):
+        cores.append(core_of(p))
+        answers.append((sync_level(p), canonical_form(p), cycle_balance(p),
+                        serialize(p)))
+    answers += [classify_subgroup(base), order_in_On(base, cap=4),
+                outer_class_equal(base, power), outer_class_equal(power,
+                                                                  power)]
+    return cores, answers
+
+
 @pytest.mark.parametrize("name", ["BALANCED_CORE_2", "UNBALANCED_CORE_3"])
 def test_core_ladder_rung_builds_no_table_from_rows(watch, name):
+    """After parse, the ladder, core_of and the classifiers build no
+    name-keyed table and no _View from a machine built on rows, and give
+    the answers of the public-constructor copy of the fixture, whose
+    cores are built on rows too."""
     base = parse(getattr(fixtures, name))
-    power = core_product(base, base)
-    results = []
-    for p in (power, core_product(power, base)):
-        results.append((sync_level(p), core_of(p).states, canonical_form(p),
-                        cycle_balance(p), serialize(p)))
+    watch["tables"].clear()
+    cores, answers = _ladder_answers(base)
     assert len(watch["built"]) >= 2
     assert watch["tables"] == [] and watch["views"] == []
     assert all(t._trans is None for t in watch["built"])
-    # the same answers from the tables of public-constructor copies
-    for (level, core, form, balance, text), p in zip(
-            results, (power, core_product(power, base))):
-        copy = Transducer(p.n, p.r, p.mode, p.states, p.initial, p.trans)
-        assert (sync_level(copy), core_of(copy).states, canonical_form(copy),
-                cycle_balance(copy), serialize(copy)) == \
-            (level, core, form, balance, text)
+    assert all(c._rows is not None for c in cores)
+    copy = Transducer(base.n, base.r, base.mode, base.states, base.initial,
+                      base.trans)
+    copy_cores, copy_answers = _ladder_answers(copy)
+    assert copy_answers == answers
+    for got, want in zip(cores, copy_cores, strict=True):
+        assert want._rows is not None
+        public = Transducer(got.n, got.r, got.mode, got.states, got.initial,
+                            got.trans)
+        for c in (want, public):
+            assert c.states == got.states
+            assert dict(c.trans) == dict(got.trans)
+            assert serialize(c) == serialize(got)
+            assert canonical_form(c) == canonical_form(got)
     if name == "UNBALANCED_CORE_3":
-        assert not results[0][3][0]
+        assert not answers[0][2][0]
 
 
 def _walked(seed):
@@ -337,12 +380,14 @@ def test_rows_of_an_unchecked_machine_are_walked_through_its_table():
 
 def test_an_initial_state_outside_the_states_is_refused_by_name():
     """The public constructor does not check that the initial state is
-    among the states; canonical_form and merge_equivalent_states, which
-    do not validate, fail on its lookup by name with KeyError."""
+    among the states; canonical_form, merge_equivalent_states and
+    remove_incomplete_response, which do not validate, fail on its
+    lookup by name with KeyError."""
     trans = {("a", 0): ((0,), "b"), ("a", 1): ((1,), "a"),
              ("b", 0): ((0,), "b"), ("b", 1): ((1,), "a")}
     t = Transducer(2, 1, INITIAL, ["a", "b"], "z", trans)
-    for f in (canonical_form, merge_equivalent_states):
+    for f in (canonical_form, merge_equivalent_states,
+              remove_incomplete_response):
         with pytest.raises(KeyError) as caught:
             f(t)
         assert caught.value.args == ("z",)

@@ -23,9 +23,10 @@ from cantrans import (
 from cantrans.fixtures import balanced_core_2, sample_3_2, \
     synchronous_core_3, torsion_core_2, unbalanced_core_3
 from cantrans.randgen import random_transducer
-from cantrans.synchro import _tracked_states, core_product
+from cantrans.synchro import core_product
 
-from helpers import brute_force_level, delayed_copy, random_synchronizing
+from helpers import _tracked_states, brute_force_level, delayed_copy, \
+    random_synchronizing
 
 
 def test_sync_level_examples():

@@ -308,17 +308,17 @@ def _record_core_at(monkeypatch):
 
 
 def _record_reduced(monkeypatch):
-    """The machines synchro reduces on state numbers, one per call, as
-    named core-mode machines: invert_core's core of the machine of run
-    sets, whether it comes from one seed or from the full exploration."""
+    """The rows synchro reduces, one per call, as named core-mode
+    machines: invert_core's core of the machine of run sets, whether it
+    comes from one seed or from the full exploration."""
     machines = []
-    real = synchro._reduce_core_rows
+    real = synchro._reduce_rows
 
-    def recording(view, n, **kwargs):
+    def recording(n, r, mode, initial, view):
         machines.append(view_machine(view, n))
-        return real(view, n, **kwargs)
+        return real(n, r, mode, initial, view)
 
-    monkeypatch.setattr(synchro, "_reduce_core_rows", recording)
+    monkeypatch.setattr(synchro, "_reduce_rows", recording)
     return machines
 
 
