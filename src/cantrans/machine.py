@@ -34,9 +34,11 @@ own rows or builds a view from its table once per call.  The
 name-keyed table `trans` is read only where unchecked input is checked
 or walked: validate, reachable, pre_root_states, Transducer.step,
 serialize, and run_word and eval_point on a machine not known to be
-valid.  A machine built on rows builds its table from them on first
-read of `trans` and keeps it.  The public constructor, relabel and
-parse keep the table they are given and hold no rows.
+valid; and _words (for max_output_len and classify.is_synchronous),
+a plain scan of output words that needs no view.  A machine built on
+rows builds its table from them on first read of `trans` and keeps it.
+The public constructor, relabel and parse keep the table they are given
+and hold no rows.
 """
 
 from itertools import chain, compress, count, product, repeat

@@ -241,17 +241,18 @@ def test_chain_paths_build_no_table_from_rows(watch):
 
 def _ladder_answers(base):
     """A rung of the core ladder on `base` and the classifiers on it:
-    (core_of results, answers)."""
+    (the base and its two powers, their core_of results, answers)."""
     power = core_product(base, base)
+    machines = (base, power, core_product(power, base))
     cores, answers = [], []
-    for p in (base, power, core_product(power, base)):
+    for p in machines:
         cores.append(core_of(p))
         answers.append((sync_level(p), canonical_form(p), cycle_balance(p),
                         serialize(p)))
     answers += [classify_subgroup(base), order_in_On(base, cap=4),
                 outer_class_equal(base, power), outer_class_equal(power,
                                                                   power)]
-    return cores, answers
+    return machines, cores, answers
 
 
 @pytest.mark.parametrize("name", ["BALANCED_CORE_2", "UNBALANCED_CORE_3"])
@@ -262,14 +263,22 @@ def test_core_ladder_rung_builds_no_table_from_rows(watch, name):
     cores are built on rows too."""
     base = parse(getattr(fixtures, name))
     watch["tables"].clear()
-    cores, answers = _ladder_answers(base)
+    machines, cores, answers = _ladder_answers(base)
     assert len(watch["built"]) >= 2
     assert watch["tables"] == [] and watch["views"] == []
     assert all(t._trans is None for t in watch["built"])
     assert all(c._rows is not None for c in cores)
+    # the powers, built on rows, give the answers of their
+    # public-constructor copies, read through their tables
+    for p, core, answer in zip(machines[1:], cores[1:], answers[1:3]):
+        copy = Transducer(p.n, p.r, p.mode, p.states, p.initial, p.trans)
+        assert p._rows is not None and copy._rows is None
+        assert (sync_level(copy), core_of(copy).states, canonical_form(copy),
+                cycle_balance(copy), serialize(copy)) == \
+            (answer[0], core.states) + answer[1:]
     copy = Transducer(base.n, base.r, base.mode, base.states, base.initial,
                       base.trans)
-    copy_cores, copy_answers = _ladder_answers(copy)
+    _, copy_cores, copy_answers = _ladder_answers(copy)
     assert copy_answers == answers
     for got, want in zip(cores, copy_cores, strict=True):
         assert want._rows is not None
@@ -281,7 +290,7 @@ def test_core_ladder_rung_builds_no_table_from_rows(watch, name):
             assert serialize(c) == serialize(got)
             assert canonical_form(c) == canonical_form(got)
     if name == "UNBALANCED_CORE_3":
-        assert not answers[0][2][0]
+        assert not answers[0][2][0] and not answers[1][2][0]
 
 
 def _walked(seed):
