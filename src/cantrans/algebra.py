@@ -144,7 +144,8 @@ def identity_core(n):
 def twist_transducer(sigma, alphabet):
     """Apply the digit permutation sigma at every coordinate."""
     sigma = tuple(sigma)
-    if sorted(sigma) != list(range(alphabet.n)):
+    if any(type(x) is not int for x in sigma) or \
+            sorted(sigma) != list(range(alphabet.n)):
         raise WordError(f"{sigma!r} is not a permutation of 0..{alphabet.n - 1}")
     trans = {}
     for k in range(alphabet.r):
@@ -287,15 +288,10 @@ class _Pairs:
 def _named_pairs(t, view, initial):
     """A closure of _Pairs as the raw pair machine on t's alphabet and
     mode, named by the pairs, sorted by str, with the given entry or
-    preferred start, and known to be nothing: the table _check_product
-    validates when a factor is invalid."""
-    states = view.states
-    trans = {(p, x): (w, states[j])
-             for p, letters, outs, targets in zip(states, view.letters,
-                                                  view.outs, view.targets)
-             for x, w, j in zip(letters, outs, targets)}
-    return Transducer._own(t.n, t.r, t.mode, tuple(sorted(states, key=str)),
-                           initial, trans, None)
+    preferred start, through the public constructor: the table
+    _check_product validates when a factor is invalid."""
+    return Transducer(t.n, t.r, t.mode, sorted(view.states, key=str),
+                      initial, view._table())
 
 
 def _check_product(a, b, view, initial, refusal):
@@ -325,25 +321,25 @@ def from_prefix_code_map(pm, alphabet):
     and emits the whole range word on the final letter, landing in an
     identity state.
 
-    The raw machine is valid by construction once pm.check has passed,
-    so it is built marked valid and reduced without validation:
+    The tree is built as rows: the prefixes by length (the entry, the
+    empty prefix, first), then the identity state, each named by its
+    number.  The raw machine is valid by construction once pm.check has
+    passed, so it is built marked valid and reduced without validation:
 
     * the table is complete: each prefix reads every letter admissible
       at it (the root letters at the entry, the digits elsewhere), since
       a complete domain code leaves no child of a prefix that is neither
-      a prefix nor a domain word, and 1g reads every digit;
+      a prefix nor a domain word, and the identity state reads every
+      digit;
     * the entry is never entered: every transition goes to a longer
-      prefix or to 1g;
+      prefix or to the identity state;
     * the pre-root states are the domain-tree prefixes: they are
       entered only from their parent prefixes with empty output, and
       left with the range words, rooted words of the alphabet (as
       pm.check found them) that splitting only extends by digits;
-    * 1g writes its digits only, each below n;
+    * the identity state writes its digits only, each below n;
     * no cycle has empty output: an empty-output transition goes to a
-      longer prefix;
-    * the state names are distinct: "root", "1g", and "p_" followed by
-      the letters of a nonempty prefix, each written once and joined by
-      "_", with ".k" written "rk"."""
+      longer prefix."""
     pm.check(alphabet)
     pairs = []
     stack = list(pm.pairs())
@@ -354,33 +350,24 @@ def from_prefix_code_map(pm, alphabet):
                 stack.append((d + (x,), r + (x,)))
         else:
             pairs.append((d, r))
+    # filled in this order, the set lists the prefixes of one length in
+    # a fixed order, which the reduction's state order follows
     pairs.sort(key=lambda p: shortlex_key(p[0]))
-
-    one = "1g"
-    trans = {(one, d): ((d,), one) for d in range(alphabet.n)}
-    prefixes = {EMPTY}
-    for d, _ in pairs:
-        for i in range(1, len(d)):
-            prefixes.add(d[:i])
-    names = {p: "root" if p == EMPTY else "p_" + "_".join(
-        format_word(p).replace(".", "r").split()) for p in prefixes}
-    finals = {d: r for d, r in pairs}
-    for p in prefixes:
-        letters = (tuple(-(k + 1) for k in range(alphabet.r))
-                   if p == EMPTY else tuple(range(alphabet.n)))
-        for x in letters:
-            child = p + (x,)
-            if child in prefixes:
-                trans[(names[p], x)] = (EMPTY, names[child])
-            elif child in finals:
-                trans[(names[p], x)] = (finals[child], one)
-            else:
-                raise WordError(
-                    f"domain code does not cover {format_word(child)!r}"
-                )
-    states = (*(names[p] for p in sorted(prefixes, key=len)), one)
-    return _reduce(Transducer._own(alphabet.n, alphabet.r, INITIAL, states,
-                                   names[EMPTY], trans, _VALID))
+    prefixes = sorted({d[:i] for d, _ in pairs for i in range(len(d))},
+                      key=len)
+    one = len(prefixes)
+    edge_to = {p: (EMPTY, k) for k, p in enumerate(prefixes)}
+    edge_to.update((d, (r, one)) for d, r in pairs)
+    digits = tuple(range(alphabet.n))
+    letters = [tuple(-(k + 1) for k in range(alphabet.r)), *[digits] * one]
+    edges = [[edge_to[p + (x,)] for x in row]
+             for p, row in zip(prefixes, letters)]
+    edges.append([((x,), one) for x in digits])
+    rows = _View._of_rows(tuple(range(one + 1)), letters,
+                          [tuple(w for w, _ in row) for row in edges],
+                          [tuple(k for _, k in row) for row in edges], 0)
+    return _reduce(Transducer._of_rows(alphabet.n, alphabet.r, INITIAL, 0,
+                                       rows, _VALID))
 
 
 def _product_is_identity(va, vb):
@@ -639,19 +626,20 @@ class _RunSets:
 
 
 def _explore(runs, seeds, first_letters, n, prune):
-    """The inverse's transitions on the nodes of `runs` reached from the
-    node numbers `seeds`, breadth-first: the first node reads
-    `first_letters`, every other one the n digits.  Returns the nodes in
-    the order found and one row per node, holding per letter (letter,
-    emitted word, number of the target's row).
+    """The inverse's machine of sets: the nodes of `runs` reached from
+    the node numbers `seeds`, breadth-first, as a view on the nodes in
+    the order found, named by their configurations (runs.name).  The
+    first node reads `first_letters`, every other one the n digits; a
+    first node that reads other letters than the digits (the root
+    letters of an initial-mode machine) is the view's entry.
 
     A letter no run of a node writes next raises NotInvertible, naming
-    the node's configuration, unless `prune` is set: the row then holds
-    None for that letter (see _accepting).  A node whose configuration's
-    pending word is longer than |Q| * (1 + max output length) means no
-    finite inverse exists."""
+    the node's configuration, unless `prune` is set: the node's output
+    and target for that letter are then None (see _accepting).  A node
+    whose configuration's pending word is longer than |Q| * (1 + max
+    output length) means no finite inverse exists."""
     reps, bound, states = runs.reps, runs.bound, runs.view.states
-    digits = range(n)
+    digits, first_letters = tuple(range(n)), tuple(first_letters)
     nodes = list(dict.fromkeys(seeds))
     number = dict(zip(nodes, count()))
     rows = []
@@ -667,7 +655,7 @@ def _explore(runs, seeds, first_letters, n, prune):
                         f"{format_word(u + (y,))!r} extends no output from "
                         f"{states[i]!r}"
                     )
-                row.append(None)
+                row.append((None, None))
                 continue
             out, tgt = edge
             t = number.get(tgt)
@@ -681,26 +669,30 @@ def _explore(runs, seeds, first_letters, n, prune):
                     )
                 t = number[tgt] = len(nodes)
                 nodes.append(tgt)
-            row.append((y, out, t))
-        rows.append(row)
-    return nodes, rows
+            row.append((out, t))
+        rows.append(tuple(zip(*row)))
+    outs, targets = map(list, zip(*rows))
+    letters = [first_letters, *[digits] * (len(nodes) - 1)]
+    return _View._of_rows(tuple(map(runs.name, nodes)), letters, outs,
+                          targets, None if first_letters == digits else 0)
 
 
-def _accepting(rows):
-    """The numbers, in order, of the largest set of rows that have a
-    transition on every letter, each into the set: every row that
-    reaches a row with a missing transition is dropped, found by one
-    walk back along the transitions from all such rows at once."""
-    preds = [[] for _ in rows]
+def _accepting(targets):
+    """The numbers, in order, of the largest set of states of a machine
+    of sets whose target rows are `targets` that have a transition on
+    every letter, each into the set: every state that reaches a state
+    with a missing transition (target None) is dropped, found by one
+    walk back along the transitions from all such states at once."""
+    preds = [[] for _ in targets]
     drop = []
-    for k, row in enumerate(rows):
-        for edge in row:
-            if edge is None:
+    for k, row in enumerate(targets):
+        for j in row:
+            if j is None:
                 drop.append(k)
             else:
-                preds[edge[2]].append(k)
+                preds[j].append(k)
     dead = set(_bfs(preds, *drop))
-    return [k for k in range(len(rows)) if k not in dead]
+    return [k for k in range(len(targets)) if k not in dead]
 
 
 def invert(a):
@@ -714,11 +706,29 @@ def invert(a):
     capped at |Q| * (1 + max output length); blowing the cap, meeting
     input no run of `a` can emit, or two runs that write the same output
     after reading different words (NotInjective) means no finite inverse
-    exists.  The result is minimized, numbered breadth-first from its
-    entry, and checked in both orders by the lag walk: every pair state
-    of the product with `a` must carry a lag word u with u x = w u' on
-    each of its edges x/w, which holds exactly when the product is the
-    identity.  The walk builds no product machine.
+    exists.
+
+    The machine of sets _explore builds is reduced as it is, by
+    minimize._reduce_rows, and never validated, since it is valid by
+    construction:
+
+    * its table is complete: an exploration that does not prune refuses
+      any letter it cannot read;
+    * no transition enters the entry node: its runs sit at the start of
+      the edges `a` reaches from its entry with empty output, where no
+      run that has written a letter is found again;
+    * the delays of the nodes met before the first emission are all the
+      input read, so they start with a root letter, and those of the
+      nodes met after it are digits: the pre-root region is closed and
+      is left only with rooted output, and all other output is digits;
+    * no cycle has empty output, by the argument of _inverse_from in
+      synchro.
+
+    The result is minimized, numbered breadth-first from its entry, and
+    checked in both orders by the lag walk: every pair state of the
+    product with `a` must carry a lag word u with u x = w u' on each of
+    its edges x/w, which holds exactly when the product is the identity.
+    The walk builds no product machine.
     """
     if a.mode != INITIAL:
         raise TransducerError("invert expects an initial-mode machine; "
@@ -727,18 +737,9 @@ def invert(a):
     view = _view_of(a)
     runs = _RunSets(view)
     entry = view.entry
-    nodes, rows = _explore(runs, [runs.seed(entry)], view.letters[entry],
-                           a.n, prune=False)
-    names = list(map(runs.name, nodes))
-    trans = {(names[m], y): (out, names[t])
-             for m, row in enumerate(rows) for y, out, t in row}
-    raw = Transducer._own(a.n, a.r, INITIAL, tuple(sorted(names, key=str)),
-                          names[0], trans, None)
-    bad = validate(raw)
-    if bad:
-        raise NotInvertible("inverse construction degenerate: " +
-                            "; ".join(bad))
-    b = _reduce(raw)
+    sets = _explore(runs, [runs.seed(entry)], view.letters[entry], a.n,
+                    prune=False)
+    b = _reduce_rows(a.n, a.r, INITIAL, sets.states[0], sets)
     other = _view_of(b)
     if not (_product_is_identity(view, other) and
             _product_is_identity(other, view)):

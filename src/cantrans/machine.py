@@ -17,28 +17,32 @@ Transducers are immutable after construction; all operations here are
 pure functions.  A machine's private `_known` slot records what is known
 of it: nothing, that it is valid (validate marks each machine that
 passes it, and library code marks the machines it builds valid by
-construction, such as algebra.from_prefix_code_map's), or that it is
-minimal (see minimize._reduce); validate and check_valid return at once
-on a machine that knows either.  Its `_level` slot records what is
-known of its synchronization: nothing, that it synchronizes (core
-products and inverse cores, see synchro.core_product), its level, or
-that it does not synchronize (both recorded by synchro._collapse).  The
-table never changes, so neither fact goes stale; the public constructor
-and relabel start a machine knowing nothing.
+construction, such as algebra.from_prefix_code_map's prefix tree), or
+that it is minimal (see minimize._reduce); validate and check_valid
+return at once on a machine that knows either.  Its `_level` slot
+records what is known of its synchronization: nothing, that it
+synchronizes (core products and inverse cores, see synchro.core_product),
+its level, or that it does not synchronize (both recorded by
+synchro._collapse).  The table never changes, so neither fact goes
+stale; the public constructor and relabel start a machine knowing
+nothing.
 
 Its `_rows` slot holds the integer rows (a _View of its own states) of
-a machine the library builds: every reduction result (see
-minimize._build) and every core (see synchro._core_at).  Kernels read
-rows only, and take them through _view_of, which hands out a machine's
-own rows or builds a view from its table once per call.  The
-name-keyed table `trans` is read only where unchecked input is checked
-or walked: validate, reachable, pre_root_states, Transducer.step,
-serialize, and run_word and eval_point on a machine not known to be
-valid; and _words (for max_output_len and classify.is_synchronous),
-a plain scan of output words that needs no view.  A machine built on
-rows builds its table from them on first read of `trans` and keeps it.
-The public constructor, relabel and parse keep the table they are given
-and hold no rows.
+every reduction result (see minimize._build) and every core (see
+synchro._core_at), and of the machines the library reduces, which are
+built on rows from the first: the pair closures of compose and
+core_product, the machines of sets of both inversions and the prefix
+tree of from_prefix_code_map.  Rows are never changed once built.
+Kernels read rows only, and take them through _view_of, which hands out
+a machine's own rows as they are, or builds a view from the table of a
+machine that holds none.  The name-keyed table `trans` is read only
+where unchecked input is checked or walked: validate, reachable,
+pre_root_states, Transducer.step, serialize, and run_word and eval_point
+on a machine not known to be valid; and _words (for max_output_len and
+classify.is_synchronous), a plain scan of output words that needs no
+view.  A machine built on rows builds its table from them on first read
+of `trans` and keeps it.  The public constructor, relabel and parse keep
+the table they are given and hold no rows.
 """
 
 from itertools import chain, compress, count, product, repeat
@@ -124,29 +128,20 @@ class Transducer:
         object.__setattr__(self, "_rows", None)
 
     @classmethod
-    def _own(cls, n, r, mode, states, initial, trans, known):
-        """A machine on a table that library code has just built from a
-        valid machine's parts: `states` a tuple and `trans` a dict of
-        (word tuple, target) values, both taken as they are and owned by
-        the machine from here on, and `known` what its builder knows of
-        it (None, _VALID or _MINIMAL); its level is not known.  The
-        public constructor's checks and its copy of every transition are
-        skipped."""
-        t = object.__new__(cls)
-        for slot, value in zip(cls.__slots__, (n, r, mode, states, initial,
-                                               trans, known, None, None)):
-            object.__setattr__(t, slot, value)
-        return t
-
-    @classmethod
     def _of_rows(cls, n, r, mode, initial, rows, known):
-        """A machine on integer rows that library code has just built,
-        as _own takes a table: `rows` a _View of the machine's own
-        states (rows.states, a tuple, is its state tuple), owned by the
-        machine from here on and never changed.  Its table is built from
-        the rows on first read of `trans`."""
-        t = cls._own(n, r, mode, rows.states, initial, None, known)
-        object.__setattr__(t, "_rows", rows)
+        """A machine on integer rows that library code has just built
+        from a valid machine's parts, or valid by construction: `rows` a
+        _View of the machine's own states (rows.states, a tuple, is its
+        state tuple), owned by the machine from here on and never
+        changed, and `known` what its builder knows of it (None, _VALID
+        or _MINIMAL); its level is not known.  The public constructor's
+        checks are skipped, and the table is built from the rows on
+        first read of `trans`."""
+        t = object.__new__(cls)
+        for slot, value in zip(cls.__slots__, (n, r, mode, rows.states,
+                                               initial, None, known, None,
+                                               rows)):
+            object.__setattr__(t, slot, value)
         return t
 
     @property
@@ -581,17 +576,20 @@ class _View:
     the states numbered by position, the number of the entry (None in
     core mode, or when the entry is not among the states), and per state
     its letters in canonical order and, letter by letter, the output
-    words and target numbers (rows are tuples; step 1 of the reduction
-    replaces output rows whole).  The entry's row holds the root letters
-    -1, -2, ... at 0, 1, ....  The name -> number map `index` is built
-    on first use.
+    words and target numbers.  Rows are tuples, and neither they nor the
+    lists holding them change once the view is built: a step that
+    rewrites outputs builds a new view (see
+    minimize._complete_responses).  The entry's row holds the root
+    letters -1, -2, ... at 0, 1, ....  The name -> number map `index` is
+    built on first use.
 
     A view is either built from the table of a machine that holds no
     rows, by _View(t), or taken from rows already on state numbers
-    (_View._of_rows): a pair product's, a sub-view cut by _cut, or the
-    rows of a machine the library built on them (Transducer._rows).
-    Kernels get either through _view_of.  A machine's rows are never
-    changed; `_table` builds its name-keyed table from them.
+    (_View._of_rows): the closure of a pair product, an inversion's
+    machine of sets, a prefix tree, a sub-view cut by _cut, or the rows
+    of a machine the library built on them (Transducer._rows).  Kernels
+    get either through _view_of; `_table` builds the name-keyed table
+    of the rows.
 
     Built from the table, the view covers all of t's states.  A name
     listed twice is refused with TransducerError, as validate words it,
@@ -638,15 +636,13 @@ class _View:
             self.targets.insert(entry, root_targets)
 
     @classmethod
-    def _of_rows(cls, states, letters, outs, targets, entry=None,
-                 index=None):
+    def _of_rows(cls, states, letters, outs, targets, entry=None):
         """The view of rows already on state numbers: `states` the names
         by number, `letters`, `outs` and `targets` lists of rows, one
-        per state, taken as they are, `entry` the entry's number and
-        `index` the name -> number map when one is at hand (else it is
-        built on first use)."""
+        per state, taken as they are, and `entry` the entry's number.
+        The name -> number map is built on first use."""
         view = object.__new__(cls)
-        view.states, view._index, view.entry = states, index, entry
+        view.states, view._index, view.entry = states, None, entry
         view.letters, view.outs, view.targets = letters, outs, targets
         return view
 
@@ -708,16 +704,11 @@ class _View:
 
 def _view_of(t):
     """The integer view of all of t's states for one kernel call, the
-    one way kernels read a machine.  A machine built on rows hands out
-    its rows: only the list of output rows is copied, since step 1 of
-    the reduction replaces rows of it (see minimize._complete_responses),
-    and the letter and target rows are shared.  Any other machine's view
-    is built from its table by _View."""
+    one way kernels read a machine: the rows of a machine built on them,
+    as they are (no kernel changes them), or else a view built from its
+    table by _View."""
     rows = t._rows
-    if rows is None:
-        return _View(t)
-    return _View._of_rows(rows.states, rows.letters, list(rows.outs),
-                          rows.targets, rows.entry, rows._index)
+    return _View(t) if rows is None else rows
 
 
 def _guaranteed_output(view):
@@ -1081,13 +1072,17 @@ def _strongly_connected(targets):
 
 
 def relabel(t, mapping):
-    """Rename states through `mapping` (a dict); shape is preserved."""
-    if len(set(mapping.values())) != len(t.states):
+    """Rename states through `mapping` (a dict); shape is preserved.  A
+    state the mapping misses, or two states it gives one name, is
+    refused with TransducerError."""
+    try:
+        states = [mapping[q] for q in t.states]
+        trans = {(mapping[q], x): (w, mapping[tgt])
+                 for (q, x), (w, tgt) in t.trans.items()}
+        initial = None if t.initial is None else mapping[t.initial]
+    except KeyError as e:
+        raise TransducerError(f"relabeling misses state {e.args[0]!r}") \
+            from None
+    if len(set(states)) != len(states):
         raise TransducerError("relabeling is not a bijection")
-    trans = {
-        (mapping[q], x): (w, mapping[tgt])
-        for (q, x), (w, tgt) in t.trans.items()
-    }
-    initial = mapping[t.initial] if t.initial is not None else None
-    return Transducer(t.n, t.r, t.mode, [mapping[q] for q in t.states],
-                      initial, trans)
+    return Transducer(t.n, t.r, t.mode, states, initial, trans)

@@ -53,13 +53,9 @@ def remove_incomplete_response(t):
     transitions, keeps its owed prefix and emits it up front instead.
     Unreachable states are left untouched (step 2 removes them).
     """
-    view = _reached(_view_of(t), t)
-    _complete_responses(view)
+    view = _complete_responses(_reached(_view_of(t), t))
     trans = dict(t.trans)
-    for q, letters, outs, targets in zip(view.states, view.letters,
-                                         view.outs, view.targets):
-        for x, w, j in zip(letters, outs, targets):
-            trans[(q, x)] = (w, view.states[j])
+    trans.update(view._table())
     return Transducer(t.n, t.r, t.mode, t.states, t.initial, trans)
 
 
@@ -114,8 +110,7 @@ def _reduce(t):
     view.  Completed responses leave no guaranteed output to check
     before merging.  The result is marked minimal: reducing it again
     gives it back (see _core_order)."""
-    view = _reached(_view_of(t), t)
-    _complete_responses(view)
+    view = _complete_responses(_reached(_view_of(t), t))
     reps, cls, initial = _merge(view, t)
     letters, outs, targets = _quotient(view, reps, cls)
     if t.mode == INITIAL:
@@ -153,23 +148,27 @@ def _reached(view, t):
 
 
 def _complete_responses(view):
-    """Step 1 on the view's rows: replace its output words by the shifted
-    ones.  Only the rows of states that owe output, other than the
-    view's entry, and the rows leading to a state that owes output
-    change; each is rewritten by one map (a state's guaranteed output
-    is the LCP of its row's words, so cutting it off is a slice).
-    The rows to rewrite are found by one set test per row, at C speed."""
+    """Step 1 on the view's rows: the view with the shifted output words,
+    or the view itself when no state owes output.  The new view shares
+    the view's letter and target rows and holds a new list of output
+    rows, in which only the rows of states that owe output, other than
+    the view's entry, and the rows leading to a state that owes output
+    are new; each is built by one map (a state's guaranteed output is
+    the LCP of its row's words, so cutting it off is a slice).  The rows
+    to rebuild are found by one set test per row, at C speed."""
     v = _guaranteed_output(view)
     owing = set(compress(count(), v))
     if not owing:
-        return
-    outs, targets, owed = view.outs, view.targets, v.__getitem__
+        return view
+    outs, targets, owed = list(view.outs), view.targets, v.__getitem__
     leading = compress(count(), map(not_, map(owing.isdisjoint, targets)))
     for i in sorted(owing.union(leading)):
         words = map(add, outs[i], map(owed, targets[i]))
         if v[i] and i != view.entry:
             words = map(itemgetter(slice(len(v[i]), None)), words)
         outs[i] = tuple(words)
+    return _View._of_rows(view.states, view.letters, outs, targets,
+                          view.entry)
 
 
 def _merge(view, t):
@@ -252,7 +251,7 @@ def _build(n, r, mode, names, letters, outs, targets, initial, known):
     state k is named names[k] (a tuple) and its row is letters[k],
     outs[k] and targets[k] (state numbers), `initial` is the entry's or
     preferred start's number (or None), and the machine is marked with
-    `known` (see Transducer._own).  The result keeps the quotient's
+    `known` (None, _VALID or _MINIMAL).  The result keeps the quotient's
     rows, taken as they are (see Transducer._of_rows): its name-keyed
     table is built only when something reads it, and a kernel walking
     the result next (the lag walks of an inversion, a core product)

@@ -7,12 +7,11 @@ long word lands in form the core: an inescapable, strongly connected
 sub-machine that is the invariant of the outer class.
 """
 
-from itertools import count, filterfalse
-from operator import itemgetter
+from itertools import filterfalse
 
 from .machine import CORE, InvalidTransducer, Transducer, TransducerError, \
     check_valid, validate, _NOT_SYNCHRONIZING, _SYNCHRONIZES, _VALID, \
-    _View, _bfs, _first_repeat, _pre_root, _view_of
+    _bfs, _first_repeat, _pre_root, _view_of
 from .minimize import _reduce_rows, minimize
 from .algebra import NotInjective, NotInvertible, invert, _Pairs, \
     _RunSets, _accepting, _check_product, _explore, _product_is_identity
@@ -36,7 +35,7 @@ def _tracked_numbers(view):
                             range(len(view.states))))
 
 
-def _collapse(t):
+def _collapse(t, view):
     """Partition the tracked states by where every word of the current
     length sends them: (tracked, final classes, level or None).  The
     level, or that there is none, is recorded in t's `_level` slot.
@@ -57,13 +56,12 @@ def _collapse(t):
     backwards (unless a single class is left): the rounds cost the live
     classes alone, not |Q| each.
 
-    The tracked states' rows are cut from t's view (see
+    The tracked states' rows are cut from `view`, t's view (see
     machine._view_of); a tracked state leading out of them raises
     TransducerError.  No valid machine lacks a tracked state, so one
     that does is refused with InvalidTransducer, here for sync_level,
     witness_pair and every _core_at, whose callers collapse first (a
     machine marked as synchronizing has states)."""
-    view = _view_of(t)
     keep = _tracked_numbers(view)
     if not keep:
         raise InvalidTransducer(validate(t))
@@ -102,7 +100,7 @@ def sync_level(t):
     there; a machine known only to synchronize, or not known at all, is
     collapsed once, and the collapse records the answer."""
     if t._level is None or t._level == _SYNCHRONIZES:
-        _collapse(t)
+        _collapse(t, _view_of(t))
     return None if t._level == _NOT_SYNCHRONIZING else t._level
 
 
@@ -110,7 +108,7 @@ def _synchronizes(t):
     """Whether t synchronizes, read from its `_level` slot, or found by
     one collapse when nothing is known."""
     if t._level is None:
-        _collapse(t)
+        _collapse(t, _view_of(t))
     return t._level != _NOT_SYNCHRONIZING
 
 
@@ -123,7 +121,7 @@ def witness_pair(t):
     are not remembered, so any other machine is collapsed."""
     if t._level not in (None, _NOT_SYNCHRONIZING):
         return None
-    tracked, cls, level = _collapse(t)
+    tracked, cls, level = _collapse(t, _view_of(t))
     if level is not None:
         return None
     other = next(i for i, c in enumerate(cls) if c != cls[0])
@@ -146,34 +144,38 @@ def core_of(t):
     the state that digit 0 fixes (see _core_at).  Whether it
     synchronizes is read from the machine when known (see sync_level),
     so a machine whose level was found, or a core product, is not
-    collapsed again; the closure needs no level.  The result is a
+    collapsed again; the closure needs no level.  The collapse and the
+    closure share one view of t (see machine._view_of).  The result is a
     core-mode machine on the original state names, strongly connected
     and closed.  It is checked with check_valid, which refuses with
     InvalidTransducer the core of a machine that was itself invalid, and
     returns at once for the core of a machine known to be valid (see
     _core_at)."""
-    if not _synchronizes(t):
+    view = _view_of(t)
+    if t._level is None:
+        _collapse(t, view)
+    if t._level == _NOT_SYNCHRONIZING:
         raise NotSynchronizing("machine is not synchronizing; it has no core")
-    return check_valid(_core_at(t))
+    return check_valid(_core_at(t, view))
 
 
-def _core_at(t):
+def _core_at(t, view):
     """The core of a synchronizing machine: the forward closure of the
     first state met twice by the walk under 0 from the first tracked
     state.  If t synchronizes at level m, 0^m leads every tracked state
     to one state s, and so does 0^(m+1); so 0 fixes s, and the walk
     reaches s within m steps and first repeats there.
 
-    The walk and the closure run on t's view (see machine._view_of), and
-    the result is a machine built on rows: the closure's rows cut from
-    that view with the states in str order of their names, so its states
-    tuple, and the table built from its rows, are in that order.  The
-    closure is valid when t is: a closed set of tracked states reads
-    every digit, writes digit words and keeps t's lack of empty-output
-    cycles.  It is marked valid when t is known to be valid; otherwise
-    core_of checks it.  t must have a tracked state, which _collapse
-    checks, and which every machine marked as synchronizing has."""
-    view = _view_of(t)
+    The walk and the closure run on `view`, t's view (see
+    machine._view_of), and the result is a machine built on rows: the
+    closure's rows cut from that view with the states in str order of
+    their names, so its states tuple, and the table built from its rows,
+    are in that order.  The closure is valid when t is: a closed set of
+    tracked states reads every digit, writes digit words and keeps t's
+    lack of empty-output cycles.  It is marked valid when t is known to
+    be valid; otherwise core_of checks it.  t must have a tracked state,
+    which _collapse checks, and which every machine marked as
+    synchronizing has."""
     targets, names = view.targets, view.states
     start = _first_repeat(_tracked_numbers(view)[0], lambda i: targets[i][0])
     closure = sorted(_bfs(targets, start), key=lambda i: str(names[i]))
@@ -302,43 +304,38 @@ def _inverse_from(c, runs, seeds, prune):
     reduced and both products with c checked by the lag walk; a failed
     step is refused with NotInvertible.
 
-    The machine of sets is built once, on rows named by its nodes'
-    configurations, for sync_level.  Its core is the closure of the node
-    that 0 fixes, found by the walk under 0 from the first kept node and
-    cut from those rows in breadth-first order from that node.  (Unpruned,
-    the rows are in that order already: the seed is a node 0 leads back
-    to, which 0 fixes once the machine synchronizes, and _explore
-    numbered the nodes breadth-first from it.)  The core is named by
-    zero-padded numbers, so that str order is that order, and the
-    reduction numbers its result breadth-first from that node's class.
-    It is valid though never validated: each of its nodes reads every
-    digit into it and writes digits, and no cycle of it writes nothing,
-    since a run that is at one position after the inverse has read more
-    input, with no emission between, would have written two outputs
-    there.  It is marked as synchronizing, as the reduction of the core
-    of a synchronizing machine; its level is found when asked for.  The
-    lag walks take the reduction's view from its rows (see
-    machine._view_of)."""
+    The machine of sets is built once, on the rows _explore builds,
+    named by its nodes' configurations, and a pruned one is cut from
+    them to the nodes _accepting keeps, for sync_level.  Its core is the
+    closure of the node that 0 fixes, found by the walk under 0 from the
+    first kept node and cut from those rows in breadth-first order from
+    that node.  (Unpruned, the rows are in that order already: the seed
+    is a node 0 leads back to, which 0 fixes once the machine
+    synchronizes, and _explore numbered the nodes breadth-first from
+    it.)  The core is named by zero-padded numbers, so that str order is
+    that order, and the reduction numbers its result breadth-first from
+    that node's class.  It is valid though never validated: each of its
+    nodes reads every digit into it and writes digits, and no cycle of
+    it writes nothing, since a run that is at one position after the
+    inverse has read more input, with no emission between, would have
+    written two outputs there.  It is marked as synchronizing, as the
+    reduction of the core of a synchronizing machine; its level is found
+    when asked for.  The lag walks take the reduction's view from its
+    rows (see machine._view_of)."""
     n = c.n
-    nodes, rows = _explore(runs, seeds, range(n), n, prune)
-    keep = _accepting(rows) if prune else range(len(rows))
-    if not keep:
+    sets = _explore(runs, seeds, range(n), n, prune)
+    if prune:
+        sets = sets._cut(_accepting(sets.targets))
+    if not sets.states:
         raise NotInvertible(
             "not invertible: no configuration of the inverse accepts "
             "every continuation"
         )
-    number = dict(zip(keep, count()))
-    rows = list(map(rows.__getitem__, keep))
-    targets = [tuple(map(number.__getitem__, map(itemgetter(2), row)))
-               for row in rows]
-    sets = _View._of_rows(tuple(map(runs.name, map(nodes.__getitem__, keep))),
-                          [tuple(range(n))] * len(rows),
-                          [tuple(map(itemgetter(1), row)) for row in rows],
-                          targets)
     if sync_level(Transducer._of_rows(n, None, CORE, None, sets, None)) \
             is None:
         raise NotInvertible("inverse dynamics do not synchronize")
     # the core of a synchronizing machine, and its reduction, synchronize
+    targets = sets.targets
     core = sets._cut(_bfs(targets, _first_repeat(0, lambda m: targets[m][0])))
     width = len(str(len(core.states) - 1))
     core.states = tuple(f"{k:0{width}}" for k in range(len(core.states)))

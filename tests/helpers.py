@@ -1311,7 +1311,8 @@ def pending_explore(view, n, seeds, start_letters, prune):
                 configs.append(nxt)
             row.append((y, out, tgt))
         rows.append(row)
-    keep = _accepting(rows) if prune else range(len(rows))
+    keep = _accepting([[None if edge is None else edge[2] for edge in row]
+                       for row in rows]) if prune else range(len(rows))
     names = {k: (view.states[configs[k][0]], configs[k][1]) for k in keep}
     trans = {(names[k], y): (out, names[tgt])
              for k in keep for y, out, tgt in rows[k]}
@@ -1411,19 +1412,19 @@ def _pending_inverse_from(c, view, seeds, prune):
     return d
 
 
-def worklist_accepting(rows):
-    """Oracle: algebra._accepting as a worklist that drops the rows with
-    a missing transition, then everything leading to a dropped row,
-    until nothing changes."""
-    preds = [[] for _ in rows]
+def worklist_accepting(targets):
+    """Oracle: algebra._accepting as a worklist that drops the states
+    with a missing transition (target None), then everything leading to
+    a dropped state, until nothing changes."""
+    preds = [[] for _ in targets]
     drop = []
-    for k, row in enumerate(rows):
-        for edge in row:
-            if edge is None:
+    for k, row in enumerate(targets):
+        for j in row:
+            if j is None:
                 drop.append(k)
             else:
-                preds[edge[2]].append(k)
-    alive = [True] * len(rows)
+                preds[j].append(k)
+    alive = [True] * len(targets)
     while drop:
         k = drop.pop()
         if alive[k]:
@@ -1779,14 +1780,18 @@ def eager_build(n, r, mode, names, letters, outs, targets, initial, known):
     rows, zipping the result's name-keyed table from whole columns at
     once: (name, letter) keys from the names repeated along their
     letters, and (output, target name) values.  The machine holds that
-    table and no rows."""
+    table, through the public constructor, and no rows, and knows what
+    the reduction's result knows."""
     keys = zip(chain.from_iterable(map(repeat, names, map(len, letters))),
                chain.from_iterable(letters))
     values = zip(chain.from_iterable(outs),
                  map(names.__getitem__, chain.from_iterable(targets)))
-    return Transducer._own(n, r, mode, tuple(names),
-                           None if initial is None else names[initial],
-                           dict(zip(keys, values)), known)
+    t = Transducer(n, r, mode, names,
+                   None if initial is None else names[initial],
+                   dict(zip(keys, values)))
+    if known is not None:
+        t._know(known)
+    return t
 
 
 def loop_trimmed_point(preperiod, period):

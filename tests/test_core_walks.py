@@ -37,6 +37,7 @@ from cantrans import (
 )
 from cantrans import synchro
 from cantrans.randgen import random_transducer
+from cantrans.machine import _view_of
 from cantrans.synchro import _core_at
 
 from helpers import balanced_powers, empty_output_chain, fixture_cores, \
@@ -45,11 +46,11 @@ from helpers import balanced_powers, empty_output_chain, fixture_cores, \
 
 
 def _same_core(t):
-    """_core_at(t) against level_core_at at t's level and past it, with
+    """_core_at against level_core_at at t's level and past it, with
     one state that 0 fixes, and its states and table in str order."""
     level = sync_level(t)
     assert level is not None
-    got = _core_at(t)
+    got = _core_at(t, _view_of(t))
     for steps in (level, 2 * level + 3):
         want = level_core_at(t, steps)
         assert got.states == want.states
@@ -145,7 +146,7 @@ def test_core_of_words_its_refusal_the_same_under_every_hash_seed():
     hashing."""
     t = Transducer(2, None, CORE, list("abcdef"), None, SIX_STATES)
     assert sync_level(t) == 4
-    assert len(_core_at(t).states) == 6
+    assert len(_core_at(t, _view_of(t)).states) == 6
     script = (
         "from cantrans import CORE, InvalidTransducer, Transducer, core_of\n"
         "from test_core_walks import SIX_STATES\n"

@@ -42,7 +42,7 @@ from cantrans import (
 )
 from cantrans import fixtures
 from cantrans.randgen import random_gnr_element, random_transducer
-from cantrans.machine import _View, _refine
+from cantrans.machine import _View, _refine, _view_of
 from cantrans.minimize import _complete_responses
 from cantrans.synchro import _collapse
 
@@ -261,8 +261,7 @@ def test_refine_matches_sorted_rounds(corpus, multi_cores):
     merged = 0
     for t in corpus + doubled:
         kept = _closed_state_lists(t)[1] if t.mode == INITIAL else None
-        view = _view_of_states(t, kept)
-        _complete_responses(view)
+        view = _complete_responses(_view_of_states(t, kept))
         seeds = [[0] * len(view.states)]
         if t.mode == INITIAL:
             seeds[0][view.index[t.initial]] = 1
@@ -306,8 +305,7 @@ def test_fixpoint_and_partition_oracles_on_long_and_doubled(
     merged = 0
     for t in long_and_doubled:
         assert guaranteed_output(t) == full_pass_guaranteed_output(t)
-        view = _View(t)
-        _complete_responses(view)
+        view = _complete_responses(_View(t))
         seed = [0] * len(view.states)
         if t.mode == INITIAL:
             seed[view.index[t.initial]] = 1
@@ -389,7 +387,7 @@ def test_collapse_matches_row_collapse(random_machines, balanced_powers):
     machines += balanced_powers + [empty_output_chain(True)]
     synchronizing = 0
     for m in machines:
-        tracked, cls, level = _collapse(m)
+        tracked, cls, level = _collapse(m, _view_of(m))
         old_tracked, old_cls, old_level = row_collapse(m)
         assert (tracked, level) == (old_tracked, old_level)
         # the same partition, whatever the class numbers
@@ -492,7 +490,7 @@ def test_collapse_matches_round_remap_collapse(random_machines,
     machines += [empty_output_chain(True), empty_output_chain(False)]
     levels = []
     for m in machines:
-        got = _collapse(m)
+        got = _collapse(m, _view_of(m))
         assert got == round_remap_collapse(m)
         assert isinstance(got[1], list)
         levels.append(got[2])

@@ -319,10 +319,10 @@ def test_verified_invert_builds_no_product(monkeypatch, name):
 
 
 def _random_rows(rng, size, n, missing):
-    """Rows as _explore builds them: each letter an edge (letter,
-    output, target row) or None, None with probability `missing`."""
-    return [[None if rng.random() < missing
-             else (y, (y,), rng.randrange(size)) for y in range(n)]
+    """Target rows as _explore builds them: each letter's target state,
+    or None with probability `missing`."""
+    return [[None if rng.random() < missing else rng.randrange(size)
+             for _ in range(n)]
             for _ in range(size)]
 
 
@@ -334,15 +334,17 @@ def test_accepting_matches_the_worklist_pruning():
         tables.append(_random_rows(rng, size, n,
                                    rng.choice([0, 0.05, 0.2, 0.5])))
     # every row dead
-    tables += [_random_rows(rng, 6, 2, 1), [[None, (1, (1,), 0)]] * 3]
+    tables += [_random_rows(rng, 6, 2, 1), [[None, 0]] * 3]
     # two missing edges in one row
-    tables.append([[None, None], [(0, (0,), 0), (1, (1,), 1)]])
+    tables.append([[None, None], [0, 1]])
     for rows in tables:
         assert _accepting(rows) == worklist_accepting(rows)
     # the cases seen: tables with no missing edge keep every row, tables
     # where every row has a missing edge keep none, and rows miss two
-    complete = [rows for rows in tables if rows and all(map(all, rows))]
-    dead = [rows for rows in tables if rows and not any(map(all, rows))]
+    complete = [rows for rows in tables
+                if rows and all(None not in row for row in rows)]
+    dead = [rows for rows in tables
+            if rows and all(None in row for row in rows)]
     assert len(complete) > 50 and len(dead) > 10
     assert all(_accepting(rows) == list(range(len(rows)))
                for rows in complete)

@@ -38,7 +38,7 @@ from cantrans import (
 from cantrans import fixtures, machine, synchro
 from cantrans.algebra import _named_pairs, _Pairs
 from cantrans.machine import _MINIMAL, _NOT_SYNCHRONIZING, _SYNCHRONIZES, \
-    _VALID, _View, relabel
+    _VALID, _View, _view_of, relabel
 from cantrans.minimize import _reduce
 from cantrans.randgen import random_gnr_element
 from cantrans.synchro import _core_at
@@ -203,8 +203,9 @@ def test_single_steps_and_raw_products_are_not_marked():
     # nor do they know a level: the copy and the renaming of a leveled
     # machine, a single step, a raw product, a reduction and a core
     assert doubled._level is not None
-    for t in (_copy(m), renamed, merged, raw, _reduce(doubled), _core_at(m),
-              core_of(m), raw_a, parse(serialize(m))):
+    for t in (_copy(m), renamed, merged, raw, _reduce(doubled),
+              _core_at(m, _view_of(m)), core_of(m), raw_a,
+              parse(serialize(m))):
         assert t._level is None
 
 
@@ -226,9 +227,9 @@ def _raw_product(a, b):
 def test_a_core_is_marked_valid_only_when_its_machine_is():
     t = fixtures.balanced_core_2()
     assert t._known == _VALID
-    assert _core_at(t)._known == _VALID
+    assert _core_at(t, _view_of(t))._known == _VALID
     copy = _copy(t)
-    assert _core_at(copy)._known is None
+    assert _core_at(copy, _view_of(copy))._known is None
     # core_of checks that core and marks it
     core = core_of(copy)
     assert core._known == _VALID

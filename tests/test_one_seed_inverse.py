@@ -194,12 +194,12 @@ def _explorations(monkeypatch):
     step = _RunSets.step
 
     def recording_explore(sets, seeds, first_letters, n, prune):
-        nodes, rows = explore(sets, seeds, first_letters, n, prune)
-        runs.append((prune, len(nodes)))
-        return nodes, rows
+        view = explore(sets, seeds, first_letters, n, prune)
+        runs.append((prune, len(view.states)))
+        return view
 
-    def recording_accepting(rows):
-        keep = accepting(rows)
+    def recording_accepting(targets):
+        keep = accepting(targets)
         kept.append(len(keep))
         return keep
 

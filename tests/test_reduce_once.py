@@ -1,9 +1,9 @@
 """Each machine is validated and minimized once per operation: compose
 validates only the factors not known to be valid (never the pair machine
-of valid factors), invert validates the machine it builds once,
-from_prefix_code_map validates nothing (its machine is valid by
-construction), invert validates an input not known to be valid once
-and a minimal one not at all, is_in_Gnr reduces its input once, each
+of valid factors), invert and from_prefix_code_map validate no machine
+they build (each is valid by construction, checked here on copies),
+invert validates an input not known to be valid once and a minimal one
+not at all, is_in_Gnr reduces its input once, each
 machine is collapsed (synchro._collapse, the work behind every
 synchronization level) at most once per membership test,
 classification, order search and core ladder rung, degenerate
@@ -41,12 +41,15 @@ from cantrans import (
     random_prefix_code_map,
     serialize,
     sync_level,
+    twist_transducer,
+    validate,
 )
 from cantrans import algebra, fixtures, machine, synchro
-from cantrans.randgen import random_gnr_element
+from cantrans.randgen import random_gnr_element, random_transducer
 
-from helpers import count_calls, delayed_copy, random_bisync, \
-    round_remap_collapse, three_minimize_bisync, three_minimize_in_gnr
+from helpers import count_calls, delayed_copy, letter_loop_validate, \
+    random_bisync, round_remap_collapse, three_minimize_bisync, \
+    three_minimize_in_gnr
 
 # the package's `minimize` attribute is the function, not the module
 minimize_module = importlib.import_module("cantrans.minimize")
@@ -71,19 +74,18 @@ def test_compose_validates_the_product_once(monkeypatch):
     assert seen == [a2, b2]
 
 
-def test_invert_validates_its_input_and_the_inverse_once(monkeypatch):
-    # compose's result is known to be minimal, so only the inverse is
-    # validated; a copy through the public constructor is validated too
+def test_invert_validates_its_input_once_and_never_its_inverse(
+        monkeypatch):
+    # compose's result is known to be minimal, so nothing is validated;
+    # a copy through the public constructor is validated once, and the
+    # machine of sets, valid by construction, never
     a = compose(*_gnr_pair(5))
     copy = Transducer(a.n, a.r, a.mode, a.states, a.initial, a.trans)
     seen = count_calls(monkeypatch, machine, "validate")
     inverse = invert(a)
-    assert len(seen) == 1
-    assert all(isinstance(q, tuple) for q in seen[0].states)
+    assert seen == []
     assert serialize(invert(copy)) == serialize(inverse)
-    assert len(seen) == 3
-    assert seen[1] is copy
-    assert all(isinstance(q, tuple) for q in seen[2].states)
+    assert seen == [copy]
 
 
 def test_from_prefix_code_map_validates_nothing(monkeypatch):
@@ -208,21 +210,60 @@ def test_degenerate_compose_is_still_refused():
             compose(x, y)
 
 
-def test_degenerate_inverse_is_still_refused(monkeypatch):
-    # the pending-suffix inverses of the fixtures and of seeded random
-    # machines all validate, so the validation of the constructed inverse
-    # is made to report a violation
-    real = algebra.validate
+def _inversion_corpus():
+    """Initial machines whose inversion succeeds or is refused in each
+    way: the fixtures, twists, a delayed copy, G_{n,r} elements and
+    their products, bi-synchronizing machines and random machines."""
+    alphabets = (Alphabet(2, 1), Alphabet(3, 1), Alphabet(3, 2),
+                 Alphabet(4, 1))
+    out = [fixtures.sample_3_2(), fixtures.unbalanced_4_2(),
+           twist_transducer((1, 2, 0), Alphabet(3, 1)),
+           twist_transducer((1, 0, 3, 2), Alphabet(4, 2)), delayed_copy()]
+    for i in range(40):
+        alphabet = alphabets[i % 4]
+        gnr = random_gnr_element(alphabet, 3_000 + i)
+        out += [gnr, compose(gnr, random_gnr_element(alphabet, 3_500 + i)),
+                random_bisync(alphabet, 4_000 + i)]
+    out += [random_transducer(alphabets[i % 4], 1 + i % 2, 1, 88_000 + i)
+            for i in range(200)]
+    return out
 
-    def strict(t):
-        if any(isinstance(q, tuple) for q in t.states):
-            return ["forced violation"]
-        return real(t)
 
-    monkeypatch.setattr(algebra, "validate", strict)
-    with pytest.raises(NotInvertible,
-                       match="inverse construction degenerate: forced"):
-        invert(fixtures.sample_3_2())
+def test_raw_inverses_are_valid_by_construction(monkeypatch):
+    """invert reduces its machine of sets without validating it: a
+    public-constructor copy of each, named by its configurations, passes
+    validate and the letter loop, and minimizing the copy gives invert's
+    result."""
+    raws = []
+    explore = algebra._explore
+
+    def recording(*args, **kwargs):
+        raws.append(explore(*args, **kwargs))
+        return raws[-1]
+
+    monkeypatch.setattr(algebra, "_explore", recording)
+    checked = 0
+    for a in _inversion_corpus():
+        raws.clear()
+        try:
+            inverse = invert(a)
+        except NotInvertible:
+            inverse = None
+        if not raws:
+            continue
+        (raw,) = raws
+        trans = {(q, x): (w, raw.states[j])
+                 for q, letters, outs, targets in zip(
+                     raw.states, raw.letters, raw.outs, raw.targets)
+                 for x, w, j in zip(letters, outs, targets)}
+        copy = Transducer(a.n, a.r, INITIAL, raw.states, raw.states[0],
+                          trans)
+        assert validate(copy) == []
+        assert letter_loop_validate(copy) == []
+        if inverse is not None:
+            assert serialize(minimize(copy)) == serialize(inverse)
+        checked += 1
+    assert checked >= 150
 
 
 def _fixture_machines():

@@ -1,18 +1,21 @@
 """Typed refusals for degenerate arguments: machines without states, an
 initial machine whose only state is pre-root (neither has a tracked
 state), machines that list a state name twice (rows by position would
-answer for another machine), and an order search cap that is not an
-integer."""
+answer for another machine), a relabeling that misses a state or gives
+two states one name, a twist whose entries are not all ints, and an
+order search cap that is not an integer."""
 
 import pytest
 
 from cantrans import (
+    Alphabet,
     CORE,
     INITIAL,
     InvalidTransducer,
     ParseError,
     Transducer,
     TransducerError,
+    WordError,
     core_of,
     core_product,
     canonical_form,
@@ -27,10 +30,12 @@ from cantrans import (
     parse,
     serialize,
     sync_level,
+    twist_transducer,
     validate,
     witness_pair,
 )
 from cantrans.document import HEADER
+from cantrans.machine import relabel
 
 EMPTY_CORE = Transducer(2, None, CORE, [], None, {})
 # q0 writes the root and returns to itself: no state is ever tracked
@@ -79,13 +84,27 @@ TWICE_CORE = Transducer(2, None, CORE, ["a", "b", "a"], None,
      "duplicate state names"),
     (lambda: merge_equivalent_states(TWICE_CORE), TransducerError,
      "duplicate state names"),
+    (lambda: relabel(fixtures.torsion_core_2(), {"a": "x", "b": "y"}),
+     TransducerError, "relabeling misses state 'c'"),
+    # every state named x, and three extra keys padding the value set
+    (lambda: relabel(fixtures.torsion_core_2(),
+                     {"a": "x", "b": "x", "c": "x", "d": "x", 1: 1, 2: 2,
+                      3: 3}),
+     TransducerError, "relabeling is not a bijection"),
+    (lambda: twist_transducer(("a", 1), Alphabet(2, 1)), WordError,
+     "('a', 1) is not a permutation of 0..1"),
+    (lambda: twist_transducer((1.0, 0.0), Alphabet(2, 1)), WordError,
+     "(1.0, 0.0) is not a permutation of 0..1"),
+    (lambda: twist_transducer((True, False), Alphabet(2, 1)), WordError,
+     "(True, False) is not a permutation of 0..1"),
 ], ids=["core_of-empty", "core_of-root-loop", "sync_level-empty",
         "sync_level-root-loop", "witness_pair-empty",
         "witness_pair-root-loop", "product-empty-left",
         "product-empty-right", "outer-product-empty", "cycle_balance-empty",
         "serialize-empty", "canonical_form-twice", "merge-twice",
         "guaranteed_output-twice", "sync_level-twice", "sync_level-core-twice",
-        "merge-core-twice"])
+        "merge-core-twice", "relabel-missing", "relabel-not-injective",
+        "twist-str", "twist-float", "twist-bool"])
 def test_machines_without_states_are_refused(call, error, message):
     assert validate(ROOT_LOOP) != []
     with pytest.raises(error) as err:

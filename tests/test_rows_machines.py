@@ -6,10 +6,11 @@ Every reduction corpus gives the same machine as the eager build it
 replaced (helpers.eager_build, which zips the table at once): the same
 table in the same order, states, entry, document and canonical form.
 On the benchmark's hot paths, minimizing a long chain and evaluating
-points on it, and one rung of the core ladder with core_of and the
-classifiers on it, no machine built on rows builds its table, no view of
-one is built from a table, and the library builds no name-keyed table
-at all after parse.  run_word and
+points on it, one rung of the core ladder with core_of and the
+classifiers on it, and inverting machines and building prefix-code
+maps, no machine built on rows builds its table, no view of one is
+built from a table, and the library builds no name-keyed table at all
+after parse; core_of builds one view of a parsed chain.  run_word and
 eval_point walk the rows of such a machine and give the results and
 refusal texts of its public-constructor copy."""
 
@@ -172,11 +173,10 @@ def test_reductions_match_the_eager_build(monkeypatch):
 def watch(monkeypatch):
     """Records the machines built on rows, the name-keyed tables built
     (from a machine's rows, or given to a machine by the public
-    constructor or Transducer._own), and the machines built on rows a
-    _View was built from."""
+    constructor), and the machines built on rows a _View was built
+    from."""
     seen = {"built": [], "tables": [], "views": []}
-    real_of_rows, real_own = Transducer._of_rows.__func__, \
-        Transducer._own.__func__
+    real_of_rows = Transducer._of_rows.__func__
     real_table, real_init = _View._table, _View.__init__
     real_new = Transducer.__init__
 
@@ -184,11 +184,6 @@ def watch(monkeypatch):
         t = real_of_rows(cls, *args)
         seen["built"].append(t)
         return t
-
-    def own(cls, n, r, mode, states, initial, trans, known):
-        if trans is not None:
-            seen["tables"].append(trans)
-        return real_own(cls, n, r, mode, states, initial, trans, known)
 
     def new(self, *args):
         seen["tables"].append(args[-1])
@@ -204,7 +199,6 @@ def watch(monkeypatch):
         real_init(self, t)
 
     monkeypatch.setattr(Transducer, "_of_rows", classmethod(of_rows))
-    monkeypatch.setattr(Transducer, "_own", classmethod(own))
     monkeypatch.setattr(Transducer, "__init__", new)
     monkeypatch.setattr(_View, "_table", table)
     monkeypatch.setattr(_View, "__init__", init)
@@ -237,6 +231,47 @@ def test_chain_paths_build_no_table_from_rows(watch):
         assert watch["tables"] == [] and watch["views"] == []
         assert m._trans is None
         assert got == [eval_point(chain, x) for x in points]
+
+
+def test_core_of_a_parsed_chain_builds_one_view(monkeypatch):
+    """core_of takes one view of a machine that holds no rows, for both
+    its collapse and its closure."""
+    t = parse(serialize(empty_output_chain(False)))
+    views = []
+    real_init = _View.__init__
+
+    def init(self, m):
+        views.append(m)
+        real_init(self, m)
+
+    monkeypatch.setattr(_View, "__init__", init)
+    core = core_of(t)
+    assert views == [t]
+    assert core.states == ("e",) and core._rows is not None
+
+
+def test_inversions_and_prefix_maps_build_no_table(watch):
+    """After parse, invert builds its machine of sets, and
+    from_prefix_code_map its prefix tree, on rows: neither builds a
+    name-keyed table or a _View of a machine built on rows, and no
+    machine built on rows builds its table."""
+    initials = [parse(serialize(t)) for t in (
+        fixtures.sample_3_2(), twist_transducer((1, 2, 0), Alphabet(3, 1)),
+        *(random_gnr_element(alphabet, 28_000 + i)
+          for i, alphabet in enumerate(ALPHABETS)),
+        random_bisync(Alphabet(2, 1), 28_100))]
+    maps = [(random_prefix_code_map(alphabet, 28_200 + i), alphabet)
+            for i, alphabet in enumerate(ALPHABETS * 3)]
+    watch["built"].clear()
+    watch["tables"].clear()
+    inverses = [invert(t) for t in initials]
+    built = [from_prefix_code_map(pm, alphabet) for pm, alphabet in maps]
+    assert watch["tables"] == [] and watch["views"] == []
+    # invert: the input's reduction, the machine of sets and its
+    # reduction; from_prefix_code_map: the prefix tree and its reduction
+    assert len(watch["built"]) == 3 * len(initials) + 2 * len(maps)
+    assert all(t._trans is None for t in watch["built"])
+    assert all(m._rows is not None for m in inverses + built)
 
 
 def _ladder_answers(base):

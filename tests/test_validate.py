@@ -299,8 +299,8 @@ def _record_core_at(monkeypatch):
     cores = []
     real = synchro._core_at
 
-    def recording(t):
-        cores.append(real(t))
+    def recording(t, view):
+        cores.append(real(t, view))
         return cores[-1]
 
     monkeypatch.setattr(synchro, "_core_at", recording)
@@ -417,14 +417,16 @@ def test_cli_invert_member_outer_eq_validate_each_document_once(
             validated = count_calls(patch, machine, "_violations")
             inverted = count_calls(patch, algebra, "invert")
             assert _run(cli.main, argv, capsys) == want
-        # validate's stages run once per document read, and once on each
-        # machine invert builds (on pairs (state, pending word); invert
-        # refuses a core first); the later validate and check_valid calls
-        # on the parsed machines and their cores return at once
+        # validate's stages run once per document read, and never on a
+        # machine invert builds (its machine of sets, on pairs (state,
+        # pending word), is valid by construction); the later validate
+        # and check_valid calls on the parsed machines and their cores
+        # return at once
         docs = len(argv) - 1
-        built = [m for m in inverted if m.mode == INITIAL]
-        assert len(validated) == docs + len(built)
-        assert all(isinstance(m.states[0], tuple) for m in validated[docs:])
+        assert len(validated) == docs
+        assert not any(isinstance(m.states[0], tuple) for m in validated)
+        assert bool(inverted) == (argv[0] == "invert" or
+                                  argv[0] == "member" and t.mode == INITIAL)
 
 
 def test_prefix_map_machines_are_valid_by_construction(monkeypatch):
