@@ -21,7 +21,7 @@ from .machine import CORE, TransducerError, canonical_form, _view_of, \
     _words
 from .minimize import minimize
 from .synchro import NotSynchronizing, _synchronizes, core_of, \
-    core_product, is_bisynchronizing, is_identity_core
+    core_product, invert_core, is_bisynchronizing, is_identity_core
 
 
 def is_in_Gnr(t):
@@ -56,9 +56,12 @@ def order_in_On(a, cap=64):
     the powers can prove an infinite order: a^i == a^j already makes
     a^(j-i) the identity, which the search meets first.
 
-    The core is minimized and checked for synchronization once; its
-    powers are core products, which are known to be valid and to
-    synchronize, so no factor is validated or collapsed again."""
+    The core is minimized, checked for synchronization and inverted
+    once: a core outside O_n, whose powers never reach the identity and
+    grow without bound, is refused by invert_core's NotInvertible (or
+    NotInjective) before the search.  The powers are core products,
+    known to be valid and to synchronize, so no factor is validated or
+    collapsed again."""
     if a.mode != CORE:
         raise TransducerError("order_in_On expects a core-mode machine")
     if not isinstance(cap, int) or cap < 1:
@@ -67,6 +70,7 @@ def order_in_On(a, cap=64):
     a = minimize(a)
     if not _synchronizes(a):
         raise NotSynchronizing("order search needs a synchronizing core")
+    invert_core(a)
     power = a
     for k in range(1, cap + 1):
         if is_identity_core(power):

@@ -16,8 +16,10 @@ Prefix-code maps are lines `eta -> zeta`, one cone pair per line.
 Parsing is one pass over the lines, each split once.  Token columns are
 found only for the line an error is raised on, each distinct letter
 token and each distinct output is parsed once per document, and the
-machine is validated once; validate marks the machine it passes valid,
-so library calls on it do not validate it again.
+machine is validated once.  It gets the table parse built, with no copy;
+a machine that passes validate is marked valid and keeps the integer
+rows validate checked in place of that table, so library calls on it
+neither validate it again nor build a view of it.
 """
 
 import re
@@ -165,9 +167,11 @@ def parse(text):
 
     # states in order of first mention, the initial state first
     try:
-        t = Transducer(n, r, mode, dict.fromkeys(names), initial, trans)
+        t = Transducer(n, r, mode, dict.fromkeys(names), initial, {})
     except (WordError, TransducerError) as e:
         raise ParseError(alpha_line, 1, str(e)) from None
+    # its words are tuples already, so the table needs no per-entry copy
+    object.__setattr__(t, "_trans", trans)
     bad = validate(t)
     if bad:
         # each line of the table added one key, in order

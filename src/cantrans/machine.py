@@ -17,36 +17,28 @@ Transducers are immutable after construction; all operations here are
 pure functions.  A machine's private `_known` slot records what is known
 of it: nothing, that it is valid (validate marks each machine that
 passes it, and library code marks the machines it builds valid by
-construction, such as algebra.from_prefix_code_map's prefix tree), or
-that it is minimal (see minimize._reduce); validate and check_valid
-return at once on a machine that knows either.  Its `_level` slot
-records what is known of its synchronization: nothing, that it
-synchronizes (core products and inverse cores, see synchro.core_product),
-its level, or that it does not synchronize (both recorded by
-synchro._collapse).  The table never changes, so neither fact goes
-stale; the public constructor and relabel start a machine knowing
-nothing.
+construction), or that it is minimal (see minimize._reduce); validate
+and check_valid return at once on a machine that knows either.  Its
+`_level` slot records what is known of its synchronization: nothing,
+that it synchronizes (core products and inverse cores), its level, or
+that it does not synchronize (both recorded by synchro._collapse).  A
+machine never changes, so neither fact goes stale; the public
+constructor and relabel start a machine knowing nothing.
 
-Its `_rows` slot holds the integer rows (a _View of its own states) of
-every reduction result (see minimize._build) and every core (see
-synchro._core_at), and of the machines the library reduces, which are
-built on rows from the first: the pair closures of compose and
-core_product, the machines of sets of both inversions and the prefix
-tree of from_prefix_code_map.  Rows are never changed once built.
-Kernels read rows only, and take them through _view_of, which hands out
-a machine's own rows as they are, or builds a view from the table of a
-machine that holds none.  The name-keyed table `trans` is read only
-where unchecked input is checked or walked: validate, reachable,
-pre_root_states, Transducer.step, serialize, and run_word and eval_point
-on a machine not known to be valid; and _words (for max_output_len and
-classify.is_synchronous), a plain scan of output words that needs no
-view.  A machine built on rows builds its table from them on first read
-of `trans` and keeps it.  The public constructor, relabel and parse keep
-the table they are given and hold no rows.
+Its `_rows` slot holds the integer rows (a _View of its own states),
+which kernels read through _view_of and which never change once built:
+every machine the library builds is built on rows, and validate keeps
+the view it checks as the rows of a machine that passes.  Such a
+machine builds its table `trans` from its rows on first read and keeps
+it.  Only a machine not yet checked, or one that failed, holds a table
+and no rows: it is walked through its table (validate, reachable,
+pre_root_states, Transducer.step, serialize, run_word, eval_point), and
+a kernel builds a view of its table per call.
 """
 
-from itertools import chain, compress, count, product, repeat
-from operator import add, eq, itemgetter, ne, not_
+from collections import Counter
+from itertools import chain, compress, count, filterfalse, product, repeat
+from operator import add, contains, eq, itemgetter, ne, not_
 
 from .words import (
     EMPTY,
@@ -94,11 +86,12 @@ class UnboundedOutput(TransducerError):
 
 class Transducer:
     """A machine on its transition table, `trans`, which maps
-    (state, letter) -> (output word, target state).  A machine built by
-    the public constructor, relabel or parse holds that table, which
-    validate checks; one the library builds on integer rows (see
-    Transducer._of_rows) holds the rows in `_rows`, which kernels read,
-    and builds the table from them on first read of `trans`."""
+    (state, letter) -> (output word, target state).  The public
+    constructor and relabel give a machine that table; validate checks
+    it on a view, which a machine that passes keeps in `_rows` in place
+    of the table.  The library builds its machines on rows (see
+    Transducer._of_rows).  Kernels read the rows, and a machine that
+    holds them builds its table from them on first read of `trans`."""
 
     __slots__ = ("n", "r", "mode", "states", "initial", "_trans", "_known",
                  "_level", "_rows")
@@ -252,21 +245,81 @@ def validate(t):
     """All non-degeneracy checks; returns a list of violation strings.
 
     A machine whose `_known` slot is set (valid or minimal) returns []
-    at once.  Otherwise the stages of _violations run; a machine that
-    passes them all is marked valid, and one that fails is never marked,
-    so each later call finds the same violations again.  The memo
-    trusts the table never to change, as minimize does when it returns
-    a machine marked minimal as it is."""
+    at once; any other is checked by _stages.  One that passes keeps the
+    view they checked as its rows, is marked valid and drops its table,
+    in that order, so that a reader that finds no table finds the rows.
+    One that fails keeps its table, holds no rows and is never marked:
+    _violations words what fails, and each later call finds it again."""
     if t._known is not None:
         return []
-    out = _violations(t)
-    if not out:
-        t._know(_VALID)
-    return out
+    view = _stages(t)
+    if view is None:
+        return _violations(t)
+    object.__setattr__(t, "_rows", view)
+    t._know(_VALID)
+    object.__setattr__(t, "_trans", None)
+    return []
+
+
+def _stages(t):
+    """validate's five stages (see _violations) on t's rows, or on the
+    view of its table they build: the view when t passes, else None.
+    Stage 2 is the view's lookups and a count that leaves no stray key
+    (rows hold each admissible transition by construction); stage 3
+    tests the distinct words; stage 4 counts the pre-root states' edges
+    that write nothing or leave rooted, and all edges that enter those
+    states or write a root letter, which must agree; stage 5 peels the
+    empty-output edges (_silent_cycle)."""
+    if not t.states or t.initial is not None and t.initial not in t.states:
+        return None
+    view = t._rows
+    if view is None:
+        try:
+            view = _View(t)  # refuses a name listed twice
+        except TransducerError:
+            return None
+        if len(t.trans) != sum(map(len, view.letters)):
+            return None
+    outs, targets, entry = view.outs, view.targets, view.entry
+    words = set(chain.from_iterable(outs))
+    if not _words_in_range(words, t.n, t.r or 0):
+        return None
+    if entry is not None:
+        inside = set(_pre_root(view))
+        edges = [e for i in inside for e in zip(outs[i], targets[i])]
+        rooted = {w for w in words if w and w[0] < 0}
+        silent = sum(not w and j != entry for w, j in edges)
+        leaving = sum(w in rooted and j not in inside for w, j in edges)
+        into = sum(map(inside.__contains__, chain.from_iterable(targets)))
+        writing = sum(map(rooted.__contains__, chain.from_iterable(outs)))
+        if (silent, leaving, silent + leaving) != (into, writing, len(edges)):
+            return None
+    return None if EMPTY in words and _silent_cycle(view) else view
+
+
+def _silent_cycle(view):
+    """Whether some cycle of the view writes nothing: a Kahn peel of the
+    empty-output edges on state numbers, over the states that have one
+    (no other state lies on such a cycle).  A state is peeled once every
+    such edge into it leaves a peeled state; a cycle is left exactly
+    when some state is not peeled."""
+    outs, targets = view.outs, view.targets
+    succ = {i: [j for w, j in zip(outs[i], targets[i]) if not w]
+            for i in compress(count(), map(contains, outs, repeat(EMPTY)))}
+    into = Counter(filter(succ.__contains__, chain.from_iterable(
+        succ.values())))
+    free = list(filterfalse(into.__getitem__, succ))
+    for i in free:
+        for j in filter(succ.__contains__, succ[i]):
+            into[j] -= 1
+            if not into[j]:
+                free.append(j)
+    return len(free) < len(succ)
 
 
 def _violations(t):
-    """validate's stages on a machine not known to be valid.
+    """validate's messages for a machine _stages refuses, worded by
+    loops over the table.
 
     The checks run in five stages, in this order; a stage that finds a
     violation returns the messages found so far, and later stages do not
@@ -284,14 +337,7 @@ def _violations(t):
        pre-root states (reached from it with empty output) are entered
        only from one another with empty output and left with a rooted
        output; every other transition writes digits only;
-    5. no cycle of transitions with empty output.
-
-    On a valid machine stages 2 and 3 are a few passes at C speed over
-    the table: a count, set inclusions, and the least and greatest first
-    letter and other letter of the distinct output words.  Stage 4 tests
-    w[0] of each transition's word and stage 5 searches the empty-output
-    transitions only.  The per-letter loops that word the messages run
-    only in a stage that fails."""
+    5. no cycle of transitions with empty output."""
     out = []
     states = set(t.states)
     if not states:
@@ -304,35 +350,40 @@ def _violations(t):
         out.append(f"start state {t.initial!r} not in state list")
 
     trans = t.trans
-    if out or not _complete_table(t, states):
-        expected = set()
-        for q in t.states:
-            for x in t.input_letters(q):
-                expected.add((q, x))
-        for key in expected - set(trans):
-            q, x = key
-            out.append(f"incomplete transition table: missing "
-                       f"({q!r}, {format_letter(x)})")
-        for key in set(trans) - expected:
-            q, x = key
-            out.append(f"stray transition ({q!r}, {format_letter(x)})")
-        if out:
-            return out
-
-    targets = set(map(itemgetter(1), trans.values()))
-    words = set(map(itemgetter(0), trans.values()))
-    if not (states.issuperset(targets) and
-            _words_in_range(words, t.n, t.r or 0)):
-        out = _transition_violations(t, states)
-        if out:
-            return out
+    expected = {(q, x) for q in t.states for x in t.input_letters(q)}
+    for q, x in expected - set(trans):
+        out.append(f"incomplete transition table: missing "
+                   f"({q!r}, {format_letter(x)})")
+    for q, x in set(trans) - expected:
+        out.append(f"stray transition ({q!r}, {format_letter(x)})")
+    if out:
+        return out
+    for (q, x), (w, tgt) in trans.items():
+        if tgt not in states:
+            out.append(f"transition ({q!r}, {format_letter(x)}) targets "
+                       f"unknown state {tgt!r}")
+            continue
+        try:
+            check_word_shape(w)
+        except WordError as e:
+            out.append(f"output of ({q!r}, {format_letter(x)}): {e}")
+            continue
+        for y in w:
+            if is_root(y):
+                if t.mode == CORE or -y - 1 >= t.r:
+                    out.append(f"output of ({q!r}, {format_letter(x)}) uses "
+                               f"root letter {format_letter(y)} out of range")
+            elif y >= t.n:
+                out.append(f"output of ({q!r}, {format_letter(x)}) uses "
+                           f"digit {y} out of range")
+    if out:
+        return out
 
     if t.mode == INITIAL:
-        if t.initial in targets:
-            for (q, x), (w, tgt) in trans.items():
-                if tgt == t.initial:
-                    out.append(f"initial state has an incoming transition "
-                               f"from ({q!r}, {format_letter(x)})")
+        for (q, x), (w, tgt) in trans.items():
+            if tgt == t.initial:
+                out.append(f"initial state has an incoming transition "
+                           f"from ({q!r}, {format_letter(x)})")
         pre = t.pre_root_states()
         # shapes are checked: a word is rooted exactly when w[0] < 0
         for (q, x), (w, tgt) in trans.items():
@@ -357,68 +408,18 @@ def _violations(t):
         if out:
             return out
 
-    if EMPTY in words:
-        cyc = _epsilon_cycle(t)
-        if cyc is not None:
-            out.append("epsilon-output cycle through " +
-                       " -> ".join(repr(q) for q in cyc))
-    return out
-
-
-def _complete_table(t, states):
-    """Whether the transition keys are exactly the admissible (state,
-    letter) pairs, for a machine whose state names are distinct and
-    include its initial state: as many keys as pairs, and every key
-    admissible.  In initial mode the initial state has a key for each
-    root letter and none for a digit, and no other key has a root
-    letter."""
-    trans = t.trans
-    if not states.issuperset(map(itemgetter(0), trans)):
-        return False
-    letters = set(map(itemgetter(1), trans))
-    digits = range(t.n)
-    if t.mode == CORE:
-        return (len(trans) == len(states) * t.n and
-                letters.issubset(digits))
-    q0 = t.initial
-    roots = t.input_letters(q0)
-    return (len(trans) == (len(states) - 1) * t.n + t.r and
-            letters.issubset((*roots, *digits)) and
-            sum(map((0).__gt__, map(itemgetter(1), trans))) == t.r and
-            all((q0, x) in trans for x in roots) and
-            not any((q0, d) in trans for d in digits))
-
-
-def _transition_violations(t, states):
-    """validate's stage 3 messages, letter by letter, in table order."""
-    out = []
-    for (q, x), (w, tgt) in t.trans.items():
-        if tgt not in states:
-            out.append(f"transition ({q!r}, {format_letter(x)}) targets "
-                       f"unknown state {tgt!r}")
-            continue
-        try:
-            check_word_shape(w)
-        except WordError as e:
-            out.append(f"output of ({q!r}, {format_letter(x)}): {e}")
-            continue
-        for y in w:
-            if is_root(y):
-                if t.mode == CORE or -y - 1 >= t.r:
-                    out.append(f"output of ({q!r}, {format_letter(x)}) uses "
-                               f"root letter {format_letter(y)} out of range")
-            elif y >= t.n:
-                out.append(f"output of ({q!r}, {format_letter(x)}) uses "
-                           f"digit {y} out of range")
+    cyc = _epsilon_cycle(t)
+    if cyc is not None:
+        out.append("epsilon-output cycle through " +
+                   " -> ".join(repr(q) for q in cyc))
     return out
 
 
 def _epsilon_cycle(t):
-    """A cycle along transitions with empty output, or None.  Depth-first
-    search with an explicit stack, so long empty-output chains need no
-    recursion.  Searches start, in state order, only at states with an
-    empty-output transition: no other state lies on such a cycle, and a
-    search from one would end at once."""
+    """A cycle along transitions with empty output, or None, on the table:
+    validate's stage 5 message.  Depth-first search with an explicit
+    stack, started, in state order, only at states with an empty-output
+    transition (no other state lies on such a cycle)."""
     eps = {}
     for (q, _x), (w, tgt) in t.trans.items():
         if not w:
@@ -448,8 +449,7 @@ def _epsilon_cycle(t):
 
 def check_valid(t):
     """t itself when validate finds nothing, else InvalidTransducer with
-    the violations.  validate records a pass on t, whose table never
-    changes, so a machine known to be valid returns at once."""
+    the violations; a machine known to be valid returns at once."""
     violations = validate(t)
     if violations:
         raise InvalidTransducer(violations)
@@ -459,10 +459,10 @@ def check_valid(t):
 def run_word(t, state, word):
     """Extended transition/output: feed `word` from `state`, returning
     (output, end state).  Admissibility is checked eagerly: rooted words
-    only from the initial state, digit words never from it.  A valid
-    machine built on rows is walked on its rows when its rows read the
-    word (see _walked_rows), any other by one lookup in the table per
-    letter; the outputs are gathered in one list.  Only the table walk
+    only from the initial state, digit words never from it.  A machine
+    known to be valid is walked on its rows when they read the word
+    (see _walked_rows), any other by one lookup in the table per letter;
+    the outputs are gathered in one list.  Only the table walk
     meets a missing transition, which Transducer.step refuses."""
     _check_start(t, state, word)
     out = []
@@ -490,13 +490,13 @@ def _check_start(t, state, word):
 
 def _walked_rows(t, word, period=EMPTY):
     """The rows on which run_word and eval_point walk `word` (and pump
-    `period`), checked by _check_start: those of a machine built on rows
-    and known to be valid, in which nothing enters the entry and every
-    other state reads the n digits, when the words hold only letters
-    such rows read: a root letter of the alphabet in front, and digits
-    below n (one min and one max per word).  None otherwise: the walk
-    then goes through the table, where a missing transition is refused
-    as Transducer.step refuses it."""
+    `period`), checked by _check_start: those of a machine known to be
+    valid (every such machine holds rows), in which nothing enters the
+    entry and every other state reads the n digits, when the words hold
+    only letters such rows read: a root letter of the alphabet in front,
+    and digits below n (one min and one max per word).  None otherwise:
+    the walk then goes through the table, where a missing transition is
+    refused as Transducer.step refuses it."""
     rows = t._rows
     if rows is None or t._known is None:
         return None
@@ -583,20 +583,20 @@ class _View:
     letters -1, -2, ... at 0, 1, ....  The name -> number map `index` is
     built on first use.
 
-    A view is either built from the table of a machine that holds no
-    rows, by _View(t), or taken from rows already on state numbers
-    (_View._of_rows): the closure of a pair product, an inversion's
-    machine of sets, a prefix tree, a sub-view cut by _cut, or the rows
-    of a machine the library built on them (Transducer._rows).  Kernels
-    get either through _view_of; `_table` builds the name-keyed table
-    of the rows.
+    A view is built by _View(t) from the table of a machine that holds
+    no rows: once by validate, which a machine that passes keeps as its
+    rows, or per kernel call on a machine not checked.  Or it is taken
+    from rows already on state numbers (_View._of_rows): the closure of
+    a pair product, an inversion's machine of sets, a prefix tree or a
+    sub-view cut by _cut.  Kernels get a machine's view through
+    _view_of; `_table` builds the name-keyed table of the rows.
 
     Built from the table, the view covers all of t's states.  A name
     listed twice is refused with TransducerError, as validate words it,
-    since rows by position would answer for another machine; so is a
-    target that is not a state.  The table is read at C speed: one
-    lookup of every digit row in state order (plus the entry's root
-    row, in initial mode), one map of the targets to numbers, and the
+    since rows by position would answer for another machine; so are a
+    missing transition and a target that is not a state.  The table is
+    read at C speed: one lookup of every digit row in state order (plus
+    the entry's root row), one map of the targets to numbers, and the
     columns cut into rows; the digit rows share one letters tuple.  Only
     a lookup that fails runs the letter loop of _View._fail, which words
     the error for the first failing state."""
@@ -704,9 +704,9 @@ class _View:
 
 def _view_of(t):
     """The integer view of all of t's states for one kernel call, the
-    one way kernels read a machine: the rows of a machine built on them,
-    as they are (no kernel changes them), or else a view built from its
-    table by _View."""
+    one way kernels read a machine: its rows, as they are (no kernel
+    changes them), when it was built on rows or has passed validate, or
+    else a view built from its table by _View."""
     rows = t._rows
     return _View(t) if rows is None else rows
 
@@ -823,8 +823,8 @@ def eval_point(t, point, state=None):
     first repeat become the image's preperiod and the outputs around the
     state cycle its period.  The start state and the preperiod are
     checked as run_word checks them, and both words are walked as
-    run_word walks them: on the rows of a valid machine built on rows,
-    by state number, else through the table by name.  The pumps look
+    run_word walks them: on the rows of a machine known to be valid, by
+    state number, else through the table by name.  The pumps look
     the transitions up directly, so the cost is linear in pumps times
     period length."""
     if state is None:

@@ -1,4 +1,6 @@
 import importlib
+import os
+import time
 from itertools import permutations
 
 import pytest
@@ -6,22 +8,27 @@ import pytest
 from cantrans import (
     Alphabet,
     CORE,
+    NotInjective,
     NotSynchronizing,
     Transducer,
     TransducerError,
     canonical_form,
     check_permutation_state,
     classify_subgroup,
+    cli,
     compose,
     core_of,
+    core_product,
     cycle_balance,
     identity_core,
     invert,
+    invert_core,
     is_in_Gnr,
     minimize,
     order_in_On,
     outer_class_equal,
     outer_product,
+    parse,
     twist_transducer,
 )
 from cantrans.fixtures import balanced_core_2, sample_3_2, \
@@ -105,6 +112,48 @@ def test_order_examples():
 
 def test_order_detects_identity_immediately():
     assert order_in_On(identity_core(2)) == ("finite", 1)
+
+
+# synchronizing cores that are not injective, so outside O_n: the second
+# is the first with `d 0 -> j` in place of `d 0 -> a`
+OUTSIDE_On = ("not_invertible_c", "not_invertible_c_mutated")
+
+
+def _data(name):
+    path = os.path.join(os.path.dirname(__file__), "data", f"{name}.ct")
+    with open(path) as f:
+        return path, f.read()
+
+
+@pytest.mark.parametrize("name", OUTSIDE_On)
+def test_order_refuses_a_core_outside_On(name):
+    """The powers of such a core never reach the identity and grow
+    without bound, so the search refuses the core up front, with
+    invert_core's refusal, at any cap."""
+    a = minimize(parse(_data(name)[1]))
+    powers = [a, core_product(a, a)]
+    powers.append(core_product(powers[-1], a))
+    assert len(powers[0].states) < len(powers[1].states) < \
+        len(powers[2].states)
+    with pytest.raises(NotInjective) as want:
+        invert_core(a)
+    for cap in (1, 5, 64):
+        with pytest.raises(NotInjective) as got:
+            order_in_On(parse(_data(name)[1]), cap=cap)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("name", OUTSIDE_On)
+def test_cli_order_refuses_a_core_outside_On_at_the_default_cap(name,
+                                                                 capsys):
+    start = time.perf_counter()
+    code = cli.main(["order", _data(name)[0]])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: not invertible: not injective: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert elapsed < 1.0
 
 
 def test_cycle_balance_witnesses():

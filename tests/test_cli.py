@@ -114,7 +114,7 @@ def test_order_validates_its_input_once(name, tmp_path, monkeypatch,
     path = tmp_path / "in.ct"
     path.write_text(doc)
     argv = ["order", str(path), "--cap", cap]
-    seen = count_calls(monkeypatch, machine, "_violations")
+    seen = count_calls(monkeypatch, machine, "_stages")
     got = (main(argv), *capsys.readouterr())
     # the parsed document only: the power search's factors are valid, so
     # neither they nor their products run validate's stages again

@@ -173,7 +173,7 @@ def test_pair_machine_is_validated_once(monkeypatch):
     # and factors known to be valid (minimal ones) not at all
     a = minimize(balanced_core_2())
     b = core_product(a, a)
-    seen = count_calls(monkeypatch, machine, "_violations")
+    seen = count_calls(monkeypatch, machine, "_stages")
     product = core_product(b, a)
     assert seen == []
     a2, b2 = (Transducer(c.n, None, CORE, c.states, None, c.trans)

@@ -144,7 +144,7 @@ def test_an_invalid_machine_is_refused_on_every_call(monkeypatch):
 def test_check_valid_marks_a_machine_and_then_returns_at_once(monkeypatch):
     t = _copy(fixtures.sample_3_2())
     assert t._known is None
-    seen = count_calls(monkeypatch, machine, "_violations")
+    seen = count_calls(monkeypatch, machine, "_stages")
     for _ in range(3):
         assert check_valid(t) is t
     assert seen == [t]
@@ -174,7 +174,7 @@ def test_a_failing_machine_stays_unmarked(monkeypatch):
 def test_a_known_machine_runs_no_stage(monkeypatch, minimal_corpus):
     valid = [parse(text) for text in fixtures.ALL.values()]
     valid += [check_valid(empty_output_chain(core)) for core in (True, False)]
-    seen = count_calls(monkeypatch, machine, "_violations")
+    seen = count_calls(monkeypatch, machine, "_stages")
     for t in valid + minimal_corpus:
         assert t._known in (_VALID, _MINIMAL)
         assert validate(t) == []

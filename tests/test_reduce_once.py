@@ -65,7 +65,7 @@ def test_compose_validates_the_product_once(monkeypatch):
     # valid factors make a valid pair machine, so only they are checked,
     # and factors known to be valid (minimal ones) not at all
     a, b = _gnr_pair(3)
-    seen = count_calls(monkeypatch, machine, "_violations")
+    seen = count_calls(monkeypatch, machine, "_stages")
     product = compose(a, b)
     assert seen == []
     a2, b2 = (Transducer(t.n, t.r, t.mode, t.states, t.initial, t.trans)
@@ -167,7 +167,9 @@ def test_order_search_synchronizes_its_core_once(monkeypatch):
     a = minimize(fixtures.balanced_core_2())
     seen = count_calls(monkeypatch, synchro, "_collapse")
     assert order_in_On(a, cap=3) == ("unknown", None)
-    assert [len(t.states) for t in seen] == [10]
+    # the core, then the machine of sets of its inverse, which the search
+    # builds once to refuse a core outside O_n; no power is collapsed
+    assert [len(t.states) for t in seen] == [10, 11]
 
 
 def test_a_ladder_rung_is_collapsed_once(monkeypatch):

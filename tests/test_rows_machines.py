@@ -10,9 +10,13 @@ points on it, one rung of the core ladder with core_of and the
 classifiers on it, and inverting machines and building prefix-code
 maps, no machine built on rows builds its table, no view of one is
 built from a table, and the library builds no name-keyed table at all
-after parse; core_of builds one view of a parsed chain.  run_word and
-eval_point walk the rows of such a machine and give the results and
-refusal texts of its public-constructor copy."""
+after parse.  A machine checked by validate keeps the view it was
+checked on: parse builds one view of a chain, which the chain keeps,
+core_of builds none, and neither core_product of a parsed core nor
+minimize and eval_point of a validated chain builds one; a machine built
+on rows is validated on its rows.  run_word and eval_point walk the rows
+of such a machine and give the results and refusal texts of its
+public-constructor copy."""
 
 import importlib
 import random
@@ -48,14 +52,16 @@ from cantrans import (
     serialize,
     sync_level,
     twist_transducer,
+    validate,
 )
-from cantrans.machine import _View
+from cantrans import machine
+from cantrans.machine import _VALID, _View
 from cantrans.randgen import random_gnr_element, random_prefix_code_map, \
     random_transducer
 
 import helpers
-from helpers import balanced_powers, duplicated_states, eager_build, \
-    empty_output_chain, multi_core_bisync, random_bisync
+from helpers import balanced_powers, count_calls, duplicated_states, \
+    eager_build, empty_output_chain, multi_core_bisync, random_bisync
 
 minimize_module = importlib.import_module("cantrans.minimize")
 
@@ -234,9 +240,11 @@ def test_chain_paths_build_no_table_from_rows(watch):
 
 
 def test_core_of_a_parsed_chain_builds_one_view(monkeypatch):
-    """core_of takes one view of a machine that holds no rows, for both
-    its collapse and its closure."""
-    t = parse(serialize(empty_output_chain(False)))
+    """parse validates the chain once, on the one view it builds of the
+    table, and the chain keeps that view: core_of builds none for its
+    collapse and its closure."""
+    text = serialize(empty_output_chain(False))
+    stages = count_calls(monkeypatch, machine, "_stages")
     views = []
     real_init = _View.__init__
 
@@ -245,9 +253,56 @@ def test_core_of_a_parsed_chain_builds_one_view(monkeypatch):
         real_init(self, m)
 
     monkeypatch.setattr(_View, "__init__", init)
+    t = parse(text)
+    assert stages == [t] and views == [t]
+    assert t._trans is None and t._rows is not None
     core = core_of(t)
-    assert views == [t]
+    assert stages == [t] and views == [t]
     assert core.states == ("e",) and core._rows is not None
+
+
+def test_checked_machines_build_no_view_after_validate(monkeypatch):
+    """A machine keeps the view validate checked: core_product(a, a) of
+    the parsed BALANCED_CORE_2 builds one view of a table, in parse, and
+    none after, and minimize then eval_point of a validated chain build
+    none, with the images its unchecked copy gives."""
+    views = []
+    real_init = _View.__init__
+
+    def init(self, m):
+        views.append(m)
+        real_init(self, m)
+
+    monkeypatch.setattr(_View, "__init__", init)
+    a = parse(fixtures.BALANCED_CORE_2)
+    assert views == [a]
+    product = core_product(a, a)
+    assert views == [a] and len(product.states) == 34
+    rng = random.Random(2209)
+    for core in (False, True):
+        chain = empty_output_chain(core)
+        copy = Transducer(chain.n, chain.r, chain.mode, chain.states,
+                          chain.initial, chain.trans)
+        assert validate(chain) == [] and views[-1] is chain
+        del views[:]
+        points = _chain_points(core, rng)
+        m = minimize(chain)
+        got = [eval_point(x, p) for x in (chain, m) for p in points]
+        assert views == []
+        assert got == [eval_point(copy, p) for p in points] * 2
+
+
+def test_a_machine_built_on_rows_is_validated_on_its_rows(watch):
+    """core_of of a public-constructor copy checks the core it builds on
+    rows, not known to be valid, on those rows: it builds no table from
+    them and no view of them, and the core keeps them."""
+    a = fixtures.balanced_core_2()
+    copy = Transducer(a.n, a.r, a.mode, a.states, a.initial, a.trans)
+    watch["tables"].clear()
+    core = core_of(copy)
+    assert watch["built"][-1] is core and core._known == _VALID
+    assert watch["tables"] == [] and watch["views"] == []
+    assert core._trans is None and len(core.states) == 10
 
 
 def test_inversions_and_prefix_maps_build_no_table(watch):

@@ -1,7 +1,12 @@
 """validate against the letter-by-letter validate it replaced
 (helpers.letter_loop_validate): the same violation strings in the same
 order on fresh copies of valid machines and on one- and two-step
-mutations of them, and the same ParseError text from parse.  Also: the
+mutations of them, and the same ParseError text from parse.  The stages
+validate runs on the view it builds (machine._stages) agree with the
+table stages that word its messages (machine._violations) on the
+validate, refusal and mutation corpora, random machines and the long
+chains, and the peel of the empty-output edges with the depth-first
+search on the table.  Also: the
 checks dropped from core extraction hold on every core it extracts, the
 CLI verbs that reduce, invert or take a core no longer validate or
 synchronize twice, on a document that synchronizes or not, and the raw
@@ -38,9 +43,9 @@ from cantrans import (
     validate,
     witness_pair,
 )
-from cantrans import algebra, cli, document, machine, synchro
+from cantrans import algebra, cli, document, machine, randgen, synchro
 from cantrans.document import HEADER
-from cantrans.machine import _VALID
+from cantrans.machine import _VALID, _View
 from cantrans.randgen import random_gnr_element, random_prefix_code_map, \
     random_transducer
 from cantrans.words import format_letter, format_word
@@ -48,6 +53,7 @@ from cantrans.words import format_letter, format_word
 from helpers import balanced_powers, count_calls, empty_output_chain, \
     fixture_cores, fresh_parser_main, letter_loop_validate, \
     multi_core_bisync, strongly_connected, view_machine
+from test_refusals import EMPTY_CORE, ROOT_LOOP, TWICE_CORE, TWICE_INITIAL
 
 minimize_module = importlib.import_module("cantrans.minimize")
 
@@ -255,6 +261,68 @@ def test_validate_agrees_on_long_chains():
     assert len(_agree(machines)) >= 8
 
 
+def _oracle_corpus(monkeypatch):
+    """The validate corpus (valid machines and their one- and two-step
+    mutations), the machines of the refusal corpus, every draw of seeded
+    random_transducer runs, kept or rejected, and both 3000-state chains
+    with mutations of them."""
+    draws = []
+    real = randgen.validate
+
+    def recording(t):
+        draws.append(_with(t))
+        return real(t)
+
+    monkeypatch.setattr(randgen, "validate", recording)
+    for i in range(60):
+        random_transducer(ALPHABETS[i % 5], 1 + i % 4, 1 + i % 2, 93_000 + i)
+    monkeypatch.undo()
+    rng = random.Random(3)
+    chains = [empty_output_chain(core) for core in (False, True)]
+    return (_corpus(seed=3) + [EMPTY_CORE, ROOT_LOOP, TWICE_CORE,
+                               TWICE_INITIAL] + draws + chains +
+            [m for c in chains for m in _mutants(c, rng, 2)])
+
+
+def test_rows_stages_agree_with_the_table_stages(monkeypatch):
+    """validate's stages on the view they build (machine._stages) against
+    the table stages that word its messages (machine._violations) and
+    the letter loop, on a fresh copy of each machine of the oracle
+    corpus: the same list.  A copy that passes keeps the view as its
+    rows and drops its table, which is built again equal to the table
+    it had; one that fails keeps its table and holds no rows.  Where a
+    view can be built, a machine on those rows is checked on them as the
+    letter loop checks its table, and where the view holds the whole
+    table (no stray key), the peel of its empty-output edges finds a
+    cycle exactly when the depth-first search on the table does."""
+    verdicts, peeled = set(), set()
+    for t in _oracle_corpus(monkeypatch):
+        copy = _with(t)
+        table = copy.trans
+        got = validate(copy)
+        assert got == machine._violations(_with(t)) == \
+            letter_loop_validate(t), t
+        if got:
+            assert copy._trans is table and copy._rows is None
+            assert copy._known is None
+        else:
+            assert copy._known == _VALID and copy._trans is None
+            assert copy._rows is not None and copy.trans == table
+        verdicts.add(not got)
+        try:
+            view = _View(_with(t))
+        except TransducerError:
+            continue
+        on_rows = Transducer._of_rows(t.n, t.r, t.mode, t.initial, view, None)
+        assert validate(on_rows) == letter_loop_validate(on_rows), t
+        if len(t.trans) != sum(map(len, view.letters)):
+            continue
+        cycle = machine._silent_cycle(view)
+        assert cycle == (machine._epsilon_cycle(t) is not None), t
+        peeled.add(cycle)
+    assert verdicts == peeled == {True, False}
+
+
 def _document(t):
     """t as a document, transitions in table order (names must be
     tokens; states that only appear in the state list are lost)."""
@@ -377,7 +445,7 @@ def test_cli_verbs_validate_and_synchronize_once(name, tmp_path, monkeypatch,
         argv = [verb, str(path)]
         assert _run(fresh_parser_main, argv, capsys) == want
         with monkeypatch.context() as patch:
-            validated = count_calls(patch, machine, "_violations")
+            validated = count_calls(patch, machine, "_stages")
             synchronized = count_calls(patch, synchro, "_collapse")
             assert _run(cli.main, argv, capsys) == want
         assert len(validated) == 1
@@ -414,7 +482,7 @@ def test_cli_invert_member_outer_eq_validate_each_document_once(
         argv = list(argv)
         assert _run(fresh_parser_main, argv, capsys) == want
         with monkeypatch.context() as patch:
-            validated = count_calls(patch, machine, "_violations")
+            validated = count_calls(patch, machine, "_stages")
             inverted = count_calls(patch, algebra, "invert")
             assert _run(cli.main, argv, capsys) == want
         # validate's stages run once per document read, and never on a
