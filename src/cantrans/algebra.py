@@ -321,8 +321,8 @@ def from_prefix_code_map(pm, alphabet):
     and emits the whole range word on the final letter, landing in an
     identity state.
 
-    The tree is built as rows: the prefixes by length (the entry, the
-    empty prefix, first), then the identity state, each named by its
+    The tree is built as rows: the prefixes in shortlex order (the entry,
+    the empty prefix, first), then the identity state, each named by its
     number.  The raw machine is valid by construction once pm.check has
     passed, so it is built marked valid and reduced without validation:
 
@@ -350,11 +350,9 @@ def from_prefix_code_map(pm, alphabet):
                 stack.append((d + (x,), r + (x,)))
         else:
             pairs.append((d, r))
-    # filled in this order, the set lists the prefixes of one length in
-    # a fixed order, which the reduction's state order follows
-    pairs.sort(key=lambda p: shortlex_key(p[0]))
+    # by (length, shortlex): the reduction's state order follows this one
     prefixes = sorted({d[:i] for d, _ in pairs for i in range(len(d))},
-                      key=len)
+                      key=shortlex_key)
     one = len(prefixes)
     edge_to = {p: (EMPTY, k) for k, p in enumerate(prefixes)}
     edge_to.update((d, (r, one)) for d, r in pairs)
@@ -389,22 +387,25 @@ def _product_is_identity(va, vb):
     lags.  On the fixed pair, u 0 = w u forces w = 0 and
     u = 0^k, and reading 1s writes u 1 1 ..., so k is the number of 0s
     written before the first other letter; any other output on 0 breaks
-    the equation on the walk's first edge."""
+    the equation on the walk's first edge.  A pair is stepped in the
+    walk's own loop, as _Pairs.step steps it, along a's rows at once."""
     pairs = _Pairs(va, vb)
-    step, size, letters = pairs.step, pairs.size, va.letters
+    size, memo, read = pairs.size, pairs.memo, pairs._read
     if va.entry is not None:
         seed, lag = pairs.entry, EMPTY
     else:
         seed = pairs.fixed()
-        lag = _zeros_before_other(step, seed)
+        lag = _zeros_before_other(pairs.step, seed)
         if lag is None:
             return False
     lags = {seed: lag}
     todo = [seed]
     for pair in todo:
         u = lags[pair]
-        for k, x in enumerate(letters[pair // size]):
-            w, tgt = step(pair, k)
+        i, j = divmod(pair, size)
+        for x, v, k in zip(va.letters[i], va.outs[i], va.targets[i]):
+            w, q = memo.get((v, j)) or read(v, j)
+            tgt = k * size + q
             ux = u + (x,)
             if ux[:len(w)] != w:
                 return False

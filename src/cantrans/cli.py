@@ -113,9 +113,9 @@ def _int_list(text):
 
 @functools.cache
 def _parser():
-    """The argument parser, built on the first call and shared by every
-    later main() call in the process; parse_args keeps no state between
-    calls."""
+    """The top-level argument parser and its verb -> subparser map,
+    built on the first call and shared by every later main() call in the
+    process; parsing keeps no state between calls."""
     top = argparse.ArgumentParser(
         prog="cantrans",
         description=__doc__,
@@ -177,16 +177,36 @@ def _parser():
         (("--gnr",), {"action": "store_true",
                       "help": "draw a prefix-exchange map instead"}),
         outfile)
-    return top
+    return top, sub.choices
+
+
+def _arguments(argv):
+    """The parsed arguments.  A verb first goes straight to its
+    subparser, which is what the top-level parser would call, and what
+    that leaves over is refused with the top-level parser's words; an
+    empty argv, an option first or an unknown verb goes through the
+    top-level parser."""
+    top, verbs = _parser()
+    verb = verbs.get(argv[0]) if argv else None
+    if verb is None:
+        return top.parse_args(argv)
+    args, extra = verb.parse_known_args(argv[1:])
+    if extra:
+        top.error("unrecognized arguments: " + " ".join(extra))
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    args = _arguments(sys.argv[1:] if argv is None else argv)
     try:
         return _dispatch(args)
     except (ParseError, WordError, TransducerError, NotInvertible,
             RejectionBudgetExceeded, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

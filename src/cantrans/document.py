@@ -14,21 +14,25 @@ with the line of the offending transition where one exists.
 Prefix-code maps are lines `eta -> zeta`, one cone pair per line.
 
 Parsing is one pass over the lines, each split once.  Token columns are
-found only for the line an error is raised on, each distinct letter
-token and each distinct output is parsed once per document, and the
-machine is validated once.  It gets the table parse built, with no copy;
-a machine that passes validate is marked valid and keeps the integer
-rows validate checked in place of that table, so library calls on it
-neither validate it again nor build a view of it.
+found only for the line an error is raised on, and each distinct letter
+token and each distinct output is parsed once per document.  No table
+by name is built: the states are numbered as the lines mention them,
+the transitions keyed by state number, and the machine is built on the
+integer rows cut from those keys and validated once, on them.  A
+machine that passes is marked valid, so library calls on it neither
+validate it again nor build a view of it, and its `trans` is built on
+first read.  Only a document that fails gets a table by name, in line
+order, for validate to word the refusal on.
 """
 
 import re
-from itertools import filterfalse, repeat
+from itertools import filterfalse, product, repeat
+from operator import itemgetter
 
 from .words import EMPTY, WordError, check_word_shape, format_letter, \
     format_word, is_root, parse_letter
-from .machine import CORE, INITIAL, Transducer, TransducerError, \
-    _bfs, _bfs_order, validate
+from .machine import CORE, INITIAL, Transducer, TransducerError, _View, \
+    _bfs, _bfs_order, _checked_r, validate
 
 HEADER = "cantor-transducer 1"
 
@@ -134,9 +138,10 @@ def parse(text):
         initial = body[0][1][1]
         body = body[1:]
 
-    trans = {}
+    # states numbered on first mention, the initial state first
+    number = {} if initial is None else {initial: 0}
+    trans = {}  # (state number, letter) -> (output, target number)
     add = trans.setdefault
-    names = [] if initial is None else [initial]
     letters = {}  # letter token -> letter
     words = {}  # output text -> word
     for lineno, tok in body:
@@ -159,23 +164,34 @@ def parse(text):
             out = words[out_text] = _word(
                 out_text.split(), letters,
                 lambda k, message: fail(lineno, 5 + k, message))
-        value = (out, tgt)
-        if add((src, letter), value) is not value:
+        key = (number.setdefault(src, len(number)), letter)
+        value = (out, number.setdefault(tgt, len(number)))
+        if add(key, value) is not value:
             raise fail(lineno, 1,
                        f"duplicate transition ({src}, {letter_tok})")
-        names += (src, tgt)
 
-    # states in order of first mention, the initial state first
+    states = tuple(number)
     try:
-        t = Transducer(n, r, mode, dict.fromkeys(names), initial, {})
+        r = _checked_r(n, r, mode)
     except (WordError, TransducerError) as e:
         raise ParseError(alpha_line, 1, str(e)) from None
-    # its words are tuples already, so the table needs no per-entry copy
-    object.__setattr__(t, "_trans", trans)
+    nroots = r or 0  # read by the entry, state 0, in initial mode
+    if len(trans) == nroots + (len(states) - bool(nroots)) * n:
+        view = _rows(trans, states, n, nroots)
+        if view is not None:
+            t = Transducer._of_rows(n, r, mode, initial, view, None)
+            if not validate(t):
+                return t
+    # a transition missing, stray or failing a stage: the table by name,
+    # in line order, which validate words the refusal on
+    table = {(states[i], x): (w, states[j])
+             for (i, x), (w, j) in trans.items()}
+    t = Transducer(n, r, mode, states, initial, {})
+    object.__setattr__(t, "_trans", table)
     bad = validate(t)
     if bad:
         # each line of the table added one key, in order
-        lineof = dict(zip(trans, (lineno for lineno, _ in body)))
+        lineof = dict(zip(table, (lineno for lineno, _ in body)))
         notes = []
         for msg in bad:
             line = None
@@ -186,6 +202,30 @@ def parse(text):
             notes.append(f"line {line}: {msg}" if line else msg)
         raise ParseError(0, 0, "invalid transducer: " + "; ".join(notes))
     return t
+
+
+def _rows(trans, states, n, r):
+    """The integer rows of parse's transitions `trans`, cut as _View cuts
+    a table: the row of the r root letters of the entry, state 0 (none
+    in core mode, where r is 0), then the digit rows of the other states
+    in order, found by one lookup each; None when a transition is
+    missing."""
+    roots, digits = tuple(range(-1, -r - 1, -1)), tuple(range(n))
+    try:
+        head = list(map(trans.__getitem__, zip(repeat(0), roots)))
+        edges = list(map(trans.__getitem__,
+                         product(range(bool(roots), len(states)), digits)))
+    except KeyError:
+        return None
+    outs = list(zip(*[map(itemgetter(0), edges)] * n))
+    targets = list(zip(*[map(itemgetter(1), edges)] * n))
+    letters = [digits] * len(outs)
+    if roots:
+        letters.insert(0, roots)
+        outs.insert(0, tuple(map(itemgetter(0), head)))
+        targets.insert(0, tuple(map(itemgetter(1), head)))
+    return _View._of_rows(states, letters, outs, targets,
+                          0 if roots else None)
 
 
 def serialize(t):

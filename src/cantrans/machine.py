@@ -98,16 +98,9 @@ class Transducer:
 
     def __init__(self, n, r, mode, states, initial, trans):
         """trans maps (state, letter) -> (output word, target state)."""
-        if mode not in (INITIAL, CORE):
-            raise TransducerError(f"unknown mode {mode!r}")
-        if mode == INITIAL:
-            Alphabet(n, r)  # bounds check
-            if initial is None:
-                raise TransducerError("initial mode needs an initial state")
-        else:
-            if n < 2:
-                raise TransducerError("need n >= 2")
-            r = None
+        r = _checked_r(n, r, mode)
+        if mode == INITIAL and initial is None:
+            raise TransducerError("initial mode needs an initial state")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "mode", mode)
@@ -215,6 +208,19 @@ class Transducer:
             return edge if edge is not None and not edge[0] else None
 
         return set(_bfs_order(self, self.initial, silent))
+
+
+def _checked_r(n, r, mode):
+    """r once the mode and the alphabet pass the public constructor's
+    checks: None in core mode."""
+    if mode == INITIAL:
+        Alphabet(n, r)  # bounds check
+        return r
+    if mode != CORE:
+        raise TransducerError(f"unknown mode {mode!r}")
+    if n < 2:
+        raise TransducerError("need n >= 2")
+    return None
 
 
 def _words(t):
@@ -587,9 +593,10 @@ class _View:
     no rows: once by validate, which a machine that passes keeps as its
     rows, or per kernel call on a machine not checked.  Or it is taken
     from rows already on state numbers (_View._of_rows): the closure of
-    a pair product, an inversion's machine of sets, a prefix tree or a
-    sub-view cut by _cut.  Kernels get a machine's view through
-    _view_of; `_table` builds the name-keyed table of the rows.
+    a pair product, an inversion's machine of sets, a prefix tree, a
+    parsed document or a sub-view cut by _cut.  Kernels get a machine's
+    view through _view_of; `_table` builds the name-keyed table of the
+    rows.
 
     Built from the table, the view covers all of t's states.  A name
     listed twice is refused with TransducerError, as validate words it,

@@ -46,10 +46,10 @@ from cantrans.words import EMPTY, Relation, WordError, check_word, \
 from cantrans.machine import _View, _bfs_order, _first_repeat, relabel
 from cantrans.minimize import _reduce, merge_equivalent_states, \
     remove_inaccessible, remove_incomplete_response
-from cantrans import fixtures
+from cantrans import algebra, fixtures, synchro
 from cantrans.randgen import random_gnr_element, random_transducer
 from cantrans.algebra import _Pairs, _accepting, _pending_bound, \
-    _product_is_identity
+    _product_is_identity, _zeros_before_other
 
 
 def _tracked_states(t):
@@ -559,14 +559,17 @@ def count_calls(monkeypatch, module, name):
 
 
 def fresh_parser_main(argv):
-    """Oracle: cli.main with an argument parser built for this call
-    alone, as main did before it shared one parser per process."""
-    shared = cli._parser
-    cli._parser = shared.__wrapped__
+    """Oracle: cli.main parsing its arguments as it did before it shared
+    one parser per process and sent a verb straight to its subparser:
+    parse_args of a top-level parser built for this call alone, then
+    _dispatch with main's refusals."""
+    shared = cli._arguments
+    cli._arguments = lambda argv: cli._parser.__wrapped__()[0].parse_args(
+        argv)
     try:
         return cli.main(argv)
     finally:
-        cli._parser = shared
+        cli._arguments = shared
 
 
 def three_minimize_bisync(t):
@@ -980,6 +983,55 @@ def letter_step_run_word(t, state, word):
 # Oracles for the inversion kernels: the pending-word exploration on
 # (name, letter) keys through Transducer.step, and the round trips that
 # build, validate and minimize each product before testing it.
+
+
+def step_loop_product_is_identity(va, vb):
+    """Oracle: the lag walk as it was before it stepped pairs in its own
+    loop, one _Pairs.step call per letter of each pair it reaches."""
+    pairs = _Pairs(va, vb)
+    step, size, letters = pairs.step, pairs.size, va.letters
+    if va.entry is not None:
+        seed, lag = pairs.entry, EMPTY
+    else:
+        seed = pairs.fixed()
+        lag = _zeros_before_other(step, seed)
+        if lag is None:
+            return False
+    lags = {seed: lag}
+    todo = [seed]
+    for pair in todo:
+        u = lags[pair]
+        for k, x in enumerate(letters[pair // size]):
+            w, tgt = step(pair, k)
+            ux = u + (x,)
+            if ux[:len(w)] != w:
+                return False
+            rest = ux[len(w):]
+            have = lags.get(tgt)
+            if have is None:
+                lags[tgt] = rest
+                todo.append(tgt)
+            elif have != rest:
+                return False
+    return True
+
+
+def checked_lag_walks(patch):
+    """Patches the lag walk that invert and invert_core run to check each
+    verdict against step_loop_product_is_identity; returns the list the
+    verdicts are recorded in, one per walk."""
+    verdicts = []
+    real = algebra._product_is_identity
+
+    def checked(va, vb):
+        got = real(va, vb)
+        assert got is step_loop_product_is_identity(va, vb)
+        verdicts.append(got)
+        return got
+
+    patch.setattr(algebra, "_product_is_identity", checked)
+    patch.setattr(synchro, "_product_is_identity", checked)
+    return verdicts
 
 
 def reduced_product_is_identity(a, b):

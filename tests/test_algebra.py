@@ -20,6 +20,7 @@ from cantrans import (
     is_in_Gnr,
     minimize,
     parse_word,
+    serialize,
     twist_transducer,
 )
 from cantrans.fixtures import sample_3_2, torsion_core_2
@@ -116,6 +117,24 @@ def test_invert_prefix_map_is_swap():
         lhs = invert(from_prefix_code_map(m, A32))
         rhs = from_prefix_code_map(m.inverse(), A32)
         assert canonical_form(lhs) == canonical_form(rhs)
+
+
+def test_prefix_map_machines_do_not_depend_on_the_pair_order():
+    """The prefix tree lists its prefixes by (length, shortlex), so the
+    order of the cone pairs changes neither the states' order, nor the
+    document, nor the canonical form."""
+    rng = random.Random(2611)
+    for alphabet in (A21, A32, Alphabet(4, 1)):
+        for seed in range(40):
+            pm = random_prefix_code_map(alphabet, 2611 + seed, max_splits=6)
+            t = from_prefix_code_map(pm, alphabet)
+            want = t.states, serialize(t), canonical_form(t)
+            for _ in range(3):
+                pairs = pm.pairs()
+                rng.shuffle(pairs)
+                u = from_prefix_code_map(PrefixCodeMap(*zip(*pairs)),
+                                         alphabet)
+                assert (u.states, serialize(u), canonical_form(u)) == want
 
 
 def test_invert_rejects_non_homeomorphism():

@@ -457,3 +457,96 @@ def test_failed_write_leaves_a_prefix_of_the_new_document(tmp_path):
                          env=env, capture_output=True, timeout=60).stdout
     assert len(new) > len(old) > limit
     assert path.read_bytes() == new[:limit]
+
+
+def _dispatch_cases(sample, torsion, prefix_map):
+    """Command lines for every verb, each verb's -h, and the lines the
+    parsers refuse or read around: none, a top-level option, an unknown
+    verb, a missing required argument or option, extra arguments, an
+    abbreviated option and `--`."""
+    verbs = [
+        ["validate", sample],
+        ["minimize", sample],
+        ["canon", sample],
+        ["eval", sample, "--point", ".0 | 0", "--depth", "3"],
+        ["compose", sample, sample],
+        ["invert", sample],
+        ["sync", torsion],
+        ["core", torsion],
+        ["member", sample],
+        ["classify", sample],
+        ["order", torsion, "--cap", "4"],
+        ["outer-eq", torsion, torsion],
+        ["make-prefix-map", prefix_map, "--n", "2", "--r", "1"],
+        ["make-twist", "--n", "3", "--r", "1", "--perm", "1,2,0"],
+        ["random", "--n", "3", "--r", "2", "--seed", "4"],
+    ]
+    return [*verbs, *([argv[0], "-h"] for argv in verbs),
+            [], ["-h"], ["--help"], ["-x"], ["nosuchverb"],
+            ["nosuchverb", sample], ["validate"], ["eval", sample],
+            ["make-twist", "--n", "3", "--r", "1"],
+            ["member", sample, "--bogus"], ["member", sample, "x", "y"],
+            ["order", torsion, "--cap"], ["order", torsion, "--cap", "x"],
+            ["eval", sample, "--point", ".0 | 0", "--dep", "2"],
+            ["member", "--", sample], ["member", sample, "--", "x"],
+            ["--", "member", sample], ["member", "-h", sample]]
+
+
+def test_verbs_dispatch_as_the_top_level_parser_does(sample, torsion,
+                                                     tmp_path, monkeypatch,
+                                                     capsys):
+    """main sends a verb straight to its subparser: exit codes, stdout and
+    stderr are byte for byte those of parse_args on a fresh top-level
+    parser, and the top-level parser parses only the lines that do not
+    start with a verb."""
+    from cantrans import cli
+
+    prefix_map = tmp_path / "pm.map"
+    prefix_map.write_text(".0 0 -> .0 0 0\n.0 1 0 -> .0 0 1\n.0 1 1 -> .0 1\n")
+    cases = _dispatch_cases(sample, torsion, str(prefix_map))
+    top, verbs = cli._parser()
+    parsed = []
+    real = top.parse_known_args
+
+    def counting(*args, **kwargs):
+        parsed.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(top, "parse_known_args", counting)
+    codes = []
+    for argv in cases:
+        del parsed[:]
+        got = (_exit_code(argv), *capsys.readouterr())
+        assert len(parsed) == (not argv or argv[0] not in verbs), argv
+        want = (_exit_code(argv, fresh_parser_main), *capsys.readouterr())
+        assert got == want, argv
+        codes.append(got[0])
+    assert set(codes) == {0, 1, 2}
+    assert codes[:15] == [0] * 8 + [1] + [0] * 6
+    assert codes[15:30] == [0] * 15
+    code, out, err = _exit_code(["member", sample, "--bogus"]), \
+        *capsys.readouterr()
+    assert (code, out) == (2, "") and err.startswith("usage: cantrans ")
+    assert err.endswith("\ncantrans: error: unrecognized arguments: --bogus\n")
+
+
+def test_out_of_memory_exits_2_with_one_error_line(tmp_path):
+    """A MemoryError is refused as the other errors are: order on
+    BALANCED_CORE_2, whose core powers grow without bound, at the default
+    cap under a 256 MiB address-space limit exits 2 with one error line
+    and no traceback."""
+    pytest.importorskip("resource")
+    limit = 256 << 20
+    script = (
+        "import resource, sys\n"
+        "from cantrans import fixtures\n"
+        "from cantrans.cli import main\n"
+        "open(sys.argv[1], 'w').write(fixtures.BALANCED_CORE_2)\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+        "sys.exit(main(['order', sys.argv[1]]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run([sys.executable, "-c", script,
+                          str(tmp_path / "b.ct")],
+                         env=env, capture_output=True, text=True, timeout=20)
+    assert (run.returncode, run.stdout, run.stderr) == \
+        (2, "", "error: out of memory\n")

@@ -3,8 +3,9 @@ pair product is the identity without building it, and invert/invert_core
 share one pending-word exploration on the minimal machine's integer view.
 Both are checked against the code they replaced, kept in helpers.py as
 oracles: the reduction round trip (build, validate and minimize the
-product, then compare with the identity) and the exploration on
-(name, letter) keys."""
+product, then compare with the identity), the walk that stepped pairs
+one _Pairs.step call per letter, and the exploration on (name, letter)
+keys."""
 
 import importlib
 import random
@@ -40,10 +41,11 @@ from cantrans.algebra import _accepting, _product_is_identity
 from cantrans.machine import _View
 from cantrans.randgen import random_gnr_element, random_transducer
 
-from helpers import balanced_powers, check_not_injective, count_calls, \
-    delayed_copy, fixture_cores, letter_loop_validate, name_keyed_invert, \
-    name_keyed_invert_core, random_bisync, reduced_product_is_identity, \
-    shuffled_relabel, worklist_accepting
+from helpers import balanced_powers, check_not_injective, \
+    checked_lag_walks, count_calls, delayed_copy, fixture_cores, \
+    letter_loop_validate, name_keyed_invert, name_keyed_invert_core, \
+    random_bisync, reduced_product_is_identity, shuffled_relabel, \
+    step_loop_product_is_identity, worklist_accepting
 
 # the package's `minimize` attribute is the function, not the module
 minimize_module = importlib.import_module("cantrans.minimize")
@@ -93,8 +95,10 @@ def _assert_same_verdict(fn, oracle, t, same=_whole):
 
 
 def _agree(x, y):
-    got = _product_is_identity(_View(x), _View(y))
+    va, vb = _View(x), _View(y)
+    got = _product_is_identity(va, vb)
     assert got is reduced_product_is_identity(x, y)
+    assert got is step_loop_product_is_identity(va, vb)
     return got
 
 
@@ -215,9 +219,10 @@ def _random_initials():
     return out
 
 
-def test_invert_matches_name_keyed_exploration():
+def test_invert_matches_name_keyed_exploration(monkeypatch):
     rng = random.Random(808)
     machines = _fixture_initials() + [delayed_copy()] + _random_initials()
+    walks = checked_lag_walks(monkeypatch)
     kinds = set()
     for t in machines:
         for u in (t, shuffled_relabel(t, rng)):
@@ -225,6 +230,7 @@ def test_invert_matches_name_keyed_exploration():
             kinds.add(type(want) if isinstance(want, Exception)
                       else "inverse")
     assert kinds == {"inverse", NotInvertible}
+    assert True in walks
 
 
 def _random_cores():
@@ -241,9 +247,10 @@ def _random_cores():
     return out
 
 
-def test_invert_core_matches_name_keyed_exploration():
+def test_invert_core_matches_name_keyed_exploration(monkeypatch):
     rng = random.Random(909)
     cores = fixture_cores() + balanced_powers(4) + _random_cores()
+    walks = checked_lag_walks(monkeypatch)
     messages = set()
     for c in cores:
         copies = (c,) if len(c.states) > 100 else (c, shuffled_relabel(c, rng))
@@ -255,6 +262,7 @@ def test_invert_core_matches_name_keyed_exploration():
             if isinstance(want, Exception):
                 messages.add(str(want).split(":")[1].split()[0])
     assert messages == {"pending", "no"}
+    assert True in walks
 
 
 def _zeros_from_two_loops():

@@ -1,7 +1,9 @@
 """invert_core's one construction, _inverse_from, run from one seed
 without pruning and, when that refuses, from every seed with pruning.
 The one seed is the set of runs that a seed's walk under 0 repeats at;
-its closure is reduced and checked by the lag walk.  On every core both
+its closure is reduced and checked by the lag walk, whose every verdict
+here is the step-by-step walk's it replaced
+(helpers.step_loop_product_is_identity).  On every core both
 runs give the same machine under the same names, or both refuse, and
 the one-seed run answers every invertible core.  Both runs match the
 pending-word exploration they replaced (helpers.pending_word_invert_core)
@@ -34,9 +36,9 @@ from cantrans.algebra import _RunSets
 from cantrans.machine import _View
 from cantrans.randgen import random_transducer
 
-from helpers import balanced_powers, check_not_injective, fixture_cores, \
-    pending_word_invert_core, pending_zero_repeat_config, \
-    random_synchronizing, shuffled_relabel
+from helpers import balanced_powers, check_not_injective, \
+    checked_lag_walks, fixture_cores, pending_word_invert_core, \
+    pending_zero_repeat_config, random_synchronizing, shuffled_relabel
 
 
 def _outcome(c, invert=invert_core):
@@ -102,14 +104,18 @@ def corpus_outcomes():
     cores = _corpus()
     with pytest.MonkeyPatch.context() as patch:
         _full_path_only(patch)
+        walks = checked_lag_walks(patch)
         full = [_outcome(c) for c in cores]
+    assert True in walks
     with pytest.MonkeyPatch.context() as patch:
         runs = _record_runs(patch)
+        walks = checked_lag_walks(patch)
         got, routes = [], []
         for c in cores:
             got.append(_outcome(c))
             routes.append(tuple(runs))
             runs.clear()
+    assert True in walks
     return cores, got, full, routes
 
 

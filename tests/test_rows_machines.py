@@ -10,11 +10,11 @@ points on it, one rung of the core ladder with core_of and the
 classifiers on it, and inverting machines and building prefix-code
 maps, no machine built on rows builds its table, no view of one is
 built from a table, and the library builds no name-keyed table at all
-after parse.  A machine checked by validate keeps the view it was
-checked on: parse builds one view of a chain, which the chain keeps,
-core_of builds none, and neither core_product of a parsed core nor
-minimize and eval_point of a validated chain builds one; a machine built
-on rows is validated on its rows.  run_word and eval_point walk the rows
+after parse.  parse builds a document's rows with no view of a table
+and validates them once; a machine checked by validate keeps the view
+it was checked on.  So neither core_of of a parsed chain, core_product
+of a parsed core, nor minimize and eval_point of a validated chain
+builds a view; a machine built on rows is validated on its rows.  run_word and eval_point walk the rows
 of such a machine and give the results and refusal texts of its
 public-constructor copy."""
 
@@ -239,10 +239,11 @@ def test_chain_paths_build_no_table_from_rows(watch):
         assert got == [eval_point(chain, x) for x in points]
 
 
-def test_core_of_a_parsed_chain_builds_one_view(monkeypatch):
-    """parse validates the chain once, on the one view it builds of the
-    table, and the chain keeps that view: core_of builds none for its
-    collapse and its closure."""
+def test_core_of_a_parsed_chain_builds_no_view(monkeypatch):
+    """parse builds the chain's rows in its line loop, with no table and
+    no view of one, and validates the chain once, on those rows, which
+    the chain keeps: core_of builds no view for its collapse and its
+    closure."""
     text = serialize(empty_output_chain(False))
     stages = count_calls(monkeypatch, machine, "_stages")
     views = []
@@ -254,18 +255,20 @@ def test_core_of_a_parsed_chain_builds_one_view(monkeypatch):
 
     monkeypatch.setattr(_View, "__init__", init)
     t = parse(text)
-    assert stages == [t] and views == [t]
+    assert stages == [t] and views == []
     assert t._trans is None and t._rows is not None
     core = core_of(t)
-    assert stages == [t] and views == [t]
+    assert stages == [t] and views == []
     assert core.states == ("e",) and core._rows is not None
 
 
 def test_checked_machines_build_no_view_after_validate(monkeypatch):
-    """A machine keeps the view validate checked: core_product(a, a) of
-    the parsed BALANCED_CORE_2 builds one view of a table, in parse, and
-    none after, and minimize then eval_point of a validated chain build
-    none, with the images its unchecked copy gives."""
+    """A machine keeps the view validate checked: parse of
+    BALANCED_CORE_2 runs validate's stages once, on the rows it builds,
+    and builds no view of a table, nor does core_product(a, a) after it,
+    and minimize then eval_point of a validated chain build none, with
+    the images its unchecked copy gives."""
+    stages = count_calls(monkeypatch, machine, "_stages")
     views = []
     real_init = _View.__init__
 
@@ -275,9 +278,9 @@ def test_checked_machines_build_no_view_after_validate(monkeypatch):
 
     monkeypatch.setattr(_View, "__init__", init)
     a = parse(fixtures.BALANCED_CORE_2)
-    assert views == [a]
+    assert stages == [a] and views == []
     product = core_product(a, a)
-    assert views == [a] and len(product.states) == 34
+    assert stages == [a] and views == [] and len(product.states) == 34
     rng = random.Random(2209)
     for core in (False, True):
         chain = empty_output_chain(core)
