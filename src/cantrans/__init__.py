@@ -65,6 +65,7 @@ from .classify import (
     order_in_On,
     outer_class_equal,
     outer_product,
+    prefix_code_map_of,
 )
 from .document import ParseError, parse, parse_prefix_map, serialize, \
     serialize_prefix_map
@@ -94,7 +95,7 @@ __all__ = [
     "is_bisynchronizing", "sync_level", "witness_pair",
     "SubgroupFlags", "check_permutation_state", "classify_subgroup",
     "cycle_balance", "is_identity_core", "is_in_Gnr", "order_in_On",
-    "outer_class_equal", "outer_product",
+    "outer_class_equal", "outer_product", "prefix_code_map_of",
     "ParseError", "parse", "parse_prefix_map", "serialize",
     "serialize_prefix_map",
     "RejectionBudgetExceeded", "random_gnr_element", "random_prefix_code",

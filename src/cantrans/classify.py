@@ -16,21 +16,153 @@ or contraction.
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress, count
 
+from .words import EMPTY, validate_prefix_code
 from .machine import CORE, TransducerError, canonical_form, _view_of, \
     _words
+from .algebra import PrefixCodeMap
 from .minimize import minimize
 from .synchro import NotSynchronizing, _synchronizes, core_of, \
     core_product, invert_core, is_bisynchronizing, is_identity_core
 
 
+# the words per state and letter of the minimal machine past which the
+# walk of is_in_Gnr gives up and the inversion decides (see is_in_Gnr)
+_CODE_BUDGET = 4
+
+
 def is_in_Gnr(t):
-    """Membership in the prefix-exchange group: the minimal machine is
-    bi-synchronizing and its core is the single identity-echo state.
-    The bi-synchronizing test leaves the minimal machine's level on it,
-    so core_of reads that and does not collapse it again."""
+    """Membership in Higman's G_{n,r}: the map is a prefix replacement
+    map u.y -> R(u).y between complete prefix codes; equivalently, the
+    minimal machine is bi-synchronizing and its core is the one
+    identity-echo state e (a state that writes each digit it reads and
+    stays).
+
+    An initial-mode machine is minimized once and decided by
+    _prefix_walk, with no inversion and no collapse:
+
+    * a minimal machine has at most one such e, since two would be
+      equivalent, and a member's core is {e};
+    * a member synchronizes onto e, so no cycle of states reached from
+      the entry avoids e (pre-root states lie on no cycle, which would
+      write nothing): a path that repeats a state before e means no;
+    * otherwise every path from the entry meets e within |Q| letters,
+      the inputs u on which a run first enters e form a complete prefix
+      code, and the map sends u.y to R(u).y, R(u) the output written by
+      then.  That map is a homeomorphism, and then a prefix replacement
+      map, exactly when the words R(u) form a complete prefix code
+      (comparable or equal words make two cones overlap, a Kraft sum
+      below r leaves a cone uncovered), which words.validate_prefix_code
+      decides, rootedness included.
+
+    A twist of each of the first k digits has n^k words on k + 2
+    states, so the walk counts the code first, and a code of more than
+    _CODE_BUDGET * n * |Q| words goes, like a core-mode machine, to the
+    inversion: the minimal machine is bi-synchronizing, and its core
+    (core_of reads the level is_bisynchronizing left) is the
+    identity-echo state.  The budget of 4 keeps the benchmark's
+    compositions of two random prefix replacement maps (at most
+    0.7 n |Q| words) and their SAMPLE_3_2 conjugates (up to about
+    2.4 n |Q|) on the walk.  On the deep twists the walk and the
+    inversion cost the same near 8 n |Q| words (about 300 us, Python
+    3.11 on a 2-vCPU x86-64 host), so at 4 the walk costs about half."""
+    return _membership(t)[0]
+
+
+def _membership(t):
+    """(verdict, why) for is_in_Gnr and member --why: `why` is the
+    member's PrefixCodeMap or the reason found by the walk, or says that
+    the inversion decided."""
     m = minimize(t)
-    return is_bisynchronizing(m)[0] and is_identity_core(core_of(m))
+    if m.mode == CORE:
+        why = "decided by inversion: a core-mode machine"
+    else:
+        budget = _CODE_BUDGET * m.n * len(m.states)
+        walked = _prefix_walk(m, budget)
+        if walked is not None:
+            return walked
+        why = (f"decided by inversion: the code passes the walk's budget "
+               f"of {budget} words")
+    return is_bisynchronizing(m)[0] and is_identity_core(core_of(m)), why
+
+
+def prefix_code_map_of(t):
+    """The prefix replacement map of an element of G_{n,r}: its
+    PrefixCodeMap, whose domain words u are the inputs on which the
+    minimal machine first enters its identity-echo state and whose range
+    words R(u) are the outputs written by then, in the walk's order (see
+    is_in_Gnr).  A machine that is no member is refused with
+    TransducerError naming the reason: no identity-echo state, a state
+    repeated on a path to it, or the range code's diagnostic.  The walk
+    has no budget here: the map is the answer.
+
+    The map holds no caret (n domain words u x, one per digit x, sent to
+    v x): the minimal machine writes what a state is bound to write
+    before entering it, so the state u leads to would write each digit
+    it reads and go on to e, and would have been merged with e."""
+    if t.mode == CORE:
+        raise TransducerError("prefix_code_map_of expects an initial-mode "
+                              "machine")
+    ok, found = _prefix_walk(minimize(t))
+    if not ok:
+        raise TransducerError(f"not in G_{t.n},{t.r}: {found}")
+    return found
+
+
+def _prefix_walk(m, budget=None):
+    """The walk of is_in_Gnr on a minimal initial-mode machine m: (True,
+    its PrefixCodeMap) for a member, (False, the reason) for a
+    non-member, or None when the code has more than `budget` words.
+
+    A depth-first pass on m's rows counts the paths from each state to
+    the identity-echo state e, a state's after its targets', e's being
+    the one empty path; a target entered and not yet counted lies on the
+    current path, which then repeats it.  Only then are the paths from
+    the entry spelled out, in letter order, as (input, output) pairs:
+    the code's words and their images."""
+    view = _view_of(m)
+    letters, outs, targets = view.letters, view.outs, view.targets
+    echo = tuple(zip(range(m.n)))
+    e = next((i for i in compress(count(), map(echo.__eq__, outs))
+              if targets[i].count(i) == m.n), None)
+    if e is None:
+        return False, "no identity-echo state"
+    paths = {e: 1}
+    entered = set()
+    todo = [view.entry]
+    while todo:
+        i = todo[-1]
+        if i in paths:
+            todo.pop()
+        elif i in entered:
+            todo.pop()
+            paths[i] = sum(map(paths.__getitem__, targets[i]))
+        else:
+            entered.add(i)
+            ahead = [j for j in targets[i] if j not in paths]
+            for j in ahead:
+                if j in entered:
+                    return False, (f"a path from the entry repeats state "
+                                   f"{view.states[j]!r} before the "
+                                   "identity-echo state")
+            todo += ahead
+    if budget is not None and paths[view.entry] > budget:
+        return None
+    code = []
+    todo = [(view.entry, EMPTY, EMPTY)]
+    while todo:
+        i, u, v = todo.pop()
+        if i == e:
+            code.append((u, v))
+        else:
+            todo += [(j, u + (x,), v + w) for x, w, j in
+                     zip(letters[i][::-1], outs[i][::-1], targets[i][::-1])]
+    domain, range_ = zip(*code)
+    ok, why = validate_prefix_code(range_, m.alphabet)
+    if not ok:
+        return False, f"range code invalid: {why}"
+    return True, PrefixCodeMap(domain, range_)
 
 
 def outer_class_equal(a, b):

@@ -26,8 +26,9 @@ from .algebra import (
 )
 from .synchro import core_of, sync_level, witness_pair
 from .classify import classify_subgroup, is_in_Gnr, order_in_On, \
-    outer_class_equal
-from .document import ParseError, parse, parse_prefix_map, serialize
+    outer_class_equal, _membership
+from .document import ParseError, parse, parse_prefix_map, serialize, \
+    serialize_prefix_map
 from .randgen import RejectionBudgetExceeded, random_gnr_element, \
     random_transducer
 
@@ -151,7 +152,12 @@ def _parser():
         infile)
     cmd("core", "extract the core as a document", infile, outfile)
     cmd("member", "prefix-exchange group membership (exit 0 yes, 1 no)",
-        infile)
+        infile,
+        (("--why",), {"action": "store_true",
+                      "help": "after the verdict, print a member's prefix "
+                              "replacement map in make-prefix-map format, "
+                              "the reason it is none, or that inversion "
+                              "decided"}))
     cmd("classify", "subgroup flags summary line", infile)
     cmd("order", "order of a core in the outer-class group", infile,
         (("--cap",), {"type": _at_least(1), "default": 64,
@@ -264,8 +270,13 @@ def _dispatch(args):
         return 0
 
     if args.command == "member":
-        yes = is_in_Gnr(_load(args.file))
+        t = _load(args.file)
+        yes, why = _membership(t) if args.why else (is_in_Gnr(t), None)
         print("yes" if yes else "no")
+        if isinstance(why, PrefixCodeMap):
+            print(serialize_prefix_map(why), end="")
+        elif why is not None:
+            print(why)
         return 0 if yes else 1
 
     if args.command == "classify":

@@ -22,7 +22,7 @@ integer rows cut from those keys and validated once, on them.  A
 machine that passes is marked valid, so library calls on it neither
 validate it again nor build a view of it, and its `trans` is built on
 first read.  Only a document that fails gets a table by name, in line
-order, for validate to word the refusal on.
+order, for machine._violations to word the refusal on.
 """
 
 import re
@@ -31,8 +31,9 @@ from operator import itemgetter
 
 from .words import EMPTY, WordError, check_word_shape, format_letter, \
     format_word, is_root, parse_letter
-from .machine import CORE, INITIAL, Transducer, TransducerError, _View, \
-    _bfs, _bfs_order, _checked_r, validate
+from . import machine
+from .machine import CORE, INITIAL, Transducer, TransducerError, _VALID, \
+    _View, _bfs, _bfs_order, _checked_r
 
 HEADER = "cantor-transducer 1"
 
@@ -180,15 +181,16 @@ def parse(text):
         view = _rows(trans, states, n, nroots)
         if view is not None:
             t = Transducer._of_rows(n, r, mode, initial, view, None)
-            if not validate(t):
+            if machine._stages(t) is not None:
+                t._know(_VALID)
                 return t
     # a transition missing, stray or failing a stage: the table by name,
-    # in line order, which validate words the refusal on
+    # in line order, on which _violations words the refusal
     table = {(states[i], x): (w, states[j])
              for (i, x), (w, j) in trans.items()}
     t = Transducer(n, r, mode, states, initial, {})
     object.__setattr__(t, "_trans", table)
-    bad = validate(t)
+    bad = machine._violations(t)
     if bad:
         # each line of the table added one key, in order
         lineof = dict(zip(table, (lineno for lineno, _ in body)))

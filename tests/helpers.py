@@ -590,10 +590,57 @@ def three_minimize_bisync(t):
 
 
 def three_minimize_in_gnr(t):
-    """Oracle: is_in_Gnr as three minimizations of its input, through
-    three_minimize_bisync and a third minimize for the core."""
+    """Oracle: is_in_Gnr decided by inversion, as it was before the walk
+    of the prefix replacement map, with three minimizations of its
+    input: three_minimize_bisync and a third minimize for the core."""
     ok, _level = three_minimize_bisync(t)
     return ok and is_identity_core(core_of(minimize(t)))
+
+
+def deep_twist(alphabet, k, sigma):
+    """The element of G_{n,r} that applies the digit permutation sigma
+    at each of the first k digit positions: a chain of k twisting states
+    from the entry to an identity-echo state, whose code has r n^k words
+    on k + 2 states."""
+    chain = [f"d{i}" for i in range(k)] + ["e"]
+    trans = {("q0", -(j + 1)): ((-(j + 1),), chain[0])
+             for j in range(alphabet.r)}
+    for q, tgt in zip(chain, chain[1:]):
+        trans.update(((q, x), ((sigma[x],), tgt)) for x in range(alphabet.n))
+    trans.update((("e", x), ((x,), "e")) for x in range(alphabet.n))
+    return Transducer(alphabet.n, alphabet.r, INITIAL, ["q0", *chain], "q0",
+                      trans)
+
+
+def output_letter_mutants(t, rng, count):
+    """Copies of t's minimal machine with one output letter changed on a
+    transition that does not leave an identity-echo state: a digit
+    replaced by a random letter (a root letter makes an invalid machine),
+    a digit inserted after any root letter, or a digit deleted."""
+    m = minimize(t)
+    echo = {q for q in m.states if q != m.initial and
+            all(m.trans[(q, x)] == ((x,), q) for x in range(m.n))}
+    keys = [k for k in m.trans if k[0] not in echo]
+    out = []
+    while len(out) < count:
+        key = rng.choice(keys)
+        w, tgt = m.trans[key]
+        w = list(w)
+        spots = [i for i, y in enumerate(w) if y >= 0]
+        kind = rng.choice(("replace", "insert", "delete"))
+        if kind == "insert":
+            w.insert(rng.randint(1 if w and w[0] < 0 else 0, len(w)),
+                     rng.randrange(m.n))
+        elif not spots:
+            continue
+        elif kind == "replace":
+            w[rng.choice(spots)] = rng.randrange(-m.r, m.n)
+        else:
+            del w[rng.choice(spots)]
+        trans = dict(m.trans)
+        trans[key] = (tuple(w), tgt)
+        out.append(Transducer(m.n, m.r, m.mode, m.states, m.initial, trans))
+    return out
 
 
 def list_queue_serialize(t):

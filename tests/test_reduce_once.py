@@ -47,9 +47,9 @@ from cantrans import (
 from cantrans import algebra, fixtures, machine, synchro
 from cantrans.randgen import random_gnr_element, random_transducer
 
-from helpers import count_calls, delayed_copy, letter_loop_validate, \
-    random_bisync, round_remap_collapse, three_minimize_bisync, \
-    three_minimize_in_gnr
+from helpers import count_calls, deep_twist, delayed_copy, \
+    letter_loop_validate, random_bisync, round_remap_collapse, \
+    three_minimize_bisync, three_minimize_in_gnr
 
 # the package's `minimize` attribute is the function, not the module
 minimize_module = importlib.import_module("cantrans.minimize")
@@ -99,12 +99,24 @@ def test_from_prefix_code_map_validates_nothing(monkeypatch):
     assert seen == []
 
 
-@pytest.mark.parametrize("t", [
-    compose(*_gnr_pair(7)), fixtures.sample_3_2(),
-    minimize(fixtures.torsion_core_2()),
-], ids=["gnr", "sample_3_2", "torsion_core_2"])
-def test_is_in_Gnr_minimizes_its_input_once(monkeypatch, t):
+# each machine with what decides its membership: the walk of its prefix
+# replacement map, or the inversion, of a core or of a code past the
+# walk's budget
+DECIDED = {
+    "gnr": (compose(*_gnr_pair(7)), "walk"),
+    "gnr-2-1": (random_gnr_element(Alphabet(2, 1), 3), "walk"),
+    "sample_3_2": (fixtures.sample_3_2(), "walk"),
+    "torsion_core_2": (minimize(fixtures.torsion_core_2()), "core"),
+    "deep_twist": (deep_twist(Alphabet(2, 1), 7, (1, 0)), "budget"),
+}
+
+
+@pytest.mark.parametrize("t, decided", [
+    DECIDED[k] for k in ("gnr", "sample_3_2", "torsion_core_2", "deep_twist")
+], ids=["gnr", "sample_3_2", "torsion_core_2", "deep_twist"])
+def test_is_in_Gnr_minimizes_its_input_once(monkeypatch, t, decided):
     seen = count_calls(monkeypatch, minimize_module, "_reduce")
+    inverted = count_calls(monkeypatch, algebra, "invert")
     # the inversion each reduction is called from, found on the stack
     sources = []
     counting = minimize_module._reduce
@@ -126,26 +138,34 @@ def test_is_in_Gnr_minimizes_its_input_once(monkeypatch, t):
     # reduced once, outside the inversion
     own = [m for m, source in zip(seen, sources) if source is None]
     assert own == ([] if t._known == machine._MINIMAL else [t])
-    # everything else reduced is built by the inversion: invert's one
-    # machine, or invert_core's cores of machines of run sets
+    # everything else reduced is built by the inversion: none on the
+    # walk of an initial-mode machine's prefix replacement map, invert's
+    # one machine for a code past the walk's budget, or invert_core's
+    # cores of machines of run sets
     others = [source for source in sources if source is not None]
-    if t.mode == INITIAL:
-        assert others == ["invert"]
-    else:
+    if decided == "core":
         assert others and set(others) == {"_inverse_from"}
+    elif decided == "budget":
+        assert others == ["invert"] and len(inverted) == 1
+    else:
+        assert others == [] and inverted == []
 
 
-@pytest.mark.parametrize("t", [
-    compose(*_gnr_pair(7)), random_gnr_element(Alphabet(2, 1), 3),
-    fixtures.sample_3_2(), minimize(fixtures.torsion_core_2()),
-], ids=["gnr", "gnr-2-1", "sample_3_2", "torsion_core_2"])
-def test_is_in_Gnr_synchronizes_each_machine_once(monkeypatch, t):
+@pytest.mark.parametrize("t, decided", list(DECIDED.values()),
+                         ids=list(DECIDED))
+def test_is_in_Gnr_synchronizes_each_machine_once(monkeypatch, t, decided):
     seen = count_calls(monkeypatch, synchro, "_collapse")
     verdict = is_in_Gnr(t)
-    # the core is taken at the level already found, not collapsed again
+    # the core is taken at the level already found, not collapsed again,
+    # and the walk of an initial-mode machine collapses nothing; a code
+    # past its budget collapses the minimal machine and its inverse
     assert len({id(m) for m in seen}) == len(seen)
-    if t.mode == INITIAL and verdict:
-        assert len(seen) == 2
+    if decided == "core":
+        assert seen
+    elif decided == "budget":
+        assert verdict and len(seen) == 2
+    else:
+        assert seen == []
     monkeypatch.undo()
     assert verdict == three_minimize_in_gnr(t)
 

@@ -43,7 +43,7 @@ from cantrans import (
     validate,
     witness_pair,
 )
-from cantrans import algebra, cli, document, machine, randgen, synchro
+from cantrans import algebra, cli, machine, randgen, synchro
 from cantrans.document import HEADER
 from cantrans.machine import _VALID, _View
 from cantrans.randgen import random_gnr_element, random_prefix_code_map, \
@@ -346,11 +346,39 @@ def _parse_error(text):
 def test_parse_reports_invalid_documents_as_before(monkeypatch):
     docs = [_document(t) for t in _corpus(seed=2)]
     got = [_parse_error(d) for d in docs]
-    monkeypatch.setattr(document, "validate", letter_loop_validate)
+    # the letter loop decides each document and words its refusal
+    stages = machine._stages
+    monkeypatch.setattr(machine, "_stages", lambda t: None
+                        if letter_loop_validate(t) else stages(t))
+    monkeypatch.setattr(machine, "_violations", letter_loop_validate)
     assert got == [_parse_error(d) for d in docs]
     invalid = [e for e in got if e and "invalid transducer" in e]
     assert len(invalid) > len(docs) // 2
     assert any("line " in e.split(": ", 2)[2] for e in invalid)
+
+
+@pytest.mark.parametrize("body, stages, message", [
+    ("alphabet n=2 core\na 0 -> a : 5\na 1 -> b : 1\nb 0 -> a : 0\n"
+     "b 1 -> b : 1\n", 1,
+     "line 3: output of ('a', 0) uses digit 5 out of range"),
+    ("alphabet n=2 r=1\ninitial q0\nq0 .0 -> s : 0\ns 0 -> s : 0\n"
+     "s 1 -> s : 1\n", 1,
+     "line 4: transition ('q0', .0) leaves the pre-root region with "
+     "non-rooted output '0'"),
+    ("alphabet n=2 core\nb 1 -> a : 1\na 0 -> b : -\nb 0 -> a : -\n"
+     "a 1 -> a : 1\n", 1, "epsilon-output cycle through 'b' -> 'a' -> 'b'"),
+    ("alphabet n=2 core\na 0 -> a : 0\n", 0,
+     "incomplete transition table: missing ('a', 1)"),
+], ids=["digit", "pre-root", "cycle", "missing"])
+def test_a_refused_document_is_checked_once(monkeypatch, body, stages,
+                                            message):
+    """parse runs validate's stages once, on the rows, where it can cut
+    them, and words the refusal once, on the table in line order."""
+    staged = count_calls(monkeypatch, machine, "_stages")
+    worded = count_calls(monkeypatch, machine, "_violations")
+    assert _parse_error(f"{HEADER}\n{body}") == \
+        f"line 0, column 0: invalid transducer: {message}"
+    assert (len(staged), len(worded)) == (stages, 1)
 
 
 def test_a_machine_with_no_states_is_refused():
@@ -484,6 +512,7 @@ def test_cli_invert_member_outer_eq_validate_each_document_once(
         with monkeypatch.context() as patch:
             validated = count_calls(patch, machine, "_stages")
             inverted = count_calls(patch, algebra, "invert")
+            collapsed = count_calls(patch, synchro, "_collapse")
             assert _run(cli.main, argv, capsys) == want
         # validate's stages run once per document read, and never on a
         # machine invert builds (its machine of sets, on pairs (state,
@@ -493,8 +522,11 @@ def test_cli_invert_member_outer_eq_validate_each_document_once(
         docs = len(argv) - 1
         assert len(validated) == docs
         assert not any(isinstance(m.states[0], tuple) for m in validated)
-        assert bool(inverted) == (argv[0] == "invert" or
-                                  argv[0] == "member" and t.mode == INITIAL)
+        # member decides an initial-mode machine by the walk of its
+        # prefix replacement map, which neither inverts nor collapses
+        assert bool(inverted) == (argv[0] == "invert")
+        if argv[0] == "member" and t.mode == INITIAL:
+            assert collapsed == []
 
 
 def test_prefix_map_machines_are_valid_by_construction(monkeypatch):
