@@ -13,7 +13,6 @@ from .words import (
     EMPTY,
     Relation,
     WordError,
-    format_letter,
     format_word,
     is_prefix,
     shortlex_key,
@@ -28,8 +27,6 @@ from .machine import (
     TransducerError,
     check_valid,
     run_word,  # unused here, but bench/tests reads algebra.run_word
-    validate,
-    _VALID,
     _View,
     _bfs,
     _first_repeat,
@@ -183,9 +180,11 @@ def compose(a, b):
     States are the pairs (state of a, state of b) reachable from the
     entry pair, or all pairs in core mode; reading x a pair writes what
     b writes on reading what a wrote (see _Pairs).  A core-mode product
-    keeps a preferred start when both factors have one.  The closure of
-    the pairs is checked by _check_product and its rows, named by the
-    pairs, are reduced by minimize._reduce_rows.
+    keeps a preferred start when both factors have one.  The rows of the
+    closure of the pairs, named by the pairs, are reduced by
+    minimize._reduce_rows without validation: the factors pass the gate
+    of machine._view_of, and valid factors never make a degenerate pair
+    machine (see _Pairs).
     """
     if a.mode != b.mode:
         raise TransducerError("mode mismatch in composition")
@@ -193,17 +192,12 @@ def compose(a, b):
         raise TransducerError("alphabet mismatch in composition")
     pairs = _Pairs(_view_of(a), _view_of(b))
     if a.mode == INITIAL:
-        if pairs.entry is None:
-            raise TransducerError("degenerate product: no entry pair")
         seeds, initial = [pairs.entry], (a.initial, b.initial)
     else:
         seeds = range(len(a.states) * len(b.states))
         both = a.initial is not None and b.initial is not None
         initial = (a.initial, b.initial) if both else None
-    view = pairs.closure(seeds)
-    _check_product(a, b, view, initial, "degenerate product (second "
-                   "factor undefined on the first's image): ")
-    return _reduce_rows(a.n, a.r, a.mode, initial, view)
+    return _reduce_rows(a.n, a.r, a.mode, initial, pairs.closure(seeds))
 
 
 class _Pairs:
@@ -215,8 +209,18 @@ class _Pairs:
     A pair is numbered i * |b| + j and reads a's letters at i, so the
     entry pair of two initial-mode machines reads the root letters, at
     row index ~y as in _RunSets.  How b reads each output word of a from
-    each state is worked out once.  A letter b cannot read where it is
-    (only an invalid a writes one) raises TransducerError."""
+    each state is worked out once.
+
+    Valid factors never make a degenerate pair machine: b reads every
+    letter a writes where it is, since in initial mode a writes a rooted
+    word once, when b is at its entry, and digits after, which b reads
+    everywhere else.  Its table is complete, it writes what b writes,
+    and an empty-output cycle in it would need one in a (when a writes
+    nothing along it) or in b (which then reads a's nonempty writing
+    around a cycle and writes nothing).  In initial mode nothing enters
+    the entry pair, and the pairs it reaches with empty output are those
+    where b has written nothing, which b never returns to: they leave
+    with b's rooted output, and no other pair writes a root letter."""
 
     __slots__ = ("va", "vb", "size", "entry", "memo")
 
@@ -275,42 +279,11 @@ class _Pairs:
         vb = self.vb
         out, q = EMPTY, j
         for y in w:
-            if y not in vb.letters[q]:
-                raise TransducerError(
-                    f"no transition ({vb.states[q]!r}, {format_letter(y)})")
             x = y if y >= 0 else ~y
             out += vb.outs[q][x]
             q = vb.targets[q][x]
         self.memo[(w, j)] = edge = (out, q)
         return edge
-
-
-def _named_pairs(t, view, initial):
-    """A closure of _Pairs as the raw pair machine on t's alphabet and
-    mode, named by the pairs, sorted by str, with the given entry or
-    preferred start, through the public constructor: the table
-    _check_product validates when a factor is invalid."""
-    return Transducer(t.n, t.r, t.mode, sorted(view.states, key=str),
-                      initial, view._table())
-
-
-def _check_product(a, b, view, initial, refusal):
-    """The validation policy of compose and core_product.  Valid factors
-    never make a degenerate pair machine: its table is complete, it
-    writes what b writes, and an empty-output cycle in it would need one
-    in a (when a writes nothing along it) or in b (which then reads a's
-    nonempty writing around a cycle and writes nothing).  In initial
-    mode nothing enters the entry pair, and the pairs it reaches with
-    empty output are those where b has written nothing, which b never
-    returns to: they leave with b's rooted output, and no other pair
-    writes a root letter.  So the factors are validated (at once when
-    known to be valid), and the pair machine of the closure `view` only
-    when one fails; its violations are refused with TransducerError,
-    after `refusal`."""
-    if any(map(validate, (a, b))):
-        bad = validate(_named_pairs(a, view, initial))
-        if bad:
-            raise TransducerError(refusal + "; ".join(bad))
 
 
 def from_prefix_code_map(pm, alphabet):
@@ -324,7 +297,7 @@ def from_prefix_code_map(pm, alphabet):
     The tree is built as rows: the prefixes in shortlex order (the entry,
     the empty prefix, first), then the identity state, each named by its
     number.  The raw machine is valid by construction once pm.check has
-    passed, so it is built marked valid and reduced without validation:
+    passed, so it is built on those rows and reduced without validation:
 
     * the table is complete: each prefix reads every letter admissible
       at it (the root letters at the entry, the digits elsewhere), since
@@ -365,7 +338,7 @@ def from_prefix_code_map(pm, alphabet):
                           [tuple(w for w, _ in row) for row in edges],
                           [tuple(k for _, k in row) for row in edges], 0)
     return _reduce(Transducer._of_rows(alphabet.n, alphabet.r, INITIAL, 0,
-                                       rows, _VALID))
+                                       rows, None))
 
 
 def _product_is_identity(va, vb):

@@ -21,7 +21,7 @@ from itertools import compress, count
 from .words import EMPTY, validate_prefix_code
 from .machine import CORE, TransducerError, canonical_form, _view_of, \
     _words
-from .algebra import PrefixCodeMap
+from .algebra import NotInvertible, PrefixCodeMap, invert
 from .minimize import minimize
 from .synchro import NotSynchronizing, _synchronizes, core_of, \
     core_product, invert_core, is_bisynchronizing, is_identity_core
@@ -58,15 +58,18 @@ def is_in_Gnr(t):
 
     A twist of each of the first k digits has n^k words on k + 2
     states, so the walk counts the code first, and a code of more than
-    _CODE_BUDGET * n * |Q| words goes, like a core-mode machine, to the
-    inversion: the minimal machine is bi-synchronizing, and its core
-    (core_of reads the level is_bisynchronizing left) is the
-    identity-echo state.  The budget of 4 keeps the benchmark's
-    compositions of two random prefix replacement maps (at most
-    0.7 n |Q| words) and their SAMPLE_3_2 conjugates (up to about
-    2.4 n |Q|) on the walk.  On the deep twists the walk and the
-    inversion cost the same near 8 n |Q| words (about 300 us, Python
-    3.11 on a 2-vCPU x86-64 host), so at 4 the walk costs about half."""
+    _CODE_BUDGET * n * |Q| words goes to the inversion.  By then the
+    walk has shown that every path from the entry meets e, so the map is
+    u.y -> R(u).y and only whether it is a homeomorphism is open: it is
+    a member exactly when invert finds its inverse.  A core-mode machine
+    is a member when it is bi-synchronizing and its core (core_of reads
+    the level is_bisynchronizing left) is the identity-echo state.  The
+    budget of 4 keeps the benchmark's compositions of two random prefix
+    replacement maps (at most 0.7 n |Q| words) and their SAMPLE_3_2
+    conjugates (up to about 2.4 n |Q|) on the walk.  On the deep twists of C_2,1 invert alone
+    takes 190-350 us, and the walk costs less up to about 5 n |Q| words
+    (200 us at 4 n |Q|, 430 us at 7; Python 3.11 on a 2-vCPU x86-64
+    host)."""
     return _membership(t)[0]
 
 
@@ -76,15 +79,19 @@ def _membership(t):
     the inversion decided."""
     m = minimize(t)
     if m.mode == CORE:
-        why = "decided by inversion: a core-mode machine"
-    else:
-        budget = _CODE_BUDGET * m.n * len(m.states)
-        walked = _prefix_walk(m, budget)
-        if walked is not None:
-            return walked
-        why = (f"decided by inversion: the code passes the walk's budget "
-               f"of {budget} words")
-    return is_bisynchronizing(m)[0] and is_identity_core(core_of(m)), why
+        return (is_bisynchronizing(m)[0] and is_identity_core(core_of(m)),
+                "decided by inversion: a core-mode machine")
+    budget = _CODE_BUDGET * m.n * len(m.states)
+    walked = _prefix_walk(m, budget)
+    if walked is not None:
+        return walked
+    why = (f"decided by inversion: the code passes the walk's budget of "
+           f"{budget} words")
+    try:
+        invert(m)
+    except NotInvertible:
+        return False, why
+    return True, why
 
 
 def prefix_code_map_of(t):
@@ -228,9 +235,6 @@ def cycle_balance(core):
     """
     if core.mode != CORE:
         raise TransducerError("cycle_balance expects a core-mode machine")
-    if not core.states:
-        raise TransducerError("cycle_balance expects a strongly connected "
-                              "core; it has no states")
     view = _view_of(core)
     outs, targets = view.outs, view.targets
     phi = {0: 0}

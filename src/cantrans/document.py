@@ -17,12 +17,15 @@ Parsing is one pass over the lines, each split once.  Token columns are
 found only for the line an error is raised on, and each distinct letter
 token and each distinct output is parsed once per document.  No table
 by name is built: the states are numbered as the lines mention them,
-the transitions keyed by state number, and the machine is built on the
-integer rows cut from those keys and validated once, on them.  A
-machine that passes is marked valid, so library calls on it neither
-validate it again nor build a view of it, and its `trans` is built on
-first read.  Only a document that fails gets a table by name, in line
-order, for machine._violations to word the refusal on.
+the transitions keyed by state number, and the integer rows cut from
+those keys are validated once, on them.  Only rows that pass become a
+machine, built on them, so library calls on it neither validate it
+again nor build a view of it, and its `trans` is built on first read.
+Only a document that fails gets a table by name, in line order, for
+machine._violations to word the refusal on.
+
+serialize reads a machine through machine._view_of, which refuses an
+invalid one, and writes it from its rows.
 """
 
 import re
@@ -32,8 +35,8 @@ from operator import itemgetter
 from .words import EMPTY, WordError, check_word_shape, format_letter, \
     format_word, is_root, parse_letter
 from . import machine
-from .machine import CORE, INITIAL, Transducer, TransducerError, _VALID, \
-    _View, _bfs, _bfs_order, _checked_r
+from .machine import CORE, INITIAL, Transducer, TransducerError, _View, \
+    _bfs, _checked_r, _view_of
 
 HEADER = "cantor-transducer 1"
 
@@ -177,13 +180,10 @@ def parse(text):
     except (WordError, TransducerError) as e:
         raise ParseError(alpha_line, 1, str(e)) from None
     nroots = r or 0  # read by the entry, state 0, in initial mode
-    if len(trans) == nroots + (len(states) - bool(nroots)) * n:
+    if states and len(trans) == nroots + (len(states) - bool(nroots)) * n:
         view = _rows(trans, states, n, nroots)
-        if view is not None:
-            t = Transducer._of_rows(n, r, mode, initial, view, None)
-            if machine._stages(t) is not None:
-                t._know(_VALID)
-                return t
+        if view is not None and machine._stages(view, n, r):
+            return Transducer._of_rows(n, r, mode, initial, view, None)
     # a transition missing, stray or failing a stage: the table by name,
     # in line order, on which _violations words the refusal
     table = {(states[i], x): (w, states[j])
@@ -233,10 +233,11 @@ def _rows(trans, states, n, r):
 def serialize(t):
     """Write a transducer document, deterministically ordered: states
     breadth-first from the entry state (unreachable ones last, by name),
-    letters in canonical order.  A machine with no states writes the two
-    header lines.  Each letter and each distinct output word is
-    formatted once per document, as machine._serialize does.  A machine
-    built on rows is written from its rows (see _edges)."""
+    letters in canonical order.  Each letter and each distinct output
+    word is formatted once per document, as machine._serialize does.
+    The machine is written from its rows (see _edges), which refuses an
+    invalid one (machine._view_of)."""
+    rows = _view_of(t)
     out = [HEADER]
     if t.mode == INITIAL:
         out.append(f"alphabet n={t.n} r={t.r}")
@@ -244,13 +245,12 @@ def serialize(t):
         start = t.initial
     else:
         out.append(f"alphabet n={t.n} core")
-        # no states: start from None, which has no transitions
         start = t.initial if t.initial is not None else \
-            min(t.states, key=str, default=None)
+            min(t.states, key=str)
     words = {}
     letters = {x: format_letter(x)
                for x in (*t.input_letters(t.initial), *range(t.n))}
-    for q, x, w, tgt in _edges(t, start):
+    for q, x, w, tgt in _edges(t, rows, start):
         if not isinstance(q, str) or not isinstance(tgt, str):
             raise WordError(
                 "only string state names serialize; relabel first"
@@ -262,25 +262,11 @@ def serialize(t):
     return "\n".join(out) + "\n"
 
 
-def _edges(t, start):
+def _edges(t, rows, start):
     """serialize's transitions (state, letter, output, target), in its
-    order: the states breadth-first from `start`, then the others sorted
-    by str, each state's letters in canonical order, a missing
-    transition skipped.  A machine built on rows is walked on them, by
-    state number; any other through its table, by name."""
-    rows = t._rows
-    if rows is None:
-        seen = _bfs_order(t, start)
-        order = list(seen) + sorted((q for q in t.states if q not in seen),
-                                    key=str)
-        get = t.trans.get
-        digits, roots = range(t.n), t.input_letters(t.initial)
-        for q in order:
-            for x in roots if q == t.initial else digits:
-                edge = get((q, x))
-                if edge is not None:
-                    yield (q, x, *edge)
-        return
+    order, walked on t's rows by state number: the states breadth-first
+    from `start`, then the others sorted by str, each state's letters in
+    canonical order."""
     states, targets = rows.states, rows.targets
     first = rows.entry if t.mode == INITIAL else states.index(start)
     order = _bfs(targets, first)

@@ -14,26 +14,31 @@ Two flavours share one type:
   ignored by canonical forms.
 
 Transducers are immutable after construction; all operations here are
-pure functions.  A machine's private `_known` slot records what is known
-of it: nothing, that it is valid (validate marks each machine that
-passes it, and library code marks the machines it builds valid by
-construction), or that it is minimal (see minimize._reduce); validate
-and check_valid return at once on a machine that knows either.  Its
-`_level` slot records what is known of its synchronization: nothing,
-that it synchronizes (core products and inverse cores), its level, or
-that it does not synchronize (both recorded by synchro._collapse).  A
-machine never changes, so neither fact goes stale; the public
-constructor and relabel start a machine knowing nothing.
+pure functions.  A machine's private `_known` slot records whether it is
+known to be minimal (see minimize._reduce); minimize returns such a
+machine as it is.  Its `_level` slot records what is known of its
+synchronization: nothing, that it synchronizes (core products and
+inverse cores), its level, or that it does not synchronize (both found
+by synchro._collapse).  A machine never changes, so neither fact goes
+stale; the public constructor and relabel start a machine knowing
+nothing.
 
 Its `_rows` slot holds the integer rows (a _View of its own states),
-which kernels read through _view_of and which never change once built:
-every machine the library builds is built on rows, and validate keeps
-the view it checks as the rows of a machine that passes.  Such a
-machine builds its table `trans` from its rows on first read and keeps
-it.  Only a machine not yet checked, or one that failed, holds a table
-and no rows: it is walked through its table (validate, reachable,
-pre_root_states, Transducer.step, serialize, run_word, eval_point), and
-a kernel builds a view of its table per call.
+which kernels read through _view_of and which never change once built.
+A machine that holds rows is valid: the library builds a machine on rows
+only when it is valid by construction, and validate keeps the view it
+checks as the rows of a machine that passes.  Such a machine builds its
+table `trans` from its rows on first read and keeps it.
+
+_view_of is the one gate for a machine that holds a table and no rows
+(one from the public constructor or relabel): the first read of it by a
+kernel or by a public reader (run_word, eval_point, Transducer.step,
+reachable, pre_root_states, max_output_len, document.serialize)
+validates it, and an invalid machine is refused there with
+InvalidTransducer, whose message is its validate list.  Below the gate
+every path reads valid rows.  Only the constructor, `trans`,
+input_letters, validate, check_valid, relabel and algebra.embed_core
+read the table of a machine that has not been checked.
 """
 
 from collections import Counter
@@ -59,7 +64,6 @@ INITIAL = "initial"
 CORE = "core"
 
 # what a machine's `_known` slot records, besides None (nothing)
-_VALID = "valid"
 _MINIMAL = "minimal"
 
 # what a machine's `_level` slot records, besides None (nothing) and an
@@ -89,8 +93,9 @@ class Transducer:
     (state, letter) -> (output word, target state).  The public
     constructor and relabel give a machine that table; validate checks
     it on a view, which a machine that passes keeps in `_rows` in place
-    of the table.  The library builds its machines on rows (see
-    Transducer._of_rows).  Kernels read the rows, and a machine that
+    of the table, and every reader but the table's own validates it
+    first (see _view_of).  The library builds its valid machines on rows
+    (see Transducer._of_rows).  Kernels read the rows, and a machine that
     holds them builds its table from them on first read of `trans`."""
 
     __slots__ = ("n", "r", "mode", "states", "initial", "_trans", "_known",
@@ -116,13 +121,13 @@ class Transducer:
     @classmethod
     def _of_rows(cls, n, r, mode, initial, rows, known):
         """A machine on integer rows that library code has just built
-        from a valid machine's parts, or valid by construction: `rows` a
-        _View of the machine's own states (rows.states, a tuple, is its
-        state tuple), owned by the machine from here on and never
-        changed, and `known` what its builder knows of it (None, _VALID
-        or _MINIMAL); its level is not known.  The public constructor's
-        checks are skipped, and the table is built from the rows on
-        first read of `trans`."""
+        from a valid machine's parts, or valid by construction, and so
+        valid itself: `rows` a _View of the machine's own states
+        (rows.states, a tuple, is its state tuple), owned by the machine
+        from here on and never changed, and `known` what its builder
+        knows of it (None or _MINIMAL); its level is not known.  The
+        public constructor's checks are skipped, and the table is built
+        from the rows on first read of `trans`."""
         t = object.__new__(cls)
         for slot, value in zip(cls.__slots__, (n, r, mode, rows.states,
                                                initial, None, known, None,
@@ -140,10 +145,6 @@ class Transducer:
             table = self._rows._table()
             object.__setattr__(self, "_trans", table)
         return table
-
-    def _know(self, fact):
-        """Record `fact` in the `_known` slot."""
-        object.__setattr__(self, "_known", fact)
 
     def _know_level(self, level):
         """Record `level` in the `_level` slot: _SYNCHRONIZES, the level
@@ -171,6 +172,7 @@ class Transducer:
         return tuple(range(self.n))
 
     def step(self, state, letter):
+        _view_of(self)
         try:
             return self.trans[(state, letter)]
         except KeyError:
@@ -184,30 +186,22 @@ class Transducer:
     def reachable(self, start=None):
         """The set of states reachable from `start` (default: the
         initial state)."""
+        rows = _view_of(self)
         if start is None:
             start = self.initial
         if start is None:
             raise TransducerError("no start state given")
-        return set(_bfs_order(self, start))
+        return set(map(rows.states.__getitem__,
+                       _bfs(rows.targets, _number(self, rows, start))))
 
     def pre_root_states(self):
         """The R part of the state split: states reachable from q0 along
-        transitions that have emitted nothing yet, found by _bfs_order on
-        the empty-output transitions alone (by _pre_root on the rows of a
-        machine built on them).  Only meaningful for valid initial-mode
-        machines."""
+        transitions that have emitted nothing yet (see _pre_root); empty
+        in core mode."""
+        rows = _view_of(self)
         if self.mode != INITIAL:
             return set()
-        rows = self._rows
-        if rows is not None:
-            return set(map(rows.states.__getitem__, _pre_root(rows)))
-        get = self.trans.get
-
-        def silent(key):
-            edge = get(key)
-            return edge if edge is not None and not edge[0] else None
-
-        return set(_bfs_order(self, self.initial, silent))
+        return set(map(rows.states.__getitem__, _pre_root(rows)))
 
 
 def _checked_r(n, r, mode):
@@ -225,11 +219,8 @@ def _checked_r(n, r, mode):
 
 def _words(t):
     """Every output word of t's transitions (with repeats), read from its
-    rows when it has them."""
-    rows = t._rows
-    if rows is not None:
-        return chain.from_iterable(rows.outs)
-    return map(itemgetter(0), t.trans.values())
+    rows."""
+    return chain.from_iterable(_view_of(t).outs)
 
 
 def _pre_root(view):
@@ -250,46 +241,52 @@ def _pre_root(view):
 def validate(t):
     """All non-degeneracy checks; returns a list of violation strings.
 
-    A machine whose `_known` slot is set (valid or minimal) returns []
-    at once; any other is checked by _stages.  One that passes keeps the
-    view they checked as its rows, is marked valid and drops its table,
-    in that order, so that a reader that finds no table finds the rows.
-    One that fails keeps its table, holds no rows and is never marked:
-    _violations words what fails, and each later call finds it again."""
-    if t._known is not None:
+    A machine that holds rows is valid (see the module docstring) and
+    returns [] at once.  Any other is checked on the view of its table
+    (_table_view) by _stages.  One that passes keeps that view as its
+    rows and drops its table, in that order, so that a reader that finds
+    no table finds the rows.  One that fails keeps its table and holds
+    no rows: _violations words what fails, and each later call finds it
+    again."""
+    if t._rows is not None:
         return []
-    view = _stages(t)
-    if view is None:
+    view = _table_view(t)
+    if view is None or not _stages(view, t.n, t.r):
         return _violations(t)
     object.__setattr__(t, "_rows", view)
-    t._know(_VALID)
     object.__setattr__(t, "_trans", None)
     return []
 
 
-def _stages(t):
-    """validate's five stages (see _violations) on t's rows, or on the
-    view of its table they build: the view when t passes, else None.
-    Stage 2 is the view's lookups and a count that leaves no stray key
-    (rows hold each admissible transition by construction); stage 3
+def _table_view(t):
+    """validate's stages 1 and 2 (see _violations) on t's table: the view
+    of it, or None when a stage fails.  Stage 2 is the view's lookups,
+    where a missing transition or a target that is not a state raises
+    KeyError, and a count that leaves no stray key."""
+    states = t.states
+    if not states or t.initial is not None and t.initial not in states:
+        return None
+    try:
+        view = _View(t)
+    except KeyError:
+        return None
+    if len(view.index) != len(states) or \
+            len(t.trans) != sum(map(len, view.letters)):
+        return None
+    return view
+
+
+def _stages(view, n, r):
+    """Whether rows that hold each admissible transition, on states named
+    once, pass validate's stages 3 to 5 on the alphabet (n, r): stage 3
     tests the distinct words; stage 4 counts the pre-root states' edges
     that write nothing or leave rooted, and all edges that enter those
     states or write a root letter, which must agree; stage 5 peels the
     empty-output edges (_silent_cycle)."""
-    if not t.states or t.initial is not None and t.initial not in t.states:
-        return None
-    view = t._rows
-    if view is None:
-        try:
-            view = _View(t)  # refuses a name listed twice
-        except TransducerError:
-            return None
-        if len(t.trans) != sum(map(len, view.letters)):
-            return None
     outs, targets, entry = view.outs, view.targets, view.entry
     words = set(chain.from_iterable(outs))
-    if not _words_in_range(words, t.n, t.r or 0):
-        return None
+    if not _words_in_range(words, n, r or 0):
+        return False
     if entry is not None:
         inside = set(_pre_root(view))
         edges = [e for i in inside for e in zip(outs[i], targets[i])]
@@ -299,8 +296,8 @@ def _stages(t):
         into = sum(map(inside.__contains__, chain.from_iterable(targets)))
         writing = sum(map(rooted.__contains__, chain.from_iterable(outs)))
         if (silent, leaving, silent + leaving) != (into, writing, len(edges)):
-            return None
-    return None if EMPTY in words and _silent_cycle(view) else view
+            return False
+    return not (EMPTY in words and _silent_cycle(view))
 
 
 def _silent_cycle(view):
@@ -324,8 +321,8 @@ def _silent_cycle(view):
 
 
 def _violations(t):
-    """validate's messages for a machine _stages refuses, worded by
-    loops over the table.
+    """validate's messages for a machine _table_view or _stages refuses,
+    worded by loops over the table.
 
     The checks run in five stages, in this order; a stage that finds a
     violation returns the messages found so far, and later stages do not
@@ -335,14 +332,17 @@ def _violations(t):
        (a core's preferred start, when it has one) is among the states;
     2. the table: exactly one transition per state and admissible
        letter, the root letters at the initial state and the digits
-       everywhere else (missing pairs, then stray ones);
+       everywhere else (missing pairs in state order, then letter
+       order, then stray ones in table order);
     3. the transitions, in table order: each target is a state, and each
        output word has a root letter at most in front, only root letters
        of the alphabet (none in a core) and only digits below n;
     4. initial mode: no transition enters the initial state; the
        pre-root states (reached from it with empty output) are entered
        only from one another with empty output and left with a rooted
-       output; every other transition writes digits only;
+       output; every other transition writes digits only (the pre-root
+       states are read from the view of the table, which builds once
+       stages 1 to 3 pass);
     5. no cycle of transitions with empty output."""
     out = []
     states = set(t.states)
@@ -357,11 +357,14 @@ def _violations(t):
 
     trans = t.trans
     expected = {(q, x) for q in t.states for x in t.input_letters(q)}
-    for q, x in expected - set(trans):
-        out.append(f"incomplete transition table: missing "
-                   f"({q!r}, {format_letter(x)})")
-    for q, x in set(trans) - expected:
-        out.append(f"stray transition ({q!r}, {format_letter(x)})")
+    for q in dict.fromkeys(t.states):
+        for x in t.input_letters(q):
+            if (q, x) not in trans:
+                out.append(f"incomplete transition table: missing "
+                           f"({q!r}, {format_letter(x)})")
+    for q, x in trans:
+        if (q, x) not in expected:
+            out.append(f"stray transition ({q!r}, {format_letter(x)})")
     if out:
         return out
     for (q, x), (w, tgt) in trans.items():
@@ -390,7 +393,7 @@ def _violations(t):
             if tgt == t.initial:
                 out.append(f"initial state has an incoming transition "
                            f"from ({q!r}, {format_letter(x)})")
-        pre = t.pre_root_states()
+        pre = set(map(t.states.__getitem__, _pre_root(_View(t))))
         # shapes are checked: a word is rooted exactly when w[0] < 0
         for (q, x), (w, tgt) in trans.items():
             if tgt in pre:
@@ -455,7 +458,7 @@ def _epsilon_cycle(t):
 
 def check_valid(t):
     """t itself when validate finds nothing, else InvalidTransducer with
-    the violations; a machine known to be valid returns at once."""
+    the violations; a machine that holds rows returns at once."""
     violations = validate(t)
     if violations:
         raise InvalidTransducer(violations)
@@ -465,20 +468,14 @@ def check_valid(t):
 def run_word(t, state, word):
     """Extended transition/output: feed `word` from `state`, returning
     (output, end state).  Admissibility is checked eagerly: rooted words
-    only from the initial state, digit words never from it.  A machine
-    known to be valid is walked on its rows when they read the word
-    (see _walked_rows), any other by one lookup in the table per letter;
-    the outputs are gathered in one list.  Only the table walk
-    meets a missing transition, which Transducer.step refuses."""
+    only from the initial state, digit words never from it.  The word is
+    walked on t's rows (see _walker), and the outputs are gathered in
+    one list."""
+    rows = _view_of(t)
     _check_start(t, state, word)
     out = []
-    rows = _walked_rows(t, word)
-    if rows is None:
-        end = _walk_table(t, state, word, out)
-    else:
-        end = rows.states[_walk_rows(rows, _number(t, rows, state), word,
-                                     out)]
-    return tuple(out), end
+    end = _walker(t, word)(rows, _number(t, rows, state), word, out)
+    return tuple(out), rows.states[end]
 
 
 def _check_start(t, state, word):
@@ -494,66 +491,44 @@ def _check_start(t, state, word):
         raise TransducerError("core-mode machine only reads digit words")
 
 
-def _walked_rows(t, word, period=EMPTY):
-    """The rows on which run_word and eval_point walk `word` (and pump
-    `period`), checked by _check_start: those of a machine known to be
-    valid (every such machine holds rows), in which nothing enters the
-    entry and every other state reads the n digits, when the words hold
-    only letters such rows read: a root letter of the alphabet in front,
-    and digits below n (one min and one max per word).  None otherwise:
-    the walk then goes through the table, where a missing transition is
-    refused as Transducer.step refuses it."""
-    rows = t._rows
-    if rows is None or t._known is None:
-        return None
+def _walker(t, word, period=EMPTY):
+    """The walk run_word and eval_point take on t's rows for `word` (and
+    each pump of `period`), checked by _check_start.  In valid rows
+    nothing enters the entry and every other state reads the n digits,
+    so words that hold only a root letter of the alphabet in front and
+    digits below n (one min and one max per word) are walked by
+    _walk_rows, which tests no letter; any others by _walk_checked,
+    which refuses the first letter its state does not read."""
     if is_rooted(word):
         if ~word[0] >= t.r:
-            return None
+            return _walk_checked
         word = word[1:]
     try:
         if all(not w or (min(w) >= 0 and max(w) < t.n)
                for w in (word, period)):
-            return rows
+            return _walk_rows
     except TypeError:
         pass
-    return None
+    return _walk_checked
 
 
 def _number(t, rows, state):
     """The number of state `state` of t in its rows: the entry's without
-    a name map, any other through the rows' name map."""
+    a name map, any other through the rows' name map.  A name that is
+    not a state is refused with TransducerError."""
     if t.mode == INITIAL and state == t.initial:
         return rows.entry
-    return rows.index[state]
-
-
-def _entry(view, t):
-    """The number of t's initial state in its view.  An initial state
-    that is not among the states (the public constructor does not check)
-    raises KeyError, as its lookup by name does."""
-    if view.entry is None:
-        raise KeyError(t.initial)
-    return view.entry
-
-
-def _walk_table(t, q, word, out):
-    """Feed `word` from state q through t's table, extending `out` with
-    what it writes; the state reached.  A missing transition calls
-    Transducer.step, which words the error."""
-    trans = t.trans
     try:
-        for x in word:
-            w, q = trans[(q, x)]
-            out += w
+        return rows.index[state]
     except KeyError:
-        t.step(q, x)
-    return q
+        raise TransducerError(f"unknown state {state!r}") from None
 
 
 def _walk_rows(rows, i, word, out):
-    """_walk_table on rows that read `word` (see _walked_rows), from
-    state number i: a leading root letter -k-1 at the entry's position
-    k, then each digit at its own position."""
+    """Feed `word` from state number i on rows that read it (see
+    _walker), extending `out` with what it writes; the state number
+    reached.  A leading root letter -k-1 is at the entry's position k,
+    and each digit at its own position."""
     outs, targets = rows.outs, rows.targets
     letters = iter(word)
     if is_rooted(word):
@@ -563,6 +538,23 @@ def _walk_rows(rows, i, word, out):
     for x in letters:
         out += outs[i][x]
         i = targets[i][x]
+    return i
+
+
+def _walk_checked(rows, i, word, out):
+    """_walk_rows finding each letter in its state's row: a letter the
+    state does not read is refused with TransducerError, worded as
+    Transducer.step words a missing transition."""
+    letters, outs, targets = rows.letters, rows.outs, rows.targets
+    for x in word:
+        try:
+            k = letters[i].index(x)
+        except ValueError:
+            raise TransducerError(
+                f"no transition ({rows.states[i]!r}, {format_letter(x)})"
+            ) from None
+        out += outs[i][k]
+        i = targets[i][k]
     return i
 
 
@@ -590,50 +582,40 @@ class _View:
     built on first use.
 
     A view is built by _View(t) from the table of a machine that holds
-    no rows: once by validate, which a machine that passes keeps as its
-    rows, or per kernel call on a machine not checked.  Or it is taken
-    from rows already on state numbers (_View._of_rows): the closure of
-    a pair product, an inversion's machine of sets, a prefix tree, a
-    parsed document or a sub-view cut by _cut.  Kernels get a machine's
-    view through _view_of; `_table` builds the name-keyed table of the
-    rows.
+    no rows, by validate alone (see _table_view), which a machine that
+    passes keeps as its rows.  Or it is taken from rows already on state
+    numbers (_View._of_rows): the closure of a pair product, an
+    inversion's machine of sets, a prefix tree, a parsed document or a
+    sub-view cut by _cut.  Kernels get a machine's view through
+    _view_of; `_table` builds the name-keyed table of the rows.
 
-    Built from the table, the view covers all of t's states.  A name
-    listed twice is refused with TransducerError, as validate words it,
-    since rows by position would answer for another machine; so are a
-    missing transition and a target that is not a state.  The table is
-    read at C speed: one lookup of every digit row in state order (plus
-    the entry's root row), one map of the targets to numbers, and the
-    columns cut into rows; the digit rows share one letters tuple.  Only
-    a lookup that fails runs the letter loop of _View._fail, which words
-    the error for the first failing state."""
+    Built from the table, the view covers all of t's states.  The table
+    is read at C speed: one lookup of every digit row in state order
+    (plus the entry's root row), one map of the targets to numbers, and
+    the columns cut into rows; the digit rows share one letters tuple.
+    A missing transition, or a target that is not a state, raises
+    KeyError."""
 
     __slots__ = ("states", "_index", "entry", "letters", "outs", "targets")
 
     def __init__(self, t):
         self.states = states = t.states
         self._index = index = dict(zip(states, range(len(states))))
-        if len(index) != len(states):
-            raise TransducerError("duplicate state names")
         trans, n = t.trans, t.n
         digits = tuple(range(n))
         entry = index.get(t.initial) if t.mode == INITIAL else None
         self.entry = entry
         readers = states if entry is None else \
             states[:entry] + states[entry + 1:]
-        try:
-            edges = list(map(trans.__getitem__, product(readers, digits)))
-            outs = list(map(itemgetter(0), edges))
-            targets = list(map(index.__getitem__, map(itemgetter(1), edges)))
-            if entry is not None:
-                roots = t.input_letters(t.initial)
-                row = list(map(trans.__getitem__,
-                               zip(repeat(t.initial), roots)))
-                root_outs = tuple(map(itemgetter(0), row))
-                root_targets = tuple(map(index.__getitem__,
-                                         map(itemgetter(1), row)))
-        except KeyError:
-            self._fail(t)
+        edges = list(map(trans.__getitem__, product(readers, digits)))
+        outs = list(map(itemgetter(0), edges))
+        targets = list(map(index.__getitem__, map(itemgetter(1), edges)))
+        if entry is not None:
+            roots = t.input_letters(t.initial)
+            row = list(map(trans.__getitem__, zip(repeat(t.initial), roots)))
+            root_outs = tuple(map(itemgetter(0), row))
+            root_targets = tuple(map(index.__getitem__,
+                                     map(itemgetter(1), row)))
         self.letters = [digits] * len(readers)
         self.outs = list(zip(*[iter(outs)] * n))
         self.targets = list(zip(*[iter(targets)] * n))
@@ -663,20 +645,10 @@ class _View:
 
     def _cut(self, keep):
         """The sub-view of the state numbers `keep`, in order, numbered by
-        position among them.  A target outside them raises
-        TransducerError for the first such state."""
+        position among them; no target leaves them."""
         position = dict(zip(keep, count()))
         states, targets = self.states, self.targets
-        try:
-            rows = [tuple(map(position.__getitem__, targets[i]))
-                    for i in keep]
-        except KeyError:
-            i, j = next((i, j) for i in keep for j in targets[i]
-                        if j not in position)
-            raise TransducerError(
-                f"state {states[i]!r} leads to {states[j]!r}, outside the "
-                "states considered"
-            ) from None
+        rows = [tuple(map(position.__getitem__, targets[i])) for i in keep]
         return _View._of_rows(tuple(map(states.__getitem__, keep)),
                               list(map(self.letters.__getitem__, keep)),
                               list(map(self.outs.__getitem__, keep)), rows,
@@ -694,28 +666,16 @@ class _View:
                      map(states.__getitem__, chain.from_iterable(targets)))
         return dict(zip(keys, values))
 
-    def _fail(self, t):
-        """Raise the error of the first state, in state order, whose row
-        cannot be built: a missing transition (the first in letter order)
-        before a target that is not a state."""
-        for q in self.states:
-            row = [t.step(q, x) for x in t.input_letters(q)]
-            for _, tgt in row:
-                if tgt not in self.index:
-                    raise TransducerError(
-                        f"state {q!r} leads to {tgt!r}, outside the "
-                        "states considered"
-                    )
-        raise AssertionError("a row lookup failed, but no letter does")
-
 
 def _view_of(t):
-    """The integer view of all of t's states for one kernel call, the
-    one way kernels read a machine: its rows, as they are (no kernel
-    changes them), when it was built on rows or has passed validate, or
-    else a view built from its table by _View."""
+    """The integer view of all of t's states, the one way kernels and
+    public readers read a machine, and the one gate for a machine not yet
+    checked: its rows, as they are (no kernel changes them), once it
+    holds them, which a machine that holds no rows does once it passes
+    validate (see check_valid); an invalid one is refused with
+    InvalidTransducer."""
     rows = t._rows
-    return _View(t) if rows is None else rows
+    return check_valid(t)._rows if rows is None else rows
 
 
 def _guaranteed_output(view):
@@ -828,46 +788,36 @@ def eval_point(t, point, state=None):
     Feeds the preperiod, then pumps the period until the machine state
     repeats (at most |Q| + 1 pumps); the outputs collected up to the
     first repeat become the image's preperiod and the outputs around the
-    state cycle its period.  The start state and the preperiod are
-    checked as run_word checks them, and both words are walked as
-    run_word walks them: on the rows of a machine known to be valid, by
-    state number, else through the table by name.  The pumps look
-    the transitions up directly, so the cost is linear in pumps times
-    period length."""
+    state cycle its period, which is not empty, since a valid machine
+    has no cycle of empty-output transitions.  The start state and the
+    preperiod are checked as run_word checks them, and both words are
+    walked on t's rows by state number, as run_word walks them (see
+    _walker), the pumps of a readable period in the loop itself, so the
+    cost is linear in pumps times period length."""
+    rows = _view_of(t)
     if state is None:
         if t.initial is None:
             raise TransducerError("no start state for evaluation")
         state = t.initial
     _check_start(t, state, point.preperiod)
     period, collected = point.period, []
-    rows = _walked_rows(t, point.preperiod, period)
-    if rows is None:
-        trans, entry = t.trans, t.initial if t.mode == INITIAL else None
-        q = _walk_table(t, state, point.preperiod, collected)
-    else:
-        outs, targets, entry = rows.outs, rows.targets, rows.entry
-        q = _walk_rows(rows, _number(t, rows, state), point.preperiod,
-                       collected)
+    walk = _walker(t, point.preperiod, period)
+    q = walk(rows, _number(t, rows, state), point.preperiod, collected)
+    outs, targets = rows.outs, rows.targets
     seen = {q: len(collected)}
     for _ in range(len(t.states) + 1):
-        if entry is not None and q == entry:
+        if q == rows.entry:
             raise TransducerError("digit word fed to the initial state")
-        if rows is None:
-            for x in period:
-                w, q = trans.get((q, x)) or t.step(q, x)
-                collected += w
+        if walk is _walk_checked:
+            q = walk(rows, q, period, collected)
         else:
             for x in period:
                 collected += outs[q][x]
                 q = targets[q][x]
         if q in seen:
             cut = seen[q]
-            cycle_out = tuple(collected[cut:])
-            if not cycle_out:
-                raise TransducerError(
-                    "degenerate machine: a period pumps empty output"
-                )
-            return EventuallyPeriodicPoint(tuple(collected[:cut]), cycle_out)
+            return EventuallyPeriodicPoint(tuple(collected[:cut]),
+                                           tuple(collected[cut:]))
         seen[q] = len(collected)
     raise AssertionError("state failed to repeat within |Q|+1 pumps")
 
@@ -883,7 +833,7 @@ def canonical_form(t):
     preferred-start marker is ignored."""
     view = _view_of(t)
     if t.mode == INITIAL:
-        order = _bfs(view.targets, _entry(view, t))
+        order = _bfs(view.targets, view.entry)
         if len(order) != len(t.states):
             raise TransducerError(
                 "unreachable states present; minimize before canonical_form"
@@ -1025,30 +975,6 @@ def _first_repeat(start, step):
         seen.add(node)
         node = step(node)
     return node
-
-
-def _bfs_order(t, start, get=None):
-    """State names in breadth-first order from `start`, as a dict name ->
-    position, on the table of a machine that may be invalid (reachable,
-    pre_root_states and document._edges; kernels walk views by _bfs);
-    each state's letters are taken in canonical order (the digits, or
-    the entry's root letters), and a missing transition is skipped.
-    Transitions are looked up by `get`, t.trans.get by default;
-    pre_root_states passes one that finds the empty-output transitions
-    alone."""
-    if get is None:
-        get = t.trans.get
-    digits = range(t.n)
-    entry = t.initial if t.mode == INITIAL else None
-    order = {start: 0}
-    todo = [start]
-    for q in todo:
-        for x in t.input_letters(q) if q == entry else digits:
-            tgt = get((q, x))
-            if tgt is not None and tgt[1] not in order:
-                order[tgt[1]] = len(order)
-                todo.append(tgt[1])
-    return order
 
 
 def _serialize(view, order, header):

@@ -12,12 +12,13 @@ guaranteed-output fixpoint, the shifted outputs, the refinement and the
 breadth-first renaming all work on state numbers, and the result keeps
 the quotient's rows (see _build): its name-keyed table is built only
 when something reads it.  Each stage is a few passes over whole columns
-at C speed: the view of a machine built from a table is built by one
-lookup of every row (a machine the library built on rows hands its rows
-out), reachability is a walk on state numbers, the guaranteed output
-takes each row's LCP from its least and greatest word (in its first pass
-by one min and one max over all rows, with Python code only for rows
-whose two words share a first letter), the merge keys each state's
+at C speed: the view of a machine built from a table is built once, by
+validate's lookup of every row, and kept as its rows (a machine the
+library built on rows hands its rows out), reachability is a walk on
+state numbers, the guaranteed output takes each row's LCP from its
+least and greatest word (in its first pass by one min and one max over
+all rows, with Python code only for rows whose two words share a first
+letter), the merge keys each state's
 output row once and then only its target colours, numbers signatures
 through a dict and stops at a discrete partition, whose rows the result
 takes as they are.  Letter loops run only to word an error.  The public
@@ -38,7 +39,6 @@ from .machine import (
     _MINIMAL,
     _View,
     _bfs,
-    _entry,
     _guaranteed_output,
     _refine,
     _view_of,
@@ -106,10 +106,10 @@ def minimize(t):
 
 def _reduce(t):
     """minimize without its validation, for a machine its caller has
-    just validated: the three steps and the relabel in one pass over one
-    view.  Completed responses leave no guaranteed output to check
-    before merging.  The result is marked minimal: reducing it again
-    gives it back (see _core_order)."""
+    just validated or built valid: the three steps and the relabel in
+    one pass over one view.  Completed responses leave no guaranteed
+    output to check before merging.  The result is marked minimal:
+    reducing it again gives it back (see _core_order)."""
     view = _complete_responses(_reached(_view_of(t), t))
     reps, cls, initial = _merge(view, t)
     letters, outs, targets = _quotient(view, reps, cls)
@@ -141,7 +141,7 @@ def _reached(view, t):
     machine, cut from its view only when some state is unreachable."""
     if t.mode == CORE:
         return view
-    reached = _bfs(view.targets, _entry(view, t))
+    reached = _bfs(view.targets, view.entry)
     if len(reached) == len(view.states):
         return view
     return view._cut(sorted(reached))
@@ -186,7 +186,7 @@ def _merge(view, t):
     size = len(view.states)
     colour = [0] * size
     if t.mode == INITIAL:
-        start = _entry(view, t)
+        start = view.entry
         colour[start] = 1
     else:
         start = None if t.initial is None else view.index[t.initial]
@@ -251,7 +251,7 @@ def _build(n, r, mode, names, letters, outs, targets, initial, known):
     state k is named names[k] (a tuple) and its row is letters[k],
     outs[k] and targets[k] (state numbers), `initial` is the entry's or
     preferred start's number (or None), and the machine is marked with
-    `known` (None, _VALID or _MINIMAL).  The result keeps the quotient's
+    `known` (None or _MINIMAL).  The result keeps the quotient's
     rows, taken as they are (see Transducer._of_rows): its name-keyed
     table is built only when something reads it, and a kernel walking
     the result next (the lag walks of an inversion, a core product)

@@ -9,12 +9,12 @@ sub-machine that is the invariant of the outer class.
 
 from itertools import filterfalse
 
-from .machine import CORE, InvalidTransducer, Transducer, TransducerError, \
-    check_valid, validate, _NOT_SYNCHRONIZING, _SYNCHRONIZES, _VALID, \
-    _bfs, _first_repeat, _pre_root, _view_of
+from .machine import CORE, Transducer, TransducerError, \
+    _NOT_SYNCHRONIZING, _SYNCHRONIZES, _bfs, _first_repeat, _pre_root, \
+    _view_of
 from .minimize import _reduce_rows, minimize
 from .algebra import NotInjective, NotInvertible, invert, _Pairs, \
-    _RunSets, _accepting, _check_product, _explore, _product_is_identity
+    _RunSets, _accepting, _explore, _product_is_identity
 
 
 class NotSynchronizing(TransducerError):
@@ -35,10 +35,10 @@ def _tracked_numbers(view):
                             range(len(view.states))))
 
 
-def _collapse(t, view):
-    """Partition the tracked states by where every word of the current
-    length sends them: (tracked, final classes, level or None).  The
-    level, or that there is none, is recorded in t's `_level` slot.
+def _collapse(view):
+    """Partition the tracked states of a machine's view by where every
+    word of the current length sends them: (tracked, final classes,
+    level or None).  _leveled records the level in the machine.
 
     Round m keeps p and q in one class exactly when every digit word of
     length m drives them to the same state, so round m + 1 merges the
@@ -56,15 +56,10 @@ def _collapse(t, view):
     backwards (unless a single class is left): the rounds cost the live
     classes alone, not |Q| each.
 
-    The tracked states' rows are cut from `view`, t's view (see
-    machine._view_of); a tracked state leading out of them raises
-    TransducerError.  No valid machine lacks a tracked state, so one
-    that does is refused with InvalidTransducer, here for sync_level,
-    witness_pair and every _core_at, whose callers collapse first (a
-    machine marked as synchronizing has states)."""
+    The tracked states' rows are cut from `view` (see
+    machine._view_of).  A valid machine has a tracked state, and no
+    transition leads from one back to a pre-root state."""
     keep = _tracked_numbers(view)
-    if not keep:
-        raise InvalidTransducer(validate(t))
     if len(keep) < len(view.states):
         view = view._cut(keep)
     tracked = list(view.states)
@@ -83,13 +78,19 @@ def _collapse(t, view):
         maps.append(nxt)
         count = len(ids)
     else:
-        t._know_level(len(maps))
         return tracked, [0] * len(tracked), len(maps)
-    t._know_level(_NOT_SYNCHRONIZING)
     cls = range(count)
     for nxt in reversed(maps):
         cls = list(map(cls.__getitem__, nxt))
     return tracked, list(cls), None
+
+
+def _leveled(t, view):
+    """_collapse of t's view, its level, or that there is none, recorded
+    in t's `_level` slot."""
+    found = _collapse(view)
+    t._know_level(_NOT_SYNCHRONIZING if found[2] is None else found[2])
+    return found
 
 
 def sync_level(t):
@@ -98,9 +99,9 @@ def sync_level(t):
     bring the tracked states into one class.  Level 0 means a single
     tracked state.  The answer is read from t's `_level` slot when it is
     there; a machine known only to synchronize, or not known at all, is
-    collapsed once, and the collapse records the answer."""
+    collapsed once, and the answer recorded (_leveled)."""
     if t._level is None or t._level == _SYNCHRONIZES:
-        _collapse(t, _view_of(t))
+        _leveled(t, _view_of(t))
     return None if t._level == _NOT_SYNCHRONIZING else t._level
 
 
@@ -108,7 +109,7 @@ def _synchronizes(t):
     """Whether t synchronizes, read from its `_level` slot, or found by
     one collapse when nothing is known."""
     if t._level is None:
-        _collapse(t, _view_of(t))
+        _leveled(t, _view_of(t))
     return t._level != _NOT_SYNCHRONIZING
 
 
@@ -121,7 +122,7 @@ def witness_pair(t):
     are not remembered, so any other machine is collapsed."""
     if t._level not in (None, _NOT_SYNCHRONIZING):
         return None
-    tracked, cls, level = _collapse(t, _view_of(t))
+    tracked, cls, level = _leveled(t, _view_of(t))
     if level is not None:
         return None
     other = next(i for i, c in enumerate(cls) if c != cls[0])
@@ -147,16 +148,13 @@ def core_of(t):
     collapsed again; the closure needs no level.  The collapse and the
     closure share one view of t (see machine._view_of).  The result is a
     core-mode machine on the original state names, strongly connected
-    and closed.  It is checked with check_valid, which refuses with
-    InvalidTransducer the core of a machine that was itself invalid, and
-    returns at once for the core of a machine known to be valid (see
-    _core_at)."""
+    and closed, built on rows (see _core_at)."""
     view = _view_of(t)
     if t._level is None:
-        _collapse(t, view)
+        _leveled(t, view)
     if t._level == _NOT_SYNCHRONIZING:
         raise NotSynchronizing("machine is not synchronizing; it has no core")
-    return check_valid(_core_at(t, view))
+    return _core_at(t, view)
 
 
 def _core_at(t, view):
@@ -170,17 +168,14 @@ def _core_at(t, view):
     machine._view_of), and the result is a machine built on rows: the
     closure's rows cut from that view with the states in str order of
     their names, so its states tuple, and the table built from its rows,
-    are in that order.  The closure is valid when t is: a closed set of
+    are in that order.  The closure is valid, as t is: a closed set of
     tracked states reads every digit, writes digit words and keeps t's
-    lack of empty-output cycles.  It is marked valid when t is known to
-    be valid; otherwise core_of checks it.  t must have a tracked state,
-    which _collapse checks, and which every machine marked as
-    synchronizing has."""
+    lack of empty-output cycles."""
     targets, names = view.targets, view.states
     start = _first_repeat(_tracked_numbers(view)[0], lambda i: targets[i][0])
     closure = sorted(_bfs(targets, start), key=lambda i: str(names[i]))
     return Transducer._of_rows(t.n, None, CORE, None, view._cut(closure),
-                               _VALID if t._known else None)
+                               None)
 
 
 def core_product(a, b):
@@ -200,11 +195,9 @@ def core_product(a, b):
     gives the same minimal core as reducing the whole product.
 
     Refuses with NotSynchronizing when either factor does not
-    synchronize (such a product need not have a core), and with
-    TransducerError when the pair machine is degenerate, as it is when a
-    factor has no states.  Valid factors never make one, so the pair
-    machine is named and validated only when a factor fails validate, as
-    in compose (see algebra._check_product).  The result is the rows of
+    synchronize (such a product need not have a core).  The factors pass
+    the gate of machine._view_of, and valid factors never make a
+    degenerate pair machine (see algebra._Pairs).  The result is the rows of
     the closure of the pair 0 fixes (_Pairs.fixed and _Pairs.closure),
     reduced as compose reduces its pairs (minimize._reduce_rows), so it
     equals minimize of that named pair machine (same states, names and
@@ -220,14 +213,11 @@ def core_product(a, b):
         raise TransducerError("core_product expects core-mode machines")
     if a.n != b.n:
         raise TransducerError("alphabet mismatch in core product")
-    if not (a.states and b.states):
-        raise TransducerError("degenerate product: no states")
     if not (_synchronizes(a) and _synchronizes(b)):
         raise NotSynchronizing("core product of a non-synchronizing core")
     pairs = _Pairs(_view_of(a), _view_of(b))
-    view = pairs.closure([pairs.fixed()])
-    _check_product(a, b, view, None, "degenerate product: ")
-    product = _reduce_rows(a.n, None, CORE, None, view)
+    product = _reduce_rows(a.n, None, CORE, None,
+                           pairs.closure([pairs.fixed()]))
     product._know_level(_SYNCHRONIZES)
     return product
 
@@ -306,7 +296,7 @@ def _inverse_from(c, runs, seeds, prune):
 
     The machine of sets is built once, on the rows _explore builds,
     named by its nodes' configurations, and a pruned one is cut from
-    them to the nodes _accepting keeps, for sync_level.  Its core is the
+    them to the nodes _accepting keeps, for _collapse.  Its core is the
     closure of the node that 0 fixes, found by the walk under 0 from the
     first kept node and cut from those rows in breadth-first order from
     that node.  (Unpruned, the rows are in that order already: the seed
@@ -331,8 +321,7 @@ def _inverse_from(c, runs, seeds, prune):
             "not invertible: no configuration of the inverse accepts "
             "every continuation"
         )
-    if sync_level(Transducer._of_rows(n, None, CORE, None, sets, None)) \
-            is None:
+    if _collapse(sets)[2] is None:
         raise NotInvertible("inverse dynamics do not synchronize")
     # the core of a synchronizing machine, and its reduction, synchronize
     targets = sets.targets

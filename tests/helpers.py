@@ -43,7 +43,7 @@ from cantrans.words import EMPTY, Relation, WordError, check_word, \
     check_word_shape, common_prefix, format_letter, format_word, \
     is_digit_word, is_prefix, is_root, is_rooted, parse_letter, \
     word_relate, word_subtract, _primitive_root
-from cantrans.machine import _View, _bfs_order, _first_repeat, relabel
+from cantrans.machine import _View, _first_repeat, relabel
 from cantrans.minimize import _reduce, merge_equivalent_states, \
     remove_inaccessible, remove_incomplete_response
 from cantrans import algebra, fixtures, synchro
@@ -58,7 +58,7 @@ def _tracked_states(t):
     emitted their leading root letter (outside pre_root_states)."""
     if t.mode == CORE:
         return list(t.states)
-    pre = t.pre_root_states()
+    pre = queue_pre_root_states(t)
     return [q for q in t.states if q not in pre]
 
 
@@ -194,6 +194,22 @@ def level_core_at(t, steps):
     trans = {(p, x): t.step(p, x) for p in states for x in range(t.n)}
     return Transducer(t.n, None, CORE, tuple(sorted(states, key=str)),
                       None, trans)
+
+
+def _bfs_order(t, start):
+    """Oracle: state names in breadth-first order from `start`, as a dict
+    name -> position, on the table; each state's letters are taken in
+    canonical order (the digits, or the entry's root letters), and a
+    missing transition is skipped."""
+    order = {start: 0}
+    todo = [start]
+    for q in todo:
+        for x in t.input_letters(q):
+            tgt = t.trans.get((q, x))
+            if tgt is not None and tgt[1] not in order:
+                order[tgt[1]] = len(order)
+                todo.append(tgt[1])
+    return order
 
 
 def queue_reachable(t, start=None):
@@ -771,7 +787,7 @@ def _dict_restriction(t, keep):
 
 def dict_remove_incomplete_response(t):
     """Oracle: step 1 of the three-step reduction."""
-    keep = set(t.states) if t.mode == CORE else t.reachable()
+    keep = set(t.states) if t.mode == CORE else queue_reachable(t)
     v = full_pass_guaranteed_output(_dict_restriction(t, keep))
     trans = dict(t.trans)
     for q in keep:
@@ -787,7 +803,7 @@ def dict_remove_incomplete_response(t):
 def dict_merge_equivalent_states(t):
     """Oracle: step 3, with blocks numbered in order of first appearance
     and the initial state kept apart by a marker in its signature."""
-    keep = set(t.states) if t.mode == CORE else t.reachable()
+    keep = set(t.states) if t.mode == CORE else queue_reachable(t)
     v = full_pass_guaranteed_output(_dict_restriction(t, keep))
     for q in [q for q in t.states if q in keep]:
         if q != t.initial and v[q] != EMPTY:
@@ -966,16 +982,17 @@ def round_remap_collapse(t):
 
 
 def pump_loop_eval_point(t, point, state=None):
-    """Oracle: eval_point calling run_word once per pump of the period."""
+    """Oracle: eval_point calling letter_step_run_word once per pump of
+    the period."""
     if state is None:
         if t.initial is None:
             raise TransducerError("no start state for evaluation")
         state = t.initial
-    out_pre, q = run_word(t, state, point.preperiod)
+    out_pre, q = letter_step_run_word(t, state, point.preperiod)
     seen = {q: (0, len(out_pre))}
     collected = list(out_pre)
     for i in range(1, len(t.states) + 2):
-        w, q = run_word(t, q, point.period)
+        w, q = letter_step_run_word(t, q, point.period)
         collected.extend(w)
         if q in seen:
             _, cut = seen[q]
@@ -1007,8 +1024,9 @@ def letter_loop_is_digit_word(word):
 
 def letter_step_run_word(t, state, word):
     """Oracle: run_word as it was before it looked transitions up in the
-    table, testing each letter for a root letter and calling
-    Transducer.step once per letter."""
+    table, testing each letter for a root letter and looking each letter
+    up in the table, a missing transition worded as Transducer.step
+    words it."""
     if state not in t.states:
         raise TransducerError(f"unknown state {state!r}")
     rooted = len(word) > 0 and word[0] < 0
@@ -1022,7 +1040,10 @@ def letter_step_run_word(t, state, word):
     out = []
     q = state
     for x in word:
-        w, q = t.step(q, x)
+        edge = t.trans.get((q, x))
+        if edge is None:
+            raise TransducerError(f"no transition ({q!r}, {format_letter(x)})")
+        w, q = edge
         out.extend(w)
     return tuple(out), q
 
@@ -1593,18 +1614,19 @@ def letter_loop_validate(t):
     if t.mode == CORE and t.initial is not None and t.initial not in states:
         out.append(f"start state {t.initial!r} not in state list")
 
-    expected = set()
+    expected = {}
     for q in t.states:
         for x in t.input_letters(q):
-            expected.add((q, x))
-    for key in expected - set(t.trans):
-        q, x = key
-        out.append(
-            f"incomplete transition table: missing ({q!r}, {format_letter(x)})"
-        )
-    for key in set(t.trans) - expected:
-        q, x = key
-        out.append(f"stray transition ({q!r}, {format_letter(x)})")
+            expected[(q, x)] = None
+    for key in expected:
+        if key not in t.trans:
+            q, x = key
+            out.append(f"incomplete transition table: missing "
+                       f"({q!r}, {format_letter(x)})")
+    for key in t.trans:
+        if key not in expected:
+            q, x = key
+            out.append(f"stray transition ({q!r}, {format_letter(x)})")
     if out:
         return out
 
@@ -1634,7 +1656,7 @@ def letter_loop_validate(t):
             if tgt == t.initial:
                 out.append(f"initial state has an incoming transition "
                            f"from ({q!r}, {format_letter(x)})")
-        pre = t.pre_root_states()
+        pre = queue_pre_root_states(t)
         for (q, x), (w, tgt) in t.trans.items():
             if tgt in pre and (q not in pre or w != EMPTY):
                 out.append(
@@ -1701,7 +1723,7 @@ def strongly_connected(t):
     if not t.states:
         return False
     start = t.states[0]
-    if len(t.reachable(start)) != len(t.states):
+    if len(queue_reachable(t, start)) != len(t.states):
         return False
     rev = {}
     for (q, _x), (_w, tgt) in t.trans.items():
@@ -1878,18 +1900,17 @@ def eager_build(n, r, mode, names, letters, outs, targets, initial, known):
     """Oracle: minimize._build as it was before reductions kept their
     rows, zipping the result's name-keyed table from whole columns at
     once: (name, letter) keys from the names repeated along their
-    letters, and (output, target name) values.  The machine holds that
-    table, through the public constructor, and no rows, and knows what
-    the reduction's result knows."""
+    letters, and (output, target name) values.  The machine gets that
+    table through the public constructor and validate builds its rows
+    from it; it knows what the reduction's result knows."""
     keys = zip(chain.from_iterable(map(repeat, names, map(len, letters))),
                chain.from_iterable(letters))
     values = zip(chain.from_iterable(outs),
                  map(names.__getitem__, chain.from_iterable(targets)))
-    t = Transducer(n, r, mode, names,
-                   None if initial is None else names[initial],
-                   dict(zip(keys, values)))
-    if known is not None:
-        t._know(known)
+    t = check_valid(Transducer(n, r, mode, names,
+                               None if initial is None else names[initial],
+                               dict(zip(keys, values))))
+    object.__setattr__(t, "_known", known)
     return t
 
 

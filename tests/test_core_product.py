@@ -7,9 +7,9 @@ powers, products of fixture cores with each other and with their
 inverses, seeded random cores and shuffled relabels; every product is
 strongly connected (core_product does not check it).  The kernel's named
 closure is the raw product's core, and it is valid whenever both factors
-are, so validate sees only the factors not known to be valid; factors
-that fail validate get the old path's machine or refusal, and
-non-synchronizing factors are refused."""
+are, so validate sees only the factors not yet checked; factors that
+fail validate are refused with their violations, and non-synchronizing
+factors are refused."""
 
 import random
 
@@ -18,6 +18,7 @@ import pytest
 from cantrans import (
     Alphabet,
     CORE,
+    InvalidTransducer,
     NotSynchronizing,
     Transducer,
     TransducerError,
@@ -179,8 +180,7 @@ def test_pair_machine_is_validated_once(monkeypatch):
     a2, b2 = (Transducer(c.n, None, CORE, c.states, None, c.trans)
               for c in (a, b))
     assert core_product(b2, a2).trans == product.trans
-    assert len(seen) == 2
-    assert seen[0] is b2 and seen[1] is a2
+    assert seen == [b2._rows, a2._rows]
 
 
 def _broken(core, rng):
@@ -205,7 +205,10 @@ def _broken(core, rng):
             yield t
 
 
-def test_invalid_factors_get_the_attractor_paths_outcome(product_pairs):
+def test_invalid_factors_are_refused_with_their_violations(product_pairs):
+    """A factor that fails validate is refused by the gate, on either
+    side, with its violations as the letter loop words them, before any
+    pair is built."""
     rng = random.Random(31)
     kinds = set()
     checked = 0
@@ -213,24 +216,29 @@ def test_invalid_factors_get_the_attractor_paths_outcome(product_pairs):
                             if len(p[0].states) * len(p[1].states) <= 400],
                            80):
         for bad in _broken(x, rng):
+            want = (InvalidTransducer, "; ".join(letter_loop_validate(bad)))
             for pair in ((bad, y), (y, bad)) if x.n == y.n else ((bad, x),):
-                got = _outcome(core_product, *pair)
-                assert got == _outcome(attractor_core_product, *pair)
-                kinds.add(got[1].split(" (")[0].split(":")[0]
-                          if isinstance(got[0], type) else "machine")
+                assert _outcome(core_product, *pair) == want
+                assert _outcome(outer_product, *pair) == want
+                kinds.add(" ".join(want[1].split()[:2]))
                 checked += 1
+            assert bad._rows is None
     assert checked >= 400
-    assert {"machine", "no transition", "degenerate product"} <= kinds
+    assert {"output of", "start state", "epsilon-output cycle"} <= kinds
 
 
 def test_degenerate_product_is_refused():
-    # one state writing nothing on 0: it synchronizes, and the pair
-    # machine with the identity core loops on 0 with empty output
+    # one state writing nothing on 0, which the pair machine with the
+    # identity core would loop on with empty output: the factor itself
+    # is refused, by sync_level and by core_product on either side
     trans = {("s", 0): ((), "s"), ("s", 1): ((1,), "s")}
     silent = Transducer(2, None, CORE, ["s"], None, trans)
-    assert sync_level(silent) == 0
+    message = "epsilon-output cycle through 's' -> 's'"
+    assert letter_loop_validate(silent) == [message]
+    with pytest.raises(InvalidTransducer, match=f"^{message}$"):
+        sync_level(silent)
     for x, y in ((silent, identity_core(2)), (identity_core(2), silent)):
-        with pytest.raises(TransducerError, match="degenerate product"):
+        with pytest.raises(InvalidTransducer, match=f"^{message}$"):
             core_product(x, y)
 
 

@@ -11,8 +11,9 @@ its states tuple and its table list the states in str order of their
 names, whatever the string hashing of the process: the order of the
 oracle's table, a set's order, is not.
 reachable and pre_root_states equal the queue-driven walks they
-replaced (helpers.queue_reachable, helpers.queue_pre_root_states), also
-on tables with missing transitions."""
+replaced (helpers.queue_reachable, helpers.queue_pre_root_states) on
+valid machines, and refuse a table that is not one (missing
+transitions, say) with its violations, as every reader does."""
 
 import os
 import random
@@ -36,13 +37,14 @@ from cantrans import (
     sync_level,
 )
 from cantrans import synchro
-from cantrans.randgen import random_transducer
+from cantrans.randgen import random_gnr_element, random_transducer
 from cantrans.machine import _view_of
 from cantrans.synchro import _core_at
 
 from helpers import balanced_powers, empty_output_chain, fixture_cores, \
-    level_core_at, multi_core_bisync, queue_pre_root_states, \
-    queue_reachable, random_synchronizing
+    letter_loop_validate, level_core_at, multi_core_bisync, \
+    queue_pre_root_states, queue_reachable, random_synchronizing, \
+    view_machine
 
 
 def _same_core(t):
@@ -111,18 +113,19 @@ def test_core_at_matches_level_core_at_on_configuration_machines(
     """The machines of run sets that invert_core's full route checks for
     synchronization, named by their configurations."""
     subs = []
-    real = synchro.sync_level
+    real = synchro._collapse
 
-    def recording(t):
-        if isinstance(t.states[0], tuple):
-            subs.append(t)
-        return real(t)
+    def recording(view):
+        if isinstance(view.states[0], tuple):
+            subs.append(view_machine(view, view.letters[0][-1] + 1))
+        return real(view)
 
     cores = fixture_cores() + balanced_powers(3)
     monkeypatch.setattr(synchro, "_zero_repeat_config", lambda runs: None)
-    monkeypatch.setattr(synchro, "sync_level", recording)
+    monkeypatch.setattr(synchro, "_collapse", recording)
     for c in cores:
         invert_core(c)
+    monkeypatch.undo()
     assert len(subs) == len(cores)
     for t in subs:
         _same_core(t)
@@ -141,12 +144,10 @@ SIX_STATES = {
 
 
 def test_core_of_words_its_refusal_the_same_under_every_hash_seed():
-    """The extracted core's table is in str order of its states, so
-    check_valid names the bad outputs in one order whatever the string
-    hashing."""
+    """core_of refuses the invalid machine at the gate with its
+    violations, which name the bad outputs in table order, the same
+    whatever the string hashing."""
     t = Transducer(2, None, CORE, list("abcdef"), None, SIX_STATES)
-    assert sync_level(t) == 4
-    assert len(_core_at(t, _view_of(t)).states) == 6
     script = (
         "from cantrans import CORE, InvalidTransducer, Transducer, core_of\n"
         "from test_core_walks import SIX_STATES\n"
@@ -166,7 +167,11 @@ def test_core_of_words_its_refusal_the_same_under_every_hash_seed():
     with pytest.raises(InvalidTransducer) as err:
         core_of(t)
     assert messages == {f"{err.value}\n"}
+    assert str(err.value) == "; ".join(letter_loop_validate(t))
     assert str(err.value).count("uses digit 5 out of range") == 3
+    with pytest.raises(InvalidTransducer) as again:
+        sync_level(t)
+    assert str(again.value) == str(err.value)
 
 
 def _random_table(rng):
@@ -196,6 +201,9 @@ def test_reachable_and_pre_root_states_match_the_queue_walks():
     rng = random.Random(1313)
     machines = [random_transducer(Alphabet(3, 2), 6, 2, seed)
                 for seed in range(40)]
+    # prefix-exchange maps, whose entries write nothing at first
+    machines += [random_gnr_element(Alphabet(3, 2), seed)
+                 for seed in range(40)]
     for seed in range(2):
         t = random_transducer(Alphabet(2, 1), 5, 2, seed)
         trans = dict(t.trans)
@@ -208,13 +216,25 @@ def test_reachable_and_pre_root_states_match_the_queue_walks():
         t, q = _random_table(rng)
         machines.append(t)
         silent.append((t, q))
-    pre_roots = 0
+    pre_roots = refused = 0
     for t in machines:
         starts = list(t.states) + ([None] if t.initial is not None else [])
+        bad = letter_loop_validate(t)
+        if bad:
+            for q in starts:
+                with pytest.raises(InvalidTransducer) as err:
+                    t.reachable(q)
+                assert str(err.value) == "; ".join(bad)
+            with pytest.raises(InvalidTransducer) as err:
+                t.pre_root_states()
+            assert str(err.value) == "; ".join(bad)
+            refused += 1
+            continue
         for q in starts:
             assert t.reachable(q) == queue_reachable(t, q)
         assert t.pre_root_states() == queue_pre_root_states(t)
         pre_roots += len(t.pre_root_states()) > 1
     assert pre_roots > 20
-    for t, q in silent:
-        assert t.reachable(q) == {q}
+    assert refused >= 300
+    # a state with no transitions is no state of a valid machine
+    assert all(letter_loop_validate(t) for t, _ in silent)

@@ -1,7 +1,9 @@
 """The unbalanced-cycle witness of cycle_balance, extracted in linear time
 from the edge where the potential sweep fails, against the simple-path
 search it replaced (kept in helpers.py as an oracle, on small cores):
-the same verdicts, and every witness re-walks as a cycle of the core."""
+the same verdicts, and every witness re-walks as a cycle of the core.
+A random core with an empty-output cycle is no valid core, and is
+refused with its violations."""
 
 import random
 import time
@@ -11,6 +13,7 @@ import pytest
 from cantrans import (
     Alphabet,
     CORE,
+    InvalidTransducer,
     Transducer,
     TransducerError,
     core_of,
@@ -22,8 +25,8 @@ from cantrans import fixtures
 from cantrans.randgen import random_transducer
 
 from helpers import balanced_powers, cycle_rewalks, duplicated_states, \
-    extra_zero_on_last, multi_core_bisync, shuffled_relabel, \
-    simple_path_unbalanced_cycle
+    extra_zero_on_last, letter_loop_validate, multi_core_bisync, \
+    shuffled_relabel, simple_path_unbalanced_cycle
 
 
 def _strong_core(rng, n, k, lengths):
@@ -63,7 +66,15 @@ def _small_cores():
 
 def test_witnesses_agree_with_the_simple_path_search():
     verdicts = []
+    refused = 0
     for core in _small_cores():
+        bad = letter_loop_validate(core)
+        if bad:
+            with pytest.raises(InvalidTransducer) as err:
+                cycle_balance(core)
+            assert str(err.value) == "; ".join(bad)
+            refused += 1
+            continue
         ok, witness = cycle_balance(core)
         oracle = simple_path_unbalanced_cycle(core)
         assert ok is (oracle is None)
@@ -72,6 +83,7 @@ def test_witnesses_agree_with_the_simple_path_search():
             assert cycle_rewalks(core, *oracle)
         verdicts.append(ok)
     assert verdicts.count(False) >= 20 and verdicts.count(True) >= 10
+    assert refused >= 1
 
 
 @pytest.mark.parametrize("power", [3, 4])

@@ -3,8 +3,8 @@ import re
 
 import pytest
 
-from cantrans import Alphabet, CORE, ParseError, Transducer, core_product, \
-    minimize, parse, serialize
+from cantrans import Alphabet, CORE, InvalidTransducer, ParseError, \
+    Transducer, core_product, minimize, parse, serialize
 from cantrans.document import parse_prefix_map, serialize_prefix_map
 from cantrans.algebra import PrefixCodeMap
 from cantrans.machine import relabel
@@ -168,8 +168,9 @@ def test_serialize_matches_list_queue_walk():
     each distinct one once): on the fixtures (as parsed, minimized and
     relabelled), BALANCED_CORE_2 a^1 .. a^5, both 3000-state chains,
     seeded random machines and prefix-exchange maps over alphabets of
-    up to 12 digits and 10 root letters, and copies of some with one
-    transition deleted and one writing root letters inside its word."""
+    up to 12 digits and 10 root letters.  Copies of some with one
+    transition deleted and one writing root letters inside its word are
+    no valid machines, and are refused with their violations."""
     rng = random.Random(2)
     machines = []
     for doc in fixtures.ALL.values():
@@ -204,16 +205,31 @@ def test_serialize_matches_list_queue_walk():
     machines.append(Transducer(a.n, None, CORE, ["z", *a.states], "s0",
                                extra))
     assert len(machines) == 3 * len(fixtures.ALL) + 2 + 5 + 2 + 200 + 40 + 1
+    refused = 0
     for t in machines:
-        assert serialize(t) == list_queue_serialize(t)
-    # tuple names, as states or only as a target, are refused by both
+        bad = letter_loop_validate(t)
+        if bad:
+            with pytest.raises(InvalidTransducer) as err:
+                serialize(t)
+            assert str(err.value) == "; ".join(bad)
+            refused += 1
+        else:
+            assert serialize(t) == list_queue_serialize(t)
+    assert refused == 40
+    # tuple names are refused by both; a tuple only as a target is no
+    # state, which the gate refuses first
     pairs = relabel(a, {q: (q, 0) for q in a.states})
+    for write in (serialize, list_queue_serialize):
+        with pytest.raises(ValueError, match="only string state names"):
+            write(pairs)
     target = dict(a.trans)
     target[next(iter(target))] = ((0,), ("x", 0))
-    for t in (pairs, Transducer(a.n, None, CORE, a.states, None, target)):
-        for write in (serialize, list_queue_serialize):
-            with pytest.raises(ValueError, match="only string state names"):
-                write(t)
+    t = Transducer(a.n, None, CORE, a.states, None, target)
+    with pytest.raises(ValueError, match="only string state names"):
+        list_queue_serialize(t)
+    with pytest.raises(InvalidTransducer, match=r"targets unknown state "
+                       r"\('x', 0\)$"):
+        serialize(t)
 
 
 CORE_HEAD = "cantor-transducer 1\nalphabet n=2 core\n"

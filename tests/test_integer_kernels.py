@@ -23,6 +23,7 @@ from cantrans import (
     CORE,
     EventuallyPeriodicPoint,
     INITIAL,
+    InvalidTransducer,
     Transducer,
     TransducerError,
     UnboundedOutput,
@@ -49,7 +50,8 @@ from cantrans.synchro import _collapse
 from helpers import _tracked_states, dict_initial_form, \
     dict_merge_equivalent_states, dict_remove_incomplete_response, \
     duplicated_states, empty_output_chain, full_pass_guaranteed_output, \
-    letter_loop_view, letter_step_run_word, multi_core_bisync, pair_core, \
+    letter_loop_validate, letter_loop_view, letter_step_run_word, \
+    multi_core_bisync, pair_core, \
     pump_loop_eval_point, random_points, rank_until_stable_refine, \
     round_remap_collapse, row_collapse, shuffled_relabel, \
     sorted_signature_core_form, strongly_connected, three_step_minimize, \
@@ -193,14 +195,6 @@ def _view_of_states(t, states):
     return view._cut(list(map(view.index.__getitem__, states)))
 
 
-def _letter_loop_view_of_states(t, states):
-    """letter_loop_view of `states`, after that of all of t's states: the
-    library reads the whole table before it cuts, so a missing
-    transition anywhere is met before a target outside `states`."""
-    view = letter_loop_view(t)
-    return view if states is None else letter_loop_view(t, states)
-
-
 def _same_view(got, want):
     assert got.states == want.states
     assert got.index == want.index
@@ -219,38 +213,43 @@ def test_view_matches_letter_loop_view(corpus):
     assert without_entry >= 2000
 
 
-def _broken_views(t, rng):
-    """(machine, states) pairs whose view cannot be built: a transition
-    removed, a target left out of the states considered, and both, once
-    in different states and once in the same state; the missing
-    transition is reported first in both."""
+def _broken_tables(t, rng):
+    """Copies of t whose view cannot be built, one transition removed:
+    anywhere, and at a state with a transition that leaves it."""
     trans = dict(t.trans)
     del trans[rng.choice(list(trans))]
     gap = Transducer(t.n, t.r, t.mode, t.states, t.initial, trans)
     edges = [kv for kv in t.trans.items()
              if kv[0][0] not in (kv[1][1], t.initial)]
     if not edges:  # every digit transition is a loop
-        return [(gap, None)]
-    (q, x), (_, tgt) = rng.choice(edges)
-    short = [p for p in t.states if p != tgt]
+        return [gap]
+    (q, x), _ = rng.choice(edges)
     trans = dict(t.trans)
     del trans[(q, rng.choice([y for y in range(t.n) if y != x]))]
-    same = Transducer(t.n, t.r, t.mode, t.states, t.initial, trans)
-    return [(gap, None), (t, short), (gap, short), (same, short)]
+    return [gap, Transducer(t.n, t.r, t.mode, t.states, t.initial, trans)]
 
 
-def test_view_errors_match_letter_loop_view(random_machines, multi_cores):
+def test_broken_tables_are_refused_at_the_gate(random_machines,
+                                               multi_cores):
+    """A table with a transition missing has no view: _view_of, the gate
+    every kernel reads through, refuses it with the violations the
+    letter loop words, and _View, which only validate builds from a
+    table, raises KeyError."""
     rng = random.Random(808)
     machines = random_machines[::7] + multi_cores[0] + \
         [empty_output_chain(False), empty_output_chain(True)]
-    kinds = set()
+    refused = 0
     for t in machines:
-        for broken, states in _broken_views(t, rng):
-            got = outcome(_view_of_states, broken, states)
-            assert got == outcome(_letter_loop_view_of_states, broken, states)
-            assert got[0] is TransducerError
-            kinds.add(got[1].split()[0])
-    assert kinds == {"no", "state"}
+        for broken in _broken_tables(t, rng):
+            bad = letter_loop_validate(broken)
+            assert bad[0].startswith("incomplete transition table: missing")
+            assert outcome(_view_of, broken) == \
+                (InvalidTransducer, "; ".join(bad))
+            with pytest.raises(KeyError):
+                _View(broken)
+            assert broken._rows is None
+            refused += 1
+    assert refused >= 800
 
 
 def test_refine_matches_sorted_rounds(corpus, multi_cores):
@@ -387,7 +386,7 @@ def test_collapse_matches_row_collapse(random_machines, balanced_powers):
     machines += balanced_powers + [empty_output_chain(True)]
     synchronizing = 0
     for m in machines:
-        tracked, cls, level = _collapse(m, _view_of(m))
+        tracked, cls, level = _collapse(_view_of(m))
         old_tracked, old_cls, old_level = row_collapse(m)
         assert (tracked, level) == (old_tracked, old_level)
         # the same partition, whatever the class numbers
@@ -461,15 +460,19 @@ def _pumped_states(t, x):
 
 
 def test_eval_point_refusals_match_pump_loop():
+    # a period pumping empty output runs round an empty-output cycle,
+    # which no valid machine has: the gate refuses the machine first
     t = Transducer(2, None, CORE, ["a", "b"], "a", {
         ("a", 0): ((), "b"), ("a", 1): ((1,), "a"),
         ("b", 0): ((), "a"), ("b", 1): ((0,), "b"),
     })
     empty = EventuallyPeriodicPoint((1,), (0,))
-    got = outcome(eval_point, t, empty)
-    assert got == outcome(pump_loop_eval_point, t, empty)
-    assert got == (TransducerError,
-                   "degenerate machine: a period pumps empty output")
+    assert outcome(pump_loop_eval_point, t, empty) == \
+        (TransducerError, "degenerate machine: a period pumps empty output")
+    assert outcome(eval_point, t, empty) == \
+        (InvalidTransducer, "; ".join(letter_loop_validate(t)))
+    assert letter_loop_validate(t)[0].startswith(
+        "epsilon-output cycle through")
     chain = empty_output_chain(True)
     for state in ("c3000", ("c0",)):
         got = outcome(eval_point, chain, empty, state)
@@ -490,7 +493,7 @@ def test_collapse_matches_round_remap_collapse(random_machines,
     machines += [empty_output_chain(True), empty_output_chain(False)]
     levels = []
     for m in machines:
-        got = _collapse(m, _view_of(m))
+        got = _collapse(_view_of(m))
         assert got == round_remap_collapse(m)
         assert isinstance(got[1], list)
         levels.append(got[2])
@@ -540,16 +543,27 @@ def _run_word_cases(random_machines, multi_cores):
 
 
 def test_run_word_matches_letter_steps(random_machines, multi_cores):
+    """run_word against the letter steps on valid machines; a machine
+    with a transition missing is refused at the gate, with the
+    violations the letter loop words, before any letter is read."""
     kinds = set()
     cases = 0
+    verdicts = {}
     for t, q, word in _run_word_cases(random_machines, multi_cores):
+        if t not in verdicts:
+            verdicts[t] = letter_loop_validate(t)
+        bad = verdicts[t]
         got = outcome(run_word, t, q, word)
-        assert got == outcome(letter_step_run_word, t, q, word)
+        if bad:
+            assert got == (InvalidTransducer, "; ".join(bad))
+        else:
+            assert got == outcome(letter_step_run_word, t, q, word)
         if isinstance(got[0], type):
             kinds.add(got[1].split()[0])
         cases += 1
     assert cases >= 2000
-    assert kinds == {"unknown", "rooted", "digit", "core-mode", "no"}
+    assert kinds == {"unknown", "rooted", "digit", "core-mode", "no",
+                     "incomplete"}
 
 
 # sha256 of serialize(minimize(.)), one per machine or one over a list,

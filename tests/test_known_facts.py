@@ -1,11 +1,12 @@
-"""What a machine knows about itself.  validate marks a machine it
-passes valid (and so check_valid and parse do), from_prefix_code_map
-builds its raw machine marked valid, the reduction marks the machines
-it builds minimal, and _core_at marks the core of a machine known to be
-valid.  A collapse records the machine's synchronization level, or that
-it has none, and core_product and invert_core mark what they build as
-synchronizing; nothing else marks a machine.  The idempotence oracle
-behind `minimize(m) is m`: reducing a machine marked minimal gives the same
+"""What a machine knows about itself.  A machine that holds rows is
+valid: validate keeps the view of a machine it passes as its rows (and
+so check_valid and parse do), and the library builds on rows only what
+is valid by construction (from_prefix_code_map's raw machine, _core_at's
+core); the reduction marks the machines it builds minimal.  A collapse
+records the machine's synchronization level, or that it has none, and
+core_product and invert_core mark what they build as synchronizing;
+nothing else marks a machine.  The idempotence oracle behind
+`minimize(m) is m`: reducing a machine marked minimal gives the same
 machine, down to its states tuple, entry, table order and document.
 The oracle behind a remembered level: the collapse of
 helpers.round_remap_collapse, on the machine as it stands."""
@@ -36,20 +37,20 @@ from cantrans import (
     witness_pair,
 )
 from cantrans import fixtures, machine, synchro
-from cantrans.algebra import _named_pairs, _Pairs
 from cantrans.machine import _MINIMAL, _NOT_SYNCHRONIZING, _SYNCHRONIZES, \
-    _VALID, _View, _view_of, relabel
+    _view_of, relabel
 from cantrans.minimize import _reduce
 from cantrans.randgen import random_gnr_element
 from cantrans.synchro import _core_at
 
 from helpers import balanced_powers, count_calls, duplicated_states, \
     empty_output_chain, fixture_cores, multi_core_bisync, \
-    round_remap_collapse, unreduced_compose
+    letter_loop_validate, round_remap_collapse
 
 
 def _copy(t):
-    """t through the public constructor, which marks nothing."""
+    """t through the public constructor, which marks nothing and holds no
+    rows."""
     return Transducer(t.n, t.r, t.mode, t.states, t.initial, t.trans)
 
 
@@ -143,22 +144,22 @@ def test_an_invalid_machine_is_refused_on_every_call(monkeypatch):
 
 def test_check_valid_marks_a_machine_and_then_returns_at_once(monkeypatch):
     t = _copy(fixtures.sample_3_2())
-    assert t._known is None
+    assert t._rows is None
     seen = count_calls(monkeypatch, machine, "_stages")
     for _ in range(3):
         assert check_valid(t) is t
-    assert seen == [t]
-    assert t._known == _VALID
-    assert parse(fixtures.SAMPLE_3_2)._known == _VALID
+    assert seen == [t._rows] and t._rows is not None
+    assert t._known is None
+    assert parse(fixtures.SAMPLE_3_2)._rows is not None
 
 
 def test_a_pass_marks_the_machine():
     machines = [_copy(fixtures.sample_3_2()), _copy(fixtures.torsion_core_2())]
     machines += [empty_output_chain(True), empty_output_chain(False)]
     for t in machines:
-        assert t._known is None
+        assert t._rows is None
         assert validate(t) == []
-        assert t._known == _VALID
+        assert t._rows is not None and t._known is None
 
 
 def test_a_failing_machine_stays_unmarked(monkeypatch):
@@ -168,7 +169,7 @@ def test_a_failing_machine_stays_unmarked(monkeypatch):
     assert got[0] and got == [got[0]] * 3
     assert "root letter" in got[0][0]
     assert seen == [t] * 3
-    assert t._known is None
+    assert t._rows is None and t._known is None
 
 
 def test_a_known_machine_runs_no_stage(monkeypatch, minimal_corpus):
@@ -176,7 +177,7 @@ def test_a_known_machine_runs_no_stage(monkeypatch, minimal_corpus):
     valid += [check_valid(empty_output_chain(core)) for core in (True, False)]
     seen = count_calls(monkeypatch, machine, "_stages")
     for t in valid + minimal_corpus:
-        assert t._known in (_VALID, _MINIMAL)
+        assert t._rows is not None
         assert validate(t) == []
         assert check_valid(t) is t
     assert seen == []
@@ -193,47 +194,34 @@ def test_single_steps_and_raw_products_are_not_marked():
     merged = merge_equivalent_states(doubled)
     assert len(merged.states) == len(m.states)
     assert merged._known is None
-    # the pair machines compose and core_product build, before anything
-    # validates them
-    raw = _raw_product(m, m)
-    assert raw._known is None
-    a = random_gnr_element(Alphabet(3, 2), 1)
-    raw_a = _raw_product(a, a)
-    assert raw_a._known is None
     # nor do they know a level: the copy and the renaming of a leveled
-    # machine, a single step, a raw product, a reduction and a core
+    # machine, a single step, a reduction and a core
     assert doubled._level is not None
-    for t in (_copy(m), renamed, merged, raw, _reduce(doubled),
-              _core_at(m, _view_of(m)), core_of(m), raw_a,
-              parse(serialize(m))):
+    for t in (_copy(m), renamed, merged, _reduce(doubled),
+              _core_at(m, _view_of(m)), core_of(m), parse(serialize(m))):
         assert t._level is None
 
 
-def _raw_product(a, b):
-    """The pair machine of a and b as compose builds it, unvalidated,
-    after checking it against the oracle's (validated) pair machine."""
-    pairs = _Pairs(_View(a), _View(b))
-    if a.mode == INITIAL:
-        seeds, initial = [pairs.entry], (a.initial, b.initial)
-    else:
-        seeds, initial = range(len(a.states) * len(b.states)), None
-    raw = _named_pairs(a, pairs.closure(seeds), initial)
-    oracle = unreduced_compose(a, b)
-    assert (raw.states, raw.initial, raw.trans) == \
-        (oracle.states, oracle.initial, oracle.trans)
-    return raw
-
-
 def test_a_core_is_marked_valid_only_when_its_machine_is():
+    """A core is built on rows, the mark of a valid machine, and only
+    from a machine that passes the gate: core_of of an unchecked copy
+    validates the copy first, and refuses an invalid machine with its
+    validate list."""
     t = fixtures.balanced_core_2()
-    assert t._known == _VALID
-    assert _core_at(t, _view_of(t))._known == _VALID
+    assert t._rows is not None
+    core = _core_at(t, _view_of(t))
+    assert core._rows is not None and core._known is None
+    assert letter_loop_validate(_copy(core)) == []
     copy = _copy(t)
-    assert _core_at(copy, _view_of(copy))._known is None
-    # core_of checks that core and marks it
+    assert copy._rows is None
     core = core_of(copy)
-    assert core._known == _VALID
+    assert copy._rows is not None and core._rows is not None
     assert _whole(core) == _whole(core_of(t))
+    bad = _root_writing_core()
+    with pytest.raises(InvalidTransducer) as err:
+        core_of(bad)
+    assert str(err.value) == "; ".join(letter_loop_validate(bad))
+    assert bad._rows is None
 
 
 @pytest.fixture(scope="module")

@@ -332,19 +332,20 @@ def test_inverse_dynamics_that_do_not_synchronize_are_refused(monkeypatch):
     synchronize, and is_bisynchronizing reads the refusal as a negative
     verdict."""
     core = fixture_cores()[1]
-    real = synchro.sync_level
+    real = synchro._collapse
     refused = []
 
-    def configurations_never_synchronize(t):
+    def configurations_never_synchronize(view):
         # machines of run sets are named by their configurations
         # (state name, pending word)
-        if isinstance(t.states[0], tuple):
-            refused.append(t)
-            return None
-        return real(t)
+        tracked, cls, level = real(view)
+        if isinstance(view.states[0], tuple):
+            refused.append(view)
+            return tracked, cls, None
+        return tracked, cls, level
 
     _full_path_only(monkeypatch)
-    monkeypatch.setattr(synchro, "sync_level",
+    monkeypatch.setattr(synchro, "_collapse",
                         configurations_never_synchronize)
     with pytest.raises(NotInvertible,
                        match="^inverse dynamics do not synchronize$"):

@@ -163,6 +163,36 @@ def test_the_budget_is_linear_in_states_and_letters(monkeypatch):
     assert sides == {True, False}
 
 
+def test_past_the_budget_invert_alone_decides(monkeypatch):
+    """Past the walk's budget every path has been shown to meet the
+    identity-echo state, so invert alone decides whether the map is a
+    homeomorphism, with no synchronization test and no core: deep twists
+    past the budget are members, and their output-letter mutants past it
+    are members exactly when the inversion oracle says so."""
+    rng = random.Random("past-budget")
+    machines = []
+    for alphabet, depths in ((A21, (7, 8)), (A32, (4,))):
+        for k in depths:
+            t = deep_twist(alphabet, k, rng.sample(range(alphabet.n),
+                                                   alphabet.n))
+            machines += [t, *output_letter_mutants(t, rng, 12)]
+    inverted = count_calls(monkeypatch, algebra, "invert")
+    bisync = count_calls(monkeypatch, synchro, "is_bisynchronizing")
+    cores = count_calls(monkeypatch, synchro, "core_of")
+    verdicts = []
+    for t in machines:
+        del inverted[:], bisync[:], cores[:]
+        got = _outcome(_membership, t)
+        if isinstance(got[0], type) or "budget" not in str(got[1]):
+            continue
+        assert len(inverted) == 1 and bisync == [] and cores == []
+        verdicts.append(got[0])
+    monkeypatch.undo()
+    assert verdicts.count(True) >= 3 and verdicts.count(False) >= 5
+    for t in machines:
+        assert _outcome(is_in_Gnr, t) == _outcome(three_minimize_in_gnr, t)
+
+
 def _round_trip_machines():
     rng = random.Random(3)
     for s in range(30):

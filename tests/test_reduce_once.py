@@ -3,13 +3,12 @@ validates only the factors not known to be valid (never the pair machine
 of valid factors), invert and from_prefix_code_map validate no machine
 they build (each is valid by construction, checked here on copies),
 invert validates an input not known to be valid once and a minimal one
-not at all, is_in_Gnr reduces its input once, each
-machine is collapsed (synchro._collapse, the work behind every
-synchronization level) at most once per membership test,
-classification, order search and core ladder rung, degenerate
-constructions are still refused with their old types, and the
-bi-synchronizing verdicts equal the three-minimize path they replaced
-(kept in helpers.py as an oracle)."""
+not at all, is_in_Gnr reduces its input once, each machine is collapsed
+(synchro._collapse, the work behind every synchronization level) at
+most once per membership test, classification, order search and core
+ladder rung, degenerate constructions are refused at the gate with
+their factor's violations, and the bi-synchronizing verdicts equal the
+three-minimize path they replaced (kept in helpers.py as an oracle)."""
 
 import importlib
 import random
@@ -21,9 +20,9 @@ from cantrans import (
     Alphabet,
     CORE,
     INITIAL,
+    InvalidTransducer,
     NotInvertible,
     Transducer,
-    TransducerError,
     classify_subgroup,
     compose,
     core_product,
@@ -71,7 +70,7 @@ def test_compose_validates_the_product_once(monkeypatch):
     a2, b2 = (Transducer(t.n, t.r, t.mode, t.states, t.initial, t.trans)
               for t in (a, b))
     assert serialize(compose(a2, b2)) == serialize(product)
-    assert seen == [a2, b2]
+    assert seen == [a2._rows, b2._rows]
 
 
 def test_invert_validates_its_input_once_and_never_its_inverse(
@@ -157,15 +156,14 @@ def test_is_in_Gnr_synchronizes_each_machine_once(monkeypatch, t, decided):
     seen = count_calls(monkeypatch, synchro, "_collapse")
     verdict = is_in_Gnr(t)
     # the core is taken at the level already found, not collapsed again,
-    # and the walk of an initial-mode machine collapses nothing; a code
-    # past its budget collapses the minimal machine and its inverse
+    # and the walk of an initial-mode machine collapses nothing, nor does
+    # the inversion of a code past its budget
     assert len({id(m) for m in seen}) == len(seen)
     if decided == "core":
         assert seen
-    elif decided == "budget":
-        assert verdict and len(seen) == 2
     else:
         assert seen == []
+        assert verdict or decided != "budget"
     monkeypatch.undo()
     assert verdict == three_minimize_in_gnr(t)
 
@@ -204,7 +202,7 @@ def test_a_ladder_rung_is_collapsed_once(monkeypatch):
     core = core_of(p)
     same = outer_class_equal(p, p)
     cube = core_product(p, a)
-    assert seen == [p]
+    assert seen == [p._rows]
     monkeypatch.undo()
     fresh = Transducer(p.n, None, CORE, p.states, None, p.trans)
     assert level == round_remap_collapse(fresh)[2] is not None
@@ -222,14 +220,19 @@ def _silent_initial():
 
 
 def test_degenerate_compose_is_still_refused():
+    """The factor with the empty-output loop is refused at the gate, on
+    either side, with its violations."""
     silent = _silent_initial()
     ident = identity_transducer(Alphabet(2, 1))
     core = Transducer(2, None, CORE, ["s"], None,
                       {("s", 0): ((), "s"), ("s", 1): ((1,), "s")})
     for x, y in ((silent, ident), (ident, silent),
                  (core, identity_core(2))):
-        with pytest.raises(TransducerError, match="degenerate product"):
+        bad = silent if core not in (x, y) else core
+        with pytest.raises(InvalidTransducer) as err:
             compose(x, y)
+        assert str(err.value) == "; ".join(letter_loop_validate(bad)) == \
+            "epsilon-output cycle through 's' -> 's'"
 
 
 def _inversion_corpus():

@@ -1,9 +1,10 @@
 """Typed refusals for degenerate arguments: machines without states, an
 initial machine whose only state is pre-root (neither has a tracked
 state), machines that list a state name twice (rows by position would
-answer for another machine), a relabeling that misses a state or gives
-two states one name, a twist whose entries are not all ints, and an
-order search cap that is not an integer."""
+answer for another machine), all refused at the gate with their
+violations, a relabeling that misses a state or gives two states one
+name, a twist whose entries are not all ints, and an order search cap
+that is not an integer."""
 
 import pytest
 
@@ -62,16 +63,14 @@ TWICE_CORE = Transducer(2, None, CORE, ["a", "b", "a"], None,
     (lambda: witness_pair(EMPTY_CORE), InvalidTransducer, "no states"),
     (lambda: witness_pair(ROOT_LOOP), InvalidTransducer,
      str(InvalidTransducer(validate(ROOT_LOOP)))),
-    (lambda: core_product(EMPTY_CORE, identity_core(2)), TransducerError,
-     "degenerate product"),
-    (lambda: core_product(identity_core(2), EMPTY_CORE), TransducerError,
-     "degenerate product"),
-    (lambda: outer_product(EMPTY_CORE, EMPTY_CORE), TransducerError,
-     "degenerate product"),
-    (lambda: cycle_balance(EMPTY_CORE), TransducerError,
-     "cycle_balance expects a strongly connected core"),
-    (lambda: parse(serialize(EMPTY_CORE)), ParseError,
-     "line 0, column 0: invalid transducer: no states"),
+    (lambda: core_product(EMPTY_CORE, identity_core(2)), InvalidTransducer,
+     "no states"),
+    (lambda: core_product(identity_core(2), EMPTY_CORE), InvalidTransducer,
+     "no states"),
+    (lambda: outer_product(EMPTY_CORE, EMPTY_CORE), InvalidTransducer,
+     "no states"),
+    (lambda: cycle_balance(EMPTY_CORE), InvalidTransducer, "no states"),
+    (lambda: serialize(EMPTY_CORE), InvalidTransducer, "no states"),
     (lambda: canonical_form(TWICE_INITIAL), TransducerError,
      "duplicate state names"),
     (lambda: merge_equivalent_states(TWICE_INITIAL), TransducerError,
@@ -112,8 +111,15 @@ def test_machines_without_states_are_refused(call, error, message):
     assert str(err.value).startswith(message)
 
 
-def test_a_machine_without_states_serializes_to_its_header():
-    assert serialize(EMPTY_CORE) == f"{HEADER}\nalphabet n=2 core\n"
+def test_a_machine_without_states_is_not_serialized():
+    """No valid machine has no states: serialize refuses one at the gate,
+    and parse refuses the document of its two header lines."""
+    with pytest.raises(InvalidTransducer, match="^no states$"):
+        serialize(EMPTY_CORE)
+    with pytest.raises(ParseError) as err:
+        parse(f"{HEADER}\nalphabet n=2 core\n")
+    assert str(err.value) == \
+        "line 0, column 0: invalid transducer: no states"
 
 
 @pytest.mark.parametrize("cap", [0, -3, 2.5, 4.0, "3", None])

@@ -3,20 +3,23 @@
 reads it.
 
 Every reduction corpus gives the same machine as the eager build it
-replaced (helpers.eager_build, which zips the table at once): the same
-table in the same order, states, entry, document and canonical form.
-On the benchmark's hot paths, minimizing a long chain and evaluating
-points on it, one rung of the core ladder with core_of and the
-classifiers on it, and inverting machines and building prefix-code
-maps, no machine built on rows builds its table, no view of one is
-built from a table, and the library builds no name-keyed table at all
-after parse.  parse builds a document's rows with no view of a table
-and validates them once; a machine checked by validate keeps the view
-it was checked on.  So neither core_of of a parsed chain, core_product
-of a parsed core, nor minimize and eval_point of a validated chain
-builds a view; a machine built on rows is validated on its rows.  run_word and eval_point walk the rows
-of such a machine and give the results and refusal texts of its
-public-constructor copy."""
+replaced (helpers.eager_build, which zips the table at once and
+validates it): the same table in the same order, states, entry,
+document and canonical form.  On the benchmark's hot paths, minimizing
+a long chain and evaluating points on it, one rung of the core ladder
+with core_of and the classifiers on it, and inverting machines and
+building prefix-code maps, no machine built on rows builds its table,
+no view of one is built from a table, and the library builds no
+name-keyed table at all after parse.  parse builds a document's rows
+with no view of a table and validates them once; a machine checked by
+validate keeps the view it was checked on.  So neither core_of of a
+parsed chain, core_product of a parsed core, nor minimize and
+eval_point of a validated chain builds a view.  run_word and eval_point
+walk the rows of such a machine and give the results and refusal texts
+of the letter-by-letter table walks (helpers.letter_step_run_word and
+helpers.pump_loop_eval_point) on its public-constructor copy.  A
+machine not yet checked is validated before anything reads it, and an
+invalid one is refused with its validate list."""
 
 import importlib
 import random
@@ -55,13 +58,15 @@ from cantrans import (
     validate,
 )
 from cantrans import machine
-from cantrans.machine import _VALID, _View
+from cantrans.machine import _View
 from cantrans.randgen import random_gnr_element, random_prefix_code_map, \
     random_transducer
 
 import helpers
 from helpers import balanced_powers, count_calls, duplicated_states, \
-    eager_build, empty_output_chain, multi_core_bisync, random_bisync
+    eager_build, empty_output_chain, letter_loop_validate, \
+    letter_step_run_word, multi_core_bisync, pump_loop_eval_point, \
+    random_bisync
 
 minimize_module = importlib.import_module("cantrans.minimize")
 
@@ -147,7 +152,7 @@ def _results(value):
 
 def _same_as_eager(got, want):
     assert got._rows is not None and got._trans is None
-    assert want._rows is None
+    assert want._rows is not None and want._rows is not got._rows
     assert got.states == want.states
     assert got.initial == want.initial
     assert serialize(got) == serialize(want)
@@ -255,10 +260,10 @@ def test_core_of_a_parsed_chain_builds_no_view(monkeypatch):
 
     monkeypatch.setattr(_View, "__init__", init)
     t = parse(text)
-    assert stages == [t] and views == []
+    assert stages == [t._rows] and views == []
     assert t._trans is None and t._rows is not None
     core = core_of(t)
-    assert stages == [t] and views == []
+    assert stages == [t._rows] and views == []
     assert core.states == ("e",) and core._rows is not None
 
 
@@ -278,9 +283,9 @@ def test_checked_machines_build_no_view_after_validate(monkeypatch):
 
     monkeypatch.setattr(_View, "__init__", init)
     a = parse(fixtures.BALANCED_CORE_2)
-    assert stages == [a] and views == []
+    assert stages == [a._rows] and views == []
     product = core_product(a, a)
-    assert stages == [a] and views == [] and len(product.states) == 34
+    assert stages == [a._rows] and views == [] and len(product.states) == 34
     rng = random.Random(2209)
     for core in (False, True):
         chain = empty_output_chain(core)
@@ -295,15 +300,16 @@ def test_checked_machines_build_no_view_after_validate(monkeypatch):
         assert got == [eval_point(copy, p) for p in points] * 2
 
 
-def test_a_machine_built_on_rows_is_validated_on_its_rows(watch):
-    """core_of of a public-constructor copy checks the core it builds on
-    rows, not known to be valid, on those rows: it builds no table from
-    them and no view of them, and the core keeps them."""
+def test_the_core_of_a_checked_copy_is_built_on_rows(watch):
+    """core_of of a public-constructor copy validates the copy at the
+    gate and builds its core on rows, valid by construction: it builds
+    no table from them and no view of them, and the core keeps them."""
     a = fixtures.balanced_core_2()
     copy = Transducer(a.n, a.r, a.mode, a.states, a.initial, a.trans)
     watch["tables"].clear()
     core = core_of(copy)
-    assert watch["built"][-1] is core and core._known == _VALID
+    assert copy._rows is not None
+    assert watch["built"][-1] is core and core._known is None
     assert watch["tables"] == [] and watch["views"] == []
     assert core._trans is None and len(core.states) == 10
 
@@ -435,9 +441,11 @@ def test_rows_walks_match_the_table_walks():
                  m.initial),
                 (eval_point, EventuallyPeriodicPoint((), (0,)), m.initial),
             ]
+        oracles = {run_word: letter_step_run_word,
+                   eval_point: pump_loop_eval_point}
         for fn, *args in calls + bad:
             got = outcome(fn, m, *args)
-            assert got == outcome(fn, copy, *args)
+            assert got == outcome(oracles[fn], copy, *args)
             if isinstance(got, tuple) and isinstance(got[0], type):
                 refusals.add(got[1].split(" (")[0].split(" '")[0])
     assert {"no transition", "unknown state",
@@ -446,50 +454,45 @@ def test_rows_walks_match_the_table_walks():
             "core-mode machine only reads digit words"} <= refusals
 
 
-def test_rows_of_an_unchecked_machine_are_walked_through_its_table():
-    """merge_equivalent_states builds its quotient on rows without
-    validating it, so a machine whose digit transition enters the entry
-    keeps it: walked through its table, the entry refuses the digit as
-    the public-constructor copy does, where its root row would answer."""
+def test_an_unchecked_machine_is_refused_before_its_rows_are_built():
+    """A machine whose digit transition enters the entry, and one whose
+    states are all pre-root (no tracked state), are refused by the gate
+    before merge_equivalent_states builds a quotient on rows, and so are
+    run_word, eval_point and sync_level on them, with the violations
+    helpers.letter_loop_validate finds."""
     trans = {("q0", -1): ((-1,), "a"),
              ("a", 0): ((0,), "b"), ("a", 1): ((1,), "q0"),
              ("b", 0): ((0,), "c"), ("b", 1): ((1,), "q0"),
              ("c", 0): ((0,), "b"), ("c", 1): ((1,), "q0")}
-    t = Transducer(2, 1, INITIAL, ["q0", "a", "b", "c"], "q0", trans)
-    m = merge_equivalent_states(t)
-    assert m._rows is not None and m._known is None
-    assert len(m.states) < len(t.states)
-    copy = Transducer(m.n, m.r, m.mode, m.states, m.initial, m.trans)
-    for word in [(-1, 1, 0), (-1, 0, 1, 0), (-1, 0, 0)]:
-        got = outcome(run_word, m, "q0", word)
-        assert got == outcome(run_word, copy, "q0", word)
-    assert got[1] == "a"
-    point = EventuallyPeriodicPoint((-1,), (0, 1))
-    assert outcome(eval_point, m, point) == outcome(eval_point, copy, point)
-    assert outcome(run_word, m, "q0", (-1, 1, 0)) == \
-        (TransducerError, "no transition ('q0', 0)")
-    # a quotient whose states are all pre-root has no tracked state
+    entered = Transducer(2, 1, INITIAL, ["q0", "a", "b", "c"], "q0", trans)
     trans = {("q0", -1): ((), "a"), ("a", 0): ((), "b"), ("a", 1): ((), "b"),
              ("b", 0): ((), "a"), ("b", 1): ((), "a")}
-    m = merge_equivalent_states(
-        Transducer(2, 1, INITIAL, ["q0", "a", "b"], "q0", trans))
-    assert m._rows is not None and m.states == ("q0", "a")
-    copy = Transducer(m.n, m.r, m.mode, m.states, m.initial, m.trans)
-    got = outcome(sync_level, m)
-    assert got == outcome(sync_level, copy)
-    assert got[0] is InvalidTransducer
+    silent = Transducer(2, 1, INITIAL, ["q0", "a", "b"], "q0", trans)
+    point = EventuallyPeriodicPoint((-1,), (0, 1))
+    for t in (entered, silent):
+        want = (InvalidTransducer, "; ".join(letter_loop_validate(t)))
+        assert outcome(merge_equivalent_states, t) == want
+        assert outcome(run_word, t, "q0", (-1, 1, 0)) == want
+        assert outcome(eval_point, t, point) == want
+        assert outcome(sync_level, t) == want
+        assert t._rows is None
+    assert outcome(sync_level, entered)[1].startswith(
+        "initial state has an incoming transition from ('a', 1)")
+    assert outcome(sync_level, silent)[1].startswith(
+        "epsilon-output cycle through")
 
 
 def test_an_initial_state_outside_the_states_is_refused_by_name():
     """The public constructor does not check that the initial state is
     among the states; canonical_form, merge_equivalent_states and
-    remove_incomplete_response, which do not validate, fail on its
-    lookup by name with KeyError."""
+    remove_incomplete_response refuse it at the gate with
+    InvalidTransducer, naming it."""
     trans = {("a", 0): ((0,), "b"), ("a", 1): ((1,), "a"),
              ("b", 0): ((0,), "b"), ("b", 1): ((1,), "a")}
     t = Transducer(2, 1, INITIAL, ["a", "b"], "z", trans)
     for f in (canonical_form, merge_equivalent_states,
               remove_incomplete_response):
-        with pytest.raises(KeyError) as caught:
+        with pytest.raises(InvalidTransducer) as caught:
             f(t)
-        assert caught.value.args == ("z",)
+        assert str(caught.value) == "; ".join(letter_loop_validate(t))
+        assert "initial state 'z' not in state list" in str(caught.value)

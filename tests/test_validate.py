@@ -2,19 +2,22 @@
 (helpers.letter_loop_validate): the same violation strings in the same
 order on fresh copies of valid machines and on one- and two-step
 mutations of them, and the same ParseError text from parse.  The stages
-validate runs on the view it builds (machine._stages) agree with the
-table stages that word its messages (machine._violations) on the
-validate, refusal and mutation corpora, random machines and the long
-chains, and the peel of the empty-output edges with the depth-first
-search on the table.  Also: the
+validate runs on the view of the table (machine._table_view and
+machine._stages) agree with the table stages that word its messages
+(machine._violations) on the validate, refusal and mutation corpora,
+random machines and the long chains, and the peel of the empty-output
+edges with the depth-first search on the table.  The missing and stray
+transitions are listed in one order under every hash seed.  Also: the
 checks dropped from core extraction hold on every core it extracts, the
 CLI verbs that reduce, invert or take a core no longer validate or
 synchronize twice, on a document that synchronizes or not, and the raw
-machines from_prefix_code_map builds marked valid pass the letter
-loop."""
+machines from_prefix_code_map builds on rows pass the letter loop."""
 
 import importlib
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -45,14 +48,14 @@ from cantrans import (
 )
 from cantrans import algebra, cli, machine, randgen, synchro
 from cantrans.document import HEADER
-from cantrans.machine import _VALID, _View
 from cantrans.randgen import random_gnr_element, random_prefix_code_map, \
     random_transducer
 from cantrans.words import format_letter, format_word
 
 from helpers import balanced_powers, count_calls, empty_output_chain, \
     fixture_cores, fresh_parser_main, letter_loop_validate, \
-    multi_core_bisync, strongly_connected, view_machine
+    multi_core_bisync, queue_pre_root_states, strongly_connected, \
+    view_machine
 from test_refusals import EMPTY_CORE, ROOT_LOOP, TWICE_CORE, TWICE_INITIAL
 
 minimize_module = importlib.import_module("cantrans.minimize")
@@ -196,7 +199,7 @@ def _empty_into_pre_root(t, rng):
     state)."""
     trans = dict(t.trans)
     key = _edge(t, rng)
-    pre = sorted(t.pre_root_states(), key=str) or t.states
+    pre = sorted(queue_pre_root_states(t), key=str) or t.states
     trans[key] = ((), rng.choice(pre))
     return _with(t, trans)
 
@@ -237,7 +240,7 @@ def _corpus(seed=0):
 
 def _agree(machines):
     """validate on a fresh copy of each machine (validate trusts a
-    machine marked valid) against the letter loop."""
+    machine that holds rows) against the letter loop."""
     seen = set()
     for t in machines:
         got = validate(_with(t))
@@ -285,16 +288,16 @@ def _oracle_corpus(monkeypatch):
 
 
 def test_rows_stages_agree_with_the_table_stages(monkeypatch):
-    """validate's stages on the view they build (machine._stages) against
-    the table stages that word its messages (machine._violations) and
-    the letter loop, on a fresh copy of each machine of the oracle
-    corpus: the same list.  A copy that passes keeps the view as its
-    rows and drops its table, which is built again equal to the table
-    it had; one that fails keeps its table and holds no rows.  Where a
-    view can be built, a machine on those rows is checked on them as the
-    letter loop checks its table, and where the view holds the whole
-    table (no stray key), the peel of its empty-output edges finds a
-    cycle exactly when the depth-first search on the table does."""
+    """validate's stages on the view of the table (machine._table_view
+    and machine._stages) against the table stages that word its messages
+    (machine._violations) and the letter loop, on a fresh copy of each
+    machine of the oracle corpus: the same list.  A copy that passes
+    keeps the view as its rows and drops its table, which is built again
+    equal to the table it had; one that fails keeps its table and holds
+    no rows.  Where stages 1 and 2 pass, so that the view holds the
+    whole table, stages 3 to 5 on it give the letter loop's verdict, and
+    the peel of its empty-output edges finds a cycle exactly when the
+    depth-first search on the table does."""
     verdicts, peeled = set(), set()
     for t in _oracle_corpus(monkeypatch):
         copy = _with(t)
@@ -304,23 +307,77 @@ def test_rows_stages_agree_with_the_table_stages(monkeypatch):
             letter_loop_validate(t), t
         if got:
             assert copy._trans is table and copy._rows is None
-            assert copy._known is None
         else:
-            assert copy._known == _VALID and copy._trans is None
+            assert copy._trans is None
             assert copy._rows is not None and copy.trans == table
+        assert copy._known is None
         verdicts.add(not got)
-        try:
-            view = _View(_with(t))
-        except TransducerError:
+        view = machine._table_view(_with(t))
+        if view is None:
             continue
-        on_rows = Transducer._of_rows(t.n, t.r, t.mode, t.initial, view, None)
-        assert validate(on_rows) == letter_loop_validate(on_rows), t
-        if len(t.trans) != sum(map(len, view.letters)):
-            continue
+        assert machine._stages(view, t.n, t.r) == (not got), t
         cycle = machine._silent_cycle(view)
         assert cycle == (machine._epsilon_cycle(t) is not None), t
         peeled.add(cycle)
     assert verdicts == peeled == {True, False}
+
+
+# a three-state core holding one transition, and a core with stray keys
+# at a digit out of range, at a root letter and at a state not listed
+SPARSE_CORE = ({("b", 0): ((0,), "a")}, ["a", "b", "c"])
+STRAY_CORE = ({("a", 0): ((0,), "a"), ("a", 5): ((0,), "a"),
+               ("a", 1): ((1,), "a"), ("a", -1): ((1,), "a"),
+               ("z", 0): ((0,), "a")}, ["a"])
+
+
+def missing_three():
+    """SAMPLE_3_2 with three transitions left out, q1 0 among them."""
+    lines = fixtures.SAMPLE_3_2.splitlines()
+    return "\n".join(line for k, line in enumerate(lines)
+                     if k not in (5, 8, 12)) + "\n"
+
+
+def refusal_texts():
+    """The validate lists of the two cores, and the parse refusals of
+    missing_three and of a document with two stray lines."""
+    out = [validate(Transducer(2, None, CORE, states, None, trans))
+           for trans, states in (SPARSE_CORE, STRAY_CORE)]
+    stray = (f"{HEADER}\nalphabet n=2 core\na 0 -> a : 0\na 3 -> a : 0\n"
+             "a 1 -> a : 1\na 2 -> a : 1\n")
+    for text in (missing_three(), stray):
+        try:
+            parse(text)
+        except ParseError as e:
+            out.append(str(e))
+    return out
+
+
+def test_missing_and_stray_transitions_keep_one_order_under_every_seed():
+    """Missing transitions are listed in state order, then letter order,
+    and stray ones in table order, so validate and parse word a refusal
+    alike under every string hashing: child processes under four hash
+    seeds print this process's texts."""
+    want = refusal_texts()
+    assert want[0] == [f"incomplete transition table: missing ({q!r}, {x})"
+                       for q, x in (("a", 0), ("a", 1), ("b", 1), ("c", 0),
+                                    ("c", 1))]
+    assert [m.split("(")[1] for m in want[1]] == \
+        ["'a', 5)", "'a', .0)", "'z', 0)"]
+    assert want[2] == (
+        "line 0, column 0: invalid transducer: "
+        "incomplete transition table: missing ('q1', 0); "
+        "incomplete transition table: missing ('q2', 0); "
+        "incomplete transition table: missing ('q3', 1)")
+    assert want[3].endswith("line 4: stray transition ('a', 3); "
+                            "line 6: stray transition ('a', 2)")
+    script = "from test_validate import refusal_texts\nprint(refusal_texts())"
+    path = os.pathsep.join([os.path.dirname(__file__), *sys.path])
+    for seed in "0123":
+        env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed)
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == f"{want}\n"
 
 
 def _document(t):
@@ -348,8 +405,14 @@ def test_parse_reports_invalid_documents_as_before(monkeypatch):
     got = [_parse_error(d) for d in docs]
     # the letter loop decides each document and words its refusal
     stages = machine._stages
-    monkeypatch.setattr(machine, "_stages", lambda t: None
-                        if letter_loop_validate(t) else stages(t))
+
+    def decided(view, n, r):
+        entry = None if view.entry is None else view.states[view.entry]
+        t = Transducer(n, r, CORE if r is None else INITIAL, view.states,
+                       entry, view._table())
+        return not letter_loop_validate(t) and stages(view, n, r)
+
+    monkeypatch.setattr(machine, "_stages", decided)
     monkeypatch.setattr(machine, "_violations", letter_loop_validate)
     assert got == [_parse_error(d) for d in docs]
     invalid = [e for e in got if e and "invalid transducer" in e]
@@ -531,7 +594,7 @@ def test_cli_invert_member_outer_eq_validate_each_document_once(
 
 def test_prefix_map_machines_are_valid_by_construction(monkeypatch):
     """from_prefix_code_map reduces its raw machine without validating
-    it, marked valid: a fresh copy of each raw machine passes the letter
+    it, built on rows: a fresh copy of each raw machine passes the letter
     loop, and minimizing that copy gives the same machine."""
     raws = count_calls(monkeypatch, minimize_module, "_reduce")
     checked = 0
@@ -541,7 +604,7 @@ def test_prefix_map_machines_are_valid_by_construction(monkeypatch):
         raws.clear()
         built = from_prefix_code_map(pm, alphabet)
         (raw,) = raws
-        assert raw._known == _VALID
+        assert raw._rows is not None and raw._known is None
         copy = _with(raw)
         assert letter_loop_validate(copy) == []
         assert serialize(minimize(copy)) == serialize(built)
