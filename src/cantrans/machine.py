@@ -172,13 +172,19 @@ class Transducer:
         return tuple(range(self.n))
 
     def step(self, state, letter):
-        _view_of(self)
+        """(output word, target state) of the transition (state, letter),
+        read from the machine's rows through the state-name map: one
+        step builds no name-keyed table."""
+        rows = _view_of(self)
+        i = rows.index.get(state)
         try:
-            return self.trans[(state, letter)]
-        except KeyError:
+            k = rows.letters[i].index(letter)
+        except (TypeError, ValueError):
+            # i is None (no such state) or the state reads no such letter
             raise TransducerError(
                 f"no transition ({state!r}, {format_letter(letter)})"
             ) from None
+        return rows.outs[i][k], rows.states[rows.targets[i][k]]
 
     def max_output_len(self):
         return max(map(len, _words(self)), default=0)

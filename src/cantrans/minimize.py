@@ -254,8 +254,8 @@ def _build(n, r, mode, names, letters, outs, targets, initial, known):
     `known` (None or _MINIMAL).  The result keeps the quotient's
     rows, taken as they are (see Transducer._of_rows): its name-keyed
     table is built only when something reads it, and a kernel walking
-    the result next (the lag walks of an inversion, a core product)
-    takes its view from the rows (machine._view_of)."""
+    the result next (a core product, the level of an inverse) takes its
+    view from the rows (machine._view_of)."""
     rows = _View._of_rows(names, letters, outs, targets,
                           initial if mode == INITIAL else None)
     return Transducer._of_rows(n, r, mode,

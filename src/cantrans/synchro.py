@@ -14,7 +14,7 @@ from .machine import CORE, Transducer, TransducerError, \
     _view_of
 from .minimize import _reduce_rows, minimize
 from .algebra import NotInjective, NotInvertible, invert, _Pairs, \
-    _RunSets, _accepting, _explore, _product_is_identity
+    _RunSets, _accepting, _explore
 
 
 class NotSynchronizing(TransducerError):
@@ -229,31 +229,29 @@ def invert_core(c):
     the input it has read since the inverse last emitted; a set is built
     once, however many configurations (state of c, pending input) lead
     to it.  One construction, _inverse_from, explores them from a set of
-    seeds, checks that the machine they make synchronizes, reduces its
-    core and checks that both core products with the original reduce to
-    the identity core.  It runs first from the one set that repeats when
-    the set of a seed (q, empty) reads 0s, without pruning, and only
-    when that run refuses for any reason but NotInjective from the sets
-    of every seed (state, empty), keeping the largest sub-machine on
-    which every digit can always be read (a set surviving that pruning
-    accepts every continuation, which is exactly what deep states of an
-    inverse must do).  The second run's inverse or refusal, which says
-    which step failed, is the answer.  Both runs share one _RunSets, so
-    a set is built once for both.  Two runs of one set that write the
-    same output after reading different words prove the map not
-    injective, and end both runs at once.
+    seeds, checks that the machine they make synchronizes and reduces
+    its core, whose core products with the original reduce to the
+    identity core by construction (see _inverse_from).  It runs first
+    from the one set that repeats when the set of a seed (q, empty)
+    reads 0s, without pruning, and only when that run refuses for any
+    reason but NotInjective from the sets of every seed (state, empty),
+    keeping the largest sub-machine on which every digit can always be
+    read (a set surviving that pruning accepts every continuation, which
+    is exactly what deep states of an inverse must do).  The second
+    run's inverse or refusal, which says which step failed, is the
+    answer.  Both runs share one _RunSets, so a set is built once for
+    both.  Two runs of one set that write the same output after reading
+    different words prove the map not injective, and end both runs at
+    once.
 
     The inverse core is numbered breadth-first from its one state that
     digit 0 fixes, so its names depend on the machine alone, not on the
     route or the order in which sets were found.
 
-    The products are checked by the lag walk, without building them: on
-    the core of each pair machine, from the pair digit 0 fixes, every
-    pair must carry a lag word u with u x = w u' on each of its edges
-    x/w.  Products of a non-synchronizing core need not have a core, so
-    such a core is refused up front, before the exploration.  c is
-    minimized first, which returns a minimal core as it is, and whether
-    it synchronizes is read from it when known (see sync_level), so the
+    Products of a non-synchronizing core need not have a core, so such a
+    core is refused up front, before the exploration.  c is minimized
+    first, which returns a minimal core as it is, and whether it
+    synchronizes is read from it when known (see sync_level), so the
     core is_bisynchronizing has just leveled is not collapsed again.
 
     The one-seed closure is exact.  It is closed, every set in it reads
@@ -265,11 +263,11 @@ def invert_core(c):
     the same sets, hence the same reduction.  Any other outcome of the
     one-seed run (every seed walk refused, the pending-word bound
     exceeded, a digit refused in the closure, a closure that does not
-    synchronize, a failed product check) leaves the answer and its
-    refusal text to the full run.  So both runs give the same machine
-    whenever the full exploration synchronizes; they could differ only
-    on a core whose one-seed closure verifies while its full machine of
-    sets does not synchronize, which the full run would refuse."""
+    synchronize) leaves the answer and its refusal text to the full run.
+    So both runs give the same machine whenever the full exploration
+    synchronizes; they could differ only on a core whose one-seed
+    closure synchronizes while its full machine of sets does not, which
+    the full run would refuse."""
     if c.mode != CORE:
         raise TransducerError("invert_core expects a core-mode machine")
     c = minimize(c)
@@ -290,9 +288,8 @@ def invert_core(c):
 
 def _inverse_from(c, runs, seeds, prune):
     """The inverse core of c from the node numbers `seeds` of `runs`:
-    _explore's machine of sets, pruned when `prune` is set, its core
-    reduced and both products with c checked by the lag walk; a failed
-    step is refused with NotInvertible.
+    _explore's machine of sets, pruned when `prune` is set, and its core
+    reduced; a failed step is refused with NotInvertible.
 
     The machine of sets is built once, on the rows _explore builds,
     named by its nodes' configurations, and a pruned one is cut from
@@ -310,8 +307,45 @@ def _inverse_from(c, runs, seeds, prune):
     inverse has read more input, with no emission between, would have
     written two outputs there.  It is marked as synchronizing, as the
     reduction of the core of a synchronizing machine; its level is found
-    when asked for.  The lag walks take the reduction's view from its
-    rows (see machine._view_of)."""
+    when asked for.
+
+    The result d is the inverse core of c by construction: both core
+    products, c then d and d then c, reduce to the identity core, so
+    neither is built or checked.  A product's core is the closure of
+    the pair digit 0 fixes (_Pairs.fixed), and it reduces to the
+    identity core exactly when that pair is the identity up to some lag
+    (see algebra.invert for the term; the lag walk of the tests checks
+    it).  The steps of algebra.invert's proof go as follows here, for
+    the one-seed run and the pruned run alike.  Let K be the core cut
+    here: a closed set of nodes of `runs`, each reading every digit into
+    K, with no cycle that writes nothing, so that (a) and (b) of step 1
+    hold for its nodes.
+
+    2. Seed pairs.  c then K: take a run (p, delay) of a node of K, on
+       an edge into state q.  Reading the rest of that edge's output
+       keeps the run, which then ends its edge and moves into q's whole
+       frontier, each item's path after the run's delay less what was
+       emitted.  So the node reached, in K, holds q's frontier shifted
+       by one lag, and by (a) it and q make a pair that is the identity
+       up to that lag.  K then c: by (b), each node of K and the state
+       of its configuration make such a pair.  Neither pair needs a seed
+       of `runs` to lie in K.  Pruning keeps or drops whole nodes and
+       changes no node's runs, so this holds after pruning too.
+    3. Synchronization.  c synchronizes (invert_core checks it), and so
+       does d, the reduction of the core of a synchronizing machine.  So
+       the product synchronizes in either order, by the argument of
+       core_product (its first factor has no empty-output cycle).  Then
+       0^m leads every pair, the pairs of steps 2 and 4 among them, to
+       the one pair 0 fixes.  The identity up to a lag passes to every
+       successor, so that pair is the identity up to a lag.
+    4. The reduction.  A state of d maps z to what a node k of its class
+       maps z to, less k's guaranteed output g, which it cuts off the
+       front.  In the product c then d, a pair (q, k) that is the
+       identity up to u gives the pair (q, [k]), the identity up to u
+       less g (g is a prefix of u, since n >= 2 digits let z vary).  In
+       the product d then c, a pair (k, i) that is the identity up to u
+       gives the pair ([k], i'), where c reads g from i to i' writing v,
+       and it is the identity up to u less v."""
     n = c.n
     sets = _explore(runs, seeds, range(n), n, prune)
     if prune:
@@ -329,12 +363,6 @@ def _inverse_from(c, runs, seeds, prune):
     width = len(str(len(core.states) - 1))
     core.states = tuple(f"{k:0{width}}" for k in range(len(core.states)))
     d = _reduce_rows(n, None, CORE, None, core)
-    inverse = _view_of(d)
-    if not _product_is_identity(runs.view, inverse) or \
-            not _product_is_identity(inverse, runs.view):
-        raise NotInvertible(
-            "round-trip verification failed: core products are not trivial"
-        )
     d._know_level(_SYNCHRONIZES)
     return d
 

@@ -22,6 +22,7 @@ from cantrans import (
     UnboundedOutput,
     canonical_form,
     check_valid,
+    classify_subgroup,
     cli,
     compose,
     core_of,
@@ -33,7 +34,10 @@ from cantrans import (
     is_bisynchronizing,
     is_identity_core,
     minimize,
+    order_in_On,
+    parse,
     run_word,
+    serialize,
     sync_level,
     validate,
 )
@@ -46,10 +50,9 @@ from cantrans.words import EMPTY, Relation, WordError, check_word, \
 from cantrans.machine import _View, _first_repeat, relabel
 from cantrans.minimize import _reduce, merge_equivalent_states, \
     remove_inaccessible, remove_incomplete_response
-from cantrans import algebra, fixtures, synchro
+from cantrans import fixtures, synchro
 from cantrans.randgen import random_gnr_element, random_transducer
-from cantrans.algebra import _Pairs, _accepting, _pending_bound, \
-    _product_is_identity, _zeros_before_other
+from cantrans.algebra import _Pairs, _accepting, _pending_bound
 
 
 def _tracked_states(t):
@@ -361,9 +364,8 @@ def view_machine(view, n):
 
 
 def product_is_identity(a, b):
-    """The lag walk of the library on two machines, through their
-    views."""
-    return _product_is_identity(_View(a), _View(b))
+    """The lag walk on two machines, through their views."""
+    return lag_walk(_View(a), _View(b))
 
 
 def attractor_core_product(a, b):
@@ -1049,28 +1051,52 @@ def letter_step_run_word(t, state, word):
 
 
 # Oracles for the inversion kernels: the pending-word exploration on
-# (name, letter) keys through Transducer.step, and the round trips that
-# build, validate and minimize each product before testing it.
+# (name, letter) keys through Transducer.step, the lag walks that decide
+# whether a product is the identity without building it, and the round
+# trips that build, validate and minimize each product before testing
+# it.
 
 
-def step_loop_product_is_identity(va, vb):
-    """Oracle: the lag walk as it was before it stepped pairs in its own
-    loop, one _Pairs.step call per letter of each pair it reaches."""
+def lag_walk(va, vb):
+    """Oracle: whether x -> (x . a) . b is the identity, decided on the
+    pair machine of the views va and vb of a and b (see algebra._Pairs)
+    without building it as a Transducer.  The docstrings of
+    algebra.invert and synchro._inverse_from prove that it passes, in
+    both orders, on every inverse they build; the tests run it on each.
+
+    A machine computes the identity exactly when every state s has a lag
+    word u(s), the input it has read but not yet written, with
+    u(s) x = w u(t) on every edge s -- x/w --> t.  The walk assigns lags
+    breadth-first from a seed, stepping pairs as it reaches them, and
+    stops at the first edge that breaks the equation.
+
+    Initial mode: the seed is the entry pair with lag empty, and the
+    walk covers the pairs reachable from it.  Core mode (both factors
+    must synchronize): the product's core is the forward closure of the
+    pair digit 0 fixes (_Pairs.fixed), and the product reduces to the
+    identity core exactly when that closure computes the identity up to
+    lags.  On the fixed pair, u 0 = w u forces w = 0 and
+    u = 0^k, and reading 1s writes u 1 1 ..., so k is the number of 0s
+    written before the first other letter; any other output on 0 breaks
+    the equation on the walk's first edge.  A pair is stepped in the
+    walk's own loop, as _Pairs.step steps it, along a's rows at once."""
     pairs = _Pairs(va, vb)
-    step, size, letters = pairs.step, pairs.size, va.letters
+    size, memo, read = pairs.size, pairs.memo, pairs._read
     if va.entry is not None:
         seed, lag = pairs.entry, EMPTY
     else:
         seed = pairs.fixed()
-        lag = _zeros_before_other(step, seed)
+        lag = zeros_before_other(pairs.step, seed)
         if lag is None:
             return False
     lags = {seed: lag}
     todo = [seed]
     for pair in todo:
         u = lags[pair]
-        for k, x in enumerate(letters[pair // size]):
-            w, tgt = step(pair, k)
+        i, j = divmod(pair, size)
+        for x, v, k in zip(va.letters[i], va.outs[i], va.targets[i]):
+            w, q = memo.get((v, j)) or read(v, j)
+            tgt = k * size + q
             ux = u + (x,)
             if ux[:len(w)] != w:
                 return False
@@ -1084,22 +1110,68 @@ def step_loop_product_is_identity(va, vb):
     return True
 
 
-def checked_lag_walks(patch):
-    """Patches the lag walk that invert and invert_core run to check each
-    verdict against step_loop_product_is_identity; returns the list the
-    verdicts are recorded in, one per walk."""
-    verdicts = []
-    real = algebra._product_is_identity
+def zeros_before_other(step, pair):
+    """0^k for the k zeros the pair machine writes, reading 1s from
+    `pair`, before its first other letter; None when the walk meets a
+    pair again first (it then writes only zeros forever)."""
+    seen = {pair}
+    k = 0
+    while True:
+        w, pair = step(pair, 1)
+        for y in w:
+            if y != 0:
+                return (0,) * k
+            k += 1
+        if pair in seen:
+            return None
+        seen.add(pair)
 
-    def checked(va, vb):
-        got = real(va, vb)
-        assert got is step_loop_product_is_identity(va, vb)
-        verdicts.append(got)
-        return got
 
-    patch.setattr(algebra, "_product_is_identity", checked)
-    patch.setattr(synchro, "_product_is_identity", checked)
-    return verdicts
+def check_inverse(a, b):
+    """Oracle: b inverts the minimal machine a in both orders.  The lag
+    walk on the views of both machines and the reduction of each product
+    both say yes.  Any error the oracle raises, a typed cantrans refusal
+    from compose or minimize among them, fails as an AssertionError, so
+    that it is never taken for a refusal of the code under test."""
+    for x, y in ((a, b), (b, a)):
+        try:
+            walked = lag_walk(_View(x), _View(y))
+            reduced = reduced_product_is_identity(x, y)
+        except Exception as e:
+            raise AssertionError(f"oracle failed on {(x, y)}: {e!r}") from e
+        assert walked and reduced, (walked, reduced, x, y)
+
+
+def checked_invert(a):
+    """invert(a), with the oracle run on the inverse it returns."""
+    b = invert(a)
+    check_inverse(minimize(a), b)
+    return b
+
+
+def checked_invert_core(c):
+    """invert_core(c), with the oracle run on the inverse it returns."""
+    d = invert_core(c)
+    check_inverse(minimize(c), d)
+    return d
+
+
+def checked_inverses(patch):
+    """Patches synchro._inverse_from, the one construction of
+    invert_core, to run the oracle on each inverse core it returns, from
+    the one-seed run and from the pruned run alike; returns the list the
+    checked (core, inverse) pairs are recorded in."""
+    checked = []
+    real = synchro._inverse_from
+
+    def checking(c, runs, seeds, prune):
+        d = real(c, runs, seeds, prune)
+        check_inverse(c, d)
+        checked.append((c, d))
+        return d
+
+    patch.setattr(synchro, "_inverse_from", checking)
+    return checked
 
 
 def reduced_product_is_identity(a, b):
@@ -1926,3 +1998,109 @@ def loop_trimmed_point(preperiod, period):
         preperiod = preperiod[:-1]
         period = period[-1:] + period[:-1]
     return preperiod, period
+
+
+# The mutation fuzz of inversion: a fixture document, or a seeded
+# bi-synchronizing map written out, with one token or, after parse, one
+# transition changed, run through the inversions and the classifiers.
+
+
+def _fuzz_documents(rng):
+    """The documents a fuzz case mutates: the fixtures, and a seeded
+    twist composed with a prefix-exchange map on C_{3,2}."""
+    alphabet = Alphabet(3, 2)
+    return [fixtures.SAMPLE_3_2, fixtures.UNBALANCED_CORE_3,
+            fixtures.UNBALANCED_4_2, fixtures.BALANCED_CORE_2,
+            fixtures.SYNCHRONOUS_CORE_3, fixtures.TORSION_CORE_2,
+            serialize(random_bisync(alphabet, rng.randrange(10_000)))]
+
+
+def _mutated_tokens(text, rng):
+    """text with one token of a transition line replaced by a letter, a
+    state name or '-', deleted, or doubled."""
+    lines = text.splitlines()
+    first = next(k for k, line in enumerate(lines) if "->" in line)
+    k = rng.randrange(first, len(lines))
+    tokens = lines[k].split()
+    i = rng.randrange(len(tokens))
+    op = rng.choice(("replace", "delete", "double"))
+    if op == "replace":
+        names = [line.split()[0] for line in lines[first:]]
+        tokens[i] = rng.choice(["0", "1", "2", "3", ".0", ".1", "-",
+                                rng.choice(names)])
+    elif op == "delete":
+        del tokens[i]
+    else:
+        tokens.insert(i, tokens[i])
+    lines[k] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def _mutated_machine(t, rng):
+    """t with one transition changed: its target moved to another state,
+    one output letter changed to a digit, a digit added or its last
+    output letter dropped.  The copy goes through the public constructor
+    and is validated where it is first read."""
+    trans = dict(t.trans)
+    key = rng.choice(sorted(trans, key=str))
+    w, q = trans[key]
+    op = rng.choice(("target", "letter", "append", "drop"))
+    if op == "target":
+        q = rng.choice(t.states)
+    elif op == "letter" and w:
+        i = rng.randrange(len(w))
+        w = w[:i] + (rng.randrange(t.n),) + w[i + 1:]
+    elif op == "append":
+        w = w + (rng.randrange(t.n),)
+    else:
+        w = w[:-1]
+    trans[key] = (w, q)
+    return Transducer(t.n, t.r, t.mode, t.states, t.initial, trans)
+
+
+def mutation_fuzz_case(seed):
+    """One case of the mutation fuzz: a document of _fuzz_documents with
+    one token changed, or parsed and one transition changed, then
+    inverted (invert, or invert_core for a core), classified and, for a
+    core, its order searched up to 3.  Every inverse obtained, directly
+    or inside classify_subgroup and order_in_On, passes check_inverse;
+    every other outcome must be a typed cantrans error (TransducerError,
+    ParseError or WordError), which is recorded by type name.  Returns
+    [step, outcome] pairs, outcome "ok" or "inverse" when a step gives
+    an answer."""
+    rng = random.Random(seed)
+    text = rng.choice(_fuzz_documents(rng))
+    typed = (TransducerError, ParseError, WordError)
+    seen = []
+
+    def attempt(step, fn, *args):
+        try:
+            got = fn(*args)
+        except typed as e:
+            seen.append([step, type(e).__name__])
+            return None
+        seen.append([step, "inverse" if step.startswith("invert")
+                     else "ok"])
+        return got
+
+    if rng.random() < 0.3:
+        t = attempt("parse", parse, _mutated_tokens(text, rng))
+    else:
+        t = attempt("mutate", lambda: _mutated_machine(parse(text), rng))
+    if t is None:
+        return seen
+    # every inverse core is checked as _inverse_from returns it; the
+    # child process the case runs in needs no monkeypatch fixture
+    real = synchro._inverse_from
+    checked_inverses(types.SimpleNamespace(setattr=setattr))
+    try:
+        if t.mode == INITIAL:
+            attempt("invert", checked_invert, t)
+        else:
+            attempt("invert_core", invert_core, t)
+        attempt("classify", classify_subgroup, t)
+        if t.mode == CORE:
+            attempt("order", order_in_On, t, 3)
+    finally:
+        synchro._inverse_from = real
+    return seen

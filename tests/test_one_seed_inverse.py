@@ -1,17 +1,18 @@
 """invert_core's one construction, _inverse_from, run from one seed
 without pruning and, when that refuses, from every seed with pruning.
 The one seed is the set of runs that a seed's walk under 0 repeats at;
-its closure is reduced and checked by the lag walk, whose every verdict
-here is the step-by-step walk's it replaced
-(helpers.step_loop_product_is_identity).  On every core both
-runs give the same machine under the same names, or both refuse, and
-the one-seed run answers every invertible core.  Both runs match the
-pending-word exploration they replaced (helpers.pending_word_invert_core)
-byte for byte, under the numbering from the state digit 0 fixes.  The
-full run's refusals that no core in the corpus reaches, machines of run
-sets that do not synchronize and a failed lag walk, are forced by
-monkeypatching, and is_bisynchronizing reads each as a negative
-verdict."""
+its closure is reduced into an inverse by construction, and every
+inverse either run returns here passes the oracles of helpers.py in
+both orders (helpers.checked_inverses: the lag walk and the reduction
+round trip).  On every core both runs give the
+same machine under the same names, or both refuse, and the one-seed run
+answers every invertible core.  Both runs match the pending-word
+exploration they replaced (helpers.pending_word_invert_core) byte for
+byte, under the numbering from the state digit 0 fixes.  The refusals
+that no core in the corpus reaches are forced by monkeypatching: a
+one-seed run that refuses falls back to the full run, and a full run
+whose machine of run sets does not synchronize is refused, which
+is_bisynchronizing reads as a negative verdict."""
 
 import random
 import re
@@ -37,7 +38,7 @@ from cantrans.machine import _View
 from cantrans.randgen import random_transducer
 
 from helpers import balanced_powers, check_not_injective, \
-    checked_lag_walks, fixture_cores, pending_word_invert_core, \
+    checked_inverses, fixture_cores, pending_word_invert_core, \
     pending_zero_repeat_config, random_synchronizing, shuffled_relabel
 
 
@@ -100,23 +101,23 @@ def _corpus():
 def corpus_outcomes():
     """The corpus, what invert_core gives on each core with the one-seed
     run and with the full run forced, and the runs behind each answer of
-    the first."""
+    the first, and how many inverses each of the two passes checked:
+    every inverse _inverse_from returns on the way passes the oracles
+    (helpers.checked_inverses)."""
     cores = _corpus()
     with pytest.MonkeyPatch.context() as patch:
         _full_path_only(patch)
-        walks = checked_lag_walks(patch)
+        checked_full = checked_inverses(patch)
         full = [_outcome(c) for c in cores]
-    assert True in walks
     with pytest.MonkeyPatch.context() as patch:
         runs = _record_runs(patch)
-        walks = checked_lag_walks(patch)
+        checked_got = checked_inverses(patch)
         got, routes = [], []
         for c in cores:
             got.append(_outcome(c))
             routes.append(tuple(runs))
             runs.clear()
-    assert True in walks
-    return cores, got, full, routes
+    return cores, got, full, routes, (len(checked_got), len(checked_full))
 
 
 def _refused(o):
@@ -126,7 +127,7 @@ def _refused(o):
 def test_one_seed_matches_the_full_exploration(corpus_outcomes):
     """The same inverses, and a refusal where the full run refuses: the
     one-seed run may refuse first, with NotInjective."""
-    cores, got, want, routes = corpus_outcomes
+    cores, got, want, routes, _ = corpus_outcomes
     inverses = [not _refused(w) for w in want]
     for g, w, ok in zip(got, want, inverses):
         if ok:
@@ -183,7 +184,7 @@ def test_both_runs_match_the_two_route_construction(corpus_outcomes):
     """Inverses byte for byte and refusals by verdict, with the one-seed
     run and with the full run forced, against the pending-word
     exploration with its seed walk and without."""
-    cores, got, full, _ = corpus_outcomes
+    cores, got, full, _, _ = corpus_outcomes
     for c, g, f in zip(cores, got, full):
         _same_verdict(c, g, _oracle_outcome(c, True))
         with pytest.MonkeyPatch.context() as patch:
@@ -308,23 +309,29 @@ def test_seed_walk_stops_at_the_bound_without_a_clash(monkeypatch):
     assert isinstance(_oracle_outcome(core, True), NotInvertible)
 
 
-def test_a_rejected_candidate_falls_back_to_the_full_refusal(monkeypatch):
-    """A closure the lag walk rejects is never returned: the full run
-    follows, meets the same rejection and refuses with its text."""
-    walks = []
+def test_a_refused_candidate_falls_back_to_the_full_run(monkeypatch):
+    """A one-seed closure that refuses is never returned: the full run
+    follows and answers, with the inverse the one-seed run gives
+    unforced, which passes the oracles."""
+    core = fixture_cores()[1]
+    want = _outcome(core)
+    real = synchro._collapse
+    refused = []
 
-    def rejecting(a, b):
-        walks.append((a, b))
-        return False
+    def one_seed_never_synchronizes(view):
+        # the one-seed machine of run sets is the first one collapsed
+        tracked, cls, level = real(view)
+        if isinstance(view.states[0], tuple) and not refused:
+            refused.append(view)
+            return tracked, cls, None
+        return tracked, cls, level
 
     runs = _record_runs(monkeypatch)
-    monkeypatch.setattr(synchro, "_product_is_identity", rejecting)
-    with pytest.raises(NotInvertible, match="^round-trip verification "
-                                            "failed: core products are not "
-                                            "trivial$"):
-        invert_core(fixture_cores()[1])
-    assert runs == [(False, False), (True, False)]
-    assert len(walks) == 2
+    checked = checked_inverses(monkeypatch)
+    monkeypatch.setattr(synchro, "_collapse", one_seed_never_synchronizes)
+    assert _outcome(core) == want
+    assert runs == [(False, False), (True, True)]
+    assert len(refused) == 1 and len(checked) == 1
 
 
 def test_inverse_dynamics_that_do_not_synchronize_are_refused(monkeypatch):
@@ -354,21 +361,12 @@ def test_inverse_dynamics_that_do_not_synchronize_are_refused(monkeypatch):
     assert len(refused) == 2
 
 
-def test_inverse_whose_products_are_not_trivial_is_refused(monkeypatch):
-    """The full run refuses an inverse that fails a lag walk, and
-    is_bisynchronizing reads the refusal as a negative verdict."""
-    core = fixture_cores()[1]
-    walks = []
-
-    def rejecting(a, b):
-        walks.append((a, b))
-        return False
-
-    _full_path_only(monkeypatch)
-    monkeypatch.setattr(synchro, "_product_is_identity", rejecting)
-    with pytest.raises(NotInvertible, match="^round-trip verification "
-                                            "failed: core products are not "
-                                            "trivial$"):
-        invert_core(core)
-    assert is_bisynchronizing(core) == (False, None)
-    assert len(walks) == 2
+def test_every_inverse_of_the_corpus_passes_the_oracles(corpus_outcomes):
+    """Each inverse invert_core returns on the corpus, from the one-seed
+    run and from the full run forced, was checked by the oracles in both
+    orders as _inverse_from returned it, and no run returned one that
+    invert_core then dropped."""
+    _, got, full, _, (checked_got, checked_full) = corpus_outcomes
+    assert checked_got == sum(not _refused(g) for g in got)
+    assert checked_full == sum(not _refused(f) for f in full)
+    assert checked_got > 100

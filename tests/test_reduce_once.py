@@ -176,8 +176,8 @@ def test_classify_synchronizes_each_machine_once(monkeypatch):
     assert flags.core_states == 103
     # the cube, the inverse's machine of run sets (664 pending-word
     # configurations before they were merged by run set) and the inverse
-    # core; invert_core and core_of read the cube's level, and the
-    # round-trip products check neither factor again
+    # core; invert_core and core_of read the cube's level, and no product
+    # of the cube with its inverse is built
     assert [len(t.states) for t in seen] == [103, 131, 103]
 
 

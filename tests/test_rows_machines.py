@@ -35,6 +35,7 @@ from cantrans import (
     Transducer,
     TransducerError,
     canonical_form,
+    check_permutation_state,
     classify_subgroup,
     compose,
     core_of,
@@ -59,6 +60,7 @@ from cantrans import (
 )
 from cantrans import machine
 from cantrans.machine import _View
+from cantrans.words import format_letter
 from cantrans.randgen import random_gnr_element, random_prefix_code_map, \
     random_transducer
 
@@ -265,6 +267,56 @@ def test_core_of_a_parsed_chain_builds_no_view(monkeypatch):
     core = core_of(t)
     assert stages == [t._rows] and views == []
     assert core.states == ("e",) and core._rows is not None
+
+
+def test_a_step_on_the_parsed_chain_builds_no_table():
+    """Transducer.step, and check_permutation_state digit by digit,
+    answer from the rows of the parsed 3000-state core chain through the
+    state-name map: the chain's table is never built."""
+    t = parse(serialize(empty_output_chain(True)))
+    want = empty_output_chain(True).trans
+    assert t.step("c5", 0) == want[("c5", 0)] == ((), "c6")
+    assert t.step("c5", 1) == want[("c5", 1)]
+    assert check_permutation_state(t, "c5") == (False, None, False)
+    assert t._trans is None
+
+
+def _table_step(trans, state, letter):
+    """Oracle: a step as a lookup of the name-keyed table, refusing a
+    key the table lacks with Transducer.step's text."""
+    edge = trans.get((state, letter))
+    if edge is None:
+        raise TransducerError(
+            f"no transition ({state!r}, {format_letter(letter)})")
+    return edge
+
+
+def test_steps_on_rows_agree_with_the_table():
+    """On every fixture, a fixture core and their inverses, a step of the
+    machine built on rows gives the table's value on every key of the
+    table, and on a letter or state the table lacks it refuses with the
+    table lookup's text; no table is built."""
+    machines = [load() for load in (
+        fixtures.sample_3_2, fixtures.unbalanced_core_3,
+        fixtures.unbalanced_4_2, fixtures.balanced_core_2,
+        fixtures.synchronous_core_3, fixtures.torsion_core_2)]
+    machines += [invert(fixtures.sample_3_2()),
+                 invert_core(fixtures.balanced_core_2()),
+                 core_of(minimize(fixtures.sample_3_2()))]
+    refused = 0
+    for t in machines:
+        rows, trans = parse(serialize(t)), t.trans
+        for key, edge in trans.items():
+            assert rows.step(*key) == edge
+        q = t.states[-1]
+        for key in ((q, t.n), (q, True), (q, 1.0), (q, -t.n),
+                    ("nowhere", 0), (t.initial, 0), (t.initial, -1)):
+            got = outcome(rows.step, *key)
+            want = outcome(_table_step, trans, *key)
+            assert got == want
+            refused += isinstance(want, tuple) and want[0] is TransducerError
+        assert rows._trans is None
+    assert refused > 30
 
 
 def test_checked_machines_build_no_view_after_validate(monkeypatch):
