@@ -688,34 +688,40 @@ def _guaranteed_output(view):
     """guaranteed_output as a list by state number.  The iteration is
     Jacobi, each pass computing from the previous pass's values alone,
     but a pass recomputes only the predecessors of the states whose value
-    changed in the pass before (no other value can change), so it takes
-    the same passes, under the same cap, as recomputing every state.
+    changed in the pass before (no other value can change), found by one
+    set test per row at C speed, so it takes the same passes, under the
+    same cap, as recomputing every state; the cap, |Q| * (1 + longest
+    output), is never below |Q| and is computed only after |Q| passes.
 
     A row's words out + v(target) are built by one map, and their LCP is
     the LCP of the least and the greatest of them (a word between two
     others shares their common prefix): a first-letter test settles most
     rows, and only a shared first letter starts a scan.  The first pass
-    starts from v == empty, so each row's words are its outputs: it
-    takes every row's least and greatest output by one map each, keeps
-    the rows whose least word is nonempty and compares the first letters
-    of their two words, and only rows whose two words share a first
-    letter run Python code.  The rows to recompute are found by one set
-    test per row, at C speed."""
+    starts from v == empty, so a row's words are its outputs, and a row
+    holding the empty word owes nothing: only the other rows get a min,
+    a max and the first-letter test, by one map each, at C speed."""
     outs, targets = view.outs, view.targets
     size = len(targets)
-    longest = max(map(len, chain.from_iterable(outs)), default=0)
-    cap = max(1, size * (1 + longest))
     v = [EMPTY] * size
     owed = v.__getitem__
-    least, greatest = list(map(min, outs)), list(map(max, outs))
-    writing = list(compress(count(), least))
-    heads = [list(map(itemgetter(0), map(words.__getitem__, writing)))
-             for words in (least, greatest)]
-    shared = compress(writing, map(eq, *heads))
-    changed = [(i, _lcp(least[i], greatest[i])) for i in shared]
-    for _ in range(cap):
+    writing = list(compress(count(), map(not_, map(contains, outs,
+                                                    repeat(EMPTY)))))
+    rows = list(map(outs.__getitem__, writing))
+    least, greatest = list(map(min, rows)), list(map(max, rows))
+    shared = map(eq, map(itemgetter(0), least), map(itemgetter(0), greatest))
+    changed = [(i, _lcp(lo, hi)) for i, lo, hi in
+               compress(zip(writing, least, greatest), shared)]
+    cap = None
+    for passes in count():
         if not changed:
             return v
+        if passes == size:
+            cap = size * (1 + max(map(len, chain.from_iterable(outs))))
+        elif passes == cap:
+            raise UnboundedOutput(
+                "guaranteed output unbounded: some state maps its whole "
+                "cone arbitrarily close to a single point"
+            )
         for i, new in changed:
             v[i] = new
         moved = {i for i, _ in changed}
@@ -727,12 +733,6 @@ def _guaranteed_output(view):
             new = _lcp(lo, hi) if lo and lo[0] == hi[0] else EMPTY
             if new != v[i]:
                 changed.append((i, new))
-    if not changed:
-        return v
-    raise UnboundedOutput(
-        "guaranteed output unbounded: some state maps its whole cone "
-        "arbitrarily close to a single point"
-    )
 
 
 def _lcp(lo, hi):
@@ -878,7 +878,8 @@ def _refine(view, colour, ranked=True):
     round 1 numbers each state's (seed colour, output row), and later
     rounds key (colour, target colours) alone, since the colour already
     carries the outputs; the stable partition is the same, and a count
-    that stops growing is only tested from round 2 on.
+    that stops growing is only tested from round 2 on.  A discrete
+    partition comes back as range(size); a discrete round 1 builds no column.
 
     Each round zips whole columns, one per letter, each taken from the
     rows by itemgetter: target colours and, when `ranked`, output words
@@ -888,6 +889,10 @@ def _refine(view, colour, ranked=True):
     its own colour, so it sorts as the shorter signature would."""
     outs, targets = view.outs, view.targets
     size = len(outs)
+    if not ranked:
+        colour, classes = _numbered(list(zip(colour, outs)), False)
+        if classes == size:
+            return colour
     width = max(map(len, outs), default=0)
     short = list(compress(count(), map(width.__gt__, map(len, outs))))
     if short:
@@ -904,8 +909,6 @@ def _refine(view, colour, ranked=True):
         word_cols = [list(map(word_rank.__getitem__, map(itemgetter(x), outs)))
                      for x in range(width)]
         classes = len(set(colour))
-    else:
-        colour, classes = _numbered(list(zip(colour, outs)), False)
     while classes < size:
         cols = [colour]
         for x, targets_x in enumerate(target_cols):
@@ -920,19 +923,19 @@ def _refine(view, colour, ranked=True):
 
 
 def _numbered(sigs, ranked):
-    """A colour per signature, as a list, equal exactly for equal
+    """A colour per signature, as a sequence, equal exactly for equal
     signatures, and the number of distinct signatures.  With `ranked`,
     the colour is the signature's rank in sorted order.  Without it, it
     is the position of the signature's last occurrence, from one dict
     built from the positions, each overwriting the one before; when
-    every signature is distinct that is its own position, and the
-    signatures are not looked up again."""
+    every signature is distinct that is its own position, the colours
+    are range(len(sigs)), and the signatures are not looked up again."""
     if ranked:
         number = dict(zip(sorted(set(sigs)), count()))
     else:
         number = dict(zip(sigs, count()))
         if len(number) == len(sigs):
-            return list(range(len(sigs))), len(sigs)
+            return range(len(sigs)), len(sigs)
     return list(map(number.__getitem__, sigs)), len(number)
 
 

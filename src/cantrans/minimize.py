@@ -6,24 +6,19 @@ induce the same local map (partition refinement).  The pipeline yields
 the unique representative of the machine's omega-equivalence class, up
 to strong isomorphism; its canonical form is the class invariant.
 
-minimize runs the three steps and the final relabel as one pass over an
-integer view of the machine (machine._view_of): reachability, the
-guaranteed-output fixpoint, the shifted outputs, the refinement and the
-breadth-first renaming all work on state numbers, and the result keeps
-the quotient's rows (see _build): its name-keyed table is built only
-when something reads it.  Each stage is a few passes over whole columns
-at C speed: the view of a machine built from a table is built once, by
-validate's lookup of every row, and kept as its rows (a machine the
-library built on rows hands its rows out), reachability is a walk on
-state numbers, the guaranteed output takes each row's LCP from its
-least and greatest word (in its first pass by one min and one max over
-all rows, with Python code only for rows whose two words share a first
-letter), the merge keys each state's
-output row once and then only its target colours, numbers signatures
-through a dict and stops at a discrete partition, whose rows the result
-takes as they are.  Letter loops run only to word an error.  The public
-step functions are thin wrappers over the same helpers, each taking its
-own view and building its own result.
+minimize runs the three steps and the final relabel as one pass over the
+machine's integer rows (machine._view_of), each stage a few passes over
+whole columns at C speed, none redoing an earlier one's work: the walk
+that finds the reachable states numbers the result unless states merge;
+the guaranteed output's first pass skips the rows that hold the empty
+word and takes the LCP of the others from their least and greatest
+words; the merge keys each output row once, stops at a discrete
+partition, most often right after that first round, and then keeps the
+rows as they are; the names s0, s1, ... come from one table.  The result
+keeps the quotient's rows (see _build): its name-keyed table is built
+only when something reads it.  Letter loops run only to word an error.
+The public step functions are thin wrappers over the same helpers, each
+taking its own view and building its own result.
 """
 
 from itertools import compress, count
@@ -53,7 +48,7 @@ def remove_incomplete_response(t):
     transitions, keeps its owed prefix and emits it up front instead.
     Unreachable states are left untouched (step 2 removes them).
     """
-    view = _complete_responses(_reached(_view_of(t), t))
+    view = _complete_responses(_reached(_view_of(t), t)[0])
     trans = dict(t.trans)
     trans.update(view._table())
     return Transducer(t.n, t.r, t.mode, t.states, t.initial, trans)
@@ -79,7 +74,7 @@ def merge_equivalent_states(t):
     error (unreachable states just ride along; step 2 owns them).  The
     initial state never merges: it reads a different alphabet."""
     view = _view_of(t)
-    sub = _reached(view, t)
+    sub = _reached(view, t)[0]
     for q, owed in zip(sub.states, _guaranteed_output(sub)):
         if q != t.initial and owed != EMPTY:
             raise TransducerError(
@@ -108,16 +103,18 @@ def _reduce(t):
     """minimize without its validation, for a machine its caller has
     just validated or built valid: the three steps and the relabel in
     one pass over one view.  Completed responses leave no guaranteed
-    output to check before merging.  The result is marked minimal:
-    reducing it again gives it back (see _core_order)."""
-    view = _complete_responses(_reached(_view_of(t), t))
+    output to check before merging, and an initial-mode result is
+    numbered in _reached's order unless states merge.  The result is
+    marked minimal: reducing it again gives it back (see _core_order)."""
+    view, order = _reached(_view_of(t), t)
+    view = _complete_responses(view)
     reps, cls, initial = _merge(view, t)
     letters, outs, targets = _quotient(view, reps, cls)
-    if t.mode == INITIAL:
-        order = _bfs(targets, initial)
-    else:
+    if t.mode != INITIAL:
         order = _core_order(targets,
                             list(map(str, map(view.states.__getitem__, reps))))
+    elif cls is not None:
+        order = _bfs(targets, initial)
     return _build(t.n, t.r, t.mode, _numbered_names(order), letters, outs,
                   targets, initial, _MINIMAL)
 
@@ -136,15 +133,18 @@ def _reduce_rows(n, r, mode, initial, view):
 
 
 def _reached(view, t):
-    """The sub-view of the states step 1 rewrites, in state order: all of
-    a core's, the ones reachable from the entry of an initial-mode
-    machine, cut from its view only when some state is unreachable."""
+    """The states step 1 rewrites, as a sub-view in state order, and
+    their breadth-first order from the entry: all of a core's, in no
+    order, or those an initial-mode machine reaches, cut from its view
+    only when some are not, the order then mapped through the cut."""
     if t.mode == CORE:
-        return view
+        return view, None
     reached = _bfs(view.targets, view.entry)
     if len(reached) == len(view.states):
-        return view
-    return view._cut(sorted(reached))
+        return view, reached
+    keep = sorted(reached)
+    position = dict(zip(keep, count()))
+    return view._cut(keep), list(map(position.__getitem__, reached))
 
 
 def _complete_responses(view):
@@ -176,13 +176,10 @@ def _merge(view, t):
     initial state of an initial-mode machine seeded apart.  Returns
     (reps, cls, start): the first state of each class, in state order,
     each state's class as its position in reps, and the class of
-    t.initial (None without one).  A discrete partition returns
-    range(size) and cls None: every state is its own class, at its own
-    position.
-
-    Only the partition matters here, so _refine numbers signatures by
-    first appearance, without sorting them, and stops at a discrete
-    partition."""
+    t.initial (None without one).  Only the partition matters, so
+    _refine numbers signatures without sorting them, and hands a discrete
+    partition back as range(size): it is returned as reps, with cls None
+    (every state is its own class, at its own position)."""
     size = len(view.states)
     colour = [0] * size
     if t.mode == INITIAL:
@@ -191,10 +188,10 @@ def _merge(view, t):
     else:
         start = None if t.initial is None else view.index[t.initial]
     colour = _refine(view, colour, ranked=False)
+    if isinstance(colour, range):
+        return colour, None, start
     # colour -> first state: zipped backwards, the first state comes last
     first = dict(zip(reversed(colour), reversed(range(size))))
-    if len(first) == size:
-        return range(size), None, start
     reps = sorted(first.values())
     position = dict(zip(map(colour.__getitem__, reps), count()))
     cls = list(map(position.__getitem__, colour))
@@ -237,12 +234,20 @@ def _core_order(targets, names):
     return ranked
 
 
+_NAMES = ()
+
+
 def _numbered_names(order):
-    """The names s0, s1, ... by state number: state order[k] is sk.  One
-    loop with %-formatting beats a name map zipped from str.format."""
-    names = [None] * len(order)
-    for k, i in enumerate(order):
-        names[i] = "s%d" % k
+    """The names s0, s1, ... by state number: state order[k] is sk, from
+    one tuple of names, each formatted once, which a longer machine
+    replaces (never changes) so that concurrent callers read it whole."""
+    global _NAMES
+    table, names = _NAMES, [None] * len(order)
+    if len(table) < len(names):
+        table = _NAMES = table + tuple(
+            map("s%d".__mod__, range(len(table), len(names))))
+    for name, i in zip(table, order):
+        names[i] = name
     return tuple(names)
 
 
