@@ -835,8 +835,8 @@ def canonical_form(t):
 
     Initial mode (header T1|initial): breadth-first renumbering from q0,
     letters taken in canonical order.  Core mode (header T2|core): the
-    breadth-first renumbering from the root _best_core_order picks; the
-    preferred-start marker is ignored."""
+    breadth-first renumbering from the root _best_core_order picks, the
+    state digit 0 alone fixes if any; the start marker is ignored."""
     view = _view_of(t)
     if t.mode == INITIAL:
         order = _bfs(view.targets, view.entry)
@@ -845,9 +845,10 @@ def canonical_form(t):
                 "unreachable states present; minimize before canonical_form"
             )
         return _serialize(view, order, f"T1|initial|n={t.n}|r={t.r}")
-    if not _strongly_connected(view.targets):
+    order = _best_core_order(view)
+    if order is None:
         raise TransducerError("disconnected core has no canonical form")
-    return _serialize(view, _best_core_order(view), f"T2|core|n={t.n}")
+    return _serialize(view, order, f"T2|core|n={t.n}")
 
 
 def _core_table(view, order):
@@ -940,24 +941,45 @@ def _numbered(sigs, ranked):
 
 
 def _best_core_order(view):
-    """The core-mode canonical labeling of a strongly connected core, as
-    state numbers in breadth-first order from the chosen root.
+    """The core-mode canonical labeling of a core, as state numbers in
+    breadth-first order from a root every strong isomorphism keeps, or
+    None when the core is not strongly connected.
 
-    _refine colours the states from a single seed colour.  The candidate
-    roots are the states of the smallest colour class (ties to the lower
-    colour); among them the breadth-first renumbering with the least
-    transition table wins.  Colours are invariant under renaming, so the
-    candidate set is too, and the result is a strong-isomorphism
+    A state that digit 0 alone fixes is such a root, and every
+    synchronizing core has one (0^m sends every state to one s, and
+    p·0 = p gives p = p·0^m = s).  The core is strongly connected when
+    the walk from it covers the core and every 0-walk ends there, which
+    |Q|.bit_length() squarings of the digit-0 column show, or else when
+    _strongly_connected says so.
+
+    Otherwise _refine colours the states from a single seed colour.  The
+    candidate roots are the states of the smallest colour class (ties to
+    the lower colour); among them the breadth-first renumbering with the
+    least transition table wins.  Colours are invariant under renaming,
+    so the candidate set is too, and the result is a strong-isomorphism
     invariant even when states are equivalent.  On a minimal core the
     partition is discrete and a single breadth-first walk remains."""
+    targets = view.targets
+    zeros = list(map(itemgetter(0), targets))
+    fixed = list(compress(count(), map(eq, zeros, count())))
+    if len(fixed) == 1:
+        for _ in range(len(zeros).bit_length()):
+            zeros = list(map(zeros.__getitem__, zeros))
+        order = _bfs(targets, fixed[0])
+        connected = len(order) == len(zeros) and (
+            zeros.count(fixed[0]) == len(zeros)
+            or _strongly_connected(targets))
+        return order if connected else None
+    if not _strongly_connected(targets):
+        return None
     colour = _refine(view, [0] * len(view.states))
     classes = {}
     for i, c in enumerate(colour):
         classes.setdefault(c, []).append(i)
     roots = min(classes.items(), key=lambda kv: (len(kv[1]), kv[0]))[1]
     if len(roots) == 1:
-        return _bfs(view.targets, roots[0])
-    return min((_bfs(view.targets, i) for i in roots),
+        return _bfs(targets, roots[0])
+    return min((_bfs(targets, i) for i in roots),
                key=lambda order: _core_table(view, order))
 
 
@@ -987,14 +1009,17 @@ def _first_repeat(start, step):
 
 
 def _serialize(view, order, header):
-    pos = {i: k for k, i in enumerate(order)}
+    """The bytes of the rows renumbered by `order`, which lists every
+    state number once; each number, letter and word is formatted once."""
+    label = list(map(str, sorted(range(len(order)), key=order.__getitem__)))
     words = {w: format_word(w) for w in {w for row in view.outs for w in row}}
     letters = {x: format_letter(x) for x in {x for row in view.letters
                                              for x in row}}
     parts = [header, str(len(order))]
     for i in order:
+        state = label[i]
         for x, w, j in zip(view.letters[i], view.outs[i], view.targets[i]):
-            parts.append(f"{pos[i]}.{letters[x]}>{pos[j]}:{words[w]}")
+            parts.append(f"{state}.{letters[x]}>{label[j]}:{words[w]}")
     return "|".join(parts).encode()
 
 

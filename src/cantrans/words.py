@@ -262,12 +262,22 @@ def _first_comparable_pair(code):
 
 
 def _primitive_root(word):
-    """Shortest z with word == z^k."""
-    m = len(word)
-    for d in range(1, m + 1):
-        if m % d == 0 and word == word[:d] * (m // d):
-            return word[:d]
-    return word
+    """Shortest z with word == z^k.  The lengths d dividing |word| with
+    word == word[:d]^k are closed under gcd (Fine-Wilf), so a descent
+    over the prime factors p of |word| finds the least: from d = |word|,
+    d becomes d // p while the root block word[:d] has period d // p."""
+    d = rest = len(word)
+    p = 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest
+        if rest % p == 0:
+            while rest % p == 0:
+                rest //= p
+            while d % p == 0 and word[d // p:d] == word[:d - d // p]:
+                d //= p
+        p += 1
+    return word[:d]
 
 
 def _trimmed(preperiod, period):

@@ -46,7 +46,7 @@ from cantrans.document import HEADER, ParseError, _RESERVED, _alphabet, \
 from cantrans.words import EMPTY, Relation, WordError, check_word, \
     check_word_shape, common_prefix, format_letter, format_word, \
     is_digit_word, is_prefix, is_root, is_rooted, parse_letter, \
-    word_relate, word_subtract, _primitive_root
+    word_relate, word_subtract
 from cantrans.machine import _View, _first_repeat, relabel
 from cantrans.minimize import _reduce, merge_equivalent_states, \
     remove_inaccessible, remove_incomplete_response
@@ -416,6 +416,47 @@ def non_synchronizing_core(n, rng):
                                    for _ in range(rng.randint(1, 2))),
                              rng.choice(names))
     return Transducer(n, None, CORE, names, None, trans)
+
+
+def two_digit_core(rows):
+    """A core over C_2 from {name: ((output, target) on 0, (output,
+    target) on 1)}, states in the order of `rows`."""
+    trans = {(q, x): edge for q, row in rows.items()
+             for x, edge in enumerate(row)}
+    return Transducer(2, None, CORE, list(rows), None, trans)
+
+
+def one_zero_fixed_cores():
+    """Three cores over C_2 in which digit 0 fixes a alone, named by how
+    they are connected: "other cycle", strongly connected, though b and
+    c swap under 0; "no return", where the walk from a covers b and c,
+    which never come back to a; and "uncovered", where the walk from a
+    covers a alone."""
+    return {
+        "other cycle": two_digit_core({"a": (((0,), "a"), ((1,), "b")),
+                                       "b": (((0, 0), "c"), ((1,), "a")),
+                                       "c": (((0,), "b"), ((1, 1), "a"))}),
+        "no return": two_digit_core({"a": (((0,), "a"), ((1,), "b")),
+                                     "b": (((0,), "c"), ((1,), "b")),
+                                     "c": (((1,), "b"), ((0,), "c"))}),
+        "uncovered": two_digit_core({"a": (((0,), "a"), ((1,), "a")),
+                                     "b": (((0,), "a"), ((1,), "b"))}),
+    }
+
+
+def counter_core(size):
+    """The counter core C_N over C_2, N = size: states c0 .. c(N-1),
+    where digit 1 writes 1 and goes to c0, and digit 0 writes 0 and goes
+    to c(i+1), except at c(N-1), which on digit 0 writes 1 and stays and
+    on digit 1 writes 0 and goes to c0.  Minimal, strongly connected,
+    synchronizing at level N - 1, with c(N-1) its one 0-fixed state;
+    its states are told apart only after up to N letters, so Moore
+    refinement needs about N rounds."""
+    names = [f"c{i}" for i in range(size)]
+    rows = {q: (((0,), names[i + 1]), ((1,), "c0"))
+            for i, q in enumerate(names[:-1])}
+    rows[names[-1]] = (((1,), names[-1]), ((0,), "c0"))
+    return two_digit_core(rows)
 
 
 def shuffled_relabel(t, rng):
@@ -931,6 +972,18 @@ def sorted_signature_core_form(t):
     order = min((_bfs_order(t, q) for q in roots),
                 key=lambda order: _dict_core_table(t, order))
     return _dict_serialize(t, order, f"T2|core|n={t.n}")
+
+
+def zero_root_core_form(t):
+    """Oracle: the T2|core canonical bytes of a strongly connected core
+    with exactly one state that digit 0 fixes, by breadth-first
+    renumbering from that state on (name, letter) keys; None for a core
+    with no such state or with several."""
+    fixed = [q for q in t.states if t.step(q, 0)[1] == q]
+    if len(fixed) != 1:
+        return None
+    assert strongly_connected(t)
+    return _dict_serialize(t, _bfs_order(t, fixed[0]), f"T2|core|n={t.n}")
 
 
 def dict_initial_form(t):
@@ -1986,13 +2039,24 @@ def eager_build(n, r, mode, names, letters, outs, targets, initial, known):
     return t
 
 
+def divisor_loop_primitive_root(word):
+    """Oracle: words._primitive_root as a loop over every divisor d of
+    |word|, testing word == word[:d]^k with a full slice and product."""
+    m = len(word)
+    for d in range(1, m + 1):
+        if m % d == 0 and word == word[:d] * (m // d):
+            return word[:d]
+    return word
+
+
 def loop_trimmed_point(preperiod, period):
     """Oracle: EventuallyPeriodicPoint's normal form as it was before one
     backward pass measured the suffix to trim: the primitive root of the
     period, then one letter trimmed at a time, each trim copying the
     preperiod and rotating the period by one.  Returns (preperiod,
     period)."""
-    preperiod, period = tuple(preperiod), _primitive_root(tuple(period))
+    preperiod = tuple(preperiod)
+    period = divisor_loop_primitive_root(tuple(period))
     while preperiod and not is_root(preperiod[-1]) \
             and preperiod[-1] == period[-1]:
         preperiod = preperiod[:-1]

@@ -3,7 +3,8 @@ helpers.py as oracles: the column-built view against the letter loop,
 minimize against the three steps run one after another, the worklist
 guaranteed output against the full-pass loop, the merge's hashed
 partition and the core form's ranks against the sorted refinement run to
-a stable count, the core canonical form against the refinement on
+a stable count, the core canonical form against the breadth-first walk
+from the one state digit 0 fixes or, on other cores, the refinement on
 (name, letter) keys, the column-wise collapse against the row-keyed one
 and against the one that relabelled every state each round, eval_point
 against one run_word call per pump, and run_word against one
@@ -51,11 +52,12 @@ from helpers import _tracked_states, dict_initial_form, \
     dict_merge_equivalent_states, dict_remove_incomplete_response, \
     duplicated_states, empty_output_chain, full_pass_guaranteed_output, \
     letter_loop_validate, letter_loop_view, letter_step_run_word, \
-    multi_core_bisync, pair_core, \
-    pump_loop_eval_point, random_points, rank_until_stable_refine, \
+    multi_core_bisync, non_synchronizing_core, one_zero_fixed_cores, \
+    pair_core, pump_loop_eval_point, random_points, \
+    rank_until_stable_refine, \
     round_remap_collapse, row_collapse, shuffled_relabel, \
     sorted_signature_core_form, strongly_connected, three_step_minimize, \
-    unreduced_compose, view_machine
+    unreduced_compose, view_machine, zero_root_core_form
 
 ALPHABETS = (Alphabet(2, 1), Alphabet(3, 1), Alphabet(3, 2), Alphabet(4, 1))
 
@@ -359,12 +361,26 @@ def test_initial_forms_match_dict_form(random_machines):
 
 def test_core_forms_match_sorted_signature_oracle(balanced_powers,
                                                    multi_cores):
+    """A core with one 0-fixed state is rooted there (zero_root_core_form);
+    any other keeps the Moore root (sorted_signature_core_form).  Both
+    sides hold relabels, duplicated states, cores on which 0 permutes
+    the states, the ring, and a core whose one 0-fixed state is not where
+    every 0-walk ends; disconnected cores with one 0-fixed state are
+    still refused."""
     rng = random.Random(77)
     bases = balanced_powers + [minimize(c) for c in
                                (fixtures.torsion_core_2(),
                                 fixtures.synchronous_core_3(),
                                 fixtures.unbalanced_core_3())]
     bases += multi_cores[1][::3]
+    corners = one_zero_fixed_cores()
+    bases.append(corners["other cycle"])
+    drawn = 0
+    while drawn < 6:
+        c = non_synchronizing_core(rng.choice((2, 3)), rng)
+        if strongly_connected(c):
+            bases.append(c)
+            drawn += 1
     cores = []
     for c in bases:
         cores.append(c)
@@ -377,8 +393,19 @@ def test_core_forms_match_sorted_signature_oracle(balanced_powers,
                 cores += [d, shuffled_relabel(d, rng)]
                 drawn += 1
     cores.append(empty_output_chain(True))
+    rooted = 0
     for c in cores:
-        assert canonical_form(c) == sorted_signature_core_form(c)
+        want = zero_root_core_form(c)
+        rooted += want is not None
+        if want is None:
+            want = sorted_signature_core_form(c)
+        assert canonical_form(c) == want
+    assert rooted >= 3 and len(cores) - rooted >= 3
+    for c in (corners["no return"], corners["uncovered"]):
+        assert validate(c) == [] and not strongly_connected(c)
+        with pytest.raises(TransducerError,
+                           match="disconnected core has no canonical form"):
+            canonical_form(c)
 
 
 def test_collapse_matches_row_collapse(random_machines, balanced_powers):

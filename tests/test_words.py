@@ -16,10 +16,11 @@ from cantrans import (
 )
 from cantrans.randgen import random_prefix_code
 from cantrans.words import check_word_shape, format_letter, is_digit_word, \
-    is_rooted
+    is_rooted, _primitive_root
 
-from helpers import letter_loop_check_word_shape, \
-    letter_loop_is_digit_word, loop_trimmed_point, \
+from helpers import divisor_loop_primitive_root, \
+    letter_loop_check_word_shape, letter_loop_is_digit_word, \
+    loop_trimmed_point, \
     pairwise_validate_prefix_code, word_by_word_validate_prefix_code
 
 
@@ -260,6 +261,31 @@ def test_point_normal_form_matches_the_trim_loop():
         rooted_stops += len(want[0]) == 1 < len(head + tail) and \
             want[0][0] < 0
     assert trimmed > 1000 and rooted_stops > 50
+
+
+def test_primitive_root_matches_the_divisor_loop():
+    """The prime-factor descent against the loop over every divisor, on
+    powers z^k of m letters for m in 1, primes, 720 and 3120 (z of any
+    length dividing m, over 1 to 3 digits, so often itself a power), and
+    on such powers with one letter changed."""
+    rng = random.Random(4409)
+    lengths = {}
+    for m in (1, 2, 13, 719, 720, 3120):
+        divisors = [d for d in range(1, m + 1) if m % d == 0]
+        for _ in range(40):
+            n = rng.randint(1, 3)
+            z = tuple(rng.randrange(n) for _ in range(rng.choice(divisors)))
+            word = z * (m // len(z))
+            root = _primitive_root(word)
+            assert root == divisor_loop_primitive_root(word)
+            lengths.setdefault(m, set()).add(len(root))
+            changed = list(word)
+            changed[rng.randrange(m)] = n
+            changed = tuple(changed)
+            assert _primitive_root(changed) == \
+                divisor_loop_primitive_root(changed)
+    assert _primitive_root(()) == ()
+    assert len(lengths[720]) > 5 and len(lengths[3120]) > 5
 
 
 def test_long_trims_take_linear_time():
